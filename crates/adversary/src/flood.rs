@@ -1,7 +1,7 @@
 //! The flood family: resource-exhaustion attacks on the forwarding path.
 //!
 //! Four storm shapes per campaign, seed-interleaved: request bursts past
-//! the pipeline depth (must surface as [`EngineError::Backpressure`],
+//! the wait-queue cap (must surface as [`EngineError::Backpressure`],
 //! never a lost slot), malformed-frame floods (every garbage frame must
 //! come back `EINVAL`), oversize frames plus doorbell storms (admission
 //! rejection, and a rung-to-death doorbell must still deliver its next
@@ -14,7 +14,7 @@
 //! wedges the frontend — is a breach even though no memory moved.
 
 use paradice::{DeviceSpec, ExecMode, GuestSpec, Machine};
-use paradice_cvd::exec::{CvdEngine, VirtualEngine, WallEngine, EXEC_RING_DEPTH};
+use paradice_cvd::multi::MULTI_QUEUE_CAP;
 use paradice_cvd::proto::{WireOp, WireRequest, WireResponse};
 use paradice_devfs::Errno;
 use paradice_faults::SplitMix64;
@@ -23,7 +23,7 @@ use paradice_hypervisor::{
 };
 use paradice_mem::{GuestPhysAddr, GuestVirtAddr};
 
-use crate::{AttackFamily, FamilyOutcome};
+use crate::{attacker_engine, receive, AttackFamily, FamilyOutcome, ATTACKER};
 
 /// A benign no-memop request: floods measure conservation, not grants.
 fn poll_frame(rng: &mut SplitMix64) -> Vec<u8> {
@@ -43,35 +43,15 @@ fn flood_service(req: &WireRequest) -> (WireResponse, Vec<MemOpRequest>) {
     (WireResponse::Value(0), Vec::new())
 }
 
-fn build_engine(kind: EngineKind) -> Box<dyn CvdEngine> {
-    match kind {
-        EngineKind::Virtual => Box::new(VirtualEngine::new(flood_service)),
-        EngineKind::Wall => Box::new(WallEngine::new(flood_service)),
-    }
-}
-
-fn drain_one(exec: &mut dyn CvdEngine) -> Result<Vec<u8>, String> {
-    match exec.kind() {
-        EngineKind::Virtual => match exec.complete() {
-            Ok(Some(frame)) => Ok(frame),
-            Ok(None) => Err("accepted frame vanished: lost ring slot".into()),
-            Err(e) => Err(format!("engine died draining the flood: {e}")),
-        },
-        EngineKind::Wall => exec
-            .complete_blocking()
-            .map_err(|e| format!("backend died draining the flood: {e}")),
-    }
-}
-
-/// A request burst past the pipeline depth: refusals must be loud
+/// A request burst past the wait-queue cap: refusals must be loud
 /// backpressure and every accepted frame must come back exactly once.
 fn burst_step(outcome: &mut FamilyOutcome, rng: &mut SplitMix64, engine: EngineKind) {
-    let mut exec = build_engine(engine);
-    let burst = EXEC_RING_DEPTH + 4 + rng.gen_range(12) as usize;
+    let mut exec = attacker_engine(engine, flood_service);
+    let burst = MULTI_QUEUE_CAP + 4 + rng.gen_range(12) as usize;
     let mut accepted = 0usize;
     let mut rejected = 0usize;
     for _ in 0..burst {
-        match exec.submit(&poll_frame(rng)) {
+        match exec.submit(ATTACKER, &poll_frame(rng)) {
             Ok(()) => accepted += 1,
             Err(EngineError::Backpressure) => rejected += 1,
             Err(e) => {
@@ -84,7 +64,7 @@ fn burst_step(outcome: &mut FamilyOutcome, rng: &mut SplitMix64, engine: EngineK
         }
     }
     for _ in 0..accepted {
-        let frame = match drain_one(exec.as_mut()) {
+        let frame = match receive(exec.as_mut()) {
             Ok(frame) => frame,
             Err(reason) => {
                 outcome.breach(format!("[{}] {reason}", engine.name()));
@@ -126,22 +106,22 @@ fn burst_step(outcome: &mut FamilyOutcome, rng: &mut SplitMix64, engine: EngineK
 
 /// A malformed-frame flood: every garbage frame must come back `EINVAL`.
 fn malformed_step(outcome: &mut FamilyOutcome, rng: &mut SplitMix64, engine: EngineKind) {
-    let mut exec = build_engine(engine);
-    let volley = 1 + rng.gen_range(EXEC_RING_DEPTH as u64 - 1) as usize;
+    let mut exec = attacker_engine(engine, flood_service);
+    let volley = 1 + rng.gen_range(MULTI_QUEUE_CAP as u64 - 1) as usize;
     for _ in 0..volley {
         let frame: Vec<u8> = (0..rng.gen_range(ARING_SLOT_BYTES as u64))
             .map(|_| rng.next_u64() as u8)
             .collect();
-        if let Err(e) = exec.submit(&frame) {
+        if let Err(e) = exec.submit(ATTACKER, &frame) {
             outcome.breach(format!(
-                "[{}] garbage under the ring depth was refused at submit: {e}",
+                "[{}] garbage under the queue cap was refused at submit: {e}",
                 engine.name(),
             ));
             return;
         }
     }
     for _ in 0..volley {
-        match drain_one(exec.as_mut()).map(|f| WireResponse::decode(&f)) {
+        match receive(exec.as_mut()).map(|f| WireResponse::decode(&f)) {
             Ok(Ok(WireResponse::Err(Errno::Einval))) => {}
             Ok(Ok(other)) => {
                 // A garbage frame decoding into a servable request is
@@ -177,9 +157,9 @@ fn oversize_and_doorbell_step(
     rng: &mut SplitMix64,
     engine: EngineKind,
 ) {
-    let mut exec = build_engine(engine);
+    let mut exec = attacker_engine(engine, flood_service);
     let fat = vec![0u8; ARING_SLOT_BYTES + 1 + rng.gen_range(64) as usize];
-    match exec.submit(&fat) {
+    match exec.submit(ATTACKER, &fat) {
         Err(EngineError::Oversize { len }) if len == fat.len() => {}
         other => {
             outcome.breach(format!(
@@ -255,7 +235,7 @@ mod tests {
     fn floods_are_contained_on_the_virtual_substrate() {
         let outcome = run(EngineKind::Virtual, 21, 80);
         assert!(outcome.breaches.is_empty(), "{:?}", outcome.breaches);
-        assert!(outcome.detected > 0, "bursts past depth 8 must backpressure");
+        assert!(outcome.detected > 0, "bursts past the cap must backpressure");
     }
 
     #[test]

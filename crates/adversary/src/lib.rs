@@ -38,17 +38,42 @@ pub mod race;
 pub mod ring;
 pub mod wire;
 
+use paradice_cvd::proto::{WireRequest, WireResponse};
+use paradice_cvd::{build_multi, MultiEngine, SchedPolicy};
+use paradice_hypervisor::MemOpRequest;
+
 pub use paradice_hypervisor::EngineKind;
 pub use wire::MinimizedFind;
+
+/// The guest the wire and flood families attack as: guest 1 of a 2-guest
+/// engine, so its grant references carry non-zero guest bits and a forged
+/// ref can name a real (idle) neighbour's shard.
+pub(crate) const ATTACKER: u32 = 1;
+
+/// A 2-guest engine on `kind` serving `service`; the attacker drives
+/// guest [`ATTACKER`], guest 0 stays idle.
+pub(crate) fn attacker_engine(
+    kind: EngineKind,
+    service: fn(&WireRequest) -> (WireResponse, Vec<MemOpRequest>),
+) -> Box<dyn MultiEngine> {
+    build_multi(kind, service, 2, SchedPolicy::FairShare)
+}
+
+/// Pulls exactly one of the attacker's responses out of the engine,
+/// surfacing hangs and lost slots as errors instead of blocking forever
+/// (both substrates refuse to block with nothing in flight).
+pub(crate) fn receive(exec: &mut dyn MultiEngine) -> Result<Vec<u8>, String> {
+    exec.complete_blocking()
+        .map(|(_, frame)| frame)
+        .map_err(|e| format!("submitted frame never came back: {e}"))
+}
 
 /// The five attack families the adversary generates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackFamily {
     /// Seeded mutations of encoded wire requests: bit flips, field
     /// tampering (length/enum/offset/grant-ref), truncations, trailing
-    /// bytes — submitted raw through the [`Engine`] byte seam.
-    ///
-    /// [`Engine`]: paradice_hypervisor::Engine
+    /// bytes — submitted raw through the [`MultiEngine`] byte seam.
     WireMutation,
     /// Grant-ref attacks against the live hypervisor: forged refs,
     /// replays after revocation, cross-guest refs, refs surviving

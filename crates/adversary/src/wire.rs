@@ -1,5 +1,5 @@
 //! The wire-mutation family: seeded mutations of encoded [`WireRequest`]
-//! bytes submitted raw through the [`Engine`] byte seam of both
+//! bytes submitted raw through the `MultiEngine` byte seam of both
 //! substrates, plus the delta-minimizer that turns a breach into a
 //! replayable `adversary-containment` fixture.
 //!
@@ -9,17 +9,14 @@
 //! anchors), so a breach verdict means the *stack* and the *model*
 //! disagree — never that two copies of the same code agree with each
 //! other.
-//!
-//! [`Engine`]: paradice_hypervisor::Engine
 
-use paradice_cvd::exec::{CvdEngine, VirtualEngine, WallEngine, EXEC_GUEST};
 use paradice_cvd::proto::{WireOp, WireRequest, WireResponse};
 use paradice_faults::SplitMix64;
 use paradice_hypervisor::{EngineError, EngineKind, GrantRef, MemOpGrant, MemOpRequest};
 use paradice_mem::{GuestPhysAddr, GuestVirtAddr};
 use paradice_verify::fixture::{to_hex, Fixture};
 
-use crate::{AttackFamily, FamilyOutcome};
+use crate::{attacker_engine, receive, AttackFamily, FamilyOutcome, ATTACKER};
 
 /// The memory operations the backend's driver issues for a decoded
 /// request: a read fills the user buffer, a write drains it.
@@ -62,13 +59,6 @@ fn adversary_service(req: &WireRequest) -> (WireResponse, Vec<MemOpRequest>) {
         _ => 0,
     };
     (WireResponse::Value(value), implied_mem_ops(&req.op))
-}
-
-fn build_engine(kind: EngineKind) -> Box<dyn CvdEngine> {
-    match kind {
-        EngineKind::Virtual => Box::new(VirtualEngine::new(adversary_service)),
-        EngineKind::Wall => Box::new(WallEngine::new(adversary_service)),
-    }
 }
 
 /// One legitimate request plus the windows its frontend declares for it.
@@ -310,7 +300,7 @@ pub fn run(
 ) -> (FamilyOutcome, Option<MinimizedFind>) {
     let mut outcome = FamilyOutcome::new(AttackFamily::WireMutation, engine);
     let mut rng = SplitMix64::new(seed);
-    let mut exec = build_engine(engine);
+    let mut exec = attacker_engine(engine, adversary_service);
     let entries = corpus();
 
     // The frontend's declarations. Under the seeded bypass the *table*
@@ -321,7 +311,7 @@ pub fn run(
     if bypass {
         let universal = exec
             .grants()
-            .declare(EXEC_GUEST, vec![
+            .declare(ATTACKER, vec![
                 MemOpGrant::CopyToGuest {
                     addr: GuestVirtAddr::new(0),
                     len: u64::MAX,
@@ -339,7 +329,7 @@ pub fn run(
         for entry in &entries {
             let legit = exec
                 .grants()
-                .declare(EXEC_GUEST, entry.decls.clone())
+                .declare(ATTACKER, entry.decls.clone())
                 .expect("declare corpus windows");
             refs.push((legit, entry.decls.clone()));
         }
@@ -359,7 +349,7 @@ pub fn run(
             mutate(&mut rng, &pristine, &pristine_bytes)
         };
 
-        let response = match exec.submit(&mutated) {
+        let response = match exec.submit(ATTACKER, &mutated) {
             Ok(()) => match receive(exec.as_mut()) {
                 Ok(frame) => frame,
                 Err(reason) => {
@@ -413,21 +403,6 @@ pub fn run(
     }
     exec.finish();
     (outcome, find)
-}
-
-/// Pulls exactly one response out of the engine, surfacing hangs and
-/// lost slots as errors instead of blocking forever.
-fn receive(exec: &mut dyn CvdEngine) -> Result<Vec<u8>, String> {
-    match exec.kind() {
-        EngineKind::Virtual => match exec.complete() {
-            Ok(Some(frame)) => Ok(frame),
-            Ok(None) => Err("submitted frame vanished: lost ring slot".into()),
-            Err(e) => Err(format!("engine died mid-op: {e}")),
-        },
-        EngineKind::Wall => exec
-            .complete_blocking()
-            .map_err(|e| format!("backend died mid-op: {e}")),
-    }
 }
 
 #[cfg(test)]

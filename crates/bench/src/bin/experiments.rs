@@ -12,22 +12,13 @@
 //! `BENCH_experiments.json` (every emitted table),
 //! `BENCH_fastpath.json` (the fast-path ablation, also written by a bare
 //! `--fastpath` run — `scripts/check.sh` gates on its no-op round-trip
-//! metric), `BENCH_verify.json` (the `paradice-verify` proof stats,
-//! also written by a bare `--verify` run), and `BENCH_wallclock.json`
-//! (the threaded wall-clock substrate's real ops/sec and Mpps, also
-//! written by a bare `--wallclock` run; add `--smoke` for the reduced
-//! CI sizing `scripts/check.sh` sanity-gates), `BENCH_race.json` (the
-//! interleaving proofs, ordering-mutant sweep, and MO/RC lint coverage,
-//! also written by a bare `--race` run; `--smoke` trims the sweep), and
-//! `BENCH_adversary.json`
-//! (the generative adversary's campaigns/sec and containment matrix,
-//! also written by a bare `--adversary` run; `--smoke` applies here
-//! too), and `BENCH_scale.json` (the multi-tenant scale-out bench:
-//! 1–1000 guests of mixed workloads on both substrates plus the
-//! flood-fairness scenario, also written by a bare `--scale` run;
-//! `--smoke` trims to 100 guests for the CI gate). `--trace` records the reference workload with paradice-trace
-//! enabled and dumps the span events as JSONL — feed the file to
-//! `paradice-lint --replay` for recorded-trace conformance checking.
+//! metric), and `BENCH_race.json` (the interleaving proofs,
+//! ordering-mutant sweep, and MO/RC lint coverage, also written by a bare
+//! `--race` run; `--smoke` trims the sweep). Host-time measurements live
+//! in the stand-alone `benchmark/` package. `--trace` records the
+//! reference workload with paradice-trace enabled and dumps the span
+//! events as JSONL — feed the file to `paradice-lint --replay` for
+//! recorded-trace conformance checking.
 
 use std::path::PathBuf;
 
@@ -115,15 +106,6 @@ fn main() {
     if want("--ablation") {
         emit(experiments::ablation());
     }
-    if want("--verify") {
-        let reports = paradice_bench::verifyreport::run_verification();
-        emit(paradice_bench::verifyreport::verify_table(&reports));
-        let path = repo_root().join("BENCH_verify.json");
-        match std::fs::write(&path, paradice_bench::verifyreport::render_json(&reports)) {
-            Ok(()) => println!("verify proof stats written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_verify.json: {e}"),
-        }
-    }
     if want("--race") {
         let smoke = args.iter().any(|a| a == "--smoke");
         let bench = paradice_bench::racereport::run(smoke);
@@ -132,36 +114,6 @@ fn main() {
         match std::fs::write(&path, paradice_bench::racereport::render_json(&bench)) {
             Ok(()) => println!("race checker numbers written to {}", path.display()),
             Err(e) => eprintln!("warning: could not write BENCH_race.json: {e}"),
-        }
-    }
-    if want("--wallclock") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let run = paradice_bench::wallclock::run(smoke);
-        print!("{}", paradice_bench::wallclock::render_text(&run));
-        let path = repo_root().join("BENCH_wallclock.json");
-        match std::fs::write(&path, paradice_bench::wallclock::render_json(&run)) {
-            Ok(()) => println!("wall-clock substrate numbers written to {}\n", path.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_wallclock.json: {e}"),
-        }
-    }
-    if want("--adversary") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let bench = paradice_bench::adversaryreport::run(smoke);
-        print!("{}", paradice_bench::adversaryreport::render_text(&bench));
-        let path = repo_root().join("BENCH_adversary.json");
-        match std::fs::write(&path, paradice_bench::adversaryreport::render_json(&bench)) {
-            Ok(()) => println!("adversary campaign numbers written to {}\n", path.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_adversary.json: {e}"),
-        }
-    }
-    if want("--scale") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let run = paradice_bench::scale::run(smoke);
-        print!("{}", paradice_bench::scale::render_text(&run));
-        let path = repo_root().join("BENCH_scale.json");
-        match std::fs::write(&path, paradice_bench::scale::render_json(&run)) {
-            Ok(()) => println!("scale-out numbers written to {}\n", path.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_scale.json: {e}"),
         }
     }
     if want("--fastpath") {

@@ -620,8 +620,6 @@ pub fn fastpath_table(comparisons: &[crate::fastpath::FastpathComparison]) -> Ta
 /// Engine-level fairness probe: time until a light guest's 1 ms job
 /// completes behind a heavy guest's 10×10 ms queue. The driver defaults
 /// to fair share; `fifo` toggles the ablation back to the stock policy.
-/// Also re-measured by the scale bench (`crate::scale`), which commits
-/// the fair-share number to `BENCH_scale.json`.
 pub(crate) fn sched_latency_ns(fifo: bool) -> u64 {
     use paradice_drivers::gpu::model::GpuSched;
     let mut machine = build(Config::Paradice, &[DeviceSpec::gpu()], 2);

@@ -17,22 +17,18 @@
 //!   ring, measured off vs. on and dumped to `BENCH_fastpath.json`.
 //! * [`tracing`] — the paradice-trace reference recorder behind
 //!   `experiments --trace <path>` and the `--replay` conformance gate.
-//! * [`verifyreport`] — the `paradice-verify` proof run as an experiments
-//!   table (`--verify`), dumped to `BENCH_verify.json`.
 //! * [`racereport`] — the race checker (`--race`): interleaving proofs,
 //!   the ordering-mutant sweep, and MO/RC lint coverage, dumped to
 //!   `BENCH_race.json`.
-//! * [`wallclock`] — the one real-time experiment (`--wallclock`): the
-//!   threaded wall-clock substrate vs. its deterministic virtual twin,
-//!   dumped to `BENCH_wallclock.json`.
-//! * [`scale`] — the multi-tenant scale-out bench (`--scale`): 1–1000
-//!   guests of mixed workloads through the multi-guest engines on both
-//!   substrates, plus the flood-fairness scenario, dumped to
-//!   `BENCH_scale.json`.
+//!
+//! Host-time measurements of the engine seam (`cvd::multi`) and of
+//! `Machine` live in the stand-alone `benchmark/` package
+//! (`BENCHMARK.json`), not here; `BENCH_verify.json` and
+//! `BENCH_adversary.json` are the `--json` output of `paradice-verify`
+//! and `paradice-adversary` themselves.
 //!
 //! Run everything with `cargo run -p paradice-bench --bin experiments`.
 
-pub mod adversaryreport;
 pub mod calib;
 pub mod configs;
 pub mod experiments;
@@ -40,10 +36,7 @@ pub mod fastpath;
 pub mod faults;
 pub mod racereport;
 pub mod report;
-pub mod scale;
 pub mod tracing;
-pub mod verifyreport;
-pub mod wallclock;
 pub mod workloads;
 
 pub use configs::{build, spawn_app, Config};

@@ -1,44 +1,27 @@
-//! The two execution substrates behind one [`Engine`] seam.
+//! What both execution substrates share: the device-model contract, the
+//! one backend step, and the differential harness.
 //!
-//! [`VirtualEngine`] is the deterministic step function: requests travel
-//! the existing cost-charged [`Channel`] on the [`SimClock`], the backend
-//! is stepped inline, and the run is bit-reproducible — the correctness
-//! oracle. [`WallEngine`] is the measurement substrate: the backend runs
-//! on a real OS thread, frames cross an [`AtomicRing`] pair
-//! (acquire/release slot publication, park/unpark [`Doorbell`]), and
-//! grants are validated through the lock-free-read [`ShardedGrantTable`].
-//!
-//! Both engines funnel every request through the *same* dispatch function
-//! against the *same* grant-table semantics, which is what makes the
-//! cross-mode differential gate (`tests/wallclock.rs`) meaningful: for
-//! one workload, both substrates must produce byte-identical encoded
+//! The engines themselves live in [`crate::multi`] — a single guest is
+//! the N = 1 case of [`MultiEngine`]. This module holds what sits on
+//! either side of that seam: [`DeviceService`] (what the backend serves),
+//! `dispatch` (decode, serve, validate every memory operation against the
+//! [`ShardedGrantTable`]) and [`run_workload`], which drives one guest's
+//! workload through any engine and assembles the artifacts the
+//! cross-mode differential gate (`tests/wallclock.rs`) compares: for one
+//! workload, both substrates must produce byte-identical encoded
 //! responses and replay-lint-clean traces.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 use paradice_devfs::Errno;
-use paradice_hypervisor::engine::{Engine, EngineError, EngineKind};
-use paradice_hypervisor::{
-    ARingError, AtomicRing, Channel, ChannelError, ClockSource, CostModel, Doorbell, GrantRef,
-    MemOpGrant, MemOpRequest, ShardedGrantTable, SimClock, TransportMode, WallClock,
-    ARING_SLOT_BYTES,
-};
+use paradice_hypervisor::engine::{EngineError, EngineKind};
+use paradice_hypervisor::{GrantRef, MemOpGrant, MemOpRequest, ShardedGrantTable};
 use paradice_mem::GuestPhysAddr;
 use paradice_trace::{SpanId, TraceEvent, TraceGrant, TraceMemOpKind, TraceOpKind, WireDelta};
 
+use crate::multi::MultiEngine;
 use crate::proto::{WireOp, WireRequest, WireResponse};
-
-/// Ring depth both engines pipeline at (the fast path's depth-8 ring).
-pub const EXEC_RING_DEPTH: usize = 8;
-
-/// The guest id the single-guest engines run as. The grant table is
-/// guest-qualified (per-guest shards since ISSUE 10); a frame's guest
-/// identity comes from the channel it arrived on, never from the wire —
-/// the multi-guest engines in [`crate::multi`] route per-guest rings.
-pub const EXEC_GUEST: u32 = 1;
 
 /// A deterministic device model serving decoded wire requests.
 ///
@@ -46,7 +29,7 @@ pub const EXEC_GUEST: u32 = 1;
 /// performed for this request; the engine validates each against the
 /// grant table (blocked operations turn the response into `EFAULT`,
 /// mirroring the hypervisor refusing the hypercall). Must be `Send`: the
-/// wall engine runs it on the backend thread.
+/// wall substrate runs it on the backend thread.
 pub trait DeviceService: Send + 'static {
     /// Serves one request.
     fn serve(&mut self, req: &WireRequest) -> (WireResponse, Vec<MemOpRequest>);
@@ -142,320 +125,6 @@ pub(crate) fn dispatch(
     response.encode()
 }
 
-/// Engines the differential harness can drive: the [`Engine`] byte
-/// contract plus access to the grant table (the frontend side declares
-/// into it) and the backend's recorded trace events.
-pub trait CvdEngine: Engine {
-    /// The grant table requests are validated against.
-    fn grants(&self) -> &Arc<ShardedGrantTable>;
-
-    /// Stops the substrate and takes the backend's `MemOp` trace events.
-    fn finish(&mut self) -> Vec<TraceEvent>;
-}
-
-/// The deterministic substrate: the cost-charged byte [`Channel`] on the
-/// virtual clock, backend stepped inline on [`Engine::complete`].
-pub struct VirtualEngine {
-    clock: SimClock,
-    channel: Channel,
-    service: Box<dyn DeviceService>,
-    grants: Arc<ShardedGrantTable>,
-    backend_events: Vec<TraceEvent>,
-    dead: bool,
-}
-
-impl VirtualEngine {
-    /// A virtual engine in the paper's polling mode at fast-path depth.
-    pub fn new(service: impl DeviceService) -> Self {
-        let clock = SimClock::new();
-        let mut channel = Channel::new(
-            TransportMode::polling_default(),
-            clock.clone(),
-            CostModel::default(),
-        );
-        channel.set_ring_depth(EXEC_RING_DEPTH);
-        VirtualEngine {
-            clock,
-            channel,
-            service: Box::new(service),
-            grants: Arc::new(ShardedGrantTable::new()),
-            backend_events: Vec::new(),
-            dead: false,
-        }
-    }
-
-    /// Steps the backend once: serves the oldest queued request, if any.
-    /// Returns `true` if a request was dispatched.
-    fn step_backend(&mut self) -> bool {
-        match self.channel.take_request() {
-            Ok(frame) => {
-                let response = dispatch(
-                    EXEC_GUEST,
-                    &frame,
-                    self.service.as_mut(),
-                    &self.grants,
-                    self.clock.now_ns(),
-                    &mut self.backend_events,
-                );
-                self.channel
-                    .send_response(response)
-                    .expect("response ring has room: stepped one-for-one");
-                true
-            }
-            Err(_) => false,
-        }
-    }
-}
-
-impl Engine for VirtualEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Virtual
-    }
-
-    fn clock(&self) -> ClockSource {
-        self.clock.clone().into()
-    }
-
-    fn submit(&mut self, frame: &[u8]) -> Result<(), EngineError> {
-        if self.dead {
-            return Err(EngineError::Dead("engine shut down".into()));
-        }
-        // Slot-size parity with the wall engine: both substrates reject
-        // the same frames.
-        if frame.len() > ARING_SLOT_BYTES {
-            return Err(EngineError::Oversize { len: frame.len() });
-        }
-        match self.channel.send_request(frame.to_vec()) {
-            Ok(()) => Ok(()),
-            Err(ChannelError::SlotBusy) => Err(EngineError::Backpressure),
-            Err(ChannelError::TooLarge { len }) => Err(EngineError::Oversize { len }),
-            Err(e) => Err(EngineError::Dead(e.to_string())),
-        }
-    }
-
-    fn complete(&mut self) -> Result<Option<Vec<u8>>, EngineError> {
-        if self.dead {
-            return Err(EngineError::Dead("engine shut down".into()));
-        }
-        if let Ok(frame) = self.channel.take_response() {
-            return Ok(Some(frame));
-        }
-        if self.step_backend() {
-            return Ok(self.channel.take_response().ok());
-        }
-        Ok(None)
-    }
-
-    fn complete_blocking(&mut self) -> Result<Vec<u8>, EngineError> {
-        match self.complete()? {
-            Some(frame) => Ok(frame),
-            None => Err(EngineError::Dead("no frames in flight".into())),
-        }
-    }
-
-    fn shutdown(&mut self) {
-        self.dead = true;
-    }
-}
-
-impl CvdEngine for VirtualEngine {
-    fn grants(&self) -> &Arc<ShardedGrantTable> {
-        &self.grants
-    }
-
-    fn finish(&mut self) -> Vec<TraceEvent> {
-        self.shutdown();
-        std::mem::take(&mut self.backend_events)
-    }
-}
-
-/// The measurement substrate: backend on a real OS thread, frames over
-/// an [`AtomicRing`] pair, park/unpark doorbells, lock-free grant reads.
-///
-/// Single-frontend discipline: construct and drive it from one thread
-/// (the constructor registers that thread as the response doorbell's
-/// waiter).
-pub struct WallEngine {
-    clock: WallClock,
-    req_ring: Arc<AtomicRing>,
-    resp_ring: Arc<AtomicRing>,
-    req_bell: Arc<Doorbell>,
-    resp_bell: Arc<Doorbell>,
-    stop: Arc<AtomicBool>,
-    grants: Arc<ShardedGrantTable>,
-    worker: Option<JoinHandle<Vec<TraceEvent>>>,
-    in_flight: usize,
-}
-
-impl WallEngine {
-    /// Spawns the backend thread and wires up rings and doorbells.
-    pub fn new(service: impl DeviceService) -> Self {
-        let clock = WallClock::new();
-        let req_ring = Arc::new(AtomicRing::new());
-        let resp_ring = Arc::new(AtomicRing::new());
-        let req_bell = Arc::new(Doorbell::new());
-        let resp_bell = Arc::new(Doorbell::new());
-        let stop = Arc::new(AtomicBool::new(false));
-        let grants = Arc::new(ShardedGrantTable::new());
-        resp_bell.register(); // we (the constructing thread) are the frontend
-
-        let worker = {
-            let (req_ring, resp_ring) = (Arc::clone(&req_ring), Arc::clone(&resp_ring));
-            let (req_bell, resp_bell) = (Arc::clone(&req_bell), Arc::clone(&resp_bell));
-            let (stop, grants) = (Arc::clone(&stop), Arc::clone(&grants));
-            let mut service = service;
-            std::thread::Builder::new()
-                .name("cvd-backend".into())
-                .spawn(move || {
-                    req_bell.register();
-                    let mut events = Vec::new();
-                    loop {
-                        if let Some(frame) = req_ring.try_pop() {
-                            let response = dispatch(
-                                EXEC_GUEST,
-                                &frame,
-                                &mut service,
-                                &grants,
-                                clock.now_ns(),
-                                &mut events,
-                            );
-                            loop {
-                                match resp_ring.try_push(&response) {
-                                    Ok(was_empty) => {
-                                        if was_empty {
-                                            resp_bell.ring();
-                                        }
-                                        break;
-                                    }
-                                    Err(ARingError::Full) => std::thread::yield_now(),
-                                    Err(ARingError::Oversize { len }) => {
-                                        unreachable!("responses are tiny, got {len} bytes")
-                                    }
-                                }
-                            }
-                            continue;
-                        }
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        req_bell
-                            .wait(|| !req_ring.is_empty() || stop.load(Ordering::Acquire));
-                    }
-                    events
-                })
-                .expect("spawn cvd-backend thread")
-        };
-
-        WallEngine {
-            clock,
-            req_ring,
-            resp_ring,
-            req_bell,
-            resp_bell,
-            stop,
-            grants,
-            worker: Some(worker),
-            in_flight: 0,
-        }
-    }
-
-    fn backend_alive(&self) -> bool {
-        self.worker.as_ref().is_some_and(|w| !w.is_finished())
-    }
-
-    /// Stops the backend thread and returns its recorded events.
-    fn join_backend(&mut self) -> Vec<TraceEvent> {
-        self.stop.store(true, Ordering::Release);
-        self.req_bell.ring();
-        match self.worker.take() {
-            Some(worker) => worker.join().unwrap_or_default(),
-            None => Vec::new(),
-        }
-    }
-}
-
-impl Engine for WallEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Wall
-    }
-
-    fn clock(&self) -> ClockSource {
-        self.clock.into()
-    }
-
-    fn submit(&mut self, frame: &[u8]) -> Result<(), EngineError> {
-        if self.worker.is_none() {
-            return Err(EngineError::Dead("engine shut down".into()));
-        }
-        if !self.backend_alive() {
-            return Err(EngineError::Dead("backend thread exited".into()));
-        }
-        match self.req_ring.try_push(frame) {
-            Ok(was_empty) => {
-                if was_empty {
-                    self.req_bell.ring();
-                }
-                self.in_flight += 1;
-                Ok(())
-            }
-            Err(ARingError::Full) => Err(EngineError::Backpressure),
-            Err(ARingError::Oversize { len }) => Err(EngineError::Oversize { len }),
-        }
-    }
-
-    fn complete(&mut self) -> Result<Option<Vec<u8>>, EngineError> {
-        match self.resp_ring.try_pop() {
-            Some(frame) => {
-                self.in_flight -= 1;
-                Ok(Some(frame))
-            }
-            None => {
-                if self.in_flight > 0 && !self.backend_alive() && self.resp_ring.is_empty() {
-                    return Err(EngineError::Dead("backend thread exited".into()));
-                }
-                Ok(None)
-            }
-        }
-    }
-
-    fn complete_blocking(&mut self) -> Result<Vec<u8>, EngineError> {
-        if self.in_flight == 0 {
-            return Err(EngineError::Dead("no frames in flight".into()));
-        }
-        loop {
-            match self.complete()? {
-                Some(frame) => return Ok(frame),
-                None => {
-                    let resp_ring = Arc::clone(&self.resp_ring);
-                    self.resp_bell.wait(move || !resp_ring.is_empty());
-                }
-            }
-        }
-    }
-
-    fn shutdown(&mut self) {
-        let _ = self.join_backend();
-    }
-}
-
-impl CvdEngine for WallEngine {
-    fn grants(&self) -> &Arc<ShardedGrantTable> {
-        &self.grants
-    }
-
-    fn finish(&mut self) -> Vec<TraceEvent> {
-        self.join_backend()
-    }
-}
-
-impl Drop for WallEngine {
-    fn drop(&mut self) {
-        if self.worker.is_some() {
-            let _ = self.join_backend();
-        }
-    }
-}
-
 /// One workload item: a wire operation plus the grants its frontend
 /// declares for it (empty for operations touching no process memory).
 #[derive(Debug, Clone)]
@@ -477,12 +146,12 @@ pub struct ExecRun {
     /// The assembled per-span trace (frontend `OpStart`/`Grants`/`OpEnd`
     /// around the backend's `MemOp`s) — the replay-lint side of the gate.
     pub trace: Vec<TraceEvent>,
-    /// Total time on the engine's own clock: virtual ns for the virtual
-    /// engine, real ns for the wall engine.
+    /// Total time on the engine's own clock: modeled ns on the virtual
+    /// substrate, real ns on the wall substrate.
     pub elapsed_ns: u64,
 }
 
-fn op_start(span: u64, t_ns: u64, device: &str, op: &WireOp) -> TraceEvent {
+fn op_start(span: u64, t_ns: u64, guest: u32, device: &str, op: &WireOp) -> TraceEvent {
     let (kind, cmd, addr, len) = match op {
         WireOp::Open { .. } => (TraceOpKind::Open, None, None, None),
         WireOp::Release => (TraceOpKind::Release, None, None, None),
@@ -498,7 +167,7 @@ fn op_start(span: u64, t_ns: u64, device: &str, op: &WireOp) -> TraceEvent {
     TraceEvent::OpStart {
         span: SpanId(span),
         t_ns,
-        guest: 1,
+        guest: u64::from(guest),
         task: 1,
         handle: 1,
         device: device.to_string(),
@@ -509,16 +178,18 @@ fn op_start(span: u64, t_ns: u64, device: &str, op: &WireOp) -> TraceEvent {
     }
 }
 
-/// Drives `ops` through `engine` at the fast path's pipeline depth and
-/// assembles the differential artifacts: ordered encoded responses plus a
-/// replayable trace. The engine is finished (backend stopped) on return.
+/// Drives `ops` through `engine` as `guest`, pipelined to the guest's
+/// wait-queue cap, and assembles the differential artifacts: ordered
+/// encoded responses plus a replayable trace. `guest` must be the only
+/// guest submitting; the engine is finished (backend stopped) on return.
 ///
 /// # Errors
 ///
 /// Propagates engine failures ([`EngineError::Dead`] et al.); a healthy
 /// run never errors.
 pub fn run_workload(
-    engine: &mut dyn CvdEngine,
+    engine: &mut dyn MultiEngine,
+    guest: u32,
     device: &str,
     ops: &[WorkloadOp],
 ) -> Result<ExecRun, EngineError> {
@@ -536,17 +207,18 @@ pub fn run_workload(
     let mut pending: VecDeque<(usize, Option<GrantRef>)> = VecDeque::new();
     let mut responses: Vec<Vec<u8>> = Vec::with_capacity(ops.len());
 
-    let drain_one = |engine: &mut dyn CvdEngine,
+    let drain_one = |engine: &mut dyn MultiEngine,
                          pending: &mut VecDeque<(usize, Option<GrantRef>)>,
                          spans: &mut Vec<SpanLog>,
                          responses: &mut Vec<Vec<u8>>|
      -> Result<(), EngineError> {
-        let frame = engine.complete_blocking()?;
+        let (owner, frame) = engine.complete_blocking()?;
+        assert_eq!(owner, guest, "only the driven guest has ops in flight");
         let (index, grant) = pending
             .pop_front()
             .expect("completion without a pending span");
         if let Some(grant) = grant {
-            engine.grants().revoke(EXEC_GUEST, grant);
+            engine.grants().revoke(guest, grant);
         }
         let now = engine.clock().now_ns();
         let (ok, value) = match WireResponse::decode(&frame) {
@@ -580,7 +252,7 @@ pub fn run_workload(
             Some(
                 engine
                     .grants()
-                    .declare(EXEC_GUEST, item.grants.clone())
+                    .declare(guest, item.grants.clone())
                     .expect("workload stays under grant capacity"),
             )
         };
@@ -595,7 +267,7 @@ pub fn run_workload(
         let frame = request.encode();
         let now = clock.now_ns();
         spans.push(SpanLog {
-            start: op_start(span, now, device, &item.op),
+            start: op_start(span, now, guest, device, &item.op),
             grants: (!item.grants.is_empty()).then(|| TraceEvent::Grants {
                 span: SpanId(span),
                 grants: item.grants.iter().map(trace_grant).collect(),
@@ -605,7 +277,7 @@ pub fn run_workload(
             request_bytes: frame.len() as u64,
         });
         loop {
-            match engine.submit(&frame) {
+            match engine.submit(guest, &frame) {
                 Ok(()) => break,
                 Err(EngineError::Backpressure) => {
                     drain_one(engine, &mut pending, &mut spans, &mut responses)?;
@@ -614,9 +286,6 @@ pub fn run_workload(
             }
         }
         pending.push_back((index, grant));
-        while pending.len() >= EXEC_RING_DEPTH {
-            drain_one(engine, &mut pending, &mut spans, &mut responses)?;
-        }
     }
     while !pending.is_empty() {
         drain_one(engine, &mut pending, &mut spans, &mut responses)?;
@@ -717,6 +386,8 @@ impl DeviceService for ScriptedService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fairq::SchedPolicy;
+    use crate::multi::build_multi;
     use paradice_devfs::ioc::{io, IoctlCmd};
     use paradice_mem::GuestVirtAddr;
 
@@ -747,16 +418,8 @@ mod tests {
 
     fn run(kind: EngineKind, ops: &[WorkloadOp]) -> ExecRun {
         let (service, _) = ScriptedService::new();
-        match kind {
-            EngineKind::Virtual => {
-                let mut engine = VirtualEngine::new(service);
-                run_workload(&mut engine, "/dev/test0", ops).expect("run")
-            }
-            EngineKind::Wall => {
-                let mut engine = WallEngine::new(service);
-                run_workload(&mut engine, "/dev/test0", ops).expect("run")
-            }
-        }
+        let mut engine = build_multi(kind, service, 1, SchedPolicy::FairShare);
+        run_workload(engine.as_mut(), 0, "/dev/test0", ops).expect("run")
     }
 
     #[test]
@@ -812,10 +475,10 @@ mod tests {
     #[test]
     fn wall_engine_survives_shutdown_and_reports_dead() {
         let (service, _) = ScriptedService::new();
-        let mut engine = WallEngine::new(service);
-        engine.shutdown();
+        let mut engine = build_multi(EngineKind::Wall, service, 1, SchedPolicy::FairShare);
+        engine.finish();
         assert!(matches!(
-            engine.submit(b"junk"),
+            engine.submit(0, b"junk"),
             Err(EngineError::Dead(_))
         ));
     }
@@ -823,9 +486,9 @@ mod tests {
     #[test]
     fn malformed_frames_get_einval_not_a_crash() {
         let (service, _) = ScriptedService::new();
-        let mut engine = VirtualEngine::new(service);
-        engine.submit(b"not a wire request").expect("submit");
-        let frame = engine.complete_blocking().expect("complete");
+        let mut engine = build_multi(EngineKind::Virtual, service, 1, SchedPolicy::FairShare);
+        engine.submit(0, b"not a wire request").expect("submit");
+        let (_, frame) = engine.complete_blocking().expect("complete");
         assert_eq!(
             WireResponse::decode(&frame).expect("decodes"),
             WireResponse::Err(Errno::Einval)

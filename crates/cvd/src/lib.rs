@@ -26,9 +26,13 @@
 //!   (the default since ISSUE 10): least-consumed-service-time pick with
 //!   arrival tie-break, shared by the GPU scheduler, the backend drain,
 //!   and the multi-guest engines.
-//! * [`multi`] — multi-guest execution substrates: per-guest ring
-//!   channels through the engine seam, per-guest wait-queue caps, and
-//!   fair-share backend service on both virtual and wall time.
+//! * [`multi`] — the execution substrates behind the one
+//!   [`MultiEngine`] seam (a single guest is N = 1): per-guest ring
+//!   channels, per-guest wait-queue caps, and fair-share backend service
+//!   on both virtual and wall time.
+//! * [`exec`] — what both substrates share: the [`DeviceService`]
+//!   contract, the one backend dispatch step, and [`run_workload`], the
+//!   cross-substrate differential harness.
 //! * [`info`] — device info modules and the virtual PCI bus (§5.1).
 //! * [`sharing`] — device-sharing policies: foreground/background graphics,
 //!   concurrent GPGPU, foreground-only input, exclusive camera/netmap
@@ -47,10 +51,7 @@ pub mod sharing;
 
 pub use backend::{Backend, SharedBackend};
 pub use cache::{Eviction, GrantCache, GrantCacheKey};
-pub use exec::{
-    run_workload, CvdEngine, DeviceService, ExecRun, ScriptedService, VirtualEngine, WallEngine,
-    WorkloadOp, EXEC_RING_DEPTH,
-};
+pub use exec::{run_workload, DeviceService, ExecRun, ScriptedService, WorkloadOp};
 pub use fairq::{FairSched, SchedPolicy};
 pub use frontend::{Frontend, IoctlKnowledge, OsPersonality};
 pub use multi::{

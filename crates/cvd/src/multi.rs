@@ -1,10 +1,11 @@
-//! Multi-guest execution substrates: per-guest channels through the
-//! [`EngineKind`] seam.
+//! The execution substrates: N guests' channels behind the one
+//! [`MultiEngine`] seam, one implementation per [`EngineKind`].
 //!
-//! [`crate::exec`] drives *one* guest per engine — the differential
-//! harness's shape. Scale-out needs N guests sharing one device roster,
-//! and the ISSUE 10 requirement is that one guest's backlog or grant
-//! churn never contends on another's fast path:
+//! A single guest is the N = 1 case — [`crate::exec::run_workload`], the
+//! differential harness, drives one guest of any engine built here, and
+//! this module is the only place a backend thread is spawned. N guests
+//! share one device roster, and the ISSUE 10 requirement is that one
+//! guest's backlog or grant churn never contends on another's fast path:
 //!
 //! * **Per-guest queues.** Each guest gets its own request/response
 //!   channel: a virtual-time `VecDeque` pair on [`MultiVirtualEngine`],
@@ -45,9 +46,9 @@ use crate::exec::{dispatch, DeviceService};
 use crate::fairq::{FairSched, SchedPolicy};
 use crate::proto::{WireOp, WireRequest};
 
-/// Default per-guest wait-queue cap on both substrates: the wall ring's
-/// depth, mirrored by the virtual engine so backpressure kicks in at the
-/// same depth on both (differential parity).
+/// Per-guest wait-queue cap on both substrates: the wall ring's depth,
+/// mirrored by the virtual engine so backpressure kicks in at the same
+/// depth on both (differential parity).
 pub const MULTI_QUEUE_CAP: usize = ARING_CAPACITY;
 
 /// One completion: which guest it belongs to plus the encoded response.
@@ -55,8 +56,10 @@ pub const MULTI_QUEUE_CAP: usize = ARING_CAPACITY;
 /// submission order; the scheduler only interleaves *across* guests.
 pub type Completion = (u32, Vec<u8>);
 
-/// The multi-guest engine seam: [`crate::exec::CvdEngine`]'s contract
-/// generalized to N guests with per-guest queues and caps.
+/// The engine seam: a pipelined, byte-level submit/complete contract over
+/// encoded wire frames, N guests with per-guest queues and caps. How the
+/// frames travel — a cost-charged step function or two threads and a
+/// doorbell — is the implementation's business.
 pub trait MultiEngine {
     /// Which substrate this is.
     fn kind(&self) -> EngineKind;
@@ -99,22 +102,18 @@ pub trait MultiEngine {
 /// The modeled service cost of one request frame on the virtual clock:
 /// dispatch overhead plus per-byte copy cost for the op's payload. This
 /// is what makes a netmap batch or camera frame *heavier* than an
-/// interactive ioctl in virtual time, so fairness is measurable.
+/// interactive ioctl in virtual time, so fairness is measurable. The
+/// length comes off the wire — hostile input — so it is clamped to 4 GiB:
+/// a tampered frame is charged like a huge copy, never wraps the clock.
 fn modeled_service_ns(cost: &CostModel, frame: &[u8]) -> u64 {
     let payload = WireRequest::decode(frame).map_or(0, |request| match request.op {
-        WireOp::Read { len, .. } | WireOp::Write { len, .. } => len,
+        WireOp::Read { len, .. } | WireOp::Write { len, .. } => len.min(1 << 32),
         WireOp::Ioctl { .. } => 16,
         _ => 0,
     });
     cost.backend_dispatch_ns
         + cost.marshal_ns
         + payload * cost.copy_page_ns / paradice_mem::PAGE_SIZE
-}
-
-struct VirtualGuestQueue {
-    /// Queued request frames with their arrival stamps (per-guest FIFO).
-    pending: VecDeque<(u64, Vec<u8>)>,
-    cap: usize,
 }
 
 /// N guests on the deterministic substrate: per-guest queues on one
@@ -130,7 +129,8 @@ pub struct MultiVirtualEngine {
     cost: CostModel,
     service: Box<dyn DeviceService>,
     grants: Arc<ShardedGrantTable>,
-    guests: Vec<VirtualGuestQueue>,
+    /// Per guest: queued request frames with their arrival stamps (FIFO).
+    guests: Vec<VecDeque<(u64, Vec<u8>)>>,
     sched: FairSched,
     arrivals: u64,
     backend_events: Vec<TraceEvent>,
@@ -146,23 +146,12 @@ impl MultiVirtualEngine {
             cost: CostModel::default(),
             service: Box::new(service),
             grants: Arc::new(ShardedGrantTable::with_guests(guests)),
-            guests: (0..guests)
-                .map(|_| VirtualGuestQueue {
-                    pending: VecDeque::new(),
-                    cap: MULTI_QUEUE_CAP,
-                })
-                .collect(),
+            guests: vec![VecDeque::new(); guests],
             sched: FairSched::new(policy),
             arrivals: 0,
             backend_events: Vec::new(),
             dead: false,
         }
-    }
-
-    /// Adjusts one guest's wait-queue cap (load balancing / priorities,
-    /// paper §5.1). Panics on unknown guests (host-assigned ids).
-    pub fn set_queue_cap(&mut self, guest: u32, cap: usize) {
-        self.guests[guest as usize].cap = cap;
     }
 
     /// Serves the fair-share pick's oldest queued op, advancing the
@@ -172,11 +161,9 @@ impl MultiVirtualEngine {
             .guests
             .iter()
             .enumerate()
-            .filter(|(_, q)| !q.pending.is_empty())
-            .map(|(g, q)| (g as u32, q.pending.front().expect("non-empty").0));
+            .filter_map(|(g, q)| q.front().map(|(stamp, _)| (g as u32, *stamp)));
         let guest = self.sched.pick(backlogged)?;
         let (_, frame) = self.guests[guest as usize]
-            .pending
             .pop_front()
             .expect("picked guest is backlogged");
         let service_ns = modeled_service_ns(&self.cost, &frame);
@@ -215,10 +202,10 @@ impl MultiEngine for MultiVirtualEngine {
             return Err(EngineError::Oversize { len: frame.len() });
         }
         let queue = &mut self.guests[guest as usize];
-        if queue.pending.len() >= queue.cap {
+        if queue.len() >= MULTI_QUEUE_CAP {
             return Err(EngineError::Backpressure);
         }
-        queue.pending.push_back((self.arrivals, frame.to_vec()));
+        queue.push_back((self.arrivals, frame.to_vec()));
         self.arrivals += 1;
         Ok(())
     }
@@ -246,9 +233,9 @@ impl MultiEngine for MultiVirtualEngine {
 struct WallGuestChannel {
     req_ring: Arc<AtomicRing>,
     resp_ring: Arc<AtomicRing>,
-    /// Frontend-local: accepted-but-uncompleted ops (the wait-queue cap).
+    /// Frontend-local: accepted-but-uncompleted ops, bounded by
+    /// [`MULTI_QUEUE_CAP`].
     in_flight: usize,
-    cap: usize,
 }
 
 /// N guests on the measurement substrate: one [`AtomicRing`] pair per
@@ -257,9 +244,9 @@ struct WallGuestChannel {
 /// thread-local accounting — no shared scheduler state), shared
 /// request/response doorbells.
 ///
-/// Single-frontend discipline as in [`crate::exec::WallEngine`]: one
-/// thread constructs and drives all guests' submissions (the scale bench
-/// plays every guest's vCPU from its driver loop).
+/// Single-frontend discipline: one thread constructs and drives all
+/// guests' submissions (the constructor registers that thread as the
+/// response doorbell's waiter; a driver loop plays every guest's vCPU).
 pub struct MultiWallEngine {
     clock: WallClock,
     guests: Vec<WallGuestChannel>,
@@ -282,7 +269,6 @@ impl MultiWallEngine {
                 req_ring: Arc::new(AtomicRing::new()),
                 resp_ring: Arc::new(AtomicRing::new()),
                 in_flight: 0,
-                cap: MULTI_QUEUE_CAP,
             })
             .collect();
         let req_bell = Arc::new(Doorbell::new());
@@ -400,12 +386,6 @@ impl MultiWallEngine {
         }
     }
 
-    /// Adjusts one guest's wait-queue cap (clamped to the ring depth —
-    /// the hardware queue is the hard bound).
-    pub fn set_queue_cap(&mut self, guest: u32, cap: usize) {
-        self.guests[guest as usize].cap = cap.min(ARING_CAPACITY);
-    }
-
     fn backend_alive(&self) -> bool {
         self.worker.as_ref().is_some_and(|w| !w.is_finished())
     }
@@ -441,7 +421,7 @@ impl MultiEngine for MultiWallEngine {
             return Err(EngineError::Dead("backend thread exited".into()));
         }
         let channel = &mut self.guests[guest as usize];
-        if channel.in_flight >= channel.cap {
+        if channel.in_flight >= MULTI_QUEUE_CAP {
             return Err(EngineError::Backpressure);
         }
         match channel.req_ring.try_push(frame) {

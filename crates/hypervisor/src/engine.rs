@@ -1,4 +1,4 @@
-//! The execution engine abstraction.
+//! The execution-substrate vocabulary.
 //!
 //! A Paradice machine can execute in two substrates:
 //!
@@ -13,11 +13,13 @@
 //!   [`WallClock`](crate::clock::WallClock) reporting what the hardware
 //!   actually took.
 //!
-//! The [`Engine`] trait is the seam between the two: a byte-level
-//! submit/complete interface over encoded wire frames, deliberately
-//! codec-agnostic so this crate does not depend on the CVD wire types.
-//! `paradice-cvd`'s `exec` module provides both implementations and the
-//! differential harness that proves them op-equivalent.
+//! This module only names the substrates ([`EngineKind`]) and their
+//! failures ([`EngineError`]) so the hypervisor crate never depends on
+//! the CVD wire types. The engine seam itself is `paradice-cvd`'s
+//! `multi::MultiEngine`: a byte-level submit/complete interface over
+//! per-guest queues, with one implementation per substrate and a
+//! differential harness (`exec::run_workload`) that proves them
+//! op-equivalent.
 
 use std::fmt;
 
@@ -84,51 +86,6 @@ impl fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
-
-/// One execution substrate, scheduling included.
-///
-/// The contract is pipelined and byte-level: [`submit`](Engine::submit)
-/// hands the engine one encoded request frame, [`complete`](Engine::complete)
-/// yields encoded response frames **in submission order** (both engines
-/// run a FIFO ring; order is part of the differential gate). How the
-/// frames travel — a cost-charged step function or two threads and a
-/// doorbell — is the implementation's business, which is precisely what
-/// lets `Hypervisor`, `Channel`, and `Machine` stop hard-coding the
-/// virtual substrate.
-pub trait Engine {
-    /// Which substrate this is.
-    fn kind(&self) -> EngineKind;
-
-    /// The time source measurements against this engine should read.
-    fn clock(&self) -> ClockSource;
-
-    /// Submits one encoded request frame.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Backpressure`] when the ring is full (drain
-    /// completions and retry), [`EngineError::Oversize`] for frames that
-    /// cannot fit a slot, [`EngineError::Dead`] when the backend is gone.
-    fn submit(&mut self, frame: &[u8]) -> Result<(), EngineError>;
-
-    /// Takes the next completed response frame, if one is ready.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Dead`] when the backend is gone.
-    fn complete(&mut self) -> Result<Option<Vec<u8>>, EngineError>;
-
-    /// Blocks (or steps the substrate) until a response frame is ready.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Dead`] when the backend is gone with frames pending.
-    fn complete_blocking(&mut self) -> Result<Vec<u8>, EngineError>;
-
-    /// Stops the substrate; subsequent submissions fail with
-    /// [`EngineError::Dead`]. Idempotent.
-    fn shutdown(&mut self);
-}
 
 #[cfg(test)]
 mod tests {

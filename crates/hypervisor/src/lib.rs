@@ -31,8 +31,9 @@
 //! * [`shards`] — the grant table behind a sharded, lock-free-read
 //!   structure so validation stays off the contended path when frontend
 //!   and backend run on separate threads.
-//! * [`engine`] — the [`Engine`](engine::Engine) abstraction over the two
-//!   execution substrates (deterministic virtual time vs. real threads).
+//! * [`engine`] — the names of the two execution substrates
+//!   ([`EngineKind`]: deterministic virtual time vs. real threads) and
+//!   their failures ([`EngineError`]).
 //! * [`atomic`] — the instrumented-atomics shim every atomic in [`aring`]
 //!   and [`shards`] routes through: each operation names a declared
 //!   access whose ordering is simultaneously what the code executes,
@@ -63,7 +64,7 @@ pub use aring::{ARingError, AtomicRing, Doorbell, ARING_CAPACITY, ARING_SLOT_BYT
 pub use audit::{AuditEvent, AuditLog, BlockedBy};
 pub use channel::{Channel, ChannelError, ChannelStats, TransportMode, WireCodec};
 pub use clock::{ms, us, Clock, ClockSource, CostModel, SimClock, WallClock};
-pub use engine::{Engine, EngineError, EngineKind};
+pub use engine::{EngineError, EngineKind};
 pub use shards::{ShardedGrantTable, GUEST_SLOTS, MAX_GUESTS, RETIRED_CAP, SEQ_BITS};
 pub use grants::{GrantError, GrantRef, GrantTable, MemOpGrant, MemOpRequest, GRANT_TABLE_CAPACITY};
 pub use hv::{BatchMemOp, BatchMemOpResult, DmaPort, HvError, Hypervisor};

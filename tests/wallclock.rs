@@ -14,18 +14,25 @@
 //! 3. **Interleavings** — the atomic ring behaves FIFO at pipeline depth
 //!    1 and at the fast path's depth 8, including under a saturating
 //!    producer.
+//! 4. **N = 1** — a single guest is the one-guest case of the multi-guest
+//!    engine: the same workload as the only guest and as one guest among
+//!    idle neighbours yields the same bytes on both substrates.
 
 use paradice_analyzer::lint::{replay, DiagCode, Diagnostic, Severity};
-use paradice_cvd::exec::{
-    run_workload, ExecRun, ScriptedService, VirtualEngine, WallEngine, WorkloadOp,
-    EXEC_RING_DEPTH,
-};
+use paradice_cvd::exec::{run_workload, ExecRun, ScriptedService, WorkloadOp};
+use paradice_cvd::multi::{build_multi, MultiEngine};
 use paradice_cvd::proto::{WireOp, WireRequest, WireResponse};
+use paradice_cvd::SchedPolicy;
+use paradice_devfs::ioc::{iowr, IoctlCmd};
 use paradice_devfs::Errno;
-use paradice_hypervisor::{Engine, EngineError, EngineKind, MemOpGrant};
+use paradice_hypervisor::{EngineError, EngineKind, MemOpGrant};
 use paradice_mem::{GuestPhysAddr, GuestVirtAddr};
 
 const DEVICE: &str = "/dev/exec0";
+
+/// The interactive ioctl: `RADEON_INFO`-shaped — 8 bytes in, 8 bytes out,
+/// one grant pair per call.
+const INTERACTIVE_CMD: IoctlCmd = iowr(b'd', 0x27, 16);
 
 /// The mixed reference workload: interactive ioctls (grant pair each),
 /// netmap-style writes (one wide grant), and grantless polls.
@@ -35,7 +42,7 @@ fn reference_ops() -> Vec<WorkloadOp> {
         let arg = 0x10_0000 + (i % 32) * 16;
         ops.push(WorkloadOp {
             op: WireOp::Ioctl {
-                cmd: paradice_bench::wallclock::INTERACTIVE_CMD,
+                cmd: INTERACTIVE_CMD,
                 arg,
             },
             grants: vec![
@@ -71,18 +78,15 @@ fn reference_ops() -> Vec<WorkloadOp> {
     ops
 }
 
-fn run(kind: EngineKind, ops: &[WorkloadOp]) -> ExecRun {
+/// Runs `ops` as `guest` of a `guests`-guest engine (the others idle).
+fn run_as(kind: EngineKind, guests: usize, guest: u32, ops: &[WorkloadOp]) -> ExecRun {
     let (service, _) = ScriptedService::new();
-    match kind {
-        EngineKind::Virtual => {
-            let mut engine = VirtualEngine::new(service);
-            run_workload(&mut engine, DEVICE, ops).expect("virtual run")
-        }
-        EngineKind::Wall => {
-            let mut engine = WallEngine::new(service);
-            run_workload(&mut engine, DEVICE, ops).expect("wall run")
-        }
-    }
+    let mut engine = build_multi(kind, service, guests, SchedPolicy::FairShare);
+    run_workload(engine.as_mut(), guest, DEVICE, ops).expect("run")
+}
+
+fn run(kind: EngineKind, ops: &[WorkloadOp]) -> ExecRun {
+    run_as(kind, 1, 0, ops)
 }
 
 fn errors(diags: &[Diagnostic]) -> Vec<&Diagnostic> {
@@ -131,12 +135,38 @@ fn both_modes_replay_lint_clean() {
 }
 
 #[test]
+fn a_single_guest_is_the_one_guest_case_of_the_multi_engine() {
+    // The only guest of a 1-guest engine vs. guest 3 of a 4-guest engine
+    // with three idle neighbours: the requests differ (guest-qualified
+    // grant refs) but every response byte must not, on either substrate.
+    let ops = reference_ops();
+    for kind in [EngineKind::Virtual, EngineKind::Wall] {
+        let alone = run_as(kind, 1, 0, &ops);
+        let among = run_as(kind, 4, 3, &ops);
+        assert_eq!(
+            alone.responses, among.responses,
+            "{kind}: idle neighbours must not change a response byte"
+        );
+        for result in [&alone, &among] {
+            let mut diags = Vec::new();
+            let summary = replay::check_trace(&result.trace, &mut diags);
+            assert_eq!(summary.spans, ops.len(), "{kind}: one span per op");
+            assert!(
+                errors(&diags).is_empty(),
+                "{kind}: replay must be clean, got {:?}",
+                errors(&diags)
+            );
+        }
+    }
+}
+
+#[test]
 fn rogue_memop_fires_rp001_identically_in_both_modes() {
     // arg == u64::MAX makes ScriptedService read outside the declared
     // grant — the wall substrate must refuse it exactly like the oracle.
     let rogue = vec![WorkloadOp {
         op: WireOp::Ioctl {
-            cmd: paradice_bench::wallclock::INTERACTIVE_CMD,
+            cmd: INTERACTIVE_CMD,
             arg: u64::MAX,
         },
         grants: vec![MemOpGrant::CopyFromGuest {
@@ -186,53 +216,52 @@ fn tagged_write(span: u64, tag: u64) -> (Vec<u8>, i64) {
     (request.encode(), tag as i64)
 }
 
-/// A service that performs no memory operations, so grantless requests
-/// succeed: pure ring-interleaving pressure.
-fn echo_service() -> impl FnMut(&WireRequest) -> (WireResponse, Vec<paradice_hypervisor::MemOpRequest>)
-       + Send
-       + 'static {
-    |req: &WireRequest| {
+/// A 1-guest wall engine whose service performs no memory operations, so
+/// grantless requests succeed: pure ring-interleaving pressure.
+fn echo_engine() -> Box<dyn MultiEngine> {
+    let echo = |req: &WireRequest| {
         let value = match &req.op {
             WireOp::Write { len, .. } => *len as i64,
             _ => 0,
         };
         (WireResponse::Value(value), Vec::new())
-    }
+    };
+    build_multi(EngineKind::Wall, echo, 1, SchedPolicy::FairShare)
 }
 
 #[test]
 fn atomic_ring_is_fifo_at_depth_1() {
-    let mut engine = WallEngine::new(echo_service());
+    let mut engine = echo_engine();
     for i in 0..200u64 {
         let (frame, expect) = tagged_write(i + 1, i);
-        engine.submit(&frame).expect("submit");
-        let response = engine.complete_blocking().expect("complete");
+        engine.submit(0, &frame).expect("submit");
+        let (_, response) = engine.complete_blocking().expect("complete");
         assert_eq!(
             WireResponse::decode(&response).expect("decodes"),
             WireResponse::Value(expect),
             "depth-1 round trip {i}"
         );
     }
-    engine.shutdown();
+    engine.finish();
 }
 
 #[test]
 fn atomic_ring_is_fifo_at_depth_8() {
-    let mut engine = WallEngine::new(echo_service());
+    let mut engine = echo_engine();
     let mut next = 0u64;
     let mut drained = 0u64;
     // Keep exactly 8 in flight; completions must arrive in submit order
     // even though the backend races ahead on its own thread.
     while drained < 2_000 {
-        while next - drained < EXEC_RING_DEPTH as u64 && next < 2_000 {
+        while next - drained < 8 && next < 2_000 {
             let (frame, _) = tagged_write(next + 1, next);
-            match engine.submit(&frame) {
+            match engine.submit(0, &frame) {
                 Ok(()) => next += 1,
                 Err(EngineError::Backpressure) => break,
                 Err(e) => panic!("submit: {e}"),
             }
         }
-        let response = engine.complete_blocking().expect("complete");
+        let (_, response) = engine.complete_blocking().expect("complete");
         assert_eq!(
             WireResponse::decode(&response).expect("decodes"),
             WireResponse::Value(drained as i64),
@@ -240,7 +269,7 @@ fn atomic_ring_is_fifo_at_depth_8() {
         );
         drained += 1;
     }
-    engine.shutdown();
+    engine.finish();
 }
 
 #[test]
@@ -248,14 +277,14 @@ fn saturating_producer_never_loses_or_reorders_frames() {
     // Push as hard as the ring allows (backpressure-drain loop) and let
     // the backend thread race: every frame must come back exactly once,
     // in order.
-    let mut engine = WallEngine::new(echo_service());
+    let mut engine = echo_engine();
     let total = 5_000u64;
     let mut submitted = 0u64;
     let mut drained = 0u64;
     while drained < total {
         if submitted < total {
             let (frame, _) = tagged_write(submitted + 1, submitted);
-            match engine.submit(&frame) {
+            match engine.submit(0, &frame) {
                 Ok(()) => {
                     submitted += 1;
                     continue;
@@ -264,14 +293,14 @@ fn saturating_producer_never_loses_or_reorders_frames() {
                 Err(e) => panic!("submit: {e}"),
             }
         }
-        let response = engine.complete_blocking().expect("complete");
+        let (_, response) = engine.complete_blocking().expect("complete");
         assert_eq!(
             WireResponse::decode(&response).expect("decodes"),
             WireResponse::Value(drained as i64)
         );
         drained += 1;
     }
-    engine.shutdown();
+    engine.finish();
 }
 
 #[test]
