@@ -152,9 +152,8 @@ pub enum Edge {
     /// A cross-thread observation (occupancy estimate, statistics);
     /// conservative by contract, any ordering is sound.
     Observe,
-    /// A read-modify-write that reserves shared capacity (the grant
-    /// table's outstanding counter). Must be an RMW at ≥ `AcqRel`
-    /// (`RC003`).
+    /// A read-modify-write that reserves shared capacity (a counter
+    /// several threads bump). Must be an RMW at ≥ `AcqRel` (`RC003`).
     Reservation,
 }
 

@@ -8,22 +8,18 @@
 //! ```
 //!
 //! Tables print to stdout and land as CSV under `results/`. A full run
-//! also writes the machine-readable twins at the repo root:
-//! `BENCH_experiments.json` (every emitted table),
-//! `BENCH_fastpath.json` (the fast-path ablation, also written by a bare
-//! `--fastpath` run — `scripts/check.sh` gates on its no-op round-trip
-//! metric), and `BENCH_race.json` (the interleaving proofs,
-//! ordering-mutant sweep, and MO/RC lint coverage, also written by a bare
-//! `--race` run; `--smoke` trims the sweep). Host-time measurements live
-//! in the stand-alone `benchmark/` package. `--trace` records the
+//! also writes their machine-readable twin, `BENCH_experiments.json`
+//! (every emitted table), at the repo root. Host-time measurements live
+//! in the stand-alone `benchmark/` package; the proofs report themselves
+//! (`paradice-verify --all --json`). `--trace` records the
 //! reference workload with paradice-trace enabled and dumps the span
 //! events as JSONL — feed the file to `paradice-lint --replay` for
 //! recorded-trace conformance checking.
 
 use std::path::PathBuf;
 
+use paradice_bench::experiments;
 use paradice_bench::report::{render_experiments_json, Table};
-use paradice_bench::{experiments, fastpath};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -106,25 +102,8 @@ fn main() {
     if want("--ablation") {
         emit(experiments::ablation());
     }
-    if want("--race") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        let bench = paradice_bench::racereport::run(smoke);
-        emit(paradice_bench::racereport::race_table(&bench));
-        let path = repo_root().join("BENCH_race.json");
-        match std::fs::write(&path, paradice_bench::racereport::render_json(&bench)) {
-            Ok(()) => println!("race checker numbers written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_race.json: {e}"),
-        }
-    }
     if want("--fastpath") {
-        let ablation = fastpath::run_ablation();
-        emit(experiments::fastpath_table(&ablation));
-        let json = fastpath::render_json(&ablation);
-        let path = repo_root().join("BENCH_fastpath.json");
-        match std::fs::write(&path, json) {
-            Ok(()) => println!("fast-path ablation written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_fastpath.json: {e}"),
-        }
+        emit(experiments::fastpath());
     }
     if run_all {
         let path = repo_root().join("BENCH_experiments.json");

@@ -573,15 +573,8 @@ pub fn ablation() -> Table {
 /// The cross-layer fast-path ablation: each workload with the fast path
 /// off (per-op declare → interrupt → validate → revoke) and on (grant
 /// cache + pipelined ring + vectored hypercalls), with the crossing
-/// *counts* the overhead argument rests on. Machine-readable twin:
-/// `BENCH_fastpath.json` at the repo root.
+/// *counts* the overhead argument rests on.
 pub fn fastpath() -> Table {
-    fastpath_table(&crate::fastpath::run_ablation())
-}
-
-/// Renders an already-measured ablation (lets the binary share one run
-/// between the table and `BENCH_fastpath.json`).
-pub fn fastpath_table(comparisons: &[crate::fastpath::FastpathComparison]) -> Table {
     let mut table = Table::new(
         "fastpath",
         "Fast-path ablation — virtual time and boundary crossings, off vs. on",
@@ -596,7 +589,7 @@ pub fn fastpath_table(comparisons: &[crate::fastpath::FastpathComparison]) -> Ta
             "Speedup",
         ],
     );
-    for comparison in comparisons {
+    for comparison in crate::fastpath::run_ablation() {
         for (name, side) in [("off", &comparison.off), ("on", &comparison.on)] {
             table.row(vec![
                 comparison.workload.into(),

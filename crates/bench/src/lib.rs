@@ -14,18 +14,16 @@
 //! * [`experiments`] — one entry point per table and figure.
 //! * [`fastpath`] — the cross-layer fast-path ablation (`--fastpath`):
 //!   grant-declaration caching, vectored hypercalls, and the pipelined
-//!   ring, measured off vs. on and dumped to `BENCH_fastpath.json`.
+//!   ring, measured off vs. on.
 //! * [`tracing`] — the paradice-trace reference recorder behind
 //!   `experiments --trace <path>` and the `--replay` conformance gate.
-//! * [`racereport`] — the race checker (`--race`): interleaving proofs,
-//!   the ordering-mutant sweep, and MO/RC lint coverage, dumped to
-//!   `BENCH_race.json`.
 //!
 //! Host-time measurements of the engine seam (`cvd::multi`) and of
 //! `Machine` live in the stand-alone `benchmark/` package
-//! (`BENCHMARK.json`), not here; `BENCH_verify.json` and
-//! `BENCH_adversary.json` are the `--json` output of `paradice-verify`
-//! and `paradice-adversary` themselves.
+//! (`BENCHMARK.json`), not here; `BENCH_verify.json` (every proof,
+//! the three race properties included) and `BENCH_adversary.json` are the
+//! `--json` output of `paradice-verify` and `paradice-adversary`
+//! themselves, and the MO/RC passes gate in `paradice-lint`.
 //!
 //! Run everything with `cargo run -p paradice-bench --bin experiments`.
 
@@ -34,7 +32,6 @@ pub mod configs;
 pub mod experiments;
 pub mod fastpath;
 pub mod faults;
-pub mod racereport;
 pub mod report;
 pub mod tracing;
 pub mod workloads;

@@ -305,22 +305,10 @@ struct Process {
     pending_events: Vec<u64>, // fds with pending notifications (host path)
 }
 
-/// Builds a [`Machine`].
-///
-/// The builder owns the whole configuration surface — virtualization
-/// mode, execution substrate, devices, guests, and the cross-cutting
-/// switches (fast path, tracing, fault plans) that used to be ad-hoc
-/// post-construction setters:
-///
-/// ```ignore
-/// let mut machine = Machine::builder()
-///     .guests([GuestSpec::linux(64 * 1024 * 1024)])
-///     .exec(ExecMode::Paradice { transport, data_isolation: false })
-///     .fastpath(true)
-///     .tracing(true)
-///     .faults(plan)
-///     .build()?;
-/// ```
+/// Builds a [`Machine`]: virtualization mode, execution substrate,
+/// devices, guests and cost model. The cross-cutting switches are
+/// [`Machine::enable_fastpath`], [`Machine::enable_tracing`] and
+/// [`Machine::arm_faults`] on the built machine.
 #[derive(Debug)]
 pub struct MachineBuilder {
     mode: ExecMode,
@@ -329,10 +317,6 @@ pub struct MachineBuilder {
     guests: Vec<GuestSpec>,
     driver_ram_pages: u64,
     cost: CostModel,
-    queue_cap: usize,
-    fastpath: bool,
-    tracing: bool,
-    faults: Option<Rc<RefCell<FaultPlan>>>,
 }
 
 impl Default for MachineBuilder {
@@ -344,10 +328,6 @@ impl Default for MachineBuilder {
             guests: Vec::new(),
             driver_ram_pages: 8192, // 32 MiB of simulated driver-VM RAM
             cost: CostModel::default(),
-            queue_cap: DEFAULT_QUEUE_CAP,
-            fastpath: false,
-            tracing: false,
-            faults: None,
         }
     }
 }
@@ -357,12 +337,6 @@ impl MachineBuilder {
     pub fn mode(mut self, mode: ExecMode) -> Self {
         self.mode = mode;
         self
-    }
-
-    /// Selects the execution mode (preferred spelling of
-    /// [`MachineBuilder::mode`]).
-    pub fn exec(self, mode: ExecMode) -> Self {
-        self.mode(mode)
     }
 
     /// Selects the execution substrate: [`EngineKind::Virtual`] (the
@@ -392,35 +366,9 @@ impl MachineBuilder {
         self
     }
 
-    /// Enables the cross-layer fast path (grant cache, pipelined ring,
-    /// vectored hypercalls) from the first operation.
-    pub fn fastpath(mut self, on: bool) -> Self {
-        self.fastpath = on;
-        self
-    }
-
-    /// Enables paradice-trace recording from the first operation; the
-    /// accumulated [`Tracer`] is available via [`Machine::tracer`].
-    pub fn tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
-        self
-    }
-
-    /// Arms a fault plan on the backend from the first operation.
-    pub fn faults(mut self, plan: Rc<RefCell<FaultPlan>>) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
     /// Overrides the cost model (experiments with ablated constants).
     pub fn cost_model(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Overrides the per-guest wait-queue cap.
-    pub fn queue_cap(mut self, cap: usize) -> Self {
-        self.queue_cap = cap;
         self
     }
 
@@ -490,7 +438,6 @@ impl MachineBuilder {
             processes: BTreeMap::new(),
             next_task: 1,
             next_user_page: BTreeMap::new(),
-            queue_cap: self.queue_cap,
             tracer: None,
         };
 
@@ -508,7 +455,7 @@ impl MachineBuilder {
                 )));
                 backend
                     .borrow_mut()
-                    .attach_guest(guest, channel.clone(), self.queue_cap);
+                    .attach_guest(guest, channel.clone(), DEFAULT_QUEUE_CAP);
                 frontends.push(Rc::new(RefCell::new(Frontend::new(
                     hv.clone(),
                     guest,
@@ -528,17 +475,6 @@ impl MachineBuilder {
             machine.attach_device(*spec, data_isolation)?;
         }
 
-        // Cross-cutting switches, applied before the first operation so a
-        // built machine needs no post-construction mutation.
-        if self.fastpath {
-            machine.enable_fastpath();
-        }
-        if self.tracing {
-            machine.enable_tracing();
-        }
-        if let Some(plan) = self.faults {
-            machine.arm_faults(plan);
-        }
         Ok(machine)
     }
 }
@@ -562,7 +498,6 @@ pub struct Machine {
     /// Per-VM cursor for user-page allocation (bottom-up; kernel pages come
     /// top-down from [`paradice_hypervisor::Vm::alloc_kernel_page`]).
     next_user_page: BTreeMap<u32, u64>,
-    queue_cap: usize,
     tracer: Option<Tracer>,
 }
 
@@ -1610,9 +1545,6 @@ impl Machine {
     /// Arms a fault plan on the backend: faults fire at dispatch and
     /// channel boundaries per the plan's triggers (§7.1 experiments).
     /// Returns `false` outside Paradice mode.
-    ///
-    /// Deprecated: prefer [`MachineBuilder::faults`]; this setter remains
-    /// for harnesses that re-arm plans mid-run.
     pub fn arm_faults(&mut self, plan: Rc<RefCell<FaultPlan>>) -> bool {
         match &self.backend {
             Some(backend) => {
@@ -1627,13 +1559,6 @@ impl Machine {
     /// containment was invoked); [`Machine::recover_driver_vm`] clears it.
     pub fn driver_vm_failed(&self) -> bool {
         self.hv.borrow().driver_vm_failed(self.driver_vm)
-    }
-
-    /// Overrides every frontend's per-operation watchdog deadline.
-    pub fn set_op_deadline_ns(&mut self, deadline_ns: u64) {
-        for frontend in &self.frontends {
-            frontend.borrow_mut().set_op_deadline_ns(deadline_ns);
-        }
     }
 
     /// Disables grant validation: the machine degenerates to the paper's
@@ -1653,10 +1578,6 @@ impl Machine {
     ///
     /// Tracing is recording-only: it never advances the virtual clock, so
     /// traced runs keep the exact timing of untraced ones.
-    ///
-    /// Deprecated: prefer [`MachineBuilder::tracing`] and read the log via
-    /// [`Machine::tracer`]; this setter remains for harnesses that switch
-    /// tracing on mid-run.
     pub fn enable_tracing(&mut self) -> Tracer {
         let tracer = Tracer::enabled();
         self.hv.borrow_mut().set_tracer(tracer.clone());
@@ -1672,9 +1593,6 @@ impl Machine {
     /// in the backend. Semantics are unchanged — cached grant references
     /// are still validated per use, batches are all-or-nothing on a grant
     /// violation, and the watchdog/containment behaviour is identical.
-    ///
-    /// Deprecated: prefer [`MachineBuilder::fastpath`]; this setter remains
-    /// for A/B harnesses that toggle the fast path mid-run.
     pub fn enable_fastpath(&mut self) {
         for frontend in &self.frontends {
             frontend.borrow_mut().set_fastpath(true);
@@ -1744,8 +1662,8 @@ impl Machine {
         }
     }
 
-    /// The configured queue cap (experiments).
+    /// The per-guest wait-queue cap (experiments).
     pub fn queue_cap(&self) -> usize {
-        self.queue_cap
+        DEFAULT_QUEUE_CAP
     }
 }

@@ -26,11 +26,10 @@ use paradice_devfs::Errno;
 use paradice_drivers::env::KernelEnv;
 use paradice_faults::{FaultKind, FaultPlan};
 use paradice_hypervisor::audit::AuditEvent;
-use paradice_hypervisor::{ChannelError, GrantRef, SharedHypervisor, VmId};
+use paradice_hypervisor::{ChannelError, FairSched, GrantRef, SharedHypervisor, VmId};
 use paradice_mem::GuestVirtAddr;
 use paradice_trace::SpanId;
 
-use crate::fairq::{FairSched, SchedPolicy};
 use crate::memops::{BatchedMemOps, HypercallMemOps, MemEngine};
 use crate::proto::{CvdChannel, WireOp, WireRequest, WireResponse, WireSignal};
 use crate::sharing::{SharingPolicy, VirtualTerminals};
@@ -151,11 +150,6 @@ impl Backend {
         self.fastpath_batch = on;
     }
 
-    /// Whether vectored-hypercall dispatch is active.
-    pub fn fastpath_batch(&self) -> bool {
-        self.fastpath_batch
-    }
-
     /// The driver VM hosting this backend.
     pub fn driver_vm(&self) -> VmId {
         self.driver_vm
@@ -217,23 +211,6 @@ impl Backend {
             .get_mut(&guest.0)
             .map(|state| state.cap = cap)
             .ok_or(Errno::Einval)
-    }
-
-    /// Switches the cross-guest drain discipline (fair-share is the
-    /// default; FIFO is the ablation's toggle-back knob). Resets the
-    /// consumed-time accounting.
-    pub fn set_sched_policy(&mut self, policy: SchedPolicy) {
-        self.sched = FairSched::new(policy);
-    }
-
-    /// The active cross-guest drain discipline.
-    pub fn sched_policy(&self) -> SchedPolicy {
-        self.sched.policy()
-    }
-
-    /// Service time charged to `guest` by the drain scheduler (virtual ns).
-    pub fn consumed_ns(&self, guest: VmId) -> u64 {
-        self.sched.consumed(guest.0)
     }
 
     /// Records which guest a task belongs to (set when the machine spawns a

@@ -386,7 +386,7 @@ impl DeviceService for ScriptedService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fairq::SchedPolicy;
+    use crate::SchedPolicy;
     use crate::multi::build_multi;
     use paradice_devfs::ioc::{io, IoctlCmd};
     use paradice_mem::GuestVirtAddr;

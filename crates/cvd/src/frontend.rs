@@ -381,8 +381,6 @@ pub struct Frontend {
     stats: FrontendStats,
     /// paradice-trace sink; disabled by default (zero-cost path).
     tracer: Tracer,
-    /// Watchdog deadline per forwarded operation (virtual nanoseconds).
-    deadline_ns: u64,
     /// Circuit breaker: once the watchdog declares the driver VM dead,
     /// operations fail fast without forwarding until a half-open probe
     /// succeeds or the machine recovers the driver VM (§7.1).
@@ -435,7 +433,6 @@ impl Frontend {
             vmas: Vec::new(),
             stats: FrontendStats::default(),
             tracer: Tracer::disabled(),
-            deadline_ns: DEFAULT_OP_DEADLINE_NS,
             breaker: BreakerState::Closed,
             breaker_backoff_ns: 0,
             fastpath: false,
@@ -463,11 +460,6 @@ impl Frontend {
         self.channel
             .borrow_mut()
             .set_ring_depth(if on { FASTPATH_RING_DEPTH } else { 1 });
-    }
-
-    /// Whether the fast path is enabled.
-    pub fn fastpath(&self) -> bool {
-        self.fastpath
     }
 
     /// Live grant-cache entries (tests and overhead accounting).
@@ -559,11 +551,6 @@ impl Frontend {
         }
     }
 
-    /// Overrides the per-operation watchdog deadline (virtual time).
-    pub fn set_op_deadline_ns(&mut self, deadline_ns: u64) {
-        self.deadline_ns = deadline_ns;
-    }
-
     /// Whether the circuit breaker has tripped (operations fail fast).
     pub fn breaker_open(&self) -> bool {
         self.breaker != BreakerState::Closed
@@ -652,7 +639,7 @@ impl Frontend {
                     .clock()
                     .now_ns()
                     .saturating_sub(self.backend.borrow().last_post_ns());
-                if lag > self.deadline_ns {
+                if lag > DEFAULT_OP_DEADLINE_NS {
                     // The response arrived, but past the watchdog deadline:
                     // the guest kernel has already timed the call out. The
                     // driver is demonstrably alive (it answered), so no
@@ -701,7 +688,7 @@ impl Frontend {
                 self.hv
                     .borrow()
                     .clock()
-                    .advance(self.deadline_ns.saturating_sub(waited));
+                    .advance(DEFAULT_OP_DEADLINE_NS.saturating_sub(waited));
                 let driver_vm = self.backend.borrow().driver_vm();
                 let _ = self.hv.borrow_mut().mark_driver_vm_failed(driver_vm);
                 self.trip_breaker();
@@ -1198,8 +1185,10 @@ impl Frontend {
         self.stats.ops_forwarded += 1;
         let enabled = self.tracer.is_enabled();
         let span = self.tracer.begin_span();
-        let (start_ns, stats_before) = if enabled {
-            let start_ns = self.hv.borrow().clock().now_ns();
+        // Stamped with tracing on or off: the drain's watchdog measures
+        // its wait from here.
+        let start_ns = self.hv.borrow().clock().now_ns();
+        let stats_before = if enabled {
             let stats = self.channel.borrow().stats();
             self.tracer.record(TraceEvent::OpStart {
                 span,
@@ -1213,9 +1202,9 @@ impl Frontend {
                 addr: trace.addr,
                 len: trace.len,
             });
-            (start_ns, stats)
+            stats
         } else {
-            (0, ChannelStats::default())
+            ChannelStats::default()
         };
         let (grant, cache_owned) = match grants {
             Some(ops) => {
@@ -1304,7 +1293,7 @@ impl Frontend {
                         .clock()
                         .now_ns()
                         .saturating_sub(self.backend.borrow().last_post_ns());
-                    if lag > self.deadline_ns {
+                    if lag > DEFAULT_OP_DEADLINE_NS {
                         Err(Errno::Etimedout)
                     } else {
                         response.result()
@@ -1329,7 +1318,7 @@ impl Frontend {
                     self.hv
                         .borrow()
                         .clock()
-                        .advance(self.deadline_ns.saturating_sub(waited));
+                        .advance(DEFAULT_OP_DEADLINE_NS.saturating_sub(waited));
                     let driver_vm = self.backend.borrow().driver_vm();
                     let _ = self.hv.borrow_mut().mark_driver_vm_failed(driver_vm);
                     self.trip_breaker();

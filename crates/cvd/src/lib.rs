@@ -22,10 +22,10 @@
 //! * [`backend`] — the driver-VM side: per-guest wait queues capped at 100
 //!   operations (DoS guard, §5.1), thread marking, driver dispatch, and
 //!   asynchronous-notification forwarding.
-//! * [`fairq`] — the device-class-agnostic fair-share queue discipline
-//!   (the default since ISSUE 10): least-consumed-service-time pick with
-//!   arrival tie-break, shared by the GPU scheduler, the backend drain,
-//!   and the multi-guest engines.
+//! * [`FairSched`] / [`SchedPolicy`] — the fair-share queue discipline
+//!   (`paradice_hypervisor::fairq`, re-exported here): the one pick rule
+//!   behind the backend drain, the multi-guest engines and the GPU
+//!   scheduler.
 //! * [`multi`] — the execution substrates behind the one
 //!   [`MultiEngine`] seam (a single guest is N = 1): per-guest ring
 //!   channels, per-guest wait-queue caps, and fair-share backend service
@@ -41,7 +41,6 @@
 pub mod backend;
 pub mod cache;
 pub mod exec;
-pub mod fairq;
 pub mod frontend;
 pub mod multi;
 pub mod info;
@@ -52,7 +51,7 @@ pub mod sharing;
 pub use backend::{Backend, SharedBackend};
 pub use cache::{Eviction, GrantCache, GrantCacheKey};
 pub use exec::{run_workload, DeviceService, ExecRun, ScriptedService, WorkloadOp};
-pub use fairq::{FairSched, SchedPolicy};
+pub use paradice_hypervisor::{FairSched, SchedPolicy};
 pub use frontend::{Frontend, IoctlKnowledge, OsPersonality};
 pub use multi::{
     build_multi, Completion, MultiEngine, MultiVirtualEngine, MultiWallEngine, MULTI_QUEUE_CAP,

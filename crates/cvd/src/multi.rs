@@ -37,13 +37,12 @@ use std::thread::JoinHandle;
 
 use paradice_hypervisor::engine::{EngineError, EngineKind};
 use paradice_hypervisor::{
-    ARingError, AtomicRing, ClockSource, CostModel, Doorbell, ShardedGrantTable, SimClock,
-    WallClock, ARING_CAPACITY, ARING_SLOT_BYTES,
+    ARingError, AtomicRing, ClockSource, CostModel, Doorbell, FairSched, SchedPolicy,
+    ShardedGrantTable, SimClock, WallClock, ARING_CAPACITY, ARING_SLOT_BYTES,
 };
 use paradice_trace::TraceEvent;
 
 use crate::exec::{dispatch, DeviceService};
-use crate::fairq::{FairSched, SchedPolicy};
 use crate::proto::{WireOp, WireRequest};
 
 /// Per-guest wait-queue cap on both substrates: the wall ring's depth,

@@ -18,6 +18,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use paradice_devfs::Errno;
+use paradice_hypervisor::{FairSched, SchedPolicy};
 use paradice_mem::{DmaAddr, GuestPhysAddr, PAGE_SIZE};
 
 use crate::env::KernelEnv;
@@ -49,7 +50,8 @@ impl IrqReason {
     }
 }
 
-/// Engine scheduling policy.
+/// Engine scheduling policy: the one fair-share rule
+/// ([`paradice_hypervisor::fairq`]) applied to engine time.
 ///
 /// The paper leaves GPU time-sharing to the driver and names better
 /// scheduling (TimeGraph-style) as the fix for its fairness limitation
@@ -60,20 +62,11 @@ impl IrqReason {
 /// work is ordered by least-consumed engine time per guest.
 ///
 /// Fair share is the *default* since ISSUE 10 promoted it from ablation
-/// knob to the shipped discipline (it matches `paradice_cvd::fairq`, the
-/// backend's cross-guest drain). The ablation now toggles *back* to FIFO
+/// knob to the shipped discipline. The ablation now toggles *back* to FIFO
 /// to reproduce the §8 starvation baseline. With a single submitting
 /// guest the two are identical (least-consumed over one owner degrades to
 /// submission order), so the flip is invisible off the contended path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum GpuSched {
-    /// Global submission order (stock driver; the ablation baseline).
-    Fifo,
-    /// Weighted-fair queueing across submitting guests (the §8 extension;
-    /// the default).
-    #[default]
-    FairShare,
-}
+pub type GpuSched = SchedPolicy;
 
 #[derive(Debug, Clone, Copy)]
 struct Job {
@@ -86,6 +79,14 @@ struct Job {
     start_ns: u64,
     finish_ns: u64,
     retired: bool,
+}
+
+impl Job {
+    /// The [`FairSched`] id this job is charged to: its guest, or one
+    /// reserved id no guest VM carries for owner-less jobs.
+    fn sched_id(&self) -> u32 {
+        self.owner.unwrap_or(u32::MAX)
+    }
 }
 
 /// A command parsed out of an indirect buffer (IB).
@@ -348,49 +349,37 @@ impl RadeonGpu {
     }
 
     /// (Re)assigns start/finish times. Jobs already started (start ≤ now)
-    /// are committed; the rest are ordered by policy: submission order for
-    /// FIFO, least-consumed-engine-time-first across owners for fair share.
+    /// are committed and charged; the rest run in the order [`FairSched`]
+    /// picks their owners — under fair share the owner with the least
+    /// consumed engine time first — each pick taking that owner's oldest
+    /// pending job.
     fn reschedule(&mut self) {
         let now = self.env.now_ns();
         let mut cursor = now;
-        let mut consumed: std::collections::BTreeMap<Option<u32>, u64> = Default::default();
-        let mut uncommitted: Vec<usize> = Vec::new();
+        let mut sched = FairSched::new(self.sched);
+        let mut pending: Vec<usize> = Vec::new();
         for (index, job) in self.jobs.iter().enumerate() {
             if job.retired || (job.finish_ns > 0 && job.start_ns <= now) {
                 // Committed: already running or done; it pins the cursor.
                 cursor = cursor.max(job.finish_ns);
-                *consumed.entry(job.owner).or_insert(0) += job.cost_ns;
+                sched.charge(job.sched_id(), job.cost_ns);
             } else {
-                uncommitted.push(index);
+                pending.push(index);
             }
         }
-        // Order the uncommitted jobs.
-        match self.sched {
-            GpuSched::Fifo => {} // submission order, as stored
-            GpuSched::FairShare => {
-                // Stable selection: repeatedly pick the owner with the least
-                // consumed time, taking that owner's oldest pending job.
-                let mut remaining = uncommitted.clone();
-                let mut picked = Vec::with_capacity(remaining.len());
-                while !remaining.is_empty() {
-                    let (pos, &index) = remaining
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &index)| {
-                            let job = &self.jobs[index];
-                            (*consumed.get(&job.owner).unwrap_or(&0), job.fence)
-                        })
-                        .expect("non-empty");
-                    let job = &self.jobs[index];
-                    *consumed.entry(job.owner).or_insert(0) += job.cost_ns;
-                    picked.push(index);
-                    remaining.remove(pos);
-                }
-                uncommitted = picked;
-            }
-        }
-        for index in uncommitted {
-            let job = &mut self.jobs[index];
+        // `pending` is in submission order, so an owner's first entry is
+        // its oldest job and fences double as arrival stamps.
+        while let Some(owner) = sched.pick(
+            pending
+                .iter()
+                .map(|&index| (self.jobs[index].sched_id(), self.jobs[index].fence)),
+        ) {
+            let pos = pending
+                .iter()
+                .position(|&index| self.jobs[index].sched_id() == owner)
+                .expect("picked owner has a pending job");
+            let job = &mut self.jobs[pending.remove(pos)];
+            sched.charge(owner, job.cost_ns);
             let mut start = cursor;
             if job.vsync_paced {
                 start = start.div_ceil(VSYNC_PERIOD_NS) * VSYNC_PERIOD_NS;

@@ -339,11 +339,6 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
         self.mode
     }
 
-    /// Changes the transport mode (experiments switch between them).
-    pub fn set_mode(&mut self, mode: TransportMode) {
-        self.mode = mode;
-    }
-
     /// Entries per direction (1 = the paper's single bounded slot).
     pub fn ring_depth(&self) -> usize {
         self.ring_depth

@@ -1,14 +1,15 @@
 //! The device-class-agnostic fair-share queue discipline.
 //!
 //! ISSUE 10 promoted fair-share device scheduling from a GPU ablation knob
-//! to the *default* discipline everywhere the backend chooses which
-//! guest's queued work to serve next: the GPU command-queue scheduler
-//! ([`GpuSched::FairShare`](paradice_drivers::gpu::model::GpuSched)), the
-//! virtual-time backend's cross-guest drain, and both multi-guest
-//! execution substrates ([`crate::multi`]). This module is the shared
+//! to the *default* discipline everywhere queued work from several guests
+//! is ordered: the GPU model's engine scheduler (`paradice_drivers`'
+//! `RadeonGpu`, whose `GpuSched` is an alias of [`SchedPolicy`]), the
+//! virtual-time CVD backend's cross-guest drain, and both multi-guest
+//! execution substrates (`paradice_cvd::multi`). This module is the one
 //! kernel of that discipline, independent of device class, substrate, and
-//! clock: it only ever sees guest ids, arrival order, and consumed
-//! service time.
+//! clock — it lives in the hypervisor crate because that is the lowest one
+//! all of its callers share. It only ever sees guest ids, arrival order,
+//! and consumed service time.
 //!
 //! # Invariants
 //!
@@ -27,8 +28,8 @@
 //!   reorders one guest's queue.
 //! * **Bounded memory.** Consumed-time accounting lives here, one `u64`
 //!   per guest that ever queued; queue *contents* stay with the caller,
-//!   whose per-guest wait-queue caps (backpressure, [`crate::multi`];
-//!   `EDQUOT`, [`crate::backend`]) bound them.
+//!   whose per-guest wait-queue caps (backpressure in the substrates,
+//!   `EDQUOT` in the backend) bound them.
 
 use std::collections::BTreeMap;
 
@@ -71,11 +72,6 @@ impl FairSched {
             policy,
             consumed: BTreeMap::new(),
         }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
     }
 
     /// Picks the next guest to serve from `backlogged`, an iterator of

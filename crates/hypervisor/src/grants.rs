@@ -15,9 +15,16 @@
 //!
 //! Validation is *subset* matching: a requested operation must lie entirely
 //! within a declared grant of the same kind.
+//!
+//! [`GrantTable`] is the one per-guest kernel both substrates run: the
+//! virtual-time [`Hypervisor`](crate::hv::Hypervisor) steps one per VM
+//! under its `RefCell`, and each [`crate::shards`] shard publishes
+//! copy-on-write snapshots of one. Reference lookup, capacity and sequence
+//! allocation live here only — and so do the `crates/verify` `grant-*`
+//! proofs.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use paradice_mem::{Access, GuestVirtAddr};
 
@@ -30,6 +37,16 @@ impl fmt::Display for GrantRef {
         write!(f, "grant#{}", self.0)
     }
 }
+
+/// High bits of a guest-qualified [`GrantRef`] carrying the owning guest id.
+pub const GUEST_BITS: u32 = 12;
+/// Low bits of a guest-qualified [`GrantRef`] carrying the per-guest
+/// sequence number.
+pub const SEQ_BITS: u32 = 32 - GUEST_BITS;
+/// Exclusive upper bound on guest ids a reference can carry (4096).
+pub const MAX_GUESTS: u32 = 1 << GUEST_BITS;
+/// Mask extracting the per-guest sequence from a reference.
+pub const SEQ_MASK: u32 = (1 << SEQ_BITS) - 1;
 
 /// One legitimate memory operation declared by the CVD frontend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -211,8 +228,8 @@ pub const GRANT_TABLE_CAPACITY: usize = 128;
 /// `addr+len` — which the prefix maximum answers after one binary search,
 /// making per-hypercall validation `O(log n)` instead of the old linear
 /// scan over every declared operation.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct RangeIndex {
+#[derive(Debug, Default)]
+struct RangeIndex {
     /// Range starts, ascending.
     starts: Vec<u64>,
     /// `prefix_max_end[i]` = max end over `starts[0..=i]`'s ranges.
@@ -246,10 +263,8 @@ impl RangeIndex {
 }
 
 /// The per-declaration validation index, built once at declare time.
-/// Shared with [`crate::shards`]: each per-guest shard snapshot holds the
-/// same per-kind sorted range indexes the virtual-time table uses.
 #[derive(Debug, Default)]
-pub(crate) struct GrantEntry {
+struct GrantEntry {
     /// The declarations as declared (kept for audits and tests).
     ops: Vec<MemOpGrant>,
     copy_from: RangeIndex,
@@ -262,7 +277,7 @@ pub(crate) struct GrantEntry {
 }
 
 impl GrantEntry {
-    pub(crate) fn build(ops: Vec<MemOpGrant>) -> GrantEntry {
+    fn build(ops: Vec<MemOpGrant>) -> GrantEntry {
         let mut copy_from = Vec::new();
         let mut copy_to = Vec::new();
         let mut unmap = Vec::new();
@@ -301,7 +316,7 @@ impl GrantEntry {
         }
     }
 
-    pub(crate) fn covers(&self, request: &MemOpRequest) -> bool {
+    fn covers(&self, request: &MemOpRequest) -> bool {
         match *request {
             MemOpRequest::CopyFromGuest { addr, len } => {
                 self.copy_from.covers(addr.raw(), len)
@@ -319,16 +334,69 @@ impl GrantEntry {
 }
 
 /// One guest VM's grant table.
-#[derive(Debug, Default)]
+///
+/// Live declarations sit in a `Vec` ascending by reference: references are
+/// issued in increasing order and never reissued, so `declare` appends and
+/// lookup is one binary search. Entries are `Arc`-shared, so a clone (a
+/// shard's copy-on-write republication) copies `(ref, ptr)` pairs, never
+/// the range indexes behind them.
+///
+/// Two reference layouts, same kernel: [`GrantTable::new`] issues the
+/// unqualified 32-bit references `0..=u32::MAX`, [`GrantTable::for_guest`]
+/// issues `guest << SEQ_BITS | seq` for `seq` in `0..=SEQ_MASK`. Under both
+/// the table fails closed once its last reference is out: a reference that
+/// restarted would alias one a stale holder may still name.
+#[derive(Debug, Clone)]
 pub struct GrantTable {
-    entries: BTreeMap<u32, GrantEntry>,
-    next_ref: u32,
+    entries: Vec<(GrantRef, Arc<GrantEntry>)>,
+    /// The next reference to issue; `None` once `last` has been issued.
+    next: Option<u32>,
+    /// The last reference this table's layout can issue.
+    last: u32,
+}
+
+impl Default for GrantTable {
+    fn default() -> Self {
+        GrantTable::new()
+    }
 }
 
 impl GrantTable {
-    /// Creates an empty table.
+    /// Creates an empty table issuing unqualified 32-bit references.
     pub fn new() -> Self {
-        GrantTable::default()
+        GrantTable {
+            entries: Vec::new(),
+            next: Some(0),
+            last: u32::MAX,
+        }
+    }
+
+    /// Creates an empty table issuing references qualified with `guest` in
+    /// their high [`GUEST_BITS`].
+    ///
+    /// `guest` must be below [`MAX_GUESTS`] — ids are host-assigned, so a
+    /// larger one is a programming error, not hostile input.
+    pub fn for_guest(guest: u32) -> Self {
+        assert!(guest < MAX_GUESTS, "guest id {guest} exceeds MAX_GUESTS");
+        let first = guest << SEQ_BITS;
+        GrantTable {
+            entries: Vec::new(),
+            next: Some(first),
+            last: first | SEQ_MASK,
+        }
+    }
+
+    /// Checker hook: spends `count` references without issuing them, as if
+    /// they had been declared and revoked, so the exhaustion edge is
+    /// reachable without 2³² declares. Only ever moves the sequence
+    /// forward, so it cannot make a reference alias.
+    #[doc(hidden)]
+    pub fn with_refs_spent(mut self, count: u32) -> Self {
+        self.next = self
+            .next
+            .and_then(|next| next.checked_add(count))
+            .filter(|&next| next <= self.last);
+        self
     }
 
     /// Declares the legitimate operations of one file operation, returning
@@ -337,15 +405,22 @@ impl GrantTable {
     /// # Errors
     ///
     /// [`GrantError::TableFull`] when [`GRANT_TABLE_CAPACITY`] declarations
-    /// are already outstanding.
+    /// are already outstanding, or when the table's reference space is
+    /// spent (references never restart, so stale ones can never alias).
     pub fn declare(&mut self, ops: Vec<MemOpGrant>) -> Result<GrantRef, GrantError> {
         if self.entries.len() >= GRANT_TABLE_CAPACITY {
             return Err(GrantError::TableFull);
         }
-        let reference = GrantRef(self.next_ref);
-        self.next_ref = self.next_ref.wrapping_add(1);
-        self.entries.insert(reference.0, GrantEntry::build(ops));
-        Ok(reference)
+        let reference = self.next.ok_or(GrantError::TableFull)?;
+        self.next = (reference < self.last).then(|| reference + 1);
+        self.entries
+            .push((GrantRef(reference), Arc::new(GrantEntry::build(ops))));
+        Ok(GrantRef(reference))
+    }
+
+    /// The one reference lookup: `entries` is sorted by construction.
+    fn position(&self, grant: GrantRef) -> Option<usize> {
+        self.entries.binary_search_by_key(&grant, |(r, _)| *r).ok()
     }
 
     /// Validates `request` against the declarations of `grant`.
@@ -358,11 +433,10 @@ impl GrantTable {
         grant: GrantRef,
         request: &MemOpRequest,
     ) -> Result<(), GrantError> {
-        let entry = self
-            .entries
-            .get(&grant.0)
+        let index = self
+            .position(grant)
             .ok_or(GrantError::UnknownRef { grant })?;
-        if entry.covers(request) {
+        if self.entries[index].1.covers(request) {
             Ok(())
         } else {
             Err(GrantError::NotCovered { grant })
@@ -395,7 +469,9 @@ impl GrantTable {
     ///
     /// Returns `true` if the reference was live.
     pub fn revoke(&mut self, grant: GrantRef) -> bool {
-        self.entries.remove(&grant.0).is_some()
+        self.position(grant)
+            .map(|index| self.entries.remove(index))
+            .is_some()
     }
 
     /// Revokes every outstanding declaration (driver-VM failure: a
@@ -415,7 +491,8 @@ impl GrantTable {
 
     /// The declarations behind a reference (for tests and audit dumps).
     pub fn declarations(&self, grant: GrantRef) -> Option<&[MemOpGrant]> {
-        self.entries.get(&grant.0).map(|e| e.ops.as_slice())
+        self.position(grant)
+            .map(|index| self.entries[index].1.ops.as_slice())
     }
 }
 
@@ -599,6 +676,46 @@ mod tests {
         }
         assert_eq!(table.declare(vec![]), Err(GrantError::TableFull));
         assert_eq!(table.outstanding(), GRANT_TABLE_CAPACITY);
+    }
+
+    /// After the reference space is spent the table fails closed forever
+    /// instead of restarting at a reference a stale holder may still name;
+    /// `table` arrives two references short of `last_ref`.
+    fn exhaustion_edge(mut table: GrantTable, last_ref: u32) {
+        let window = |addr| vec![MemOpGrant::CopyFromGuest { addr: va(addr), len: 8 }];
+        let probe = |addr| MemOpRequest::CopyFromGuest { addr: va(addr), len: 8 };
+        let penultimate = table.declare(window(0x1000)).expect("declare");
+        let last = table.declare(window(0x2000)).expect("last reference");
+        assert_eq!((penultimate.0, last.0), (last_ref - 1, last_ref));
+        for _ in 0..64 {
+            assert_eq!(
+                table.declare(window(0x3000)),
+                Err(GrantError::TableFull),
+                "exhausted table must fail closed"
+            );
+        }
+        // Live references keep validating, and revoking reopens nothing.
+        table.validate(penultimate, &probe(0x1000)).expect("live");
+        table.validate(last, &probe(0x2000)).expect("live");
+        assert!(table.revoke(last));
+        assert_eq!(table.declare(window(0x3000)), Err(GrantError::TableFull));
+        assert_eq!(table.revoke_all(), 1);
+        assert_eq!(table.declare(window(0x3000)), Err(GrantError::TableFull));
+    }
+
+    #[test]
+    fn sequence_exhaustion_pins_closed_without_aliasing() {
+        let last_ref = (1 << SEQ_BITS) | SEQ_MASK;
+        exhaustion_edge(GrantTable::for_guest(1).with_refs_spent(SEQ_MASK - 1), last_ref);
+        // Spending past the edge exhausts the table; it never spills into
+        // the next guest's reference range.
+        let mut spent = GrantTable::for_guest(1).with_refs_spent(SEQ_MASK + 1);
+        assert_eq!(spent.declare(vec![]), Err(GrantError::TableFull));
+    }
+
+    #[test]
+    fn sequence_exhaustion_pins_closed_without_wrapping_32bit() {
+        exhaustion_edge(GrantTable::new().with_refs_spent(u32::MAX - 1), u32::MAX);
     }
 
     #[test]

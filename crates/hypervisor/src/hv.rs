@@ -776,43 +776,12 @@ impl Hypervisor {
         self.grant_validation
     }
 
-    fn validate_grant(
-        &mut self,
-        caller: VmId,
-        guest: VmId,
-        grant: GrantRef,
-        request: &MemOpRequest,
-    ) -> Result<(), HvError> {
-        if !self.grant_validation {
-            return Ok(());
-        }
-        let table = self
-            .grants
-            .get(&guest.0)
-            .ok_or(HvError::UnknownVm { vm: guest })?;
-        match table.validate(grant, request) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.audit.record(
-                    self.clock.now_ns(),
-                    AuditEvent::UngrantedMemOp {
-                        caller,
-                        target: guest,
-                        grant: Some(grant),
-                        description: format!("{request:?}"),
-                    },
-                );
-                Err(e.into())
-            }
-        }
-    }
-
-    /// Batch counterpart of [`Hypervisor::validate_grant`]: delegates the
-    /// whole batch to the grant table's pure [`GrantTable::validate_batch`]
-    /// kernel (the phase-1 half of the all-or-nothing split that
-    /// `crates/verify` proves). Exactly one audit entry is recorded, for
-    /// the first violating request; an unknown guest VM fails on index 0
-    /// without an audit entry, mirroring the per-request path.
+    /// Validates one hypercall's memory operations against `grant` through
+    /// the grant table's pure [`GrantTable::validate_batch`] kernel (the
+    /// phase-1 half of the all-or-nothing split that `crates/verify`
+    /// proves). Exactly one audit entry is recorded, for the first
+    /// violating request; an unknown guest VM fails on index 0 without an
+    /// audit entry.
     fn validate_grant_batch(
         &mut self,
         caller: VmId,
@@ -841,6 +810,18 @@ impl Hypervisor {
                 Err((index, e.into()))
             }
         }
+    }
+
+    /// The one-request case of [`Hypervisor::validate_grant_batch`].
+    fn validate_grant(
+        &mut self,
+        caller: VmId,
+        guest: VmId,
+        grant: GrantRef,
+        request: &MemOpRequest,
+    ) -> Result<(), HvError> {
+        self.validate_grant_batch(caller, guest, grant, std::slice::from_ref(request))
+            .map_err(|(_, err)| err)
     }
 
     // ------------------------------------------------------------------

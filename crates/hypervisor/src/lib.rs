@@ -12,7 +12,8 @@
 //! * [`vm`] — VM containers: RAM, EPT, kernel page allocator, the unused-GPA
 //!   window used for `mmap` fix-ups.
 //! * [`grants`] — the grant table: legitimate memory operations declared by
-//!   the frontend, validated on every hypercall from the driver VM.
+//!   the frontend, validated on every hypercall from the driver VM. One
+//!   per-guest kernel ([`GrantTable`]) serves both substrates.
 //! * [`hv`] — the [`Hypervisor`] itself: VM lifecycle, device assignment,
 //!   the hypercall API (cross-VM copies, `mmap` fix-ups, IOMMU control,
 //!   protected-MMIO proxying), and device DMA service.
@@ -24,13 +25,14 @@
 //!   optional Kani harnesses can prove its safety properties.
 //! * [`audit`] — the isolation audit log: every blocked attack is recorded
 //!   with what stopped it.
-
+//! * [`fairq`] — the fair-share pick rule shared by the CVD backend, both
+//!   multi-guest substrates and the GPU model's engine scheduler.
 //! * [`aring`] — the same ring page driven with real atomics
 //!   (acquire/release slot publication, park/unpark doorbell) for the
 //!   wall-clock engine.
-//! * [`shards`] — the grant table behind a sharded, lock-free-read
-//!   structure so validation stays off the contended path when frontend
-//!   and backend run on separate threads.
+//! * [`shards`] — one [`GrantTable`] per guest published through a
+//!   lock-free-read snapshot protocol, so validation stays off the
+//!   contended path when frontend and backend run on separate threads.
 //! * [`engine`] — the names of the two execution substrates
 //!   ([`EngineKind`]: deterministic virtual time vs. real threads) and
 //!   their failures ([`EngineError`]).
@@ -46,6 +48,7 @@ pub mod audit;
 pub mod channel;
 pub mod clock;
 pub mod engine;
+pub mod fairq;
 pub mod grants;
 pub mod hv;
 pub mod regions;
@@ -65,8 +68,12 @@ pub use audit::{AuditEvent, AuditLog, BlockedBy};
 pub use channel::{Channel, ChannelError, ChannelStats, TransportMode, WireCodec};
 pub use clock::{ms, us, Clock, ClockSource, CostModel, SimClock, WallClock};
 pub use engine::{EngineError, EngineKind};
-pub use shards::{ShardedGrantTable, GUEST_SLOTS, MAX_GUESTS, RETIRED_CAP, SEQ_BITS};
-pub use grants::{GrantError, GrantRef, GrantTable, MemOpGrant, MemOpRequest, GRANT_TABLE_CAPACITY};
+pub use fairq::{FairSched, SchedPolicy};
+pub use grants::{
+    GrantError, GrantRef, GrantTable, MemOpGrant, MemOpRequest, GRANT_TABLE_CAPACITY, MAX_GUESTS,
+    SEQ_BITS,
+};
+pub use shards::{ShardedGrantTable, RETIRED_CAP};
 pub use hv::{BatchMemOp, BatchMemOpResult, DmaPort, HvError, Hypervisor};
 pub use regions::RegionManager;
 pub use ring::{PushGrant, RingIndex, RING_CAPACITY};

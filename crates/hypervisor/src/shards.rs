@@ -1,59 +1,65 @@
 //! The multi-tenant grant table: per-guest shards with lock-free reads.
 //!
-//! [`GrantTable`](crate::grants::GrantTable) is the virtual-time table:
-//! single-threaded, stepped under `RefCell` borrows. On the wall-clock
-//! engine the *backend* thread validates every memory operation while the
-//! *frontend* thread declares and revokes, so `check` must stay off any
-//! contended path: a frame's grant check sits on the per-op critical path
-//! exactly as the paper's hypercall validation does (§4.1), and a mutex
-//! there would serialize the two sides the engine exists to overlap.
+//! A shard is one guest's [`GrantTable`] — the same kernel the virtual-time
+//! hypervisor steps under `RefCell` borrows — published for threads. On the
+//! wall-clock engine the *backend* thread validates every memory operation
+//! while the *frontend* thread declares and revokes, so `check` must stay
+//! off any contended path: a frame's grant check sits on the per-op
+//! critical path exactly as the paper's hypercall validation does (§4.1),
+//! and a mutex there would serialize the two sides the engine exists to
+//! overlap. This module owns only that publication protocol; reference
+//! lookup, capacity and sequence allocation are the kernel's
+//! ([`crate::grants`]).
 //!
 //! # Per-guest sharding
 //!
-//! Declarations are sharded by *guest* first. Every [`GrantRef`] is
-//! qualified with its owning guest in the reference's high bits
-//! ([`GUEST_BITS`]); the low [`SEQ_BITS`] are a per-guest monotonic
-//! sequence. Two consequences, both load-bearing for multi-tenancy:
+//! Every [`GrantRef`] a shard issues is qualified with its owning guest in
+//! the reference's high bits ([`GUEST_BITS`]); the low [`SEQ_BITS`] are the
+//! kernel's per-guest monotonic sequence
+//! ([`GrantTable::for_guest`]). Two consequences, both load-bearing for
+//! multi-tenancy:
 //!
 //! * **Isolation of contention.** One guest's grant churn mutates only its
-//!   own shard (own snapshot pointer, own writer mutex, own `next_seq` and
-//!   `outstanding` counters), so a noisy neighbor never contends on
-//!   another guest's validation fast path. This is the shared-metadata
-//!   separation Kedia & Bansal identify as the scale separator.
+//!   own shard (own snapshot pointer, own writer mutex, own table), so a
+//!   noisy neighbor never contends on another guest's validation fast
+//!   path. This is the shared-metadata separation Kedia & Bansal identify
+//!   as the scale separator.
 //! * **Attribution before access.** A reference forged to name another
 //!   guest's shard fails the guest-bits comparison in [`validate`]
 //!   (`GrantError::ForeignGuest`) before the owner's shard is even
 //!   touched — cross-guest probing cannot generate load on the victim.
 //!
-//! Each per-guest snapshot stores, per declaration, the same per-kind
-//! sorted range index the virtual-time table builds
-//! ([`GrantEntry`](crate::grants::GrantEntry)): validation is a binary
-//! search over references plus an `O(log n)` coverage check, entries
-//! shared by `Arc` so copy-on-write republication never rebuilds them.
+//! Capacity is the kernel's, hence per guest ([`GRANT_TABLE_CAPACITY`]
+//! outstanding declarations each — the paper's one shared table page *per
+//! guest pair*, §5.1), so a guest flooding declarations exhausts only its
+//! own table.
 //!
-//! Capacity is accounted per guest ([`GRANT_TABLE_CAPACITY`] outstanding
-//! declarations each — the paper's one shared table page *per guest pair*,
-//! §5.1), so a guest flooding declarations exhausts only its own table.
+//! [`validate`]: ShardedGrantTable::validate
+//! [`GUEST_BITS`]: crate::grants::GUEST_BITS
+//! [`GRANT_TABLE_CAPACITY`]: crate::grants::GRANT_TABLE_CAPACITY
 //!
-//! # Read/write protocol (unchanged from the race-checked design)
+//! # Read/write protocol (the race-checked design)
 //!
-//! Each shard publishes an immutable snapshot of its live declarations
-//! through an `AtomicPtr`; readers announce themselves on a per-shard
-//! `in_flight` gate, load the pointer once, and scan — no lock, no
-//! waiting. Writers (declare/revoke) take the shard's writer mutex, build
-//! the next snapshot copy-on-write, swap the pointer, and *retire* the old
-//! snapshot into the shard.
+//! Each shard publishes an immutable snapshot of its table through an
+//! `AtomicPtr`; readers announce themselves on a per-shard `in_flight`
+//! gate, load the pointer once, and look up — no lock, no waiting. Writers
+//! (declare/revoke) take the shard's writer mutex, clone the table
+//! (`(ref, Arc)` pairs, never the range indexes), apply the kernel
+//! operation to the copy, swap the pointer, and *retire* the old snapshot
+//! into the shard. The writer mutex is the only thing ordering writers, so
+//! the kernel's sequence and capacity need no atomics of their own. An
+//! operation that leaves the table as it was — a refused declare, a revoke
+//! of an unknown reference — drops the copy and publishes nothing.
 //!
 //! # Bounded reclamation (DESIGN.md §14)
 //!
-//! Retired snapshots used to accumulate until table drop; they are now
-//! reclaimed once a shard holds more than [`RETIRED_CAP`] of them. The
-//! writer (still under its mutex) spins until it observes
-//! `in_flight == 0`, then frees the whole retired list. Soundness is a
-//! sequential-consistency argument, which is why the pointer swap, the
-//! reader's gate enter, the reader's pointer load, and the writer's gate
-//! check are all declared `SeqCst` ([`Edge::Gate`] in [`ATOMIC_SITES`],
-//! lint rule `MO005`):
+//! Retired snapshots are reclaimed once a shard holds more than
+//! [`RETIRED_CAP`] of them. The writer (still under its mutex) spins until
+//! it observes `in_flight == 0`, then frees the whole retired list.
+//! Soundness is a sequential-consistency argument, which is why the
+//! pointer swap, the reader's gate enter, the reader's pointer load, and
+//! the writer's gate check are all declared `SeqCst` ([`Edge::Gate`] in
+//! [`ATOMIC_SITES`], lint rule `MO005`):
 //!
 //! * a reader counted in `in_flight` finished its scan before its gate
 //!   exit, and the exit precedes the writer's `0` observation in the SC
@@ -67,7 +73,7 @@
 //!   torn read a weaker gate admits).
 //!
 //! Readers stay wait-free (two uncontended-in-the-common-case RMWs per
-//! validate); the writer blocks only on overflow, amortized over
+//! validate or batch); the writer blocks only on overflow, amortized over
 //! [`RETIRED_CAP`] mutations. The per-shard bound makes total retired
 //! memory `O(guests * RETIRED_CAP)` instead of `O(mutations)`. The
 //! per-guest protocol instances all execute the orderings declared once
@@ -76,30 +82,12 @@
 //! shard with the same proof.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use crate::atomic::{
-    Access, AccessKind, AtomicPtr, AtomicU32, AtomicUsize, Edge, MemOrder, Role, SiteSpec,
-};
+use crate::atomic::{Access, AccessKind, AtomicPtr, AtomicUsize, Edge, MemOrder, Role, SiteSpec};
 use crate::grants::{
-    GrantEntry, GrantError, GrantRef, MemOpGrant, MemOpRequest, GRANT_TABLE_CAPACITY,
+    GrantError, GrantRef, GrantTable, MemOpGrant, MemOpRequest, MAX_GUESTS, SEQ_BITS, SEQ_MASK,
 };
-
-/// High bits of a [`GrantRef`] carrying the owning guest id.
-pub const GUEST_BITS: u32 = 12;
-/// Low bits of a [`GrantRef`] carrying the per-guest sequence number.
-pub const SEQ_BITS: u32 = 32 - GUEST_BITS;
-/// Exclusive upper bound on guest ids a reference can carry (4096).
-pub const MAX_GUESTS: u32 = 1 << GUEST_BITS;
-/// Mask extracting the per-guest sequence from a reference.
-pub const SEQ_MASK: u32 = (1 << SEQ_BITS) - 1;
-
-/// Default number of per-guest shard slots when the guest population is
-/// not known up front ([`ShardedGrantTable::new`]). Guests hash onto
-/// slots by id modulo the slot count; size the table with
-/// [`ShardedGrantTable::with_guests`] to give every guest an exclusive
-/// shard (the scale bench does, at 1–1000 guests).
-pub const GUEST_SLOTS: usize = 64;
 
 /// Per-shard cap on retired snapshots before the writer reclaims them.
 pub const RETIRED_CAP: usize = 32;
@@ -144,75 +132,28 @@ static INFLIGHT_SITE: SiteSpec = SiteSpec {
     accesses: &INFLIGHT_ACCESSES,
 };
 
-static NEXT_REF_ALLOCATE: Access =
-    Access::new("allocate", AccessKind::Rmw, MemOrder::AcqRel, Edge::Reservation);
-static NEXT_REF_OBSERVE: Access =
-    Access::new("observe", AccessKind::Load, MemOrder::Acquire, Edge::Observe);
-static NEXT_REF_ACCESSES: [&Access; 2] = [&NEXT_REF_ALLOCATE, &NEXT_REF_OBSERVE];
-static NEXT_REF_SITE: SiteSpec = SiteSpec {
-    module: "hypervisor::shards",
-    name: "next_ref",
-    group: "shards.table",
-    role: Role::Counter,
-    accesses: &NEXT_REF_ACCESSES,
-};
-
-static OUTSTANDING_RESERVE: Access =
-    Access::new("reserve", AccessKind::Rmw, MemOrder::AcqRel, Edge::Reservation);
-static OUTSTANDING_RELEASE: Access =
-    Access::new("release", AccessKind::Rmw, MemOrder::AcqRel, Edge::Reservation);
-static OUTSTANDING_OBSERVE: Access =
-    Access::new("observe", AccessKind::Load, MemOrder::Acquire, Edge::Observe);
-static OUTSTANDING_ACCESSES: [&Access; 3] =
-    [&OUTSTANDING_RESERVE, &OUTSTANDING_RELEASE, &OUTSTANDING_OBSERVE];
-static OUTSTANDING_SITE: SiteSpec = SiteSpec {
-    module: "hypervisor::shards",
-    name: "outstanding",
-    group: "shards.table",
-    role: Role::Counter,
-    accesses: &OUTSTANDING_ACCESSES,
-};
-
 /// This module's declared atomic-site table, aggregated by
 /// [`crate::atomic::all_sites`] for the MO/RC lint passes and the
-/// `paradice-verify` interleaving checker. The per-guest refactor added
-/// no new sites: the guest shards are *instances* of the same four
-/// logical sites (the counters moved from one global instance to one per
-/// guest, executing the identical declared orderings).
-pub static ATOMIC_SITES: [&SiteSpec; 4] = [
-    &PTR_SITE,
-    &INFLIGHT_SITE,
-    &NEXT_REF_SITE,
-    &OUTSTANDING_SITE,
-];
+/// `paradice-verify` interleaving checker. The guest shards are
+/// *instances* of the same two logical sites, executing the identical
+/// declared orderings.
+pub static ATOMIC_SITES: [&SiteSpec; 2] = [&PTR_SITE, &INFLIGHT_SITE];
 
-/// One shard's published state: the live declarations homed here, sorted
-/// by reference for binary-search lookup. Entries are `Arc`-shared so a
-/// copy-on-write republication clones `(ref, ptr)` pairs, never the
-/// per-kind range indexes behind them.
-type Snapshot = Vec<(GrantRef, Arc<GrantEntry>)>;
-
-/// One guest's shard: snapshot, reclamation gate, writer mutex, and the
-/// guest-local reference/capacity counters. Nothing in here is shared
-/// with any other guest.
+/// One guest's shard: the published table, the reclamation gate, and the
+/// writer mutex. Nothing in here is shared with any other guest.
 struct Shard {
     /// The current snapshot. Readers: one gate enter + one pointer load.
-    current: AtomicPtr<Snapshot>,
+    current: AtomicPtr<GrantTable>,
     /// Readers inside [`Shard::with_snapshot`] right now — the
     /// reclamation gate the writer waits on before freeing retired
     /// snapshots.
     in_flight: AtomicUsize,
     /// Serializes writers and owns the retired snapshots' lifetimes.
-    /// The boxes are load-bearing, not redundant: readers hold `&Snapshot`
-    /// references into the box allocations, which must stay pinned while
-    /// retired — moving the `Vec` headers out would free them.
+    /// The boxes are load-bearing, not redundant: readers hold
+    /// `&GrantTable` references into the box allocations, which must stay
+    /// pinned while retired.
     #[allow(clippy::vec_box)]
-    writer: Mutex<Vec<Box<Snapshot>>>,
-    /// Per-guest monotonic sequence (the low [`SEQ_BITS`] of issued refs).
-    next_seq: AtomicU32,
-    /// Per-guest outstanding declarations, capped at
-    /// [`GRANT_TABLE_CAPACITY`].
-    outstanding: AtomicUsize,
+    writer: Mutex<Vec<Box<GrantTable>>>,
 }
 
 /// Decrements the reader gate even if the scan closure panics — a stuck
@@ -226,21 +167,25 @@ impl Drop for GateGuard<'_> {
 }
 
 impl Shard {
-    fn new() -> Self {
+    fn new(guest: u32) -> Self {
         Shard {
-            current: AtomicPtr::new(Box::into_raw(Box::new(Snapshot::new()))),
+            current: AtomicPtr::new(Box::into_raw(Box::new(GrantTable::for_guest(guest)))),
             in_flight: AtomicUsize::new(0),
             writer: Mutex::new(Vec::new()),
-            next_seq: AtomicU32::new(0),
-            outstanding: AtomicUsize::new(0),
         }
     }
 
-    /// Copy-on-write mutation: build the next snapshot from the current
-    /// one, publish it, retire the old one — and reclaim the retired
-    /// list once it exceeds [`RETIRED_CAP`] (see the module docs for the
-    /// soundness argument). Returns `edit`'s output.
-    fn mutate<T>(&self, edit: impl FnOnce(&mut Snapshot) -> T) -> T {
+    /// Copy-on-write mutation: apply `edit` to a copy of the current
+    /// table and, if `changed` says its output altered the table, publish
+    /// the copy and retire the old snapshot — reclaiming the retired list
+    /// once it exceeds [`RETIRED_CAP`] (see the module docs for the
+    /// soundness argument). An unchanged copy is dropped unpublished.
+    /// Returns `edit`'s output.
+    fn mutate<T>(
+        &self,
+        edit: impl FnOnce(&mut GrantTable) -> T,
+        changed: impl FnOnce(&T) -> bool,
+    ) -> T {
         let mut retired = self.writer.lock().expect("grant shard writer poisoned");
         // Safe to dereference: the pointer was published by us (or by
         // `Shard::new`) and we hold the writer mutex, so it cannot be
@@ -248,6 +193,9 @@ impl Shard {
         let current = unsafe { &*self.current.load(&PTR_WRITER_LOAD) };
         let mut next = current.clone();
         let out = edit(&mut next);
+        if !changed(&out) {
+            return out;
+        }
         let fresh = Box::into_raw(Box::new(next));
         let old = self.current.swap(fresh, &PTR_PUBLISH_SWAP);
         // SAFETY: `old` came from `Box::into_raw` and is now unpublished;
@@ -257,7 +205,7 @@ impl Shard {
         if retired.len() > RETIRED_CAP {
             // Wait for a moment with no reader inside the gate. Reader
             // critical sections are a pointer load plus one snapshot
-            // scan, so a zero observation arrives quickly; yield after a
+            // lookup, so a zero observation arrives quickly; yield after a
             // bounded spin to stay polite under oversubscription.
             let mut spins = 0u32;
             while self.in_flight.load(&INFLIGHT_WRITER_CHECK) != 0 {
@@ -277,7 +225,7 @@ impl Shard {
 
     /// Wait-free read of the published snapshot under the reclamation
     /// gate: the snapshot is pinned for exactly the closure's duration.
-    fn with_snapshot<T>(&self, scan: impl FnOnce(&Snapshot) -> T) -> T {
+    fn with_snapshot<T>(&self, read: impl FnOnce(&GrantTable) -> T) -> T {
         self.in_flight.fetch_add(1, &INFLIGHT_ENTER);
         let _gate = GateGuard(&self.in_flight);
         // SAFETY: the gate entry above precedes this load in program
@@ -285,7 +233,7 @@ impl Shard {
         // gate at zero and frees retired snapshots did so before we
         // could have loaded one of them (module docs).
         let snapshot = unsafe { &*self.current.load(&PTR_READER_LOAD) };
-        scan(snapshot)
+        read(snapshot)
     }
 }
 
@@ -297,19 +245,12 @@ pub struct ShardedGrantTable {
 }
 
 impl ShardedGrantTable {
-    /// An empty table with [`GUEST_SLOTS`] per-guest slots.
-    pub fn new() -> Self {
-        Self::with_guests(GUEST_SLOTS)
-    }
-
-    /// An empty table sized for `guests` distinct guest ids, each with an
-    /// exclusive shard. Guest ids hash onto slots modulo the (power of
-    /// two, at least one) slot count, so sizing at or above the actual
-    /// population guarantees zero cross-guest sharing.
+    /// An empty table for guests `0..guests` (at least one, at most
+    /// [`MAX_GUESTS`]), each with an exclusive shard.
     pub fn with_guests(guests: usize) -> Self {
-        let slots = guests.clamp(1, MAX_GUESTS as usize).next_power_of_two();
+        let guests = guests.clamp(1, MAX_GUESTS as usize) as u32;
         ShardedGrantTable {
-            shards: (0..slots).map(|_| Shard::new()).collect(),
+            shards: (0..guests).map(Shard::new).collect(),
         }
     }
 
@@ -325,73 +266,42 @@ impl ShardedGrantTable {
         GrantRef((guest << SEQ_BITS) | (seq & SEQ_MASK))
     }
 
+    /// `guest`'s shard. Guest ids are host-assigned, so one the table was
+    /// not sized for is a programming error (index panic), not hostile
+    /// input.
     fn shard_of(&self, guest: u32) -> &Shard {
-        &self.shards[(guest as usize) & (self.shards.len() - 1)]
+        &self.shards[guest as usize]
+    }
+
+    /// `guest`'s shard, if `grant` is `guest`'s to spend: a reference
+    /// whose guest bits disagree is refused before the owning shard is
+    /// touched.
+    fn owner_shard(&self, guest: u32, grant: GrantRef) -> Result<&Shard, GrantError> {
+        if Self::guest_of(grant) != guest {
+            return Err(GrantError::ForeignGuest { grant, caller: guest });
+        }
+        Ok(self.shard_of(guest))
     }
 
     /// Declares the legitimate operations of one file operation on behalf
-    /// of `guest`. Semantics mirror
-    /// [`GrantTable::declare`](crate::grants::GrantTable::declare) scoped
-    /// to one guest: per-guest capacity, per-guest monotonically
-    /// increasing references (the guest id rides in the reference's high
-    /// bits).
-    ///
-    /// `guest` must be below [`MAX_GUESTS`] — ids are host-assigned, so a
-    /// larger one is a programming error, not hostile input.
+    /// of `guest`: [`GrantTable::declare`] on the guest's own table
+    /// (per-guest capacity, per-guest monotonically increasing references
+    /// with the guest id in the high bits).
     ///
     /// # Errors
     ///
     /// [`GrantError::TableFull`] at [`GRANT_TABLE_CAPACITY`] outstanding
     /// declarations *for this guest* (neighbors are unaffected), or when
-    /// the guest's [`SEQ_BITS`]-wide reference space is exhausted
-    /// (references never restart, so stale references can never alias).
+    /// the guest's [`SEQ_BITS`]-wide reference space is exhausted.
+    ///
+    /// [`GRANT_TABLE_CAPACITY`]: crate::grants::GRANT_TABLE_CAPACITY
     pub fn declare(&self, guest: u32, ops: Vec<MemOpGrant>) -> Result<GrantRef, GrantError> {
-        assert!(guest < MAX_GUESTS, "guest id {guest} exceeds MAX_GUESTS");
-        let shard = self.shard_of(guest);
-        // Optimistic reservation; raced declares both fitting under the
-        // capacity is fine, overshoot is corrected below.
-        if shard.outstanding.fetch_add(1, &OUTSTANDING_RESERVE) >= GRANT_TABLE_CAPACITY {
-            shard.outstanding.fetch_sub(1, &OUTSTANDING_RELEASE);
-            return Err(GrantError::TableFull);
-        }
-        // Sequence allocation pins at SEQ_MASK + 1: once the guest's
-        // reference space is spent the shard fails closed *forever*. An
-        // unbounded fetch_add would wrap past 2^32 and land back under
-        // SEQ_MASK, re-issuing references a stale holder may still name.
-        let seq = loop {
-            let current = shard.next_seq.load(&NEXT_REF_OBSERVE);
-            if current > SEQ_MASK {
-                // Reference space exhausted: fail closed rather than alias.
-                shard.outstanding.fetch_sub(1, &OUTSTANDING_RELEASE);
-                return Err(GrantError::TableFull);
-            }
-            if shard
-                .next_seq
-                .compare_exchange(current, current + 1, &NEXT_REF_ALLOCATE)
-                .is_ok()
-            {
-                break current;
-            }
-        };
-        let reference = Self::compose_ref(guest, seq);
-        let entry = Arc::new(GrantEntry::build(ops));
-        // Sorted insert, not push: concurrent declares can reach the
-        // writer mutex out of sequence order, and with hashed slots two
-        // resident guests' disjoint reference ranges interleave — the
-        // binary search in validate() needs the snapshot sorted either way.
-        shard.mutate(|snapshot| {
-            let position = snapshot
-                .binary_search_by_key(&reference, |(r, _)| *r)
-                .unwrap_or_else(|p| p);
-            snapshot.insert(position, (reference, entry));
-        });
-        Ok(reference)
+        self.shard_of(guest)
+            .mutate(|table| table.declare(ops), Result::is_ok)
     }
 
     /// Validates `request` against the declarations of `grant` without
-    /// taking any lock — the engine's per-op hot path. A reference whose
-    /// guest bits disagree with `guest` is refused before the owning
-    /// shard is touched.
+    /// taking any lock — the engine's per-op hot path.
     ///
     /// # Errors
     ///
@@ -403,58 +313,37 @@ impl ShardedGrantTable {
         grant: GrantRef,
         request: &MemOpRequest,
     ) -> Result<(), GrantError> {
-        if Self::guest_of(grant) != guest {
-            return Err(GrantError::ForeignGuest { grant, caller: guest });
-        }
-        self.shard_of(guest).with_snapshot(|snapshot| {
-            match snapshot.binary_search_by_key(&grant, |(r, _)| *r) {
-                Ok(index) => {
-                    if snapshot[index].1.covers(request) {
-                        Ok(())
-                    } else {
-                        Err(GrantError::NotCovered { grant })
-                    }
-                }
-                Err(_) => Err(GrantError::UnknownRef { grant }),
-            }
-        })
+        self.owner_shard(guest, grant)?
+            .with_snapshot(|table| table.validate(grant, request))
     }
 
-    /// All-or-nothing batch validation, mirroring
-    /// [`GrantTable::validate_batch`](crate::grants::GrantTable::validate_batch).
+    /// All-or-nothing batch validation ([`GrantTable::validate_batch`])
+    /// against one snapshot: the reader gate is entered once per batch.
     ///
     /// # Errors
     ///
-    /// `(index, error)` for the first uncovered request.
+    /// `(index, error)` for the first refused request.
     pub fn validate_batch(
         &self,
         guest: u32,
         grant: GrantRef,
         requests: &[MemOpRequest],
     ) -> Result<(), (usize, GrantError)> {
-        for (index, request) in requests.iter().enumerate() {
-            self.validate(guest, grant, request).map_err(|err| (index, err))?;
+        if requests.is_empty() {
+            // No request to refuse, whoever the reference belongs to.
+            return Ok(());
         }
-        Ok(())
+        self.owner_shard(guest, grant)
+            .map_err(|err| (0, err))?
+            .with_snapshot(|table| table.validate_batch(grant, requests))
     }
 
     /// Revokes a declaration; `true` if the reference was live. Foreign
     /// references (guest bits ≠ `guest`) are inert, exactly like revoking
     /// a reference that was never issued.
     pub fn revoke(&self, guest: u32, grant: GrantRef) -> bool {
-        if Self::guest_of(grant) != guest {
-            return false;
-        }
-        let shard = self.shard_of(guest);
-        let removed = shard.mutate(|snapshot| {
-            let before = snapshot.len();
-            snapshot.retain(|(r, _)| *r != grant);
-            before != snapshot.len()
-        });
-        if removed {
-            shard.outstanding.fetch_sub(1, &OUTSTANDING_RELEASE);
-        }
-        removed
+        self.owner_shard(guest, grant)
+            .is_ok_and(|shard| shard.mutate(|table| table.revoke(grant), |&live| live))
     }
 
     /// Revokes everything one guest declared (guest teardown / flood
@@ -462,71 +351,30 @@ impl ShardedGrantTable {
     /// number of declarations revoked; the guest's reference numbering
     /// continues so stale references can never alias new ones.
     pub fn revoke_guest(&self, guest: u32) -> usize {
-        let shard = self.shard_of(guest);
-        let revoked = shard.mutate(|snapshot| {
-            let before = snapshot.len();
-            snapshot.retain(|(r, _)| Self::guest_of(*r) != guest);
-            before - snapshot.len()
-        });
-        shard.outstanding.fetch_sub(revoked, &OUTSTANDING_RELEASE);
-        revoked
+        self.shard_of(guest)
+            .mutate(GrantTable::revoke_all, |&revoked| revoked > 0)
     }
 
     /// Revokes everything (driver-VM failure containment). Returns the
-    /// number of declarations revoked; reference numbering continues so
-    /// stale references can never alias new ones.
+    /// number of declarations revoked.
     pub fn revoke_all(&self) -> usize {
-        let mut revoked = 0;
-        for shard in &self.shards {
-            let cleared = shard.mutate(|snapshot| std::mem::take(snapshot).len());
-            shard.outstanding.fetch_sub(cleared, &OUTSTANDING_RELEASE);
-            revoked += cleared;
-        }
-        revoked
+        (0..self.shards.len() as u32)
+            .map(|guest| self.revoke_guest(guest))
+            .sum()
     }
 
     /// Outstanding declarations across all guests (racy snapshot, exact
     /// when quiescent).
     pub fn outstanding(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.outstanding.load(&OUTSTANDING_OBSERVE))
+        (0..self.shards.len() as u32)
+            .map(|guest| self.outstanding_of(guest))
             .sum()
     }
 
     /// Outstanding declarations of one guest (racy snapshot, exact when
-    /// quiescent). With exact sizing this is exactly the guest's count;
-    /// with hashed slots it covers the slot's residents.
+    /// quiescent).
     pub fn outstanding_of(&self, guest: u32) -> usize {
-        self.shard_of(guest).outstanding.load(&OUTSTANDING_OBSERVE)
-    }
-
-    /// Number of per-guest shard slots.
-    pub fn slots(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Test hook: jumps one guest's sequence allocator (exhaustion tests
-    /// would otherwise need 2^[`SEQ_BITS`] declares to reach the edge).
-    #[cfg(test)]
-    fn set_next_seq(&self, guest: u32, seq: u32) {
-        let shard = self.shard_of(guest);
-        loop {
-            let current = shard.next_seq.load(&NEXT_REF_OBSERVE);
-            if shard
-                .next_seq
-                .compare_exchange(current, seq, &NEXT_REF_ALLOCATE)
-                .is_ok()
-            {
-                break;
-            }
-        }
-    }
-
-    /// Test hook: one guest's current sequence-allocator value.
-    #[cfg(test)]
-    fn next_seq(&self, guest: u32) -> u32 {
-        self.shard_of(guest).next_seq.load(&NEXT_REF_OBSERVE)
+        self.shard_of(guest).with_snapshot(GrantTable::outstanding)
     }
 
     /// Retired snapshots currently held alive for in-flight readers —
@@ -537,12 +385,6 @@ impl ShardedGrantTable {
             .iter()
             .map(|s| s.writer.lock().expect("grant shard writer poisoned").len())
             .sum()
-    }
-}
-
-impl Default for ShardedGrantTable {
-    fn default() -> Self {
-        ShardedGrantTable::new()
     }
 }
 
@@ -563,7 +405,7 @@ impl Drop for ShardedGrantTable {
 impl fmt::Debug for ShardedGrantTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedGrantTable")
-            .field("slots", &self.shards.len())
+            .field("guests", &self.shards.len())
             .field("outstanding", &self.outstanding())
             .field("retired_snapshots", &self.retired_snapshots())
             .finish()
@@ -573,7 +415,9 @@ impl fmt::Debug for ShardedGrantTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grants::GRANT_TABLE_CAPACITY;
     use paradice_mem::GuestVirtAddr;
+    use std::sync::Arc;
 
     fn va(x: u64) -> GuestVirtAddr {
         GuestVirtAddr::new(x)
@@ -589,7 +433,7 @@ mod tests {
 
     #[test]
     fn declare_validate_revoke_matches_the_flat_table() {
-        let table = ShardedGrantTable::new();
+        let table = ShardedGrantTable::with_guests(2);
         let grant = table.declare(1, vec![read_grant(0x1000, 64)]).expect("declare");
         assert_eq!(table.outstanding(), 1);
         table.validate(1, grant, &read_req(0x1000, 64)).expect("covered");
@@ -609,7 +453,7 @@ mod tests {
 
     #[test]
     fn batch_validation_is_all_or_nothing() {
-        let table = ShardedGrantTable::new();
+        let table = ShardedGrantTable::with_guests(2);
         let grant = table.declare(1, vec![read_grant(0x1000, 64)]).expect("declare");
         table
             .validate_batch(1, grant, &[read_req(0x1000, 8), read_req(0x1008, 8)])
@@ -688,7 +532,7 @@ mod tests {
 
     #[test]
     fn revoke_all_empties_every_shard_without_reusing_refs() {
-        let table = ShardedGrantTable::new();
+        let table = ShardedGrantTable::with_guests(4);
         let first = table.declare(1, vec![read_grant(0, 8)]).expect("declare");
         for i in 1..20u64 {
             table
@@ -701,41 +545,9 @@ mod tests {
         assert!(fresh.0 > first.0, "references never restart");
     }
 
-    /// With hashed slots ([`ShardedGrantTable::new`], 64 slots) guests
-    /// 65 and 1 share slot 1 and interleave disjoint reference ranges; a
-    /// push-maintained snapshot would deterministically unsort and the
-    /// binary search in validate() would miss live grants.
-    #[test]
-    fn hashed_slot_collisions_keep_validation_sound() {
-        let table = ShardedGrantTable::new();
-        assert_eq!(table.slots(), GUEST_SLOTS);
-        // Higher-numbered guest declares first: its references are
-        // numerically larger, so a later lower-guest push would land
-        // out of order.
-        let high = table.declare(65, vec![read_grant(0x1000, 64)]).expect("declare");
-        let low = table.declare(1, vec![read_grant(0x2000, 64)]).expect("declare");
-        let mut interleaved = Vec::new();
-        for i in 0..8u64 {
-            let guest = if i % 2 == 0 { 65 } else { 1 };
-            let addr = 0x3000 + i * 0x100;
-            let r = table.declare(guest, vec![read_grant(addr, 32)]).expect("declare");
-            interleaved.push((guest, r, addr));
-        }
-        table.validate(65, high, &read_req(0x1000, 64)).expect("high guest live");
-        table.validate(1, low, &read_req(0x2000, 64)).expect("low guest live");
-        for (guest, r, addr) in &interleaved {
-            table
-                .validate(*guest, *r, &read_req(*addr, 32))
-                .expect("interleaved grant live");
-        }
-        // Revocation in the shared slot leaves the co-resident intact.
-        assert!(table.revoke(1, low));
-        table.validate(65, high, &read_req(0x1000, 64)).expect("co-resident survives");
-    }
-
-    /// Sequence allocation is not serialized by the writer mutex, so
-    /// same-shard declares can reach the snapshot out of sequence order;
-    /// every issued reference must still binary-search to its entry.
+    /// Same-shard declares from several threads serialize on the writer
+    /// mutex, so the kernel still issues distinct, ascending references
+    /// and every one of them resolves.
     #[test]
     fn concurrent_same_shard_declares_stay_searchable() {
         let table = Arc::new(ShardedGrantTable::with_guests(4));
@@ -765,38 +577,30 @@ mod tests {
         assert_eq!(table.outstanding_of(1), 96);
     }
 
-    /// After the per-guest reference space is spent the allocator pins at
-    /// `SEQ_MASK + 1` instead of counting on toward a u32 wrap that would
-    /// eventually re-issue references a stale holder may still name.
-    #[test]
-    fn sequence_exhaustion_pins_closed_without_aliasing() {
-        let table = ShardedGrantTable::with_guests(4);
-        table.set_next_seq(1, SEQ_MASK - 1);
-        let penultimate = table.declare(1, vec![read_grant(0x1000, 8)]).expect("declare");
-        let last = table.declare(1, vec![read_grant(0x2000, 8)]).expect("last reference");
-        assert_eq!(last.0 & SEQ_MASK, SEQ_MASK);
-        for _ in 0..64 {
-            assert_eq!(
-                table.declare(1, vec![read_grant(0x3000, 8)]),
-                Err(GrantError::TableFull),
-                "exhausted shard must fail closed"
-            );
-        }
-        assert_eq!(table.next_seq(1), SEQ_MASK + 1, "allocator pinned, not wrapping");
-        // Live references keep validating; neighbors are unaffected.
-        table.validate(1, penultimate, &read_req(0x1000, 8)).expect("live");
-        table.validate(1, last, &read_req(0x2000, 8)).expect("live");
-        table.declare(2, vec![read_grant(0, 8)]).expect("neighbor unaffected");
-    }
-
     #[test]
     fn retired_snapshots_track_mutations() {
-        let table = ShardedGrantTable::new();
+        let table = ShardedGrantTable::with_guests(2);
         assert_eq!(table.retired_snapshots(), 0);
         let grant = table.declare(1, vec![read_grant(0, 8)]).expect("declare");
         assert_eq!(table.retired_snapshots(), 1);
         table.revoke(1, grant);
         assert_eq!(table.retired_snapshots(), 2);
+    }
+
+    /// An operation that leaves the table as it was publishes nothing, so
+    /// it retires nothing either.
+    #[test]
+    fn refused_mutations_publish_nothing() {
+        let table = ShardedGrantTable::with_guests(2);
+        for i in 0..GRANT_TABLE_CAPACITY as u64 {
+            table.declare(1, vec![read_grant(i * 0x10, 8)]).expect("fits");
+        }
+        let retired = table.retired_snapshots();
+        assert_eq!(table.declare(1, vec![read_grant(0, 8)]), Err(GrantError::TableFull));
+        assert!(!table.revoke(1, ShardedGrantTable::compose_ref(1, SEQ_MASK)), "never issued");
+        assert!(!table.revoke(1, ShardedGrantTable::compose_ref(0, 0)), "foreign");
+        assert_eq!(table.revoke_guest(0), 0, "nothing to revoke");
+        assert_eq!(table.retired_snapshots(), retired);
     }
 
     /// ISSUE 9 satellite: the retired list used to grow with every
@@ -805,7 +609,7 @@ mod tests {
     /// churn is confined to a single shard's bound.
     #[test]
     fn retired_snapshots_are_bounded_under_churn() {
-        let table = ShardedGrantTable::new();
+        let table = ShardedGrantTable::with_guests(2);
         for i in 0..10_000u64 {
             let g = table.declare(1, vec![read_grant(i * 0x10, 8)]).expect("declare");
             assert!(table.revoke(1, g));

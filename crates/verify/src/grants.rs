@@ -27,7 +27,7 @@
 //! `partition_point`/`prefix_max_end` logic is exercised across windows.
 
 use paradice_hypervisor::{
-    GrantError, GrantRef, GrantTable, MemOpGrant, MemOpRequest, GRANT_TABLE_CAPACITY,
+    GrantError, GrantRef, GrantTable, MemOpGrant, MemOpRequest, GRANT_TABLE_CAPACITY, SEQ_BITS,
 };
 use paradice_analyzer::lint::{DiagCode, Diagnostic};
 use paradice_mem::{Access, GuestVirtAddr, PAGE_SIZE};
@@ -577,16 +577,64 @@ pub fn check_batch(_mutant: Option<Mutant>) -> PropertyReport {
     }
 }
 
+/// One reference layout of the grant kernel, as the revocation property
+/// drives it: a fresh table and the first and last references it issues.
+struct Layout {
+    name: &'static str,
+    fresh: fn() -> GrantTable,
+    first: u32,
+    last: u32,
+}
+
+/// The guest whose qualified layout the property exercises.
+const GUEST: u32 = 5;
+
+const LAYOUTS: [Layout; 2] = [
+    Layout {
+        name: "32-bit",
+        fresh: GrantTable::new,
+        first: 0,
+        last: u32::MAX,
+    },
+    Layout {
+        name: "guest-qualified",
+        fresh: || GrantTable::for_guest(GUEST),
+        first: GUEST << SEQ_BITS,
+        last: (GUEST << SEQ_BITS) | ((1 << SEQ_BITS) - 1),
+    },
+];
+
 /// `grant-revocation`: revoked refs validate as `UnknownRef` and are never
-/// resurrected; `revoke_all` empties the table; capacity is exact.
+/// resurrected; `revoke_all` empties the table; capacity is exact; and the
+/// last reference is issued once, after which the table is `TableFull`
+/// forever — under both reference layouts.
 pub fn check_revocation(_mutant: Option<Mutant>) -> PropertyReport {
     const NAME: &str = "grant-revocation";
     const DESC: &str =
-        "revoked refs reject as UnknownRef, numbering never reuses a revoked ref, capacity exact";
+        "revoked refs reject as UnknownRef, numbering never reuses a ref (fails closed at the \
+         last one), capacity exact; both reference layouts";
     let mut findings: Vec<Diagnostic> = Vec::new();
     let mut checks = 0usize;
+    for layout in &LAYOUTS {
+        check_revocation_in(layout, &mut findings, &mut checks);
+    }
+    if findings.is_empty() {
+        PropertyReport::proved(NAME, DESC, checks, checks)
+    } else {
+        let reason = findings[0].message.clone();
+        let fixture = Fixture::new(NAME, None, &reason);
+        PropertyReport::disproved(NAME, DESC, checks, checks, findings, Some(fixture))
+    }
+}
+
+fn check_revocation_in(layout: &Layout, findings: &mut Vec<Diagnostic>, checks: &mut usize) {
     let fail = |findings: &mut Vec<Diagnostic>, message: String| {
-        findings.push(Diagnostic::new(DiagCode::Vp001, "grant-table", None, message));
+        findings.push(Diagnostic::new(
+            DiagCode::Vp001,
+            "grant-table",
+            None,
+            format!("{} layout: {message}", layout.name),
+        ));
     };
 
     let window = |addr: u64| MemOpGrant::CopyFromGuest {
@@ -598,53 +646,57 @@ pub fn check_revocation(_mutant: Option<Mutant>) -> PropertyReport {
         len: 1,
     };
 
-    let mut table = GrantTable::new();
+    let mut table = (layout.fresh)();
     let d1 = table.declare(vec![window(0x1000)]).expect("declare d1");
     let d2 = table.declare(vec![window(0x2000)]).expect("declare d2");
-    checks += 1;
+    *checks += 1;
+    if (d1, d2) != (GrantRef(layout.first), GrantRef(layout.first + 1)) {
+        fail(findings, format!("numbering must start at the layout's first ref, got {d1}, {d2}"));
+    }
+    *checks += 1;
     if table.validate(d1, &probe(0x1000)).is_err() || table.validate(d2, &probe(0x2000)).is_err() {
-        fail(&mut findings, "fresh declarations must validate".into());
+        fail(findings, "fresh declarations must validate".into());
     }
-    checks += 1;
+    *checks += 1;
     if !table.revoke(d1) {
-        fail(&mut findings, "revoking a live ref must succeed".into());
+        fail(findings, "revoking a live ref must succeed".into());
     }
-    checks += 1;
+    *checks += 1;
     match table.validate(d1, &probe(0x1000)) {
         Err(GrantError::UnknownRef { .. }) => {}
         other => fail(
-            &mut findings,
+            findings,
             format!("revoked ref must be UnknownRef, got {other:?}"),
         ),
     }
-    checks += 1;
+    *checks += 1;
     if table.validate(d2, &probe(0x2000)).is_err() {
-        fail(&mut findings, "revoking d1 must not affect d2".into());
+        fail(findings, "revoking d1 must not affect d2".into());
     }
-    checks += 1;
+    *checks += 1;
     if table.declarations(d1).is_some() {
-        fail(&mut findings, "revoked ref must have no declarations".into());
+        fail(findings, "revoked ref must have no declarations".into());
     }
     let d3 = table.declare(vec![window(0x3000)]).expect("declare d3");
-    checks += 1;
+    *checks += 1;
     if d3 == d1 {
-        fail(&mut findings, "a revoked ref must never be reused".into());
+        fail(findings, "a revoked ref must never be reused".into());
     }
-    checks += 1;
+    *checks += 1;
     let revoked = table.revoke_all();
     if revoked != 2 || table.outstanding() != 0 {
         fail(
-            &mut findings,
+            findings,
             format!("revoke_all revoked {revoked}, outstanding {}", table.outstanding()),
         );
     }
-    checks += 1;
+    *checks += 1;
     if table.validate(d2, &probe(0x2000)).is_ok() || table.validate(d3, &probe(0x3000)).is_ok() {
-        fail(&mut findings, "refs must die with revoke_all".into());
+        fail(findings, "refs must die with revoke_all".into());
     }
 
     // Capacity is exactly GRANT_TABLE_CAPACITY, and revocation frees a slot.
-    let mut full = GrantTable::new();
+    let mut full = (layout.fresh)();
     let mut refs = Vec::new();
     let mut declared = 0usize;
     loop {
@@ -658,32 +710,58 @@ pub fn check_revocation(_mutant: Option<Mutant>) -> PropertyReport {
             }
             Err(GrantError::TableFull) => break,
             Err(other) => {
-                fail(&mut findings, format!("unexpected declare error {other:?}"));
+                fail(findings, format!("unexpected declare error {other:?}"));
                 break;
             }
         }
     }
-    checks += 1;
+    *checks += 1;
     if declared != GRANT_TABLE_CAPACITY {
         fail(
-            &mut findings,
+            findings,
             format!("capacity should be exactly {GRANT_TABLE_CAPACITY}, admitted {declared}"),
         );
     }
-    checks += 1;
+    *checks += 1;
     if let Some(&first) = refs.first() {
         full.revoke(first);
         if full.declare(vec![window(0xdead_0000)]).is_err() {
-            fail(&mut findings, "revocation must free a capacity slot".into());
+            fail(findings, "revocation must free a capacity slot".into());
         }
     }
 
-    if findings.is_empty() {
-        PropertyReport::proved(NAME, DESC, checks, checks)
-    } else {
-        let reason = findings[0].message.clone();
-        let fixture = Fixture::new(NAME, None, &reason);
-        PropertyReport::disproved(NAME, DESC, checks, checks, findings, Some(fixture))
+    // The exhaustion edge: the last reference is issued exactly once, then
+    // the table fails closed forever — a numbering that restarted would
+    // hand a stale holder's reference to a new declaration.
+    let mut edge = (layout.fresh)().with_refs_spent(layout.last - layout.first - 1);
+    let penultimate = edge.declare(vec![window(0x1000)]);
+    let last = edge.declare(vec![window(0x2000)]);
+    *checks += 1;
+    if (penultimate, last) != (Ok(GrantRef(layout.last - 1)), Ok(GrantRef(layout.last))) {
+        fail(
+            findings,
+            format!("the last two refs must be issued in order, got {penultimate:?}, {last:?}"),
+        );
+    }
+    *checks += 1;
+    if (0..3).any(|_| edge.declare(vec![window(0x3000)]) != Err(GrantError::TableFull)) {
+        fail(findings, "a spent reference space must be TableFull forever".into());
+    }
+    *checks += 1;
+    if edge.validate(GrantRef(layout.last), &probe(0x2000)).is_err() {
+        fail(findings, "the last ref must stay live while the table is spent".into());
+    }
+    *checks += 1;
+    edge.revoke(GrantRef(layout.last));
+    if edge.declare(vec![window(0x3000)]) != Err(GrantError::TableFull) {
+        fail(findings, "revoking must not reopen a spent reference space".into());
+    }
+    *checks += 1;
+    edge.revoke_all();
+    if edge.declare(vec![window(0x3000)]) != Err(GrantError::TableFull)
+        || edge.validate(GrantRef(layout.last), &probe(0x2000)).is_ok()
+    {
+        fail(findings, "revoke_all must not reopen or resurrect anything".into());
     }
 }
 

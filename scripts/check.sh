@@ -38,6 +38,24 @@ if grep -rnE '\bVirtualEngine\b|\bWallEngine\b|CvdEngine' crates tests examples;
     exit 1
 fi
 
+echo "==> one-grant-kernel gate (ref lookup and sequence allocation live in grants.rs only)"
+# shards.rs publishes GrantTable snapshots; it must not grow a per-ref
+# search, scan, or allocator of its own again, and the kernel's reference
+# counter must fail closed, never wrap.
+if grep -nE 'binary_search|retain\(|compare_exchange|GUEST_SLOTS|next_seq' \
+    crates/hypervisor/src/shards.rs; then
+    echo "ERROR: crates/hypervisor/src/shards.rs re-implements part of the grant kernel" >&2
+    exit 1
+fi
+if grep -n 'wrapping_add' crates/hypervisor/src/grants.rs; then
+    echo "ERROR: the grant kernel's reference counter must not wrap" >&2
+    exit 1
+fi
+grep -q 'pub static ATOMIC_SITES: \[&SiteSpec; 2\]' crates/hypervisor/src/shards.rs || {
+    echo "ERROR: shards.rs must declare exactly two atomic sites (snapshot pointer, reader gate)" >&2
+    exit 1
+}
+
 echo "==> paradice-lint (static driver-IR suite; nonzero on errors)"
 cargo run -q --release -p paradice-bench --bin paradice-lint
 
@@ -70,19 +88,22 @@ grep -q '"proved_all":true' "$VERIFYJSON" || {
 }
 rm -f "$VERIFYJSON"
 
-echo "==> paradice-verify --mutant (seeded bug MUST be disproved)"
-if cargo run -q --release -p paradice-verify --bin paradice-verify -- \
-    --all --mutant ring-window-off-by-one >/dev/null 2>&1; then
-    echo "ERROR: seeded mutant ring-window-off-by-one was not disproved" >&2
+echo "==> paradice-verify --mutant (every seeded mutant MUST be disproved: exit 1)"
+MUTANTS="$(cargo run -q --release -p paradice-verify --bin paradice-verify -- --list \
+    | sed -n '/^mutants/,$p' | sed 1d)"
+if [ -z "$MUTANTS" ]; then
+    echo "ERROR: paradice-verify --list printed no mutants" >&2
     exit 1
 fi
-
-echo "==> paradice-verify --mutant (seeded ordering bug MUST be disproved)"
-if cargo run -q --release -p paradice-verify --bin paradice-verify -- \
-    --all --mutant aring-publish-relaxed >/dev/null 2>&1; then
-    echo "ERROR: seeded mutant aring-publish-relaxed was not disproved" >&2
-    exit 1
-fi
+for mutant in $MUTANTS; do
+    status=0
+    cargo run -q --release -p paradice-verify --bin paradice-verify -- \
+        --all --mutant "$mutant" >/dev/null 2>&1 || status=$?
+    if [ "$status" -ne 1 ]; then
+        echo "ERROR: seeded mutant $mutant: expected exit 1 (disproved), got $status" >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo kani (optional deeper proofs; skipped when kani is absent)"
 if command -v cargo-kani >/dev/null 2>&1; then
@@ -112,14 +133,6 @@ else
          "(the race-ring/doorbell/shards proofs above remain the required gate)"
 fi
 
-echo "==> race checker smoke (interleaving proofs + mutant sweep + MO/RC coverage)"
-cargo run -q --release -p paradice-bench --bin experiments -- --race --smoke
-grep -q '"all_green":true' BENCH_race.json || {
-    echo "ERROR: BENCH_race.json is not all_green" >&2
-    cat BENCH_race.json >&2
-    exit 1
-}
-
 echo "==> trace-replay gate (record reference workload, replay it)"
 TRACE="$(mktemp)"
 trap 'rm -f "$TRACE"' EXIT
@@ -128,31 +141,6 @@ cargo run -q --release -p paradice-bench --bin paradice-lint -- --replay "$TRACE
 
 echo "==> fault-injection campaign (fixed seed; nonzero on guest failure or <95% recovery)"
 cargo run -q --release -p paradice-bench --bin fault-campaign -- --seed 7 --campaigns 12
-
-echo "==> fast-path ablation smoke (no-op polled round trip vs committed baseline)"
-# The ablation is deterministic virtual time, so the regenerated numbers
-# should be byte-identical to the committed BENCH_fastpath.json; the gate
-# allows 10% headroom on the no-op polled round trip before failing.
-noop_metric() {
-    grep '"noop_polled_round_trip_ns"' "$1" \
-        | sed -n "s/.*\"$2\": *\([0-9][0-9]*\).*/\1/p"
-}
-BASE_OFF="$(noop_metric BENCH_fastpath.json off)"
-BASE_ON="$(noop_metric BENCH_fastpath.json on)"
-if [ -z "$BASE_OFF" ] || [ -z "$BASE_ON" ]; then
-    echo "ERROR: committed BENCH_fastpath.json lacks noop_polled_round_trip_ns" >&2
-    exit 1
-fi
-cargo run -q --release -p paradice-bench --bin experiments -- --fastpath
-NEW_OFF="$(noop_metric BENCH_fastpath.json off)"
-NEW_ON="$(noop_metric BENCH_fastpath.json on)"
-for pair in "off $BASE_OFF $NEW_OFF" "on $BASE_ON $NEW_ON"; do
-    set -- $pair
-    if [ "$(( $3 * 10 ))" -gt "$(( $2 * 11 ))" ]; then
-        echo "ERROR: no-op polled round trip regressed >10% ($1: ${2}ns -> ${3}ns)" >&2
-        exit 1
-    fi
-done
 
 echo "==> wall-clock differential test (both substrates, release)"
 cargo test --release -q -p paradice-bench --test wallclock

@@ -23,16 +23,17 @@ use paradice_trace::{parse_jsonl, TraceEvent};
 
 fn fast_machine(devices: &[DeviceSpec]) -> Machine {
     let mut builder = Machine::builder()
-        .exec(ExecMode::Paradice {
+        .mode(ExecMode::Paradice {
             transport: TransportMode::Interrupts,
             data_isolation: false,
         })
-        .guests([GuestSpec::linux(), GuestSpec::linux()])
-        .fastpath(true);
+        .guests([GuestSpec::linux(), GuestSpec::linux()]);
     for &spec in devices {
         builder = builder.device(spec);
     }
-    builder.build().expect("machine builds")
+    let mut machine = builder.build().expect("machine builds");
+    machine.enable_fastpath();
+    machine
 }
 
 /// Arms a single-shot fault on the `nth` dispatch of `op` *from now on*.

@@ -8,7 +8,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use paradice::app::drm::DrmClient;
-use paradice::gpu_ioctl::gem_domain;
+use paradice::gpu_ioctl::{gem_domain, info, RADEON_INFO};
 use paradice::prelude::*;
 use paradice_cvd::frontend::DEFAULT_OP_DEADLINE_NS;
 use paradice_faults::{FaultKind, FaultPlan, Trigger};
@@ -335,4 +335,36 @@ fn fault_and_recovery_are_visible_in_the_trace() {
     assert!(jsonl.contains("\"kind\":\"hang\""), "{jsonl}");
     assert!(jsonl.contains("\"type\":\"driver_vm_failed\""), "{jsonl}");
     assert!(jsonl.contains("\"type\":\"driver_vm_recovered\""), "{jsonl}");
+}
+
+/// Tracing records the virtual clock, it never moves it: a hung pipelined
+/// ioctl waits out the same deadline traced and untraced.
+#[test]
+fn a_pipelined_hang_waits_out_the_deadline_traced_or_not() {
+    let elapsed_ns = |traced: bool| {
+        let mut m = plain_machine(&[DeviceSpec::gpu()]);
+        m.enable_fastpath();
+        if traced {
+            m.enable_tracing();
+        }
+        let task = m.spawn_process(Some(0)).unwrap();
+        let fd = m.open(task, "/dev/dri/card0").unwrap();
+        let scratch = m.alloc_buffer(task, 256).unwrap();
+        let mut req = [0u8; 16];
+        req[0..4].copy_from_slice(&info::DEVICE_ID.to_le_bytes());
+        m.write_mem(task, scratch, &req).unwrap();
+        armed(&mut m, FaultKind::Hang, "ioctl", 0);
+        let t0 = m.now_ns();
+        m.ioctl_pipelined(task, fd, RADEON_INFO, scratch.raw()).unwrap();
+        let results = m.flush_pipeline(task).expect("containment, not transport failure");
+        assert_eq!(results, vec![Err(Errno::Etimedout)]);
+        assert!(m.driver_vm_failed());
+        m.now_ns() - t0
+    };
+    let untraced = elapsed_ns(false);
+    assert!(
+        untraced >= DEFAULT_OP_DEADLINE_NS,
+        "the pipelined watchdog waited only {untraced} ns"
+    );
+    assert_eq!(elapsed_ns(true), untraced);
 }

@@ -5,6 +5,8 @@
 //!
 //! * grant validation is *sound*: no request outside a declared grant ever
 //!   validates (fault isolation, §4.1);
+//! * the sharded table is the grant kernel published, nothing more: the two
+//!   agree on every reference, verdict and count;
 //! * the analyzer's extraction *agrees with the driver*: the operations the
 //!   JIT predicts are exactly the operations the driver performs (§4.1);
 //! * two-stage translation round-trips;
@@ -14,7 +16,8 @@
 use proptest::prelude::*;
 
 use paradice_devfs::ioc::{IoctlCmd, IoctlDir, MAX_IOC_SIZE};
-use paradice_hypervisor::grants::{GrantTable, MemOpGrant, MemOpRequest};
+use paradice_hypervisor::grants::{GrantTable, MemOpGrant, MemOpRequest, GRANT_TABLE_CAPACITY};
+use paradice_hypervisor::ShardedGrantTable;
 use paradice_mem::pagetable::{FlatGpaSpace, GuestPageTables};
 use paradice_mem::{Access, GuestPhysAddr, GuestVirtAddr, PAGE_SIZE};
 
@@ -63,6 +66,58 @@ proptest! {
         table.revoke(reference);
         let request = MemOpRequest::CopyToGuest { addr: GuestVirtAddr::new(addr), len };
         prop_assert!(table.validate(reference, &request).is_err());
+    }
+
+    /// One kernel, two substrates: any declare / validate / validate_batch /
+    /// revoke / revoke_all script yields identical references, verdicts and
+    /// outstanding counts on a guest-qualified `GrantTable` and on that
+    /// guest's shard of a `ShardedGrantTable`. The prefill makes
+    /// `TableFull` reachable.
+    #[test]
+    fn sharded_table_agrees_with_the_kernel(
+        prefill in 0usize..=GRANT_TABLE_CAPACITY,
+        script in proptest::collection::vec((0u8..16, 0u32..300, 0u64..0x100), 1..120),
+    ) {
+        const GUEST: u32 = 3;
+        let mut kernel = GrantTable::for_guest(GUEST);
+        let sharded = ShardedGrantTable::with_guests(GUEST as usize + 1);
+        // The n-th issued reference grants [n·4K, n·4K + 0x80).
+        let window = |seq: u64| vec![MemOpGrant::CopyFromGuest {
+            addr: GuestVirtAddr::new(seq * 0x1000),
+            len: 0x80,
+        }];
+        let mut issued = 0u64;
+        let declares = std::iter::repeat_n((0u8, 0u32, 0u64), prefill);
+        for (kind, seq, offset) in declares.chain(script) {
+            // `seq` names a live, revoked or never-issued reference.
+            let target = ShardedGrantTable::compose_ref(GUEST, seq);
+            let request = |offset: u64| MemOpRequest::CopyFromGuest {
+                addr: GuestVirtAddr::new(u64::from(seq) * 0x1000 + offset),
+                len: 0x20,
+            };
+            match kind {
+                0..=6 => {
+                    let declared = kernel.declare(window(issued));
+                    prop_assert_eq!(sharded.declare(GUEST, window(issued)), declared);
+                    issued += u64::from(declared.is_ok());
+                }
+                7..=9 => prop_assert_eq!(
+                    sharded.validate(GUEST, target, &request(offset)),
+                    kernel.validate(target, &request(offset))
+                ),
+                10..=11 => {
+                    let batch = [request(0), request(offset), request(0x60)];
+                    prop_assert_eq!(
+                        sharded.validate_batch(GUEST, target, &batch),
+                        kernel.validate_batch(target, &batch)
+                    );
+                }
+                12..=14 => prop_assert_eq!(sharded.revoke(GUEST, target), kernel.revoke(target)),
+                _ => prop_assert_eq!(sharded.revoke_all(), kernel.revoke_all()),
+            }
+            prop_assert_eq!(sharded.outstanding_of(GUEST), kernel.outstanding());
+            prop_assert_eq!(sharded.outstanding(), kernel.outstanding());
+        }
     }
 
     /// `_IOC` fields survive the 32-bit encoding.
