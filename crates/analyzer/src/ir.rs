@@ -72,6 +72,24 @@ impl Expr {
             width,
         }
     }
+
+    /// Calls `visit(base, offset, width)` for every [`Expr::Field`] the
+    /// expression reads. The lint passes' consumption signal and the JIT's
+    /// fetch extent are both folds over this one traversal.
+    pub fn for_each_field(&self, visit: &mut impl FnMut(VarId, u64, u8)) {
+        match self {
+            Expr::Field {
+                base,
+                offset,
+                width,
+            } => visit(*base, *offset, *width),
+            Expr::Add(a, b) | Expr::Mul(a, b) => {
+                a.for_each_field(visit);
+                b.for_each_field(visit);
+            }
+            Expr::Const(_) | Expr::Arg | Expr::Cmd | Expr::Var(_) => {}
+        }
+    }
 }
 
 /// Branch conditions.
@@ -85,6 +103,17 @@ pub enum Cond {
     Lt(Expr, Expr),
     /// `a > b` (unsigned).
     Gt(Expr, Expr),
+}
+
+impl Cond {
+    /// [`Expr::for_each_field`] over both sides of the comparison.
+    pub fn for_each_field(&self, visit: &mut impl FnMut(VarId, u64, u8)) {
+        let (a, b) = match self {
+            Cond::Eq(a, b) | Cond::Ne(a, b) | Cond::Lt(a, b) | Cond::Gt(a, b) => (a, b),
+        };
+        a.for_each_field(visit);
+        b.for_each_field(visit);
+    }
 }
 
 /// Direction of a user-memory operation (named from the driver's view).
@@ -154,6 +183,23 @@ pub enum Stmt {
     Call(String),
     /// Early return (value irrelevant to the analysis).
     Return,
+}
+
+impl Stmt {
+    /// [`Expr::for_each_field`] over the statement's own operands — value,
+    /// address and length, condition, trip count — not its nested bodies.
+    pub fn for_each_field(&self, visit: &mut impl FnMut(VarId, u64, u8)) {
+        match self {
+            Stmt::Assign { value, .. } => value.for_each_field(visit),
+            Stmt::CopyFromUser { src: addr, len, .. } | Stmt::CopyToUser { dst: addr, len } => {
+                addr.for_each_field(visit);
+                len.for_each_field(visit);
+            }
+            Stmt::If { cond, .. } => cond.for_each_field(visit),
+            Stmt::ForRange { count, .. } => count.for_each_field(visit),
+            Stmt::SwitchCmd { .. } | Stmt::Call(_) | Stmt::Return => {}
+        }
+    }
 }
 
 /// A named function body.

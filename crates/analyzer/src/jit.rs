@@ -11,17 +11,24 @@
 //! privileges — and produce the concrete operation list the frontend then
 //! declares in the grant table.
 //!
-//! # Double-fetch defense
+//! # What is fetched, and why it is pinned
 //!
-//! A malicious (or merely racy) process could change a user buffer between
-//! the JIT's grant-derivation read and a later read of the same address —
-//! the classic double-fetch/TOCTOU hazard at cross-domain copy boundaries.
-//! The evaluator therefore keeps a per-evaluation **byte-granular snapshot**
-//! of everything it has read: re-reading an address yields the bytes of the
-//! *first* fetch, so every value that feeds grant derivation is stable for
-//! the lifetime of the evaluation. (The static half of the defense is the
-//! `DF*` lint passes in [`crate::lint`], which flag handlers whose IR
-//! re-fetches an already-consumed region at all.)
+//! The slice is *extracted* code: user bytes feed an address, length, branch
+//! or trip count only through an [`Expr::Field`] read. So a `CopyFromUser`
+//! into `dst` fetches `min(len, extent(dst))` bytes — `extent(dst)` is the
+//! highest `offset + width` the slice reads from `dst`, 0 if none — and
+//! records the operation with its full `len`: a header is read, a 16-MiB
+//! `GEM_PWRITE` payload is granted without being allocated or touched, and
+//! memory is a function of IR constants, never of a user-supplied length.
+//!
+//! A process could change a buffer between two fetches of the same address
+//! (the double-fetch/TOCTOU hazard of every cross-domain copy boundary), so
+//! what is fetched is pinned in a per-evaluation **consumed-range
+//! snapshot**: a later fetch is overlaid with the first-read bytes wherever
+//! it overlaps an earlier one, byte-exact. Bytes never fetched need no
+//! pinning — nothing that decides a grant depends on them, and the driver
+//! reads them once, through the grant, as a native `copy_from_user` would.
+//! (The static half of the defense is the `DF*` passes in [`crate::lint`].)
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -39,8 +46,10 @@ pub trait UserReader {
     /// # Errors
     ///
     /// Returns `Err(())` for unmapped addresses; the JIT surfaces it as
-    /// [`JitError::BadUserRead`] and the ioctl will fail with `EFAULT`
-    /// before ever reaching the driver.
+    /// [`JitError::BadUserRead`] and the ioctl fails with `EFAULT` before
+    /// ever reaching the driver. Only consumed bytes (headers) are read: an
+    /// unmapped payload is forwarded with its grant and faults in the
+    /// driver's own `copy_from_user`, as it does natively.
     #[allow(clippy::result_unit_err)] // the only failure is EFAULT; callers map it
     fn read_user(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), ()>;
 }
@@ -48,7 +57,7 @@ pub trait UserReader {
 /// Errors during JIT evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JitError {
-    /// A user-memory read failed.
+    /// A user-memory read failed, or the range wraps the address space.
     BadUserRead {
         /// The faulting address.
         addr: u64,
@@ -60,8 +69,9 @@ pub enum JitError {
         /// The variable.
         var: VarId,
     },
-    /// A field read targeted a variable that is not a copied buffer, or ran
-    /// past its end.
+    /// A field read targeted a variable that is not a copied buffer, ran
+    /// past its end, or is malformed (width not 1, 2, 4 or 8; `offset +
+    /// width` overflows).
     BadFieldRead {
         /// The buffer variable.
         var: VarId,
@@ -115,11 +125,75 @@ struct JitState<'a> {
     ops: Vec<ResolvedOp>,
     reader: &'a mut dyn UserReader,
     iterations: u64,
-    /// First-read-wins byte snapshot of user memory (double-fetch defense):
-    /// any byte fetched once is pinned to its original value for the rest of
-    /// the evaluation, even if the underlying [`UserReader`] would now return
-    /// something else.
-    snapshot: BTreeMap<u64, u8>,
+    /// `extent(dst)` of every buffer variable the slice reads fields of.
+    extents: BTreeMap<VarId, u64>,
+    /// The largest extent: no pinned range is longer than this.
+    max_extent: u64,
+    /// First-read-wins snapshot (double-fetch defense): every fetched range
+    /// by start address, pinned to the bytes the evaluation saw there
+    /// whatever the [`UserReader`] would return now. Ranges are stored
+    /// *after* overlay, so any two agree where they overlap.
+    pinned: BTreeMap<u64, Vec<u8>>,
+}
+
+/// One walk of the slice: validates every field read (`width` 1, 2, 4 or 8,
+/// `offset + width` representable) and returns each buffer variable's
+/// highest `offset + width` — all a fetch into it has to cover.
+fn field_extents(slice: &[Stmt]) -> Result<BTreeMap<VarId, u64>, JitError> {
+    fn walk(stmts: &[Stmt], visit: &mut impl FnMut(VarId, u64, u8)) {
+        for stmt in stmts {
+            stmt.for_each_field(visit);
+            match stmt {
+                Stmt::If { then, els, .. } => {
+                    walk(then, visit);
+                    walk(els, visit);
+                }
+                Stmt::ForRange { body, .. } => walk(body, visit),
+                // Unspecialized dispatch is refused when execution gets there.
+                _ => {}
+            }
+        }
+    }
+    let mut extents = BTreeMap::new();
+    let mut malformed = None;
+    walk(slice, &mut |base, offset, width| {
+        let end = offset.checked_add(u64::from(width));
+        match end.filter(|_| matches!(width, 1 | 2 | 4 | 8)) {
+            Some(end) => {
+                let extent = extents.entry(base).or_insert(0);
+                *extent = end.max(*extent);
+            }
+            None => malformed = malformed.or(Some(base)),
+        }
+    });
+    malformed.map_or(Ok(extents), |var| Err(JitError::BadFieldRead { var }))
+}
+
+/// Reads `[addr, addr + n)` through the reader and pins it. Bytes an earlier
+/// fetch already saw keep their first-read value; `addr + n` must not wrap.
+fn fetch(state: &mut JitState<'_>, addr: u64, n: u64) -> Result<Vec<u8>, ()> {
+    let mut bytes = vec![0u8; n as usize];
+    if n == 0 {
+        return Ok(bytes);
+    }
+    state.reader.read_user(addr, &mut bytes)?;
+    let end = addr + n;
+    // Only ranges starting less than `max_extent` below `addr` reach it: the
+    // overlay costs IR constants, however many fetches a loop has made.
+    let reach = addr.saturating_sub(state.max_extent);
+    for (&start, seen) in state.pinned.range(reach..end) {
+        let (lo, hi) = (addr.max(start), end.min(start + seen.len() as u64));
+        if lo < hi {
+            bytes[(lo - addr) as usize..(hi - addr) as usize]
+                .copy_from_slice(&seen[(lo - start) as usize..(hi - start) as usize]);
+        }
+    }
+    // Same start: the longer post-overlay range subsumes the shorter.
+    let slot = state.pinned.entry(addr).or_default();
+    if slot.len() < bytes.len() {
+        slot.clone_from(&bytes);
+    }
+    Ok(bytes)
 }
 
 fn eval(state: &JitState<'_>, expr: &Expr) -> Result<u64, JitError> {
@@ -141,10 +215,10 @@ fn eval(state: &JitState<'_>, expr: &Expr) -> Result<u64, JitError> {
                 Some(RtVal::Buffer(bytes)) => bytes,
                 _ => return Err(JitError::BadFieldRead { var: *base }),
             };
+            // `field_extents` checked the width and that this cannot wrap.
             let start = *offset as usize;
-            let end = start + *width as usize;
             let slice = bytes
-                .get(start..end)
+                .get(start..start + *width as usize)
                 .ok_or(JitError::BadFieldRead { var: *base })?;
             let mut raw = [0u8; 8];
             raw[..slice.len()].copy_from_slice(slice);
@@ -179,24 +253,14 @@ fn exec(stmts: &[Stmt], state: &mut JitState<'_>) -> Result<Flow, JitError> {
             Stmt::CopyFromUser { dst, src, len } => {
                 let addr = eval(state, src)?;
                 let len = eval(state, len)?;
-                let mut bytes = vec![0u8; len as usize];
-                state
-                    .reader
-                    .read_user(addr, &mut bytes)
-                    .map_err(|()| JitError::BadUserRead { addr, len })?;
-                // Double-fetch defense: overlay previously snapshotted bytes
-                // (first read wins), then snapshot anything new. A re-fetch —
-                // even partial/overlapping — can never observe values that
-                // differ from what grant derivation already consumed.
-                for (i, byte) in bytes.iter_mut().enumerate() {
-                    let at = addr.wrapping_add(i as u64);
-                    match state.snapshot.get(&at) {
-                        Some(seen) => *byte = *seen,
-                        None => {
-                            state.snapshot.insert(at, *byte);
-                        }
-                    }
+                let bad_read = JitError::BadUserRead { addr, len };
+                // No mapping can satisfy a range that wraps the address space.
+                if addr.checked_add(len).is_none() {
+                    return Err(bad_read);
                 }
+                // The payload beyond what the slice consumes feeds nothing.
+                let consumed = state.extents.get(dst).map_or(0, |extent| len.min(*extent));
+                let bytes = fetch(state, addr, consumed).map_err(|()| bad_read)?;
                 state.ops.push(ResolvedOp {
                     kind: OpKind::CopyFromUser,
                     addr,
@@ -257,6 +321,7 @@ pub fn evaluate_slice(
     arg: u64,
     reader: &mut dyn UserReader,
 ) -> Result<Vec<ResolvedOp>, JitError> {
+    let extents = field_extents(slice)?;
     let mut state = JitState {
         arg,
         cmd,
@@ -264,7 +329,9 @@ pub fn evaluate_slice(
         ops: Vec::new(),
         reader,
         iterations: 0,
-        snapshot: BTreeMap::new(),
+        max_extent: extents.values().copied().max().unwrap_or(0),
+        extents,
+        pinned: BTreeMap::new(),
     };
     exec(slice, &mut state)?;
     Ok(state.ops)
@@ -421,11 +488,19 @@ mod tests {
 
     #[test]
     fn bad_user_read_surfaces() {
-        let slice = vec![Stmt::CopyFromUser {
-            dst: v(0),
-            src: Expr::Arg,
-            len: Expr::Const(64),
-        }];
+        // The header's last field sizes a copy, so all 64 bytes are consumed
+        // and the unmapped tail faults here, before the driver.
+        let slice = vec![
+            Stmt::CopyFromUser {
+                dst: v(0),
+                src: Expr::Arg,
+                len: Expr::Const(64),
+            },
+            Stmt::CopyToUser {
+                dst: Expr::Arg,
+                len: Expr::field(v(0), 56, 8),
+            },
+        ];
         let mut tiny = FlatUser {
             base: 0,
             bytes: vec![0u8; 8],
@@ -434,6 +509,136 @@ mod tests {
             evaluate_slice(&slice, 0, 0, &mut tiny),
             Err(JitError::BadUserRead { addr: 0, len: 64 })
         );
+    }
+
+    /// Logs every `(addr, len)` the JIT requests of the wrapped reader.
+    struct Recording<R> {
+        inner: R,
+        reads: Vec<(u64, usize)>,
+    }
+
+    impl<R: UserReader> UserReader for Recording<R> {
+        fn read_user(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), ()> {
+            self.reads.push((addr, buf.len()));
+            self.inner.read_user(addr, buf)
+        }
+    }
+
+    #[test]
+    fn unconsumed_payload_is_never_fetched() {
+        // PWRITE shape: a 32-byte header names a 16-MiB payload at an
+        // address the reader cannot serve. Nothing reads the payload's
+        // fields, so it is granted in full and never touched.
+        let slice = vec![
+            Stmt::CopyFromUser {
+                dst: v(0),
+                src: Expr::Arg,
+                len: Expr::Const(32),
+            },
+            Stmt::CopyFromUser {
+                dst: v(1),
+                src: Expr::field(v(0), 24, 8),
+                len: Expr::field(v(0), 16, 8),
+            },
+        ];
+        let mut header = vec![0u8; 32];
+        header[16..24].copy_from_slice(&(16u64 << 20).to_le_bytes());
+        header[24..32].copy_from_slice(&0xdead_0000u64.to_le_bytes());
+        let mut user = Recording {
+            inner: FlatUser {
+                base: 0x1000,
+                bytes: header,
+            },
+            reads: Vec::new(),
+        };
+        let ops = evaluate_slice(&slice, 0, 0x1000, &mut user).unwrap();
+        assert_eq!(user.reads, vec![(0x1000, 32)]);
+        assert_eq!(
+            ops[1],
+            ResolvedOp {
+                kind: OpKind::CopyFromUser,
+                addr: 0xdead_0000,
+                len: 16 << 20,
+            }
+        );
+    }
+
+    #[test]
+    fn consumed_prefix_only_is_fetched() {
+        // A 64-byte struct of which only a u32 at offset 8 is read: the
+        // fetch stops at byte 12 (which is all that is mapped here), the
+        // grant covers all 64.
+        let slice = vec![
+            Stmt::CopyFromUser {
+                dst: v(0),
+                src: Expr::Arg,
+                len: Expr::Const(64),
+            },
+            Stmt::CopyToUser {
+                dst: Expr::Arg,
+                len: Expr::field(v(0), 8, 4),
+            },
+        ];
+        let mut bytes = vec![0u8; 12];
+        bytes[8..12].copy_from_slice(&7u32.to_le_bytes());
+        let mut user = Recording {
+            inner: FlatUser { base: 0x40, bytes },
+            reads: Vec::new(),
+        };
+        let ops = evaluate_slice(&slice, 0, 0x40, &mut user).unwrap();
+        assert_eq!(user.reads, vec![(0x40, 12)]);
+        assert_eq!((ops[0].addr, ops[0].len), (0x40, 64));
+        assert_eq!(ops[1].len, 7);
+    }
+
+    #[test]
+    fn malformed_field_is_an_error_not_a_panic() {
+        for (offset, width) in [(0, 16), (0, 3), (0, 0), (u64::MAX - 3, 8)] {
+            let slice = vec![
+                Stmt::CopyFromUser {
+                    dst: v(0),
+                    src: Expr::Arg,
+                    len: Expr::Const(32),
+                },
+                Stmt::CopyToUser {
+                    dst: Expr::Arg,
+                    len: Expr::field(v(0), offset, width),
+                },
+            ];
+            let mut user = FlatUser {
+                base: 0,
+                bytes: vec![0u8; 32],
+            };
+            assert_eq!(
+                evaluate_slice(&slice, 0, 0, &mut user),
+                Err(JitError::BadFieldRead { var: v(0) }),
+                "field({offset}, {width})"
+            );
+        }
+    }
+
+    #[test]
+    fn a_range_that_wraps_the_address_space_is_a_bad_read() {
+        let fetch_at = |addr: u64| {
+            let slice = vec![Stmt::CopyFromUser {
+                dst: v(0),
+                src: Expr::Const(addr),
+                len: Expr::Const(8),
+            }];
+            let mut user = Recording {
+                inner: MutatingUser { calls: 0 },
+                reads: Vec::new(),
+            };
+            (evaluate_slice(&slice, 0, 0, &mut user), user.reads)
+        };
+        // Consumed or not, `addr + len` past 2^64 names no memory.
+        let addr = u64::MAX - 3;
+        assert_eq!(
+            fetch_at(addr),
+            (Err(JitError::BadUserRead { addr, len: 8 }), vec![])
+        );
+        // The last range that still fits is an ordinary operation.
+        assert_eq!(fetch_at(u64::MAX - 8).0.unwrap()[0].len, 8);
     }
 
     #[test]
@@ -545,6 +750,11 @@ mod tests {
                 src: Expr::add(Expr::Arg, Expr::Const(4)),
                 len: Expr::Const(8),
             },
+            // The first copy's upper half is consumed — that pins it.
+            Stmt::CopyToUser {
+                dst: Expr::Arg,
+                len: Expr::field(v(0), 4, 4),
+            },
             // Overlapped half: must equal the first fetch's bytes (0x01s).
             Stmt::CopyToUser {
                 dst: Expr::Arg,
@@ -559,7 +769,8 @@ mod tests {
         let mut user = MutatingUser { calls: 0 };
         let ops = evaluate_slice(&slice, 0, 0x1000, &mut user).unwrap();
         assert_eq!(ops[2].len, 0x0101_0101);
-        assert_eq!(ops[3].len, 0x0202_0202);
+        assert_eq!(ops[3].len, 0x0101_0101);
+        assert_eq!(ops[4].len, 0x0202_0202);
     }
 
     #[test]

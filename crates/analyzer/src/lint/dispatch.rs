@@ -14,7 +14,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ir::{Handler, Stmt, VarId};
-use crate::lint::envelope::field_bases;
 use crate::lint::{DiagCode, Diagnostic};
 
 /// Deepest fetch-field-fetch chain considered reasonable.
@@ -79,16 +78,11 @@ fn chain_walk(
 ) {
     for stmt in stmts {
         match stmt {
-            Stmt::CopyFromUser { dst, src, len } => {
-                let mut bases = BTreeSet::new();
-                field_bases(src, &mut bases);
-                field_bases(len, &mut bases);
-                let feeding = bases
-                    .iter()
-                    .filter_map(|base| depth.get(base))
-                    .copied()
-                    .max()
-                    .unwrap_or(0);
+            Stmt::CopyFromUser { dst, .. } => {
+                let mut feeding = 0;
+                stmt.for_each_field(&mut |base, _, _| {
+                    feeding = feeding.max(depth.get(&base).copied().unwrap_or(0));
+                });
                 let this = feeding + 1;
                 depth.insert(*dst, this);
                 *deepest = (*deepest).max(this);

@@ -42,7 +42,9 @@ use crate::dataflow::cfg::{lower, CfgStmt, SiteId, Terminator};
 use crate::dataflow::solver::{Analysis, Direction, JoinSemiLattice};
 use crate::dataflow::summary::{solve_program, ProcTable};
 use crate::ir::{Expr, Handler, Stmt, VarId};
-use crate::lint::envelope::{cond_field_bases, eval_expr, field_bases, merge_env, SymScalar};
+use crate::lint::envelope::{
+    cond_field_bases, eval_expr, field_bases, merge_env, stmt_field_bases, SymScalar,
+};
 use crate::lint::{DiagCode, Diagnostic};
 
 /// Address-space class of a concrete fetch interval.
@@ -132,10 +134,6 @@ impl JoinSemiLattice for DfState {
     }
 }
 
-fn consume_expr(expr: &Expr, consumed: &mut BTreeSet<VarId>) {
-    field_bases(expr, consumed);
-}
-
 /// The concrete fetch a `CopyFromUser` performs under `state`, if its
 /// address and length are statically known (and non-empty).
 fn concrete_fetch(state: &DfState, src: &Expr, len: &Expr, dst: VarId) -> Option<Fetch> {
@@ -165,30 +163,26 @@ impl Analysis for DfAnalysis<'_> {
     type State = DfState;
 
     fn transfer_stmt(&self, _site: SiteId, stmt: &CfgStmt, state: &mut DfState) -> bool {
+        // A statement's own operand reads count as consumption before it.
+        if let CfgStmt::Ir(stmt) = stmt {
+            stmt_field_bases(stmt, &mut state.consumed);
+        }
         match stmt {
             CfgStmt::LoopIndex(var) => {
                 state.env.insert(*var, SymScalar::Opaque);
                 true
             }
             CfgStmt::Ir(Stmt::Assign { var, value }) => {
-                consume_expr(value, &mut state.consumed);
                 let value = eval_expr(&state.env, &state.buffers, value);
                 state.env.insert(*var, value);
                 true
             }
             CfgStmt::Ir(Stmt::CopyFromUser { dst, src, len }) => {
-                consume_expr(src, &mut state.consumed);
-                consume_expr(len, &mut state.consumed);
                 if let Some(fetch) = concrete_fetch(state, src, len, *dst) {
                     state.fetches.insert(fetch);
                 }
                 state.buffers.insert(*dst);
                 state.env.remove(dst);
-                true
-            }
-            CfgStmt::Ir(Stmt::CopyToUser { dst, len }) => {
-                consume_expr(dst, &mut state.consumed);
-                consume_expr(len, &mut state.consumed);
                 true
             }
             CfgStmt::Ir(Stmt::Call(name)) => {
@@ -204,7 +198,7 @@ impl Analysis for DfAnalysis<'_> {
     fn transfer_term(&self, term: &Terminator, state: &mut DfState) {
         match term {
             Terminator::Branch { cond, .. } => cond_field_bases(cond, &mut state.consumed),
-            Terminator::LoopHead { count, .. } => consume_expr(count, &mut state.consumed),
+            Terminator::LoopHead { count, .. } => field_bases(count, &mut state.consumed),
             Terminator::Jump(_) | Terminator::Return => {}
         }
     }
@@ -238,33 +232,22 @@ impl Analysis for ConsumeAnalysis<'_> {
     fn transfer_stmt(&self, _site: SiteId, stmt: &CfgStmt, state: &mut ConsumedLater) -> bool {
         match stmt {
             CfgStmt::LoopIndex(_) => true,
-            CfgStmt::Ir(Stmt::Assign { value, .. }) => {
-                consume_expr(value, &mut state.0);
-                true
-            }
-            CfgStmt::Ir(Stmt::CopyFromUser { src, len, .. }) => {
-                consume_expr(src, &mut state.0);
-                consume_expr(len, &mut state.0);
-                true
-            }
-            CfgStmt::Ir(Stmt::CopyToUser { dst, len }) => {
-                consume_expr(dst, &mut state.0);
-                consume_expr(len, &mut state.0);
-                true
-            }
             CfgStmt::Ir(Stmt::Call(name)) => {
                 self.table
                     .borrow_mut()
                     .apply_call(name, self.handler, self.cmd, state)
             }
-            CfgStmt::Ir(_) => true,
+            CfgStmt::Ir(stmt) => {
+                stmt_field_bases(stmt, &mut state.0);
+                true
+            }
         }
     }
 
     fn transfer_term(&self, term: &Terminator, state: &mut ConsumedLater) {
         match term {
             Terminator::Branch { cond, .. } => cond_field_bases(cond, &mut state.0),
-            Terminator::LoopHead { count, .. } => consume_expr(count, &mut state.0),
+            Terminator::LoopHead { count, .. } => field_bases(count, &mut state.0),
             Terminator::Jump(_) | Terminator::Return => {}
         }
     }
@@ -347,11 +330,10 @@ pub fn analyze_flow(handler: &Handler, cmd: Option<u32>) -> FlowRun {
             let afters = consumed_afters(&bwd, block, block_out);
             let mut state = in_state.clone();
             for (stmt_idx, (site, stmt)) in block.stmts.iter().enumerate() {
-                if let CfgStmt::Ir(Stmt::CopyFromUser { dst, src, len }) = stmt {
+                if let CfgStmt::Ir(ir @ Stmt::CopyFromUser { dst, src, len }) = stmt {
                     // Mirror the transfer's ordering: this statement's own
                     // operand reads count as prior consumption.
-                    consume_expr(src, &mut state.consumed);
-                    consume_expr(len, &mut state.consumed);
+                    stmt_field_bases(ir, &mut state.consumed);
                     if let Some(fetch) = concrete_fetch(&state, src, len, *dst) {
                         report_fetch(
                             &state,

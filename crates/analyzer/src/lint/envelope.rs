@@ -76,25 +76,23 @@ pub fn eval_expr(
 /// Collects every buffer variable whose *fields* an expression reads — the
 /// consumption signal the double-fetch pass keys on.
 pub fn field_bases(expr: &Expr, out: &mut BTreeSet<VarId>) {
-    match expr {
-        Expr::Field { base, .. } => {
-            out.insert(*base);
-        }
-        Expr::Add(a, b) | Expr::Mul(a, b) => {
-            field_bases(a, out);
-            field_bases(b, out);
-        }
-        Expr::Const(_) | Expr::Arg | Expr::Cmd | Expr::Var(_) => {}
-    }
+    expr.for_each_field(&mut |base, _, _| {
+        out.insert(base);
+    });
 }
 
 /// [`field_bases`] over a condition's both sides.
 pub fn cond_field_bases(cond: &Cond, out: &mut BTreeSet<VarId>) {
-    let (a, b) = match cond {
-        Cond::Eq(a, b) | Cond::Ne(a, b) | Cond::Lt(a, b) | Cond::Gt(a, b) => (a, b),
-    };
-    field_bases(a, out);
-    field_bases(b, out);
+    cond.for_each_field(&mut |base, _, _| {
+        out.insert(base);
+    });
+}
+
+/// [`field_bases`] over a statement's own operands (not its nested bodies).
+pub fn stmt_field_bases(stmt: &Stmt, out: &mut BTreeSet<VarId>) {
+    stmt.for_each_field(&mut |base, _, _| {
+        out.insert(base);
+    });
 }
 
 /// Merges the variable environments of two exclusive branches: bindings that

@@ -24,7 +24,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use paradice_analyzer::extract::{AddrTemplate, Extraction, HandlerReport};
+use paradice_analyzer::extract::{Extraction, HandlerReport};
 use paradice_analyzer::ir::OpKind;
 use paradice_analyzer::jit::{evaluate_slice, UserReader};
 use paradice_devfs::fileops::{FileOpKind, OpenFlags, PollEvents, TaskId};
@@ -153,38 +153,14 @@ impl IoctlKnowledge {
                 return match extraction {
                     Extraction::Static(templates) => Ok(templates
                         .iter()
-                        .map(|t| {
-                            let addr = GuestVirtAddr::new(match t.addr {
-                                AddrTemplate::Abs(a) => a,
-                                AddrTemplate::ArgPlus(k) => arg.wrapping_add(k),
-                            });
-                            match t.kind {
-                                OpKind::CopyFromUser => MemOpGrant::CopyFromGuest {
-                                    addr,
-                                    len: t.len,
-                                },
-                                OpKind::CopyToUser => MemOpGrant::CopyToGuest {
-                                    addr,
-                                    len: t.len,
-                                },
-                            }
-                        })
+                        .map(|t| grant(t.kind, t.addr.resolve(arg), t.len))
                         .collect()),
                     Extraction::Jit { slice, .. } => {
                         let ops = evaluate_slice(slice, cmd.raw(), arg, reader)
                             .map_err(|_| Errno::Efault)?;
                         Ok(ops
                             .into_iter()
-                            .map(|op| match op.kind {
-                                OpKind::CopyFromUser => MemOpGrant::CopyFromGuest {
-                                    addr: GuestVirtAddr::new(op.addr),
-                                    len: op.len,
-                                },
-                                OpKind::CopyToUser => MemOpGrant::CopyToGuest {
-                                    addr: GuestVirtAddr::new(op.addr),
-                                    len: op.len,
-                                },
-                            })
+                            .map(|op| grant(op.kind, op.addr, op.len))
                             .collect())
                     }
                 };
@@ -203,6 +179,15 @@ impl IoctlKnowledge {
             }
         }
         Ok(grants)
+    }
+}
+
+/// The grant a driver-side copy of `len` bytes at user address `addr` needs.
+fn grant(kind: OpKind, addr: u64, len: u64) -> MemOpGrant {
+    let addr = GuestVirtAddr::new(addr);
+    match kind {
+        OpKind::CopyFromUser => MemOpGrant::CopyFromGuest { addr, len },
+        OpKind::CopyToUser => MemOpGrant::CopyToGuest { addr, len },
     }
 }
 
@@ -743,51 +728,13 @@ impl Frontend {
         // no grant, no forwarding, no deadline wait — until a half-open
         // probe succeeds or the machine recovers the driver VM.
         let probing = self.admit_op()?;
-        let enabled = self.tracer.is_enabled();
-        let span = self.tracer.begin_span();
-        let (start_ns, stats_before) = if enabled {
-            let start_ns = self.hv.borrow().clock().now_ns();
-            let stats = self.channel.borrow().stats();
-            self.tracer.record(TraceEvent::OpStart {
-                span,
-                t_ns: start_ns,
-                guest: u64::from(self.guest.0),
-                task: task.0,
-                handle,
-                device: trace.device,
-                op: trace.kind,
-                cmd: trace.cmd,
-                addr: trace.addr,
-                len: trace.len,
-            });
-            (start_ns, stats)
-        } else {
-            (0, ChannelStats::default())
-        };
-        let (grant, cache_owned) = match grants {
-            Some(ops) => {
-                if enabled {
-                    self.tracer.record(TraceEvent::Grants {
-                        span,
-                        grants: ops.iter().map(trace_grant).collect(),
-                    });
-                }
-                match self.resolve_grant(handle, &op, ops, span, enabled) {
-                    Ok(resolved) => resolved,
-                    Err(errno) => {
-                        self.trace_op_end(span, start_ns, stats_before, Err(errno));
-                        return Err(errno);
-                    }
-                }
-            }
-            None => (None, false),
-        };
+        let started = self.begin_op(task, handle, grants, &op, trace)?;
         let result = self.forward(WireRequest {
             task: task.0,
             pt_root,
             handle,
-            span: span.0,
-            grant,
+            span: started.span.0,
+            grant: started.grant,
             op,
         });
         if probing {
@@ -802,11 +749,71 @@ impl Frontend {
                 (Err(_), _) => {}
             }
         }
-        self.trace_op_end(span, start_ns, stats_before, result);
-        if let (Some(grant), false) = (grant, cache_owned) {
+        self.trace_op_end(started.span, started.start_ns, started.stats_before, result);
+        if let (Some(grant), false) = (started.grant, started.cache_owned) {
             self.revoke(grant);
         }
         result
+    }
+
+    /// Opens an op's span and resolves its grant: what [`Frontend::run_op`]
+    /// and [`Frontend::submit_op`] do before the request goes on the ring.
+    fn begin_op(
+        &mut self,
+        task: TaskId,
+        handle: u64,
+        grants: Option<Vec<MemOpGrant>>,
+        op: &WireOp,
+        trace: OpTrace,
+    ) -> Result<PendingOp, Errno> {
+        let enabled = self.tracer.is_enabled();
+        let span = self.tracer.begin_span();
+        // Stamped with tracing on or off: the pipelined drain's watchdog
+        // measures its wait from here.
+        let start_ns = self.hv.borrow().clock().now_ns();
+        let stats_before = if enabled {
+            let stats = self.channel.borrow().stats();
+            self.tracer.record(TraceEvent::OpStart {
+                span,
+                t_ns: start_ns,
+                guest: u64::from(self.guest.0),
+                task: task.0,
+                handle,
+                device: trace.device,
+                op: trace.kind,
+                cmd: trace.cmd,
+                addr: trace.addr,
+                len: trace.len,
+            });
+            stats
+        } else {
+            ChannelStats::default()
+        };
+        let (grant, cache_owned) = match grants {
+            Some(ops) => {
+                if enabled {
+                    self.tracer.record(TraceEvent::Grants {
+                        span,
+                        grants: ops.iter().map(trace_grant).collect(),
+                    });
+                }
+                match self.resolve_grant(handle, op, ops, span, enabled) {
+                    Ok(resolved) => resolved,
+                    Err(errno) => {
+                        self.trace_op_end(span, start_ns, stats_before, Err(errno));
+                        return Err(errno);
+                    }
+                }
+            }
+            None => (None, false),
+        };
+        Ok(PendingOp {
+            span,
+            start_ns,
+            stats_before,
+            grant,
+            cache_owned,
+        })
     }
 
     /// Resolves the grant reference for one op: on the fast path, cacheable
@@ -1037,20 +1044,17 @@ impl Frontend {
         .map(|n| n as u64)
     }
 
-    /// Forwards `ioctl`: grants derived from the analyzer table (static or
-    /// JIT) or the `_IOC` encoding (§4.1).
-    ///
-    /// # Errors
-    ///
-    /// Driver errors or grant violations.
-    pub fn ioctl(
+    /// What [`Frontend::ioctl`] and [`Frontend::ioctl_pipelined`] do before
+    /// submitting: resolve the descriptor and derive the op's grants from
+    /// the device's [`IoctlKnowledge`], reading the caller's memory where
+    /// the command needs JIT evaluation.
+    fn ioctl_grants(
         &mut self,
-        task: TaskId,
         pt: GuestPageTables,
         fd: u64,
         cmd: IoctlCmd,
         arg: u64,
-    ) -> Result<i64, Errno> {
+    ) -> Result<(u64, Vec<MemOpGrant>, OpTrace), Errno> {
         let file = self.file(fd)?;
         let handle = file.backend_handle;
         let trace = OpTrace::new(self.trace_device(&file.path), TraceOpKind::Ioctl)
@@ -1075,6 +1079,24 @@ impl Frontend {
             pt_root: pt.root(),
         };
         let ops = knowledge.grants_for(cmd, arg, &mut reader)?;
+        Ok((handle, ops, trace))
+    }
+
+    /// Forwards `ioctl`: grants derived from the analyzer table (static or
+    /// JIT) or the `_IOC` encoding (§4.1).
+    ///
+    /// # Errors
+    ///
+    /// Driver errors or grant violations.
+    pub fn ioctl(
+        &mut self,
+        task: TaskId,
+        pt: GuestPageTables,
+        fd: u64,
+        cmd: IoctlCmd,
+        arg: u64,
+    ) -> Result<i64, Errno> {
+        let (handle, ops, trace) = self.ioctl_grants(pt, fd, cmd, arg)?;
         self.run_op(
             task,
             pt.root(),
@@ -1104,30 +1126,7 @@ impl Frontend {
         cmd: IoctlCmd,
         arg: u64,
     ) -> Result<(), Errno> {
-        let file = self.file(fd)?;
-        let handle = file.backend_handle;
-        let trace = OpTrace::new(self.trace_device(&file.path), TraceOpKind::Ioctl)
-            .cmd(cmd.raw())
-            .range(arg, u64::from(cmd.size()));
-        let knowledge = self
-            .knowledge
-            .get(&file.path)
-            .cloned()
-            .unwrap_or_else(|| Rc::new(IoctlKnowledge::ioc_only()));
-        let is_jit = knowledge
-            .report
-            .as_ref()
-            .and_then(|r| r.commands.get(&cmd.raw()))
-            .is_some_and(|e| !e.is_static());
-        if is_jit {
-            self.stats.jit_evaluations += 1;
-        }
-        let mut reader = ProcessReader {
-            hv: self.hv.clone(),
-            guest: self.guest,
-            pt_root: pt.root(),
-        };
-        let ops = knowledge.grants_for(cmd, arg, &mut reader)?;
+        let (handle, ops, trace) = self.ioctl_grants(pt, fd, cmd, arg)?;
         self.submit_op(
             task,
             pt.root(),
@@ -1183,53 +1182,13 @@ impl Frontend {
             return Err(Errno::Eio);
         }
         self.stats.ops_forwarded += 1;
-        let enabled = self.tracer.is_enabled();
-        let span = self.tracer.begin_span();
-        // Stamped with tracing on or off: the drain's watchdog measures
-        // its wait from here.
-        let start_ns = self.hv.borrow().clock().now_ns();
-        let stats_before = if enabled {
-            let stats = self.channel.borrow().stats();
-            self.tracer.record(TraceEvent::OpStart {
-                span,
-                t_ns: start_ns,
-                guest: u64::from(self.guest.0),
-                task: task.0,
-                handle,
-                device: trace.device,
-                op: trace.kind,
-                cmd: trace.cmd,
-                addr: trace.addr,
-                len: trace.len,
-            });
-            stats
-        } else {
-            ChannelStats::default()
-        };
-        let (grant, cache_owned) = match grants {
-            Some(ops) => {
-                if enabled {
-                    self.tracer.record(TraceEvent::Grants {
-                        span,
-                        grants: ops.iter().map(trace_grant).collect(),
-                    });
-                }
-                match self.resolve_grant(handle, &op, ops, span, enabled) {
-                    Ok(resolved) => resolved,
-                    Err(errno) => {
-                        self.trace_op_end(span, start_ns, stats_before, Err(errno));
-                        return Err(errno);
-                    }
-                }
-            }
-            None => (None, false),
-        };
+        let started = self.begin_op(task, handle, grants, &op, trace)?;
         let request = WireRequest {
             task: task.0,
             pt_root,
             handle,
-            span: span.0,
-            grant,
+            span: started.span.0,
+            grant: started.grant,
             op,
         };
         let sent = self.channel.borrow_mut().send_request(request.clone());
@@ -1242,19 +1201,18 @@ impl Frontend {
                 .send_request(request)
                 .map_err(|_| Errno::Eagain)?;
         } else if sent.is_err() {
-            if let (Some(grant), false) = (grant, cache_owned) {
+            if let (Some(grant), false) = (started.grant, started.cache_owned) {
                 self.revoke(grant);
             }
-            self.trace_op_end(span, start_ns, stats_before, Err(Errno::Eagain));
+            self.trace_op_end(
+                started.span,
+                started.start_ns,
+                started.stats_before,
+                Err(Errno::Eagain),
+            );
             return Err(Errno::Eagain);
         }
-        self.pipeline.push(PendingOp {
-            span,
-            start_ns,
-            stats_before,
-            grant,
-            cache_owned,
-        });
+        self.pipeline.push(started);
         Ok(())
     }
 

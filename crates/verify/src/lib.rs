@@ -9,7 +9,8 @@
 //! frontend and vice versa). This crate proves those three kernels correct
 //! within documented bounds, by running the *real* implementations —
 //! [`paradice_hypervisor::GrantTable`], [`paradice_hypervisor::RingIndex`],
-//! [`paradice_cvd::cache::GrantCache`], the `decode_probed` codec paths —
+//! [`paradice_cvd::cache::GrantCache`], the `decode_probed` codec paths,
+//! the frontend's JIT evaluator that decides what gets granted —
 //! against independent executable specifications:
 //!
 //! | property            | engine                                   |
@@ -26,6 +27,7 @@
 //! | `race-ring`         | exhaustive store-buffer interleaving: no torn slot read |
 //! | `race-doorbell`     | exhaustive store-buffer interleaving: no lost wakeup |
 //! | `race-shards`       | exhaustive store-buffer interleaving: no freed-snapshot read |
+//! | `jit-snapshot`      | exhaustive ≤ 3-fetch overlap scripts vs a per-byte first-read-wins model |
 //!
 //! The exploration engine is the analyzer's own dataflow machinery
 //! ([`paradice_analyzer::dataflow::reach`]); disproofs surface as `VP00x`
@@ -42,6 +44,7 @@ pub mod cache;
 pub mod codec;
 pub mod fixture;
 pub mod grants;
+pub mod jit;
 pub mod race;
 pub mod report;
 pub mod ring;
@@ -50,7 +53,7 @@ use fixture::Fixture;
 use report::{Mutant, PropertyReport};
 
 /// Every property, in the order `--all` runs them.
-pub const PROPERTIES: [&str; 13] = [
+pub const PROPERTIES: [&str; 14] = [
     "grant-soundness",
     "grant-batch",
     "grant-revocation",
@@ -64,6 +67,7 @@ pub const PROPERTIES: [&str; 13] = [
     "race-ring",
     "race-doorbell",
     "race-shards",
+    "jit-snapshot",
 ];
 
 /// Runs one property by name (optionally under a seeded mutant), timing it.
@@ -84,6 +88,7 @@ pub fn run_property(name: &str, mutant: Option<Mutant>) -> Option<PropertyReport
         "race-ring" => race::check_ring(mutant),
         "race-doorbell" => race::check_doorbell(mutant),
         "race-shards" => race::check_shards(mutant),
+        "jit-snapshot" => jit::check_snapshot(mutant),
         _ => return None,
     };
     report.duration_ms = start.elapsed().as_millis();
@@ -114,6 +119,7 @@ pub fn replay_fixture(fixture: &Fixture, mutant: Option<Mutant>) -> Result<(), S
         "cache-revocation" => cache::replay(fixture, mutant),
         name if name.starts_with("codec-") => codec::replay(fixture, mutant),
         "adversary-containment" => adversary::replay(fixture, mutant),
+        "jit-snapshot" => jit::replay(fixture, mutant),
         other => Err(format!("fixture names unknown property {other:?}")),
     }
 }

@@ -49,11 +49,15 @@ pub enum Mutant {
     /// without waiting for `in_flight == 0`: a reader between its gate
     /// enter and its scan dereferences freed memory.
     ShardRetireUnfenced,
+    /// The frontend's JIT evaluator skips the snapshot overlay: a second
+    /// fetch of bytes that already fed grant derivation believes whatever
+    /// the process has put there since.
+    JitRefetchUnsnapshotted,
 }
 
 impl Mutant {
     /// Every seeded mutant, for `--list` and the check.sh gate.
-    pub const ALL: [Mutant; 12] = [
+    pub const ALL: [Mutant; 13] = [
         Mutant::RingWindowOffByOne,
         Mutant::GrantCoverOffByOne,
         Mutant::CacheEvictInflight,
@@ -66,6 +70,7 @@ impl Mutant {
         Mutant::AringConsumeNoAcquire,
         Mutant::DoorbellCheckBeforePublish,
         Mutant::ShardRetireUnfenced,
+        Mutant::JitRefetchUnsnapshotted,
     ];
 
     /// The CLI/fixture name.
@@ -83,6 +88,7 @@ impl Mutant {
             Mutant::AringConsumeNoAcquire => "aring-consume-no-acquire",
             Mutant::DoorbellCheckBeforePublish => "doorbell-check-before-publish",
             Mutant::ShardRetireUnfenced => "shard-retire-unfenced",
+            Mutant::JitRefetchUnsnapshotted => "jit-refetch-unsnapshotted",
         }
     }
 

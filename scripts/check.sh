@@ -56,6 +56,15 @@ grep -q 'pub static ATOMIC_SITES: \[&SiteSpec; 2\]' crates/hypervisor/src/shards
     exit 1
 }
 
+echo "==> no-per-byte-JIT-state gate (the JIT pins fetched ranges, sized by the slice, not by user data)"
+# A CopyFromUser fetches min(len, extent) bytes and pins them as one range;
+# the per-byte map and the buffer sized by a user-supplied length must not
+# come back (they made a 16-KiB GEM_PWRITE cost 2 ms of grant derivation).
+if grep -nF -e 'BTreeMap<u64, u8>' -e 'vec![0u8; len as usize]' crates/analyzer/src/jit.rs; then
+    echo "ERROR: crates/analyzer/src/jit.rs keeps per-byte state or sizes a buffer by a user length" >&2
+    exit 1
+fi
+
 echo "==> paradice-lint (static driver-IR suite; nonzero on errors)"
 cargo run -q --release -p paradice-bench --bin paradice-lint
 

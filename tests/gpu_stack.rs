@@ -340,6 +340,60 @@ fn malformed_cs_pointers_fail_in_the_frontend_before_the_driver() {
 }
 
 #[test]
+fn pwrite_from_an_unmapped_payload_faults_in_every_mode() {
+    // PWRITE's slice consumes only the 32-byte header, so the frontend never
+    // reads the payload: an unmapped one is granted and forwarded, and the
+    // driver's own copy_from_user fails the hypervisor's walk — the errno
+    // the native machine returns, with nothing else disturbed.
+    for mode in all_modes() {
+        let mut m = machine(mode);
+        let task = spawn(&mut m);
+        let drm = DrmClient::open(&mut m, task).expect("open card0");
+        let bo = drm
+            .gem_create(&mut m, PAGE_SIZE, gem_domain::VRAM)
+            .expect("bo");
+        let data_va = m.alloc_buffer(task, PAGE_SIZE).expect("staging");
+        let read_va = m.alloc_buffer(task, PAGE_SIZE).expect("readback");
+        m.write_mem(task, data_va, &[0x5a; 64]).expect("stage");
+        drm.gem_pwrite(&mut m, bo, 0, data_va, 64).expect("seed the bo");
+        m.write_mem(task, data_va, &[0xa5; PAGE_SIZE as usize])
+            .expect("restage");
+        // Wholly unmapped, then straddling the staging buffer's last mapped
+        // page into the guard page behind it.
+        for payload in [GuestVirtAddr::new(0xdead_0000), data_va.add(PAGE_SIZE - 32)] {
+            let forwarded = m.backend().map(|b| b.borrow().ops_executed());
+            assert_eq!(
+                drm.gem_pwrite(&mut m, bo, 0, payload, 64),
+                Err(Errno::Efault),
+                "{mode:?} {payload:?}"
+            );
+            drm.gem_pread(&mut m, bo, 0, read_va, 64).expect("pread");
+            let mut back = [0u8; 64];
+            m.read_mem(task, read_va, &mut back).expect("read");
+            assert_eq!(back, [0x5a; 64], "{mode:?}: the bo must be untouched");
+            assert!(!m.driver_vm_failed(), "{mode:?}");
+            if let Some(frontend) = m.frontend(0) {
+                assert!(!frontend.borrow().breaker_open(), "{mode:?}");
+            }
+            if let Some(backend) = m.backend() {
+                // The faulting op and the PREAD both reached the driver, and
+                // the refusal was a failed walk under a valid grant: the
+                // audit log has no violation to report.
+                assert_eq!(backend.borrow().ops_executed(), forwarded.unwrap() + 2);
+                assert!(m.hv().borrow().audit().is_empty(), "{mode:?}");
+                assert_eq!(m.hv().borrow().outstanding_grants(m.guest_vms()[0]), 0);
+            }
+        }
+        drm.gem_pwrite(&mut m, bo, 0, data_va, 64)
+            .expect("a mapped payload is served as before");
+        drm.gem_pread(&mut m, bo, 0, read_va, 64).expect("pread");
+        let mut back = [0u8; 64];
+        m.read_mem(task, read_va, &mut back).expect("read");
+        assert_eq!(back, [0xa5; 64], "{mode:?}");
+    }
+}
+
+#[test]
 fn machine_configuration_errors_are_reported() {
     // Guests in native mode.
     assert!(Machine::builder()
