@@ -24,11 +24,25 @@
 //!   [`ShardedGrantTable`] sized for the guest population — declare,
 //!   validate, and revoke touch only the owning guest's shard.
 //!
-//! Scheduling state is deliberately thread-local: the wall backend
-//! thread owns its [`FairSched`] and stamps service time with its own
-//! clock reads, and the frontend owns the per-guest in-flight counts —
-//! the refactor adds *zero* shared atomics beyond the rings and
-//! doorbells already proved by the race checker.
+//! * **Edges, not scans.** Nothing on the op path looks at a guest that
+//!   has no work. On the wall substrate each direction has one *ready
+//!   ring* ([`IdRing`]): after pushing a frame into a guest's ring the
+//!   producer publishes that guest's id and rings the doorbell — after
+//!   *every* publication, never gated on an occupancy view — and the
+//!   consumer drains ids into thread-local per-guest pending counts. The
+//!   backend feeds [`FairSched`]'s ready heap from them; the frontend
+//!   takes completions one per ready guest in rotation. A ready ring
+//!   holds at most one id per in-flight op, and the per-guest cap bounds
+//!   those, so it is sized never to fill and no guest can crowd another
+//!   out of it. Both engines drive the same `enqueue`/`pick_ready` pair.
+//!
+//! Scheduling state is thread-local: the wall backend thread owns its
+//! [`FairSched`] and pending counts and stamps service time with its own
+//! clock reads; the frontend owns the per-guest in-flight counts and its
+//! completion rotation. What the two threads share is the per-guest
+//! rings, the two ready rings and the two doorbells — all one kernel and
+//! one doorbell protocol, proved by `race-ring`, `race-ready` and
+//! `race-doorbell`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,7 +51,7 @@ use std::thread::JoinHandle;
 
 use paradice_hypervisor::engine::{EngineError, EngineKind};
 use paradice_hypervisor::{
-    ARingError, AtomicRing, ClockSource, CostModel, Doorbell, FairSched, SchedPolicy,
+    ARingError, AtomicRing, ClockSource, CostModel, Doorbell, FairSched, IdRing, SchedPolicy,
     ShardedGrantTable, SimClock, WallClock, ARING_CAPACITY, ARING_SLOT_BYTES,
 };
 use paradice_trace::TraceEvent;
@@ -156,18 +170,16 @@ impl MultiVirtualEngine {
     /// Serves the fair-share pick's oldest queued op, advancing the
     /// clock by its modeled service time.
     fn serve_one(&mut self) -> Option<Completion> {
-        let backlogged = self
-            .guests
-            .iter()
-            .enumerate()
-            .filter_map(|(g, q)| q.front().map(|(stamp, _)| (g as u32, *stamp)));
-        let guest = self.sched.pick(backlogged)?;
-        let (_, frame) = self.guests[guest as usize]
-            .pop_front()
-            .expect("picked guest is backlogged");
+        let guest = self.sched.pick_ready()?;
+        let queue = &mut self.guests[guest as usize];
+        let (_, frame) = queue.pop_front().expect("an enqueued guest is backlogged");
+        let next_head = queue.front().map(|(stamp, _)| *stamp);
         let service_ns = modeled_service_ns(&self.cost, &frame);
         self.clock.advance(service_ns);
         self.sched.charge(guest, service_ns);
+        if let Some(stamp) = next_head {
+            self.sched.enqueue(guest, stamp);
+        }
         let response = dispatch(
             guest,
             &frame,
@@ -204,6 +216,9 @@ impl MultiEngine for MultiVirtualEngine {
         if queue.len() >= MULTI_QUEUE_CAP {
             return Err(EngineError::Backpressure);
         }
+        if queue.is_empty() {
+            self.sched.enqueue(guest, self.arrivals);
+        }
         queue.push_back((self.arrivals, frame.to_vec()));
         self.arrivals += 1;
         Ok(())
@@ -237,25 +252,60 @@ struct WallGuestChannel {
     in_flight: usize,
 }
 
+/// Publishes `guest` into a direction's ready ring, then rings its bell —
+/// unconditionally: that per-publication protocol is the one
+/// `race-doorbell` proves lossless, whereas a ring gated on an occupancy
+/// view taken before publishing can lose the wake-up.
+fn publish_ready(ready: &IdRing, guest: u32, bell: &Doorbell) {
+    ready
+        .try_push(guest)
+        .expect("a ready ring holds one id per in-flight op");
+    bell.ring();
+}
+
+/// Drains a ready ring into the consumer's per-guest `pending` counts,
+/// reporting each guest whose count left zero. An id is a shared-memory
+/// word, so one outside `pending` is ignored, and a count only promises
+/// the consumer a *look* at that guest's ring: a look that finds it empty
+/// drops the claim (see the callers), it never waits for the frame.
+fn drain_ready(ready: &IdRing, pending: &mut [u32], mut became_ready: impl FnMut(u32)) {
+    while let Some(guest) = ready.try_pop() {
+        let Some(count) = pending.get_mut(guest as usize) else {
+            continue;
+        };
+        *count = count.saturating_add(1);
+        if *count == 1 {
+            became_ready(guest);
+        }
+    }
+}
+
 /// N guests on the measurement substrate: one [`AtomicRing`] pair per
-/// guest, one shared backend thread draining all request rings in
-/// fair-share order (service time stamped with real clock reads held in
-/// thread-local accounting — no shared scheduler state), shared
-/// request/response doorbells.
+/// guest, one shared backend thread serving them in fair-share order
+/// (service time stamped with real clock reads held in thread-local
+/// accounting — no shared scheduler state), one ready ring and one
+/// doorbell per direction telling each side which guests have work.
 ///
 /// Single-frontend discipline: one thread constructs and drives all
 /// guests' submissions (the constructor registers that thread as the
-/// response doorbell's waiter; a driver loop plays every guest's vCPU).
+/// response doorbell's waiter; a driver loop plays every guest's vCPU),
+/// so each ready ring has exactly one producer.
 pub struct MultiWallEngine {
     clock: WallClock,
     guests: Vec<WallGuestChannel>,
+    req_ready: Arc<IdRing>,
+    resp_ready: Arc<IdRing>,
     req_bell: Arc<Doorbell>,
     resp_bell: Arc<Doorbell>,
     stop: Arc<AtomicBool>,
     grants: Arc<ShardedGrantTable>,
     worker: Option<JoinHandle<Vec<TraceEvent>>>,
-    /// Round-robin cursor for draining response rings.
-    next_poll: usize,
+    /// Per guest: responses the backend has announced and
+    /// [`MultiEngine::complete`] has not yet taken.
+    resp_pending: Vec<u32>,
+    /// Guests with announced responses, each once, in the order they take
+    /// their turn.
+    resp_rotation: VecDeque<u32>,
     total_in_flight: usize,
 }
 
@@ -270,6 +320,10 @@ impl MultiWallEngine {
                 in_flight: 0,
             })
             .collect();
+        // One id per in-flight op at most, and the per-guest cap bounds
+        // those: sized from the guest count, the ready rings never fill.
+        let req_ready = Arc::new(IdRing::with_capacity(guests * MULTI_QUEUE_CAP));
+        let resp_ready = Arc::new(IdRing::with_capacity(guests * MULTI_QUEUE_CAP));
         let req_bell = Arc::new(Doorbell::new());
         let resp_bell = Arc::new(Doorbell::new());
         let stop = Arc::new(AtomicBool::new(false));
@@ -281,6 +335,7 @@ impl MultiWallEngine {
                 .iter()
                 .map(|c| (Arc::clone(&c.req_ring), Arc::clone(&c.resp_ring)))
                 .collect();
+            let (req_ready, resp_ready) = (Arc::clone(&req_ready), Arc::clone(&resp_ready));
             let (req_bell, resp_bell) = (Arc::clone(&req_bell), Arc::clone(&resp_bell));
             let (stop, grants) = (Arc::clone(&stop), Arc::clone(&grants));
             let mut service = service;
@@ -289,83 +344,66 @@ impl MultiWallEngine {
                 .spawn(move || {
                     req_bell.register();
                     // Backend-thread-local scheduling state: consumed
-                    // service time per guest plus backlog-arrival stamps.
-                    // A guest is stamped when its ring transitions
-                    // empty→non-empty and re-stamped after every served
-                    // op while it stays backlogged, so the stamp tracks
-                    // when the *current head* became head. The backend
-                    // cannot observe per-op arrival times, so wall-side
-                    // FIFO is a head-age approximation of the virtual
-                    // engine's exact per-op arrival order (under the
-                    // default fair-share policy stamps are only the
-                    // tie-break).
+                    // service time per guest, announced-but-unserved
+                    // request counts, and backlog-arrival stamps. A guest
+                    // is stamped when its count leaves zero and re-stamped
+                    // after every served op while it stays backlogged, so
+                    // the stamp tracks when the *current head* became
+                    // head. The backend cannot observe per-op arrival
+                    // times, so wall-side FIFO is a head-age approximation
+                    // of the virtual engine's exact per-op arrival order
+                    // (under the default fair-share policy stamps are only
+                    // the tie-break).
                     let mut sched = FairSched::new(policy);
-                    let mut arrivals: Vec<Option<u64>> = vec![None; rings.len()];
+                    let mut pending = vec![0u32; rings.len()];
                     let mut next_stamp = 0u64;
                     let mut events = Vec::new();
                     loop {
-                        for (guest, (req_ring, _)) in rings.iter().enumerate() {
-                            if !req_ring.is_empty() && arrivals[guest].is_none() {
-                                arrivals[guest] = Some(next_stamp);
-                                next_stamp += 1;
+                        drain_ready(&req_ready, &mut pending, |guest| {
+                            sched.enqueue(guest, next_stamp);
+                            next_stamp += 1;
+                        });
+                        let Some(guest) = sched.pick_ready() else {
+                            if stop.load(Ordering::Acquire) {
+                                break;
                             }
-                        }
-                        let backlogged = arrivals
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(g, a)| a.map(|stamp| (g as u32, stamp)));
-                        if let Some(guest) = sched.pick(backlogged) {
-                            let (req_ring, resp_ring) = &rings[guest as usize];
-                            if let Some(frame) = req_ring.try_pop() {
-                                let started = clock.now_ns();
-                                let response = dispatch(
-                                    guest,
-                                    &frame,
-                                    &mut service,
-                                    &grants,
-                                    started,
-                                    &mut events,
-                                );
-                                sched.charge(
-                                    guest,
-                                    clock.now_ns().saturating_sub(started).max(1),
-                                );
-                                loop {
-                                    match resp_ring.try_push(&response) {
-                                        Ok(was_empty) => {
-                                            if was_empty {
-                                                resp_bell.ring();
-                                            }
-                                            break;
-                                        }
-                                        Err(ARingError::Full) => std::thread::yield_now(),
-                                        Err(ARingError::Oversize { len }) => {
-                                            unreachable!("responses are tiny, got {len} bytes")
-                                        }
-                                    }
+                            req_bell.wait(|| {
+                                !req_ready.is_empty() || stop.load(Ordering::Acquire)
+                            });
+                            continue;
+                        };
+                        let (req_ring, resp_ring) = &rings[guest as usize];
+                        let Some(frame) = req_ring.try_pop() else {
+                            // An id with no frame behind it (only a
+                            // misbehaving frontend publishes one): drop the
+                            // claim. A real frame brings its own id.
+                            pending[guest as usize] = 0;
+                            continue;
+                        };
+                        let started = clock.now_ns();
+                        let response =
+                            dispatch(guest, &frame, &mut service, &grants, started, &mut events);
+                        sched.charge(guest, clock.now_ns().saturating_sub(started).max(1));
+                        loop {
+                            match resp_ring.try_push(&response) {
+                                Ok(_) => break,
+                                Err(ARingError::Full) => std::thread::yield_now(),
+                                Err(ARingError::Oversize { len }) => {
+                                    unreachable!("responses are tiny, got {len} bytes")
                                 }
                             }
-                            if req_ring.is_empty() {
-                                arrivals[guest as usize] = None;
-                            } else {
-                                // Fresh stamp for the new head: without
-                                // it a long-backlogged ring would keep
-                                // its first-enqueue stamp and starve
-                                // younger queues under SchedPolicy::Fifo.
-                                arrivals[guest as usize] = Some(next_stamp);
-                                next_stamp += 1;
-                            }
-                            continue;
                         }
-                        if stop.load(Ordering::Acquire) {
-                            break;
+                        publish_ready(&resp_ready, guest, &resp_bell);
+                        let left = &mut pending[guest as usize];
+                        *left -= 1;
+                        if *left > 0 {
+                            // Fresh stamp for the new head: without it a
+                            // long-backlogged ring would keep its
+                            // first-enqueue stamp and starve younger
+                            // queues under SchedPolicy::Fifo.
+                            sched.enqueue(guest, next_stamp);
+                            next_stamp += 1;
                         }
-                        let rings_for_wait = rings.clone();
-                        let stop_for_wait = Arc::clone(&stop);
-                        req_bell.wait(move || {
-                            rings_for_wait.iter().any(|(req, _)| !req.is_empty())
-                                || stop_for_wait.load(Ordering::Acquire)
-                        });
                     }
                     events
                 })
@@ -374,13 +412,16 @@ impl MultiWallEngine {
 
         MultiWallEngine {
             clock,
+            resp_pending: vec![0; channels.len()],
             guests: channels,
+            req_ready,
+            resp_ready,
             req_bell,
             resp_bell,
             stop,
             grants,
             worker: Some(worker),
-            next_poll: 0,
+            resp_rotation: VecDeque::new(),
             total_in_flight: 0,
         }
     }
@@ -424,12 +465,10 @@ impl MultiEngine for MultiWallEngine {
             return Err(EngineError::Backpressure);
         }
         match channel.req_ring.try_push(frame) {
-            Ok(was_empty) => {
-                if was_empty {
-                    self.req_bell.ring();
-                }
+            Ok(_) => {
                 channel.in_flight += 1;
                 self.total_in_flight += 1;
+                publish_ready(&self.req_ready, guest, &self.req_bell);
                 Ok(())
             }
             Err(ARingError::Full) => Err(EngineError::Backpressure),
@@ -437,15 +476,31 @@ impl MultiEngine for MultiWallEngine {
         }
     }
 
+    /// One response per ready guest in rotation: a guest with sixteen
+    /// responses waiting takes one turn, then queues behind every other
+    /// guest that has one — round-robin over ready guests, not the
+    /// backend's global service order, so a light guest's completion is
+    /// never stuck behind its neighbours' backlog.
     fn complete(&mut self) -> Result<Option<Completion>, EngineError> {
-        for offset in 0..self.guests.len() {
-            let guest = (self.next_poll + offset) % self.guests.len();
-            if let Some(frame) = self.guests[guest].resp_ring.try_pop() {
-                self.guests[guest].in_flight -= 1;
-                self.total_in_flight -= 1;
-                self.next_poll = (guest + 1) % self.guests.len();
-                return Ok(Some((guest as u32, frame)));
+        let rotation = &mut self.resp_rotation;
+        drain_ready(&self.resp_ready, &mut self.resp_pending, |guest| {
+            rotation.push_back(guest);
+        });
+        while let Some(guest) = self.resp_rotation.pop_front() {
+            let index = guest as usize;
+            let Some(frame) = self.guests[index].resp_ring.try_pop() else {
+                // Announced but not there: drop the claim, as the backend
+                // does for requests.
+                self.resp_pending[index] = 0;
+                continue;
+            };
+            self.resp_pending[index] -= 1;
+            if self.resp_pending[index] > 0 {
+                self.resp_rotation.push_back(guest);
             }
+            self.guests[index].in_flight -= 1;
+            self.total_in_flight -= 1;
+            return Ok(Some((guest, frame)));
         }
         if self.total_in_flight > 0 && !self.backend_alive() {
             return Err(EngineError::Dead("backend thread exited".into()));
@@ -458,18 +513,11 @@ impl MultiEngine for MultiWallEngine {
             return Err(EngineError::Dead("no frames in flight".into()));
         }
         loop {
-            match self.complete()? {
-                Some(done) => return Ok(done),
-                None => {
-                    let rings: Vec<Arc<AtomicRing>> = self
-                        .guests
-                        .iter()
-                        .map(|c| Arc::clone(&c.resp_ring))
-                        .collect();
-                    self.resp_bell
-                        .wait(move || rings.iter().any(|r| !r.is_empty()));
-                }
+            if let Some(done) = self.complete()? {
+                return Ok(done);
             }
+            let ready = &self.resp_ready;
+            self.resp_bell.wait(|| !ready.is_empty());
         }
     }
 
@@ -659,5 +707,160 @@ mod tests {
             first == 1 || second == 1,
             "light guest served within two picks, got {first} then {second}"
         );
+    }
+
+    const WRITE_BASE: u64 = 0x10_000;
+
+    /// One reusable grant letting `guest` write up to `max_len` bytes.
+    fn write_window(engine: &mut dyn MultiEngine, guest: u32, max_len: u64) -> GrantRef {
+        let addr = GuestVirtAddr::new(WRITE_BASE);
+        let window = MemOpGrant::CopyFromGuest { addr, len: max_len };
+        engine.grants().declare(guest, vec![window]).expect("declare")
+    }
+
+    /// A write of `len` bytes under `grant`. `ScriptedService` answers a
+    /// write with `Value(len)`, so the length names the op in its
+    /// completion.
+    fn write_frame(guest: u32, grant: GrantRef, len: u64) -> Vec<u8> {
+        WireRequest {
+            task: u64::from(guest) + 1,
+            pt_root: GuestPhysAddr::new(0x4000),
+            handle: 1,
+            span: 0,
+            grant: Some(grant),
+            op: WireOp::Write { addr: GuestVirtAddr::new(WRITE_BASE), len },
+        }
+        .encode()
+    }
+
+    /// Takes one completion for one of `guests` and checks it is that
+    /// guest's next op in submission order (op `k` wrote `k + 1` bytes).
+    fn take_in_fifo_order(engine: &mut dyn MultiEngine, guests: &[u32], completed: &mut [u64]) {
+        let (guest, frame) = engine.complete_blocking().expect("complete");
+        let slot = guests.iter().position(|&g| g == guest).expect("a submitting guest");
+        completed[slot] += 1;
+        assert_eq!(
+            WireResponse::decode(&frame).expect("decodes"),
+            WireResponse::Value(completed[slot] as i64),
+            "guest {guest}: completions left submission order"
+        );
+    }
+
+    /// (a) Guests that merely exist change nothing: three active guests
+    /// among a thousand complete every op, each in its own submission
+    /// order.
+    #[test]
+    fn three_active_guests_among_a_thousand_complete_in_fifo_order() {
+        const ACTIVE: [u32; 3] = [0, 499, 999];
+        const ROUNDS: u64 = 40;
+        let (service, served) = ScriptedService::new();
+        let mut engine = build_multi(EngineKind::Wall, service, 1_000, SchedPolicy::FairShare);
+        let windows = ACTIVE.map(|guest| write_window(engine.as_mut(), guest, ROUNDS));
+        let mut completed = [0u64; 3];
+        for round in 0..ROUNDS {
+            for (&guest, &window) in ACTIVE.iter().zip(&windows) {
+                let frame = write_frame(guest, window, round + 1);
+                while let Err(error) = engine.submit(guest, &frame) {
+                    assert_eq!(error, EngineError::Backpressure);
+                    take_in_fifo_order(engine.as_mut(), &ACTIVE, &mut completed);
+                }
+            }
+        }
+        while completed.iter().sum::<u64>() < 3 * ROUNDS {
+            take_in_fifo_order(engine.as_mut(), &ACTIVE, &mut completed);
+        }
+        assert_eq!(completed, [ROUNDS; 3], "every op completes, none invented");
+        assert!(matches!(engine.complete(), Ok(None)));
+        assert_eq!(*served.lock().expect("counter"), 3 * ROUNDS);
+        engine.finish();
+    }
+
+    /// (b) Repeated publications to one guest: drained dry and re-submitted
+    /// 10 000 times on real threads, it is served every time — each round
+    /// is a fresh empty→non-empty edge racing the backend's park.
+    #[test]
+    fn a_guest_drained_and_resubmitted_ten_thousand_times_is_always_served() {
+        let (service, served) = ScriptedService::new();
+        let mut engine = build_multi(EngineKind::Wall, service, 3, SchedPolicy::FairShare);
+        let window = write_window(engine.as_mut(), 1, 10_000);
+        let mut completed = [0u64; 1];
+        for round in 0..10_000u64 {
+            engine
+                .submit(1, &write_frame(1, window, round + 1))
+                .expect("an empty queue accepts");
+            take_in_fifo_order(engine.as_mut(), &[1], &mut completed);
+            assert!(matches!(engine.complete(), Ok(None)), "drained dry");
+        }
+        assert_eq!(*served.lock().expect("counter"), 10_000);
+        engine.finish();
+    }
+
+    /// (c) Completions rotate over ready guests: with sixteen responses
+    /// waiting for guest 0 and one for guest 1, guest 1's is one of the
+    /// first two taken, whatever order the backend served them in.
+    #[test]
+    fn a_light_guests_completion_is_not_behind_its_neighbours_backlog() {
+        let (service, served) = ScriptedService::new();
+        let mut engine = MultiWallEngine::new(service, 2, SchedPolicy::FairShare);
+        let heavy = write_window(&mut engine, 0, MULTI_QUEUE_CAP as u64);
+        for len in 1..=MULTI_QUEUE_CAP as u64 {
+            engine.submit(0, &write_frame(0, heavy, len)).expect("below the cap");
+        }
+        let light = write_window(&mut engine, 1, 1);
+        engine.submit(1, &write_frame(1, light, 1)).expect("submit light");
+        // All seventeen served, then all seventeen announced: only then
+        // does the first `complete()` see the whole picture.
+        let all = MULTI_QUEUE_CAP as u64 + 1;
+        while *served.lock().expect("counter") < all || engine.resp_ready.len() < all as usize {
+            std::thread::yield_now();
+        }
+        let (first, _) = engine.complete().expect("alive").expect("announced");
+        let (second, _) = engine.complete().expect("alive").expect("announced");
+        assert!(
+            first == 1 || second == 1,
+            "light guest completed within two takes, got {first} then {second}"
+        );
+        let mut rest = 0;
+        while engine.complete().expect("alive").is_some() {
+            rest += 1;
+        }
+        assert_eq!(rest, MULTI_QUEUE_CAP - 1, "every other completion follows");
+    }
+
+    /// (d) A ready id is hostile input. The drain helper ignores one
+    /// outside the guest population; the backend drops one whose ring
+    /// turns out empty; neither disturbs the ops around it.
+    #[test]
+    fn out_of_range_and_spurious_ready_ids_are_ignored() {
+        let ready = IdRing::with_capacity(8);
+        for id in [1, 7, u32::MAX, 0, 1] {
+            ready.try_push(id).expect("room");
+        }
+        let mut pending = [0u32; 2];
+        let mut became_ready = Vec::new();
+        drain_ready(&ready, &mut pending, |guest| became_ready.push(guest));
+        assert_eq!(pending, [1, 2]);
+        assert_eq!(became_ready, [1, 0], "each guest reported once, on leaving zero");
+        assert!(ready.is_empty());
+
+        let (service, served) = ScriptedService::new();
+        let mut engine = MultiWallEngine::new(service, 2, SchedPolicy::FairShare);
+        // This thread is the request ready ring's one producer.
+        publish_ready(&engine.req_ready, 9, &engine.req_bell);
+        publish_ready(&engine.req_ready, 1, &engine.req_bell);
+        let windows = [0, 1].map(|guest| write_window(&mut engine, guest, 4));
+        let mut completed = [0u64; 2];
+        for round in 0..4u64 {
+            for guest in [0, 1] {
+                let frame = write_frame(guest, windows[guest as usize], round + 1);
+                engine.submit(guest, &frame).expect("submit");
+                publish_ready(&engine.req_ready, guest, &engine.req_bell); // one too many
+            }
+            take_in_fifo_order(&mut engine, &[0, 1], &mut completed);
+            take_in_fifo_order(&mut engine, &[0, 1], &mut completed);
+        }
+        assert_eq!(completed, [4, 4]);
+        assert!(matches!(engine.complete(), Ok(None)));
+        assert_eq!(*served.lock().expect("counter"), 8, "no id was served as an op");
     }
 }

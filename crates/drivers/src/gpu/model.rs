@@ -82,10 +82,11 @@ struct Job {
 }
 
 impl Job {
-    /// The [`FairSched`] id this job is charged to: its guest, or one
-    /// reserved id no guest VM carries for owner-less jobs.
+    /// The [`FairSched`] id this job is charged to. The scheduler keeps
+    /// its accounting dense by id, so owner-less jobs take id 0 and guest
+    /// `g` takes `g + 1` — compact, and no guest VM shares the host's id.
     fn sched_id(&self) -> u32 {
-        self.owner.unwrap_or(u32::MAX)
+        self.owner.map_or(0, |guest| guest + 1)
     }
 }
 

@@ -34,17 +34,6 @@ pub const fn to_std(order: MemOrder) -> Ordering {
     }
 }
 
-/// The strongest failure ordering a compare-exchange at `order` may
-/// carry: a failed exchange is a load, so it cannot release.
-#[inline(always)]
-pub const fn failure_of(order: MemOrder) -> Ordering {
-    match order {
-        MemOrder::Relaxed | MemOrder::Release => Ordering::Relaxed,
-        MemOrder::Acquire | MemOrder::AcqRel => Ordering::Acquire,
-        MemOrder::SeqCst => Ordering::SeqCst,
-    }
-}
-
 /// Every atomic site declared by the wall-clock substrate, aggregated
 /// for the lint (`paradice-lint`) and the interleaving checker
 /// (`paradice-verify`).
@@ -143,30 +132,6 @@ impl AtomicU32 {
     pub fn fetch_add(&self, value: u32, access: &'static Access) -> u32 {
         record(access);
         self.0.fetch_add(value, to_std(access.ordering))
-    }
-
-    /// Compare-exchange with `access.ordering` on success and the
-    /// strongest failure ordering that ordering permits
-    /// ([`failure_of`]). Returns `Ok(previous)` on success, `Err` with
-    /// the observed value on mismatch.
-    ///
-    /// # Errors
-    ///
-    /// The value actually held when it differed from `current`.
-    #[inline(always)]
-    pub fn compare_exchange(
-        &self,
-        current: u32,
-        new: u32,
-        access: &'static Access,
-    ) -> Result<u32, u32> {
-        record(access);
-        self.0.compare_exchange(
-            current,
-            new,
-            to_std(access.ordering),
-            failure_of(access.ordering),
-        )
     }
 }
 
@@ -297,18 +262,6 @@ mod tests {
         assert!(sites.iter().any(|s| s.module == "hypervisor::aring"));
         assert!(sites.iter().any(|s| s.module == "hypervisor::shards"));
         assert!(sites.iter().all(|s| !s.accesses.is_empty()));
-    }
-
-    #[test]
-    fn compare_exchange_reports_the_observed_value() {
-        static PROBE_CAS: Access =
-            Access::new("probe-cas", AccessKind::Rmw, MemOrder::AcqRel, Edge::Reservation);
-        static PROBE_CAS_CHECK: Access =
-            Access::new("probe-cas-check", AccessKind::Load, MemOrder::Acquire, Edge::Observe);
-        let word = AtomicU32::new(5);
-        assert_eq!(word.compare_exchange(5, 6, &PROBE_CAS), Ok(5));
-        assert_eq!(word.compare_exchange(5, 7, &PROBE_CAS), Err(6));
-        assert_eq!(word.load(&PROBE_CAS_CHECK), 6);
     }
 
     #[test]

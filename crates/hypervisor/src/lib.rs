@@ -63,7 +63,7 @@ pub mod vm;
 /// interior mutability with strictly transient borrows.
 pub type SharedHypervisor = std::rc::Rc<std::cell::RefCell<hv::Hypervisor>>;
 
-pub use aring::{ARingError, AtomicRing, Doorbell, ARING_CAPACITY, ARING_SLOT_BYTES};
+pub use aring::{ARingError, AtomicRing, Doorbell, IdRing, ARING_CAPACITY, ARING_SLOT_BYTES};
 pub use audit::{AuditEvent, AuditLog, BlockedBy};
 pub use channel::{Channel, ChannelError, ChannelStats, TransportMode, WireCodec};
 pub use clock::{ms, us, Clock, ClockSource, CostModel, SimClock, WallClock};

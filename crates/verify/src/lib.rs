@@ -27,6 +27,7 @@
 //! | `race-ring`         | exhaustive store-buffer interleaving: no torn slot read |
 //! | `race-doorbell`     | exhaustive store-buffer interleaving: no lost wakeup |
 //! | `race-shards`       | exhaustive store-buffer interleaving: no freed-snapshot read |
+//! | `race-ready`        | exhaustive store-buffer interleaving: a consumed ready id always finds its frame |
 //! | `jit-snapshot`      | exhaustive ≤ 3-fetch overlap scripts vs a per-byte first-read-wins model |
 //!
 //! The exploration engine is the analyzer's own dataflow machinery
@@ -53,7 +54,7 @@ use fixture::Fixture;
 use report::{Mutant, PropertyReport};
 
 /// Every property, in the order `--all` runs them.
-pub const PROPERTIES: [&str; 14] = [
+pub const PROPERTIES: [&str; 15] = [
     "grant-soundness",
     "grant-batch",
     "grant-revocation",
@@ -67,6 +68,7 @@ pub const PROPERTIES: [&str; 14] = [
     "race-ring",
     "race-doorbell",
     "race-shards",
+    "race-ready",
     "jit-snapshot",
 ];
 
@@ -88,6 +90,7 @@ pub fn run_property(name: &str, mutant: Option<Mutant>) -> Option<PropertyReport
         "race-ring" => race::check_ring(mutant),
         "race-doorbell" => race::check_doorbell(mutant),
         "race-shards" => race::check_shards(mutant),
+        "race-ready" => race::check_ready(mutant),
         "jit-snapshot" => jit::check_snapshot(mutant),
         _ => return None,
     };

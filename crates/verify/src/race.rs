@@ -8,7 +8,7 @@
 //! under specific memory orderings, and `cargo test` on one x86 box cannot
 //! distinguish "correct" from "x86's strong model happened to save us".
 //! This module explores *every* schedule of small 2-thread instances of the
-//! three protocols under a weak-memory interpreter, loom-style but
+//! four protocols under a weak-memory interpreter, loom-style but
 //! dependency-free, reusing the analyzer's
 //! [`TransitionSystem`] BFS — the same engine as the ring and cache models.
 //!
@@ -43,18 +43,20 @@
 //! | `race-ring`     | 2-slot ring, 3 pushes racing 3 pops: no torn payload read, FIFO identity, plus a value-level crosscheck of the real [`AtomicRing`] |
 //! | `race-doorbell` | one empty→non-empty publication racing a consumer park: no terminal state with the consumer asleep, work published, and no wakeup pending |
 //! | `race-shards`   | writer retiring snapshots past the cap racing a reader's enter/scan/exit: the reader never scans a reclaimed snapshot |
+//! | `race-ready`    | frame push → ready-id publish racing ready-id consume → frame pop, 2 guests, one of them published twice: every consumed id finds its frame, every published id is consumed once, in order |
 //!
 //! Disproofs surface as `VP005` diagnostics and replayable fixtures; the
 //! seeded ordering mutants (`aring-publish-relaxed`,
 //! `aring-consume-no-acquire`, `doorbell-check-before-publish`,
-//! `shard-retire-unfenced`) are this checker's own regression suite.
+//! `shard-retire-unfenced`, `ready-publish-before-frame`) are this
+//! checker's own regression suite.
 //! Bounds are exhaustive for these instances (every run asserts
 //! `!truncated`); DESIGN.md §14 records the model and its limits.
 
 use paradice_analyzer::dataflow::reach::{explore, Bounds, TransitionSystem};
 use paradice_analyzer::lint::{DiagCode, Diagnostic};
 use paradice_analyzer::race::MemOrder;
-use paradice_hypervisor::{AtomicRing, ARING_CAPACITY};
+use paradice_hypervisor::{ARingError, AtomicRing, IdRing, ARING_CAPACITY};
 
 use crate::fixture::Fixture;
 use crate::report::{Mutant, PropertyReport};
@@ -457,25 +459,31 @@ impl TransitionSystem for RaceRingModel {
     }
 }
 
-/// Single-threaded value-level crosscheck: drives the real [`AtomicRing`]
-/// through every push/pop sequence of length 8 against a shadow FIFO, so
-/// the interleaving model cannot silently drift from the code it vouches
-/// for. Returns the number of operations checked.
-fn crosscheck_real_ring() -> Result<usize, String> {
+/// Single-threaded value-level crosscheck of one ring geometry: drives
+/// the real ring through every push/pop sequence of length 8 against a
+/// shadow FIFO. Returns the number of operations checked.
+fn crosscheck_geometry<R, T: PartialEq + std::fmt::Debug>(
+    capacity: usize,
+    make: impl Fn() -> R,
+    push: impl Fn(&R, &T) -> Result<bool, ARingError>,
+    pop: impl Fn(&R) -> Option<T>,
+    len: impl Fn(&R) -> usize,
+    payload: impl Fn(u8, u8) -> T,
+) -> Result<usize, String> {
     let steps = 8u32;
     let mut ops = 0usize;
     for sequence in 0u32..(1 << steps) {
-        let ring = AtomicRing::new();
-        let mut shadow: std::collections::VecDeque<Vec<u8>> = std::collections::VecDeque::new();
+        let ring = make();
+        let mut shadow: std::collections::VecDeque<T> = std::collections::VecDeque::new();
         let mut stamp = 0u8;
         for bit in 0..steps {
             ops += 1;
             if sequence >> bit & 1 == 0 {
                 stamp = stamp.wrapping_add(1);
-                let frame = vec![stamp, bit as u8, 0x5a];
-                let expect_room = shadow.len() < ARING_CAPACITY;
+                let item = payload(stamp, bit as u8);
+                let expect_room = shadow.len() < capacity;
                 let expect_edge = shadow.is_empty();
-                match ring.try_push(&frame) {
+                match push(&ring, &item) {
                     Ok(edge) => {
                         if !expect_room {
                             return Err("real ring admitted a push past capacity".into());
@@ -486,7 +494,7 @@ fn crosscheck_real_ring() -> Result<usize, String> {
                                 if expect_edge { "sleeping" } else { "busy" },
                             ));
                         }
-                        shadow.push_back(frame);
+                        shadow.push_back(item);
                     }
                     Err(err) => {
                         if expect_room {
@@ -495,17 +503,17 @@ fn crosscheck_real_ring() -> Result<usize, String> {
                     }
                 }
             } else {
-                match (ring.try_pop(), shadow.pop_front()) {
-                    (Some(frame), Some(expect)) => {
-                        if frame != expect {
+                match (pop(&ring), shadow.pop_front()) {
+                    (Some(item), Some(expect)) => {
+                        if item != expect {
                             return Err(format!(
-                                "real ring broke FIFO payload identity: got {frame:?}, \
+                                "real ring broke FIFO payload identity: got {item:?}, \
                                  expected {expect:?}"
                             ));
                         }
                     }
-                    (Some(frame), None) => {
-                        return Err(format!("real ring popped {frame:?} from an empty ring"));
+                    (Some(item), None) => {
+                        return Err(format!("real ring popped {item:?} from an empty ring"));
                     }
                     (None, Some(expect)) => {
                         return Err(format!("real ring refused to pop committed {expect:?}"));
@@ -513,10 +521,10 @@ fn crosscheck_real_ring() -> Result<usize, String> {
                     (None, None) => {}
                 }
             }
-            if ring.len() != shadow.len() {
+            if len(&ring) != shadow.len() {
                 return Err(format!(
                     "real ring len {} != shadow len {}",
-                    ring.len(),
+                    len(&ring),
                     shadow.len(),
                 ));
             }
@@ -525,14 +533,39 @@ fn crosscheck_real_ring() -> Result<usize, String> {
     Ok(ops)
 }
 
+/// The crosscheck over both geometries of the shipped kernel — the
+/// 16 × 240-B frame ring and the id (ready) ring at the model's own
+/// 2-slot capacity — so the interleaving model cannot silently drift
+/// from the code it vouches for.
+fn crosscheck_real_ring() -> Result<usize, String> {
+    let frames = crosscheck_geometry(
+        ARING_CAPACITY,
+        AtomicRing::new,
+        |ring, frame: &Vec<u8>| ring.try_push(frame),
+        AtomicRing::try_pop,
+        AtomicRing::len,
+        |stamp, bit| vec![stamp, bit, 0x5a],
+    )?;
+    let ids = crosscheck_geometry(
+        RING_SLOTS as usize,
+        || IdRing::with_capacity(RING_SLOTS as usize),
+        |ring, id: &u32| ring.try_push(*id),
+        IdRing::try_pop,
+        IdRing::len,
+        |stamp, bit| u32::from(stamp) << 8 | u32::from(bit),
+    )
+    .map_err(|reason| format!("id-ring geometry: {reason}"))?;
+    Ok(frames + ids)
+}
+
 /// `race-ring`: every schedule (including buffer-drain timings) of 3
 /// pushes racing 3 pops through the 2-slot model instance, with the
 /// orderings the shipped `aring` site table declares; plus the value-level
-/// crosscheck of the real [`AtomicRing`].
+/// crosscheck of the real [`AtomicRing`] and [`IdRing`].
 pub fn check_ring(mutant: Option<Mutant>) -> PropertyReport {
     const DESC: &str = "atomic ring under every 2-thread schedule and store-buffer drain \
          timing: no torn payload read, FIFO identity, full slot-recycle turn \
-         (orderings read from the shipped aring site table; real-ring crosscheck)";
+         (orderings read from the shipped aring site table; real-ring crosscheck, both geometries)";
     let model = RaceRingModel::new(RingOrders::shipped(mutant));
     let mut report = check_system("race-ring", DESC, "hypervisor::aring", &model, mutant);
     if report.proved {
@@ -975,6 +1008,261 @@ pub fn check_shards(mutant: Option<Mutant>) -> PropertyReport {
     check_system("race-shards", DESC, "hypervisor::shards", &model, mutant)
 }
 
+// --- race-ready: frame push → ready-id publish vs id consume → frame pop. ---
+
+/// The guest each ready publication names, in publication order: two
+/// guests, guest 0 published *twice* — the repeated publication a
+/// one-shot model cannot see.
+const READY_SCRIPT: [u32; 3] = [0, 1, 0];
+const READY_GUESTS: usize = 2;
+/// Frames per guest ring in the model (no guest is published more often,
+/// so slots never wrap — `race-ring` owns the recycle turn).
+const READY_FRAME_SLOTS: usize = 2;
+
+/// Memory layout: per-guest frame rings' `SEQ` then `DATA`, then the id
+/// ring's `SEQ` then `DATA`. Slot `k` starts at `SEQ = k` as in the real
+/// rings and is published by storing `k + 1`.
+fn frame_seq_loc(guest: u32, k: u32) -> usize {
+    guest as usize * READY_FRAME_SLOTS + k as usize
+}
+fn frame_data_loc(guest: u32, k: u32) -> usize {
+    READY_GUESTS * READY_FRAME_SLOTS + frame_seq_loc(guest, k)
+}
+fn id_seq_loc(j: usize) -> usize {
+    2 * READY_GUESTS * READY_FRAME_SLOTS + j
+}
+fn id_data_loc(j: usize) -> usize {
+    id_seq_loc(j) + READY_SCRIPT.len()
+}
+
+/// Which of its guest's frames publication `j` is (0-based).
+fn frame_index(j: usize) -> u32 {
+    READY_SCRIPT[..j].iter().filter(|&&g| g == READY_SCRIPT[j]).count() as u32
+}
+
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct RaceReadyState {
+    mem: Mem,
+    /// Producer: publication `p_j`, step `p_pc` of its four stores.
+    p_j: usize,
+    p_pc: u8,
+    /// Consumer: consumption `c_j`; 0 = id gate, 1 = id read, 2 = frame
+    /// gate, 3 = frame read.
+    c_j: usize,
+    c_pc: u8,
+    /// The guest id read at step 1, held for steps 2–3.
+    c_guest: u32,
+    /// Frames popped so far per guest.
+    heads: [u32; READY_GUESTS],
+    /// Each guest's head frame-`SEQ` word as read *before* the id gate
+    /// (load-load hoisting, only offered when the gate is weaker than
+    /// `Acquire`).
+    hoisted: Option<[u32; READY_GUESTS]>,
+    error: Option<String>,
+}
+
+struct RaceReadyModel {
+    orders: RingOrders,
+    /// [`Mutant::ReadyPublishBeforeFrame`]: the producer publishes the
+    /// guest's id *ahead of* the frame it announces.
+    id_first: bool,
+}
+
+impl RaceReadyModel {
+    fn new(mutant: Option<Mutant>) -> RaceReadyModel {
+        RaceReadyModel {
+            orders: RingOrders::shipped(mutant),
+            id_first: mutant == Some(Mutant::ReadyPublishBeforeFrame),
+        }
+    }
+
+    fn program_successors(&self, s: &RaceReadyState) -> Vec<(String, RaceReadyState)> {
+        let mut out = Vec::new();
+        // Producer (thread 0): MultiWallEngine::submit — AtomicRing::try_push
+        // of the frame (payload, then SEQ), then IdRing::try_push of the
+        // guest's id (payload, then SEQ). The mutant swaps the two pushes.
+        if s.p_j < READY_SCRIPT.len() {
+            let guest = READY_SCRIPT[s.p_j];
+            let k = frame_index(s.p_j);
+            let step = if self.id_first { (s.p_pc + 2) % 4 } else { s.p_pc };
+            let mut n = s.clone();
+            let label = match step {
+                0 => {
+                    let value = s.p_j as u32 + 1;
+                    n.mem
+                        .store(0, frame_data_loc(guest, k), value, self.orders.payload_write);
+                    "P:write-frame"
+                }
+                1 => {
+                    n.mem
+                        .store(0, frame_seq_loc(guest, k), k + 1, self.orders.publish);
+                    "P:publish-frame"
+                }
+                2 => {
+                    n.mem
+                        .store(0, id_data_loc(s.p_j), guest + 1, self.orders.payload_write);
+                    "P:write-id"
+                }
+                _ => {
+                    n.mem
+                        .store(0, id_seq_loc(s.p_j), s.p_j as u32 + 1, self.orders.publish);
+                    "P:publish-id"
+                }
+            };
+            n.p_pc += 1;
+            if n.p_pc == 4 {
+                n.p_pc = 0;
+                n.p_j += 1;
+            }
+            out.push((label.into(), n));
+        }
+        // Consumer (thread 1): the backend loop — IdRing::try_pop (gate on
+        // SEQ, read the id), then AtomicRing::try_pop on that guest's ring
+        // (gate on SEQ, read the frame).
+        if s.c_j < READY_SCRIPT.len() {
+            let mut n = s.clone();
+            match s.c_pc {
+                0 => {
+                    if !self.orders.consume.at_least_acquire() && s.hoisted.is_none() {
+                        let mut h = s.clone();
+                        h.hoisted = Some(std::array::from_fn(|g| {
+                            s.mem.load(1, frame_seq_loc(g as u32, s.heads[g]))
+                        }));
+                        out.push(("C:hoist".into(), h));
+                    }
+                    if s.mem.load(1, id_seq_loc(s.c_j)) == s.c_j as u32 + 1 {
+                        n.c_pc = 1;
+                        out.push(("C:gate-id".into(), n));
+                    } // else: nothing announced yet — the consumer waits
+                }
+                1 => {
+                    let id = s.mem.load(1, id_data_loc(s.c_j));
+                    if id == READY_SCRIPT[s.c_j] + 1 {
+                        n.c_guest = id - 1;
+                        n.c_pc = 2;
+                    } else {
+                        n.error = Some(format!(
+                            "ready id {} consumed out of order or torn: read {id}, \
+                             publication {} named guest {}",
+                            s.c_j, s.c_j, READY_SCRIPT[s.c_j],
+                        ));
+                    }
+                    out.push(("C:read-id".into(), n));
+                }
+                2 => {
+                    let guest = s.c_guest;
+                    let head = s.heads[guest as usize];
+                    let seq = match n.hoisted.take() {
+                        Some(stale) => stale[guest as usize],
+                        None => s.mem.load(1, frame_seq_loc(guest, head)),
+                    };
+                    if seq == head + 1 {
+                        n.c_pc = 3;
+                    } else {
+                        n.error = Some(format!(
+                            "pick of an empty ring: ready id {} named guest {guest} but its \
+                             frame {head} is not published (the engine drops the claim and \
+                             the op is never served)",
+                            s.c_j,
+                        ));
+                    }
+                    out.push(("C:gate-frame".into(), n));
+                }
+                _ => {
+                    let guest = s.c_guest;
+                    let head = s.heads[guest as usize];
+                    let value = s.mem.load(1, frame_data_loc(guest, head));
+                    if value == s.c_j as u32 + 1 {
+                        n.heads[guest as usize] += 1;
+                        n.c_pc = 0;
+                        n.c_j += 1;
+                    } else {
+                        n.error = Some(format!(
+                            "torn frame read: consumption {} of guest {guest} observed \
+                             payload {value}, expected {}",
+                            s.c_j,
+                            s.c_j + 1,
+                        ));
+                    }
+                    out.push(("C:read-frame".into(), n));
+                }
+            }
+        }
+        out
+    }
+}
+
+impl TransitionSystem for RaceReadyModel {
+    type State = RaceReadyState;
+
+    fn initial(&self) -> Vec<RaceReadyState> {
+        let mut shared = vec![0; id_data_loc(READY_SCRIPT.len())];
+        for guest in 0..READY_GUESTS as u32 {
+            for k in 0..READY_FRAME_SLOTS as u32 {
+                shared[frame_seq_loc(guest, k)] = k;
+            }
+        }
+        for j in 0..READY_SCRIPT.len() {
+            shared[id_seq_loc(j)] = j as u32;
+        }
+        vec![RaceReadyState {
+            mem: Mem::new(shared),
+            p_j: 0,
+            p_pc: 0,
+            c_j: 0,
+            c_pc: 0,
+            c_guest: 0,
+            heads: [0; READY_GUESTS],
+            hoisted: None,
+            error: None,
+        }]
+    }
+
+    fn successors(&self, state: &RaceReadyState) -> Vec<(String, RaceReadyState)> {
+        if state.error.is_some() {
+            return Vec::new();
+        }
+        let mut out = self.program_successors(state);
+        out.extend(drain_successors(&state.mem, |mem| {
+            let mut next = state.clone();
+            next.mem = mem;
+            next
+        }));
+        let done = state.p_j == READY_SCRIPT.len() && state.c_j == READY_SCRIPT.len();
+        if out.is_empty() && !(done && state.mem.drained()) {
+            let mut next = state.clone();
+            next.error = Some(format!(
+                "ready guest never picked: consumer waits on ready id {} with {} published \
+                 and nothing enabled",
+                state.c_j, state.p_j,
+            ));
+            out.push(("stuck".into(), next));
+        }
+        out
+    }
+
+    fn invariant(&self, state: &RaceReadyState) -> Result<(), String> {
+        match &state.error {
+            Some(error) => Err(error.clone()),
+            None => Ok(()),
+        }
+    }
+}
+
+/// `race-ready`: the ready-ring composition under every schedule and
+/// drain timing — three publications (guest 0, guest 1, guest 0 again),
+/// each a frame push followed by an id push, racing a consumer that pops
+/// an id and then that guest's frame. Proved iff every consumed id finds
+/// its frame and every published id is consumed exactly once, in order.
+pub fn check_ready(mutant: Option<Mutant>) -> PropertyReport {
+    const DESC: &str = "ready ring under every 2-thread schedule and store-buffer drain timing: \
+         frame push → id publish vs id consume → frame pop, 2 guests, repeated \
+         publication to one — no pick of an empty ring, every published id consumed \
+         once in order (orderings read from the shipped aring site table)";
+    let model = RaceReadyModel::new(mutant);
+    check_system("race-ready", DESC, "hypervisor::aring", &model, mutant)
+}
+
 /// Replays a race fixture: re-runs the recorded trace through the model
 /// configured by `mutant`.
 ///
@@ -993,6 +1281,7 @@ pub fn replay(fixture: &Fixture, mutant: Option<Mutant>) -> Result<(), String> {
             &RaceShardModel::new(ShardConfig::shipped(mutant)),
             &fixture.trace,
         ),
+        "race-ready" => replay_system(&RaceReadyModel::new(mutant), &fixture.trace),
         other => Err(format!("unknown race property {other:?}")),
     }
 }
@@ -1003,7 +1292,8 @@ mod tests {
 
     #[test]
     fn all_three_race_properties_prove_on_the_shipped_orderings() {
-        for report in [check_ring(None), check_doorbell(None), check_shards(None)] {
+        let reports = [check_ring(None), check_doorbell(None), check_shards(None), check_ready(None)];
+        for report in reports {
             assert!(
                 report.proved,
                 "{} disproved on shipped orderings: {:?}",
@@ -1016,11 +1306,15 @@ mod tests {
     #[test]
     fn each_ordering_mutant_is_disproved_with_a_replayable_fixture() {
         type Check = fn(Option<Mutant>) -> PropertyReport;
-        let cases: [(Mutant, Check); 4] = [
+        let cases: [(Mutant, Check); 7] = [
             (Mutant::AringPublishRelaxed, check_ring),
             (Mutant::AringConsumeNoAcquire, check_ring),
             (Mutant::DoorbellCheckBeforePublish, check_doorbell),
             (Mutant::ShardRetireUnfenced, check_shards),
+            (Mutant::ReadyPublishBeforeFrame, check_ready),
+            // The composition leans on the same two orderings as the ring.
+            (Mutant::AringPublishRelaxed, check_ready),
+            (Mutant::AringConsumeNoAcquire, check_ready),
         ];
         for (mutant, check) in cases {
             let report = check(Some(mutant));
@@ -1101,7 +1395,7 @@ mod tests {
 
     #[test]
     fn crosscheck_covers_the_real_ring() {
-        let ops = crosscheck_real_ring().expect("real ring agrees with the model");
-        assert_eq!(ops, 256 * 8);
+        let ops = crosscheck_real_ring().expect("real rings agree with the model");
+        assert_eq!(ops, 2 * 256 * 8, "frame geometry and id geometry");
     }
 }

@@ -53,11 +53,15 @@ pub enum Mutant {
     /// fetch of bytes that already fed grant derivation believes whatever
     /// the process has put there since.
     JitRefetchUnsnapshotted,
+    /// The ready-ring producer publishes a guest's id *before* pushing the
+    /// frame it announces: a consumer that takes the id finds the guest's
+    /// ring empty and drops the claim, and the frame is never served.
+    ReadyPublishBeforeFrame,
 }
 
 impl Mutant {
     /// Every seeded mutant, for `--list` and the check.sh gate.
-    pub const ALL: [Mutant; 13] = [
+    pub const ALL: [Mutant; 14] = [
         Mutant::RingWindowOffByOne,
         Mutant::GrantCoverOffByOne,
         Mutant::CacheEvictInflight,
@@ -71,6 +75,7 @@ impl Mutant {
         Mutant::DoorbellCheckBeforePublish,
         Mutant::ShardRetireUnfenced,
         Mutant::JitRefetchUnsnapshotted,
+        Mutant::ReadyPublishBeforeFrame,
     ];
 
     /// The CLI/fixture name.
@@ -89,6 +94,7 @@ impl Mutant {
             Mutant::DoorbellCheckBeforePublish => "doorbell-check-before-publish",
             Mutant::ShardRetireUnfenced => "shard-retire-unfenced",
             Mutant::JitRefetchUnsnapshotted => "jit-refetch-unsnapshotted",
+            Mutant::ReadyPublishBeforeFrame => "ready-publish-before-frame",
         }
     }
 

@@ -56,6 +56,35 @@ grep -q 'pub static ATOMIC_SITES: \[&SiteSpec; 2\]' crates/hypervisor/src/shards
     exit 1
 }
 
+echo "==> no-scan gate (the wall op path follows ready edges; the scheduler keeps no map)"
+# A wall-substrate op must not pay for guests that merely exist: the
+# backend loop and complete() learn which guest has work from the ready
+# rings and must not sweep every per-guest ring again, and FairSched keeps
+# consumed time in a dense Vec with a heap over ready guests only.
+if sed '/^#\[cfg(test)\]/,$d' crates/cvd/src/multi.rs \
+    | grep -nE 'rings\.iter\(\)|rings\.clone\(\)|guests\.iter\(\)|in 0\.\.self\.guests\.len\(\)'; then
+    echo "ERROR: crates/cvd/src/multi.rs iterates every guest's ring on the op path again" >&2
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/hypervisor/src/fairq.rs | grep -n 'BTreeMap'; then
+    echo "ERROR: crates/hypervisor/src/fairq.rs must keep per-guest accounting dense (no BTreeMap)" >&2
+    exit 1
+fi
+
+echo "==> no-stopwatch gate (no test under crates/ or tests/ takes an Instant or calls .elapsed())"
+# Timing thresholds live in the benchmark's gates, not in cargo test: a
+# test that takes no Instant cannot compare one. (Virtual-clock reads —
+# now_ns() on a SimClock or a Machine — are exact and stay.)
+STOPWATCHES="$(find crates tests -name '*.rs' | xargs awk '
+    FNR == 1 { in_test = (FILENAME ~ /(^|\/)tests\//) }
+    /#\[cfg\(test\)\]/ { in_test = 1 }
+    in_test && /Instant|\.elapsed\(\)/ { print FILENAME ":" FNR ": " $0 }')"
+if [ -n "$STOPWATCHES" ]; then
+    echo "$STOPWATCHES"
+    echo "ERROR: a test takes a wall-clock stopwatch; assert outcomes, not durations" >&2
+    exit 1
+fi
+
 echo "==> no-per-byte-JIT-state gate (the JIT pins fetched ranges, sized by the slice, not by user data)"
 # A CopyFromUser fetches min(len, extent) bytes and pins them as one range;
 # the per-byte map and the buffer sized by a user-supplied length must not
@@ -124,14 +153,14 @@ fi
 
 echo "==> cargo miri (optional UB/race interpreter; skipped when miri is absent)"
 if cargo miri --version >/dev/null 2>&1; then
-    # The stress loops assert wall-clock budgets that miri's slowdown would
-    # trip, so the interpreted run covers the shim and the protocol tests
-    # and skips the timed stress/churn/wakeup loops.
+    # The real-thread stress loops take minutes under miri's slowdown, so
+    # the interpreted run covers the shim and the protocol tests and skips
+    # the stress/churn/wakeup loops.
     cargo miri test -p paradice-hypervisor -- atomic:: aring:: shards:: \
         --skip wakeup --skip churn --skip stress --skip concurrent
 else
     echo "NOTICE: cargo miri not installed; skipping the interpreted run" \
-         "(the race-ring/doorbell/shards proofs above remain the required gate)"
+         "(the race-ring/doorbell/shards/ready proofs above remain the required gate)"
 fi
 
 echo "==> thread sanitizer (optional; needs nightly rustc with -Zsanitizer)"
@@ -139,7 +168,7 @@ if rustc --version | grep -q nightly; then
     RUSTFLAGS="-Zsanitizer=thread" cargo test -q -p paradice-hypervisor --tests
 else
     echo "NOTICE: stable rustc has no -Zsanitizer=thread; skipping TSan" \
-         "(the race-ring/doorbell/shards proofs above remain the required gate)"
+         "(the race-ring/doorbell/shards/ready proofs above remain the required gate)"
 fi
 
 echo "==> trace-replay gate (record reference workload, replay it)"
