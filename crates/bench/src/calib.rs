@@ -21,27 +21,8 @@ pub fn cost_model() -> CostModel {
     CostModel::default()
 }
 
-/// Paper-reported values for Figure 2 (netmap TX rate, Mpps, 64-byte
-/// packets), eyeballed from the published figure for shape comparison.
-/// Batches: 1, 4, 16, 64, 256.
+/// Batch sizes of Figure 2 (netmap TX rate, 64-byte packets).
 pub const PAPER_FIG2_BATCHES: [u32; 5] = [1, 4, 16, 64, 256];
-
-/// `(config name, rates in Mpps per batch)`.
-pub const PAPER_FIG2: [(&str, [f64; 5]); 5] = [
-    ("Native", [1.18, 1.20, 1.20, 1.20, 1.20]),
-    ("Device-Assign.", [1.17, 1.20, 1.20, 1.20, 1.20]),
-    ("Paradice", [0.03, 0.11, 0.42, 1.10, 1.20]),
-    ("Paradice(FL)", [0.03, 0.11, 0.41, 1.08, 1.20]),
-    ("Paradice(P)", [0.37, 1.18, 1.20, 1.20, 1.20]),
-];
-
-/// Paper Figure 3 (OpenGL microbenchmark FPS): VBO, VA, DL.
-pub const PAPER_FIG3: [(&str, [f64; 3]); 4] = [
-    ("Native", [172.0, 153.0, 121.0]),
-    ("Device-Assign.", [170.0, 151.0, 120.0]),
-    ("Paradice", [150.0, 135.0, 110.0]),
-    ("Paradice(P)", [169.0, 150.0, 119.0]),
-];
 
 /// Paper Figure 4 native FPS per game per resolution (the frame-cost
 /// calibration source). Resolutions: 800×600, 1024×768, 1280×1024,
@@ -56,9 +37,6 @@ pub const PAPER_FIG4_NATIVE: [(&str, [f64; 4]); 3] = [
 /// (log-scale figure; approximate).
 pub const PAPER_FIG5_ORDERS: [u32; 4] = [1, 100, 500, 1000];
 
-/// Native experiment times, seconds.
-pub const PAPER_FIG5_NATIVE: [f64; 4] = [0.16, 0.17, 1.4, 10.0];
-
 /// §6.1.5 mouse latencies, µs: native, assignment, Paradice, Paradice(P).
 pub const PAPER_MOUSE_US: [(&str, f64); 4] = [
     ("Native", 39.0),
@@ -66,12 +44,6 @@ pub const PAPER_MOUSE_US: [(&str, f64); 4] = [
     ("Paradice", 296.0),
     ("Paradice(P)", 179.0),
 ];
-
-/// §6.1.6: camera FPS at every resolution and configuration.
-pub const PAPER_CAMERA_FPS: f64 = 29.5;
-
-/// §6.1.1: no-op forwarding latencies, µs.
-pub const PAPER_NOOP_US: [(&str, f64); 2] = [("interrupts", 35.0), ("polling", 2.0)];
 
 /// §4.1: the analyzer's Radeon findings — nested-copy commands and
 /// generated extracted lines (the full ~50-command driver; ours is a

@@ -46,6 +46,20 @@ pub fn table1() -> Table {
     table
 }
 
+/// Code lines of one source file: non-blank, non-comment, up to its first
+/// `#[cfg(test)]` (unit tests are not part of what ships).
+fn count_file(path: &Path) -> u64 {
+    let Ok(content) = fs::read_to_string(path) else {
+        return 0;
+    };
+    content
+        .lines()
+        .map(str::trim)
+        .take_while(|l| !l.starts_with("#[cfg(test)]"))
+        .filter(|l| !l.is_empty() && !l.starts_with("//"))
+        .count() as u64
+}
+
 fn count_loc(dir: &Path) -> u64 {
     let mut total = 0u64;
     if let Ok(entries) = fs::read_dir(dir) {
@@ -54,24 +68,41 @@ fn count_loc(dir: &Path) -> u64 {
             if path.is_dir() {
                 total += count_loc(&path);
             } else if path.extension().is_some_and(|e| e == "rs") {
-                if let Ok(content) = fs::read_to_string(&path) {
-                    total += content
-                        .lines()
-                        .filter(|l| {
-                            let t = l.trim();
-                            !t.is_empty() && !t.starts_with("//")
-                        })
-                        .count() as u64;
-                }
+                total += count_file(&path);
             }
         }
     }
     total
 }
 
+/// The modules a guest's file operation crosses between the virtual device
+/// file and the hypervisor's memory operations: the class-agnostic CVD and
+/// the hypervisor API. These are the paper's rows for it (3 881 + 1 349
+/// lines).
+const PAPER_TRUSTED_PATH: [&str; 4] = [
+    "CVD frontend (Linux)",
+    "CVD backend",
+    "CVD shared",
+    "Paradice hypervisor API (Xen)",
+];
+
+/// Our modules answering to [`PAPER_TRUSTED_PATH`], `(crate, modules)`.
+const TRUSTED_PATH: [(&str, &[&str]); 2] = [
+    (
+        "cvd",
+        &["frontend", "backend", "proto", "memops", "cache", "info", "sharing"],
+    ),
+    (
+        "hypervisor",
+        &["channel", "ring", "grants", "shards", "hv", "regions", "audit", "vm"],
+    ),
+];
+
 /// Table 2: code inventory — the paper's component breakdown next to our
-/// per-crate line counts (counted live from the source tree, comments and
-/// blanks excluded, like the paper's CLOC usage).
+/// per-crate line counts (counted live from the source tree, comments,
+/// blanks and unit-test modules excluded, like the paper's CLOC usage), and
+/// the trusted path — the part of ours that answers to the paper's CVD +
+/// hypervisor API — beside the paper's figure for it.
 pub fn table2() -> Table {
     let mut table = Table::new(
         "table2",
@@ -88,6 +119,10 @@ pub fn table2() -> Table {
         "cvd",
         "core",
         "bench",
+        "verify",
+        "adversary",
+        "trace",
+        "faults",
     ]
     .iter()
     .map(|name| {
@@ -124,6 +159,25 @@ pub fn table2() -> Table {
         "".into(),
         "TOTAL".into(),
         Cell::Num(our_total as f64, 0),
+    ]);
+    let paper_trusted: u32 = paper
+        .iter()
+        .filter(|(name, _)| PAPER_TRUSTED_PATH.contains(name))
+        .map(|(_, l)| *l)
+        .sum();
+    let our_trusted: u64 = TRUSTED_PATH
+        .iter()
+        .flat_map(|(krate, modules)| {
+            let src = crates_dir.join(krate).join("src");
+            modules.iter().map(move |m| count_file(&src.join(format!("{m}.rs"))))
+        })
+        .sum();
+    table.row(vec![
+        "CVD + hypervisor API".into(),
+        Cell::Num(f64::from(paper_trusted), 0),
+        "".into(),
+        "trusted path (CVD + hypervisor API)".into(),
+        Cell::Num(our_trusted as f64, 0),
     ]);
     table
 }

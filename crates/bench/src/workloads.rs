@@ -104,9 +104,6 @@ pub fn game_frame_cost_us(game: &str, resolution_index: usize) -> u32 {
     (1e6 / native_fps) as u32
 }
 
-/// Figure 4's resolutions.
-pub const RESOLUTIONS: [&str; 4] = ["800x600", "1024x768", "1280x1024", "1680x1050"];
-
 // ---------------------------------------------------------------------
 // GPU compute (Figures 5 and 6)
 // ---------------------------------------------------------------------

@@ -8,7 +8,6 @@
 //! API — so the *same application code* runs natively, under device
 //! assignment, and in a Paradice guest.
 
-use paradice_devfs::ioc::IoctlCmd;
 use paradice_devfs::{Errno, PollEvents};
 use paradice_devfs::fileops::TaskId;
 use paradice_mem::{Access, GuestVirtAddr, PAGE_SIZE};
@@ -563,16 +562,6 @@ pub mod v4l {
             machine.ioctl(self.task, self.fd, VIDIOC_STREAMON, 0)?;
             Ok(())
         }
-
-        /// Stops streaming.
-        ///
-        /// # Errors
-        ///
-        /// Driver failures.
-        pub fn stream_off(&self, machine: &mut Machine) -> Result<(), Errno> {
-            machine.ioctl(self.task, self.fd, VIDIOC_STREAMOFF, 0)?;
-            Ok(())
-        }
     }
 }
 
@@ -787,25 +776,4 @@ pub mod netmap {
             machine.poll(self.task, self.fd)
         }
     }
-}
-
-/// Issues a no-op-ish file operation (a `poll`) and returns its round-trip
-/// virtual time — the §6.1.1 overhead microbenchmark.
-pub fn op_round_trip_ns(machine: &mut Machine, task: TaskId, fd: u64) -> Result<u64, Errno> {
-    let start = machine.now_ns();
-    machine.poll(task, fd)?;
-    Ok(machine.now_ns() - start)
-}
-
-/// Convenience: an ioctl round trip with a staged struct.
-pub fn ioctl_round_trip_ns(
-    machine: &mut Machine,
-    task: TaskId,
-    fd: u64,
-    cmd: IoctlCmd,
-    arg: u64,
-) -> Result<u64, Errno> {
-    let start = machine.now_ns();
-    machine.ioctl(task, fd, cmd, arg)?;
-    Ok(machine.now_ns() - start)
 }

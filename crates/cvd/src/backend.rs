@@ -26,7 +26,7 @@ use paradice_devfs::Errno;
 use paradice_drivers::env::KernelEnv;
 use paradice_faults::{FaultKind, FaultPlan};
 use paradice_hypervisor::audit::AuditEvent;
-use paradice_hypervisor::{ChannelError, FairSched, GrantRef, SharedHypervisor, VmId};
+use paradice_hypervisor::{ChannelError, GrantRef, SharedHypervisor, VmId};
 use paradice_mem::GuestVirtAddr;
 use paradice_trace::SpanId;
 
@@ -59,9 +59,8 @@ struct DeviceSlot {
 
 struct GuestState {
     channel: Rc<RefCell<CvdChannel>>,
-    /// Queued requests with their global arrival stamps (per-guest FIFO;
-    /// the fair-share drain interleaves *across* guests only).
-    queue: VecDeque<(u64, WireRequest)>,
+    /// Queued requests, per-guest FIFO.
+    queue: VecDeque<WireRequest>,
     cap: usize,
     /// This guest's open files: per-guest handle tables (ISSUE 10), so a
     /// neighbor's open/close churn never touches another guest's lookup
@@ -85,11 +84,6 @@ pub struct Backend {
     devices: BTreeMap<u32, DeviceSlot>,
     guests: BTreeMap<u32, GuestState>,
     task_origin: BTreeMap<u64, VmId>,
-    /// The cross-guest drain discipline (fair-share by default) and its
-    /// per-guest consumed-service-time accounting.
-    sched: FairSched,
-    /// Global arrival counter stamping queued requests.
-    arrivals: u64,
     terminals: Option<Rc<RefCell<VirtualTerminals>>>,
     /// When paused, requests queue without executing (lets tests exercise
     /// the DoS cap; in the live system the queue only backs up when the
@@ -131,8 +125,6 @@ impl Backend {
             devices: BTreeMap::new(),
             guests: BTreeMap::new(),
             task_origin: BTreeMap::new(),
-            sched: FairSched::default(),
-            arrivals: 0,
             terminals: None,
             paused: false,
             ops_executed: 0,
@@ -259,25 +251,6 @@ impl Backend {
         self.pending_wire_fault = None;
     }
 
-    /// Swaps the driver object (and its kernel environment) behind an
-    /// already-registered device: the recovery path re-instantiates drivers
-    /// in the rebooted driver VM without re-registering devfs paths.
-    ///
-    /// # Errors
-    ///
-    /// `ENODEV` for unknown devices.
-    pub fn replace_device_ops(
-        &mut self,
-        device: DeviceId,
-        ops: Rc<RefCell<dyn FileOps>>,
-        env: Rc<KernelEnv>,
-    ) -> Result<(), Errno> {
-        let slot = self.devices.get_mut(&device.0).ok_or(Errno::Enodev)?;
-        slot.ops = ops;
-        slot.env = env;
-        Ok(())
-    }
-
     /// Virtual time the last response was posted to a channel. The
     /// frontend watchdog compares its read time against this: a blocking
     /// operation may legitimately execute for longer than the deadline,
@@ -303,55 +276,52 @@ impl Backend {
     pub fn handle_request(&mut self, guest: VmId) -> Result<(), Errno> {
         let driver_dead = self.hv.borrow().driver_vm_failed(self.driver_vm);
         let state = self.guests.get_mut(&guest.0).ok_or(Errno::Einval)?;
-        let request = match state.channel.borrow_mut().take_request() {
+        let taken = state.channel.borrow_mut().take_request();
+        let request = match taken {
             Ok(request) => request,
-            Err(ChannelError::Malformed) => {
-                // The slot held bytes that do not decode as a WireRequest.
-                // The channel already consumed them; answer EINVAL so the
-                // guest is not left waiting on an empty response slot.
-                let _ = state
-                    .channel
-                    .borrow_mut()
-                    .send_response(WireResponse::Err(Errno::Einval));
-                self.last_post_ns = self.hv.borrow().clock().now_ns();
-                return Ok(());
-            }
+            // The slot held bytes that do not decode as a WireRequest. The
+            // channel already consumed them; answer EINVAL so the guest is
+            // not left waiting on an empty response slot.
+            Err(ChannelError::Malformed) => return self.refuse(guest, Errno::Einval),
             Err(_) => return Err(Errno::Einval),
         };
         if driver_dead {
             // The driver VM is marked failed: nothing in it may run. The
             // request is consumed and refused immediately so the guest gets
             // a clean errno instead of a hang (§7.1 fail-fast).
-            let _ = state
-                .channel
-                .borrow_mut()
-                .send_response(WireResponse::Err(Errno::Eio));
-            self.last_post_ns = self.hv.borrow().clock().now_ns();
-            return Ok(());
+            return self.refuse(guest, Errno::Eio);
         }
-        if state.queue.len() >= state.cap {
-            let depth = state.queue.len();
-            let _ = state
-                .channel
-                .borrow_mut()
-                .send_response(WireResponse::Err(Errno::Edquot));
-            self.last_post_ns = self.hv.borrow().clock().now_ns();
+        let depth = state.queue.len();
+        if depth >= state.cap {
+            self.refuse(guest, Errno::Edquot)?;
             self.hv
                 .borrow_mut()
                 .record_audit(AuditEvent::WaitQueueOverflow { guest, depth });
             return Ok(());
         }
-        let stamp = self.arrivals;
-        self.arrivals += 1;
-        state.queue.push_back((stamp, request));
+        state.queue.push_back(request);
         if !self.paused {
             if let Some(response) = self.execute_next(guest) {
-                let state = self.guests.get_mut(&guest.0).expect("attached above");
-                let _ = state.channel.borrow_mut().send_response(response);
-                self.last_post_ns = self.hv.borrow().clock().now_ns();
+                self.post_response(guest, response);
             }
             self.apply_pending_wire_fault(guest);
         }
+        Ok(())
+    }
+
+    /// Posts `response` on `guest`'s channel and stamps the post time the
+    /// frontend watchdog measures delivery lag against.
+    fn post_response(&mut self, guest: VmId, response: WireResponse) {
+        if let Some(state) = self.guests.get(&guest.0) {
+            let _ = state.channel.borrow_mut().send_response(response);
+            self.last_post_ns = self.hv.borrow().clock().now_ns();
+        }
+    }
+
+    /// Answers a request the backend will not run with `errno`: the request
+    /// was handled, so the caller gets `Ok`.
+    fn refuse(&mut self, guest: VmId, errno: Errno) -> Result<(), Errno> {
+        self.post_response(guest, WireResponse::Err(errno));
         Ok(())
     }
 
@@ -377,13 +347,10 @@ impl Backend {
             FaultKind::DelayDelivery => {
                 // The response sits in the slot while the virtual clock
                 // runs past the frontend's watchdog deadline.
-                let delay = self
-                    .plan
-                    .as_ref()
-                    .map_or(paradice_faults::DEFAULT_DELAY_NS, |p| {
-                        p.borrow().delay_ns()
-                    });
-                self.hv.borrow().clock().advance(delay);
+                self.hv
+                    .borrow()
+                    .clock()
+                    .advance(paradice_faults::DEFAULT_DELAY_NS);
             }
             _ => {}
         }
@@ -403,34 +370,8 @@ impl Backend {
         responses
     }
 
-    /// Resumes a paused backend, draining *every* guest's backlog under
-    /// the active scheduling discipline: fair-share picks the backlogged
-    /// guest with least consumed service time per step (a light guest's
-    /// ops overtake a heavy neighbor's backlog); FIFO drains in global
-    /// arrival order. Each guest's own requests stay in FIFO order either
-    /// way. Returns `(guest, response)` in service order.
-    pub fn resume_all(&mut self) -> Vec<(VmId, WireResponse)> {
-        self.paused = false;
-        let mut responses = Vec::new();
-        loop {
-            let backlogged = self
-                .guests
-                .iter()
-                .filter(|(_, state)| !state.queue.is_empty())
-                .map(|(id, state)| (*id, state.queue.front().expect("non-empty").0));
-            let Some(guest) = self.sched.pick(backlogged) else {
-                break;
-            };
-            if let Some(response) = self.execute_next(VmId(guest)) {
-                responses.push((VmId(guest), response));
-            }
-        }
-        responses
-    }
-
     fn execute_next(&mut self, guest: VmId) -> Option<WireResponse> {
-        let (_, request) = self.guests.get_mut(&guest.0)?.queue.pop_front()?;
-        let started_ns = self.hv.borrow().clock().now_ns();
+        let request = self.guests.get_mut(&guest.0)?.queue.pop_front()?;
         self.hv.borrow().clock().advance(
             self.hv.borrow().cost().backend_dispatch_ns,
         );
@@ -453,18 +394,6 @@ impl Backend {
             })
         };
         self.hv.borrow_mut().set_current_span(SpanId::NONE);
-        // Charge the serving guest whatever virtual time its operation
-        // actually consumed (dispatch overhead plus every hypercall the
-        // driver made) — the fair-share discipline's input. Faulted
-        // dispatches charge too: injected work is still work.
-        let service_ns = self
-            .hv
-            .borrow()
-            .clock()
-            .now_ns()
-            .saturating_sub(started_ns)
-            .max(1);
-        self.sched.charge(guest.0, service_ns);
         outcome
     }
 
@@ -733,27 +662,5 @@ impl Backend {
             }
         }
         forwarded
-    }
-
-    /// Resolves the device behind a backend handle (machine plumbing):
-    /// scans the per-guest tables, since handle ids are globally unique.
-    pub fn device_of_handle(&self, handle: u64) -> Option<DeviceId> {
-        self.guests
-            .values()
-            .find_map(|state| state.opens.get(&handle).map(|open| open.device))
-    }
-
-    /// The kernel environment of a device (machine plumbing for device
-    /// models that need the thread mark, e.g. injecting input events).
-    pub fn env_of_device(&self, device: DeviceId) -> Option<Rc<KernelEnv>> {
-        self.devices.get(&device.0).map(|slot| slot.env.clone())
-    }
-
-    /// Validates `va` for map targets as a defence-in-depth check and
-    /// records suspicious addresses.
-    pub fn audit_bad_map_target(&mut self, guest: VmId, va: GuestVirtAddr) {
-        self.hv
-            .borrow_mut()
-            .record_audit(AuditEvent::BadMapTarget { guest, va });
     }
 }

@@ -18,8 +18,9 @@ use paradice_devfs::Errno;
 use paradice_hypervisor::engine::{EngineError, EngineKind};
 use paradice_hypervisor::{GrantRef, MemOpGrant, MemOpRequest, ShardedGrantTable};
 use paradice_mem::GuestPhysAddr;
-use paradice_trace::{SpanId, TraceEvent, TraceGrant, TraceMemOpKind, TraceOpKind, WireDelta};
+use paradice_trace::{SpanId, TraceEvent, TraceMemOpKind, WireDelta};
 
+use crate::frontend::trace_grant;
 use crate::multi::MultiEngine;
 use crate::proto::{WireOp, WireRequest, WireResponse};
 
@@ -56,28 +57,6 @@ fn memop_trace_fields(request: &MemOpRequest) -> (TraceMemOpKind, u64, u64) {
         MemOpRequest::UnmapPage { va } => {
             (TraceMemOpKind::UnmapPage, va.raw(), paradice_mem::PAGE_SIZE)
         }
-    }
-}
-
-fn trace_grant(grant: &MemOpGrant) -> TraceGrant {
-    match *grant {
-        MemOpGrant::CopyFromGuest { addr, len } => TraceGrant::CopyFromGuest {
-            addr: addr.raw(),
-            len,
-        },
-        MemOpGrant::CopyToGuest { addr, len } => TraceGrant::CopyToGuest {
-            addr: addr.raw(),
-            len,
-        },
-        MemOpGrant::MapPages { va, pages, access } => TraceGrant::MapPages {
-            va: va.raw(),
-            pages,
-            access: access.bits(),
-        },
-        MemOpGrant::UnmapPages { va, pages } => TraceGrant::UnmapPages {
-            va: va.raw(),
-            pages,
-        },
     }
 }
 
@@ -152,18 +131,7 @@ pub struct ExecRun {
 }
 
 fn op_start(span: u64, t_ns: u64, guest: u32, device: &str, op: &WireOp) -> TraceEvent {
-    let (kind, cmd, addr, len) = match op {
-        WireOp::Open { .. } => (TraceOpKind::Open, None, None, None),
-        WireOp::Release => (TraceOpKind::Release, None, None, None),
-        WireOp::Read { addr, len } => (TraceOpKind::Read, None, Some(addr.raw()), Some(*len)),
-        WireOp::Write { addr, len } => (TraceOpKind::Write, None, Some(addr.raw()), Some(*len)),
-        WireOp::Ioctl { cmd, arg } => (TraceOpKind::Ioctl, Some(cmd.raw()), Some(*arg), None),
-        WireOp::Mmap { va, len, .. } => (TraceOpKind::Mmap, None, Some(va.raw()), Some(*len)),
-        WireOp::Munmap { va, len } => (TraceOpKind::Munmap, None, Some(va.raw()), Some(*len)),
-        WireOp::Fault { va } => (TraceOpKind::Fault, None, Some(va.raw()), None),
-        WireOp::Poll => (TraceOpKind::Poll, None, None, None),
-        WireOp::Fasync { .. } => (TraceOpKind::Fasync, None, None, None),
-    };
+    let (kind, cmd, addr, len) = op.span_labels();
     TraceEvent::OpStart {
         span: SpanId(span),
         t_ns,

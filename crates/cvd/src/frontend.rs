@@ -32,8 +32,8 @@ use paradice_devfs::ioc::IoctlCmd;
 use paradice_devfs::Errno;
 use paradice_hypervisor::{ChannelError, ChannelStats, GrantRef, MemOpGrant, SharedHypervisor, VmId};
 use paradice_mem::pagetable::GuestPageTables;
-use paradice_mem::{Access, GuestVirtAddr, PAGE_SIZE};
-use paradice_trace::{SpanId, TraceEvent, TraceGrant, TraceOpKind, Tracer, WireDelta};
+use paradice_mem::{Access, GuestPhysAddr, GuestVirtAddr, PAGE_SIZE};
+use paradice_trace::{SpanId, TraceEvent, TraceGrant, Tracer, WireDelta};
 
 use crate::backend::SharedBackend;
 use crate::cache::{Eviction, GrantCache, GrantCacheKey};
@@ -195,7 +195,7 @@ fn grant(kind: OpKind, addr: u64, len: u64) -> MemOpGrant {
 struct ProcessReader {
     hv: SharedHypervisor,
     guest: VmId,
-    pt_root: paradice_mem::GuestPhysAddr,
+    pt_root: GuestPhysAddr,
 }
 
 impl UserReader for ProcessReader {
@@ -213,41 +213,8 @@ struct OpenFile {
     path: String,
 }
 
-/// Per-operation metadata stamped on the `OpStart` trace event.
-#[derive(Debug, Clone)]
-struct OpTrace {
-    device: String,
-    kind: TraceOpKind,
-    cmd: Option<u32>,
-    addr: Option<u64>,
-    len: Option<u64>,
-}
-
-impl OpTrace {
-    fn new(device: String, kind: TraceOpKind) -> Self {
-        OpTrace {
-            device,
-            kind,
-            cmd: None,
-            addr: None,
-            len: None,
-        }
-    }
-
-    fn range(mut self, addr: u64, len: u64) -> Self {
-        self.addr = Some(addr);
-        self.len = Some(len);
-        self
-    }
-
-    fn cmd(mut self, cmd: u32) -> Self {
-        self.cmd = Some(cmd);
-        self
-    }
-}
-
 /// Mirrors a declared grant into its trace representation.
-fn trace_grant(grant: &MemOpGrant) -> TraceGrant {
+pub(crate) fn trace_grant(grant: &MemOpGrant) -> TraceGrant {
     match *grant {
         MemOpGrant::CopyFromGuest { addr, len } => TraceGrant::CopyFromGuest {
             addr: addr.raw(),
@@ -340,12 +307,17 @@ enum BreakerState {
 #[derive(Debug)]
 struct PendingOp {
     span: SpanId,
+    /// Span start; the hang watchdog also measures its wait from here.
     start_ns: u64,
     stats_before: ChannelStats,
     grant: Option<GrantRef>,
     /// `true` when the grant reference lives in the cache and must survive
     /// this op's completion; `false` means per-op declare → revoke.
     cache_owned: bool,
+    /// The calling task when the op is an `open`: one that succeeds after
+    /// its caller timed out leaves a backend handle nobody holds, which
+    /// [`Frontend::complete`] releases.
+    opener: Option<u64>,
 }
 
 /// The CVD frontend for one guest VM.
@@ -438,7 +410,7 @@ impl Frontend {
             // hypercalls for those ops would fail validation spuriously.
             // (The bounded-model checker's revocation model caught the
             // revoke-before-drain ordering; see `crates/verify`.)
-            let _ = self.drain_pipeline();
+            self.drain_pipeline();
             self.purge_grant_cache(true);
         }
         self.fastpath = on;
@@ -480,12 +452,7 @@ impl Frontend {
             0 => BREAKER_BASE_BACKOFF_NS,
             backoff => (backoff * 2).min(BREAKER_MAX_BACKOFF_NS),
         };
-        let until_ns = self
-            .hv
-            .borrow()
-            .clock()
-            .now_ns()
-            .saturating_add(self.breaker_backoff_ns);
+        let until_ns = self.now_ns().saturating_add(self.breaker_backoff_ns);
         self.breaker = BreakerState::Open { until_ns };
         self.purge_grant_cache(false);
     }
@@ -497,10 +464,12 @@ impl Frontend {
         self.breaker_backoff_ns = 0;
     }
 
-    /// Admission control for one synchronous op: `Ok(false)` to forward
-    /// normally, `Ok(true)` when this op is the half-open probe, `Err` to
-    /// fail fast while the breaker holds.
-    fn admit_op(&mut self) -> Result<bool, Errno> {
+    /// Admission control for one op: `Ok(false)` to forward normally,
+    /// `Ok(true)` when this op is the half-open probe, `Err` to fail fast
+    /// while the breaker holds. Only a synchronous op may probe
+    /// (`may_probe`): the retry must be a single op whose outcome is
+    /// attributable, so a pipelined submission fails fast until one has.
+    fn admit_op(&mut self, may_probe: bool) -> Result<bool, Errno> {
         let failed = self
             .hv
             .borrow()
@@ -517,7 +486,7 @@ impl Frontend {
                 Ok(false)
             }
             BreakerState::Open { until_ns } => {
-                if self.hv.borrow().clock().now_ns() < until_ns {
+                if !may_probe || self.now_ns() < until_ns {
                     return Err(Errno::Eio);
                 }
                 if failed {
@@ -532,9 +501,11 @@ impl Frontend {
             }
             // Single-threaded frontends never re-enter here mid-probe, but
             // treat it as the probe if they do.
-            BreakerState::HalfOpen => Ok(true),
+            BreakerState::HalfOpen if may_probe => Ok(true),
+            BreakerState::HalfOpen => Err(Errno::Eio),
         }
     }
+
 
     /// Whether the circuit breaker has tripped (operations fail fast).
     pub fn breaker_open(&self) -> bool {
@@ -576,11 +547,6 @@ impl Frontend {
         self.guest
     }
 
-    /// The OS personality.
-    pub fn personality(&self) -> OsPersonality {
-        self.personality
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> FrontendStats {
         self.stats
@@ -599,98 +565,6 @@ impl Frontend {
         self.pending_mmap_range = Some((va, len));
     }
 
-    fn forward(&mut self, request: WireRequest) -> Result<WireResponse, Errno> {
-        self.stats.ops_forwarded += 1;
-        let was_open = matches!(request.op, WireOp::Open { .. });
-        let (req_task, req_pt_root) = (request.task, request.pt_root);
-        let start_ns = self.hv.borrow().clock().now_ns();
-        self.channel
-            .borrow_mut()
-            .send_request(request)
-            .map_err(|_| Errno::Eagain)?;
-        self.backend.borrow_mut().handle_request(self.guest)?;
-        let taken = self.channel.borrow_mut().take_response();
-        match taken {
-            Ok(response) => {
-                // The watchdog measures *delivery* lag — time the response
-                // sat in the slot after the backend posted it — not total
-                // execution time: blocking operations (a GEM wait-idle, a
-                // read on an idle device) may legitimately run longer than
-                // any fixed deadline. A wedged driver never posts at all
-                // and is caught by the `Empty` arm below.
-                let lag = self
-                    .hv
-                    .borrow()
-                    .clock()
-                    .now_ns()
-                    .saturating_sub(self.backend.borrow().last_post_ns());
-                if lag > DEFAULT_OP_DEADLINE_NS {
-                    // The response arrived, but past the watchdog deadline:
-                    // the guest kernel has already timed the call out. The
-                    // driver is demonstrably alive (it answered), so no
-                    // containment — just the errno.
-                    if let (true, WireResponse::Value(handle)) = (was_open, &response) {
-                        if *handle >= 0 {
-                            // The open itself succeeded, after the caller
-                            // gave up: release the orphaned backend handle
-                            // so exclusive devices don't stay wedged.
-                            let release = WireRequest {
-                                task: req_task,
-                                pt_root: req_pt_root,
-                                handle: *handle as u64,
-                                span: 0,
-                                grant: None,
-                                op: WireOp::Release,
-                            };
-                            if self.channel.borrow_mut().send_request(release).is_ok() {
-                                let _ = self.backend.borrow_mut().handle_request(self.guest);
-                                let _ = self.channel.borrow_mut().take_response();
-                            }
-                        }
-                    }
-                    return Err(Errno::Etimedout);
-                }
-                Ok(response)
-            }
-            Err(ChannelError::Empty) => {
-                if self.backend.borrow().is_paused() {
-                    // A paused backend is a test/diagnostic state queueing
-                    // requests on purpose, not a dead driver: keep the
-                    // legacy behaviour and do not trip the watchdog.
-                    return Err(Errno::Eio);
-                }
-                // No response and the backend is live: a hung or dead
-                // driver. Model the guest blocking until the watchdog
-                // deadline on the virtual clock, then contain the driver
-                // VM — grants revoked, further hypercalls refused — and
-                // unblock the caller with ETIMEDOUT (§7.1).
-                let waited = self
-                    .hv
-                    .borrow()
-                    .clock()
-                    .now_ns()
-                    .saturating_sub(start_ns);
-                self.hv
-                    .borrow()
-                    .clock()
-                    .advance(DEFAULT_OP_DEADLINE_NS.saturating_sub(waited));
-                let driver_vm = self.backend.borrow().driver_vm();
-                let _ = self.hv.borrow_mut().mark_driver_vm_failed(driver_vm);
-                self.trip_breaker();
-                Err(Errno::Etimedout)
-            }
-            Err(ChannelError::Malformed) => {
-                // Garbage in the response slot: the driver VM is corrupted.
-                // Contain it before its next move.
-                let driver_vm = self.backend.borrow().driver_vm();
-                let _ = self.hv.borrow_mut().mark_driver_vm_failed(driver_vm);
-                self.trip_breaker();
-                Err(Errno::Eio)
-            }
-            Err(_) => Err(Errno::Eio),
-        }
-    }
-
     fn declare(&mut self, ops: Vec<MemOpGrant>) -> Result<GrantRef, Errno> {
         self.stats.grants_declared += 1;
         self.hv
@@ -703,8 +577,14 @@ impl Frontend {
         let _ = self.hv.borrow_mut().revoke_grant(self.guest, grant);
     }
 
-    /// The single declare → forward → revoke path every file operation
-    /// rides, with span bookkeeping around it.
+    fn now_ns(&self) -> u64 {
+        self.hv.borrow().clock().now_ns()
+    }
+
+    /// One file operation, start to finish: a pipeline of one. Both halves
+    /// of the lifecycle — [`Frontend::post`] and [`Frontend::complete`] —
+    /// are the ones a pipelined submission goes through; only the half-open
+    /// probe around them is a synchronous-only policy.
     ///
     /// `grants: Some(ops)` declares `ops` (even when empty — a grant
     /// reference is still allocated, matching the paper's per-operation
@@ -713,29 +593,21 @@ impl Frontend {
     fn run_op(
         &mut self,
         task: TaskId,
-        pt_root: paradice_mem::GuestPhysAddr,
+        pt_root: GuestPhysAddr,
         handle: u64,
         grants: Option<Vec<MemOpGrant>>,
         op: WireOp,
-        trace: OpTrace,
     ) -> Result<WireResponse, Errno> {
         // Responses are FIFO-matched on the ring: any pipelined submissions
         // must complete before a synchronous op shares the channel.
-        if !self.pipeline.is_empty() {
-            self.drain_pipeline()?;
-        }
+        self.drain_pipeline();
         // Circuit breaker (§7.1): while the driver VM is down, fail fast —
         // no grant, no forwarding, no deadline wait — until a half-open
         // probe succeeds or the machine recovers the driver VM.
-        let probing = self.admit_op()?;
-        let started = self.begin_op(task, handle, grants, &op, trace)?;
-        let result = self.forward(WireRequest {
-            task: task.0,
-            pt_root,
-            handle,
-            span: started.span.0,
-            grant: started.grant,
-            op,
+        let probing = self.admit_op(true)?;
+        let result = self.post(task, pt_root, handle, grants, op).and_then(|pending| {
+            let mut served = self.backend.borrow_mut().handle_request(self.guest);
+            self.complete(&pending, &mut served)
         });
         if probing {
             match (&result, self.breaker) {
@@ -744,76 +616,120 @@ impl Frontend {
                 (Ok(_), _) => self.close_breaker(),
                 // The probe failed without containment (e.g. delivery past
                 // the deadline): re-trip with a doubled window. A probe
-                // that *did* contain already re-tripped inside `forward`.
+                // that *did* contain already re-tripped inside `complete`.
                 (Err(_), BreakerState::HalfOpen) => self.trip_breaker(),
                 (Err(_), _) => {}
             }
         }
-        self.trace_op_end(started.span, started.start_ns, started.stats_before, result);
-        if let (Some(grant), false) = (started.grant, started.cache_owned) {
-            self.revoke(grant);
-        }
         result
     }
 
-    /// Opens an op's span and resolves its grant: what [`Frontend::run_op`]
-    /// and [`Frontend::submit_op`] do before the request goes on the ring.
+    /// First half of the op lifecycle: open the span, resolve the grant and
+    /// put the request on the ring. On any failure the span is closed and a
+    /// per-op grant revoked before the errno is returned.
+    fn post(
+        &mut self,
+        task: TaskId,
+        pt_root: GuestPhysAddr,
+        handle: u64,
+        grants: Option<Vec<MemOpGrant>>,
+        op: WireOp,
+    ) -> Result<PendingOp, Errno> {
+        let pending = self.begin_op(task, handle, grants, &op)?;
+        self.stats.ops_forwarded += 1;
+        let request = WireRequest {
+            task: task.0,
+            pt_root,
+            handle,
+            span: pending.span.0,
+            grant: pending.grant,
+            op,
+        };
+        // Only a pipelined submission can meet a full ring (or page budget)
+        // — a synchronous op starts on a drained one: complete the
+        // accumulated batch, then retry.
+        let retry = (!self.pipeline.is_empty()).then(|| request.clone());
+        let mut sent = self.channel.borrow_mut().send_request(request);
+        if let (Err(ChannelError::SlotBusy), Some(request)) = (sent, retry) {
+            self.drain_pipeline();
+            sent = self.channel.borrow_mut().send_request(request);
+        }
+        if sent.is_err() {
+            self.finish(&pending, Err(Errno::Eagain));
+            return Err(Errno::Eagain);
+        }
+        Ok(pending)
+    }
+
+    /// Opens an op's span and resolves its grant.
     fn begin_op(
         &mut self,
         task: TaskId,
         handle: u64,
         grants: Option<Vec<MemOpGrant>>,
         op: &WireOp,
-        trace: OpTrace,
     ) -> Result<PendingOp, Errno> {
         let enabled = self.tracer.is_enabled();
         let span = self.tracer.begin_span();
-        // Stamped with tracing on or off: the pipelined drain's watchdog
-        // measures its wait from here.
-        let start_ns = self.hv.borrow().clock().now_ns();
+        let start_ns = self.now_ns();
         let stats_before = if enabled {
-            let stats = self.channel.borrow().stats();
+            let (kind, cmd, addr, len) = op.span_labels();
             self.tracer.record(TraceEvent::OpStart {
                 span,
                 t_ns: start_ns,
                 guest: u64::from(self.guest.0),
                 task: task.0,
                 handle,
-                device: trace.device,
-                op: trace.kind,
-                cmd: trace.cmd,
-                addr: trace.addr,
-                len: trace.len,
+                device: self.device_of(handle, op),
+                op: kind,
+                cmd,
+                addr,
+                len,
             });
-            stats
+            self.channel.borrow().stats()
         } else {
             ChannelStats::default()
         };
-        let (grant, cache_owned) = match grants {
-            Some(ops) => {
-                if enabled {
-                    self.tracer.record(TraceEvent::Grants {
-                        span,
-                        grants: ops.iter().map(trace_grant).collect(),
-                    });
-                }
-                match self.resolve_grant(handle, op, ops, span, enabled) {
-                    Ok(resolved) => resolved,
-                    Err(errno) => {
-                        self.trace_op_end(span, start_ns, stats_before, Err(errno));
-                        return Err(errno);
-                    }
-                }
-            }
-            None => (None, false),
-        };
-        Ok(PendingOp {
+        let mut pending = PendingOp {
             span,
             start_ns,
             stats_before,
-            grant,
-            cache_owned,
-        })
+            grant: None,
+            cache_owned: false,
+            opener: matches!(op, WireOp::Open { .. }).then_some(task.0),
+        };
+        if let Some(ops) = grants {
+            if enabled {
+                self.tracer.record(TraceEvent::Grants {
+                    span,
+                    grants: ops.iter().map(trace_grant).collect(),
+                });
+            }
+            match self.resolve_grant(handle, op, ops, span, enabled) {
+                Ok((grant, cache_owned)) => {
+                    pending.grant = Some(grant);
+                    pending.cache_owned = cache_owned;
+                }
+                Err(errno) => {
+                    self.finish(&pending, Err(errno));
+                    return Err(errno);
+                }
+            }
+        }
+        Ok(pending)
+    }
+
+    /// The device path a span is labelled with: the op's own for `open`,
+    /// otherwise the one its handle was opened with.
+    fn device_of(&self, handle: u64, op: &WireOp) -> String {
+        match op {
+            WireOp::Open { path, .. } => path.clone(),
+            _ => self
+                .backend_to_local
+                .get(&handle)
+                .and_then(|fd| self.open.get(fd))
+                .map_or_else(String::new, |file| file.path.clone()),
+        }
     }
 
     /// Resolves the grant reference for one op: on the fast path, cacheable
@@ -829,7 +745,7 @@ impl Frontend {
         ops: Vec<MemOpGrant>,
         span: SpanId,
         enabled: bool,
-    ) -> Result<(Option<GrantRef>, bool), Errno> {
+    ) -> Result<(GrantRef, bool), Errno> {
         if self.fastpath {
             if let Some(key) = GrantCacheKey::for_op(self.guest.0, handle, op, &ops) {
                 if let Some(grant) = self.grant_cache.lookup(&key) {
@@ -837,7 +753,7 @@ impl Frontend {
                     if enabled {
                         self.tracer.record(TraceEvent::GrantCache { span, hit: true });
                     }
-                    return Ok((Some(grant), true));
+                    return Ok((grant, true));
                 }
                 let grant = self.declare(ops)?;
                 let pipeline = &self.pipeline;
@@ -868,52 +784,131 @@ impl Frontend {
                 if enabled {
                     self.tracer.record(TraceEvent::GrantCache { span, hit: false });
                 }
-                return Ok((Some(grant), true));
+                return Ok((grant, true));
             }
         }
-        self.declare(ops).map(|grant| (Some(grant), false))
+        self.declare(ops).map(|grant| (grant, false))
     }
 
-    /// Closes a span: final result, duration, and the channel-stats delta
-    /// the operation was responsible for.
-    fn trace_op_end(
-        &self,
-        span: SpanId,
-        start_ns: u64,
-        stats_before: ChannelStats,
-        outcome: Result<WireResponse, Errno>,
-    ) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let end_ns = self.hv.borrow().clock().now_ns();
-        let after = self.channel.borrow().stats();
-        let (ok, value) = match outcome {
-            Ok(WireResponse::Value(value)) => (true, value),
-            Ok(WireResponse::Poll(events)) => (true, i64::from(events.bits())),
-            Ok(WireResponse::Err(errno)) | Err(errno) => (false, -i64::from(errno.code())),
-        };
-        self.tracer.record(TraceEvent::OpEnd {
-            span,
-            t_ns: end_ns,
-            ok,
-            value,
-            duration_ns: end_ns.saturating_sub(start_ns),
-            wire: WireDelta {
-                bytes_out: after.request_bytes - stats_before.request_bytes,
-                bytes_in: (after.response_bytes + after.notification_bytes)
-                    - (stats_before.response_bytes + stats_before.notification_bytes),
-                deliveries: after.deliveries() - stats_before.deliveries(),
-            },
+    /// Second half of the op lifecycle: take the response and judge it.
+    ///
+    /// `served` is what the backend made of the batch this op was posted
+    /// in; containment overwrites it, because the responses still on the
+    /// ring can no longer be attributed to the ops waiting for them — the
+    /// rest of a pipelined batch then fails wholesale without touching the
+    /// ring. Every way out closes the span and revokes a per-op grant.
+    fn complete(
+        &mut self,
+        op: &PendingOp,
+        served: &mut Result<(), Errno>,
+    ) -> Result<WireResponse, Errno> {
+        let outcome = served.and_then(|()| {
+            let taken = self.channel.borrow_mut().take_response();
+            match taken {
+                Ok(response) => {
+                    // The watchdog measures *delivery* lag — time the
+                    // response sat on the ring after the backend's last
+                    // post — not total execution time: blocking operations
+                    // (a GEM wait-idle, a read on an idle device) may
+                    // legitimately run longer than any fixed deadline. A
+                    // wedged driver never posts at all and is caught by the
+                    // `Empty` arm below.
+                    let lag = self
+                        .now_ns()
+                        .saturating_sub(self.backend.borrow().last_post_ns());
+                    if lag <= DEFAULT_OP_DEADLINE_NS {
+                        return Ok(response);
+                    }
+                    // The response arrived, but the guest kernel has
+                    // already timed the call out. The driver is
+                    // demonstrably alive (it answered), so no containment —
+                    // just the errno, and for an `open` that succeeded
+                    // after its caller gave up, the release of the orphaned
+                    // backend handle so exclusive devices don't stay wedged.
+                    if let (Some(task), WireResponse::Value(handle @ 0..)) = (op.opener, response) {
+                        let release = WireRequest {
+                            task,
+                            pt_root: GuestPhysAddr::new(0),
+                            handle: handle as u64,
+                            span: 0,
+                            grant: None,
+                            op: WireOp::Release,
+                        };
+                        if self.channel.borrow_mut().send_request(release).is_ok() {
+                            let _ = self.backend.borrow_mut().handle_request(self.guest);
+                            let _ = self.channel.borrow_mut().take_response();
+                        }
+                    }
+                    Err(Errno::Etimedout)
+                }
+                // A paused backend is a test/diagnostic state queueing
+                // requests on purpose, not a dead driver: do not trip the
+                // watchdog.
+                Err(ChannelError::Empty) if self.backend.borrow().is_paused() => Err(Errno::Eio),
+                Err(ChannelError::Empty) => {
+                    // No response and the backend is live: a hung or dead
+                    // driver. Model the guest blocking until the watchdog
+                    // deadline on the virtual clock, then contain the driver
+                    // VM and unblock the caller with ETIMEDOUT (§7.1).
+                    let waited = self.now_ns().saturating_sub(op.start_ns);
+                    self.hv
+                        .borrow()
+                        .clock()
+                        .advance(DEFAULT_OP_DEADLINE_NS.saturating_sub(waited));
+                    *served = self.contain();
+                    Err(Errno::Etimedout)
+                }
+                Err(_) => {
+                    // Garbage on the response ring: the driver VM is
+                    // corrupted. Contain it before its next move.
+                    *served = self.contain();
+                    Err(Errno::Eio)
+                }
+            }
         });
+        self.finish(op, outcome);
+        outcome
     }
 
-    /// The device path for span labels, cloned only when tracing is live.
-    fn trace_device(&self, path: &str) -> String {
+    /// Contains the driver VM — grants revoked, further hypercalls refused —
+    /// and trips the breaker. Returns what every op still waiting on the
+    /// ring gets.
+    fn contain(&mut self) -> Result<(), Errno> {
+        let driver_vm = self.backend.borrow().driver_vm();
+        let _ = self.hv.borrow_mut().mark_driver_vm_failed(driver_vm);
+        self.trip_breaker();
+        Err(Errno::Eio)
+    }
+
+    /// Ends an op whichever way it went: close the span — final result,
+    /// duration, and the channel-stats delta the operation was responsible
+    /// for — then revoke a grant only this op owns.
+    fn finish(&mut self, op: &PendingOp, outcome: Result<WireResponse, Errno>) {
         if self.tracer.is_enabled() {
-            path.to_owned()
-        } else {
-            String::new()
+            let end_ns = self.now_ns();
+            let after = self.channel.borrow().stats();
+            let before = &op.stats_before;
+            let (ok, value) = match outcome {
+                Ok(WireResponse::Value(value)) => (true, value),
+                Ok(WireResponse::Poll(events)) => (true, i64::from(events.bits())),
+                Ok(WireResponse::Err(errno)) | Err(errno) => (false, -i64::from(errno.code())),
+            };
+            self.tracer.record(TraceEvent::OpEnd {
+                span: op.span,
+                t_ns: end_ns,
+                ok,
+                value,
+                duration_ns: end_ns.saturating_sub(op.start_ns),
+                wire: WireDelta {
+                    bytes_out: after.request_bytes - before.request_bytes,
+                    bytes_in: (after.response_bytes + after.notification_bytes)
+                        - (before.response_bytes + before.notification_bytes),
+                    deliveries: after.deliveries() - before.deliveries(),
+                },
+            });
+        }
+        if let (Some(grant), false) = (op.grant, op.cache_owned) {
+            self.revoke(grant);
         }
     }
 
@@ -924,19 +919,12 @@ impl Frontend {
     ///
     /// Whatever the real driver/devfs returns (`ENOENT`, `EBUSY`, …).
     pub fn open(&mut self, task: TaskId, path: &str, flags: OpenFlags) -> Result<u64, Errno> {
-        let trace = OpTrace::new(self.trace_device(path), TraceOpKind::Open);
+        let op = WireOp::Open {
+            path: path.to_owned(),
+            flags,
+        };
         let backend_handle = self
-            .run_op(
-                task,
-                paradice_mem::GuestPhysAddr::new(0),
-                0,
-                None,
-                WireOp::Open {
-                    path: path.to_owned(),
-                    flags,
-                },
-                trace,
-            )?
+            .run_op(task, GuestPhysAddr::new(0), 0, None, op)?
             .result()? as u64;
         let fd = self.next_fd;
         self.next_fd += 1;
@@ -951,8 +939,12 @@ impl Frontend {
         Ok(fd)
     }
 
-    fn file(&self, fd: u64) -> Result<&OpenFile, Errno> {
-        self.open.get(&fd).ok_or(Errno::Ebadf)
+    /// The backend handle behind a guest-local descriptor.
+    fn handle(&self, fd: u64) -> Result<u64, Errno> {
+        self.open
+            .get(&fd)
+            .map(|file| file.backend_handle)
+            .ok_or(Errno::Ebadf)
     }
 
     /// Closes a guest-local descriptor.
@@ -961,25 +953,15 @@ impl Frontend {
     ///
     /// `EBADF` for unknown descriptors.
     pub fn release(&mut self, task: TaskId, fd: u64) -> Result<(), Errno> {
-        let file = self.file(fd)?.clone();
-        let trace = OpTrace::new(self.trace_device(&file.path), TraceOpKind::Release);
-        self.run_op(
-            task,
-            paradice_mem::GuestPhysAddr::new(0),
-            file.backend_handle,
-            None,
-            WireOp::Release,
-            trace,
-        )?
-        .result()?;
+        let handle = self.handle(fd)?;
+        self.run_op(task, GuestPhysAddr::new(0), handle, None, WireOp::Release)?
+            .result()?;
         self.open.remove(&fd);
-        self.backend_to_local.remove(&file.backend_handle);
+        self.backend_to_local.remove(&handle);
         // The handle is gone: any cached declarations for its op shapes are
         // dead weight — revoke and forget them. (`run_op` drained the
         // pipeline above, so none of these refs is in flight.)
-        let stale = self
-            .grant_cache
-            .remove_matching(|key| key.handle == file.backend_handle);
+        let stale = self.grant_cache.remove_matching(|key| key.handle == handle);
         for grant in stale {
             self.revoke(grant);
         }
@@ -999,20 +981,11 @@ impl Frontend {
         addr: GuestVirtAddr,
         len: u64,
     ) -> Result<u64, Errno> {
-        let file = self.file(fd)?;
-        let handle = file.backend_handle;
-        let trace =
-            OpTrace::new(self.trace_device(&file.path), TraceOpKind::Read).range(addr.raw(), len);
-        self.run_op(
-            task,
-            pt.root(),
-            handle,
-            Some(vec![MemOpGrant::CopyToGuest { addr, len }]),
-            WireOp::Read { addr, len },
-            trace,
-        )
-        .and_then(WireResponse::result)
-        .map(|n| n as u64)
+        let handle = self.handle(fd)?;
+        let grants = vec![MemOpGrant::CopyToGuest { addr, len }];
+        self.run_op(task, pt.root(), handle, Some(grants), WireOp::Read { addr, len })
+            .and_then(WireResponse::result)
+            .map(|n| n as u64)
     }
 
     /// Forwards `write`: declares the buffer as a `CopyFromGuest` grant.
@@ -1028,20 +1001,11 @@ impl Frontend {
         addr: GuestVirtAddr,
         len: u64,
     ) -> Result<u64, Errno> {
-        let file = self.file(fd)?;
-        let handle = file.backend_handle;
-        let trace =
-            OpTrace::new(self.trace_device(&file.path), TraceOpKind::Write).range(addr.raw(), len);
-        self.run_op(
-            task,
-            pt.root(),
-            handle,
-            Some(vec![MemOpGrant::CopyFromGuest { addr, len }]),
-            WireOp::Write { addr, len },
-            trace,
-        )
-        .and_then(WireResponse::result)
-        .map(|n| n as u64)
+        let handle = self.handle(fd)?;
+        let grants = vec![MemOpGrant::CopyFromGuest { addr, len }];
+        self.run_op(task, pt.root(), handle, Some(grants), WireOp::Write { addr, len })
+            .and_then(WireResponse::result)
+            .map(|n| n as u64)
     }
 
     /// What [`Frontend::ioctl`] and [`Frontend::ioctl_pipelined`] do before
@@ -1054,12 +1018,9 @@ impl Frontend {
         fd: u64,
         cmd: IoctlCmd,
         arg: u64,
-    ) -> Result<(u64, Vec<MemOpGrant>, OpTrace), Errno> {
-        let file = self.file(fd)?;
+    ) -> Result<(u64, Vec<MemOpGrant>), Errno> {
+        let file = self.open.get(&fd).ok_or(Errno::Ebadf)?;
         let handle = file.backend_handle;
-        let trace = OpTrace::new(self.trace_device(&file.path), TraceOpKind::Ioctl)
-            .cmd(cmd.raw())
-            .range(arg, u64::from(cmd.size()));
         let knowledge = self
             .knowledge
             .get(&file.path)
@@ -1079,7 +1040,7 @@ impl Frontend {
             pt_root: pt.root(),
         };
         let ops = knowledge.grants_for(cmd, arg, &mut reader)?;
-        Ok((handle, ops, trace))
+        Ok((handle, ops))
     }
 
     /// Forwards `ioctl`: grants derived from the analyzer table (static or
@@ -1096,16 +1057,9 @@ impl Frontend {
         cmd: IoctlCmd,
         arg: u64,
     ) -> Result<i64, Errno> {
-        let (handle, ops, trace) = self.ioctl_grants(pt, fd, cmd, arg)?;
-        self.run_op(
-            task,
-            pt.root(),
-            handle,
-            Some(ops),
-            WireOp::Ioctl { cmd, arg },
-            trace,
-        )
-        .and_then(WireResponse::result)
+        let (handle, ops) = self.ioctl_grants(pt, fd, cmd, arg)?;
+        self.run_op(task, pt.root(), handle, Some(ops), WireOp::Ioctl { cmd, arg })
+            .and_then(WireResponse::result)
     }
 
     /// Posts an `ioctl` to the ring **without waiting for its response**
@@ -1126,20 +1080,8 @@ impl Frontend {
         cmd: IoctlCmd,
         arg: u64,
     ) -> Result<(), Errno> {
-        let (handle, ops, trace) = self.ioctl_grants(pt, fd, cmd, arg)?;
-        self.submit_op(
-            task,
-            pt.root(),
-            handle,
-            Some(ops),
-            WireOp::Ioctl { cmd, arg },
-            trace,
-        )
-    }
-
-    /// Pending pipelined submissions not yet completed.
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline.len()
+        let (handle, ops) = self.ioctl_grants(pt, fd, cmd, arg)?;
+        self.submit_op(task, pt.root(), handle, Some(ops), WireOp::Ioctl { cmd, arg })
     }
 
     /// Completes every pipelined submission: the backend drains the request
@@ -1150,161 +1092,48 @@ impl Frontend {
     ///
     /// # Errors
     ///
-    /// Transport-level failure (hung/corrupted driver VM): containment has
-    /// run and the remaining entries are failed wholesale.
+    /// None today: a transport-level failure (hung/corrupted driver VM)
+    /// runs containment and fails the remaining entries wholesale, each in
+    /// its own slot of the returned vector.
     pub fn flush_pipeline(&mut self) -> Result<Vec<Result<i64, Errno>>, Errno> {
-        self.drain_pipeline()?;
+        self.drain_pipeline();
         Ok(std::mem::take(&mut self.completed))
     }
 
-    /// Queues one op on the ring without taking its response.
+    /// Queues one op on the ring without taking its response: the first
+    /// half of the lifecycle now, the second at the next drain.
     fn submit_op(
         &mut self,
         task: TaskId,
-        pt_root: paradice_mem::GuestPhysAddr,
+        pt_root: GuestPhysAddr,
         handle: u64,
         grants: Option<Vec<MemOpGrant>>,
         op: WireOp,
-        trace: OpTrace,
     ) -> Result<(), Errno> {
         debug_assert!(op.is_pipelineable(), "op {} cannot be pipelined", op.name());
-        if self.breaker == BreakerState::Closed
-            && self
-                .hv
-                .borrow()
-                .driver_vm_failed(self.backend.borrow().driver_vm())
-        {
-            self.trip_breaker();
-        }
-        if self.breaker != BreakerState::Closed {
-            // Pipelined submissions never probe: the half-open retry must
-            // be a single synchronous op so its outcome is attributable.
-            return Err(Errno::Eio);
-        }
-        self.stats.ops_forwarded += 1;
-        let started = self.begin_op(task, handle, grants, &op, trace)?;
-        let request = WireRequest {
-            task: task.0,
-            pt_root,
-            handle,
-            span: started.span.0,
-            grant: started.grant,
-            op,
-        };
-        let sent = self.channel.borrow_mut().send_request(request.clone());
-        if let Err(ChannelError::SlotBusy) = sent {
-            // Ring (or page budget) full: complete the accumulated batch,
-            // then retry on the drained ring.
-            self.drain_pipeline()?;
-            self.channel
-                .borrow_mut()
-                .send_request(request)
-                .map_err(|_| Errno::Eagain)?;
-        } else if sent.is_err() {
-            if let (Some(grant), false) = (started.grant, started.cache_owned) {
-                self.revoke(grant);
-            }
-            self.trace_op_end(
-                started.span,
-                started.start_ns,
-                started.stats_before,
-                Err(Errno::Eagain),
-            );
-            return Err(Errno::Eagain);
-        }
-        self.pipeline.push(started);
+        self.admit_op(false)?;
+        let pending = self.post(task, pt_root, handle, grants, op)?;
+        self.pipeline.push(pending);
         Ok(())
     }
 
-    /// Drains the ring through the backend and completes every pending op.
-    fn drain_pipeline(&mut self) -> Result<(), Errno> {
+    /// Completes every pending op: the backend drains the whole request
+    /// backlog under one doorbell — each dispatch posts its response onto
+    /// the response ring, where only the first delivery charges a full
+    /// interrupt/poll — then each queued entry goes through the same
+    /// [`Frontend::complete`] a synchronous op does.
+    fn drain_pipeline(&mut self) {
         if self.pipeline.is_empty() {
-            return Ok(());
+            return;
         }
-        // The backend drains the whole request backlog under one doorbell:
-        // each dispatch posts its response onto the response ring, where
-        // only the first delivery charges a full interrupt/poll.
-        while self.channel.borrow().request_backlog() > 0 {
-            self.backend
-                .borrow_mut()
-                .handle_request(self.guest)
-                .map_err(|_| Errno::Eio)?;
+        let mut served = Ok(());
+        while served.is_ok() && self.channel.borrow().request_backlog() > 0 {
+            served = self.backend.borrow_mut().handle_request(self.guest);
         }
-        let pending = std::mem::take(&mut self.pipeline);
-        let mut contained = false;
-        for entry in pending {
-            if contained {
-                // Transport anomaly earlier in the batch: containment has
-                // run; the remaining responses are unattributable.
-                self.trace_op_end(entry.span, entry.start_ns, entry.stats_before, Err(Errno::Eio));
-                self.completed.push(Err(Errno::Eio));
-                continue;
-            }
-            let taken = self.channel.borrow_mut().take_response();
-            let result = match taken {
-                Ok(response) => {
-                    // Per-entry watchdog: delivery lag against the batch's
-                    // last post, same semantics as the synchronous path.
-                    let lag = self
-                        .hv
-                        .borrow()
-                        .clock()
-                        .now_ns()
-                        .saturating_sub(self.backend.borrow().last_post_ns());
-                    if lag > DEFAULT_OP_DEADLINE_NS {
-                        Err(Errno::Etimedout)
-                    } else {
-                        response.result()
-                    }
-                }
-                Err(ChannelError::Empty) if self.backend.borrow().is_paused() => {
-                    // A paused backend queues on purpose (test/diagnostic
-                    // state); mirror the synchronous path and do not trip
-                    // the watchdog.
-                    Err(Errno::Eio)
-                }
-                Err(ChannelError::Empty) => {
-                    // Fewer responses than submissions: a hung or dead
-                    // driver swallowed part of the batch. Contain it.
-                    let start_ns = entry.start_ns;
-                    let waited = self
-                        .hv
-                        .borrow()
-                        .clock()
-                        .now_ns()
-                        .saturating_sub(start_ns);
-                    self.hv
-                        .borrow()
-                        .clock()
-                        .advance(DEFAULT_OP_DEADLINE_NS.saturating_sub(waited));
-                    let driver_vm = self.backend.borrow().driver_vm();
-                    let _ = self.hv.borrow_mut().mark_driver_vm_failed(driver_vm);
-                    self.trip_breaker();
-                    contained = true;
-                    Err(Errno::Etimedout)
-                }
-                Err(_) => {
-                    // Garbage in the response ring: corrupted driver VM.
-                    let driver_vm = self.backend.borrow().driver_vm();
-                    let _ = self.hv.borrow_mut().mark_driver_vm_failed(driver_vm);
-                    self.trip_breaker();
-                    contained = true;
-                    Err(Errno::Eio)
-                }
-            };
-            let traced = match result {
-                Ok(value) => Ok(WireResponse::Value(value)),
-                Err(errno) => Err(errno),
-            };
-            self.trace_op_end(entry.span, entry.start_ns, entry.stats_before, traced);
-            if let (Some(grant), false) = (entry.grant, entry.cache_owned) {
-                if !contained {
-                    self.revoke(grant);
-                }
-            }
-            self.completed.push(result);
+        for op in std::mem::take(&mut self.pipeline) {
+            let outcome = self.complete(&op, &mut served);
+            self.completed.push(outcome.and_then(WireResponse::result));
         }
-        Ok(())
     }
 
     /// Forwards `mmap`: pre-creates the intermediate page-table levels for
@@ -1337,10 +1166,7 @@ impl Frontend {
                 _ => return Err(Errno::Einval),
             }
         }
-        let file = self.file(fd)?;
-        let handle = file.backend_handle;
-        let trace =
-            OpTrace::new(self.trace_device(&file.path), TraceOpKind::Mmap).range(va.raw(), len);
+        let handle = self.handle(fd)?;
         let pages = len.div_ceil(PAGE_SIZE);
         {
             let mut hv = self.hv.borrow_mut();
@@ -1362,7 +1188,6 @@ impl Frontend {
                     offset,
                     access,
                 },
-                trace,
             )
             .and_then(WireResponse::result);
         if result.is_ok() {
@@ -1392,10 +1217,7 @@ impl Frontend {
         fd: u64,
         va: GuestVirtAddr,
     ) -> Result<(), Errno> {
-        let file = self.file(fd)?;
-        let handle = file.backend_handle;
-        let trace = OpTrace::new(self.trace_device(&file.path), TraceOpKind::Fault)
-            .range(va.raw(), PAGE_SIZE);
+        let handle = self.handle(fd)?;
         let vma = self
             .vmas
             .iter()
@@ -1421,7 +1243,6 @@ impl Frontend {
                 access: vma.access,
             }]),
             WireOp::Fault { va },
-            trace,
         )
         .and_then(WireResponse::result)
         .map(|_| ())
@@ -1442,10 +1263,7 @@ impl Frontend {
         va: GuestVirtAddr,
         len: u64,
     ) -> Result<(), Errno> {
-        let file = self.file(fd)?;
-        let handle = file.backend_handle;
-        let trace =
-            OpTrace::new(self.trace_device(&file.path), TraceOpKind::Munmap).range(va.raw(), len);
+        let handle = self.handle(fd)?;
         let pages = len.div_ceil(PAGE_SIZE);
         {
             let mut hv = self.hv.borrow_mut();
@@ -1462,7 +1280,6 @@ impl Frontend {
                 handle,
                 Some(vec![MemOpGrant::UnmapPages { va, pages }]),
                 WireOp::Munmap { va, len },
-                trace,
             )
             .and_then(WireResponse::result);
         if result.is_ok() {
@@ -1478,17 +1295,8 @@ impl Frontend {
     ///
     /// Driver errors.
     pub fn poll(&mut self, task: TaskId, fd: u64) -> Result<PollEvents, Errno> {
-        let file = self.file(fd)?;
-        let handle = file.backend_handle;
-        let trace = OpTrace::new(self.trace_device(&file.path), TraceOpKind::Poll);
-        match self.run_op(
-            task,
-            paradice_mem::GuestPhysAddr::new(0),
-            handle,
-            None,
-            WireOp::Poll,
-            trace,
-        )? {
+        let handle = self.handle(fd)?;
+        match self.run_op(task, GuestPhysAddr::new(0), handle, None, WireOp::Poll)? {
             WireResponse::Poll(events) => Ok(events),
             WireResponse::Err(errno) => Err(errno),
             // A conforming backend answers `poll` with the dedicated
@@ -1503,19 +1311,10 @@ impl Frontend {
     ///
     /// Driver errors.
     pub fn fasync(&mut self, task: TaskId, fd: u64, on: bool) -> Result<(), Errno> {
-        let file = self.file(fd)?;
-        let handle = file.backend_handle;
-        let trace = OpTrace::new(self.trace_device(&file.path), TraceOpKind::Fasync);
-        self.run_op(
-            task,
-            paradice_mem::GuestPhysAddr::new(0),
-            handle,
-            None,
-            WireOp::Fasync { on },
-            trace,
-        )
-        .and_then(WireResponse::result)
-        .map(|_| ())
+        let handle = self.handle(fd)?;
+        self.run_op(task, GuestPhysAddr::new(0), handle, None, WireOp::Fasync { on })
+            .and_then(WireResponse::result)
+            .map(|_| ())
     }
 
     /// Drains forwarded asynchronous notifications: `(task, guest-local fd)`

@@ -13,7 +13,8 @@
 use paradice_devfs::ioc::IoctlCmd;
 use paradice_devfs::{Errno, OpenFlags, PollEvents};
 use paradice_hypervisor::{Channel, GrantRef, WireCodec};
-use paradice_mem::{Access, GuestPhysAddr, GuestVirtAddr};
+use paradice_mem::{Access, GuestPhysAddr, GuestVirtAddr, PAGE_SIZE};
+use paradice_trace::TraceOpKind;
 
 /// The CVD transport: a typed [`Channel`] that encodes/decodes the three
 /// wire types at the channel boundary. Frontend and backend exchange
@@ -92,20 +93,10 @@ pub enum WireOp {
 
 impl WireOp {
     /// The operation's wire name, used for fault-plan triggers and trace
-    /// events (stable, lowercase, matches the devfs file-operation names).
-    pub const fn name(&self) -> &'static str {
-        match self {
-            WireOp::Open { .. } => "open",
-            WireOp::Release => "release",
-            WireOp::Read { .. } => "read",
-            WireOp::Write { .. } => "write",
-            WireOp::Ioctl { .. } => "ioctl",
-            WireOp::Mmap { .. } => "mmap",
-            WireOp::Munmap { .. } => "munmap",
-            WireOp::Poll => "poll",
-            WireOp::Fasync { .. } => "fasync",
-            WireOp::Fault { .. } => "fault",
-        }
+    /// events (stable, lowercase, matches the devfs file-operation names):
+    /// the name of its span kind.
+    pub fn name(&self) -> &'static str {
+        self.span_labels().0.as_str()
     }
 
     /// Whether the frontend may post this operation to the ring without
@@ -120,6 +111,30 @@ impl WireOp {
             self,
             WireOp::Read { .. } | WireOp::Write { .. } | WireOp::Ioctl { .. }
         )
+    }
+
+    /// The labels this operation's trace span carries — `(kind, cmd, addr,
+    /// len)` — for every substrate that opens a span. The range is the user
+    /// memory the operation names: its buffer, the `_IOC`-encoded parameter
+    /// struct at `arg`, the mapping, or the one faulting page.
+    pub fn span_labels(&self) -> (TraceOpKind, Option<u32>, Option<u64>, Option<u64>) {
+        match *self {
+            WireOp::Open { .. } => (TraceOpKind::Open, None, None, None),
+            WireOp::Release => (TraceOpKind::Release, None, None, None),
+            WireOp::Read { addr, len } => (TraceOpKind::Read, None, Some(addr.raw()), Some(len)),
+            WireOp::Write { addr, len } => (TraceOpKind::Write, None, Some(addr.raw()), Some(len)),
+            WireOp::Ioctl { cmd, arg } => (
+                TraceOpKind::Ioctl,
+                Some(cmd.raw()),
+                Some(arg),
+                Some(u64::from(cmd.size())),
+            ),
+            WireOp::Mmap { va, len, .. } => (TraceOpKind::Mmap, None, Some(va.raw()), Some(len)),
+            WireOp::Munmap { va, len } => (TraceOpKind::Munmap, None, Some(va.raw()), Some(len)),
+            WireOp::Fault { va } => (TraceOpKind::Fault, None, Some(va.raw()), Some(PAGE_SIZE)),
+            WireOp::Poll => (TraceOpKind::Poll, None, None, None),
+            WireOp::Fasync { .. } => (TraceOpKind::Fasync, None, None, None),
+        }
     }
 
     const fn opcode(&self) -> u8 {
@@ -788,6 +803,40 @@ mod tests {
     fn roundtrip(req: WireRequest) {
         let bytes = req.encode();
         assert_eq!(WireRequest::decode(&bytes).unwrap(), req);
+    }
+
+    #[test]
+    fn every_op_labels_its_own_span() {
+        let va = GuestVirtAddr::new(0x4000);
+        let cmd = iowr(b'd', 0x26, 16);
+        let open = WireOp::Open {
+            path: "/dev/dri/card0".to_owned(),
+            flags: OpenFlags::RDWR,
+        };
+        let mmap = WireOp::Mmap {
+            va,
+            len: 8192,
+            offset: 1 << 28,
+            access: Access::RW,
+        };
+        use TraceOpKind as K;
+        let table = [
+            (open, (K::Open, None, None, None)),
+            (WireOp::Release, (K::Release, None, None, None)),
+            (WireOp::Read { addr: va, len: 512 }, (K::Read, None, Some(0x4000), Some(512))),
+            (WireOp::Write { addr: va, len: 16 }, (K::Write, None, Some(0x4000), Some(16))),
+            // An ioctl names the `_IOC`-sized parameter struct at `arg`.
+            (WireOp::Ioctl { cmd, arg: 0xbeef }, (K::Ioctl, Some(cmd.raw()), Some(0xbeef), Some(16))),
+            (mmap, (K::Mmap, None, Some(0x4000), Some(8192))),
+            (WireOp::Munmap { va, len: 8192 }, (K::Munmap, None, Some(0x4000), Some(8192))),
+            // A fault names the one page it asks the driver to populate.
+            (WireOp::Fault { va }, (K::Fault, None, Some(0x4000), Some(PAGE_SIZE))),
+            (WireOp::Poll, (K::Poll, None, None, None)),
+            (WireOp::Fasync { on: true }, (K::Fasync, None, None, None)),
+        ];
+        for (op, labels) in table {
+            assert_eq!(op.span_labels(), labels, "{}", op.name());
+        }
     }
 
     #[test]

@@ -235,9 +235,6 @@ pub enum FileOpKind {
 /// open/release.
 #[allow(unused_variables)]
 pub trait FileOps {
-    /// Human-readable driver name (`"drm/radeon"`, `"evdev"`).
-    fn driver_name(&self) -> &str;
-
     /// Called when a process opens the device file.
     ///
     /// # Errors
@@ -382,11 +379,7 @@ mod tests {
 
     struct NullDriver;
 
-    impl FileOps for NullDriver {
-        fn driver_name(&self) -> &str {
-            "null"
-        }
-    }
+    impl FileOps for NullDriver {}
 
     fn ctx() -> OpenContext {
         OpenContext {

@@ -144,11 +144,6 @@ impl BufferMemOps {
         &self.bytes
     }
 
-    /// Direct mutable access to the underlying bytes (test setup).
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
-    }
-
     fn range(&self, addr: GuestVirtAddr, len: usize) -> Result<std::ops::Range<usize>, Errno> {
         let start = addr.raw() as usize;
         let end = start.checked_add(len).ok_or(Errno::Efault)?;

@@ -93,10 +93,6 @@ impl PcmDriver {
 }
 
 impl FileOps for PcmDriver {
-    fn driver_name(&self) -> &str {
-        "PCM/snd-hda-intel"
-    }
-
     fn ioctl(
         &mut self,
         _ctx: OpenContext,

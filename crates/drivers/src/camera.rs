@@ -103,11 +103,6 @@ impl UvcDriver {
         }
     }
 
-    /// Frames delivered since stream-on (the workload's FPS numerator).
-    pub fn sequence(&self) -> u64 {
-        self.sequence
-    }
-
     fn check_owner(&self, ctx: OpenContext) -> Result<(), Errno> {
         match self.owner {
             Some(owner) if owner == ctx.handle => Ok(()),
@@ -154,10 +149,6 @@ impl UvcDriver {
 }
 
 impl FileOps for UvcDriver {
-    fn driver_name(&self) -> &str {
-        "V4L2/UVC"
-    }
-
     fn open(&mut self, ctx: OpenContext) -> Result<(), Errno> {
         if self.owner.is_some() {
             return Err(Errno::Ebusy);

@@ -174,18 +174,6 @@ impl KernelEnv {
             .map_err(|e| hv_to_errno(&e))
     }
 
-    /// Unmaps a DMA page (the hypervisor zeroes it first).
-    ///
-    /// # Errors
-    ///
-    /// `EIO`/`EINVAL` on hypervisor refusal.
-    pub fn iommu_unmap(&self, dma: DmaAddr) -> Result<(), Errno> {
-        self.hv
-            .borrow_mut()
-            .hc_iommu_unmap(self.vm, self.domain, dma)
-            .map_err(|e| hv_to_errno(&e))
-    }
-
     /// Asks the hypervisor to make the device work with `region`'s data.
     ///
     /// # Errors

@@ -182,10 +182,6 @@ impl EvdevDriver {
 }
 
 impl FileOps for EvdevDriver {
-    fn driver_name(&self) -> &str {
-        self.name
-    }
-
     fn open(&mut self, ctx: OpenContext) -> Result<(), Errno> {
         self.queues.insert(ctx.handle, VecDeque::new());
         Ok(())

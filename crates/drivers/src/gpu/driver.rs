@@ -231,11 +231,6 @@ impl RadeonDriver {
         self.version
     }
 
-    /// Whether the data-isolation patch set is active.
-    pub fn isolated(&self) -> bool {
-        self.isolation.is_some()
-    }
-
     /// Live buffer objects (tests).
     pub fn bo_count(&self) -> usize {
         self.bos.len()
@@ -572,10 +567,6 @@ impl RadeonDriver {
 }
 
 impl FileOps for RadeonDriver {
-    fn driver_name(&self) -> &str {
-        "DRM/Radeon"
-    }
-
     fn open(&mut self, _ctx: OpenContext) -> Result<(), Errno> {
         // The DRM node is multi-open (GPUs are shared, §3.2.3).
         self.open_count += 1;

@@ -141,10 +141,6 @@ impl I915Driver {
 }
 
 impl FileOps for I915Driver {
-    fn driver_name(&self) -> &str {
-        "DRM/i915"
-    }
-
     fn release(&mut self, ctx: OpenContext) -> Result<(), Errno> {
         let doomed: Vec<u32> = self
             .bos

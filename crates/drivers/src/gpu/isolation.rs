@@ -138,11 +138,6 @@ impl IsolationState {
             .ok_or(Errno::Eperm)
     }
 
-    /// Number of configured regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
     /// The region configured for `guest`, if any.
     pub fn region_of_guest(&self, guest: VmId) -> Option<RegionId> {
         self.regions

@@ -211,11 +211,6 @@ impl RadeonGpu {
         self.irq_status_page = Some(page);
     }
 
-    /// The interrupt-status ring page, if configured.
-    pub fn irq_status_page(&self) -> Option<GuestPhysAddr> {
-        self.irq_status_page
-    }
-
     /// Selects the engine scheduling policy (the §8 fairness extension).
     pub fn set_sched(&mut self, sched: GpuSched) {
         self.sched = sched;
@@ -231,19 +226,9 @@ impl RadeonGpu {
         self.vsync_enabled = enabled;
     }
 
-    /// Whether VSync pacing is on.
-    pub fn vsync_enabled(&self) -> bool {
-        self.vsync_enabled
-    }
-
     /// Cumulative engine time consumed.
     pub fn engine_time_ns(&self) -> u64 {
         self.engine_time_ns
-    }
-
-    /// When the engine goes idle given work accepted so far.
-    pub fn busy_until_ns(&self) -> u64 {
-        self.busy_until_ns
     }
 
     /// Writes `buf` into VRAM at `offset`, enforcing the aperture (§4.2):

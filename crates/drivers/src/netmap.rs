@@ -260,10 +260,6 @@ impl NetmapDriver {
 }
 
 impl FileOps for NetmapDriver {
-    fn driver_name(&self) -> &str {
-        "netmap/e1000e"
-    }
-
     fn open(&mut self, ctx: OpenContext) -> Result<(), Errno> {
         if self.owner.is_some() {
             // netmap's driver "only allow[s] access from one guest VM at a

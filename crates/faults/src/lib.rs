@@ -188,21 +188,17 @@ pub struct FaultPlan {
     armed: Vec<ArmedFault>,
     dispatches: u64,
     op_counts: BTreeMap<String, u64>,
-    delay_ns: u64,
     fired: Vec<FiredFault>,
 }
 
-/// Default extra latency of a [`FaultKind::DelayDelivery`] fault: 100 ms of
+/// Extra latency of a [`FaultKind::DelayDelivery`] fault: 100 ms of
 /// virtual time, far beyond any per-op deadline.
 pub const DEFAULT_DELAY_NS: u64 = 100_000_000;
 
 impl FaultPlan {
     /// An empty plan (injects nothing).
     pub fn new() -> Self {
-        FaultPlan {
-            delay_ns: DEFAULT_DELAY_NS,
-            ..FaultPlan::default()
-        }
+        FaultPlan::default()
     }
 
     /// Arms one fault. Order matters: the first matching armed fault wins
@@ -213,16 +209,6 @@ impl FaultPlan {
             trigger,
             fired: false,
         });
-    }
-
-    /// Sets the extra latency applied by [`FaultKind::DelayDelivery`].
-    pub fn set_delay_ns(&mut self, delay_ns: u64) {
-        self.delay_ns = delay_ns;
-    }
-
-    /// Extra latency applied by [`FaultKind::DelayDelivery`].
-    pub fn delay_ns(&self) -> u64 {
-        self.delay_ns
     }
 
     /// Consulted by the backend once per dispatch, *before* executing the

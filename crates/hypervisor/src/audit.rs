@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use paradice_mem::{DmaAddr, GuestPhysAddr, GuestVirtAddr, RegionId};
+use paradice_mem::{DmaAddr, GuestPhysAddr, RegionId};
 
 use crate::grants::GrantRef;
 use crate::vm::VmId;
@@ -90,14 +90,6 @@ pub enum AuditEvent {
         /// Queue length at the time.
         depth: usize,
     },
-    /// A hypervisor `mmap` fix-up targeted an address outside the guest's
-    /// declared window (defence-in-depth check).
-    BadMapTarget {
-        /// Target guest.
-        guest: VmId,
-        /// The suspicious virtual address.
-        va: GuestVirtAddr,
-    },
 }
 
 impl AuditEvent {
@@ -111,7 +103,6 @@ impl AuditEvent {
             AuditEvent::ApertureViolation { .. } => "aperture_violation",
             AuditEvent::ProtectedMmioWrite { .. } => "protected_mmio_write",
             AuditEvent::WaitQueueOverflow { .. } => "wait_queue_overflow",
-            AuditEvent::BadMapTarget { .. } => "bad_map_target",
         }
     }
 
@@ -137,18 +128,13 @@ impl AuditEvent {
             AuditEvent::WaitQueueOverflow { guest, depth } => {
                 format!("guest={guest:?} depth={depth}")
             }
-            AuditEvent::BadMapTarget { guest, va } => {
-                format!("guest={guest:?} va={va:?}")
-            }
         }
     }
 
     /// The mechanism that blocked this event.
     pub fn blocked_by(&self) -> BlockedBy {
         match self {
-            AuditEvent::UngrantedMemOp { .. } | AuditEvent::BadMapTarget { .. } => {
-                BlockedBy::GrantCheck
-            }
+            AuditEvent::UngrantedMemOp { .. } => BlockedBy::GrantCheck,
             AuditEvent::ProtectedRegionAccess { .. } => BlockedBy::EptProtection,
             AuditEvent::DmaBlocked { .. } => BlockedBy::IommuRegion,
             AuditEvent::ApertureViolation { .. } => BlockedBy::DeviceAperture,

@@ -249,10 +249,40 @@ impl Ring {
         Some(bytes)
     }
 
-    /// The most recently posted, undrained entry (fault hooks mutate it).
-    fn newest_mut(&mut self) -> Option<&mut Vec<u8>> {
-        let slot = self.idx.newest_slot()?;
-        self.slots[slot as usize].as_mut()
+    /// Fault hook: rewrites the most recently posted, undrained entry in
+    /// place, keeping the byte budget in step with its new length. Returns
+    /// `false` when nothing is pending.
+    fn mutate_newest(&mut self, mutate: impl FnOnce(&mut Vec<u8>)) -> bool {
+        let newest = self.idx.newest_slot();
+        let Some(bytes) = newest.and_then(|slot| self.slots[slot as usize].as_mut()) else {
+            return false;
+        };
+        let old_len = bytes.len();
+        mutate(bytes);
+        self.queued_bytes = self.queued_bytes - old_len as u64 + bytes.len() as u64;
+        true
+    }
+
+    /// Fault hook: scrambles the newest entry (a corrupted shared-page
+    /// write).
+    fn scramble_newest(&mut self) -> bool {
+        self.mutate_newest(|bytes| {
+            if bytes.is_empty() {
+                // An empty payload cannot decode anyway; make it visibly
+                // garbled.
+                *bytes = vec![0xde, 0xad];
+            } else {
+                for (i, b) in bytes.iter_mut().enumerate() {
+                    *b = b.wrapping_add(0x5a).rotate_left((i % 7) as u32);
+                }
+            }
+        })
+    }
+
+    /// Fault hook: truncates the newest entry to half its length (a partial
+    /// shared-page write).
+    fn truncate_newest(&mut self) -> bool {
+        self.mutate_newest(|bytes| bytes.truncate(bytes.len() / 2))
     }
 
     /// Removes the most recently posted entry (lost-completion injection).
@@ -271,12 +301,6 @@ impl Ring {
             *slot = None;
         }
         self.queued_bytes = 0;
-    }
-
-    /// Adjusts the newest entry's byte accounting after an in-place fault
-    /// mutation (scramble/truncate may change the payload length).
-    fn reaccount(&mut self, old_len: usize, new_len: usize) {
-        self.queued_bytes = self.queued_bytes - old_len as u64 + new_len as u64;
     }
 }
 
@@ -356,11 +380,6 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
         self.requests.len()
     }
 
-    /// Responses currently queued (posted but not yet taken).
-    pub fn response_backlog(&self) -> usize {
-        self.responses.len()
-    }
-
     /// Delivery statistics so far.
     pub fn stats(&self) -> ChannelStats {
         self.stats
@@ -410,6 +429,35 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
         self.last_activity_ns = self.clock.now_ns();
     }
 
+    /// One direction's send: admission into `ring`, then the doorbell (or
+    /// coalesced) charge. Returns the encoded length for the caller's byte
+    /// counter.
+    fn send(
+        &mut self,
+        bytes: Vec<u8>,
+        ring: impl FnOnce(&mut Self) -> &mut Ring,
+    ) -> Result<u64, ChannelError> {
+        Self::check_len(&bytes)?;
+        let len = bytes.len() as u64;
+        let depth = self.ring_depth;
+        if ring(self).try_push(depth, bytes)? {
+            self.charge_delivery();
+        } else {
+            self.charge_coalesced();
+        }
+        Ok(len)
+    }
+
+    /// One direction's take: the oldest entry of `ring`, decoded. The bad
+    /// message is consumed either way, freeing the entry.
+    fn take<M: WireCodec>(ring: &mut Ring, malformed: &mut u64) -> Result<M, ChannelError> {
+        let bytes = ring.try_pop().ok_or(ChannelError::Empty)?;
+        M::decode_wire(&bytes).ok_or_else(|| {
+            *malformed += 1;
+            ChannelError::Malformed
+        })
+    }
+
     /// Frontend → backend: posts a file-operation request.
     ///
     /// # Errors
@@ -417,15 +465,7 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
     /// [`ChannelError::TooLarge`] or [`ChannelError::SlotBusy`] (ring full,
     /// or the queued entries would overflow the shared page).
     pub fn send_request(&mut self, request: Req) -> Result<(), ChannelError> {
-        let bytes = request.encode_wire();
-        Self::check_len(&bytes)?;
-        let len = bytes.len() as u64;
-        let doorbell = self.requests.try_push(self.ring_depth, bytes)?;
-        if doorbell {
-            self.charge_delivery();
-        } else {
-            self.charge_coalesced();
-        }
+        let len = self.send(request.encode_wire(), |c| &mut c.requests)?;
         self.stats.requests += 1;
         self.stats.request_bytes += len;
         Ok(())
@@ -439,11 +479,7 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
     /// [`ChannelError::Malformed`] if the entry bytes do not parse (the
     /// bad message is consumed either way, freeing the entry).
     pub fn take_request(&mut self) -> Result<Req, ChannelError> {
-        let bytes = self.requests.try_pop().ok_or(ChannelError::Empty)?;
-        Req::decode_wire(&bytes).ok_or_else(|| {
-            self.stats.malformed_count += 1;
-            ChannelError::Malformed
-        })
+        Self::take(&mut self.requests, &mut self.stats.malformed_count)
     }
 
     /// Backend → frontend: posts the response.
@@ -453,15 +489,7 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
     /// [`ChannelError::TooLarge`] or [`ChannelError::SlotBusy`] (ring full,
     /// or the queued entries would overflow the shared page).
     pub fn send_response(&mut self, response: Resp) -> Result<(), ChannelError> {
-        let bytes = response.encode_wire();
-        Self::check_len(&bytes)?;
-        let len = bytes.len() as u64;
-        let doorbell = self.responses.try_push(self.ring_depth, bytes)?;
-        if doorbell {
-            self.charge_delivery();
-        } else {
-            self.charge_coalesced();
-        }
+        let len = self.send(response.encode_wire(), |c| &mut c.responses)?;
         self.stats.responses += 1;
         self.stats.response_bytes += len;
         Ok(())
@@ -474,11 +502,7 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
     /// [`ChannelError::Empty`] if nothing is pending;
     /// [`ChannelError::Malformed`] if the entry bytes do not parse.
     pub fn take_response(&mut self) -> Result<Resp, ChannelError> {
-        let bytes = self.responses.try_pop().ok_or(ChannelError::Empty)?;
-        Resp::decode_wire(&bytes).ok_or_else(|| {
-            self.stats.malformed_count += 1;
-            ChannelError::Malformed
-        })
+        Self::take(&mut self.responses, &mut self.stats.malformed_count)
     }
 
     /// Backend → frontend: posts an asynchronous notification (`fasync`
@@ -525,36 +549,14 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
     /// response in place (a corrupted shared-page write by a crashing
     /// driver). Returns `false` when no response is pending.
     pub fn scramble_response_slot(&mut self) -> bool {
-        let Some(bytes) = self.responses.newest_mut() else {
-            return false;
-        };
-        let old_len = bytes.len();
-        if bytes.is_empty() {
-            // An empty slot payload cannot decode anyway; make it
-            // visibly garbled.
-            *bytes = vec![0xde, 0xad];
-        } else {
-            for (i, b) in bytes.iter_mut().enumerate() {
-                *b = b.wrapping_add(0x5a).rotate_left((i % 7) as u32);
-            }
-        }
-        let new_len = self.responses.newest_mut().map_or(0, |b| b.len());
-        self.responses.reaccount(old_len, new_len);
-        true
+        self.responses.scramble_newest()
     }
 
     /// Fault injection: truncates the most recently posted response to half
     /// its length (a partial shared-page write). Returns `false` when no
     /// response is pending.
     pub fn truncate_response_slot(&mut self) -> bool {
-        let Some(bytes) = self.responses.newest_mut() else {
-            return false;
-        };
-        let old_len = bytes.len();
-        let keep = old_len / 2;
-        bytes.truncate(keep);
-        self.responses.reaccount(old_len, keep);
-        true
+        self.responses.truncate_newest()
     }
 
     /// Fault injection: drops the most recently posted response entirely (a
@@ -568,34 +570,14 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
     /// *request* in place (a malicious guest rewriting the shared page after
     /// ringing the doorbell). Returns `false` when no request is pending.
     pub fn scramble_request_slot(&mut self) -> bool {
-        let Some(bytes) = self.requests.newest_mut() else {
-            return false;
-        };
-        let old_len = bytes.len();
-        if bytes.is_empty() {
-            *bytes = vec![0xde, 0xad];
-        } else {
-            for (i, b) in bytes.iter_mut().enumerate() {
-                *b = b.wrapping_add(0x5a).rotate_left((i % 7) as u32);
-            }
-        }
-        let new_len = self.requests.newest_mut().map_or(0, |b| b.len());
-        self.requests.reaccount(old_len, new_len);
-        true
+        self.requests.scramble_newest()
     }
 
     /// Fault injection: truncates the most recently posted *request* to half
     /// its length (a partial shared-page write by a hostile guest). Returns
     /// `false` when no request is pending.
     pub fn truncate_request_slot(&mut self) -> bool {
-        let Some(bytes) = self.requests.newest_mut() else {
-            return false;
-        };
-        let old_len = bytes.len();
-        let keep = old_len / 2;
-        bytes.truncate(keep);
-        self.requests.reaccount(old_len, keep);
-        true
+        self.requests.truncate_newest()
     }
 }
 

@@ -420,21 +420,11 @@ impl Hypervisor {
         self.tracer = tracer;
     }
 
-    /// The active trace sink (disabled unless tracing was enabled).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// Marks the span whose file operation the backend is dispatching; the
     /// hypercall paths attribute memory-operation events to it. Pass
     /// [`SpanId::NONE`] when dispatch completes.
     pub fn set_current_span(&mut self, span: SpanId) {
         self.current_span = span;
-    }
-
-    /// The span currently being dispatched (tests).
-    pub fn current_span(&self) -> SpanId {
-        self.current_span
     }
 
     /// Records one driver memory operation against the current span.
@@ -468,19 +458,9 @@ impl Hypervisor {
         self.hypercalls
     }
 
-    /// Clears the audit log (between experiment repetitions).
-    pub fn clear_audit(&mut self) {
-        self.audit.clear();
-    }
-
     /// Direct access to system memory (device models and tests).
     pub fn mem(&self) -> &SystemMemory {
         &self.mem
-    }
-
-    /// Mutable access to system memory (device models and tests).
-    pub fn mem_mut(&mut self) -> &mut SystemMemory {
-        &mut self.mem
     }
 
     // ------------------------------------------------------------------
@@ -755,25 +735,12 @@ impl Hypervisor {
         self.grants.get(&guest.0).map_or(0, |t| t.outstanding())
     }
 
-    /// The declarations behind a live grant reference, or `None` when the
-    /// reference is stale. The backend reads this (shared grant-table page)
-    /// to learn an op's declared envelope, e.g. when sizing the deferred
-    /// write set it will flush through one vectored hypercall.
-    pub fn grant_declarations(&self, guest: VmId, grant: GrantRef) -> Option<&[MemOpGrant]> {
-        self.grants.get(&guest.0)?.declarations(grant)
-    }
-
     /// Disables or re-enables grant validation: the devirtualization
     /// ablation (Figure 1(b)), in which driver memory operations execute
     /// unchecked. Exists so experiments can demonstrate *why* the checks
     /// matter; isolation guarantees are void while disabled.
     pub fn set_grant_validation(&mut self, enabled: bool) {
         self.grant_validation = enabled;
-    }
-
-    /// Whether grant validation is active (it is, except in the ablation).
-    pub fn grant_validation(&self) -> bool {
-        self.grant_validation
     }
 
     /// Validates one hypercall's memory operations against `grant` through
@@ -1339,11 +1306,6 @@ impl Hypervisor {
         self.domain_state(domain).isolation == DataIsolation::Enabled
     }
 
-    /// The driver VM a device is assigned to.
-    pub fn driver_vm_of(&self, domain: DomainId) -> VmId {
-        self.domain_state(domain).driver_vm
-    }
-
     /// Allocates `pages` frames of *device memory* (VRAM) and maps them as a
     /// BAR into the driver VM's guest-physical space above its RAM + `mmap`
     /// window. Returns the BAR base. Device memory lives in system physical
@@ -1577,11 +1539,6 @@ impl Hypervisor {
         self.clock.advance(self.cost.hypercall_ns);
         self.domain_state_mut(domain).mmio_protected = true;
         Ok(())
-    }
-
-    /// Whether the MC register page is hypervisor-protected.
-    pub fn mmio_protected(&self, domain: DomainId) -> bool {
-        self.domain_state(domain).mmio_protected
     }
 
     /// A *direct* driver-VM write to the MC register page — the attack path.
@@ -1841,12 +1798,6 @@ impl Hypervisor {
         Ok(())
     }
 
-    /// A device-facing port bundling the hypervisor with one IOMMU domain;
-    /// device models use it for DMA and aperture checks.
-    pub fn dma_port(&mut self, domain: DomainId) -> DmaPort<'_> {
-        DmaPort { hv: self, domain }
-    }
-
     /// Records an externally detected audit event (wait-queue overflows from
     /// the CVD backend, etc.).
     pub fn record_audit(&mut self, event: AuditEvent) {
@@ -2034,52 +1985,6 @@ impl Hypervisor {
                 .set_access(gpa, Access::NONE)?;
         }
         Ok(())
-    }
-}
-
-/// A device model's window onto the hypervisor: DMA plus aperture checks for
-/// one assigned device.
-pub struct DmaPort<'a> {
-    hv: &'a mut Hypervisor,
-    domain: DomainId,
-}
-
-impl DmaPort<'_> {
-    /// The device's IOMMU domain.
-    pub fn domain(&self) -> DomainId {
-        self.domain
-    }
-
-    /// DMA read (IOMMU-translated).
-    ///
-    /// # Errors
-    ///
-    /// IOMMU faults (audited).
-    pub fn read(&mut self, dma: DmaAddr, buf: &mut [u8]) -> Result<(), HvError> {
-        self.hv.device_dma_read(self.domain, dma, buf)
-    }
-
-    /// DMA write (IOMMU-translated).
-    ///
-    /// # Errors
-    ///
-    /// IOMMU faults (audited).
-    pub fn write(&mut self, dma: DmaAddr, buf: &[u8]) -> Result<(), HvError> {
-        self.hv.device_dma_write(self.domain, dma, buf)
-    }
-
-    /// Checks a device-memory access against the active aperture.
-    ///
-    /// # Errors
-    ///
-    /// [`HvError::ApertureViolation`] (audited).
-    pub fn check_aperture(&mut self, offset: u64, len: u64) -> Result<(), HvError> {
-        self.hv.check_aperture(self.domain, offset, len)
-    }
-
-    /// The shared clock.
-    pub fn clock(&self) -> &ClockSource {
-        self.hv.clock()
     }
 }
 

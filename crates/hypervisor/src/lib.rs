@@ -74,7 +74,7 @@ pub use grants::{
     SEQ_BITS,
 };
 pub use shards::{ShardedGrantTable, RETIRED_CAP};
-pub use hv::{BatchMemOp, BatchMemOpResult, DmaPort, HvError, Hypervisor};
+pub use hv::{BatchMemOp, BatchMemOpResult, HvError, Hypervisor};
 pub use regions::RegionManager;
 pub use ring::{PushGrant, RingIndex, RING_CAPACITY};
 pub use vm::{Vm, VmId};

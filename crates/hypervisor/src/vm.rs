@@ -79,11 +79,6 @@ impl Vm {
         }
     }
 
-    /// The VM's identifier.
-    pub fn id(&self) -> VmId {
-        self.id
-    }
-
     /// The VM's role.
     pub fn role(&self) -> VmRole {
         self.role

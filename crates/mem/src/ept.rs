@@ -176,11 +176,6 @@ impl Ept {
         }
     }
 
-    /// Returns the permissions currently granted for `gpa`'s page, if mapped.
-    pub fn access_of(&self, gpa: GuestPhysAddr) -> Option<Access> {
-        self.entries.get(&gpa.page_number()).map(|e| e.access)
-    }
-
     /// Translates `gpa` to a system-physical address, checking `attempted`
     /// rights; offsets within the page are preserved.
     ///

@@ -106,17 +106,6 @@ impl SystemMemory {
         }
     }
 
-    /// Creates a machine memory of the given size in bytes (rounded down to
-    /// whole frames).
-    pub fn with_bytes(bytes: u64) -> Self {
-        SystemMemory::new((bytes / PAGE_SIZE) as usize)
-    }
-
-    /// Total capacity in frames.
-    pub fn total_frames(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Number of currently allocated frames.
     pub fn allocated_frames(&self) -> usize {
         self.allocated

@@ -24,7 +24,7 @@ pub mod test_runner;
 pub mod prelude {
     pub use crate::strategy::{any, Just, Strategy};
     pub use crate::test_runner::TestCaseError;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, prop_assume, proptest};
 }
 
 /// Defines property tests: each `fn` runs its body against
@@ -148,25 +148,6 @@ macro_rules! prop_assume {
     ($cond:expr $(, $($fmt:tt)+)?) => {
         if !($cond) {
             return Ok(());
-        }
-    };
-}
-
-/// `assert_ne!` counterpart of [`prop_assert!`].
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {
-        match (&$left, &$right) {
-            (left_val, right_val) => {
-                if *left_val == *right_val {
-                    return Err($crate::test_runner::TestCaseError::fail(format!(
-                        "assertion failed: `{} != {}`\n  both: {:?}",
-                        stringify!($left),
-                        stringify!($right),
-                        left_val
-                    )));
-                }
-            }
         }
     };
 }

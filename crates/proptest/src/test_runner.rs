@@ -55,11 +55,6 @@ impl TestCaseError {
             message: message.into(),
         }
     }
-
-    /// Alias kept for API compatibility with the real crate's `Reject`.
-    pub fn reject(message: impl Into<String>) -> Self {
-        TestCaseError::fail(message)
-    }
 }
 
 impl fmt::Display for TestCaseError {
