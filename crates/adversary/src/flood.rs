@@ -19,7 +19,8 @@ use paradice_cvd::proto::{WireOp, WireRequest, WireResponse};
 use paradice_devfs::Errno;
 use paradice_faults::SplitMix64;
 use paradice_hypervisor::{
-    Doorbell, EngineError, EngineKind, GrantRef, MemOpRequest, TransportMode, ARING_SLOT_BYTES,
+    Doorbell, EngineError, EngineKind, GrantRef, MemOp, MemOpRequest, TransportMode,
+    ARING_SLOT_BYTES,
 };
 use paradice_mem::{GuestPhysAddr, GuestVirtAddr};
 
@@ -186,13 +187,16 @@ fn hypercall_step(outcome: &mut FamilyOutcome, rng: &mut SplitMix64, machine: &M
     for _ in 0..32 + rng.gen_range(32) {
         hv.borrow_mut().hc_noop(guest);
     }
-    let result = hv.borrow_mut().hc_copy_to_guest(
+    let result = hv.borrow_mut().hc_memops(
         guest, // a guest, not the driver VM: role check must refuse it
         guest,
         GuestPhysAddr::new(0),
-        GuestVirtAddr::new(0x1_0000),
-        &[0u8; 16],
         GrantRef(rng.next_u64() as u32),
+        None,
+        &mut [MemOp::CopyToGuest {
+            dst: GuestVirtAddr::new(0x1_0000),
+            data: &[0u8; 16],
+        }],
     );
     match result {
         Err(_) => outcome.detected(),

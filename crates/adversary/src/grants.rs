@@ -31,8 +31,8 @@ use paradice_faults::SplitMix64;
 use paradice_hypervisor::audit::BlockedBy;
 use paradice_hypervisor::engine::EngineError;
 use paradice_hypervisor::{
-    EngineKind, GrantError, GrantRef, MemOpGrant, MemOpRequest, ShardedGrantTable, TransportMode,
-    MAX_GUESTS, SEQ_BITS,
+    EngineKind, GrantError, GrantRef, MemOp, MemOpGrant, MemOpRequest, ShardedGrantTable,
+    TransportMode, MAX_GUESTS, SEQ_BITS,
 };
 use paradice_mem::{GuestPhysAddr, GuestVirtAddr};
 
@@ -296,13 +296,16 @@ pub fn run(engine: EngineKind, seed: u64, steps: u32, bypass: bool) -> FamilyOut
             // A reference that was never declared.
             0 => {
                 let forged = GrantRef(0x8000_0000 | rng.next_u64() as u32);
-                let result = hv.borrow_mut().hc_copy_to_guest(
+                let result = hv.borrow_mut().hc_memops(
                     driver,
                     guests[0],
                     GuestPhysAddr::new(0),
-                    addr,
-                    &payload,
                     forged,
+                    None,
+                    &mut [MemOp::CopyToGuest {
+                        dst: addr,
+                        data: &payload,
+                    }],
                 );
                 ("forged-ref", result)
             }
@@ -313,13 +316,16 @@ pub fn run(engine: EngineKind, seed: u64, steps: u32, bypass: bool) -> FamilyOut
                     .declare_grants(guests[0], window)
                     .expect("declare");
                 let _ = hv.borrow_mut().revoke_grant(guests[0], grant);
-                let result = hv.borrow_mut().hc_copy_to_guest(
+                let result = hv.borrow_mut().hc_memops(
                     driver,
                     guests[0],
                     GuestPhysAddr::new(0),
-                    addr,
-                    &payload,
                     grant,
+                    None,
+                    &mut [MemOp::CopyToGuest {
+                        dst: addr,
+                        data: &payload,
+                    }],
                 );
                 ("replayed-ref", result)
             }
@@ -329,13 +335,16 @@ pub fn run(engine: EngineKind, seed: u64, steps: u32, bypass: bool) -> FamilyOut
                     .borrow_mut()
                     .declare_grants(guests[0], window)
                     .expect("declare");
-                let result = hv.borrow_mut().hc_copy_to_guest(
+                let result = hv.borrow_mut().hc_memops(
                     driver,
                     guests[1],
                     GuestPhysAddr::new(0),
-                    addr,
-                    &payload,
                     grant,
+                    None,
+                    &mut [MemOp::CopyToGuest {
+                        dst: addr,
+                        data: &payload,
+                    }],
                 );
                 let _ = hv.borrow_mut().revoke_grant(guests[0], grant);
                 ("cross-guest-ref", result)
@@ -348,13 +357,16 @@ pub fn run(engine: EngineKind, seed: u64, steps: u32, bypass: bool) -> FamilyOut
                     .expect("declare");
                 let _ = hv.borrow_mut().mark_driver_vm_failed(driver);
                 machine.recover_driver_vm().expect("recovery succeeds");
-                let result = hv.borrow_mut().hc_copy_to_guest(
+                let result = hv.borrow_mut().hc_memops(
                     driver,
                     guests[0],
                     GuestPhysAddr::new(0),
-                    addr,
-                    &payload,
                     grant,
+                    None,
+                    &mut [MemOp::CopyToGuest {
+                        dst: addr,
+                        data: &payload,
+                    }],
                 );
                 ("recovery-survivor-ref", result)
             }
@@ -368,13 +380,16 @@ pub fn run(engine: EngineKind, seed: u64, steps: u32, bypass: bool) -> FamilyOut
                     )
                     .expect("declare");
                 let oversized = vec![0u8; 4096];
-                let result = hv.borrow_mut().hc_copy_to_guest(
+                let result = hv.borrow_mut().hc_memops(
                     driver,
                     guests[0],
                     GuestPhysAddr::new(0),
-                    addr,
-                    &oversized,
                     grant,
+                    None,
+                    &mut [MemOp::CopyToGuest {
+                        dst: addr,
+                        data: &oversized,
+                    }],
                 );
                 let _ = hv.borrow_mut().revoke_grant(guests[0], grant);
                 ("grant-overflow", result)

@@ -12,7 +12,7 @@
 use paradice_devfs::Errno;
 use paradice_hypervisor::audit::BlockedBy;
 use paradice_hypervisor::hv::HvError;
-use paradice_hypervisor::{GrantRef, MemOpGrant};
+use paradice_hypervisor::{GrantRef, MemOp, MemOpGrant};
 use paradice_mem::{DmaAddr, GuestPhysAddr, GuestVirtAddr, PAGE_SIZE};
 
 use crate::machine::Machine;
@@ -63,13 +63,16 @@ pub fn ungranted_copy(machine: &mut Machine, victim_index: usize) -> AttackOutco
     let driver_vm = machine.driver_vm();
     let victim = machine.guest_vms()[victim_index];
     let bogus_grant = GrantRef(u32::MAX);
-    let result = machine.hv().borrow_mut().hc_copy_to_guest(
+    let result = machine.hv().borrow_mut().hc_memops(
         driver_vm,
         victim,
         GuestPhysAddr::new(0),
-        GuestVirtAddr::new(0xc000_0000), // "kernel" address
-        b"rootkit",
         bogus_grant,
+        None,
+        &mut [MemOp::CopyToGuest {
+            dst: GuestVirtAddr::new(0xc000_0000), // "kernel" address
+            data: b"rootkit",
+        }],
     );
     outcome(machine, "ungranted-copy", result.map(|_| ()), BlockedBy::GrantCheck)
 }
@@ -90,13 +93,16 @@ pub fn grant_overflow(machine: &mut Machine, victim_index: usize) -> AttackOutco
             }],
         )
         .expect("declaring is the victim's own action");
-    let result = machine.hv().borrow_mut().hc_copy_to_guest(
+    let result = machine.hv().borrow_mut().hc_memops(
         driver_vm,
         victim,
         GuestPhysAddr::new(0),
-        GuestVirtAddr::new(0x1_0000),
-        &[0u8; 4096],
         grant,
+        None,
+        &mut [MemOp::CopyToGuest {
+            dst: GuestVirtAddr::new(0x1_0000),
+            data: &[0u8; 4096],
+        }],
     );
     let _ = machine.hv().borrow_mut().revoke_grant(victim, grant);
     outcome(machine, "grant-overflow", result.map(|_| ()), BlockedBy::GrantCheck)

@@ -26,11 +26,11 @@ use paradice_devfs::Errno;
 use paradice_drivers::env::KernelEnv;
 use paradice_faults::{FaultKind, FaultPlan};
 use paradice_hypervisor::audit::AuditEvent;
-use paradice_hypervisor::{ChannelError, GrantRef, SharedHypervisor, VmId};
+use paradice_hypervisor::{ChannelError, GrantRef, MemOp, SharedHypervisor, VmId};
 use paradice_mem::GuestVirtAddr;
 use paradice_trace::SpanId;
 
-use crate::memops::{BatchedMemOps, HypercallMemOps, MemEngine};
+use crate::memops::HypercallMemOps;
 use crate::proto::{CvdChannel, WireOp, WireRequest, WireResponse, WireSignal};
 use crate::sharing::{SharingPolicy, VirtualTerminals};
 
@@ -99,8 +99,8 @@ pub struct Backend {
     /// frontend watchdog measures *delivery* lag against this, so blocking
     /// operations may legitimately run long without tripping it.
     last_post_ns: u64,
-    /// Fast path: dispatch with [`BatchedMemOps`], coalescing each file
-    /// operation's memory operations into one vectored hypercall.
+    /// Fast path: [`HypercallMemOps`] defers each file operation's
+    /// guest-visible writes and issues them as one hypercall.
     fastpath_batch: bool,
 }
 
@@ -136,7 +136,7 @@ impl Backend {
     }
 
     /// Enables or disables vectored-hypercall dispatch (fast path): the
-    /// driver's memory operations are deferred into one `hv_memops_batch`,
+    /// driver's memory operations are deferred into one `hc_memops` call,
     /// validated atomically — all-or-nothing on a grant violation.
     pub fn set_fastpath_batch(&mut self, on: bool) {
         self.fastpath_batch = on;
@@ -441,13 +441,16 @@ impl Backend {
                 // A corrupted driver touches guest memory it holds no grant
                 // for. The hypervisor fails the access closed and audits
                 // it; the stricken VM is then declared failed.
-                let wild = self.hv.borrow_mut().hc_copy_to_guest(
+                let wild = self.hv.borrow_mut().hc_memops(
                     self.driver_vm,
                     guest,
                     request.pt_root,
-                    GuestVirtAddr::new(0xdead_0000),
-                    &[0xff; 8],
                     GrantRef(u32::MAX),
+                    None,
+                    &mut [MemOp::CopyToGuest {
+                        dst: GuestVirtAddr::new(0xdead_0000),
+                        data: &[0xff; 8],
+                    }],
                 );
                 debug_assert!(wild.is_err(), "ungranted op must fail closed");
                 let _ = self.hv.borrow_mut().mark_driver_vm_failed(self.driver_vm);
@@ -526,25 +529,15 @@ impl Backend {
                 // hypercall. A missing grant fails closed (no declaration
                 // can ever match).
                 let grant = request.grant.unwrap_or(GrantRef(u32::MAX));
-                let mut mem = if self.fastpath_batch {
-                    MemEngine::Batched(BatchedMemOps::new(
-                        self.hv.clone(),
-                        self.driver_vm,
-                        guest,
-                        request.pt_root,
-                        grant,
-                        Some(slot.env.domain()),
-                    ))
-                } else {
-                    MemEngine::Plain(HypercallMemOps::new(
-                        self.hv.clone(),
-                        self.driver_vm,
-                        guest,
-                        request.pt_root,
-                        grant,
-                        Some(slot.env.domain()),
-                    ))
-                };
+                let mut mem = HypercallMemOps::new(
+                    self.hv.clone(),
+                    self.driver_vm,
+                    guest,
+                    request.pt_root,
+                    grant,
+                    Some(slot.env.domain()),
+                    self.fastpath_batch,
+                );
                 // Thread marking (§5.2).
                 slot.env.set_current_guest(Some(guest));
                 let result = match op {

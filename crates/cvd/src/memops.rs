@@ -13,12 +13,56 @@
 
 use paradice_devfs::{Errno, MemOps};
 use paradice_drivers::env::hv_to_errno;
-use paradice_hypervisor::{BatchMemOp, BatchMemOpResult, GrantRef, SharedHypervisor, VmId};
+use paradice_hypervisor::{GrantRef, MemOp, SharedHypervisor, VmId};
 use paradice_mem::iommu::DomainId;
 use paradice_mem::{Access, GuestPhysAddr, GuestVirtAddr};
 
-/// The Paradice [`MemOps`]: every call is a hypercall from the driver VM,
-/// validated against the guest's grant table (§4.1).
+/// A guest-visible write held for the next flush (it owns its bytes: the
+/// driver's buffer is only borrowed for the call).
+#[derive(Debug)]
+enum Deferred {
+    CopyToGuest {
+        dst: GuestVirtAddr,
+        data: Vec<u8>,
+    },
+    InsertPfn {
+        va: GuestVirtAddr,
+        pfn: u64,
+        access: Access,
+    },
+    ZapPage {
+        va: GuestVirtAddr,
+    },
+}
+
+impl Deferred {
+    fn op(&self) -> MemOp<'_> {
+        match *self {
+            Deferred::CopyToGuest { dst, ref data } => MemOp::CopyToGuest { dst, data },
+            Deferred::InsertPfn { va, pfn, access } => MemOp::InsertPfn {
+                va,
+                driver_pfn: pfn,
+                access,
+            },
+            Deferred::ZapPage { va } => MemOp::ZapPage { va },
+        }
+    }
+}
+
+/// The Paradice [`MemOps`]: every memory operation goes through
+/// `Hypervisor::hc_memops`, validated against the guest's grant table
+/// (§4.1).
+///
+/// Immediately (the paper's baseline), each operation is its own
+/// hypercall. Deferred (the fast path), guest-visible writes
+/// (`copy_to_user`, `insert_pfn`, `zap_pfn`) are queued; a `copy_from_user`
+/// appends the read to the queue and issues the whole queue as one
+/// hypercall, applied in order, so the read observes the queued writes. The
+/// dispatcher must call [`HypercallMemOps::flush`] when the file operation
+/// returns so trailing writes land before the response is posted. One
+/// ungranted operation refuses its whole hypercall — in deferred mode, every
+/// write queued with it — so a partially applied wild batch never reaches
+/// the guest.
 pub struct HypercallMemOps {
     hv: SharedHypervisor,
     driver_vm: VmId,
@@ -26,6 +70,8 @@ pub struct HypercallMemOps {
     pt_root: GuestPhysAddr,
     grant: GrantRef,
     domain: Option<DomainId>,
+    defer: bool,
+    pending: Vec<Deferred>,
 }
 
 impl std::fmt::Debug for HypercallMemOps {
@@ -34,12 +80,14 @@ impl std::fmt::Debug for HypercallMemOps {
             .field("driver_vm", &self.driver_vm)
             .field("guest", &self.guest)
             .field("grant", &self.grant)
+            .field("pending", &self.pending.len())
             .finish()
     }
 }
 
 impl HypercallMemOps {
-    /// Binds one file operation's memory-operation context.
+    /// Binds one file operation's memory-operation context; `defer` queues
+    /// guest-visible writes until the next read or [`Self::flush`].
     pub fn new(
         hv: SharedHypervisor,
         driver_vm: VmId,
@@ -47,6 +95,7 @@ impl HypercallMemOps {
         pt_root: GuestPhysAddr,
         grant: GrantRef,
         domain: Option<DomainId>,
+        defer: bool,
     ) -> Self {
         HypercallMemOps {
             hv,
@@ -55,101 +104,7 @@ impl HypercallMemOps {
             pt_root,
             grant,
             domain,
-        }
-    }
-}
-
-impl MemOps for HypercallMemOps {
-    fn copy_from_user(&mut self, src: GuestVirtAddr, buf: &mut [u8]) -> Result<(), Errno> {
-        self.hv
-            .borrow_mut()
-            .hc_copy_from_guest(self.driver_vm, self.guest, self.pt_root, src, buf, self.grant)
-            .map_err(|e| hv_to_errno(&e))
-    }
-
-    fn copy_to_user(&mut self, dst: GuestVirtAddr, buf: &[u8]) -> Result<(), Errno> {
-        self.hv
-            .borrow_mut()
-            .hc_copy_to_guest(self.driver_vm, self.guest, self.pt_root, dst, buf, self.grant)
-            .map_err(|e| hv_to_errno(&e))
-    }
-
-    fn insert_pfn(&mut self, va: GuestVirtAddr, pfn: u64, access: Access) -> Result<(), Errno> {
-        self.hv
-            .borrow_mut()
-            .hc_insert_pfn(
-                self.driver_vm,
-                self.guest,
-                self.pt_root,
-                va,
-                pfn,
-                access,
-                self.grant,
-                self.domain,
-            )
-            .map_err(|e| hv_to_errno(&e))
-    }
-
-    fn zap_pfn(&mut self, va: GuestVirtAddr) -> Result<(), Errno> {
-        self.hv
-            .borrow_mut()
-            .hc_zap_page(self.driver_vm, self.guest, self.pt_root, va, self.grant)
-            .map_err(|e| hv_to_errno(&e))
-    }
-}
-
-/// Fast-path [`MemOps`]: defers driver memory operations and flushes them
-/// as **one** vectored `hv_memops_batch` hypercall.
-///
-/// Guest-visible writes (`copy_to_user`, `insert_pfn`, `zap_pfn`) are queued
-/// rather than issued immediately. A `copy_from_user` appends the read to the
-/// queue and flushes the whole batch — the hypervisor applies the batch in
-/// order, so the read observes any queued writes (no read-after-write
-/// hazard). The dispatcher must call [`BatchedMemOps::flush`] when the file
-/// operation returns so trailing writes land before the response is posted.
-///
-/// Semantics differ from [`HypercallMemOps`] in exactly one observable way:
-/// the batch is validated atomically, so if *any* queued op violates the
-/// grant envelope, **none** of them apply (all-or-nothing, ISSUE 5 tentpole
-/// 2). A partially-applied wild batch can never leak into the guest.
-pub struct BatchedMemOps {
-    hv: SharedHypervisor,
-    driver_vm: VmId,
-    guest: VmId,
-    pt_root: GuestPhysAddr,
-    grant: GrantRef,
-    domain: Option<DomainId>,
-    pending: Vec<BatchMemOp>,
-}
-
-impl std::fmt::Debug for BatchedMemOps {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchedMemOps")
-            .field("driver_vm", &self.driver_vm)
-            .field("guest", &self.guest)
-            .field("grant", &self.grant)
-            .field("pending", &self.pending.len())
-            .finish()
-    }
-}
-
-impl BatchedMemOps {
-    /// Binds one file operation's memory-operation context, batched.
-    pub fn new(
-        hv: SharedHypervisor,
-        driver_vm: VmId,
-        guest: VmId,
-        pt_root: GuestPhysAddr,
-        grant: GrantRef,
-        domain: Option<DomainId>,
-    ) -> Self {
-        BatchedMemOps {
-            hv,
-            driver_vm,
-            guest,
-            pt_root,
-            grant,
-            domain,
+            defer,
             pending: Vec::new(),
         }
     }
@@ -159,21 +114,20 @@ impl BatchedMemOps {
         self.pending.len()
     }
 
-    /// Issues everything queued (plus an optional trailing read) as one
-    /// vectored hypercall. Returns the trailing read's bytes, if any.
-    fn issue(&mut self, tail: Option<BatchMemOp>) -> Result<Option<Vec<u8>>, Errno> {
-        let mut ops = std::mem::take(&mut self.pending);
-        let want_bytes = tail.is_some();
-        if let Some(op) = tail {
-            ops.push(op);
+    /// Issues everything queued, then `last`, as one hypercall.
+    fn issue(&mut self, last: Option<MemOp<'_>>) -> Result<(), Errno> {
+        if self.pending.is_empty() {
+            return last.map_or(Ok(()), |op| self.call(&mut [op]));
         }
-        if ops.is_empty() {
-            return Ok(None);
-        }
-        let mut results = self
-            .hv
+        let pending = std::mem::take(&mut self.pending);
+        let mut ops: Vec<MemOp<'_>> = pending.iter().map(Deferred::op).chain(last).collect();
+        self.call(&mut ops)
+    }
+
+    fn call(&self, ops: &mut [MemOp<'_>]) -> Result<(), Errno> {
+        self.hv
             .borrow_mut()
-            .hv_memops_batch(
+            .hc_memops(
                 self.driver_vm,
                 self.guest,
                 self.pt_root,
@@ -181,109 +135,60 @@ impl BatchedMemOps {
                 self.domain,
                 ops,
             )
-            .map_err(|e| hv_to_errno(&e))?;
-        if want_bytes {
-            match results.pop() {
-                Some(BatchMemOpResult::Bytes(b)) => Ok(Some(b)),
-                _ => Err(Errno::Efault),
-            }
-        } else {
-            Ok(None)
+            .map_err(|e| hv_to_errno(&e))
+    }
+
+    /// Issues a guest-visible write now, or queues it when deferring.
+    fn write(&mut self, op: MemOp<'_>) -> Result<(), Errno> {
+        if !self.defer {
+            return self.call(&mut [op]);
         }
+        self.pending.push(match op {
+            MemOp::CopyToGuest { dst, data } => Deferred::CopyToGuest {
+                dst,
+                data: data.to_vec(),
+            },
+            MemOp::InsertPfn {
+                va,
+                driver_pfn,
+                access,
+            } => Deferred::InsertPfn {
+                va,
+                pfn: driver_pfn,
+                access,
+            },
+            MemOp::ZapPage { va } => Deferred::ZapPage { va },
+            MemOp::CopyFromGuest { .. } => unreachable!("a read is issued, never queued"),
+        });
+        Ok(())
     }
 
     /// Flushes all queued operations; must run before the dispatch's
     /// response is posted. All-or-nothing on a grant violation.
     pub fn flush(&mut self) -> Result<(), Errno> {
-        self.issue(None).map(|_| ())
+        self.issue(None)
     }
 }
 
-impl MemOps for BatchedMemOps {
+impl MemOps for HypercallMemOps {
     fn copy_from_user(&mut self, src: GuestVirtAddr, buf: &mut [u8]) -> Result<(), Errno> {
-        let bytes = self
-            .issue(Some(BatchMemOp::CopyFromGuest {
-                src,
-                len: buf.len() as u64,
-            }))?
-            .ok_or(Errno::Efault)?;
-        if bytes.len() != buf.len() {
-            return Err(Errno::Efault);
-        }
-        buf.copy_from_slice(&bytes);
-        Ok(())
+        self.issue(Some(MemOp::CopyFromGuest { src, buf }))
     }
 
     fn copy_to_user(&mut self, dst: GuestVirtAddr, buf: &[u8]) -> Result<(), Errno> {
-        self.pending.push(BatchMemOp::CopyToGuest {
-            dst,
-            data: buf.to_vec(),
-        });
-        Ok(())
+        self.write(MemOp::CopyToGuest { dst, data: buf })
     }
 
     fn insert_pfn(&mut self, va: GuestVirtAddr, pfn: u64, access: Access) -> Result<(), Errno> {
-        self.pending.push(BatchMemOp::InsertPfn {
+        self.write(MemOp::InsertPfn {
             va,
             driver_pfn: pfn,
             access,
-        });
-        Ok(())
+        })
     }
 
     fn zap_pfn(&mut self, va: GuestVirtAddr) -> Result<(), Errno> {
-        self.pending.push(BatchMemOp::ZapPage { va });
-        Ok(())
-    }
-}
-
-/// Either memory-operation binding, chosen per dispatch by the backend's
-/// fast-path flag. Lets the dispatcher hold one concrete type.
-#[derive(Debug)]
-pub enum MemEngine {
-    /// One hypercall per memory operation (the paper's baseline).
-    Plain(HypercallMemOps),
-    /// Deferred writes flushed as one vectored hypercall.
-    Batched(BatchedMemOps),
-}
-
-impl MemEngine {
-    /// Flushes any deferred operations (no-op for the plain engine).
-    pub fn flush(&mut self) -> Result<(), Errno> {
-        match self {
-            MemEngine::Plain(_) => Ok(()),
-            MemEngine::Batched(b) => b.flush(),
-        }
-    }
-}
-
-impl MemOps for MemEngine {
-    fn copy_from_user(&mut self, src: GuestVirtAddr, buf: &mut [u8]) -> Result<(), Errno> {
-        match self {
-            MemEngine::Plain(m) => m.copy_from_user(src, buf),
-            MemEngine::Batched(m) => m.copy_from_user(src, buf),
-        }
-    }
-
-    fn copy_to_user(&mut self, dst: GuestVirtAddr, buf: &[u8]) -> Result<(), Errno> {
-        match self {
-            MemEngine::Plain(m) => m.copy_to_user(dst, buf),
-            MemEngine::Batched(m) => m.copy_to_user(dst, buf),
-        }
-    }
-
-    fn insert_pfn(&mut self, va: GuestVirtAddr, pfn: u64, access: Access) -> Result<(), Errno> {
-        match self {
-            MemEngine::Plain(m) => m.insert_pfn(va, pfn, access),
-            MemEngine::Batched(m) => m.insert_pfn(va, pfn, access),
-        }
-    }
-
-    fn zap_pfn(&mut self, va: GuestVirtAddr) -> Result<(), Errno> {
-        match self {
-            MemEngine::Plain(m) => m.zap_pfn(va),
-            MemEngine::Batched(m) => m.zap_pfn(va),
-        }
+        self.write(MemOp::ZapPage { va })
     }
 }
 
@@ -327,14 +232,8 @@ mod tests {
             )
             .unwrap();
         let shared = Rc::new(RefCell::new(hv));
-        let mut memops = HypercallMemOps::new(
-            shared.clone(),
-            driver,
-            guest,
-            pt.root(),
-            grant,
-            None,
-        );
+        let mut memops =
+            HypercallMemOps::new(shared.clone(), driver, guest, pt.root(), grant, None, false);
         memops
             .copy_to_user(GuestVirtAddr::new(0x1000), b"ok")
             .unwrap();
@@ -383,7 +282,7 @@ mod tests {
             )
             .unwrap();
         let mut memops =
-            BatchedMemOps::new(shared.clone(), driver, guest, pt.root(), grant, None);
+            HypercallMemOps::new(shared.clone(), driver, guest, pt.root(), grant, None, true);
         memops.copy_to_user(GuestVirtAddr::new(0x1000), b"aa").unwrap();
         memops.copy_to_user(GuestVirtAddr::new(0x1010), b"bb").unwrap();
         assert_eq!(memops.pending_len(), 2);
@@ -427,7 +326,7 @@ mod tests {
             )
             .unwrap();
         let mut memops =
-            BatchedMemOps::new(shared.clone(), driver, guest, pt.root(), grant, None);
+            HypercallMemOps::new(shared.clone(), driver, guest, pt.root(), grant, None, true);
         memops
             .copy_to_user(GuestVirtAddr::new(0x1000), b"ordered")
             .unwrap();
@@ -453,7 +352,7 @@ mod tests {
             )
             .unwrap();
         let mut memops =
-            BatchedMemOps::new(shared.clone(), driver, guest, pt.root(), grant, None);
+            HypercallMemOps::new(shared.clone(), driver, guest, pt.root(), grant, None, true);
         memops.copy_to_user(GuestVirtAddr::new(0x1000), b"ok").unwrap();
         // Out of envelope: poisons the whole batch.
         memops.copy_to_user(GuestVirtAddr::new(0x1800), b"wild").unwrap();

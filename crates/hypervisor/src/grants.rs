@@ -446,8 +446,8 @@ impl GrantTable {
     /// Validates a whole hypercall batch against one grant, all-or-nothing:
     /// `Ok` iff *every* request is covered; otherwise the index of the
     /// first violating request and its error, with no judgement about later
-    /// requests. This is the pure phase-1 kernel of `hv_memops_batch` —
-    /// the hypervisor applies nothing unless this accepts the batch — and
+    /// requests. This is the pure phase-1 kernel of `Hypervisor::hc_memops`
+    /// — the hypervisor applies nothing unless this accepts the batch — and
     /// the `crates/verify` checker proves it equivalent to per-request
     /// [`GrantTable::validate`] at the checked bounds.
     ///

@@ -5,7 +5,8 @@
 //! * **VM creation** with identity-mapped RAM behind per-VM EPTs;
 //! * **device assignment** (§3.1): device BARs mapped into the driver VM,
 //!   DMA confined to driver-VM memory by the IOMMU;
-//! * the **hypercall API for driver memory operations** (§5.2): cross-VM
+//! * the **hypercall API for driver memory operations** (§5.2), one entry
+//!   point ([`Hypervisor::hc_memops`]) for a slice of [`MemOp`]s: cross-VM
 //!   copies via two-stage software page-table walks, and `mmap` fix-ups that
 //!   pick an unused guest-physical page, edit the guest's EPT, and fix the
 //!   last level of the guest's page tables;
@@ -208,8 +209,6 @@ struct DomainState {
     /// Whether the MC register page has been unmapped from the driver VM
     /// (§5.3(iii)); set during trusted driver initialization.
     mmio_protected: bool,
-    /// Non-protected MMIO registers reachable via hypercall, by offset.
-    misc_regs: BTreeMap<u64, u64>,
     /// Device BAR: VRAM frames exposed in driver-VM guest-physical space at
     /// `bar_base`.
     bar_base: Option<GuestPhysAddr>,
@@ -230,29 +229,39 @@ struct FixupKey {
     va_page: u64,
 }
 
+impl FixupKey {
+    fn new(guest: VmId, pt_root: GuestPhysAddr, va: GuestVirtAddr) -> Self {
+        FixupKey {
+            guest,
+            pt_root: pt_root.raw(),
+            va_page: va.page_number(),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Fixup {
     claimed_gpa: GuestPhysAddr,
 }
 
-/// One entry of a vectored [`Hypervisor::hv_memops_batch`] hypercall — the
-/// same four driver memory operations as the per-op hypercalls, described
-/// as data so a whole dispatch crosses the boundary once.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchMemOp {
-    /// Copy `len` bytes from guest process memory at `src`.
+/// One driver memory operation of a [`Hypervisor::hc_memops`] hypercall
+/// (§5.2). A scalar hypercall is a slice of one; the fast path flushes a
+/// whole dispatch's operations as one slice.
+#[derive(Debug)]
+pub enum MemOp<'a> {
+    /// Copy `buf.len()` bytes from guest process memory at `src` into `buf`.
     CopyFromGuest {
         /// Source address in the guest process.
         src: GuestVirtAddr,
-        /// Bytes to copy.
-        len: u64,
+        /// The driver's buffer, filled in place.
+        buf: &'a mut [u8],
     },
     /// Copy `data` into guest process memory at `dst`.
     CopyToGuest {
         /// Destination address in the guest process.
         dst: GuestVirtAddr,
         /// The driver's bytes.
-        data: Vec<u8>,
+        data: &'a [u8],
     },
     /// Map driver-physical page `driver_pfn` at guest `va`
     /// (the `vm_insert_pfn` wrapper-stub path).
@@ -271,44 +280,65 @@ pub enum BatchMemOp {
     },
 }
 
-impl BatchMemOp {
-    /// The grant-table request this entry must satisfy.
-    fn as_request(&self) -> MemOpRequest {
+impl MemOp<'_> {
+    /// The grant-table request this operation must satisfy.
+    fn request(&self) -> MemOpRequest {
         match *self {
-            BatchMemOp::CopyFromGuest { src, len } => {
-                MemOpRequest::CopyFromGuest { addr: src, len }
-            }
-            BatchMemOp::CopyToGuest { dst, ref data } => MemOpRequest::CopyToGuest {
+            MemOp::CopyFromGuest { src, ref buf } => MemOpRequest::CopyFromGuest {
+                addr: src,
+                len: buf.len() as u64,
+            },
+            MemOp::CopyToGuest { dst, data } => MemOpRequest::CopyToGuest {
                 addr: dst,
                 len: data.len() as u64,
             },
-            BatchMemOp::InsertPfn { va, access, .. } => MemOpRequest::MapPage { va, access },
-            BatchMemOp::ZapPage { va } => MemOpRequest::UnmapPage { va },
-        }
-    }
-
-    /// `(kind, addr, len)` for the per-op trace event.
-    fn trace_shape(&self) -> (TraceMemOpKind, u64, u64) {
-        match *self {
-            BatchMemOp::CopyFromGuest { src, len } => {
-                (TraceMemOpKind::CopyFromGuest, src.raw(), len)
-            }
-            BatchMemOp::CopyToGuest { dst, ref data } => {
-                (TraceMemOpKind::CopyToGuest, dst.raw(), data.len() as u64)
-            }
-            BatchMemOp::InsertPfn { va, .. } => (TraceMemOpKind::MapPage, va.raw(), PAGE_SIZE),
-            BatchMemOp::ZapPage { va } => (TraceMemOpKind::UnmapPage, va.raw(), PAGE_SIZE),
+            MemOp::InsertPfn { va, access, .. } => MemOpRequest::MapPage { va, access },
+            MemOp::ZapPage { va } => MemOpRequest::UnmapPage { va },
         }
     }
 }
 
-/// The per-entry result of a [`Hypervisor::hv_memops_batch`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchMemOpResult {
-    /// A `CopyFromGuest` entry's bytes.
-    Bytes(Vec<u8>),
-    /// A side-effect-only entry completed.
-    Done,
+/// `(kind, addr, len)` of a request's trace event, and the modelled cost of
+/// its work *including* one hypercall crossing (what a lone call pays).
+fn shape_and_cost(request: MemOpRequest, cost: &CostModel) -> (TraceMemOpKind, u64, u64, u64) {
+    let copy = |kind, addr: GuestVirtAddr, len| {
+        let pages = paradice_mem::addr::page_span(addr, len);
+        (kind, addr.raw(), len, cost.copy_cost_ns(len, pages))
+    };
+    match request {
+        MemOpRequest::CopyFromGuest { addr, len } => copy(TraceMemOpKind::CopyFromGuest, addr, len),
+        MemOpRequest::CopyToGuest { addr, len } => copy(TraceMemOpKind::CopyToGuest, addr, len),
+        MemOpRequest::MapPage { va, .. } => (
+            TraceMemOpKind::MapPage,
+            va.raw(),
+            PAGE_SIZE,
+            cost.map_page_ns,
+        ),
+        MemOpRequest::UnmapPage { va } => (
+            TraceMemOpKind::UnmapPage,
+            va.raw(),
+            PAGE_SIZE,
+            cost.map_page_ns,
+        ),
+    }
+}
+
+/// The direction of a chunked copy between a caller's buffer and memory.
+enum Transfer<'b> {
+    /// Memory → buffer.
+    Read(&'b mut [u8]),
+    /// Buffer → memory.
+    Write(&'b [u8]),
+}
+
+/// The error for an access to a guest-physical page no EPT entry backs.
+fn unmapped(gpa: GuestPhysAddr, attempted: Access) -> HvError {
+    HvError::Ept(EptViolation {
+        gpa,
+        attempted,
+        allowed: Access::NONE,
+        mapped: false,
+    })
 }
 
 /// The simulated hypervisor.
@@ -427,11 +457,18 @@ impl Hypervisor {
         self.current_span = span;
     }
 
-    /// Records one driver memory operation against the current span.
-    /// `granted` is the grant-check outcome; execution failures past the
-    /// check (e.g. an unmapped guest page) do not rewrite the event.
-    fn trace_mem_op(&self, kind: TraceMemOpKind, addr: u64, len: u64, granted: bool) {
-        if self.tracer.is_enabled() && self.current_span.is_some() {
+    /// Records the memory operations one hypercall checked against the
+    /// current span: up to and including the first violator, which is
+    /// recorded with `granted: false`. Execution failures past the check
+    /// (e.g. an unmapped guest page) do not rewrite the events.
+    fn trace_mem_op(&self, ops: &[MemOp<'_>], first_bad: Option<usize>) {
+        if !(self.tracer.is_enabled() && self.current_span.is_some()) {
+            return;
+        }
+        let checked = first_bad.map_or(ops.len(), |bad| bad + 1);
+        for (i, op) in ops[..checked].iter().enumerate() {
+            let (kind, addr, len, _) = shape_and_cost(op.request(), &self.cost);
+            let granted = Some(i) != first_bad;
             self.tracer
                 .mem_op(self.current_span, self.clock.now_ns(), kind, addr, len, granted);
         }
@@ -569,10 +606,7 @@ impl Hypervisor {
         // them are driver-VM pages that the rebooted driver will reuse.
         let fixups = std::mem::take(&mut self.fixups);
         for (key, fixup) in fixups {
-            if let Ok(guest_vm) = self.vm_mut(key.guest) {
-                guest_vm.ept_mut().unmap(fixup.claimed_gpa);
-                guest_vm.gpa_window_mut().release(fixup.claimed_gpa);
-            }
+            let _ = self.release_claimed(key.guest, fixup.claimed_gpa);
         }
         if self.tracer.is_enabled() {
             self.tracer.record(TraceEvent::DriverVmFailed {
@@ -670,7 +704,6 @@ impl Hypervisor {
             state.regions = RegionManager::new();
             state.aperture = None;
             state.mmio_protected = false;
-            state.misc_regs.clear();
             let isolation = state.isolation;
             // Without data isolation the identity DMA map must come back.
             if isolation == DataIsolation::Disabled {
@@ -754,41 +787,31 @@ impl Hypervisor {
         caller: VmId,
         guest: VmId,
         grant: GrantRef,
-        requests: &[MemOpRequest],
+        ops: &[MemOp<'_>],
     ) -> Result<(), (usize, HvError)> {
-        if !self.grant_validation || requests.is_empty() {
+        if !self.grant_validation || ops.is_empty() {
             return Ok(());
         }
         let Some(table) = self.grants.get(&guest.0) else {
             return Err((0, HvError::UnknownVm { vm: guest }));
         };
-        match table.validate_batch(grant, requests) {
-            Ok(()) => Ok(()),
-            Err((index, e)) => {
-                self.audit.record(
-                    self.clock.now_ns(),
-                    AuditEvent::UngrantedMemOp {
-                        caller,
-                        target: guest,
-                        grant: Some(grant),
-                        description: format!("{:?}", requests[index]),
-                    },
-                );
-                Err((index, e.into()))
-            }
-        }
-    }
-
-    /// The one-request case of [`Hypervisor::validate_grant_batch`].
-    fn validate_grant(
-        &mut self,
-        caller: VmId,
-        guest: VmId,
-        grant: GrantRef,
-        request: &MemOpRequest,
-    ) -> Result<(), HvError> {
-        self.validate_grant_batch(caller, guest, grant, std::slice::from_ref(request))
-            .map_err(|(_, err)| err)
+        // A scalar call validates from the stack: no allocation per op.
+        let verdict = match ops {
+            [op] => table.validate_batch(grant, &[op.request()]),
+            _ => table.validate_batch(grant, &ops.iter().map(MemOp::request).collect::<Vec<_>>()),
+        };
+        verdict.map_err(|(index, e)| {
+            self.audit.record(
+                self.clock.now_ns(),
+                AuditEvent::UngrantedMemOp {
+                    caller,
+                    target: guest,
+                    grant: Some(grant),
+                    description: format!("{:?}", ops[index].request()),
+                },
+            );
+            (index, e.into())
+        })
     }
 
     // ------------------------------------------------------------------
@@ -820,18 +843,54 @@ impl Hypervisor {
         if !mapping.access.contains(need) {
             return Err(HvError::GuestPagePerms { va });
         }
-        let gpa = mapping.gpa.add(va.page_offset());
-        let pa = self
-            .vm(vm)?
-            .ept()
-            .translate_unchecked(gpa)
-            .ok_or(EptViolation {
-                gpa,
-                attempted: need,
-                allowed: Access::NONE,
-                mapped: false,
-            })?;
-        Ok(pa)
+        self.translate_unchecked(vm, mapping.gpa.add(va.page_offset()), need)
+    }
+
+    /// `gpa`'s system-physical address in `vm`, ignoring EPT permissions.
+    fn translate_unchecked(
+        &self,
+        vm: VmId,
+        gpa: GuestPhysAddr,
+        need: Access,
+    ) -> Result<PhysAddr, HvError> {
+        let pa = self.vm(vm)?.ept().translate_unchecked(gpa);
+        pa.ok_or_else(|| unmapped(gpa, need))
+    }
+
+    /// The system frame backing `vm`'s guest-physical page `gpa`.
+    fn frame_of(&self, vm: VmId, gpa: GuestPhysAddr) -> Result<PhysAddr, HvError> {
+        let pa = self.vm(vm)?.ept().frame_of(gpa);
+        pa.ok_or_else(|| unmapped(gpa, Access::READ))
+    }
+
+    /// The one page-chunk walker under every byte-copy path: splits the
+    /// buffer's range at page boundaries, asks `translate` for each chunk's
+    /// system-physical address (each path's own checks and audit record
+    /// live there; `need` follows the direction), and copies the chunk.
+    fn copy_chunks<A>(
+        &mut self,
+        start: A,
+        mut transfer: Transfer<'_>,
+        mut translate: impl FnMut(&mut Self, A, Access) -> Result<PhysAddr, HvError>,
+    ) -> Result<(), HvError>
+    where
+        A: Copy + Into<u64> + From<u64>,
+    {
+        let (len, need) = match &transfer {
+            Transfer::Read(buf) => (buf.len(), Access::READ),
+            Transfer::Write(buf) => (buf.len(), Access::WRITE),
+        };
+        let mut done = 0usize;
+        for (chunk, n) in paradice_mem::addr::page_chunks(start, len as u64) {
+            let pa = translate(self, chunk, need)?;
+            let range = done..done + n as usize;
+            match &mut transfer {
+                Transfer::Read(buf) => self.mem.read(pa, &mut buf[range])?,
+                Transfer::Write(buf) => self.mem.write(pa, &buf[range])?,
+            }
+            done += n as usize;
+        }
+        Ok(())
     }
 
     /// Reads `buf.len()` bytes of process memory (the process's own access
@@ -848,13 +907,9 @@ impl Hypervisor {
         va: GuestVirtAddr,
         buf: &mut [u8],
     ) -> Result<(), HvError> {
-        let mut done = 0usize;
-        for (chunk_va, len) in paradice_mem::addr::page_chunks(va, buf.len() as u64) {
-            let pa = self.translate_gva(vm, pt_root, chunk_va, Access::READ)?;
-            self.mem.read(pa, &mut buf[done..done + len as usize])?;
-            done += len as usize;
-        }
-        Ok(())
+        self.copy_chunks(va, Transfer::Read(buf), |hv, chunk, need| {
+            hv.translate_gva(vm, pt_root, chunk, need)
+        })
     }
 
     /// Writes `buf` into process memory (the process's own access path).
@@ -869,13 +924,9 @@ impl Hypervisor {
         va: GuestVirtAddr,
         buf: &[u8],
     ) -> Result<(), HvError> {
-        let mut done = 0usize;
-        for (chunk_va, len) in paradice_mem::addr::page_chunks(va, buf.len() as u64) {
-            let pa = self.translate_gva(vm, pt_root, chunk_va, Access::WRITE)?;
-            self.mem.write(pa, &buf[done..done + len as usize])?;
-            done += len as usize;
-        }
-        Ok(())
+        self.copy_chunks(va, Transfer::Write(buf), |hv, chunk, need| {
+            hv.translate_gva(vm, pt_root, chunk, need)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -888,188 +939,129 @@ impl Hypervisor {
         self.clock.advance(self.cost.hypercall_ns);
     }
 
-    /// Hypercall: copy `buf.len()` bytes *from* guest process memory into the
-    /// driver's kernel buffer. Grant-checked (§4.1).
+    /// Hypercall: the driver VM's memory operations on a guest process
+    /// (§5.2) — copies in either direction and the `vm_insert_pfn` / zap
+    /// fix-ups — each checked against the guest's grant `grant` (§4.1). A
+    /// scalar operation is a slice of one; the fast path passes a whole
+    /// dispatch's operations so they cross the boundary once.
+    ///
+    /// Every operation is validated and traced before any is applied, with
+    /// one audit entry for the first violation: a refused call charges
+    /// nothing and applies nothing, so a compromised driver posting a wild
+    /// slice cannot leak its first k operations. An admitted call charges
+    /// one `hypercall_ns` crossing, then applies the operations in order,
+    /// each charging its work minus its own crossing — a one-op call costs
+    /// exactly its work. A fault during apply (e.g. an unmapped guest page
+    /// mid-copy) aborts the rest; such faults are the guest's own mapping
+    /// state, not an isolation boundary.
+    ///
+    /// `CopyFromGuest` fills its buffer in place. `InsertPfn` maps the
+    /// driver frame through a fix-up (see `install_fixup`); with data
+    /// isolation, `domain` confines protected pages to the owning guest's
+    /// region. `ZapPage` destroys only the EPT side: "the hypervisor only
+    /// needs to destroy the mappings in the EPTs" (§5.2).
     ///
     /// # Errors
     ///
-    /// Grant violations (audited), walk failures, role violations.
-    pub fn hc_copy_from_guest(
+    /// Role violations; grant violations (audited, nothing applied); walk,
+    /// mapping and foreign-region failures (audited) during apply.
+    pub fn hc_memops(
         &mut self,
         caller: VmId,
         guest: VmId,
         pt_root: GuestPhysAddr,
-        src: GuestVirtAddr,
-        buf: &mut [u8],
-        grant: GrantRef,
-    ) -> Result<(), HvError> {
-        self.require_driver(caller)?;
-        self.hypercalls += 1;
-        let checked = self.validate_grant(
-            caller,
-            guest,
-            grant,
-            &MemOpRequest::CopyFromGuest {
-                addr: src,
-                len: buf.len() as u64,
-            },
-        );
-        self.trace_mem_op(
-            TraceMemOpKind::CopyFromGuest,
-            src.raw(),
-            buf.len() as u64,
-            checked.is_ok(),
-        );
-        checked?;
-        let pages = paradice_mem::addr::page_span(src, buf.len() as u64);
-        self.clock
-            .advance(self.cost.copy_cost_ns(buf.len() as u64, pages));
-        self.process_read(guest, pt_root, src, buf)
-    }
-
-    /// Hypercall: copy the driver's kernel buffer *to* guest process memory.
-    /// Grant-checked (§4.1).
-    ///
-    /// # Errors
-    ///
-    /// Grant violations (audited), walk failures, role violations.
-    pub fn hc_copy_to_guest(
-        &mut self,
-        caller: VmId,
-        guest: VmId,
-        pt_root: GuestPhysAddr,
-        dst: GuestVirtAddr,
-        buf: &[u8],
-        grant: GrantRef,
-    ) -> Result<(), HvError> {
-        self.require_driver(caller)?;
-        self.hypercalls += 1;
-        let checked = self.validate_grant(
-            caller,
-            guest,
-            grant,
-            &MemOpRequest::CopyToGuest {
-                addr: dst,
-                len: buf.len() as u64,
-            },
-        );
-        self.trace_mem_op(
-            TraceMemOpKind::CopyToGuest,
-            dst.raw(),
-            buf.len() as u64,
-            checked.is_ok(),
-        );
-        checked?;
-        let pages = paradice_mem::addr::page_span(dst, buf.len() as u64);
-        self.clock
-            .advance(self.cost.copy_cost_ns(buf.len() as u64, pages));
-        self.process_write(guest, pt_root, dst, buf)
-    }
-
-    /// Hypercall: map driver-physical page `driver_pfn` into the guest
-    /// process at `va` — the `vm_insert_pfn` wrapper-stub path (§5.2).
-    ///
-    /// The hypervisor claims an unused guest-physical page, edits the guest's
-    /// EPT to point it at the backing frame, and fixes the *last level* of
-    /// the guest page tables (intermediate levels must already exist, created
-    /// by the frontend). With data isolation, `domain` gates protected pages
-    /// to the owning guest's region.
-    ///
-    /// # Errors
-    ///
-    /// Grant violations (audited), missing intermediates, foreign-region
-    /// pages (audited), exhausted GPA window.
-    #[allow(clippy::too_many_arguments)]
-    pub fn hc_insert_pfn(
-        &mut self,
-        caller: VmId,
-        guest: VmId,
-        pt_root: GuestPhysAddr,
-        va: GuestVirtAddr,
-        driver_pfn: u64,
-        access: Access,
         grant: GrantRef,
         domain: Option<DomainId>,
+        ops: &mut [MemOp<'_>],
     ) -> Result<(), HvError> {
         self.require_driver(caller)?;
         self.hypercalls += 1;
-        let checked =
-            self.validate_grant(caller, guest, grant, &MemOpRequest::MapPage { va, access });
-        self.trace_mem_op(TraceMemOpKind::MapPage, va.raw(), PAGE_SIZE, checked.is_ok());
-        checked?;
-        self.clock.advance(self.cost.map_page_ns);
-        self.do_insert_pfn(caller, guest, pt_root, va, driver_pfn, access, grant, domain)
-    }
-
-    /// The mapping work of [`Hypervisor::hc_insert_pfn`], shared with the
-    /// vectored batch path (which validates and charges separately).
-    #[allow(clippy::too_many_arguments)]
-    fn do_insert_pfn(
-        &mut self,
-        caller: VmId,
-        guest: VmId,
-        pt_root: GuestPhysAddr,
-        va: GuestVirtAddr,
-        driver_pfn: u64,
-        access: Access,
-        grant: GrantRef,
-        domain: Option<DomainId>,
-    ) -> Result<(), HvError> {
-        // Resolve the backing frame through the driver VM's EPT.
-        let driver_gpa = GuestPhysAddr::new(driver_pfn * PAGE_SIZE);
-        let pa = self
-            .vm(caller)?
-            .ept()
-            .frame_of(driver_gpa)
-            .ok_or(EptViolation {
-                gpa: driver_gpa,
-                attempted: Access::READ,
-                allowed: Access::NONE,
-                mapped: false,
-            })?;
-
-        // Data isolation: a protected page may only be mapped into the guest
-        // whose region owns it (§4.2 — "each guest VM has access to its own
-        // memory region only").
-        if let Some(domain) = domain {
-            if let Some(state) = self.domains.get(&domain.index()) {
-                if let Some(owner) = state.regions.owner_of_page(driver_gpa) {
-                    let owner_guest = state.regions.guest_of(owner)?;
-                    if owner_guest != guest {
-                        self.audit.record(
-                            self.clock.now_ns(),
-                            AuditEvent::UngrantedMemOp {
-                                caller,
-                                target: guest,
-                                grant: Some(grant),
-                                description: format!(
-                                    "map foreign region page {driver_gpa} into {guest}"
-                                ),
-                            },
-                        );
-                        return Err(HvError::ForeignRegionPage { owner });
-                    }
+        let verdict = self.validate_grant_batch(caller, guest, grant, ops);
+        self.trace_mem_op(ops, verdict.as_ref().err().map(|(bad, _)| *bad));
+        verdict.map_err(|(_, e)| e)?;
+        self.clock.advance(self.cost.hypercall_ns);
+        for op in ops {
+            let (.., work_ns) = shape_and_cost(op.request(), &self.cost);
+            self.clock
+                .advance(work_ns.saturating_sub(self.cost.hypercall_ns));
+            match op {
+                MemOp::CopyFromGuest { src, buf } => {
+                    self.process_read(guest, pt_root, *src, buf)?;
                 }
+                MemOp::CopyToGuest { dst, data } => {
+                    self.process_write(guest, pt_root, *dst, data)?;
+                }
+                MemOp::InsertPfn {
+                    va,
+                    driver_pfn,
+                    access,
+                } => {
+                    let driver_gpa = GuestPhysAddr::new(*driver_pfn * PAGE_SIZE);
+                    let pa = self.frame_of(caller, driver_gpa)?;
+                    self.check_region_owner(caller, guest, grant, domain, driver_gpa)?;
+                    self.install_fixup(guest, pt_root, *va, pa, *access)?;
+                }
+                MemOp::ZapPage { va } => self.remove_fixup(guest, pt_root, *va)?,
             }
         }
+        Ok(())
+    }
 
-        // Claim an unused guest-physical page and wire up both translations.
+    /// Data isolation (§4.2 — "each guest VM has access to its own memory
+    /// region only"): a protected page may be mapped only into the guest
+    /// whose region owns it. A foreign page is refused and audited.
+    fn check_region_owner(
+        &mut self,
+        caller: VmId,
+        guest: VmId,
+        grant: GrantRef,
+        domain: Option<DomainId>,
+        driver_gpa: GuestPhysAddr,
+    ) -> Result<(), HvError> {
+        let Some(state) = domain.and_then(|d| self.domains.get(&d.index())) else {
+            return Ok(());
+        };
+        let Some(owner) = state.regions.owner_of_page(driver_gpa) else {
+            return Ok(());
+        };
+        if state.regions.guest_of(owner)? == guest {
+            return Ok(());
+        }
+        self.audit.record(
+            self.clock.now_ns(),
+            AuditEvent::UngrantedMemOp {
+                caller,
+                target: guest,
+                grant: Some(grant),
+                description: format!("map foreign region page {driver_gpa} into {guest}"),
+            },
+        );
+        Err(HvError::ForeignRegionPage { owner })
+    }
+
+    /// Installs one `mmap` fix-up, for the grant-checked hypercall and the
+    /// trusted kernel map alike: claims an unused guest-physical page of
+    /// `guest`, points its EPT entry at frame `pa`, and sets the *last
+    /// level* of the process page tables (the intermediate levels must
+    /// already exist — the hypervisor does not create them).
+    fn install_fixup(
+        &mut self,
+        guest: VmId,
+        pt_root: GuestPhysAddr,
+        va: GuestVirtAddr,
+        pa: PhysAddr,
+        access: Access,
+    ) -> Result<(), HvError> {
         let claimed = self.vm_mut(guest)?.gpa_window_mut().claim()?;
         self.vm_mut(guest)?.ept_mut().map(claimed, pa, access)?;
         let tables = GuestPageTables::from_root(pt_root);
-        let mut space = self.gpa_space(guest);
-        if let Err(e) = tables.set_leaf(&mut space, va, claimed, access) {
+        if let Err(e) = tables.set_leaf(&mut self.gpa_space(guest), va, claimed, access) {
             // Roll back the claim so a frontend bug cannot leak window pages.
-            self.vm_mut(guest)?.ept_mut().unmap(claimed);
-            self.vm_mut(guest)?.gpa_window_mut().release(claimed);
+            self.release_claimed(guest, claimed)?;
             return Err(e.into());
         }
         self.fixups.insert(
-            FixupKey {
-                guest,
-                pt_root: pt_root.raw(),
-                va_page: va.page_number(),
-            },
+            FixupKey::new(guest, pt_root, va),
             Fixup {
                 claimed_gpa: claimed,
             },
@@ -1077,167 +1069,30 @@ impl Hypervisor {
         Ok(())
     }
 
-    /// Hypercall: tear down a mapping previously installed by
-    /// [`Hypervisor::hc_insert_pfn`]. The guest kernel has already destroyed
-    /// its own leaf entry, so "the hypervisor only needs to destroy the
-    /// mappings in the EPTs" (§5.2).
-    ///
-    /// # Errors
-    ///
-    /// Grant violations (audited) and unknown mappings.
-    pub fn hc_zap_page(
-        &mut self,
-        caller: VmId,
-        guest: VmId,
-        pt_root: GuestPhysAddr,
-        va: GuestVirtAddr,
-        grant: GrantRef,
-    ) -> Result<(), HvError> {
-        self.require_driver(caller)?;
-        self.hypercalls += 1;
-        let checked = self.validate_grant(caller, guest, grant, &MemOpRequest::UnmapPage { va });
-        self.trace_mem_op(TraceMemOpKind::UnmapPage, va.raw(), PAGE_SIZE, checked.is_ok());
-        checked?;
-        self.clock.advance(self.cost.map_page_ns);
-        self.do_zap_page(guest, pt_root, va)
-    }
-
-    /// The unmapping work of [`Hypervisor::hc_zap_page`], shared with the
-    /// vectored batch path.
-    fn do_zap_page(
+    /// Tears down the fix-up at `va` (the EPT side; the guest kernel has
+    /// already cleared its own leaf).
+    fn remove_fixup(
         &mut self,
         guest: VmId,
         pt_root: GuestPhysAddr,
         va: GuestVirtAddr,
     ) -> Result<(), HvError> {
-        let key = FixupKey {
-            guest,
-            pt_root: pt_root.raw(),
-            va_page: va.page_number(),
-        };
         let fixup = self
             .fixups
-            .remove(&key)
+            .remove(&FixupKey::new(guest, pt_root, va))
             .ok_or(HvError::NoSuchMapping {
                 dma: DmaAddr::new(va.raw()),
             })?;
-        self.vm_mut(guest)?.ept_mut().unmap(fixup.claimed_gpa);
-        self.vm_mut(guest)?
-            .gpa_window_mut()
-            .release(fixup.claimed_gpa);
+        self.release_claimed(guest, fixup.claimed_gpa)
+    }
+
+    /// Unmaps a claimed window page from `vm`'s EPT and returns it to the
+    /// window.
+    fn release_claimed(&mut self, vm: VmId, gpa: GuestPhysAddr) -> Result<(), HvError> {
+        let vm = self.vm_mut(vm)?;
+        vm.ept_mut().unmap(gpa);
+        vm.gpa_window_mut().release(gpa);
         Ok(())
-    }
-
-    /// Vectored hypercall: executes a whole dispatch's memory operations in
-    /// one guest↔hypervisor boundary crossing (the fast path's answer to
-    /// §6.1.1's per-op validation hypercalls).
-    ///
-    /// Semantics are **all-or-nothing with respect to the grant table**:
-    /// every operation is validated against `grant` *before* any is applied,
-    /// so a compromised driver posting a wild batch cannot leak its first k
-    /// operations into guest memory — the batch is rejected whole, the
-    /// violation audited, and nothing is applied. (Non-grant faults during
-    /// the apply phase — e.g. an unmapped guest page mid-copy — abort the
-    /// remainder; such faults are the guest's own mapping state, not an
-    /// isolation boundary.)
-    ///
-    /// Cost: one `hypercall_ns` boundary crossing, plus each operation's
-    /// work with its own per-call crossing discounted — one hypercall
-    /// instead of N.
-    ///
-    /// # Errors
-    ///
-    /// Grant violations (audited; nothing applied), role violations, walk
-    /// or mapping failures during apply.
-    pub fn hv_memops_batch(
-        &mut self,
-        caller: VmId,
-        guest: VmId,
-        pt_root: GuestPhysAddr,
-        grant: GrantRef,
-        domain: Option<DomainId>,
-        ops: Vec<BatchMemOp>,
-    ) -> Result<Vec<BatchMemOpResult>, HvError> {
-        self.require_driver(caller)?;
-        self.hypercalls += 1;
-        self.clock.advance(self.cost.hypercall_ns);
-        // Phase 1: validate the whole batch through the grant table's pure
-        // batch kernel. The first violation rejects it wholesale — no
-        // partial application can leak. Ops up to and including the first
-        // violator are traced (the violator with `granted: false`).
-        let requests: Vec<MemOpRequest> = ops.iter().map(|op| op.as_request()).collect();
-        let verdict = self.validate_grant_batch(caller, guest, grant, &requests);
-        let traced = match &verdict {
-            Ok(()) => ops.len(),
-            Err((first_bad, _)) => first_bad + 1,
-        };
-        for (i, op) in ops.iter().take(traced).enumerate() {
-            let granted = match &verdict {
-                Ok(()) => true,
-                Err((first_bad, _)) => i < *first_bad,
-            };
-            let (kind, addr, len) = op.trace_shape();
-            self.trace_mem_op(kind, addr, len, granted);
-        }
-        verdict.map_err(|(_, e)| e)?;
-        // Phase 2: apply in order, charging each op's work with the per-call
-        // boundary crossing discounted (the batch already paid one).
-        let mut results = Vec::with_capacity(ops.len());
-        for op in ops {
-            match op {
-                BatchMemOp::CopyFromGuest { src, len } => {
-                    let mut buf = vec![0u8; len as usize];
-                    let pages = paradice_mem::addr::page_span(src, len);
-                    self.clock.advance(
-                        self.cost
-                            .copy_cost_ns(len, pages)
-                            .saturating_sub(self.cost.hypercall_ns),
-                    );
-                    self.process_read(guest, pt_root, src, &mut buf)?;
-                    results.push(BatchMemOpResult::Bytes(buf));
-                }
-                BatchMemOp::CopyToGuest { dst, ref data } => {
-                    let pages = paradice_mem::addr::page_span(dst, data.len() as u64);
-                    self.clock.advance(
-                        self.cost
-                            .copy_cost_ns(data.len() as u64, pages)
-                            .saturating_sub(self.cost.hypercall_ns),
-                    );
-                    self.process_write(guest, pt_root, dst, data)?;
-                    results.push(BatchMemOpResult::Done);
-                }
-                BatchMemOp::InsertPfn {
-                    va,
-                    driver_pfn,
-                    access,
-                } => {
-                    self.clock.advance(
-                        self.cost
-                            .map_page_ns
-                            .saturating_sub(self.cost.hypercall_ns),
-                    );
-                    self.do_insert_pfn(
-                        caller, guest, pt_root, va, driver_pfn, access, grant, domain,
-                    )?;
-                    results.push(BatchMemOpResult::Done);
-                }
-                BatchMemOp::ZapPage { va } => {
-                    self.clock.advance(
-                        self.cost
-                            .map_page_ns
-                            .saturating_sub(self.cost.hypercall_ns),
-                    );
-                    self.do_zap_page(guest, pt_root, va)?;
-                    results.push(BatchMemOpResult::Done);
-                }
-            }
-        }
-        Ok(results)
-    }
-
-    /// Number of live `mmap` fix-ups (tests).
-    pub fn live_fixups(&self) -> usize {
-        self.fixups.len()
     }
 
     // ------------------------------------------------------------------
@@ -1283,7 +1138,6 @@ impl Hypervisor {
                 regions: RegionManager::new(),
                 aperture: None,
                 mmio_protected: false,
-                misc_regs: BTreeMap::new(),
                 bar_base: None,
                 bar_pages: 0,
             },
@@ -1392,16 +1246,7 @@ impl Hypervisor {
         self.clock
             .advance(self.cost.hypercall_ns + self.cost.iommu_map_ns);
         let driver_vm = self.domain_state(domain).driver_vm;
-        let pa = self
-            .vm(driver_vm)?
-            .ept()
-            .frame_of(driver_gpa)
-            .ok_or(EptViolation {
-                gpa: driver_gpa,
-                attempted: Access::READ,
-                allowed: Access::NONE,
-                mapped: false,
-            })?;
+        let pa = self.frame_of(driver_vm, driver_gpa)?;
         if self.data_isolation(domain) {
             let region = region.ok_or(HvError::RegionRequired)?;
             self.domain_state_mut(domain)
@@ -1417,45 +1262,6 @@ impl Hypervisor {
             self.iommu
                 .domain_mut(domain)
                 .map(dma, pa, access, RegionId::GLOBAL);
-        }
-        Ok(())
-    }
-
-    /// Hypercall: unmap `dma` from the IOMMU. "The hypervisor zeros out the
-    /// pages before unmapping" (§5.3(i)) and restores the driver VM's EPT
-    /// permissions.
-    ///
-    /// # Errors
-    ///
-    /// Role violations or unknown mappings.
-    pub fn hc_iommu_unmap(
-        &mut self,
-        caller: VmId,
-        domain: DomainId,
-        dma: DmaAddr,
-    ) -> Result<(), HvError> {
-        self.require_driver(caller)?;
-        self.clock
-            .advance(self.cost.hypercall_ns + self.cost.iommu_map_ns);
-        let pa = self
-            .iommu
-            .domain_mut(domain)
-            .unmap(dma)
-            .ok_or(HvError::NoSuchMapping { dma })?;
-        self.mem.fill(pa, PAGE_SIZE, 0)?;
-        // If the page was protected, restore driver-VM access. The DMA
-        // address mirrors driver-VM guest-physical space in our topology.
-        let driver_vm = self.domain_state(domain).driver_vm;
-        let driver_gpa = GuestPhysAddr::new(dma.raw());
-        if self
-            .domain_state_mut(domain)
-            .regions
-            .remove_sys_page(driver_gpa)
-            .is_some()
-        {
-            self.vm_mut(driver_vm)?
-                .ept_mut()
-                .set_access(driver_gpa, Access::RW)?;
         }
         Ok(())
     }
@@ -1528,8 +1334,8 @@ impl Hypervisor {
 
     /// Unmaps the MC register page from the driver VM (trusted driver
     /// initialization). After this, direct driver writes to the page are
-    /// blocked and audited; other registers in the page go through
-    /// [`Hypervisor::hc_mmio_write`].
+    /// blocked and audited. The §5.3(iii) hypercall proxy for the page's
+    /// other registers is not modelled: no driver uses them.
     ///
     /// # Errors
     ///
@@ -1575,60 +1381,10 @@ impl Hypervisor {
                 let lo = self.domain_state(domain).aperture.map_or(0, |a| a.lo);
                 self.domain_state_mut(domain).aperture = Some(DevMemRange::new(lo, value));
             }
-            _ => {
-                self.domain_state_mut(domain).misc_regs.insert(offset, value);
-            }
+            // The page's other registers are not modelled.
+            _ => {}
         }
         Ok(())
-    }
-
-    /// Hypercall: write a *non-protected* register that shares the MC MMIO
-    /// page (§5.3(iii): "if the driver needs to read/write to other registers
-    /// in the same MMIO page, it issues a hypercall"). Writes to the aperture
-    /// bound registers themselves are refused and audited.
-    ///
-    /// # Errors
-    ///
-    /// [`HvError::ProtectedMmio`] for the bound registers.
-    pub fn hc_mmio_write(
-        &mut self,
-        caller: VmId,
-        domain: DomainId,
-        offset: u64,
-        value: u64,
-    ) -> Result<(), HvError> {
-        self.require_driver(caller)?;
-        self.clock.advance(self.cost.hypercall_ns);
-        if offset == MC_APERTURE_LO || offset == MC_APERTURE_HI {
-            self.audit.record(
-                self.clock.now_ns(),
-                AuditEvent::ProtectedMmioWrite { offset },
-            );
-            return Err(HvError::ProtectedMmio { offset });
-        }
-        self.domain_state_mut(domain).misc_regs.insert(offset, value);
-        Ok(())
-    }
-
-    /// Hypercall: read a register in the MC MMIO page.
-    ///
-    /// # Errors
-    ///
-    /// Role violations.
-    pub fn hc_mmio_read(
-        &mut self,
-        caller: VmId,
-        domain: DomainId,
-        offset: u64,
-    ) -> Result<u64, HvError> {
-        self.require_driver(caller)?;
-        self.clock.advance(self.cost.hypercall_ns);
-        let state = self.domain_state(domain);
-        Ok(match offset {
-            MC_APERTURE_LO => state.aperture.map_or(0, |a| a.lo),
-            MC_APERTURE_HI => state.aperture.map_or(u64::MAX, |a| a.hi),
-            other => state.misc_regs.get(&other).copied().unwrap_or(0),
-        })
     }
 
     /// Checks a device-memory access against the active aperture, recording
@@ -1675,26 +1431,9 @@ impl Hypervisor {
         gpa: GuestPhysAddr,
         buf: &mut [u8],
     ) -> Result<(), HvError> {
-        let mut done = 0usize;
-        for (chunk, len) in paradice_mem::addr::page_chunks(gpa, buf.len() as u64) {
-            match self.vm(vm)?.ept().translate(chunk, Access::READ) {
-                Ok(pa) => {
-                    self.mem.read(pa, &mut buf[done..done + len as usize])?;
-                }
-                Err(violation) => {
-                    self.audit.record(
-                        self.clock.now_ns(),
-                        AuditEvent::ProtectedRegionAccess {
-                            caller: vm,
-                            gpa: chunk.page_base(),
-                        },
-                    );
-                    return Err(violation.into());
-                }
-            }
-            done += len as usize;
-        }
-        Ok(())
+        self.copy_chunks(gpa, Transfer::Read(buf), |hv, chunk, need| {
+            hv.ept_translate(vm, chunk, need)
+        })
     }
 
     /// A CPU write from inside `vm`, subject to EPT permissions.
@@ -1708,26 +1447,30 @@ impl Hypervisor {
         gpa: GuestPhysAddr,
         buf: &[u8],
     ) -> Result<(), HvError> {
-        let mut done = 0usize;
-        for (chunk, len) in paradice_mem::addr::page_chunks(gpa, buf.len() as u64) {
-            match self.vm(vm)?.ept().translate(chunk, Access::WRITE) {
-                Ok(pa) => {
-                    self.mem.write(pa, &buf[done..done + len as usize])?;
-                }
-                Err(violation) => {
-                    self.audit.record(
-                        self.clock.now_ns(),
-                        AuditEvent::ProtectedRegionAccess {
-                            caller: vm,
-                            gpa: chunk.page_base(),
-                        },
-                    );
-                    return Err(violation.into());
-                }
-            }
-            done += len as usize;
-        }
-        Ok(())
+        self.copy_chunks(gpa, Transfer::Write(buf), |hv, chunk, need| {
+            hv.ept_translate(vm, chunk, need)
+        })
+    }
+
+    /// One page of a CPU access from inside `vm`: EPT-checked, a refusal
+    /// audited as a protected-region access.
+    fn ept_translate(
+        &mut self,
+        vm: VmId,
+        gpa: GuestPhysAddr,
+        need: Access,
+    ) -> Result<PhysAddr, HvError> {
+        let translated = self.vm(vm)?.ept().translate(gpa, need);
+        translated.map_err(|violation| {
+            self.audit.record(
+                self.clock.now_ns(),
+                AuditEvent::ProtectedRegionAccess {
+                    caller: vm,
+                    gpa: gpa.page_base(),
+                },
+            );
+            violation.into()
+        })
     }
 
     /// Device DMA read through the IOMMU (region-gated under isolation).
@@ -1741,27 +1484,9 @@ impl Hypervisor {
         dma: DmaAddr,
         buf: &mut [u8],
     ) -> Result<(), HvError> {
-        let mut done = 0usize;
-        for (chunk, len) in paradice_mem::addr::page_chunks(dma, buf.len() as u64) {
-            match self.iommu.domain(domain).translate(chunk, Access::READ) {
-                Ok(pa) => {
-                    self.mem.read(pa, &mut buf[done..done + len as usize])?;
-                }
-                Err(fault) => {
-                    let region = match fault {
-                        IommuFault::RegionInactive { region, .. } => Some(region),
-                        _ => None,
-                    };
-                    self.audit.record(
-                        self.clock.now_ns(),
-                        AuditEvent::DmaBlocked { dma: chunk, region },
-                    );
-                    return Err(fault.into());
-                }
-            }
-            done += len as usize;
-        }
-        Ok(())
+        self.copy_chunks(dma, Transfer::Read(buf), |hv, chunk, need| {
+            hv.iommu_translate(domain, chunk, need)
+        })
     }
 
     /// Device DMA write through the IOMMU.
@@ -1775,27 +1500,29 @@ impl Hypervisor {
         dma: DmaAddr,
         buf: &[u8],
     ) -> Result<(), HvError> {
-        let mut done = 0usize;
-        for (chunk, len) in paradice_mem::addr::page_chunks(dma, buf.len() as u64) {
-            match self.iommu.domain(domain).translate(chunk, Access::WRITE) {
-                Ok(pa) => {
-                    self.mem.write(pa, &buf[done..done + len as usize])?;
-                }
-                Err(fault) => {
-                    let region = match fault {
-                        IommuFault::RegionInactive { region, .. } => Some(region),
-                        _ => None,
-                    };
-                    self.audit.record(
-                        self.clock.now_ns(),
-                        AuditEvent::DmaBlocked { dma: chunk, region },
-                    );
-                    return Err(fault.into());
-                }
-            }
-            done += len as usize;
-        }
-        Ok(())
+        self.copy_chunks(dma, Transfer::Write(buf), |hv, chunk, need| {
+            hv.iommu_translate(domain, chunk, need)
+        })
+    }
+
+    /// One page of a device DMA: IOMMU-checked, a refusal audited as a
+    /// blocked DMA (naming the inactive region, if that is why).
+    fn iommu_translate(
+        &mut self,
+        domain: DomainId,
+        dma: DmaAddr,
+        need: Access,
+    ) -> Result<PhysAddr, HvError> {
+        let translated = self.iommu.domain(domain).translate(dma, need);
+        translated.map_err(|fault| {
+            let region = match fault {
+                IommuFault::RegionInactive { region, .. } => Some(region),
+                _ => None,
+            };
+            self.audit
+                .record(self.clock.now_ns(), AuditEvent::DmaBlocked { dma, region });
+            fault.into()
+        })
     }
 
     /// Records an externally detected audit event (wait-queue overflows from
@@ -1819,22 +1546,9 @@ impl Hypervisor {
         gpa: GuestPhysAddr,
         buf: &mut [u8],
     ) -> Result<(), HvError> {
-        let mut done = 0usize;
-        for (chunk, len) in paradice_mem::addr::page_chunks(gpa, buf.len() as u64) {
-            let pa = self
-                .vm(vm)?
-                .ept()
-                .translate_unchecked(chunk)
-                .ok_or(EptViolation {
-                    gpa: chunk,
-                    attempted: Access::READ,
-                    allowed: Access::NONE,
-                    mapped: false,
-                })?;
-            self.mem.read(pa, &mut buf[done..done + len as usize])?;
-            done += len as usize;
-        }
-        Ok(())
+        self.copy_chunks(gpa, Transfer::Read(buf), |hv, chunk, need| {
+            hv.translate_unchecked(vm, chunk, need)
+        })
     }
 
     /// Privileged write counterpart of [`Hypervisor::gpa_read_privileged`].
@@ -1848,28 +1562,15 @@ impl Hypervisor {
         gpa: GuestPhysAddr,
         buf: &[u8],
     ) -> Result<(), HvError> {
-        let mut done = 0usize;
-        for (chunk, len) in paradice_mem::addr::page_chunks(gpa, buf.len() as u64) {
-            let pa = self
-                .vm(vm)?
-                .ept()
-                .translate_unchecked(chunk)
-                .ok_or(EptViolation {
-                    gpa: chunk,
-                    attempted: Access::WRITE,
-                    allowed: Access::NONE,
-                    mapped: false,
-                })?;
-            self.mem.write(pa, &buf[done..done + len as usize])?;
-            done += len as usize;
-        }
-        Ok(())
+        self.copy_chunks(gpa, Transfer::Write(buf), |hv, chunk, need| {
+            hv.translate_unchecked(vm, chunk, need)
+        })
     }
 
     /// The *native/assignment* mapping path: the kernel maps a local frame
-    /// into one of its own processes — same mechanics as
-    /// [`Hypervisor::hc_insert_pfn`] but trusted (no grant check), since
-    /// driver and process share a kernel. Used by the machine's native and
+    /// into one of its own processes — the same fix-up as a
+    /// [`MemOp::InsertPfn`] but trusted (no grant check), since driver and
+    /// process share a kernel. Used by the machine's native and
     /// device-assignment modes.
     ///
     /// # Errors
@@ -1884,37 +1585,8 @@ impl Hypervisor {
         access: Access,
     ) -> Result<(), HvError> {
         self.clock.advance(self.cost.map_page_ns);
-        let gpa_src = GuestPhysAddr::new(pfn * PAGE_SIZE);
-        let pa = self
-            .vm(vm)?
-            .ept()
-            .frame_of(gpa_src)
-            .ok_or(EptViolation {
-                gpa: gpa_src,
-                attempted: Access::READ,
-                allowed: Access::NONE,
-                mapped: false,
-            })?;
-        let claimed = self.vm_mut(vm)?.gpa_window_mut().claim()?;
-        self.vm_mut(vm)?.ept_mut().map(claimed, pa, access)?;
-        let tables = GuestPageTables::from_root(pt_root);
-        let mut space = self.gpa_space(vm);
-        if let Err(e) = tables.set_leaf(&mut space, va, claimed, access) {
-            self.vm_mut(vm)?.ept_mut().unmap(claimed);
-            self.vm_mut(vm)?.gpa_window_mut().release(claimed);
-            return Err(e.into());
-        }
-        self.fixups.insert(
-            FixupKey {
-                guest: vm,
-                pt_root: pt_root.raw(),
-                va_page: va.page_number(),
-            },
-            Fixup {
-                claimed_gpa: claimed,
-            },
-        );
-        Ok(())
+        let pa = self.frame_of(vm, GuestPhysAddr::new(pfn * PAGE_SIZE))?;
+        self.install_fixup(vm, pt_root, va, pa, access)
     }
 
     /// Trusted unmap counterpart of
@@ -1930,17 +1602,7 @@ impl Hypervisor {
         va: GuestVirtAddr,
     ) -> Result<(), HvError> {
         self.clock.advance(self.cost.map_page_ns);
-        let key = FixupKey {
-            guest: vm,
-            pt_root: pt_root.raw(),
-            va_page: va.page_number(),
-        };
-        let fixup = self.fixups.remove(&key).ok_or(HvError::NoSuchMapping {
-            dma: DmaAddr::new(va.raw()),
-        })?;
-        self.vm_mut(vm)?.ept_mut().unmap(fixup.claimed_gpa);
-        self.vm_mut(vm)?.gpa_window_mut().release(fixup.claimed_gpa);
-        Ok(())
+        self.remove_fixup(vm, pt_root, va)
     }
 
     /// Hypercall (trusted driver initialization): place a range of the
@@ -2049,7 +1711,11 @@ mod tests {
                 }],
             )
             .unwrap();
-        hv.hc_copy_to_guest(driver, guest, pt.root(), dst, b"result!", grant)
+        let op = MemOp::CopyToGuest {
+            dst,
+            data: b"result!",
+        };
+        hv.hc_memops(driver, guest, pt.root(), grant, None, &mut [op])
             .unwrap();
         let mut buf = [0u8; 7];
         hv.process_read(guest, pt.root(), dst, &mut buf).unwrap();
@@ -2073,15 +1739,12 @@ mod tests {
             .unwrap();
         // The attack: write outside the granted range ("some sensitive
         // memory location inside a guest VM kernel", §4.1).
+        let op = MemOp::CopyToGuest {
+            dst: GuestVirtAddr::new(0x17000),
+            data: b"evil",
+        };
         let err = hv
-            .hc_copy_to_guest(
-                driver,
-                guest,
-                pt.root(),
-                GuestVirtAddr::new(0x17000),
-                b"evil",
-                grant,
-            )
+            .hc_memops(driver, guest, pt.root(), grant, None, &mut [op])
             .unwrap_err();
         assert!(matches!(err, HvError::Grant(_)));
         assert_eq!(
@@ -2109,28 +1772,24 @@ mod tests {
             )
             .unwrap();
         let before = hv.hypercall_count();
-        let results = hv
-            .hv_memops_batch(
-                driver,
-                guest,
-                pt.root(),
-                grant,
-                None,
-                vec![
-                    BatchMemOp::CopyFromGuest { src, len: 11 },
-                    BatchMemOp::CopyToGuest {
-                        dst,
-                        data: b"out".to_vec(),
-                    },
-                ],
-            )
-            .unwrap();
+        let mut input = [0u8; 11];
+        hv.hc_memops(
+            driver,
+            guest,
+            pt.root(),
+            grant,
+            None,
+            &mut [
+                MemOp::CopyFromGuest {
+                    src,
+                    buf: &mut input,
+                },
+                MemOp::CopyToGuest { dst, data: b"out" },
+            ],
+        )
+        .unwrap();
         assert_eq!(hv.hypercall_count() - before, 1, "one crossing for the batch");
-        assert_eq!(
-            results[0],
-            BatchMemOpResult::Bytes(b"input-bytes".to_vec())
-        );
-        assert_eq!(results[1], BatchMemOpResult::Done);
+        assert_eq!(&input, b"input-bytes");
         let mut buf = [0u8; 3];
         hv.process_read(guest, pt.root(), dst, &mut buf).unwrap();
         assert_eq!(&buf, b"out");
@@ -2153,20 +1812,20 @@ mod tests {
         // First entry is granted, second is wild: the batch must be refused
         // wholesale — the granted first write must NOT have been applied.
         let err = hv
-            .hv_memops_batch(
+            .hc_memops(
                 driver,
                 guest,
                 pt.root(),
                 grant,
                 None,
-                vec![
-                    BatchMemOp::CopyToGuest {
+                &mut [
+                    MemOp::CopyToGuest {
                         dst,
-                        data: b"leaked!!!".to_vec(),
+                        data: b"leaked!!!",
                     },
-                    BatchMemOp::CopyToGuest {
+                    MemOp::CopyToGuest {
                         dst: GuestVirtAddr::new(0x17000),
-                        data: b"evil".to_vec(),
+                        data: b"evil",
                     },
                 ],
             )
@@ -2189,7 +1848,7 @@ mod tests {
         let driver = hv.create_vm(VmRole::Driver, 16 * PAGE_SIZE).unwrap();
         hv.mark_driver_vm_failed(driver).unwrap();
         let err = hv
-            .hv_memops_batch(driver, guest, pt.root(), GrantRef(u32::MAX), None, vec![])
+            .hc_memops(driver, guest, pt.root(), GrantRef(u32::MAX), None, &mut [])
             .unwrap_err();
         assert!(matches!(err, HvError::DriverVmFailed { .. }));
     }
@@ -2208,15 +1867,12 @@ mod tests {
                 }],
             )
             .unwrap();
+        let op = MemOp::CopyToGuest {
+            dst: GuestVirtAddr::new(0x10000),
+            data: b"x",
+        };
         let err = hv
-            .hc_copy_to_guest(
-                other,
-                guest,
-                pt.root(),
-                GuestVirtAddr::new(0x10000),
-                b"x",
-                grant,
-            )
+            .hc_memops(other, guest, pt.root(), grant, None, &mut [op])
             .unwrap_err();
         assert_eq!(err, HvError::NotDriverVm { caller: other });
     }
@@ -2253,18 +1909,14 @@ mod tests {
             )
             .unwrap();
         // Backend half: the driver's insert_pfn redirected to the hypervisor.
-        hv.hc_insert_pfn(
-            driver,
-            guest,
-            pt.root(),
-            map_va,
-            driver_page.page_number(),
-            Access::RW,
-            grant,
-            None,
-        )
-        .unwrap();
-        assert_eq!(hv.live_fixups(), 1);
+        let op = MemOp::InsertPfn {
+            va: map_va,
+            driver_pfn: driver_page.page_number(),
+            access: Access::RW,
+        };
+        hv.hc_memops(driver, guest, pt.root(), grant, None, &mut [op])
+            .unwrap();
+        assert_eq!(hv.fixups.len(), 1);
 
         // The guest process can now read the device frame through its own
         // address space.
@@ -2277,9 +1929,10 @@ mod tests {
             let mut space = hv.gpa_space(guest);
             pt.unmap(&mut space, map_va).unwrap();
         }
-        hv.hc_zap_page(driver, guest, pt.root(), map_va, grant)
+        let op = MemOp::ZapPage { va: map_va };
+        hv.hc_memops(driver, guest, pt.root(), grant, None, &mut [op])
             .unwrap();
-        assert_eq!(hv.live_fixups(), 0);
+        assert_eq!(hv.fixups.len(), 0);
         assert!(hv.process_read(guest, pt.root(), map_va, &mut buf).is_err());
     }
 
@@ -2290,9 +1943,14 @@ mod tests {
         let driver = hv.create_vm(VmRole::Driver, 16 * PAGE_SIZE).unwrap();
         let va = GuestVirtAddr::new(0x5000_0000);
         let grant = hv.declare_grants(guest, vec![]).unwrap();
+        let insert = || MemOp::InsertPfn {
+            va,
+            driver_pfn: 1,
+            access: Access::RW,
+        };
         // No grant coverage.
         let err = hv
-            .hc_insert_pfn(driver, guest, pt.root(), va, 1, Access::RW, grant, None)
+            .hc_memops(driver, guest, pt.root(), grant, None, &mut [insert()])
             .unwrap_err();
         assert!(matches!(err, HvError::Grant(_)));
         // Grant but missing intermediates: hypervisor refuses to create them.
@@ -2307,7 +1965,7 @@ mod tests {
             )
             .unwrap();
         let err = hv
-            .hc_insert_pfn(driver, guest, pt.root(), va, 1, Access::RW, grant, None)
+            .hc_memops(driver, guest, pt.root(), grant, None, &mut [insert()])
             .unwrap_err();
         assert!(matches!(
             err,
@@ -2415,32 +2073,6 @@ mod tests {
     }
 
     #[test]
-    fn iommu_unmap_zeroes_and_restores() {
-        let mut hv = boot();
-        let guest = hv.create_vm(VmRole::Guest, 8 * PAGE_SIZE).unwrap();
-        let driver = hv.create_vm(VmRole::Driver, 32 * PAGE_SIZE).unwrap();
-        let domain = hv.assign_device(driver, DataIsolation::Enabled).unwrap();
-        let region = hv.hc_create_region(driver, domain, guest, None).unwrap();
-        let page = GuestPhysAddr::new(9 * PAGE_SIZE);
-        hv.vm_mem_write(driver, page, b"guest-secret").unwrap();
-        hv.hc_iommu_map(
-            driver,
-            domain,
-            DmaAddr::new(page.raw()),
-            page,
-            Access::RW,
-            Some(region),
-        )
-        .unwrap();
-        // Unmap: page is zeroed, driver regains access.
-        hv.hc_iommu_unmap(driver, domain, DmaAddr::new(page.raw()))
-            .unwrap();
-        let mut buf = [0u8; 12];
-        hv.vm_mem_read(driver, page, &mut buf).unwrap();
-        assert_eq!(buf, [0u8; 12], "page must be zeroed before release");
-    }
-
-    #[test]
     fn foreign_region_page_cannot_be_mapped_into_other_guest() {
         let mut hv = boot();
         let (guest1, _pt1) = guest_with_process(&mut hv);
@@ -2480,17 +2112,13 @@ mod tests {
                 }],
             )
             .unwrap();
+        let op = MemOp::InsertPfn {
+            va,
+            driver_pfn: page.page_number(),
+            access: Access::RW,
+        };
         let err = hv
-            .hc_insert_pfn(
-                driver,
-                guest2,
-                pt2.root(),
-                va,
-                page.page_number(),
-                Access::RW,
-                grant,
-                Some(domain),
-            )
+            .hc_memops(driver, guest2, pt2.root(), grant, Some(domain), &mut [op])
             .unwrap_err();
         assert_eq!(err, HvError::ForeignRegionPage { owner: r1 });
     }
@@ -2511,19 +2139,12 @@ mod tests {
             .mc_write_direct(driver, domain, MC_APERTURE_LO, u64::MAX)
             .unwrap_err();
         assert!(matches!(err, HvError::ProtectedMmio { .. }));
-        // Hypercall path still rejects the bound registers…
-        assert!(hv
-            .hc_mmio_write(driver, domain, MC_APERTURE_HI, u64::MAX)
-            .is_err());
-        // …but allows other registers in the page.
-        hv.hc_mmio_write(driver, domain, 0x100, 7).unwrap();
-        assert_eq!(hv.hc_mmio_read(driver, domain, 0x100).unwrap(), 7);
-        // Aperture unchanged by the attacks.
+        // Aperture unchanged by the attack.
         assert_eq!(hv.aperture(domain), Some(DevMemRange::new(0, 4096)));
         assert_eq!(
             hv.audit()
                 .count_blocked_by(crate::audit::BlockedBy::ProtectedMmio),
-            2
+            1
         );
     }
 
@@ -2603,7 +2224,7 @@ mod tests {
             pt.unmap(&mut space, va).unwrap();
         }
         hv.kernel_unmap_from_process(vm, pt.root(), va).unwrap();
-        assert_eq!(hv.live_fixups(), 0);
+        assert_eq!(hv.fixups.len(), 0);
         assert!(hv
             .kernel_unmap_from_process(vm, pt.root(), va)
             .is_err());

@@ -15,8 +15,9 @@
 //!   the frontend, validated on every hypercall from the driver VM. One
 //!   per-guest kernel ([`GrantTable`]) serves both substrates.
 //! * [`hv`] — the [`Hypervisor`] itself: VM lifecycle, device assignment,
-//!   the hypercall API (cross-VM copies, `mmap` fix-ups, IOMMU control,
-//!   protected-MMIO proxying), and device DMA service.
+//!   the hypercall API (one grant-checked entry for cross-VM copies and
+//!   `mmap` fix-ups, IOMMU control, protected MMIO), and device DMA
+//!   service.
 //! * [`regions`] — protected memory regions for device data isolation.
 //! * [`channel`] — shared-page inter-VM communication in interrupt and
 //!   polling modes, with the paper's measured latencies as cost anchors.
@@ -74,7 +75,7 @@ pub use grants::{
     SEQ_BITS,
 };
 pub use shards::{ShardedGrantTable, RETIRED_CAP};
-pub use hv::{BatchMemOp, BatchMemOpResult, HvError, Hypervisor};
+pub use hv::{HvError, Hypervisor, MemOp};
 pub use regions::RegionManager;
 pub use ring::{PushGrant, RingIndex, RING_CAPACITY};
 pub use vm::{Vm, VmId};

@@ -191,16 +191,6 @@ impl RegionManager {
         self.page_owner.get(&gpa.page_number()).copied()
     }
 
-    /// Removes a page from its region's pool (on IOMMU unmap; the hypervisor
-    /// zeroes the page first, §5.3(i)). Returns the owning region, if any.
-    pub fn remove_sys_page(&mut self, gpa: GuestPhysAddr) -> Option<RegionId> {
-        let region = self.page_owner.remove(&gpa.page_number())?;
-        if let Some(entry) = self.regions.get_mut(&region.0) {
-            entry.sys_pages.retain(|p| p.page_number() != gpa.page_number());
-        }
-        Some(region)
-    }
-
     /// The guest a region belongs to.
     ///
     /// # Errors

@@ -14,7 +14,7 @@ use paradice_cvd::frontend::DEFAULT_OP_DEADLINE_NS;
 use paradice_faults::{FaultKind, FaultPlan, Trigger};
 use paradice_hypervisor::audit::BlockedBy;
 use paradice_hypervisor::hv::HvError;
-use paradice_hypervisor::GrantRef;
+use paradice_hypervisor::{GrantRef, MemOp};
 
 fn plain_machine(devices: &[DeviceSpec]) -> Machine {
     let mut builder = Machine::builder()
@@ -142,13 +142,16 @@ fn a_driver_panic_revokes_grants_and_refuses_the_dead_vm() {
     let guest = m.guest_vms()[0];
     assert_eq!(m.hv().borrow().outstanding_grants(guest), 0);
     // … and the dead VM's hypercalls are refused before any grant logic.
-    let err = m.hv().borrow_mut().hc_copy_to_guest(
+    let err = m.hv().borrow_mut().hc_memops(
         m.driver_vm(),
         guest,
         paradice_mem::GuestPhysAddr::new(0),
-        GuestVirtAddr::new(0x4000),
-        b"x",
         GrantRef(u32::MAX),
+        None,
+        &mut [MemOp::CopyToGuest {
+            dst: GuestVirtAddr::new(0x4000),
+            data: b"x",
+        }],
     );
     assert!(
         matches!(err, Err(HvError::DriverVmFailed { .. })),

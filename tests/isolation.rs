@@ -7,6 +7,7 @@ use paradice::attack;
 use paradice::gpu_ioctl::gem_domain;
 use paradice::prelude::*;
 use paradice_hypervisor::audit::BlockedBy;
+use paradice_hypervisor::MemOp;
 
 fn isolated_machine() -> Machine {
     Machine::builder()
@@ -262,13 +263,16 @@ fn devirtualization_ablation_shows_why_grant_checks_matter() {
     let driver_vm = m.driver_vm();
     let guest = m.guest_vms()[0];
     let bogus_grant = paradice_hypervisor::GrantRef(u32::MAX);
-    let result = m.hv().borrow_mut().hc_copy_to_guest(
+    let result = m.hv().borrow_mut().hc_memops(
         driver_vm,
         guest,
         paradice_mem::GuestPhysAddr::new(0),
-        GuestVirtAddr::new(0xc000_0000),
-        b"rootkit",
         bogus_grant,
+        None,
+        &mut [MemOp::CopyToGuest {
+            dst: GuestVirtAddr::new(0xc000_0000),
+            data: b"rootkit",
+        }],
     );
     // No grant refusal and no audit record: the only thing that stops the
     // copy is that the target happens to be unmapped — security by

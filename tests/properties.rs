@@ -11,15 +11,167 @@
 //!   JIT predicts are exactly the operations the driver performs (§4.1);
 //! * two-stage translation round-trips;
 //! * `_IOC` encode/decode round-trips;
-//! * the VRAM allocator never double-allocates or leaks.
+//! * the VRAM allocator never double-allocates or leaks;
+//! * a driver's memory operations cost the same work whether issued one
+//!   hypercall each or deferred into one hypercall per flush, and a grant
+//!   refusal applies nothing of its hypercall.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
+use paradice_cvd::HypercallMemOps;
 use paradice_devfs::ioc::{IoctlCmd, IoctlDir, MAX_IOC_SIZE};
+use paradice_devfs::{Errno, MemOps};
 use paradice_hypervisor::grants::{GrantTable, MemOpGrant, MemOpRequest, GRANT_TABLE_CAPACITY};
-use paradice_hypervisor::ShardedGrantTable;
+use paradice_hypervisor::vm::VmRole;
+use paradice_hypervisor::{BlockedBy, CostModel, Hypervisor, ShardedGrantTable, SimClock};
 use paradice_mem::pagetable::{FlatGpaSpace, GuestPageTables};
 use paradice_mem::{Access, GuestPhysAddr, GuestVirtAddr, PAGE_SIZE};
+
+/// The granted copy window of the mem-op rig's guest process.
+const DATA_VA: u64 = 0x10000;
+const DATA_LEN: u64 = 4 * PAGE_SIZE;
+/// A mapped page of the same process that no grant covers.
+const WILD_VA: u64 = 0x20000;
+/// Two granted `mmap` slots.
+const MAP_VA: u64 = 0x4000_0000;
+const GUEST_RAM: u64 = 64 * PAGE_SIZE;
+
+/// One driver memory operation of a mem-op script.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Write {
+        at: u64,
+        len: usize,
+        byte: u8,
+    },
+    Read {
+        at: u64,
+        len: usize,
+    },
+    /// `insert_pfn` into the slot when it is empty, `zap_pfn` when mapped.
+    Toggle {
+        slot: u64,
+    },
+    /// An ungranted copy (into or out of `WILD_VA`).
+    Wild {
+        read: bool,
+    },
+}
+
+/// What one run of a script leaves behind.
+#[derive(Debug)]
+struct MemOpRun {
+    result: Result<(), Errno>,
+    reads: Vec<Vec<u8>>,
+    guest_ram: Vec<u8>,
+    guest_ept_entries: usize,
+    hypercalls: u64,
+    clock_ns: u64,
+    grant_refusals: usize,
+}
+
+/// Runs `script` through one [`HypercallMemOps`] on a fresh hypervisor,
+/// immediate or deferred, the way a driver does: it stops at the first
+/// refused operation, else flushes when the file operation returns.
+fn run_memops(script: &[Step], defer: bool) -> MemOpRun {
+    let mut hv = Hypervisor::new(256, SimClock::new(), CostModel::default());
+    let guest = hv.create_vm(VmRole::Guest, GUEST_RAM).unwrap();
+    let driver = hv.create_vm(VmRole::Driver, 16 * PAGE_SIZE).unwrap();
+    let mut pt = GuestPageTables::new(&mut hv.gpa_space(guest)).unwrap();
+    for (va, gpa) in (0..DATA_LEN / PAGE_SIZE)
+        .map(|i| (DATA_VA + i * PAGE_SIZE, PAGE_SIZE + i * PAGE_SIZE))
+        .chain([(WILD_VA, 8 * PAGE_SIZE)])
+    {
+        let (va, gpa) = (GuestVirtAddr::new(va), GuestPhysAddr::new(gpa));
+        pt.map(&mut hv.gpa_space(guest), va, gpa, Access::RW)
+            .unwrap();
+    }
+    for slot in 0..2 {
+        let va = GuestVirtAddr::new(MAP_VA + slot * PAGE_SIZE);
+        pt.ensure_intermediate(&mut hv.gpa_space(guest), va)
+            .unwrap();
+    }
+    let data = GuestVirtAddr::new(DATA_VA);
+    let map = GuestVirtAddr::new(MAP_VA);
+    let grant = hv
+        .declare_grants(
+            guest,
+            vec![
+                MemOpGrant::CopyToGuest {
+                    addr: data,
+                    len: DATA_LEN,
+                },
+                MemOpGrant::CopyFromGuest {
+                    addr: data,
+                    len: DATA_LEN,
+                },
+                MemOpGrant::MapPages {
+                    va: map,
+                    pages: 2,
+                    access: Access::RW,
+                },
+                MemOpGrant::UnmapPages { va: map, pages: 2 },
+            ],
+        )
+        .unwrap();
+    let (hypercalls, clock_ns) = (hv.hypercall_count(), hv.clock().now_ns());
+    let hv = Rc::new(RefCell::new(hv));
+    let mut mem = HypercallMemOps::new(hv.clone(), driver, guest, pt.root(), grant, None, defer);
+    let mut mapped = [false; 2];
+    let mut reads = Vec::new();
+    let mut result = Ok(());
+    for &step in script {
+        let va = |at: u64| GuestVirtAddr::new(DATA_VA + at);
+        result = match step {
+            Step::Write { at, len, byte } => mem.copy_to_user(va(at), &vec![byte; len]),
+            Step::Read { at, len } => {
+                let mut buf = vec![0u8; len];
+                let read = mem.copy_from_user(va(at), &mut buf);
+                reads.push(buf);
+                read
+            }
+            Step::Toggle { slot } => {
+                let va = GuestVirtAddr::new(MAP_VA + slot * PAGE_SIZE);
+                let was_mapped = mapped[slot as usize];
+                mapped[slot as usize] = !was_mapped;
+                if was_mapped {
+                    mem.zap_pfn(va)
+                } else {
+                    mem.insert_pfn(va, 1 + slot, Access::RW)
+                }
+            }
+            Step::Wild { read: true } => {
+                mem.copy_from_user(GuestVirtAddr::new(WILD_VA), &mut [0; 8])
+            }
+            Step::Wild { read: false } => {
+                mem.copy_to_user(GuestVirtAddr::new(WILD_VA), b"wild!!!!")
+            }
+        };
+        if result.is_err() {
+            break;
+        }
+    }
+    if result.is_ok() {
+        result = mem.flush();
+    }
+    drop(mem);
+    let mut hv = hv.borrow_mut();
+    let mut guest_ram = vec![0u8; GUEST_RAM as usize];
+    hv.gpa_read_privileged(guest, GuestPhysAddr::new(0), &mut guest_ram)
+        .unwrap();
+    MemOpRun {
+        result,
+        reads,
+        guest_ram,
+        guest_ept_entries: hv.vm(guest).unwrap().ept().len(),
+        hypercalls: hv.hypercall_count() - hypercalls,
+        clock_ns: hv.clock().now_ns() - clock_ns,
+        grant_refusals: hv.audit().count_blocked_by(BlockedBy::GrantCheck),
+    }
+}
 
 proptest! {
     /// Soundness: a copy request validates only if some declared grant of
@@ -252,6 +404,84 @@ proptest! {
             let data_op = &ops[2 + 2 * i];
             prop_assert_eq!(data_op.addr, 0x1000 + i as u64 * 0x400);
             prop_assert_eq!(data_op.len, u64::from(lens[i]) * 4);
+        }
+    }
+
+    /// The charge rule of `Hypervisor::hc_memops`, pinned end to end: the
+    /// same script of granted copies and maps leaves the same guest memory
+    /// whether each operation is its own hypercall or writes are deferred
+    /// to the next read or the final flush; deferral saves exactly one
+    /// `hypercall_ns` per operation it folds into another's crossing. One
+    /// ungranted operation at position k is audited once and refuses its
+    /// whole hypercall: immediately, the operations before k stand;
+    /// deferred, nothing of k's flush lands.
+    #[test]
+    fn memops_charge_rule_immediate_vs_deferred(
+        raw in proptest::collection::vec(
+            (0u8..4, 0u64..DATA_LEN - 64, 1usize..64, any::<u8>(), 0u64..2),
+            1..=8,
+        ),
+        wild_at in 0usize..=8,
+        wild_read in any::<bool>(),
+    ) {
+        let script: Vec<Step> = raw
+            .iter()
+            .map(|&(kind, at, len, byte, slot)| match kind {
+                0 | 1 => Step::Write { at, len, byte },
+                2 => Step::Read { at, len },
+                _ => Step::Toggle { slot },
+            })
+            .collect();
+        let immediate = run_memops(&script, false);
+        let deferred = run_memops(&script, true);
+        prop_assert_eq!(&immediate.result, &Ok(()));
+        prop_assert_eq!(&deferred.result, &Ok(()));
+        prop_assert_eq!(&immediate.guest_ram, &deferred.guest_ram);
+        prop_assert_eq!(immediate.guest_ept_entries, deferred.guest_ept_entries);
+        prop_assert_eq!(&immediate.reads, &deferred.reads);
+        // A deferred run crosses once per read (carrying the writes queued
+        // before it) and once more for writes left at the end.
+        let ops = script.len() as u64;
+        let reads = script.iter().filter(|s| matches!(s, Step::Read { .. })).count() as u64;
+        let trailing = !matches!(script.last(), Some(Step::Read { .. }));
+        let flushes = reads + u64::from(trailing);
+        prop_assert_eq!(immediate.hypercalls, ops);
+        prop_assert_eq!(deferred.hypercalls, flushes);
+        // One operation per hypercall costs exactly its work.
+        let cost = CostModel::default();
+        let work: u64 = script
+            .iter()
+            .map(|step| match *step {
+                Step::Write { at, len, .. } | Step::Read { at, len } => {
+                    let pages = paradice_mem::addr::page_span(DATA_VA + at, len as u64);
+                    cost.copy_cost_ns(len as u64, pages)
+                }
+                _ => cost.map_page_ns,
+            })
+            .sum();
+        prop_assert_eq!(immediate.clock_ns, work);
+        prop_assert_eq!(
+            immediate.clock_ns - deferred.clock_ns,
+            (ops - flushes) * cost.hypercall_ns
+        );
+
+        let k = wild_at.min(script.len());
+        let mut wild = script.clone();
+        wild.insert(k, Step::Wild { read: wild_read });
+        let flush_start = script[..k]
+            .iter()
+            .rposition(|s| matches!(s, Step::Read { .. }))
+            .map_or(0, |i| i + 1);
+        for (defer, applied) in [(false, k), (true, flush_start)] {
+            let refused = run_memops(&wild, defer);
+            let expected = run_memops(&script[..applied], defer);
+            prop_assert_eq!(&refused.result, &Err(Errno::Efault));
+            prop_assert_eq!(&refused.guest_ram, &expected.guest_ram);
+            prop_assert_eq!(refused.guest_ept_entries, expected.guest_ept_entries);
+            prop_assert_eq!(refused.grant_refusals, 1);
+            // The refused hypercall is counted but charges nothing.
+            prop_assert_eq!(refused.hypercalls, expected.hypercalls + 1);
+            prop_assert_eq!(refused.clock_ns, expected.clock_ns);
         }
     }
 
