@@ -31,7 +31,8 @@ pub enum Role {
     Cursor,
     /// A park/wake flag participating in a sleep/wake handoff.
     Flag,
-    /// A copy-on-write snapshot pointer.
+    /// A pointer publishing an immutable object (a copy-on-write snapshot,
+    /// a grant-page slot).
     SnapshotPtr,
     /// A shared counter (capacity reservation, reader gate, statistics).
     Counter,

@@ -206,6 +206,13 @@ impl AtomicBool {
 #[derive(Debug)]
 pub struct AtomicPtr<T>(std_atomic::AtomicPtr<T>);
 
+impl<T> Default for AtomicPtr<T> {
+    /// A null pointer.
+    fn default() -> Self {
+        AtomicPtr(std_atomic::AtomicPtr::default())
+    }
+}
+
 impl<T> AtomicPtr<T> {
     /// A new cell holding `ptr`.
     pub const fn new(ptr: *mut T) -> Self {

@@ -16,17 +16,17 @@
 //! Validation is *subset* matching: a requested operation must lie entirely
 //! within a declared grant of the same kind.
 //!
-//! [`GrantTable`] is the one per-guest kernel both substrates run: the
+//! [`GrantTable`] is that page: [`GRANT_TABLE_CAPACITY`] slots, each
+//! holding at most one boxed declaration. Both substrates run it: the
 //! virtual-time [`Hypervisor`](crate::hv::Hypervisor) steps one per VM
-//! under its `RefCell`, and each [`crate::shards`] shard publishes
-//! copy-on-write snapshots of one. Reference lookup, capacity and sequence
-//! allocation live here only — and so do the `crates/verify` `grant-*`
-//! proofs.
+//! under its `RefCell`, and each [`crate::shards`] shard is one with
+//! atomic slots, publishing one declaration at a time. Reference lookup,
+//! capacity and sequence allocation live here only — and so do the
+//! `crates/verify` `grant-*` proofs.
 
 use std::fmt;
-use std::sync::Arc;
 
-use paradice_mem::{Access, GuestVirtAddr};
+use paradice_mem::{Access, GuestVirtAddr, PAGE_SIZE};
 
 /// Index of a declaration in a guest's grant table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -220,207 +220,209 @@ impl std::error::Error for GrantError {}
 /// capacity.
 pub const GRANT_TABLE_CAPACITY: usize = 128;
 
-/// Sorted-range index over the declared windows of one grant kind.
-///
-/// Ranges are kept sorted by start alongside a running prefix maximum of
-/// their ends. A request `[addr, addr+len)` is covered by *some single*
+/// Sorted-range index over the declared windows of one grant kind: one
+/// block of `(start, prefix_max_end)` pairs, ascending by start, where
+/// `prefix_max_end` is the largest end among this range and every range
+/// before it. A request `[addr, addr+len)` is covered by *some single*
 /// declared range iff a range starting at or before `addr` ends at or after
-/// `addr+len` — which the prefix maximum answers after one binary search,
-/// making per-hypercall validation `O(log n)` instead of the old linear
-/// scan over every declared operation.
+/// `addr+len` — which the prefix maximum answers after one binary search.
 #[derive(Debug, Default)]
-struct RangeIndex {
-    /// Range starts, ascending.
-    starts: Vec<u64>,
-    /// `prefix_max_end[i]` = max end over `starts[0..=i]`'s ranges.
-    prefix_max_end: Vec<u64>,
-}
+struct RangeIndex(Vec<(u64, u64)>);
 
 impl RangeIndex {
-    fn build(mut ranges: Vec<(u64, u64)>) -> RangeIndex {
-        ranges.sort_unstable();
-        let mut starts = Vec::with_capacity(ranges.len());
-        let mut prefix_max_end = Vec::with_capacity(ranges.len());
+    /// Sorts the `(start, end)` windows pushed in and turns each end into
+    /// the prefix maximum.
+    fn seal(&mut self) {
+        self.0.sort_unstable();
         let mut max_end = 0u64;
-        for (start, end) in ranges {
-            max_end = max_end.max(end);
-            starts.push(start);
-            prefix_max_end.push(max_end);
+        for (_, end) in &mut self.0 {
+            max_end = max_end.max(*end);
+            *end = max_end;
         }
-        RangeIndex { starts, prefix_max_end }
     }
 
     /// Exactly [`MemOpGrant::covers`]'s arithmetic: the request end is
     /// computed with `checked_add` (overflow is never covered) and compared
     /// against grant ends that were saturated at build time.
     fn covers(&self, addr: u64, len: u64) -> bool {
-        let Some(end) = addr.checked_add(len) else {
-            return false;
-        };
-        let idx = self.starts.partition_point(|&s| s <= addr);
-        idx > 0 && self.prefix_max_end[idx - 1] >= end
+        let idx = self.0.partition_point(|&(start, _)| start <= addr);
+        addr.checked_add(len).is_some_and(|end| idx > 0 && self.0[idx - 1].1 >= end)
     }
 }
 
-/// The per-declaration validation index, built once at declare time.
-#[derive(Debug, Default)]
-struct GrantEntry {
-    /// The declarations as declared (kept for audits and tests).
-    ops: Vec<MemOpGrant>,
-    copy_from: RangeIndex,
-    copy_to: RangeIndex,
-    unmap: RangeIndex,
-    /// One range index per distinct access value; a request is checked
-    /// against every bucket whose access contains the requested rights
-    /// (the number of distinct access values is tiny).
-    map: Vec<(Access, RangeIndex)>,
+/// Range indexes of one declaration: copy-from, copy-to and unmap windows,
+/// then one index of map windows per access value (a map request is
+/// checked against every access that contains the requested rights).
+const COPY_FROM: usize = 0;
+const COPY_TO: usize = 1;
+const UNMAP: usize = 2;
+const MAP: usize = 3;
+const INDEXES: usize = MAP + 8;
+
+/// The index a declared operation's window belongs to, and the window as
+/// `(start, end)` with its end saturated.
+fn window(op: &MemOpGrant) -> (usize, (u64, u64)) {
+    let span = |start: GuestVirtAddr, len: u64| (start.raw(), start.raw().saturating_add(len));
+    let paged = |va, pages: u64| span(va, pages.saturating_mul(PAGE_SIZE));
+    match *op {
+        MemOpGrant::CopyFromGuest { addr, len } => (COPY_FROM, span(addr, len)),
+        MemOpGrant::CopyToGuest { addr, len } => (COPY_TO, span(addr, len)),
+        MemOpGrant::UnmapPages { va, pages } => (UNMAP, paged(va, pages)),
+        MemOpGrant::MapPages { va, pages, access } => {
+            (MAP + usize::from(access.bits()), paged(va, pages))
+        }
+    }
 }
 
-impl GrantEntry {
-    fn build(ops: Vec<MemOpGrant>) -> GrantEntry {
-        let mut copy_from = Vec::new();
-        let mut copy_to = Vec::new();
-        let mut unmap = Vec::new();
-        let mut map: Vec<(Access, Vec<(u64, u64)>)> = Vec::new();
-        for op in &ops {
-            match *op {
-                MemOpGrant::CopyFromGuest { addr, len } => {
-                    copy_from.push((addr.raw(), addr.raw().saturating_add(len)));
-                }
-                MemOpGrant::CopyToGuest { addr, len } => {
-                    copy_to.push((addr.raw(), addr.raw().saturating_add(len)));
-                }
-                MemOpGrant::MapPages { va, pages, access } => {
-                    let len = pages.saturating_mul(paradice_mem::PAGE_SIZE);
-                    let range = (va.raw(), va.raw().saturating_add(len));
-                    match map.iter_mut().find(|(a, _)| *a == access) {
-                        Some((_, ranges)) => ranges.push(range),
-                        None => map.push((access, vec![range])),
-                    }
-                }
-                MemOpGrant::UnmapPages { va, pages } => {
-                    let len = pages.saturating_mul(paradice_mem::PAGE_SIZE);
-                    unmap.push((va.raw(), va.raw().saturating_add(len)));
-                }
-            }
+/// One declaration as it sits in a page slot: the reference that owns the
+/// slot and the validation index of its operations, built once at declare
+/// time in one pass — one block per non-empty index (its first four
+/// windows fit the first block).
+#[derive(Debug)]
+pub struct Declaration {
+    pub(crate) grant: GrantRef,
+    index: [RangeIndex; INDEXES],
+}
+
+impl Declaration {
+    fn build(grant: GrantRef, ops: &[MemOpGrant]) -> Declaration {
+        let mut index: [RangeIndex; INDEXES] = Default::default();
+        for (kind, range) in ops.iter().map(window) {
+            index[kind].0.push(range);
         }
-        GrantEntry {
-            ops,
-            copy_from: RangeIndex::build(copy_from),
-            copy_to: RangeIndex::build(copy_to),
-            unmap: RangeIndex::build(unmap),
-            map: map
-                .into_iter()
-                .map(|(access, ranges)| (access, RangeIndex::build(ranges)))
-                .collect(),
-        }
+        index.iter_mut().for_each(RangeIndex::seal);
+        Declaration { grant, index }
     }
 
     fn covers(&self, request: &MemOpRequest) -> bool {
         match *request {
             MemOpRequest::CopyFromGuest { addr, len } => {
-                self.copy_from.covers(addr.raw(), len)
+                self.index[COPY_FROM].covers(addr.raw(), len)
             }
-            MemOpRequest::CopyToGuest { addr, len } => self.copy_to.covers(addr.raw(), len),
-            MemOpRequest::MapPage { va, access } => self
-                .map
-                .iter()
-                .any(|(granted, index)| {
-                    granted.contains(access) && index.covers(va.raw(), paradice_mem::PAGE_SIZE)
-                }),
-            MemOpRequest::UnmapPage { va } => self.unmap.covers(va.raw(), paradice_mem::PAGE_SIZE),
+            MemOpRequest::CopyToGuest { addr, len } => self.index[COPY_TO].covers(addr.raw(), len),
+            MemOpRequest::MapPage { va, access } => (0..8u8)
+                .filter(|&bits| Access::from_bits(bits).contains(access))
+                .any(|bits| self.index[MAP + usize::from(bits)].covers(va.raw(), PAGE_SIZE)),
+            MemOpRequest::UnmapPage { va } => self.index[UNMAP].covers(va.raw(), PAGE_SIZE),
         }
     }
 }
 
-/// One guest VM's grant table.
+/// How one slot of a [`GrantTable`] holds its declaration: the
+/// virtual-time hypervisor's table owns an `Option<Box<Declaration>>` per
+/// slot, a [`crate::shards`] shard an atomic pointer its readers load
+/// without a lock.
+pub trait PageSlot {
+    /// The declaration in this slot, if any.
+    fn get(&self) -> Option<&Declaration>;
+}
+
+impl PageSlot for Option<Box<Declaration>> {
+    fn get(&self) -> Option<&Declaration> {
+        self.as_deref()
+    }
+}
+
+/// `grant`'s probe sequence: its home slot — the sequence number modulo
+/// the capacity — then every other slot, in order, wrapping once.
+fn probe(grant: GrantRef) -> impl Iterator<Item = usize> {
+    let home = grant.0 as usize % GRANT_TABLE_CAPACITY;
+    (home..GRANT_TABLE_CAPACITY).chain(0..home)
+}
+
+/// A grant table's reference sequence.
 ///
-/// Live declarations sit in a `Vec` ascending by reference: references are
-/// issued in increasing order and never reissued, so `declare` appends and
-/// lookup is one binary search. Entries are `Arc`-shared, so a clone (a
-/// shard's copy-on-write republication) copies `(ref, ptr)` pairs, never
-/// the range indexes behind them.
-///
-/// Two reference layouts, same kernel: [`GrantTable::new`] issues the
-/// unqualified 32-bit references `0..=u32::MAX`, [`GrantTable::for_guest`]
-/// issues `guest << SEQ_BITS | seq` for `seq` in `0..=SEQ_MASK`. Under both
-/// the table fails closed once its last reference is out: a reference that
+/// Two layouts: [`GrantTable::new`] issues the unqualified 32-bit
+/// references `0..=u32::MAX`, [`GrantTable::for_guest`] issues
+/// `guest << SEQ_BITS | seq` for `seq` in `0..=SEQ_MASK`. References are
+/// issued in increasing order and never reissued; under both layouts the
+/// sequence fails closed once its last reference is out: a reference that
 /// restarted would alias one a stale holder may still name.
-#[derive(Debug, Clone)]
-pub struct GrantTable {
-    entries: Vec<(GrantRef, Arc<GrantEntry>)>,
+#[derive(Debug)]
+pub struct Sequence {
     /// The next reference to issue; `None` once `last` has been issued.
     next: Option<u32>,
-    /// The last reference this table's layout can issue.
+    /// The last reference this layout can issue.
     last: u32,
 }
 
-impl Default for GrantTable {
-    fn default() -> Self {
-        GrantTable::new()
-    }
-}
-
-impl GrantTable {
-    /// Creates an empty table issuing unqualified 32-bit references.
-    pub fn new() -> Self {
-        GrantTable {
-            entries: Vec::new(),
-            next: Some(0),
-            last: u32::MAX,
-        }
-    }
-
-    /// Creates an empty table issuing references qualified with `guest` in
-    /// their high [`GUEST_BITS`].
+impl Sequence {
+    /// References qualified with `guest` in their high [`GUEST_BITS`].
     ///
     /// `guest` must be below [`MAX_GUESTS`] — ids are host-assigned, so a
     /// larger one is a programming error, not hostile input.
-    pub fn for_guest(guest: u32) -> Self {
+    pub(crate) fn for_guest(guest: u32) -> Self {
         assert!(guest < MAX_GUESTS, "guest id {guest} exceeds MAX_GUESTS");
         let first = guest << SEQ_BITS;
-        GrantTable {
-            entries: Vec::new(),
+        Sequence {
             next: Some(first),
             last: first | SEQ_MASK,
         }
     }
 
-    /// Checker hook: spends `count` references without issuing them, as if
-    /// they had been declared and revoked, so the exhaustion edge is
-    /// reachable without 2³² declares. Only ever moves the sequence
-    /// forward, so it cannot make a reference alias.
-    #[doc(hidden)]
-    pub fn with_refs_spent(mut self, count: u32) -> Self {
-        self.next = self
-            .next
-            .and_then(|next| next.checked_add(count))
-            .filter(|&next| next <= self.last);
-        self
-    }
-
-    /// Declares the legitimate operations of one file operation, returning
-    /// the reference the backend must attach to its hypercalls.
+    /// Declares `ops` into `slots`: issues the next reference and picks
+    /// the free slot its declaration goes to — the first on the
+    /// reference's probe sequence. The caller publishes the declaration in
+    /// that slot before anything else touches the page.
     ///
     /// # Errors
     ///
-    /// [`GrantError::TableFull`] when [`GRANT_TABLE_CAPACITY`] declarations
-    /// are already outstanding, or when the table's reference space is
-    /// spent (references never restart, so stale ones can never alias).
-    pub fn declare(&mut self, ops: Vec<MemOpGrant>) -> Result<GrantRef, GrantError> {
-        if self.entries.len() >= GRANT_TABLE_CAPACITY {
-            return Err(GrantError::TableFull);
-        }
-        let reference = self.next.ok_or(GrantError::TableFull)?;
-        self.next = (reference < self.last).then(|| reference + 1);
-        self.entries
-            .push((GrantRef(reference), Arc::new(GrantEntry::build(ops))));
-        Ok(GrantRef(reference))
+    /// [`GrantError::TableFull`] when every slot holds a declaration, or
+    /// when the reference space is spent; neither issues a reference.
+    pub(crate) fn declare<S: PageSlot>(
+        &mut self,
+        slots: &[S; GRANT_TABLE_CAPACITY],
+        ops: &[MemOpGrant],
+    ) -> Result<(usize, Box<Declaration>), GrantError> {
+        let grant = GrantRef(self.next.ok_or(GrantError::TableFull)?);
+        let index = probe(grant)
+            .find(|&index| slots[index].get().is_none())
+            .ok_or(GrantError::TableFull)?;
+        self.next = (grant.0 < self.last).then(|| grant.0 + 1);
+        Ok((index, Box::new(Declaration::build(grant, ops))))
+    }
+}
+
+/// One guest VM's grant table — the shared page of paper §5.1:
+/// [`GRANT_TABLE_CAPACITY`] slots, each holding at most one declaration,
+/// plus the reference sequence.
+///
+/// A declaration goes to the first free slot on its reference's probe
+/// sequence and never moves, so lookup walks the same sequence and
+/// compares references: a home slot may hold a later reference with the
+/// same home, or an earlier one displaced into it.
+///
+/// `S` is how a slot holds its declaration and `Q` where the sequence
+/// lives. The virtual-time hypervisor's table owns both (the defaults); a
+/// [`crate::shards`] shard's page is a `GrantTable<_, ()>` of atomic slots
+/// whose sequence sits behind the shard's writer mutex instead.
+#[derive(Debug)]
+pub struct GrantTable<S = Option<Box<Declaration>>, Q = Sequence> {
+    slots: [S; GRANT_TABLE_CAPACITY],
+    sequence: Q,
+}
+
+impl<S: Default, Q> GrantTable<S, Q> {
+    /// An empty page with `sequence`.
+    pub(crate) fn with_sequence(sequence: Q) -> Self {
+        GrantTable { slots: std::array::from_fn(|_| S::default()), sequence }
+    }
+}
+
+impl<S: PageSlot, Q> GrantTable<S, Q> {
+    /// The slots, in index order.
+    pub(crate) fn slots(&self) -> &[S; GRANT_TABLE_CAPACITY] {
+        &self.slots
     }
 
-    /// The one reference lookup: `entries` is sorted by construction.
-    fn position(&self, grant: GrantRef) -> Option<usize> {
-        self.entries.binary_search_by_key(&grant, |(r, _)| *r).ok()
+    /// The one reference lookup: the slot holding `grant`'s declaration.
+    pub(crate) fn find(&self, grant: GrantRef) -> Option<(usize, &Declaration)> {
+        probe(grant).find_map(|index| {
+            self.slots[index]
+                .get()
+                .filter(|declaration| declaration.grant == grant)
+                .map(|declaration| (index, declaration))
+        })
     }
 
     /// Validates `request` against the declarations of `grant`.
@@ -428,19 +430,9 @@ impl GrantTable {
     /// # Errors
     ///
     /// [`GrantError::UnknownRef`] or [`GrantError::NotCovered`].
-    pub fn validate(
-        &self,
-        grant: GrantRef,
-        request: &MemOpRequest,
-    ) -> Result<(), GrantError> {
-        let index = self
-            .position(grant)
-            .ok_or(GrantError::UnknownRef { grant })?;
-        if self.entries[index].1.covers(request) {
-            Ok(())
-        } else {
-            Err(GrantError::NotCovered { grant })
-        }
+    pub fn validate(&self, grant: GrantRef, request: &MemOpRequest) -> Result<(), GrantError> {
+        self.validate_batch(grant, std::slice::from_ref(request))
+            .map_err(|(_, error)| error)
     }
 
     /// Validates a whole hypercall batch against one grant, all-or-nothing:
@@ -459,19 +451,72 @@ impl GrantTable {
         grant: GrantRef,
         requests: &[MemOpRequest],
     ) -> Result<(), (usize, GrantError)> {
-        for (index, request) in requests.iter().enumerate() {
-            self.validate(grant, request).map_err(|err| (index, err))?;
+        if requests.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        let (_, declaration) = self.find(grant).ok_or((0, GrantError::UnknownRef { grant }))?;
+        match requests.iter().position(|request| !declaration.covers(request)) {
+            Some(index) => Err((index, GrantError::NotCovered { grant })),
+            None => Ok(()),
+        }
+    }
+
+    /// Number of outstanding declarations.
+    pub fn outstanding(&self) -> usize {
+        self.slots.iter().filter(|slot| slot.get().is_some()).count()
+    }
+}
+
+impl GrantTable {
+    /// Creates an empty table issuing unqualified 32-bit references.
+    pub fn new() -> Self {
+        GrantTable::with_sequence(Sequence {
+            next: Some(0),
+            last: u32::MAX,
+        })
+    }
+
+    /// Creates an empty table issuing references qualified with `guest` in
+    /// their high [`GUEST_BITS`].
+    pub fn for_guest(guest: u32) -> Self {
+        GrantTable::with_sequence(Sequence::for_guest(guest))
+    }
+
+    /// Checker hook: spends `count` references without issuing them, as if
+    /// they had been declared and revoked, so the exhaustion edge and slot
+    /// reuse are reachable without 2³² declares. Only ever moves the
+    /// sequence forward, so it cannot make a reference alias.
+    #[doc(hidden)]
+    pub fn with_refs_spent(mut self, count: u32) -> Self {
+        let sequence = &mut self.sequence;
+        sequence.next = sequence
+            .next
+            .and_then(|next| next.checked_add(count))
+            .filter(|&next| next <= sequence.last);
+        self
+    }
+
+    /// Declares the legitimate operations of one file operation, returning
+    /// the reference the backend must attach to its hypercalls.
+    ///
+    /// # Errors
+    ///
+    /// [`GrantError::TableFull`] when [`GRANT_TABLE_CAPACITY`] declarations
+    /// are already outstanding, or when the table's reference space is
+    /// spent (references never restart, so stale ones can never alias).
+    pub fn declare(&mut self, ops: Vec<MemOpGrant>) -> Result<GrantRef, GrantError> {
+        let (index, declaration) = self.sequence.declare(&self.slots, &ops)?;
+        let grant = declaration.grant;
+        self.slots[index] = Some(declaration);
+        Ok(grant)
     }
 
     /// Revokes a declaration once its file operation completes.
     ///
     /// Returns `true` if the reference was live.
     pub fn revoke(&mut self, grant: GrantRef) -> bool {
-        self.position(grant)
-            .map(|index| self.entries.remove(index))
-            .is_some()
+        let found = self.find(grant).map(|(index, _)| index);
+        found.is_some_and(|index| self.slots[index].take().is_some())
     }
 
     /// Revokes every outstanding declaration (driver-VM failure: a
@@ -479,20 +524,13 @@ impl GrantTable {
     /// Returns the number of declarations revoked. Reference numbering
     /// continues where it left off so stale refs can never alias new ones.
     pub fn revoke_all(&mut self) -> usize {
-        let revoked = self.entries.len();
-        self.entries.clear();
-        revoked
+        self.slots.iter_mut().filter_map(Option::take).count()
     }
+}
 
-    /// Number of outstanding declarations.
-    pub fn outstanding(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The declarations behind a reference (for tests and audit dumps).
-    pub fn declarations(&self, grant: GrantRef) -> Option<&[MemOpGrant]> {
-        self.position(grant)
-            .map(|index| self.entries[index].1.ops.as_slice())
+impl Default for GrantTable {
+    fn default() -> Self {
+        GrantTable::new()
     }
 }
 
@@ -650,7 +688,6 @@ mod tests {
                 }
             )
             .is_ok());
-        assert_eq!(table.declarations(grant).unwrap().len(), 2);
     }
 
     #[test]
@@ -666,6 +703,50 @@ mod tests {
         let next = table.declare(vec![]).unwrap();
         assert!(next.0 > first.0 + 1);
         assert_eq!(table.revoke_all(), 1);
+    }
+
+    /// Ref `r` revoked, then `r + CAP` declared into the same home slot:
+    /// the slot's new occupant never answers for `r`.
+    #[test]
+    fn a_reused_home_slot_never_answers_for_its_previous_owner() {
+        let window = vec![MemOpGrant::CopyFromGuest { addr: va(0x1000), len: 0x100 }];
+        let probe = MemOpRequest::CopyFromGuest { addr: va(0x1000), len: 8 };
+        let mut table = GrantTable::new();
+        let stale = table.declare(window.clone()).unwrap();
+        assert!(table.revoke(stale));
+        let mut table = table.with_refs_spent(GRANT_TABLE_CAPACITY as u32 - 1);
+        let fresh = table.declare(window).unwrap();
+        assert_eq!(fresh.0, stale.0 + GRANT_TABLE_CAPACITY as u32);
+        assert_eq!(table.find(fresh).map(|(index, _)| index), Some(0), "stale's home slot");
+        assert_eq!(table.validate(stale, &probe), Err(GrantError::UnknownRef { grant: stale }));
+        assert!(!table.revoke(stale));
+        table.validate(fresh, &probe).expect("the occupant is live");
+    }
+
+    /// A live declaration keeps its slot; later references with the same
+    /// home probe past it, and every one resolves whatever is revoked
+    /// around it.
+    #[test]
+    fn displaced_declarations_stay_findable() {
+        let window = |addr| vec![MemOpGrant::CopyFromGuest { addr: va(addr), len: 8 }];
+        let probe = |addr| MemOpRequest::CopyFromGuest { addr: va(addr), len: 8 };
+        let mut table = GrantTable::new();
+        let resident = table.declare(window(0x1000)).unwrap();
+        let mut table = table.with_refs_spent(GRANT_TABLE_CAPACITY as u32 - 1);
+        let displaced = table.declare(window(0x2000)).unwrap();
+        assert_eq!(table.find(displaced).map(|(index, _)| index), Some(1));
+        // The next reference's home is the slot `displaced` took.
+        let next = table.declare(window(0x3000)).unwrap();
+        assert_eq!(table.find(next).map(|(index, _)| index), Some(2));
+        assert_eq!(
+            table.validate(displaced, &probe(0x1000)),
+            Err(GrantError::NotCovered { grant: displaced })
+        );
+        assert!(table.revoke(resident));
+        table.validate(displaced, &probe(0x2000)).expect("displaced");
+        table.validate(next, &probe(0x3000)).expect("displaced twice");
+        assert!(table.revoke(displaced) && table.revoke(next));
+        assert_eq!(table.outstanding(), 0);
     }
 
     #[test]
@@ -896,7 +977,7 @@ mod kani_proofs {
             addr: GuestVirtAddr::new(addr),
             len,
         };
-        let entry = GrantEntry::build(vec![grant]);
+        let entry = Declaration::build(GrantRef(0), &[grant]);
         assert!(entry.covers(&request) == grant.covers(&request));
     }
 }

@@ -31,9 +31,10 @@
 //! * [`aring`] — the same ring page driven with real atomics
 //!   (acquire/release slot publication, park/unpark doorbell) for the
 //!   wall-clock engine.
-//! * [`shards`] — one [`GrantTable`] per guest published through a
-//!   lock-free-read snapshot protocol, so validation stays off the
-//!   contended path when frontend and backend run on separate threads.
+//! * [`shards`] — one [`GrantTable`] per guest with atomic slots: a
+//!   declare publishes one declaration, a revoke retires one, and readers
+//!   probe without a lock, so validation stays off the contended path
+//!   when frontend and backend run on separate threads.
 //! * [`engine`] — the names of the two execution substrates
 //!   ([`EngineKind`]: deterministic virtual time vs. real threads) and
 //!   their failures ([`EngineError`]).

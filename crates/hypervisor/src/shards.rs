@@ -1,15 +1,15 @@
 //! The multi-tenant grant table: per-guest shards with lock-free reads.
 //!
-//! A shard is one guest's [`GrantTable`] — the same kernel the virtual-time
-//! hypervisor steps under `RefCell` borrows — published for threads. On the
-//! wall-clock engine the *backend* thread validates every memory operation
-//! while the *frontend* thread declares and revokes, so `check` must stay
-//! off any contended path: a frame's grant check sits on the per-op
-//! critical path exactly as the paper's hypercall validation does (§4.1),
-//! and a mutex there would serialize the two sides the engine exists to
-//! overlap. This module owns only that publication protocol; reference
-//! lookup, capacity and sequence allocation are the kernel's
-//! ([`crate::grants`]).
+//! A shard *is* one guest's grant page — a [`GrantTable`], the kernel the
+//! virtual-time hypervisor steps under `RefCell` borrows, with atomic
+//! slots — published for threads. On the wall-clock engine the
+//! *backend* thread validates every memory operation while the *frontend*
+//! thread declares and revokes, so `check` must stay off any contended
+//! path: a frame's grant check sits on the per-op critical path exactly as
+//! the paper's hypercall validation does (§4.1), and a mutex there would
+//! serialize the two sides the engine exists to overlap. This module owns
+//! only that publication protocol; reference lookup (the probe), capacity
+//! and sequence allocation are the kernel's ([`crate::grants`]).
 //!
 //! # Per-guest sharding
 //!
@@ -19,11 +19,11 @@
 //! ([`GrantTable::for_guest`]). Two consequences, both load-bearing for
 //! multi-tenancy:
 //!
-//! * **Isolation of contention.** One guest's grant churn mutates only its
-//!   own shard (own snapshot pointer, own writer mutex, own table), so a
-//!   noisy neighbor never contends on another guest's validation fast
-//!   path. This is the shared-metadata separation Kedia & Bansal identify
-//!   as the scale separator.
+//! * **Isolation of contention.** One guest's grant churn touches only its
+//!   own shard (own page, own writer mutex, own reader gate), so a noisy
+//!   neighbor never contends on another guest's validation fast path. This
+//!   is the shared-metadata separation Kedia & Bansal identify as the
+//!   scale separator.
 //! * **Attribution before access.** A reference forged to name another
 //!   guest's shard fails the guest-bits comparison in [`validate`]
 //!   (`GrantError::ForeignGuest`) before the owner's shard is even
@@ -40,123 +40,161 @@
 //!
 //! # Read/write protocol (the race-checked design)
 //!
-//! Each shard publishes an immutable snapshot of its table through an
-//! `AtomicPtr`; readers announce themselves on a per-shard `in_flight`
-//! gate, load the pointer once, and look up — no lock, no waiting. Writers
-//! (declare/revoke) take the shard's writer mutex, clone the table
-//! (`(ref, Arc)` pairs, never the range indexes), apply the kernel
-//! operation to the copy, swap the pointer, and *retire* the old snapshot
-//! into the shard. The writer mutex is the only thing ordering writers, so
-//! the kernel's sequence and capacity need no atomics of their own. An
-//! operation that leaves the table as it was — a refused declare, a revoke
-//! of an unknown reference — drops the copy and publishes nothing.
+//! Each slot of a shard's page is an `AtomicPtr` to one boxed declaration
+//! (null when empty). Readers announce themselves on the shard's
+//! `in_flight` gate, then probe the page — load a slot, compare the
+//! declaration's reference, scan its range index — and exit: no lock, no
+//! waiting. Writers take the shard's writer mutex, which owns the
+//! reference sequence, so the kernel's sequence needs no atomics of its
+//! own:
 //!
-//! # Bounded reclamation (DESIGN.md §14)
+//! * `declare` builds one box and publishes it into the free slot the
+//!   kernel picked — one pointer store;
+//! * `revoke` unpublishes that one box (swaps its slot to null) and
+//!   *retires* it into the writer's list; nothing else on the page moves.
 //!
-//! Retired snapshots are reclaimed once a shard holds more than
-//! [`RETIRED_CAP`] of them. The writer (still under its mutex) spins until
-//! it observes `in_flight == 0`, then frees the whole retired list.
+//! An operation that leaves the page as it was — a refused declare, a
+//! revoke of an unknown reference — publishes and retires nothing.
+//!
+//! # Eager, bounded reclamation (DESIGN.md §14)
+//!
+//! After every retirement the writer (still under its mutex) reads the
+//! gate: at `in_flight == 0` it frees the whole retired list at once, so a
+//! shard no reader is probing holds no retired box at all. Otherwise the
+//! boxes wait for a later retirement — unless more than [`RETIRED_CAP`]
+//! are waiting, in which case the writer spins until it reads zero.
 //! Soundness is a sequential-consistency argument, which is why the
-//! pointer swap, the reader's gate enter, the reader's pointer load, and
-//! the writer's gate check are all declared `SeqCst` ([`Edge::Gate`] in
-//! [`ATOMIC_SITES`], lint rule `MO005`):
+//! publish and unpublish swaps, the reader's gate enter, the reader's slot
+//! load, and the writer's gate check are all declared `SeqCst`
+//! ([`Edge::Gate`] in [`ATOMIC_SITES`], lint rule `MO005`):
 //!
-//! * a reader counted in `in_flight` finished its scan before its gate
+//! * a reader counted in `in_flight` finished its probe before its gate
 //!   exit, and the exit precedes the writer's `0` observation in the SC
-//!   total order — scan happens-before free;
+//!   total order — probe happens-before free;
 //! * a reader *not* counted entered the gate SC-after the writer's `0`
-//!   observation, hence SC-after every pointer swap that retired the
-//!   snapshots being freed; its SeqCst pointer load therefore returns
-//!   the current (or a newer) snapshot, never a freed one — the
-//!   store-load shape release/acquire cannot order (the
-//!   `shard-retire-unfenced` mutant in `paradice-verify` exhibits the
-//!   torn read a weaker gate admits).
+//!   observation, hence SC-after every unpublish that retired the boxes
+//!   being freed; its SeqCst slot loads therefore return null or a newer
+//!   box, never a freed one — the store-load shape release/acquire cannot
+//!   order (the `shard-retire-unfenced` mutant in `paradice-verify`
+//!   exhibits the use-after-free a weaker gate admits).
 //!
 //! Readers stay wait-free (two uncontended-in-the-common-case RMWs per
-//! validate or batch); the writer blocks only on overflow, amortized over
-//! [`RETIRED_CAP`] mutations. The per-shard bound makes total retired
-//! memory `O(guests * RETIRED_CAP)` instead of `O(mutations)`. The
-//! per-guest protocol instances all execute the orderings declared once
-//! in [`ATOMIC_SITES`] — one logical site, many instances — so the MO/RC
-//! lint and the `race-shards` interleaving model cover every guest's
-//! shard with the same proof.
+//! validate or batch); the writer blocks only past [`RETIRED_CAP`] boxes
+//! retired while readers kept the gate busy, so retired memory is
+//! `O(guests * RETIRED_CAP)` declarations at worst. The per-guest protocol
+//! instances all execute the orderings declared once in [`ATOMIC_SITES`] —
+//! one logical site, many instances — so the MO/RC lint and the
+//! `race-shards` interleaving model cover every guest's shard with the
+//! same proof.
 
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::atomic::{Access, AccessKind, AtomicPtr, AtomicUsize, Edge, MemOrder, Role, SiteSpec};
 use crate::grants::{
-    GrantError, GrantRef, GrantTable, MemOpGrant, MemOpRequest, MAX_GUESTS, SEQ_BITS, SEQ_MASK,
+    Declaration, GrantError, GrantRef, GrantTable, MemOpGrant, MemOpRequest, PageSlot, Sequence,
+    GRANT_TABLE_CAPACITY, MAX_GUESTS, SEQ_BITS, SEQ_MASK,
 };
 
-/// Per-shard cap on retired snapshots before the writer reclaims them.
+/// Per-shard cap on retired declarations the writer leaves for a later
+/// retirement while readers keep the gate busy; past it the writer waits
+/// for the gate to clear.
 pub const RETIRED_CAP: usize = 32;
 
 // --- Declared atomic sites (the model the lint and checker consume). ---
 
-static PTR_WRITER_LOAD: Access =
-    Access::new("writer-load", AccessKind::Load, MemOrder::Relaxed, Edge::OwnerLocal);
-static PTR_PUBLISH_SWAP: Access =
-    Access::new("publish-swap", AccessKind::Rmw, MemOrder::SeqCst, Edge::Gate);
-static PTR_READER_LOAD: Access =
-    Access::new("reader-load", AccessKind::Load, MemOrder::SeqCst, Edge::Gate);
-static PTR_TEARDOWN_SWAP: Access =
-    Access::new("teardown-swap", AccessKind::Rmw, MemOrder::Relaxed, Edge::OwnerLocal);
-static PTR_ACCESSES: [&Access; 4] = [
-    &PTR_WRITER_LOAD,
-    &PTR_PUBLISH_SWAP,
-    &PTR_READER_LOAD,
-    &PTR_TEARDOWN_SWAP,
-];
-static PTR_SITE: SiteSpec = SiteSpec {
+static SLOT_PUBLISH: Access = Access::new("publish", AccessKind::Rmw, MemOrder::SeqCst, Edge::Gate);
+static SLOT_UNPUBLISH: Access =
+    Access::new("unpublish", AccessKind::Rmw, MemOrder::SeqCst, Edge::Gate);
+static SLOT_LOAD: Access = Access::new("load", AccessKind::Load, MemOrder::SeqCst, Edge::Gate);
+static SLOT_ACCESSES: [&Access; 3] = [&SLOT_PUBLISH, &SLOT_UNPUBLISH, &SLOT_LOAD];
+static SLOT_SITE: SiteSpec = SiteSpec {
     module: "hypervisor::shards",
-    name: "current",
-    group: "shards.snapshot",
+    name: "page_slot",
+    group: "shards.page",
     role: Role::SnapshotPtr,
-    accesses: &PTR_ACCESSES,
+    accesses: &SLOT_ACCESSES,
 };
 
-static INFLIGHT_ENTER: Access =
-    Access::new("enter", AccessKind::Rmw, MemOrder::SeqCst, Edge::Gate);
-static INFLIGHT_EXIT: Access =
-    Access::new("exit", AccessKind::Rmw, MemOrder::SeqCst, Edge::Gate);
+static INFLIGHT_ENTER: Access = Access::new("enter", AccessKind::Rmw, MemOrder::SeqCst, Edge::Gate);
+static INFLIGHT_EXIT: Access = Access::new("exit", AccessKind::Rmw, MemOrder::SeqCst, Edge::Gate);
 static INFLIGHT_WRITER_CHECK: Access =
     Access::new("writer-check", AccessKind::Load, MemOrder::SeqCst, Edge::Gate);
-static INFLIGHT_ACCESSES: [&Access; 3] =
-    [&INFLIGHT_ENTER, &INFLIGHT_EXIT, &INFLIGHT_WRITER_CHECK];
+static INFLIGHT_ACCESSES: [&Access; 3] = [&INFLIGHT_ENTER, &INFLIGHT_EXIT, &INFLIGHT_WRITER_CHECK];
 static INFLIGHT_SITE: SiteSpec = SiteSpec {
     module: "hypervisor::shards",
     name: "in_flight",
-    group: "shards.snapshot",
+    group: "shards.page",
     role: Role::Counter,
     accesses: &INFLIGHT_ACCESSES,
 };
 
 /// This module's declared atomic-site table, aggregated by
 /// [`crate::atomic::all_sites`] for the MO/RC lint passes and the
-/// `paradice-verify` interleaving checker. The guest shards are
-/// *instances* of the same two logical sites, executing the identical
-/// declared orderings.
-pub static ATOMIC_SITES: [&SiteSpec; 2] = [&PTR_SITE, &INFLIGHT_SITE];
+/// `paradice-verify` interleaving checker. Every slot of every guest's
+/// page is an *instance* of the one slot site, and every shard's gate of
+/// the one gate site, executing the identical declared orderings.
+pub static ATOMIC_SITES: [&SiteSpec; 2] = [&SLOT_SITE, &INFLIGHT_SITE];
 
-/// One guest's shard: the published table, the reclamation gate, and the
-/// writer mutex. Nothing in here is shared with any other guest.
-struct Shard {
-    /// The current snapshot. Readers: one gate enter + one pointer load.
-    current: AtomicPtr<GrantTable>,
-    /// Readers inside [`Shard::with_snapshot`] right now — the
-    /// reclamation gate the writer waits on before freeing retired
-    /// snapshots.
-    in_flight: AtomicUsize,
-    /// Serializes writers and owns the retired snapshots' lifetimes.
-    /// The boxes are load-bearing, not redundant: readers hold
-    /// `&GrantTable` references into the box allocations, which must stay
-    /// pinned while retired.
-    #[allow(clippy::vec_box)]
-    writer: Mutex<Vec<Box<GrantTable>>>,
+/// One slot of a shard's page: a pointer to a boxed declaration, null
+/// when empty.
+#[derive(Default)]
+struct AtomicSlot(AtomicPtr<Declaration>);
+
+impl PageSlot for AtomicSlot {
+    fn get(&self) -> Option<&Declaration> {
+        // SAFETY: this module loads a slot only inside the reader gate
+        // (`Shard::read`) or under the writer mutex, and the box a load
+        // returns is freed only by the writer, behind a zero gate reading
+        // that follows its unpublish (module docs).
+        unsafe { self.0.load(&SLOT_LOAD).as_ref() }
+    }
 }
 
-/// Decrements the reader gate even if the scan closure panics — a stuck
+impl AtomicSlot {
+    /// Unpublishes this slot's declaration, if any. Writer only; the box
+    /// must be retired, not dropped, while a reader may still hold it
+    /// (the slot's own drop excepted: `&mut self` proves no reader).
+    fn unpublish(&self) -> Option<Box<Declaration>> {
+        let old = self.0.swap(std::ptr::null_mut(), &SLOT_UNPUBLISH);
+        // SAFETY: a non-null slot pointer came from `Box::into_raw` in
+        // `Shard::declare`, and the swap above removed the only copy of it.
+        (!old.is_null()).then(|| unsafe { Box::from_raw(old) })
+    }
+}
+
+impl Drop for AtomicSlot {
+    fn drop(&mut self) {
+        drop(self.unpublish());
+    }
+}
+
+/// A shard's page: atomic slots, the sequence kept in [`Writer`].
+type Page = GrantTable<AtomicSlot, ()>;
+
+/// A shard's writer state, behind its mutex.
+struct Writer {
+    /// The guest's reference sequence.
+    sequence: Sequence,
+    /// Declarations unpublished but not yet freed. The boxes are
+    /// load-bearing, not redundant: readers hold `&Declaration`
+    /// references into the box allocations, which must stay pinned while
+    /// retired.
+    #[allow(clippy::vec_box)]
+    retired: Vec<Box<Declaration>>,
+}
+
+/// One guest's shard: the page, the reclamation gate, and the writer
+/// mutex. Nothing in here is shared with any other guest.
+struct Shard {
+    page: Page,
+    /// Readers inside [`Shard::read`] right now — the reclamation gate
+    /// the writer reads before freeing retired declarations.
+    in_flight: AtomicUsize,
+    writer: Mutex<Writer>,
+}
+
+/// Decrements the reader gate even if the probe closure panics — a stuck
 /// gate would spin the next reclaiming writer forever.
 struct GateGuard<'a>(&'a AtomicUsize);
 
@@ -169,71 +207,67 @@ impl Drop for GateGuard<'_> {
 impl Shard {
     fn new(guest: u32) -> Self {
         Shard {
-            current: AtomicPtr::new(Box::into_raw(Box::new(GrantTable::for_guest(guest)))),
+            page: GrantTable::with_sequence(()),
             in_flight: AtomicUsize::new(0),
-            writer: Mutex::new(Vec::new()),
+            writer: Mutex::new(Writer {
+                sequence: Sequence::for_guest(guest),
+                retired: Vec::new(),
+            }),
         }
     }
 
-    /// Copy-on-write mutation: apply `edit` to a copy of the current
-    /// table and, if `changed` says its output altered the table, publish
-    /// the copy and retire the old snapshot — reclaiming the retired list
-    /// once it exceeds [`RETIRED_CAP`] (see the module docs for the
-    /// soundness argument). An unchanged copy is dropped unpublished.
-    /// Returns `edit`'s output.
-    fn mutate<T>(
-        &self,
-        edit: impl FnOnce(&mut GrantTable) -> T,
-        changed: impl FnOnce(&T) -> bool,
-    ) -> T {
-        let mut retired = self.writer.lock().expect("grant shard writer poisoned");
-        // Safe to dereference: the pointer was published by us (or by
-        // `Shard::new`) and we hold the writer mutex, so it cannot be
-        // retired-and-freed underneath us.
-        let current = unsafe { &*self.current.load(&PTR_WRITER_LOAD) };
-        let mut next = current.clone();
-        let out = edit(&mut next);
-        if !changed(&out) {
-            return out;
+    fn writer(&self) -> MutexGuard<'_, Writer> {
+        self.writer.lock().expect("grant shard writer poisoned")
+    }
+
+    /// Declares into the free slot the kernel picks: one box, one publish.
+    fn declare(&self, ops: Vec<MemOpGrant>) -> Result<GrantRef, GrantError> {
+        let mut writer = self.writer();
+        let (index, declaration) = writer.sequence.declare(self.page.slots(), &ops)?;
+        let grant = declaration.grant;
+        let old = self.page.slots()[index].0.swap(Box::into_raw(declaration), &SLOT_PUBLISH);
+        debug_assert!(old.is_null(), "the kernel picked an occupied slot");
+        Ok(grant)
+    }
+
+    /// Unpublishes and retires the declarations in the slots `pick`
+    /// chooses under the writer mutex, then reclaims; returns how many.
+    fn retire<I: Iterator<Item = usize>>(&self, pick: impl FnOnce(&Page) -> I) -> usize {
+        let mut writer = self.writer();
+        let before = writer.retired.len();
+        let picked = pick(&self.page);
+        writer.retired.extend(picked.filter_map(|index| self.page.slots()[index].unpublish()));
+        let retired = writer.retired.len() - before;
+        if retired > 0 {
+            self.reclaim(&mut writer);
         }
-        let fresh = Box::into_raw(Box::new(next));
-        let old = self.current.swap(fresh, &PTR_PUBLISH_SWAP);
-        // SAFETY: `old` came from `Box::into_raw` and is now unpublished;
-        // retiring (not dropping) it keeps any in-flight reader's borrow
-        // alive until the gate below proves no reader remains.
-        retired.push(unsafe { Box::from_raw(old) });
-        if retired.len() > RETIRED_CAP {
-            // Wait for a moment with no reader inside the gate. Reader
-            // critical sections are a pointer load plus one snapshot
-            // lookup, so a zero observation arrives quickly; yield after a
-            // bounded spin to stay polite under oversubscription.
-            let mut spins = 0u32;
-            while self.in_flight.load(&INFLIGHT_WRITER_CHECK) != 0 {
-                spins += 1;
-                if spins.is_multiple_of(128) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
+        retired
+    }
+
+    /// Frees the retired list as soon as the gate reads zero; leaves it
+    /// for a later retirement while readers are inside, unless more than
+    /// [`RETIRED_CAP`] boxes are waiting (module docs for the soundness
+    /// argument).
+    fn reclaim(&self, writer: &mut Writer) {
+        while self.in_flight.load(&INFLIGHT_WRITER_CHECK) != 0 {
+            if writer.retired.len() <= RETIRED_CAP {
+                return;
             }
-            // SC argument (module docs): readers gated in after the zero
-            // observation cannot load any pointer retired before it.
-            retired.clear();
+            // Reader critical sections are one probe, so a zero reading
+            // arrives quickly; yielding stays polite under
+            // oversubscription.
+            std::thread::yield_now();
         }
-        out
+        writer.retired.clear();
     }
 
-    /// Wait-free read of the published snapshot under the reclamation
-    /// gate: the snapshot is pinned for exactly the closure's duration.
-    fn with_snapshot<T>(&self, read: impl FnOnce(&GrantTable) -> T) -> T {
+    /// Wait-free read of the page under the reclamation gate: every
+    /// declaration the closure reaches stays alive for its duration, and
+    /// no reference to one can outlive it.
+    fn read<T>(&self, read: impl FnOnce(&Page) -> T) -> T {
         self.in_flight.fetch_add(1, &INFLIGHT_ENTER);
         let _gate = GateGuard(&self.in_flight);
-        // SAFETY: the gate entry above precedes this load in program
-        // order and both are SeqCst, so any writer that observes the
-        // gate at zero and frees retired snapshots did so before we
-        // could have loaded one of them (module docs).
-        let snapshot = unsafe { &*self.current.load(&PTR_READER_LOAD) };
-        read(snapshot)
+        read(&self.page)
     }
 }
 
@@ -284,7 +318,7 @@ impl ShardedGrantTable {
     }
 
     /// Declares the legitimate operations of one file operation on behalf
-    /// of `guest`: [`GrantTable::declare`] on the guest's own table
+    /// of `guest`: [`GrantTable::declare`] on the guest's own page
     /// (per-guest capacity, per-guest monotonically increasing references
     /// with the guest id in the high bits).
     ///
@@ -296,8 +330,7 @@ impl ShardedGrantTable {
     ///
     /// [`GRANT_TABLE_CAPACITY`]: crate::grants::GRANT_TABLE_CAPACITY
     pub fn declare(&self, guest: u32, ops: Vec<MemOpGrant>) -> Result<GrantRef, GrantError> {
-        self.shard_of(guest)
-            .mutate(|table| table.declare(ops), Result::is_ok)
+        self.shard_of(guest).declare(ops)
     }
 
     /// Validates `request` against the declarations of `grant` without
@@ -314,11 +347,11 @@ impl ShardedGrantTable {
         request: &MemOpRequest,
     ) -> Result<(), GrantError> {
         self.owner_shard(guest, grant)?
-            .with_snapshot(|table| table.validate(grant, request))
+            .read(|page| page.validate(grant, request))
     }
 
     /// All-or-nothing batch validation ([`GrantTable::validate_batch`])
-    /// against one snapshot: the reader gate is entered once per batch.
+    /// under one gate entry.
     ///
     /// # Errors
     ///
@@ -335,15 +368,16 @@ impl ShardedGrantTable {
         }
         self.owner_shard(guest, grant)
             .map_err(|err| (0, err))?
-            .with_snapshot(|table| table.validate_batch(grant, requests))
+            .read(|page| page.validate_batch(grant, requests))
     }
 
     /// Revokes a declaration; `true` if the reference was live. Foreign
     /// references (guest bits ≠ `guest`) are inert, exactly like revoking
     /// a reference that was never issued.
     pub fn revoke(&self, guest: u32, grant: GrantRef) -> bool {
-        self.owner_shard(guest, grant)
-            .is_ok_and(|shard| shard.mutate(|table| table.revoke(grant), |&live| live))
+        self.owner_shard(guest, grant).is_ok_and(|shard| {
+            shard.retire(|page| page.find(grant).map(|(index, _)| index).into_iter()) == 1
+        })
     }
 
     /// Revokes everything one guest declared (guest teardown / flood
@@ -351,54 +385,33 @@ impl ShardedGrantTable {
     /// number of declarations revoked; the guest's reference numbering
     /// continues so stale references can never alias new ones.
     pub fn revoke_guest(&self, guest: u32) -> usize {
-        self.shard_of(guest)
-            .mutate(GrantTable::revoke_all, |&revoked| revoked > 0)
+        self.shard_of(guest).retire(|_| 0..GRANT_TABLE_CAPACITY)
     }
 
     /// Revokes everything (driver-VM failure containment). Returns the
     /// number of declarations revoked.
     pub fn revoke_all(&self) -> usize {
-        (0..self.shards.len() as u32)
-            .map(|guest| self.revoke_guest(guest))
-            .sum()
+        self.shards.iter().map(|shard| shard.retire(|_| 0..GRANT_TABLE_CAPACITY)).sum()
     }
 
     /// Outstanding declarations across all guests (racy snapshot, exact
     /// when quiescent).
     pub fn outstanding(&self) -> usize {
-        (0..self.shards.len() as u32)
-            .map(|guest| self.outstanding_of(guest))
-            .sum()
+        self.shards.iter().map(|shard| shard.read(Page::outstanding)).sum()
     }
 
     /// Outstanding declarations of one guest (racy snapshot, exact when
     /// quiescent).
     pub fn outstanding_of(&self, guest: u32) -> usize {
-        self.shard_of(guest).with_snapshot(GrantTable::outstanding)
+        self.shard_of(guest).read(Page::outstanding)
     }
 
-    /// Retired snapshots currently held alive for in-flight readers —
+    /// Retired declarations currently held alive for in-flight readers —
     /// the memory cost of reclamation, surfaced for tests and capacity
-    /// planning. Bounded: at most [`RETIRED_CAP`] per shard.
-    pub fn retired_snapshots(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.writer.lock().expect("grant shard writer poisoned").len())
-            .sum()
-    }
-}
-
-impl Drop for ShardedGrantTable {
-    fn drop(&mut self) {
-        for shard in &mut self.shards {
-            let current = shard.current.swap(std::ptr::null_mut(), &PTR_TEARDOWN_SWAP);
-            if !current.is_null() {
-                // SAFETY: `&mut self` proves no reader exists; the pointer
-                // came from `Box::into_raw` and is dropped exactly once.
-                drop(unsafe { Box::from_raw(current) });
-            }
-            // Retired snapshots drop with their Vec<Box<_>>.
-        }
+    /// planning. Zero on a shard no reader is probing; at most
+    /// [`RETIRED_CAP`] per shard otherwise.
+    pub fn retired_declarations(&self) -> usize {
+        self.shards.iter().map(|shard| shard.writer().retired.len()).sum()
     }
 }
 
@@ -407,7 +420,7 @@ impl fmt::Debug for ShardedGrantTable {
         f.debug_struct("ShardedGrantTable")
             .field("guests", &self.shards.len())
             .field("outstanding", &self.outstanding())
-            .field("retired_snapshots", &self.retired_snapshots())
+            .field("retired_declarations", &self.retired_declarations())
             .finish()
     }
 }
@@ -415,7 +428,6 @@ impl fmt::Debug for ShardedGrantTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grants::GRANT_TABLE_CAPACITY;
     use paradice_mem::GuestVirtAddr;
     use std::sync::Arc;
 
@@ -577,17 +589,24 @@ mod tests {
         assert_eq!(table.outstanding_of(1), 96);
     }
 
+    /// A declare publishes one box and retires nothing; a revoke retires
+    /// one box, which a shard no reader is probing frees at once.
     #[test]
     fn retired_snapshots_track_mutations() {
         let table = ShardedGrantTable::with_guests(2);
-        assert_eq!(table.retired_snapshots(), 0);
+        assert_eq!(table.retired_declarations(), 0);
         let grant = table.declare(1, vec![read_grant(0, 8)]).expect("declare");
-        assert_eq!(table.retired_snapshots(), 1);
-        table.revoke(1, grant);
-        assert_eq!(table.retired_snapshots(), 2);
+        assert_eq!(table.retired_declarations(), 0);
+        assert!(table.revoke(1, grant));
+        assert_eq!(table.retired_declarations(), 0, "a quiescent shard frees eagerly");
+        for i in 0..5u64 {
+            table.declare(1, vec![read_grant(i * 0x10, 8)]).expect("declare");
+        }
+        assert_eq!(table.revoke_guest(1), 5);
+        assert_eq!(table.retired_declarations(), 0);
     }
 
-    /// An operation that leaves the table as it was publishes nothing, so
+    /// An operation that leaves the page as it was publishes nothing, so
     /// it retires nothing either.
     #[test]
     fn refused_mutations_publish_nothing() {
@@ -595,27 +614,27 @@ mod tests {
         for i in 0..GRANT_TABLE_CAPACITY as u64 {
             table.declare(1, vec![read_grant(i * 0x10, 8)]).expect("fits");
         }
-        let retired = table.retired_snapshots();
         assert_eq!(table.declare(1, vec![read_grant(0, 8)]), Err(GrantError::TableFull));
         assert!(!table.revoke(1, ShardedGrantTable::compose_ref(1, SEQ_MASK)), "never issued");
         assert!(!table.revoke(1, ShardedGrantTable::compose_ref(0, 0)), "foreign");
         assert_eq!(table.revoke_guest(0), 0, "nothing to revoke");
-        assert_eq!(table.retired_snapshots(), retired);
+        assert_eq!(table.outstanding_of(1), GRANT_TABLE_CAPACITY);
+        assert_eq!(table.retired_declarations(), 0);
     }
 
-    /// ISSUE 9 satellite: the retired list used to grow with every
-    /// mutation until table drop; it is now reclaimed past
-    /// [`RETIRED_CAP`] per shard — and since ISSUE 10 a single guest's
-    /// churn is confined to a single shard's bound.
+    /// The retired list never outlives a mutation on a quiescent shard,
+    /// however long the churn — and a single guest's churn stays confined
+    /// to its own shard's list.
     #[test]
     fn retired_snapshots_are_bounded_under_churn() {
         let table = ShardedGrantTable::with_guests(2);
         for i in 0..10_000u64 {
             let g = table.declare(1, vec![read_grant(i * 0x10, 8)]).expect("declare");
             assert!(table.revoke(1, g));
-            assert!(
-                table.retired_snapshots() <= RETIRED_CAP + 1,
-                "retired list escaped the single-shard bound at mutation {i}"
+            assert_eq!(
+                table.retired_declarations(),
+                0,
+                "a quiescent shard kept a retired box at mutation {i}"
             );
         }
     }
@@ -633,7 +652,8 @@ mod tests {
                 for i in 0..20_000u64 {
                     // The stable grant must always validate, regardless of
                     // the churn the writer thread is causing — here the
-                    // churn even lives in the same guest's shard.
+                    // churn even lives in the same guest's shard, and every
+                    // home slot is reused many times over.
                     table
                         .validate(1, stable, &read_req(0x9000 + (i % 4000), 16))
                         .expect("stable grant always covered");
@@ -649,13 +669,11 @@ mod tests {
                         .expect("churn declare");
                     assert!(table.revoke(1, g));
                     // The reclamation bound must hold *during* the churn,
-                    // with readers pinning snapshots the whole time.
-                    if i.is_multiple_of(128) {
-                        assert!(
-                            table.retired_snapshots() <= 8 * RETIRED_CAP,
-                            "retired list escaped the bound mid-churn"
-                        );
-                    }
+                    // with readers inside the gate the whole time.
+                    assert!(
+                        table.retired_declarations() <= RETIRED_CAP + 1,
+                        "retired list escaped the bound mid-churn"
+                    );
                 }
             })
         };
@@ -665,7 +683,7 @@ mod tests {
         writer.join().expect("writer");
         assert_eq!(table.outstanding(), 1);
         assert!(
-            table.retired_snapshots() <= 8 * RETIRED_CAP,
+            table.retired_declarations() <= RETIRED_CAP + 1,
             "retired list escaped the bound after churn"
         );
     }

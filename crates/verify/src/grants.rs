@@ -605,25 +605,71 @@ const LAYOUTS: [Layout; 2] = [
 ];
 
 /// `grant-revocation`: revoked refs validate as `UnknownRef` and are never
-/// resurrected; `revoke_all` empties the table; capacity is exact; and the
-/// last reference is issued once, after which the table is `TableFull`
-/// forever — under both reference layouts.
-pub fn check_revocation(_mutant: Option<Mutant>) -> PropertyReport {
+/// resurrected — not even by the later reference that takes over their home
+/// slot; `revoke_all` empties the table; capacity is exact; and the last
+/// reference is issued once, after which the table is `TableFull` forever —
+/// under both reference layouts. [`Mutant::GrantPageSkipRefCompare`]
+/// resolves a reference to whatever its home slot holds; the slot-reuse
+/// check must then catch the stale reference validating.
+pub fn check_revocation(mutant: Option<Mutant>) -> PropertyReport {
     const NAME: &str = "grant-revocation";
     const DESC: &str =
-        "revoked refs reject as UnknownRef, numbering never reuses a ref (fails closed at the \
-         last one), capacity exact; both reference layouts";
+        "revoked refs reject as UnknownRef, also once a later ref reuses their home slot; \
+         numbering never reuses a ref (fails closed at the last one), capacity exact; both \
+         reference layouts";
     let mut findings: Vec<Diagnostic> = Vec::new();
     let mut checks = 0usize;
+    let mut fixture = None;
     for layout in &LAYOUTS {
         check_revocation_in(layout, &mut findings, &mut checks);
+        checks += 1;
+        if let Err(reason) = check_home_slot_reuse(layout, mutant) {
+            let mut reuse = Fixture::new(NAME, mutant.map(Mutant::name), &reason);
+            reuse.push_data("layout", layout.name);
+            fixture.get_or_insert(reuse);
+            findings.push(Diagnostic::new(DiagCode::Vp001, "grant-table", None, reason));
+        }
     }
     if findings.is_empty() {
         PropertyReport::proved(NAME, DESC, checks, checks)
     } else {
-        let reason = findings[0].message.clone();
-        let fixture = Fixture::new(NAME, None, &reason);
+        let fixture = fixture.unwrap_or_else(|| Fixture::new(NAME, None, &findings[0].message));
         PropertyReport::disproved(NAME, DESC, checks, checks, findings, Some(fixture))
+    }
+}
+
+/// Home-slot reuse under `layout`: the first reference is revoked, the
+/// references before `first + CAP` are spent, and `first + CAP` is declared
+/// with the same window — into the same home slot. Validating the revoked
+/// reference must still be `UnknownRef`. Under
+/// [`Mutant::GrantPageSkipRefCompare`] the lookup resolves it to its home
+/// slot's occupant — `fresh` — instead.
+fn check_home_slot_reuse(layout: &Layout, mutant: Option<Mutant>) -> Result<(), String> {
+    let window = vec![MemOpGrant::CopyFromGuest {
+        addr: GuestVirtAddr::new(0x1000),
+        len: 0x1000,
+    }];
+    let probe = MemOpRequest::CopyFromGuest {
+        addr: GuestVirtAddr::new(0x1000),
+        len: 1,
+    };
+    let cap = GRANT_TABLE_CAPACITY as u32;
+    let mut table = (layout.fresh)();
+    let stale = table.declare(window.clone()).map_err(|e| format!("declare: {e}"))?;
+    table.revoke(stale);
+    let mut table = table.with_refs_spent(cap - 1);
+    let fresh = table.declare(window).map_err(|e| format!("declare: {e}"))?;
+    if fresh.0 != stale.0 + cap {
+        return Err(format!("{} layout: expected {stale} + {cap}, got {fresh}", layout.name));
+    }
+    // `fresh` sits in `stale`'s home slot: the page held nothing else.
+    let resolved = if mutant == Some(Mutant::GrantPageSkipRefCompare) { fresh } else { stale };
+    match table.validate(resolved, &probe) {
+        Err(GrantError::UnknownRef { .. }) => Ok(()),
+        other => Err(format!(
+            "{} layout: revoked {stale} validated as {other:?} once {fresh} took its home slot",
+            layout.name
+        )),
     }
 }
 
@@ -674,8 +720,8 @@ fn check_revocation_in(layout: &Layout, findings: &mut Vec<Diagnostic>, checks: 
         fail(findings, "revoking d1 must not affect d2".into());
     }
     *checks += 1;
-    if table.declarations(d1).is_some() {
-        fail(findings, "revoked ref must have no declarations".into());
+    if table.revoke(d1) {
+        fail(findings, "revoking a revoked ref must be inert".into());
     }
     let d3 = table.declare(vec![window(0x3000)]).expect("declare d3");
     *checks += 1;
@@ -765,14 +811,24 @@ fn check_revocation_in(layout: &Layout, findings: &mut Vec<Diagnostic>, checks: 
     }
 }
 
-/// Replays a `grant-soundness` fixture: rebuilds the table from `decl=`
-/// lines and re-runs the three-way comparison on the `request=` line.
+/// Replays a grant fixture: a `grant-revocation` one re-runs the home-slot
+/// reuse scenario on its `layout=`; a `grant-soundness` one rebuilds the
+/// table from `decl=` lines and re-runs the three-way comparison on the
+/// `request=` line.
 ///
 /// # Errors
 ///
 /// `Err(reason)` when the comparison disagrees (the property is violated
 /// under the given mutant), or a parse error for malformed fixtures.
 pub fn replay(fixture: &Fixture, mutant: Option<Mutant>) -> Result<(), String> {
+    if fixture.property == "grant-revocation" {
+        let name = fixture.value("layout").ok_or("missing layout= line")?;
+        let layout = LAYOUTS
+            .iter()
+            .find(|layout| layout.name == name)
+            .ok_or_else(|| format!("unknown layout {name:?}"))?;
+        return check_home_slot_reuse(layout, mutant);
+    }
     let strict_end = mutant == Some(Mutant::GrantCoverOffByOne);
     let decls: Vec<MemOpGrant> = fixture
         .values("decl")
@@ -807,6 +863,17 @@ mod tests {
         // the mutant — both directions of the regression.
         assert!(replay(&fixture, None).is_ok());
         assert!(replay(&fixture, Some(Mutant::GrantCoverOffByOne)).is_err());
+    }
+
+    #[test]
+    fn skipping_the_ref_compare_is_caught_on_a_reused_home_slot() {
+        let report = check_revocation(Some(Mutant::GrantPageSkipRefCompare));
+        assert!(!report.proved);
+        assert_eq!(report.findings.len(), LAYOUTS.len(), "both layouts see it");
+        let fixture = report.counterexample.expect("counterexample emitted");
+        assert_eq!(fixture.value("layout"), Some("32-bit"));
+        assert!(replay(&fixture, None).is_ok());
+        assert!(replay(&fixture, Some(Mutant::GrantPageSkipRefCompare)).is_err());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! |---------------------|------------------------------------------|
 //! | `grant-soundness`   | boundary-value enumeration vs a `u128` coverage model |
 //! | `grant-batch`       | exhaustive small-vector enumeration (all-or-nothing phase split) |
-//! | `grant-revocation`  | scripted lifecycle + capacity exhaustion  |
+//! | `grant-revocation`  | scripted lifecycle, home-slot reuse + capacity exhaustion |
 //! | `ring-depth1/8`     | bounded-unrolling state exploration, zero and wrap seeds |
 //! | `cache-revocation`  | full-state-space exploration with canonical ref renaming |
 //! | `codec-roundtrip`   | corpus enumeration incl. all truncations  |
@@ -26,7 +26,7 @@
 //! | `adversary-containment` | bit-flip/truncation/forged-ref sweep vs real enforcement |
 //! | `race-ring`         | exhaustive store-buffer interleaving: no torn slot read |
 //! | `race-doorbell`     | exhaustive store-buffer interleaving: no lost wakeup |
-//! | `race-shards`       | exhaustive store-buffer interleaving: no freed-snapshot read |
+//! | `race-shards`       | exhaustive store-buffer interleaving: no freed-declaration read |
 //! | `race-ready`        | exhaustive store-buffer interleaving: a consumed ready id always finds its frame |
 //! | `jit-snapshot`      | exhaustive ≤ 3-fetch overlap scripts vs a per-byte first-read-wins model |
 //!

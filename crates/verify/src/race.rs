@@ -4,7 +4,7 @@
 //! The wall-clock engine (PR 8) replaced the deterministic virtual channel
 //! with real threads talking through [`paradice_hypervisor::AtomicRing`],
 //! its park/unpark [`Doorbell`](paradice_hypervisor::Doorbell), and the
-//! sharded grant table's COW snapshots. Those protocols are correct only
+//! sharded grant table's per-slot publication. Those protocols are correct only
 //! under specific memory orderings, and `cargo test` on one x86 box cannot
 //! distinguish "correct" from "x86's strong model happened to save us".
 //! This module explores *every* schedule of small 2-thread instances of the
@@ -42,7 +42,7 @@
 //! |-----------------|-------------------------------------------------------|
 //! | `race-ring`     | 2-slot ring, 3 pushes racing 3 pops: no torn payload read, FIFO identity, plus a value-level crosscheck of the real [`AtomicRing`] |
 //! | `race-doorbell` | one empty→non-empty publication racing a consumer park: no terminal state with the consumer asleep, work published, and no wakeup pending |
-//! | `race-shards`   | writer retiring snapshots past the cap racing a reader's enter/scan/exit: the reader never scans a reclaimed snapshot |
+//! | `race-shards`   | writer publishing, unpublishing and retiring two declarations through one page slot racing a reader's enter/load/compare/scan/exit: the reader never dereferences a freed declaration |
 //! | `race-ready`    | frame push → ready-id publish racing ready-id consume → frame pop, 2 guests, one of them published twice: every consumed id finds its frame, every published id is consumed once, in order |
 //!
 //! Disproofs surface as `VP005` diagnostics and replayable fixtures; the
@@ -816,7 +816,7 @@ pub fn check_doorbell(mutant: Option<Mutant>) -> PropertyReport {
     check_system("race-doorbell", DESC, "hypervisor::aring", &model, mutant)
 }
 
-// --- race-shards: use-after-free on retired snapshot reclamation. ---
+// --- race-shards: use-after-free on retired declaration reclamation. ---
 
 /// Shards-model knobs: the gate ordering comes from the shipped table;
 /// [`Mutant::ShardRetireUnfenced`] removes the gate entirely (free without
@@ -831,8 +831,9 @@ impl ShardConfig {
         // Touch the orderings so a site-table rename breaks loudly here
         // rather than silently decoupling model from code.
         let _ = (
-            shipped_ordering("current", "publish-swap"),
-            shipped_ordering("current", "reader-load"),
+            shipped_ordering("page_slot", "publish"),
+            shipped_ordering("page_slot", "unpublish"),
+            shipped_ordering("page_slot", "load"),
             shipped_ordering("in_flight", "enter"),
             shipped_ordering("in_flight", "exit"),
             shipped_ordering("in_flight", "writer-check"),
@@ -843,27 +844,34 @@ impl ShardConfig {
     }
 }
 
-/// Locations: 0 = `current` snapshot pointer (ids 0, 1, 2), 1 = `in_flight`.
-const PTR: usize = 0;
+/// Locations: 0 = one page slot (0 empty, else the id of the box in it),
+/// 1 = `in_flight`.
+const SLOT: usize = 0;
 const INFLIGHT: usize = 1;
 
-/// Snapshots retired by the writer's two mutations (model `RETIRED_CAP`
-/// is 1, so the second retirement overflows and reclaims both).
-const RETIRED_IDS: u32 = 2;
+/// The writer declares box 1 (the reference the reader validates) into
+/// the slot, revokes it, then declares box 2 — the reference `CAP` later,
+/// same home slot — and revokes that too. The model's `RETIRED_CAP` is 1,
+/// so the second retirement overflows when the gate is busy.
+const READER_REF: u32 = 1;
+const MODEL_RETIRED_CAP: u32 = 1;
 const READER_ITERS: u8 = 2;
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct RaceShardState {
     mem: Mem,
-    /// Writer: 0 publish-1, 1 publish-2, 2 gate, 3 free, 4 done.
+    /// Writer: 0 publish-1, 1 unpublish-1, 2 gate, 3 publish-2,
+    /// 4 unpublish-2, 5 gate, 6 done.
     w_pc: u8,
-    /// Reader: 0 enter, 1 load, 2 scan, 3 exit, 4 done.
+    /// Reader: 0 enter, 1 load, 2 compare, 3 scan, 4 exit.
     r_pc: u8,
     r_iter: u8,
-    /// Snapshot id the reader holds between load and scan.
+    /// Box id the reader loaded from the slot (0 = empty).
     held: u32,
-    /// Set once the writer reclaimed the retired snapshots {0, 1}.
-    freed: bool,
+    /// Bit `id` set: box `id` is retired, not yet freed.
+    retired: u8,
+    /// Bit `id` set: box `id` has been freed.
+    freed: u8,
     error: Option<String>,
 }
 
@@ -876,71 +884,95 @@ impl RaceShardModel {
         RaceShardModel { config }
     }
 
+    /// The writer's gate check after a retirement: free everything at a
+    /// zero reading, keep the list while it fits the cap, else wait.
+    /// Under the mutant the free happens unconditionally.
+    fn gate(&self, s: &RaceShardState, out: &mut Vec<(String, RaceShardState)>) {
+        let mut n = s.clone();
+        n.w_pc += 1;
+        if !self.config.gated {
+            n.freed |= n.retired;
+            n.retired = 0;
+            out.push(("W:free-retired".into(), n));
+        } else if s.mem.load(0, INFLIGHT) == 0 {
+            n.freed |= n.retired;
+            n.retired = 0;
+            out.push(("W:gate-zero-free".into(), n));
+        } else if s.retired.count_ones() <= MODEL_RETIRED_CAP {
+            out.push(("W:gate-busy-keep".into(), n));
+        }
+        // Otherwise: over the cap with a reader inside — spin (no step).
+    }
+
+    /// A reader dereference of the box it holds.
+    fn deref(s: &RaceShardState, what: &str) -> Option<String> {
+        (s.freed & (1 << s.held) != 0).then(|| {
+            format!(
+                "use-after-free: reader {what} box {} after the writer freed it",
+                s.held
+            )
+        })
+    }
+
     fn program_successors(&self, s: &RaceShardState) -> Vec<(String, RaceShardState)> {
         let mut out = Vec::new();
-        // Writer (thread 0): two COW mutations; the second overflows the
-        // (model) retired cap, so the writer reclaims — after observing
-        // in_flight == 0 in the shipped protocol, immediately under the
-        // mutant.
+        // Writer (thread 0): declare/revoke twice into one home slot.
+        // Publish and unpublish are locked swaps (write through).
         match s.w_pc {
-            0 => {
+            0 | 3 => {
+                let id = u32::from(s.w_pc / 3) + 1;
                 let mut n = s.clone();
-                n.mem.rmw(0, PTR, |_| 1); // publish-swap: locked, writes through
-                n.w_pc = 1;
-                out.push(("W:publish-1".into(), n));
+                n.mem.rmw(0, SLOT, |_| id);
+                n.w_pc += 1;
+                out.push((format!("W:publish-{id}"), n));
             }
-            1 => {
+            1 | 4 => {
                 let mut n = s.clone();
-                n.mem.rmw(0, PTR, |_| 2);
-                n.w_pc = if self.config.gated { 2 } else { 3 };
-                out.push(("W:publish-2".into(), n));
+                let id = n.mem.rmw(0, SLOT, |_| 0);
+                n.retired |= 1 << id;
+                n.w_pc += 1;
+                out.push((format!("W:unpublish-{id}"), n));
             }
-            // writer-check: spins until no reader is inside the gate.
-            2 if s.mem.load(0, INFLIGHT) == 0 => {
-                let mut n = s.clone();
-                n.w_pc = 3;
-                out.push(("W:gate-clear".into(), n));
-            }
-            3 => {
-                let mut n = s.clone();
-                n.freed = true;
-                n.w_pc = 4;
-                out.push(("W:free-retired".into(), n));
-            }
+            2 | 5 => self.gate(s, &mut out),
             _ => {}
         }
-        // Reader (thread 1): ShardedGrantTable::with_snapshot — enter the
-        // gate, load the pointer, scan, exit. Twice, so a post-reclaim
-        // iteration is also covered.
+        // Reader (thread 1): ShardedGrantTable::validate — enter the gate,
+        // load the slot, compare the reference, scan, exit. Twice, so a
+        // post-reclaim iteration is also covered.
         if s.r_iter < READER_ITERS {
+            let mut n = s.clone();
             match s.r_pc {
                 0 => {
-                    let mut n = s.clone();
                     n.mem.rmw(1, INFLIGHT, |v| v + 1);
                     n.r_pc = 1;
                     out.push(("R:enter".into(), n));
                 }
                 1 => {
-                    let mut n = s.clone();
-                    n.held = n.mem.load(1, PTR);
+                    n.held = n.mem.load(1, SLOT);
                     n.r_pc = 2;
-                    out.push(("R:load-snapshot".into(), n));
+                    out.push(("R:load-slot".into(), n));
                 }
                 2 => {
-                    let mut n = s.clone();
-                    if s.freed && s.held < RETIRED_IDS {
-                        n.error = Some(format!(
-                            "use-after-free: reader scanned snapshot {} after the writer \
-                             reclaimed the retired list",
-                            s.held,
-                        ));
+                    // An empty slot is an unknown reference; a box is
+                    // dereferenced to compare its reference, and only a
+                    // match is scanned.
+                    if s.held == 0 {
+                        n.r_pc = 4;
+                    } else if let Some(error) = Self::deref(s, "compared") {
+                        n.error = Some(error);
                     } else {
-                        n.r_pc = 3;
+                        n.r_pc = if s.held == READER_REF { 3 } else { 4 };
+                    }
+                    out.push(("R:compare-ref".into(), n));
+                }
+                3 => {
+                    match Self::deref(s, "scanned") {
+                        Some(error) => n.error = Some(error),
+                        None => n.r_pc = 4,
                     }
                     out.push(("R:scan".into(), n));
                 }
                 _ => {
-                    let mut n = s.clone();
                     n.mem.rmw(1, INFLIGHT, |v| v - 1);
                     n.r_pc = 0;
                     n.r_iter += 1;
@@ -962,7 +994,8 @@ impl TransitionSystem for RaceShardModel {
             r_pc: 0,
             r_iter: 0,
             held: 0,
-            freed: false,
+            retired: 0,
+            freed: 0,
             error: None,
         }]
     }
@@ -977,7 +1010,7 @@ impl TransitionSystem for RaceShardModel {
             next.mem = mem;
             next
         }));
-        let done = state.w_pc == 4 && state.r_iter == READER_ITERS;
+        let done = state.w_pc == 6 && state.r_iter == READER_ITERS;
         if out.is_empty() && !(done && state.mem.drained()) {
             let mut next = state.clone();
             next.error = Some(format!(
@@ -997,13 +1030,15 @@ impl TransitionSystem for RaceShardModel {
     }
 }
 
-/// `race-shards`: a writer retiring snapshots past the cap racing a
-/// reader's enter/load/scan/exit, under every schedule. Proved iff no
-/// reader ever scans a reclaimed snapshot.
+/// `race-shards`: a writer declaring and revoking twice through one home
+/// slot — publish, unpublish and retire, free on a zero gate — racing a
+/// reader's enter/load/compare/scan/exit, under every schedule. Proved iff
+/// no reader ever dereferences a freed declaration.
 pub fn check_shards(mutant: Option<Mutant>) -> PropertyReport {
-    const DESC: &str = "sharded grant-table snapshot reclamation under every 2-thread \
-         schedule: a reader inside the in_flight gate never scans a \
-         reclaimed snapshot (writer frees only after observing in_flight == 0)";
+    const DESC: &str = "grant-page slot reclamation under every 2-thread schedule: two \
+         declare/revoke rounds through one home slot (publish, unpublish + retire, \
+         free at a zero gate, wait past the cap) never free a declaration a reader \
+         inside the in_flight gate compares or scans";
     let model = RaceShardModel::new(ShardConfig::shipped(mutant));
     check_system("race-shards", DESC, "hypervisor::shards", &model, mutant)
 }

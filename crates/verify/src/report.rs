@@ -45,9 +45,9 @@ pub enum Mutant {
     /// parked instead of after: a ring landing between the check and the
     /// announcement is missed and the consumer sleeps on published work.
     DoorbellCheckBeforePublish,
-    /// The sharded grant table's writer reclaims retired snapshots
-    /// without waiting for `in_flight == 0`: a reader between its gate
-    /// enter and its scan dereferences freed memory.
+    /// The sharded grant table's writer frees retired declarations
+    /// without waiting for `in_flight == 0`: a reader between its slot
+    /// load and its reference compare dereferences freed memory.
     ShardRetireUnfenced,
     /// The frontend's JIT evaluator skips the snapshot overlay: a second
     /// fetch of bytes that already fed grant derivation believes whatever
@@ -57,11 +57,16 @@ pub enum Mutant {
     /// frame it announces: a consumer that takes the id finds the guest's
     /// ring empty and drops the claim, and the frame is never served.
     ReadyPublishBeforeFrame,
+    /// Grant-page lookup trusts a reference's home slot without comparing
+    /// the reference it holds: once `r` is revoked and `r + CAP` declared
+    /// into the same slot, the stale `r` validates against the new
+    /// declaration.
+    GrantPageSkipRefCompare,
 }
 
 impl Mutant {
     /// Every seeded mutant, for `--list` and the check.sh gate.
-    pub const ALL: [Mutant; 14] = [
+    pub const ALL: [Mutant; 15] = [
         Mutant::RingWindowOffByOne,
         Mutant::GrantCoverOffByOne,
         Mutant::CacheEvictInflight,
@@ -76,6 +81,7 @@ impl Mutant {
         Mutant::ShardRetireUnfenced,
         Mutant::JitRefetchUnsnapshotted,
         Mutant::ReadyPublishBeforeFrame,
+        Mutant::GrantPageSkipRefCompare,
     ];
 
     /// The CLI/fixture name.
@@ -95,6 +101,7 @@ impl Mutant {
             Mutant::ShardRetireUnfenced => "shard-retire-unfenced",
             Mutant::JitRefetchUnsnapshotted => "jit-refetch-unsnapshotted",
             Mutant::ReadyPublishBeforeFrame => "ready-publish-before-frame",
+            Mutant::GrantPageSkipRefCompare => "grant-page-skip-ref-compare",
         }
     }
 

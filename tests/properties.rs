@@ -223,14 +223,18 @@ proptest! {
     /// One kernel, two substrates: any declare / validate / validate_batch /
     /// revoke / revoke_all script yields identical references, verdicts and
     /// outstanding counts on a guest-qualified `GrantTable` and on that
-    /// guest's shard of a `ShardedGrantTable`. The prefill makes
-    /// `TableFull` reachable.
+    /// guest's shard of a `ShardedGrantTable`. The prefill keeps up to
+    /// 127 references live; the churn then issues two pages' worth, each
+    /// revoked at once, so every home slot is reused — past live
+    /// residents, too — before the script probes live, stale and
+    /// never-issued references. The prefill makes `TableFull` reachable.
     #[test]
     fn sharded_table_agrees_with_the_kernel(
-        prefill in 0usize..=GRANT_TABLE_CAPACITY,
-        script in proptest::collection::vec((0u8..16, 0u32..300, 0u64..0x100), 1..120),
+        prefill in 0usize..GRANT_TABLE_CAPACITY,
+        script in proptest::collection::vec((0u8..16, 0u32..640, 0u64..0x100), 1..120),
     ) {
         const GUEST: u32 = 3;
+        const CHURN: usize = 2 * GRANT_TABLE_CAPACITY;
         let mut kernel = GrantTable::for_guest(GUEST);
         let sharded = ShardedGrantTable::with_guests(GUEST as usize + 1);
         // The n-th issued reference grants [n·4K, n·4K + 0x80).
@@ -239,8 +243,18 @@ proptest! {
             len: 0x80,
         }];
         let mut issued = 0u64;
-        let declares = std::iter::repeat_n((0u8, 0u32, 0u64), prefill);
-        for (kind, seq, offset) in declares.chain(script) {
+        for _ in 0..prefill {
+            let declared = kernel.declare(window(issued));
+            prop_assert_eq!(sharded.declare(GUEST, window(issued)), declared);
+            issued += 1;
+        }
+        for _ in 0..CHURN {
+            let declared = kernel.declare(window(issued)).expect("a free slot remains");
+            prop_assert_eq!(sharded.declare(GUEST, window(issued)), Ok(declared));
+            prop_assert_eq!(sharded.revoke(GUEST, declared), kernel.revoke(declared));
+            issued += 1;
+        }
+        for (kind, seq, offset) in script {
             // `seq` names a live, revoked or never-issued reference.
             let target = ShardedGrantTable::compose_ref(GUEST, seq);
             let request = |offset: u64| MemOpRequest::CopyFromGuest {
