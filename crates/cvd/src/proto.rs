@@ -731,70 +731,6 @@ impl WireCodec for WireSignal {
     }
 }
 
-/// Kani proof harnesses (run via `cargo kani`; absent from normal builds).
-///
-/// Symbolic counterparts of the `crates/verify` codec properties: the
-/// exhaustive checker sweeps boundary-value message domains; these prove
-/// round-trip and the single-read discipline for *every* value of the
-/// symbolic fields on the fixed-size wire types.
-#[cfg(kani)]
-mod kani_proofs {
-    use super::*;
-
-    /// Counts how often each shared-page byte is read.
-    struct CountProbe {
-        counts: [u8; 32],
-    }
-
-    impl ReadProbe for CountProbe {
-        fn on_read(&mut self, at: usize, len: usize) {
-            for i in at..at + len {
-                self.counts[i] += 1;
-            }
-        }
-    }
-
-    #[kani::proof]
-    fn response_value_roundtrips() {
-        let value: i64 = kani::any();
-        let resp = WireResponse::Value(value);
-        let bytes = resp.encode();
-        assert!(WireResponse::decode(&bytes) == Ok(resp));
-    }
-
-    #[kani::proof]
-    fn signal_roundtrips_and_reads_each_byte_once() {
-        let signal = WireSignal {
-            task: kani::any(),
-            handle: kani::any(),
-        };
-        let bytes = signal.encode();
-        let mut probe = CountProbe { counts: [0; 32] };
-        assert!(WireSignal::decode_probed(&bytes, &mut probe) == Ok(signal));
-        let mut i = 0;
-        while i < bytes.len() {
-            assert!(probe.counts[i] == 1);
-            i += 1;
-        }
-    }
-
-    #[kani::proof]
-    fn response_decode_reads_each_byte_at_most_once() {
-        // Arbitrary 9-byte shared-page contents, decoded: whether or not it
-        // parses, no byte is consulted twice.
-        let bytes: [u8; 9] = kani::any();
-        let len: usize = kani::any();
-        kani::assume(len <= bytes.len());
-        let mut probe = CountProbe { counts: [0; 32] };
-        let _ = WireResponse::decode_probed(&bytes[..len], &mut probe);
-        let mut i = 0;
-        while i < len {
-            assert!(probe.counts[i] <= 1);
-            i += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

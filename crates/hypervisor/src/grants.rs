@@ -16,17 +16,29 @@
 //! Validation is *subset* matching: a requested operation must lie entirely
 //! within a declared grant of the same kind.
 //!
-//! [`GrantTable`] is that page: [`GRANT_TABLE_CAPACITY`] slots, each
-//! holding at most one boxed declaration. Both substrates run it: the
-//! virtual-time [`Hypervisor`](crate::hv::Hypervisor) steps one per VM
-//! under its `RefCell`, and each [`crate::shards`] shard is one with
-//! atomic slots, publishing one declaration at a time. Reference lookup,
-//! capacity and sequence allocation live here only — and so do the
-//! `crates/verify` `grant-*` proofs.
+//! [`GrantTable`] is that page: [`GRANT_TABLE_CAPACITY`] atomic slots,
+//! each holding at most one boxed declaration, and a reference is its
+//! slot's index — a declaration lives only in its home slot, the
+//! reference's sequence number modulo the capacity. There is one store:
+//! each [`crate::shards`] shard is one guest's page, and the virtual-time
+//! [`Hypervisor`](crate::hv::Hypervisor) validates against the same
+//! [`ShardedGrantTable`](crate::shards::ShardedGrantTable) the engines do.
+//! Reference lookup, capacity and sequence allocation live here only.
+//!
+//! A guest's sequence wraps. `declare` issues the next sequence number
+//! whose home slot is empty, so a live reference is never issued twice
+//! (its slot is occupied), and a revoked one comes back only after a full
+//! lap of the guest's sequence. Even then it names only that guest's live
+//! declaration, which a compromised driver VM could name by forging the
+//! number anyway: coverage of the declaration, not secrecy of the number,
+//! is the check. [`GrantError::TableFull`] means exactly that
+//! [`GRANT_TABLE_CAPACITY`] references are live.
 
 use std::fmt;
 
 use paradice_mem::{Access, GuestVirtAddr, PAGE_SIZE};
+
+use crate::shards::AtomicSlot;
 
 /// Index of a declaration in a guest's grant table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -184,7 +196,8 @@ pub enum GrantError {
         /// The reference whose declarations were consulted.
         grant: GrantRef,
     },
-    /// The table page is full (fixed capacity, one shared page).
+    /// Every slot of the page holds a live declaration (fixed capacity,
+    /// one shared page).
     TableFull,
     /// The reference names another guest's shard (multi-tenant tables
     /// qualify every reference with its owning guest; spending a foreign
@@ -226,7 +239,7 @@ pub const GRANT_TABLE_CAPACITY: usize = 128;
 /// before it. A request `[addr, addr+len)` is covered by *some single*
 /// declared range iff a range starting at or before `addr` ends at or after
 /// `addr+len` — which the prefix maximum answers after one binary search.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct RangeIndex(Vec<(u64, u64)>);
 
 impl RangeIndex {
@@ -278,8 +291,7 @@ fn window(op: &MemOpGrant) -> (usize, (u64, u64)) {
 /// slot and the validation index of its operations, built once at declare
 /// time in one pass — one block per non-empty index (its first four
 /// windows fit the first block).
-#[derive(Debug)]
-pub struct Declaration {
+pub(crate) struct Declaration {
     pub(crate) grant: GrantRef,
     index: [RangeIndex; INDEXES],
 }
@@ -308,42 +320,22 @@ impl Declaration {
     }
 }
 
-/// How one slot of a [`GrantTable`] holds its declaration: the
-/// virtual-time hypervisor's table owns an `Option<Box<Declaration>>` per
-/// slot, a [`crate::shards`] shard an atomic pointer its readers load
-/// without a lock.
-pub trait PageSlot {
-    /// The declaration in this slot, if any.
-    fn get(&self) -> Option<&Declaration>;
+/// A reference's (or a sequence number's) slot: its sequence number
+/// modulo the capacity. The guest bits sit at `2^SEQ_BITS` and above, a
+/// multiple of the capacity, so they never move the slot.
+fn home(reference: u32) -> usize {
+    reference as usize % GRANT_TABLE_CAPACITY
 }
 
-impl PageSlot for Option<Box<Declaration>> {
-    fn get(&self) -> Option<&Declaration> {
-        self.as_deref()
-    }
-}
-
-/// `grant`'s probe sequence: its home slot — the sequence number modulo
-/// the capacity — then every other slot, in order, wrapping once.
-fn probe(grant: GrantRef) -> impl Iterator<Item = usize> {
-    let home = grant.0 as usize % GRANT_TABLE_CAPACITY;
-    (home..GRANT_TABLE_CAPACITY).chain(0..home)
-}
-
-/// A grant table's reference sequence.
-///
-/// Two layouts: [`GrantTable::new`] issues the unqualified 32-bit
-/// references `0..=u32::MAX`, [`GrantTable::for_guest`] issues
-/// `guest << SEQ_BITS | seq` for `seq` in `0..=SEQ_MASK`. References are
-/// issued in increasing order and never reissued; under both layouts the
-/// sequence fails closed once its last reference is out: a reference that
-/// restarted would alias one a stale holder may still name.
-#[derive(Debug)]
-pub struct Sequence {
-    /// The next reference to issue; `None` once `last` has been issued.
-    next: Option<u32>,
-    /// The last reference this layout can issue.
-    last: u32,
+/// One guest's reference sequence: `guest << SEQ_BITS | seq` for `seq` in
+/// `0..=SEQ_MASK`, issued in increasing order, wrapping inside the guest's
+/// range after `SEQ_MASK`. A number whose home slot is occupied is
+/// skipped, so a live reference is never issued twice.
+pub(crate) struct Sequence {
+    /// The owning guest, already shifted into the high [`GUEST_BITS`].
+    guest: u32,
+    /// The next sequence number to try.
+    next: u32,
 }
 
 impl Sequence {
@@ -353,86 +345,67 @@ impl Sequence {
     /// larger one is a programming error, not hostile input.
     pub(crate) fn for_guest(guest: u32) -> Self {
         assert!(guest < MAX_GUESTS, "guest id {guest} exceeds MAX_GUESTS");
-        let first = guest << SEQ_BITS;
-        Sequence {
-            next: Some(first),
-            last: first | SEQ_MASK,
-        }
+        Sequence { guest: guest << SEQ_BITS, next: 0 }
     }
 
-    /// Declares `ops` into `slots`: issues the next reference and picks
-    /// the free slot its declaration goes to — the first on the
-    /// reference's probe sequence. The caller publishes the declaration in
-    /// that slot before anything else touches the page.
+    /// Moves the sequence `count` numbers on, wrapping inside the guest's
+    /// range, as if they had been declared and revoked.
+    pub(crate) fn spend(&mut self, count: u32) {
+        self.next = (self.next + (count & SEQ_MASK)) & SEQ_MASK;
+    }
+
+    /// Declares `ops` into `page`: issues the next sequence number whose
+    /// home slot is empty — skipping at most `GRANT_TABLE_CAPACITY - 1`,
+    /// whose homes are every other slot — and returns that slot with the
+    /// declaration. The caller publishes it there before anything else
+    /// touches the page.
     ///
     /// # Errors
     ///
-    /// [`GrantError::TableFull`] when every slot holds a declaration, or
-    /// when the reference space is spent; neither issues a reference.
-    pub(crate) fn declare<S: PageSlot>(
+    /// [`GrantError::TableFull`] when every slot holds a live declaration;
+    /// it issues no reference.
+    pub(crate) fn declare(
         &mut self,
-        slots: &[S; GRANT_TABLE_CAPACITY],
+        page: &GrantTable,
         ops: &[MemOpGrant],
     ) -> Result<(usize, Box<Declaration>), GrantError> {
-        let grant = GrantRef(self.next.ok_or(GrantError::TableFull)?);
-        let index = probe(grant)
-            .find(|&index| slots[index].get().is_none())
+        let seq = (self.next..self.next + GRANT_TABLE_CAPACITY as u32)
+            .map(|seq| seq & SEQ_MASK)
+            .find(|&seq| page.slots[home(seq)].get().is_none())
             .ok_or(GrantError::TableFull)?;
-        self.next = (grant.0 < self.last).then(|| grant.0 + 1);
-        Ok((index, Box::new(Declaration::build(grant, ops))))
+        self.next = (seq + 1) & SEQ_MASK;
+        Ok((home(seq), Box::new(Declaration::build(GrantRef(self.guest | seq), ops))))
     }
 }
 
 /// One guest VM's grant table — the shared page of paper §5.1:
-/// [`GRANT_TABLE_CAPACITY`] slots, each holding at most one declaration,
-/// plus the reference sequence.
-///
-/// A declaration goes to the first free slot on its reference's probe
-/// sequence and never moves, so lookup walks the same sequence and
-/// compares references: a home slot may hold a later reference with the
-/// same home, or an earlier one displaced into it.
-///
-/// `S` is how a slot holds its declaration and `Q` where the sequence
-/// lives. The virtual-time hypervisor's table owns both (the defaults); a
-/// [`crate::shards`] shard's page is a `GrantTable<_, ()>` of atomic slots
-/// whose sequence sits behind the shard's writer mutex instead.
-#[derive(Debug)]
-pub struct GrantTable<S = Option<Box<Declaration>>, Q = Sequence> {
-    slots: [S; GRANT_TABLE_CAPACITY],
-    sequence: Q,
+/// [`GRANT_TABLE_CAPACITY`] atomic slots, each holding at most one
+/// declaration, in its reference's home slot. Lookup is one slot load and
+/// a reference compare: a slot may hold a later reference with the same
+/// home once the earlier one is revoked. The [`crate::shards`] shard that
+/// owns the page keeps the guest's [`Sequence`] behind its writer mutex,
+/// and owns the slots' publication protocol.
+pub(crate) struct GrantTable {
+    slots: [AtomicSlot; GRANT_TABLE_CAPACITY],
 }
 
-impl<S: Default, Q> GrantTable<S, Q> {
-    /// An empty page with `sequence`.
-    pub(crate) fn with_sequence(sequence: Q) -> Self {
-        GrantTable { slots: std::array::from_fn(|_| S::default()), sequence }
+impl GrantTable {
+    /// An empty page.
+    pub(crate) fn empty() -> Self {
+        GrantTable { slots: std::array::from_fn(|_| AtomicSlot::default()) }
     }
-}
 
-impl<S: PageSlot, Q> GrantTable<S, Q> {
     /// The slots, in index order.
-    pub(crate) fn slots(&self) -> &[S; GRANT_TABLE_CAPACITY] {
+    pub(crate) fn slots(&self) -> &[AtomicSlot; GRANT_TABLE_CAPACITY] {
         &self.slots
     }
 
-    /// The one reference lookup: the slot holding `grant`'s declaration.
+    /// The one reference lookup: `grant`'s home slot, if it holds
+    /// `grant`'s declaration.
     pub(crate) fn find(&self, grant: GrantRef) -> Option<(usize, &Declaration)> {
-        probe(grant).find_map(|index| {
-            self.slots[index]
-                .get()
-                .filter(|declaration| declaration.grant == grant)
-                .map(|declaration| (index, declaration))
-        })
-    }
-
-    /// Validates `request` against the declarations of `grant`.
-    ///
-    /// # Errors
-    ///
-    /// [`GrantError::UnknownRef`] or [`GrantError::NotCovered`].
-    pub fn validate(&self, grant: GrantRef, request: &MemOpRequest) -> Result<(), GrantError> {
-        self.validate_batch(grant, std::slice::from_ref(request))
-            .map_err(|(_, error)| error)
+        let index = home(grant.0);
+        let declaration = self.slots[index].get()?;
+        (declaration.grant == grant).then_some((index, declaration))
     }
 
     /// Validates a whole hypercall batch against one grant, all-or-nothing:
@@ -441,19 +414,20 @@ impl<S: PageSlot, Q> GrantTable<S, Q> {
     /// requests. This is the pure phase-1 kernel of `Hypervisor::hc_memops`
     /// — the hypervisor applies nothing unless this accepts the batch — and
     /// the `crates/verify` checker proves it equivalent to per-request
-    /// [`GrantTable::validate`] at the checked bounds.
+    /// validation at the checked bounds.
     ///
     /// # Errors
     ///
-    /// `(index, error)` for the first request that fails validation.
-    pub fn validate_batch(
+    /// `(index, error)` for the first request that fails validation:
+    /// [`GrantError::UnknownRef`] or [`GrantError::NotCovered`].
+    // Inlined into the shard's reader: out of line, every validate pays a
+    // call across codegen units (+5 ns on a 17-ns check, x86-64).
+    #[inline]
+    pub(crate) fn validate_batch(
         &self,
         grant: GrantRef,
         requests: &[MemOpRequest],
     ) -> Result<(), (usize, GrantError)> {
-        if requests.is_empty() {
-            return Ok(());
-        }
         let (_, declaration) = self.find(grant).ok_or((0, GrantError::UnknownRef { grant }))?;
         match requests.iter().position(|request| !declaration.covers(request)) {
             Some(index) => Err((index, GrantError::NotCovered { grant })),
@@ -462,107 +436,51 @@ impl<S: PageSlot, Q> GrantTable<S, Q> {
     }
 
     /// Number of outstanding declarations.
-    pub fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         self.slots.iter().filter(|slot| slot.get().is_some()).count()
-    }
-}
-
-impl GrantTable {
-    /// Creates an empty table issuing unqualified 32-bit references.
-    pub fn new() -> Self {
-        GrantTable::with_sequence(Sequence {
-            next: Some(0),
-            last: u32::MAX,
-        })
-    }
-
-    /// Creates an empty table issuing references qualified with `guest` in
-    /// their high [`GUEST_BITS`].
-    pub fn for_guest(guest: u32) -> Self {
-        GrantTable::with_sequence(Sequence::for_guest(guest))
-    }
-
-    /// Checker hook: spends `count` references without issuing them, as if
-    /// they had been declared and revoked, so the exhaustion edge and slot
-    /// reuse are reachable without 2³² declares. Only ever moves the
-    /// sequence forward, so it cannot make a reference alias.
-    #[doc(hidden)]
-    pub fn with_refs_spent(mut self, count: u32) -> Self {
-        let sequence = &mut self.sequence;
-        sequence.next = sequence
-            .next
-            .and_then(|next| next.checked_add(count))
-            .filter(|&next| next <= sequence.last);
-        self
-    }
-
-    /// Declares the legitimate operations of one file operation, returning
-    /// the reference the backend must attach to its hypercalls.
-    ///
-    /// # Errors
-    ///
-    /// [`GrantError::TableFull`] when [`GRANT_TABLE_CAPACITY`] declarations
-    /// are already outstanding, or when the table's reference space is
-    /// spent (references never restart, so stale ones can never alias).
-    pub fn declare(&mut self, ops: Vec<MemOpGrant>) -> Result<GrantRef, GrantError> {
-        let (index, declaration) = self.sequence.declare(&self.slots, &ops)?;
-        let grant = declaration.grant;
-        self.slots[index] = Some(declaration);
-        Ok(grant)
-    }
-
-    /// Revokes a declaration once its file operation completes.
-    ///
-    /// Returns `true` if the reference was live.
-    pub fn revoke(&mut self, grant: GrantRef) -> bool {
-        let found = self.find(grant).map(|(index, _)| index);
-        found.is_some_and(|index| self.slots[index].take().is_some())
-    }
-
-    /// Revokes every outstanding declaration (driver-VM failure: a
-    /// compromised-after-crash driver must not retain any authority).
-    /// Returns the number of declarations revoked. Reference numbering
-    /// continues where it left off so stale refs can never alias new ones.
-    pub fn revoke_all(&mut self) -> usize {
-        self.slots.iter_mut().filter_map(Option::take).count()
-    }
-}
-
-impl Default for GrantTable {
-    fn default() -> Self {
-        GrantTable::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shards::ShardedGrantTable;
     use paradice_mem::PAGE_SIZE;
+
+    const CAP: u32 = GRANT_TABLE_CAPACITY as u32;
 
     fn va(x: u64) -> GuestVirtAddr {
         GuestVirtAddr::new(x)
     }
 
+    /// One guest's store; its references start at `GrantRef(0)`.
+    fn table() -> ShardedGrantTable {
+        ShardedGrantTable::with_guests(1)
+    }
+
     #[test]
     fn declare_validate_revoke_lifecycle() {
-        let mut table = GrantTable::new();
+        let table = table();
         let grant = table
-            .declare(vec![MemOpGrant::CopyToGuest {
-                addr: va(0x1000),
-                len: 256,
-            }])
+            .declare(
+                0,
+                vec![MemOpGrant::CopyToGuest {
+                    addr: va(0x1000),
+                    len: 256,
+                }],
+            )
             .unwrap();
         let ok = MemOpRequest::CopyToGuest {
             addr: va(0x1000),
             len: 256,
         };
-        assert!(table.validate(grant, &ok).is_ok());
-        assert!(table.revoke(grant));
+        assert!(table.validate(0, grant, &ok).is_ok());
+        assert!(table.revoke(0, grant));
         assert_eq!(
-            table.validate(grant, &ok),
+            table.validate(0, grant, &ok),
             Err(GrantError::UnknownRef { grant })
         );
-        assert!(!table.revoke(grant));
+        assert!(!table.revoke(0, grant));
     }
 
     #[test]
@@ -657,21 +575,25 @@ mod tests {
 
     #[test]
     fn multiple_ops_per_declaration() {
-        let mut table = GrantTable::new();
+        let table = table();
         let grant = table
-            .declare(vec![
-                MemOpGrant::CopyFromGuest {
-                    addr: va(0x1000),
-                    len: 64,
-                },
-                MemOpGrant::CopyToGuest {
-                    addr: va(0x1000),
-                    len: 64,
-                },
-            ])
+            .declare(
+                0,
+                vec![
+                    MemOpGrant::CopyFromGuest {
+                        addr: va(0x1000),
+                        len: 64,
+                    },
+                    MemOpGrant::CopyToGuest {
+                        addr: va(0x1000),
+                        len: 64,
+                    },
+                ],
+            )
             .unwrap();
         assert!(table
             .validate(
+                0,
                 grant,
                 &MemOpRequest::CopyFromGuest {
                     addr: va(0x1000),
@@ -681,6 +603,7 @@ mod tests {
             .is_ok());
         assert!(table
             .validate(
+                0,
                 grant,
                 &MemOpRequest::CopyToGuest {
                     addr: va(0x1020),
@@ -692,15 +615,15 @@ mod tests {
 
     #[test]
     fn revoke_all_clears_but_keeps_numbering() {
-        let mut table = GrantTable::new();
-        let first = table.declare(vec![]).unwrap();
-        table.declare(vec![]).unwrap();
+        let table = table();
+        let first = table.declare(0, vec![]).unwrap();
+        table.declare(0, vec![]).unwrap();
         assert_eq!(table.revoke_all(), 2);
         assert_eq!(table.outstanding(), 0);
         // Stale references are dead...
-        assert!(!table.revoke(first));
-        // ...and fresh declarations never reuse their numbers.
-        let next = table.declare(vec![]).unwrap();
+        assert!(!table.revoke(0, first));
+        // ...and fresh declarations do not reuse their numbers.
+        let next = table.declare(0, vec![]).unwrap();
         assert!(next.0 > first.0 + 1);
         assert_eq!(table.revoke_all(), 1);
     }
@@ -710,93 +633,79 @@ mod tests {
     #[test]
     fn a_reused_home_slot_never_answers_for_its_previous_owner() {
         let window = vec![MemOpGrant::CopyFromGuest { addr: va(0x1000), len: 0x100 }];
-        let probe = MemOpRequest::CopyFromGuest { addr: va(0x1000), len: 8 };
-        let mut table = GrantTable::new();
-        let stale = table.declare(window.clone()).unwrap();
-        assert!(table.revoke(stale));
-        let mut table = table.with_refs_spent(GRANT_TABLE_CAPACITY as u32 - 1);
-        let fresh = table.declare(window).unwrap();
-        assert_eq!(fresh.0, stale.0 + GRANT_TABLE_CAPACITY as u32);
-        assert_eq!(table.find(fresh).map(|(index, _)| index), Some(0), "stale's home slot");
-        assert_eq!(table.validate(stale, &probe), Err(GrantError::UnknownRef { grant: stale }));
-        assert!(!table.revoke(stale));
-        table.validate(fresh, &probe).expect("the occupant is live");
+        let request = MemOpRequest::CopyFromGuest { addr: va(0x1000), len: 8 };
+        let table = table();
+        let stale = table.declare(0, window.clone()).unwrap();
+        assert!(table.revoke(0, stale));
+        let table = table.with_refs_spent(0, CAP - 1);
+        let fresh = table.declare(0, window).unwrap();
+        assert_eq!(fresh.0, stale.0 + CAP, "stale's home slot");
+        let unknown = Err(GrantError::UnknownRef { grant: stale });
+        assert_eq!(table.validate(0, stale, &request), unknown);
+        assert!(!table.revoke(0, stale));
+        table.validate(0, fresh, &request).expect("the occupant is live");
     }
 
-    /// A live declaration keeps its slot; later references with the same
-    /// home probe past it, and every one resolves whatever is revoked
-    /// around it.
+    /// A live declaration keeps its slot: the sequence skips the numbers
+    /// whose home it occupies, and every reference validates its own
+    /// window only.
     #[test]
-    fn displaced_declarations_stay_findable() {
+    fn a_live_home_slot_is_skipped_not_reissued() {
         let window = |addr| vec![MemOpGrant::CopyFromGuest { addr: va(addr), len: 8 }];
-        let probe = |addr| MemOpRequest::CopyFromGuest { addr: va(addr), len: 8 };
-        let mut table = GrantTable::new();
-        let resident = table.declare(window(0x1000)).unwrap();
-        let mut table = table.with_refs_spent(GRANT_TABLE_CAPACITY as u32 - 1);
-        let displaced = table.declare(window(0x2000)).unwrap();
-        assert_eq!(table.find(displaced).map(|(index, _)| index), Some(1));
-        // The next reference's home is the slot `displaced` took.
-        let next = table.declare(window(0x3000)).unwrap();
-        assert_eq!(table.find(next).map(|(index, _)| index), Some(2));
+        let request = |addr| MemOpRequest::CopyFromGuest { addr: va(addr), len: 8 };
+        let table = table();
+        let resident = table.declare(0, window(0x1000)).unwrap();
+        let table = table.with_refs_spent(0, CAP - 1);
+        let skipped = table.declare(0, window(0x2000)).unwrap();
+        assert_eq!(skipped.0, CAP + 1, "CAP's home is the resident's slot");
+        let next = table.declare(0, window(0x3000)).unwrap();
+        assert_eq!(next.0, CAP + 2);
         assert_eq!(
-            table.validate(displaced, &probe(0x1000)),
-            Err(GrantError::NotCovered { grant: displaced })
+            table.validate(0, skipped, &request(0x1000)),
+            Err(GrantError::NotCovered { grant: skipped })
         );
-        assert!(table.revoke(resident));
-        table.validate(displaced, &probe(0x2000)).expect("displaced");
-        table.validate(next, &probe(0x3000)).expect("displaced twice");
-        assert!(table.revoke(displaced) && table.revoke(next));
+        table.validate(0, resident, &request(0x1000)).expect("resident");
+        assert!(table.revoke(0, resident));
+        table.validate(0, skipped, &request(0x2000)).expect("skipped");
+        table.validate(0, next, &request(0x3000)).expect("next");
+        assert!(table.revoke(0, skipped) && table.revoke(0, next));
         assert_eq!(table.outstanding(), 0);
+    }
+
+    /// After `SEQ_MASK` the sequence wraps to the guest's first reference,
+    /// past the ones still live, and never into another guest's range.
+    #[test]
+    fn the_sequence_wraps_past_live_references() {
+        let window = |addr| vec![MemOpGrant::CopyFromGuest { addr: va(addr), len: 8 }];
+        let request = |addr| MemOpRequest::CopyFromGuest { addr: va(addr), len: 8 };
+        let table = ShardedGrantTable::with_guests(3);
+        let first = ShardedGrantTable::compose_ref(2, 0);
+        let live = table.declare(2, window(0x1000)).unwrap();
+        assert_eq!(live, first);
+        let table = table.with_refs_spent(2, SEQ_MASK - 2);
+        let penultimate = table.declare(2, window(0x2000)).unwrap();
+        assert_eq!(penultimate, ShardedGrantTable::compose_ref(2, SEQ_MASK - 1));
+        let last = table.declare(2, window(0x2000)).unwrap();
+        assert_eq!(last, ShardedGrantTable::compose_ref(2, SEQ_MASK));
+        let wrapped = table.declare(2, window(0x3000)).unwrap();
+        assert_eq!(wrapped, ShardedGrantTable::compose_ref(2, 1), "seq 0 is live");
+        table.validate(2, live, &request(0x1000)).expect("live across the wrap");
+        assert!(table.validate(2, live, &request(0x3000)).is_err());
+        assert!(table.validate(2, wrapped, &request(0x1000)).is_err());
+        // A revoked reference comes back only after a full lap.
+        assert!(table.revoke(2, live));
+        let table = table.with_refs_spent(2, SEQ_MASK - 1);
+        assert_eq!(table.declare(2, window(0x4000)), Ok(first));
     }
 
     #[test]
     fn table_capacity_enforced() {
-        let mut table = GrantTable::new();
+        let table = table();
         for _ in 0..GRANT_TABLE_CAPACITY {
-            table.declare(vec![]).unwrap();
+            table.declare(0, vec![]).unwrap();
         }
-        assert_eq!(table.declare(vec![]), Err(GrantError::TableFull));
+        assert_eq!(table.declare(0, vec![]), Err(GrantError::TableFull));
         assert_eq!(table.outstanding(), GRANT_TABLE_CAPACITY);
-    }
-
-    /// After the reference space is spent the table fails closed forever
-    /// instead of restarting at a reference a stale holder may still name;
-    /// `table` arrives two references short of `last_ref`.
-    fn exhaustion_edge(mut table: GrantTable, last_ref: u32) {
-        let window = |addr| vec![MemOpGrant::CopyFromGuest { addr: va(addr), len: 8 }];
-        let probe = |addr| MemOpRequest::CopyFromGuest { addr: va(addr), len: 8 };
-        let penultimate = table.declare(window(0x1000)).expect("declare");
-        let last = table.declare(window(0x2000)).expect("last reference");
-        assert_eq!((penultimate.0, last.0), (last_ref - 1, last_ref));
-        for _ in 0..64 {
-            assert_eq!(
-                table.declare(window(0x3000)),
-                Err(GrantError::TableFull),
-                "exhausted table must fail closed"
-            );
-        }
-        // Live references keep validating, and revoking reopens nothing.
-        table.validate(penultimate, &probe(0x1000)).expect("live");
-        table.validate(last, &probe(0x2000)).expect("live");
-        assert!(table.revoke(last));
-        assert_eq!(table.declare(window(0x3000)), Err(GrantError::TableFull));
-        assert_eq!(table.revoke_all(), 1);
-        assert_eq!(table.declare(window(0x3000)), Err(GrantError::TableFull));
-    }
-
-    #[test]
-    fn sequence_exhaustion_pins_closed_without_aliasing() {
-        let last_ref = (1 << SEQ_BITS) | SEQ_MASK;
-        exhaustion_edge(GrantTable::for_guest(1).with_refs_spent(SEQ_MASK - 1), last_ref);
-        // Spending past the edge exhausts the table; it never spills into
-        // the next guest's reference range.
-        let mut spent = GrantTable::for_guest(1).with_refs_spent(SEQ_MASK + 1);
-        assert_eq!(spent.declare(vec![]), Err(GrantError::TableFull));
-    }
-
-    #[test]
-    fn sequence_exhaustion_pins_closed_without_wrapping_32bit() {
-        exhaustion_edge(GrantTable::new().with_refs_spent(u32::MAX - 1), u32::MAX);
     }
 
     #[test]
@@ -822,8 +731,8 @@ mod tests {
                 len: 0x100, // every window overlaps its successor
             })
             .collect();
-        let mut table = GrantTable::new();
-        let grant = table.declare(ops.clone()).unwrap();
+        let table = table();
+        let grant = table.declare(0, ops.clone()).unwrap();
         let mut probes = Vec::new();
         for addr in (0x0f00..0x5200u64).step_by(0x40) {
             for len in [0u64, 1, 0x40, 0x100, 0x101, 0x200] {
@@ -833,7 +742,7 @@ mod tests {
         probes.push(MemOpRequest::CopyToGuest { addr: va(u64::MAX - 4), len: 8 });
         for request in &probes {
             let linear = ops.iter().any(|op| op.covers(request));
-            let indexed = table.validate(grant, request).is_ok();
+            let indexed = table.validate(0, grant, request).is_ok();
             assert_eq!(indexed, linear, "divergence on {request:?}");
         }
     }
@@ -842,52 +751,61 @@ mod tests {
     fn spanning_two_abutting_grants_is_still_rejected() {
         // Coverage is per single declaration: two back-to-back windows do
         // not merge into one. The prefix-max index preserves this.
-        let mut table = GrantTable::new();
+        let table = table();
         let grant = table
-            .declare(vec![
-                MemOpGrant::CopyFromGuest { addr: va(0x1000), len: 0x100 },
-                MemOpGrant::CopyFromGuest { addr: va(0x1100), len: 0x100 },
-            ])
+            .declare(
+                0,
+                vec![
+                    MemOpGrant::CopyFromGuest { addr: va(0x1000), len: 0x100 },
+                    MemOpGrant::CopyFromGuest { addr: va(0x1100), len: 0x100 },
+                ],
+            )
             .unwrap();
         assert!(table
-            .validate(grant, &MemOpRequest::CopyFromGuest { addr: va(0x1080), len: 0x100 })
+            .validate(0, grant, &MemOpRequest::CopyFromGuest { addr: va(0x1080), len: 0x100 })
             .is_err());
         assert!(table
-            .validate(grant, &MemOpRequest::CopyFromGuest { addr: va(0x1100), len: 0x100 })
+            .validate(0, grant, &MemOpRequest::CopyFromGuest { addr: va(0x1100), len: 0x100 })
             .is_ok());
     }
 
     #[test]
     fn map_buckets_split_by_access() {
-        let mut table = GrantTable::new();
+        let table = table();
         let grant = table
-            .declare(vec![
-                MemOpGrant::MapPages { va: va(0x10000), pages: 1, access: Access::READ },
-                MemOpGrant::MapPages { va: va(0x20000), pages: 1, access: Access::RW },
-            ])
+            .declare(
+                0,
+                vec![
+                    MemOpGrant::MapPages { va: va(0x10000), pages: 1, access: Access::READ },
+                    MemOpGrant::MapPages { va: va(0x20000), pages: 1, access: Access::RW },
+                ],
+            )
             .unwrap();
         // RW on the READ-only window is refused even though an RW bucket
         // exists elsewhere.
         assert!(table
-            .validate(grant, &MemOpRequest::MapPage { va: va(0x10000), access: Access::RW })
+            .validate(0, grant, &MemOpRequest::MapPage { va: va(0x10000), access: Access::RW })
             .is_err());
         // READ is satisfied by either bucket's window.
         assert!(table
-            .validate(grant, &MemOpRequest::MapPage { va: va(0x10000), access: Access::READ })
+            .validate(0, grant, &MemOpRequest::MapPage { va: va(0x10000), access: Access::READ })
             .is_ok());
         assert!(table
-            .validate(grant, &MemOpRequest::MapPage { va: va(0x20000), access: Access::READ })
+            .validate(0, grant, &MemOpRequest::MapPage { va: va(0x20000), access: Access::READ })
             .is_ok());
     }
 
     #[test]
     fn batch_validation_is_all_or_nothing() {
-        let mut table = GrantTable::new();
+        let table = table();
         let grant = table
-            .declare(vec![MemOpGrant::CopyToGuest {
-                addr: va(0x1000),
-                len: 0x100,
-            }])
+            .declare(
+                0,
+                vec![MemOpGrant::CopyToGuest {
+                    addr: va(0x1000),
+                    len: 0x100,
+                }],
+            )
             .unwrap();
         let ok = MemOpRequest::CopyToGuest {
             addr: va(0x1000),
@@ -897,16 +815,16 @@ mod tests {
             addr: va(0x2000),
             len: 8,
         };
-        assert!(table.validate_batch(grant, &[ok, ok]).is_ok());
-        assert!(table.validate_batch(grant, &[]).is_ok());
+        assert!(table.validate_batch(0, grant, &[ok, ok]).is_ok());
+        assert!(table.validate_batch(0, grant, &[]).is_ok());
         // First violation wins, by index.
         assert_eq!(
-            table.validate_batch(grant, &[ok, bad, bad]),
+            table.validate_batch(0, grant, &[ok, bad, bad]),
             Err((1, GrantError::NotCovered { grant }))
         );
         let stale = GrantRef(99);
         assert_eq!(
-            table.validate_batch(stale, &[ok]),
+            table.validate_batch(0, stale, &[ok]),
             Err((0, GrantError::UnknownRef { grant: stale }))
         );
     }
@@ -928,56 +846,5 @@ mod tests {
             va: va(PAGE_SIZE),
             access: Access::RW,
         }));
-    }
-}
-
-/// Kani proof harnesses (run via `cargo kani`; absent from normal builds).
-///
-/// Symbolic counterparts of the `crates/verify` grant properties: the
-/// exhaustive checker sweeps boundary-value domains; these prove the same
-/// coverage arithmetic for *every* `u64` address and length at once, on one
-/// declaration (the indexed path degenerates to the single-range check
-/// there, so the interesting symbolic surface is the overflow-safe range
-/// arithmetic itself).
-#[cfg(kani)]
-mod kani_proofs {
-    use super::*;
-    use paradice_mem::GuestVirtAddr;
-
-    /// The intended coverage semantics in exact `u128` arithmetic: request
-    /// `[addr, addr+len)` within grant `[start, min(start+glen, 2⁶⁴−1))`,
-    /// with any request end past `u64::MAX` rejected (the last byte of the
-    /// address space is unaddressable by construction).
-    fn model_within(addr: u64, len: u64, start: u64, glen: u64) -> bool {
-        let req_end = addr as u128 + len as u128;
-        let grant_end = (start as u128 + glen as u128).min(u64::MAX as u128);
-        req_end <= u64::MAX as u128 && addr >= start && req_end <= grant_end
-    }
-
-    #[kani::proof]
-    fn range_arithmetic_matches_exact_model() {
-        let addr: u64 = kani::any();
-        let len: u64 = kani::any();
-        let start: u64 = kani::any();
-        let glen: u64 = kani::any();
-        assert!(range_within(addr, len, start, glen) == model_within(addr, len, start, glen));
-    }
-
-    #[kani::proof]
-    fn indexed_single_grant_matches_linear_covers() {
-        let g_addr: u64 = kani::any();
-        let g_len: u64 = kani::any();
-        let addr: u64 = kani::any();
-        let len: u64 = kani::any();
-        let grant = MemOpGrant::CopyToGuest {
-            addr: GuestVirtAddr::new(g_addr),
-            len: g_len,
-        };
-        let request = MemOpRequest::CopyToGuest {
-            addr: GuestVirtAddr::new(addr),
-            len,
-        };
-        let entry = Declaration::build(GrantRef(0), &[grant]);
-        assert!(entry.covers(&request) == grant.covers(&request));
     }
 }

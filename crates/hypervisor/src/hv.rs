@@ -11,8 +11,9 @@
 //!   pick an unused guest-physical page, edit the guest's EPT, and fix the
 //!   last level of the guest's page tables;
 //! * **strict runtime checks**: every memory operation requested by the
-//!   (untrusted) driver VM is validated against the grant table of the
-//!   target guest (§4.1) — violations are refused and audited;
+//!   (untrusted) driver VM is validated against the target guest's shard of
+//!   the one grant store, [`ShardedGrantTable`] (§4.1) — violations are
+//!   refused and audited;
 //! * **device data isolation** (§4.2, §5.3): protected regions, EPT
 //!   permission stripping, region-tagged IOMMU mappings with one active
 //!   region, device-memory aperture bounds behind protected MMIO.
@@ -32,8 +33,9 @@ use paradice_trace::{SpanId, TraceEvent, TraceMemOpKind, Tracer};
 
 use crate::audit::{AuditEvent, AuditLog};
 use crate::clock::{ClockSource, CostModel};
-use crate::grants::{GrantError, GrantRef, GrantTable, MemOpGrant, MemOpRequest};
+use crate::grants::{GrantError, GrantRef, MemOpGrant, MemOpRequest};
 use crate::regions::{DevMemRange, RegionError, RegionManager};
+use crate::shards::ShardedGrantTable;
 use crate::vm::{Vm, VmId, VmRole};
 
 /// Errors surfaced by hypervisor operations.
@@ -348,7 +350,8 @@ pub struct Hypervisor {
     mem: SystemMemory,
     vms: Vec<Vm>,
     iommu: Iommu,
-    grants: BTreeMap<u32, GrantTable>,
+    /// One shard per VM, indexed by VM id.
+    grants: ShardedGrantTable,
     domains: BTreeMap<usize, DomainState>,
     fixups: BTreeMap<FixupKey, Fixup>,
     audit: AuditLog,
@@ -432,7 +435,7 @@ impl Hypervisor {
             mem: SystemMemory::new(total_frames),
             vms: Vec::new(),
             iommu: Iommu::new(),
-            grants: BTreeMap::new(),
+            grants: ShardedGrantTable::empty(),
             domains: BTreeMap::new(),
             fixups: BTreeMap::new(),
             audit: AuditLog::new(),
@@ -504,11 +507,17 @@ impl Hypervisor {
     // VM lifecycle
     // ------------------------------------------------------------------
 
-    /// Creates a VM with `ram_bytes` of identity-mapped RAM.
+    /// Creates a VM with `ram_bytes` of identity-mapped RAM, and its shard
+    /// of the grant store.
     ///
     /// # Errors
     ///
     /// Fails if physical memory is exhausted.
+    ///
+    /// # Panics
+    ///
+    /// Past [`MAX_GUESTS`](crate::grants::MAX_GUESTS) VMs: a grant
+    /// reference carries no larger VM id.
     pub fn create_vm(&mut self, role: VmRole, ram_bytes: u64) -> Result<VmId, HvError> {
         let id = VmId(self.vms.len() as u32);
         let mut vm = Vm::new(id, role, ram_bytes);
@@ -520,7 +529,7 @@ impl Hypervisor {
                 Vm::ram_access(),
             )?;
         }
-        self.grants.insert(id.0, GrantTable::new());
+        self.grants.add_guest();
         self.vms.push(vm);
         Ok(id)
     }
@@ -598,10 +607,7 @@ impl Hypervisor {
         if !self.failed_driver_vms.insert(vm.0) {
             return Ok(0);
         }
-        let mut revoked = 0usize;
-        for table in self.grants.values_mut() {
-            revoked += table.revoke_all();
-        }
+        let revoked = self.grants.revoke_all();
         // Tear down hypervisor-installed mmap fix-ups: the frames behind
         // them are driver-VM pages that the rebooted driver will reuse.
         let fixups = std::mem::take(&mut self.fixups);
@@ -744,8 +750,7 @@ impl Hypervisor {
     ) -> Result<GrantRef, HvError> {
         self.vm(guest)?;
         self.hypercalls += 1;
-        let table = self.grants.get_mut(&guest.0).expect("grants track VMs");
-        Ok(table.declare(ops)?)
+        Ok(self.grants.declare(guest.0, ops)?)
     }
 
     /// Revokes a grant after the file operation completes.
@@ -756,16 +761,13 @@ impl Hypervisor {
     pub fn revoke_grant(&mut self, guest: VmId, grant: GrantRef) -> Result<bool, HvError> {
         self.vm(guest)?;
         self.hypercalls += 1;
-        Ok(self
-            .grants
-            .get_mut(&guest.0)
-            .expect("grants track VMs")
-            .revoke(grant))
+        Ok(self.grants.revoke(guest.0, grant))
     }
 
-    /// Outstanding declarations for a guest (tests and overhead accounting).
+    /// Outstanding declarations for a guest (tests and overhead accounting);
+    /// 0 for an id that names no VM.
     pub fn outstanding_grants(&self, guest: VmId) -> usize {
-        self.grants.get(&guest.0).map_or(0, |t| t.outstanding())
+        self.vm(guest).map_or(0, |_| self.grants.outstanding_of(guest.0))
     }
 
     /// Disables or re-enables grant validation: the devirtualization
@@ -777,11 +779,11 @@ impl Hypervisor {
     }
 
     /// Validates one hypercall's memory operations against `grant` through
-    /// the grant table's pure [`GrantTable::validate_batch`] kernel (the
-    /// phase-1 half of the all-or-nothing split that `crates/verify`
-    /// proves). Exactly one audit entry is recorded, for the first
-    /// violating request; an unknown guest VM fails on index 0 without an
-    /// audit entry.
+    /// [`ShardedGrantTable::validate_batch`] (the phase-1 half of the
+    /// all-or-nothing split that `crates/verify` proves). Exactly one audit
+    /// entry is recorded, for the first violating request. The guest id
+    /// comes from the driver VM, so one that names no VM fails on index 0
+    /// without an audit entry, before it indexes a shard.
     fn validate_grant_batch(
         &mut self,
         caller: VmId,
@@ -792,13 +794,14 @@ impl Hypervisor {
         if !self.grant_validation || ops.is_empty() {
             return Ok(());
         }
-        let Some(table) = self.grants.get(&guest.0) else {
-            return Err((0, HvError::UnknownVm { vm: guest }));
-        };
+        self.vm(guest).map_err(|e| (0, e))?;
         // A scalar call validates from the stack: no allocation per op.
         let verdict = match ops {
-            [op] => table.validate_batch(grant, &[op.request()]),
-            _ => table.validate_batch(grant, &ops.iter().map(MemOp::request).collect::<Vec<_>>()),
+            [op] => self.grants.validate_batch(guest.0, grant, &[op.request()]),
+            _ => {
+                let requests: Vec<_> = ops.iter().map(MemOp::request).collect();
+                self.grants.validate_batch(guest.0, grant, &requests)
+            }
         };
         verdict.map_err(|(index, e)| {
             self.audit.record(
@@ -1839,6 +1842,28 @@ mod tests {
                 .count_blocked_by(crate::audit::BlockedBy::GrantCheck),
             1
         );
+    }
+
+    /// The guest id of a memory operation comes from the driver VM, and the
+    /// grant store indexes its shards by it: an id past the last VM is
+    /// refused before any shard is touched.
+    #[test]
+    fn memops_naming_an_unknown_guest_are_refused_without_an_audit_entry() {
+        let mut hv = boot();
+        let (guest, pt) = guest_with_process(&mut hv);
+        let driver = hv.create_vm(VmRole::Driver, 16 * PAGE_SIZE).unwrap();
+        let window = vec![MemOpGrant::CopyToGuest { addr: GuestVirtAddr::new(0x10000), len: 16 }];
+        let grant = hv.declare_grants(guest, window).unwrap();
+        for unknown in [VmId(driver.0 + 1), VmId(u32::MAX)] {
+            let op = MemOp::CopyToGuest { dst: GuestVirtAddr::new(0x10000), data: b"x" };
+            let err = hv
+                .hc_memops(driver, unknown, pt.root(), grant, None, &mut [op])
+                .unwrap_err();
+            assert_eq!(err, HvError::UnknownVm { vm: unknown });
+            assert_eq!(hv.outstanding_grants(unknown), 0);
+        }
+        assert!(hv.audit().is_empty());
+        assert_eq!(hv.outstanding_grants(guest), 1);
     }
 
     #[test]

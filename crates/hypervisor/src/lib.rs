@@ -13,7 +13,8 @@
 //!   window used for `mmap` fix-ups.
 //! * [`grants`] — the grant table: legitimate memory operations declared by
 //!   the frontend, validated on every hypercall from the driver VM. One
-//!   per-guest kernel ([`GrantTable`]) serves both substrates.
+//!   page per guest, and a reference is its slot's index: a guest's
+//!   sequence wraps past its live references instead of running out.
 //! * [`hv`] — the [`Hypervisor`] itself: VM lifecycle, device assignment,
 //!   the hypercall API (one grant-checked entry for cross-VM copies and
 //!   `mmap` fix-ups, IOMMU control, protected MMIO), and device DMA
@@ -31,10 +32,12 @@
 //! * [`aring`] — the same ring page driven with real atomics
 //!   (acquire/release slot publication, park/unpark doorbell) for the
 //!   wall-clock engine.
-//! * [`shards`] — one [`GrantTable`] per guest with atomic slots: a
-//!   declare publishes one declaration, a revoke retires one, and readers
-//!   probe without a lock, so validation stays off the contended path
-//!   when frontend and backend run on separate threads.
+//! * [`shards`] — the one grant store, [`ShardedGrantTable`]: one page
+//!   per guest with atomic slots, owned by the [`Hypervisor`] and by each
+//!   multi-guest engine. A declare publishes one declaration, a revoke
+//!   retires one, and readers look up without a lock, so validation stays
+//!   off the contended path when frontend and backend run on separate
+//!   threads.
 //! * [`engine`] — the names of the two execution substrates
 //!   ([`EngineKind`]: deterministic virtual time vs. real threads) and
 //!   their failures ([`EngineError`]).
@@ -72,8 +75,7 @@ pub use clock::{ms, us, Clock, ClockSource, CostModel, SimClock, WallClock};
 pub use engine::{EngineError, EngineKind};
 pub use fairq::{FairSched, SchedPolicy};
 pub use grants::{
-    GrantError, GrantRef, GrantTable, MemOpGrant, MemOpRequest, GRANT_TABLE_CAPACITY, MAX_GUESTS,
-    SEQ_BITS,
+    GrantError, GrantRef, MemOpGrant, MemOpRequest, GRANT_TABLE_CAPACITY, MAX_GUESTS, SEQ_BITS,
 };
 pub use shards::{ShardedGrantTable, RETIRED_CAP};
 pub use hv::{HvError, Hypervisor, MemOp};

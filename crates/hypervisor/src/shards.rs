@@ -1,23 +1,24 @@
 //! The multi-tenant grant table: per-guest shards with lock-free reads.
 //!
-//! A shard *is* one guest's grant page — a [`GrantTable`], the kernel the
-//! virtual-time hypervisor steps under `RefCell` borrows, with atomic
-//! slots — published for threads. On the wall-clock engine the
-//! *backend* thread validates every memory operation while the *frontend*
-//! thread declares and revokes, so `check` must stay off any contended
-//! path: a frame's grant check sits on the per-op critical path exactly as
-//! the paper's hypercall validation does (§4.1), and a mutex there would
-//! serialize the two sides the engine exists to overlap. This module owns
-//! only that publication protocol; reference lookup (the probe), capacity
-//! and sequence allocation are the kernel's ([`crate::grants`]).
+//! This is the one grant store. A shard *is* one guest's grant page — the
+//! [`GrantTable`] kernel of [`crate::grants`] — published for threads; the
+//! virtual-time [`Hypervisor`](crate::hv::Hypervisor) owns one table and
+//! gains a shard per `create_vm`, and each multi-guest engine owns one
+//! sized for its guests. On the wall-clock engine the *backend* thread
+//! validates every memory operation while the *frontend* thread declares
+//! and revokes, so `check` must stay off any contended path: a frame's
+//! grant check sits on the per-op critical path exactly as the paper's
+//! hypercall validation does (§4.1), and a mutex there would serialize
+//! the two sides the engine exists to overlap. This module owns only that
+//! publication protocol; reference lookup (the home slot), capacity and
+//! sequence allocation are the kernel's.
 //!
 //! # Per-guest sharding
 //!
 //! Every [`GrantRef`] a shard issues is qualified with its owning guest in
 //! the reference's high bits ([`GUEST_BITS`]); the low [`SEQ_BITS`] are the
-//! kernel's per-guest monotonic sequence
-//! ([`GrantTable::for_guest`]). Two consequences, both load-bearing for
-//! multi-tenancy:
+//! kernel's per-guest sequence, which wraps inside the guest's range. Two
+//! consequences, both load-bearing for multi-tenancy:
 //!
 //! * **Isolation of contention.** One guest's grant churn touches only its
 //!   own shard (own page, own writer mutex, own reader gate), so a noisy
@@ -42,14 +43,14 @@
 //!
 //! Each slot of a shard's page is an `AtomicPtr` to one boxed declaration
 //! (null when empty). Readers announce themselves on the shard's
-//! `in_flight` gate, then probe the page — load a slot, compare the
-//! declaration's reference, scan its range index — and exit: no lock, no
-//! waiting. Writers take the shard's writer mutex, which owns the
+//! `in_flight` gate, then look the reference up — load its home slot,
+//! compare the declaration's reference, scan its range index — and exit:
+//! no lock, no waiting. Writers take the shard's writer mutex, which owns the
 //! reference sequence, so the kernel's sequence needs no atomics of its
 //! own:
 //!
-//! * `declare` builds one box and publishes it into the free slot the
-//!   kernel picked — one pointer store;
+//! * `declare` builds one box and publishes it into the empty home slot
+//!   the kernel picked — one pointer store;
 //! * `revoke` unpublishes that one box (swaps its slot to null) and
 //!   *retires* it into the writer's list; nothing else on the page moves.
 //!
@@ -68,9 +69,9 @@
 //! load, and the writer's gate check are all declared `SeqCst`
 //! ([`Edge::Gate`] in [`ATOMIC_SITES`], lint rule `MO005`):
 //!
-//! * a reader counted in `in_flight` finished its probe before its gate
+//! * a reader counted in `in_flight` finished its lookup before its gate
 //!   exit, and the exit precedes the writer's `0` observation in the SC
-//!   total order — probe happens-before free;
+//!   total order — lookup happens-before free;
 //! * a reader *not* counted entered the gate SC-after the writer's `0`
 //!   observation, hence SC-after every unpublish that retired the boxes
 //!   being freed; its SeqCst slot loads therefore return null or a newer
@@ -92,7 +93,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use crate::atomic::{Access, AccessKind, AtomicPtr, AtomicUsize, Edge, MemOrder, Role, SiteSpec};
 use crate::grants::{
-    Declaration, GrantError, GrantRef, GrantTable, MemOpGrant, MemOpRequest, PageSlot, Sequence,
+    Declaration, GrantError, GrantRef, GrantTable, MemOpGrant, MemOpRequest, Sequence,
     GRANT_TABLE_CAPACITY, MAX_GUESTS, SEQ_BITS, SEQ_MASK,
 };
 
@@ -139,19 +140,18 @@ pub static ATOMIC_SITES: [&SiteSpec; 2] = [&SLOT_SITE, &INFLIGHT_SITE];
 /// One slot of a shard's page: a pointer to a boxed declaration, null
 /// when empty.
 #[derive(Default)]
-struct AtomicSlot(AtomicPtr<Declaration>);
+pub(crate) struct AtomicSlot(AtomicPtr<Declaration>);
 
-impl PageSlot for AtomicSlot {
-    fn get(&self) -> Option<&Declaration> {
+impl AtomicSlot {
+    /// The declaration in this slot, if any.
+    pub(crate) fn get(&self) -> Option<&Declaration> {
         // SAFETY: this module loads a slot only inside the reader gate
         // (`Shard::read`) or under the writer mutex, and the box a load
         // returns is freed only by the writer, behind a zero gate reading
         // that follows its unpublish (module docs).
         unsafe { self.0.load(&SLOT_LOAD).as_ref() }
     }
-}
 
-impl AtomicSlot {
     /// Unpublishes this slot's declaration, if any. Writer only; the box
     /// must be retired, not dropped, while a reader may still hold it
     /// (the slot's own drop excepted: `&mut self` proves no reader).
@@ -169,9 +169,6 @@ impl Drop for AtomicSlot {
     }
 }
 
-/// A shard's page: atomic slots, the sequence kept in [`Writer`].
-type Page = GrantTable<AtomicSlot, ()>;
-
 /// A shard's writer state, behind its mutex.
 struct Writer {
     /// The guest's reference sequence.
@@ -187,14 +184,14 @@ struct Writer {
 /// One guest's shard: the page, the reclamation gate, and the writer
 /// mutex. Nothing in here is shared with any other guest.
 struct Shard {
-    page: Page,
+    page: GrantTable,
     /// Readers inside [`Shard::read`] right now — the reclamation gate
     /// the writer reads before freeing retired declarations.
     in_flight: AtomicUsize,
     writer: Mutex<Writer>,
 }
 
-/// Decrements the reader gate even if the probe closure panics — a stuck
+/// Decrements the reader gate even if the read closure panics — a stuck
 /// gate would spin the next reclaiming writer forever.
 struct GateGuard<'a>(&'a AtomicUsize);
 
@@ -207,7 +204,7 @@ impl Drop for GateGuard<'_> {
 impl Shard {
     fn new(guest: u32) -> Self {
         Shard {
-            page: GrantTable::with_sequence(()),
+            page: GrantTable::empty(),
             in_flight: AtomicUsize::new(0),
             writer: Mutex::new(Writer {
                 sequence: Sequence::for_guest(guest),
@@ -220,10 +217,11 @@ impl Shard {
         self.writer.lock().expect("grant shard writer poisoned")
     }
 
-    /// Declares into the free slot the kernel picks: one box, one publish.
+    /// Declares into the empty home slot the kernel picks: one box, one
+    /// publish.
     fn declare(&self, ops: Vec<MemOpGrant>) -> Result<GrantRef, GrantError> {
         let mut writer = self.writer();
-        let (index, declaration) = writer.sequence.declare(self.page.slots(), &ops)?;
+        let (index, declaration) = writer.sequence.declare(&self.page, &ops)?;
         let grant = declaration.grant;
         let old = self.page.slots()[index].0.swap(Box::into_raw(declaration), &SLOT_PUBLISH);
         debug_assert!(old.is_null(), "the kernel picked an occupied slot");
@@ -232,7 +230,7 @@ impl Shard {
 
     /// Unpublishes and retires the declarations in the slots `pick`
     /// chooses under the writer mutex, then reclaims; returns how many.
-    fn retire<I: Iterator<Item = usize>>(&self, pick: impl FnOnce(&Page) -> I) -> usize {
+    fn retire<I: Iterator<Item = usize>>(&self, pick: impl FnOnce(&GrantTable) -> I) -> usize {
         let mut writer = self.writer();
         let before = writer.retired.len();
         let picked = pick(&self.page);
@@ -253,7 +251,7 @@ impl Shard {
             if writer.retired.len() <= RETIRED_CAP {
                 return;
             }
-            // Reader critical sections are one probe, so a zero reading
+            // Reader critical sections are one lookup, so a zero reading
             // arrives quickly; yielding stays polite under
             // oversubscription.
             std::thread::yield_now();
@@ -264,7 +262,7 @@ impl Shard {
     /// Wait-free read of the page under the reclamation gate: every
     /// declaration the closure reaches stays alive for its duration, and
     /// no reference to one can outlive it.
-    fn read<T>(&self, read: impl FnOnce(&Page) -> T) -> T {
+    fn read<T>(&self, read: impl FnOnce(&GrantTable) -> T) -> T {
         self.in_flight.fetch_add(1, &INFLIGHT_ENTER);
         let _gate = GateGuard(&self.in_flight);
         read(&self.page)
@@ -286,6 +284,28 @@ impl ShardedGrantTable {
         ShardedGrantTable {
             shards: (0..guests).map(Shard::new).collect(),
         }
+    }
+
+    /// A table with no guests yet, for the hypervisor, which adds one
+    /// shard per VM.
+    pub(crate) fn empty() -> Self {
+        ShardedGrantTable { shards: Vec::new() }
+    }
+
+    /// Adds the shard of the next guest id (the hypervisor's
+    /// `create_vm`).
+    pub(crate) fn add_guest(&mut self) {
+        self.shards.push(Shard::new(self.shards.len() as u32));
+    }
+
+    /// Checker hook: spends `count` of `guest`'s sequence numbers without
+    /// issuing them, as if they had been declared and revoked, so slot
+    /// reuse and the wrap are reachable without 2^20 declares. The
+    /// sequence still skips every live reference's number.
+    #[doc(hidden)]
+    pub fn with_refs_spent(self, guest: u32, count: u32) -> Self {
+        self.shard_of(guest).writer().sequence.spend(count);
+        self
     }
 
     /// The guest id a reference is qualified with.
@@ -318,15 +338,13 @@ impl ShardedGrantTable {
     }
 
     /// Declares the legitimate operations of one file operation on behalf
-    /// of `guest`: [`GrantTable::declare`] on the guest's own page
-    /// (per-guest capacity, per-guest monotonically increasing references
-    /// with the guest id in the high bits).
+    /// of `guest` on the guest's own page (per-guest capacity, per-guest
+    /// references with the guest id in the high bits).
     ///
     /// # Errors
     ///
     /// [`GrantError::TableFull`] at [`GRANT_TABLE_CAPACITY`] outstanding
-    /// declarations *for this guest* (neighbors are unaffected), or when
-    /// the guest's [`SEQ_BITS`]-wide reference space is exhausted.
+    /// declarations *for this guest* (neighbors are unaffected).
     ///
     /// [`GRANT_TABLE_CAPACITY`]: crate::grants::GRANT_TABLE_CAPACITY
     pub fn declare(&self, guest: u32, ops: Vec<MemOpGrant>) -> Result<GrantRef, GrantError> {
@@ -346,12 +364,13 @@ impl ShardedGrantTable {
         grant: GrantRef,
         request: &MemOpRequest,
     ) -> Result<(), GrantError> {
-        self.owner_shard(guest, grant)?
-            .read(|page| page.validate(grant, request))
+        self.owner_shard(guest, grant)?.read(|page| {
+            page.validate_batch(grant, std::slice::from_ref(request)).map_err(|(_, error)| error)
+        })
     }
 
-    /// All-or-nothing batch validation ([`GrantTable::validate_batch`])
-    /// under one gate entry.
+    /// All-or-nothing batch validation under one gate entry: `Ok` iff
+    /// every request is covered by `grant`'s declaration.
     ///
     /// # Errors
     ///
@@ -383,7 +402,7 @@ impl ShardedGrantTable {
     /// Revokes everything one guest declared (guest teardown / flood
     /// containment) without touching any neighbor's shard. Returns the
     /// number of declarations revoked; the guest's reference numbering
-    /// continues so stale references can never alias new ones.
+    /// continues, so a revoked reference returns only after a full lap.
     pub fn revoke_guest(&self, guest: u32) -> usize {
         self.shard_of(guest).retire(|_| 0..GRANT_TABLE_CAPACITY)
     }
@@ -397,13 +416,13 @@ impl ShardedGrantTable {
     /// Outstanding declarations across all guests (racy snapshot, exact
     /// when quiescent).
     pub fn outstanding(&self) -> usize {
-        self.shards.iter().map(|shard| shard.read(Page::outstanding)).sum()
+        self.shards.iter().map(|shard| shard.read(GrantTable::outstanding)).sum()
     }
 
     /// Outstanding declarations of one guest (racy snapshot, exact when
     /// quiescent).
     pub fn outstanding_of(&self, guest: u32) -> usize {
-        self.shard_of(guest).read(Page::outstanding)
+        self.shard_of(guest).read(GrantTable::outstanding)
     }
 
     /// Retired declarations currently held alive for in-flight readers —

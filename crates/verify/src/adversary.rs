@@ -21,7 +21,7 @@
 //! regression test.
 
 use paradice_cvd::proto::{WireOp, WireRequest};
-use paradice_hypervisor::{GrantRef, GrantTable, MemOpGrant, MemOpRequest};
+use paradice_hypervisor::{GrantRef, MemOpGrant, MemOpRequest, ShardedGrantTable};
 use paradice_analyzer::lint::{DiagCode, Diagnostic};
 use paradice_mem::{GuestPhysAddr, GuestVirtAddr};
 
@@ -62,12 +62,16 @@ fn model_covers(grant: &MemOpGrant, request: &MemOpRequest) -> bool {
     }
 }
 
+/// The guest whose shard of the grant store the sweep declares on; its
+/// first reference is `GrantRef(0)`.
+const GUEST: u32 = 0;
+
 /// The containment verdict for one adversarial frame against one declared
 /// table. `Ok(detected)` when contained (`detected` = rejected outright),
 /// `Err(reason)` when enforcement accepted an operation the model rejects.
 fn contain_frame(
     bytes: &[u8],
-    table: &GrantTable,
+    table: &ShardedGrantTable,
     legit: GrantRef,
     decls: &[MemOpGrant],
     bypass: bool,
@@ -87,7 +91,7 @@ fn contain_frame(
         true
     } else {
         match request.grant {
-            Some(grant) => table.validate(grant, &mem_op).is_ok(),
+            Some(grant) => table.validate(GUEST, grant, &mem_op).is_ok(),
             None => false,
         }
     };
@@ -183,8 +187,8 @@ pub fn check_containment(mutant: Option<Mutant>) -> PropertyReport {
     let mut detected = 0usize;
 
     for (request, decls) in attack_corpus() {
-        let mut table = GrantTable::new();
-        let legit = table.declare(decls.clone()).expect("declare fits");
+        let table = ShardedGrantTable::with_guests(1);
+        let legit = table.declare(GUEST, decls.clone()).expect("declare fits");
         assert_eq!(legit, GrantRef(0), "fresh tables number refs from zero");
         let pristine = request.encode();
         frames += 1;
@@ -240,7 +244,7 @@ pub fn check_containment(mutant: Option<Mutant>) -> PropertyReport {
                 reason,
             }),
         }
-        assert!(table.revoke(legit), "legit ref is live until here");
+        assert!(table.revoke(GUEST, legit), "legit ref is live until here");
         checks += 1;
         // After revocation nothing covers the pristine frame either: the
         // oracle still calls it legitimate *by shape*, but enforcement
@@ -316,14 +320,14 @@ pub fn replay(fixture: &Fixture, mutant: Option<Mutant>) -> Result<(), String> {
         .into_iter()
         .map(parse_decl)
         .collect::<Result<_, _>>()?;
-    let mut table = GrantTable::new();
+    let table = ShardedGrantTable::with_guests(1);
     let legit = table
-        .declare(decls.clone())
+        .declare(GUEST, decls.clone())
         .map_err(|e| format!("declare failed: {e}"))?;
     if let Some(hex) = fixture.value("bytes") {
         let bytes = from_hex(hex)?;
         if fixture.value("attack") == Some("replayed-ref") {
-            table.revoke(legit);
+            table.revoke(GUEST, legit);
             return match contain_frame(&bytes, &table, GrantRef(u32::MAX), &decls, bypass) {
                 Ok(true) => Ok(()),
                 Ok(false) => Err("a revoked grant ref still validated".into()),
@@ -336,7 +340,7 @@ pub fn replay(fixture: &Fixture, mutant: Option<Mutant>) -> Result<(), String> {
     // already-decoded attack; containment is the enforcement-vs-model
     // comparison alone.
     let request = parse_request(fixture.value("request").ok_or("missing bytes= or request=")?)?;
-    let enforced = bypass || table.validate(legit, &request).is_ok();
+    let enforced = bypass || table.validate(GUEST, legit, &request).is_ok();
     let legitimate = decls.iter().any(|d| model_covers(d, &request));
     if enforced && !legitimate {
         return Err(format!(

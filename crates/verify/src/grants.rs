@@ -4,10 +4,12 @@
 //!
 //! The grant table is the isolation core's reference monitor (paper §4.1):
 //! the driver VM touches guest memory *only* through hypercalls the table
-//! validates. Its real implementation stacks three layers — `range_within`
-//! saturating/checked u64 arithmetic, per-kind sorted range indexes
-//! (`RangeIndex`, PR 5), and the linear `MemOpGrant::covers` fallback — and
-//! this module proves all three agree with a fourth, independent
+//! validates. Every property drives the one grant store the hypervisor and
+//! the engines share, [`ShardedGrantTable`], on guest 0, whose references
+//! start at `GrantRef(0)`. Its real implementation stacks three layers —
+//! `range_within` saturating/checked u64 arithmetic, per-kind sorted range
+//! indexes (`RangeIndex`, PR 5), and the linear `MemOpGrant::covers`
+//! fallback — and this module proves all three agree with a fourth, independent
 //! formulation: coverage computed in exact `u128` arithmetic.
 //!
 //! The spec the oracle encodes (also the trust boundary documented in
@@ -27,13 +29,22 @@
 //! `partition_point`/`prefix_max_end` logic is exercised across windows.
 
 use paradice_hypervisor::{
-    GrantError, GrantRef, GrantTable, MemOpGrant, MemOpRequest, GRANT_TABLE_CAPACITY, SEQ_BITS,
+    GrantError, GrantRef, MemOpGrant, MemOpRequest, ShardedGrantTable, GRANT_TABLE_CAPACITY,
 };
+use paradice_hypervisor::grants::SEQ_MASK;
 use paradice_analyzer::lint::{DiagCode, Diagnostic};
 use paradice_mem::{Access, GuestVirtAddr, PAGE_SIZE};
 
 use crate::fixture::Fixture;
 use crate::report::{Mutant, PropertyReport};
+
+/// The guest whose shard every grant property drives.
+const GUEST: u32 = 0;
+
+/// A store with one empty shard, [`GUEST`]'s.
+fn fresh() -> ShardedGrantTable {
+    ShardedGrantTable::with_guests(1)
+}
 
 /// Boundary addresses: zero, off-by-one, page edges, and the `u64::MAX`
 /// overflow frontier.
@@ -199,13 +210,13 @@ pub(crate) fn parse_request(line: &str) -> Result<MemOpRequest, String> {
 /// indexed validation (the production path), the linear `covers` scan, and
 /// the exact-arithmetic model must all agree.
 fn check_one(
-    table: &GrantTable,
+    table: &ShardedGrantTable,
     grant: GrantRef,
     decls: &[MemOpGrant],
     request: &MemOpRequest,
     strict_end: bool,
 ) -> Result<(), String> {
-    let indexed = table.validate(grant, request).is_ok();
+    let indexed = table.validate(GUEST, grant, request).is_ok();
     let linear = decls.iter().any(|d| d.covers(request));
     let model = model_accepts(decls, request, strict_end);
     if indexed != model {
@@ -250,8 +261,8 @@ fn sweep(
 ) -> usize {
     let mut table_count = 0;
     for decls in tables {
-        let mut table = GrantTable::new();
-        let Ok(grant) = table.declare(decls.clone()) else {
+        let table = fresh();
+        let Ok(grant) = table.declare(GUEST, decls.clone()) else {
             continue;
         };
         table_count += 1;
@@ -471,8 +482,8 @@ pub fn check_batch(_mutant: Option<Mutant>) -> PropertyReport {
             len: 0x100,
         },
     ];
-    let mut table = GrantTable::new();
-    let grant = table.declare(decls).expect("declare fits an empty table");
+    let table = fresh();
+    let grant = table.declare(GUEST, decls).expect("declare fits an empty table");
     let pool = [
         MemOpRequest::CopyFromGuest {
             addr: GuestVirtAddr::new(0x1000),
@@ -526,9 +537,9 @@ pub fn check_batch(_mutant: Option<Mutant>) -> PropertyReport {
             .iter()
             .enumerate()
             .find_map(|(index, request)| {
-                table.validate(grant, request).err().map(|e| (index, e))
+                table.validate(GUEST, grant, request).err().map(|e| (index, e))
             });
-        let got = table.validate_batch(grant, requests).err();
+        let got = table.validate_batch(GUEST, grant, requests).err();
         if got != expected {
             findings.push(Diagnostic::new(
                 DiagCode::Vp001,
@@ -542,17 +553,20 @@ pub fn check_batch(_mutant: Option<Mutant>) -> PropertyReport {
     }
 
     // Stale ref: every non-empty batch fails at index 0 with UnknownRef.
-    let mut stale_table = GrantTable::new();
+    let stale_table = fresh();
     let stale = stale_table
-        .declare(vec![MemOpGrant::CopyFromGuest {
-            addr: GuestVirtAddr::new(0),
-            len: 0x1000,
-        }])
+        .declare(
+            GUEST,
+            vec![MemOpGrant::CopyFromGuest {
+                addr: GuestVirtAddr::new(0),
+                len: 0x1000,
+            }],
+        )
         .expect("declare fits");
-    assert!(stale_table.revoke(stale));
+    assert!(stale_table.revoke(GUEST, stale));
     for requests in &vectors {
         checks += 1;
-        let got = stale_table.validate_batch(stale, requests).err();
+        let got = stale_table.validate_batch(GUEST, stale, requests).err();
         let expected = if requests.is_empty() {
             None
         } else {
@@ -577,56 +591,29 @@ pub fn check_batch(_mutant: Option<Mutant>) -> PropertyReport {
     }
 }
 
-/// One reference layout of the grant kernel, as the revocation property
-/// drives it: a fresh table and the first and last references it issues.
-struct Layout {
-    name: &'static str,
-    fresh: fn() -> GrantTable,
-    first: u32,
-    last: u32,
-}
-
-/// The guest whose qualified layout the property exercises.
-const GUEST: u32 = 5;
-
-const LAYOUTS: [Layout; 2] = [
-    Layout {
-        name: "32-bit",
-        fresh: GrantTable::new,
-        first: 0,
-        last: u32::MAX,
-    },
-    Layout {
-        name: "guest-qualified",
-        fresh: || GrantTable::for_guest(GUEST),
-        first: GUEST << SEQ_BITS,
-        last: (GUEST << SEQ_BITS) | ((1 << SEQ_BITS) - 1),
-    },
-];
-
 /// `grant-revocation`: revoked refs validate as `UnknownRef` and are never
 /// resurrected — not even by the later reference that takes over their home
-/// slot; `revoke_all` empties the table; capacity is exact; and the last
-/// reference is issued once, after which the table is `TableFull` forever —
-/// under both reference layouts. [`Mutant::GrantPageSkipRefCompare`]
-/// resolves a reference to whatever its home slot holds; the slot-reuse
-/// check must then catch the stale reference validating.
+/// slot; a live ref is never issued again, also across the wrap of the
+/// guest's sequence; capacity is exactly `GRANT_TABLE_CAPACITY` live refs,
+/// and `revoke_all` frees every slot. Two scripted scenarios face the
+/// seeded mutants: [`Mutant::GrantPageSkipRefCompare`] resolves a
+/// reference to whatever its home slot holds, and
+/// [`Mutant::GrantIssueIntoOccupiedHome`] issues the next number into its
+/// home slot whether or not a live declaration sits there.
 pub fn check_revocation(mutant: Option<Mutant>) -> PropertyReport {
     const NAME: &str = "grant-revocation";
     const DESC: &str =
         "revoked refs reject as UnknownRef, also once a later ref reuses their home slot; \
-         numbering never reuses a ref (fails closed at the last one), capacity exact; both \
-         reference layouts";
+         a live ref is never reissued, also across the sequence wrap; capacity exactly 128 \
+         live refs, revoke_all frees every slot";
     let mut findings: Vec<Diagnostic> = Vec::new();
     let mut checks = 0usize;
     let mut fixture = None;
-    for layout in &LAYOUTS {
-        check_revocation_in(layout, &mut findings, &mut checks);
+    check_lifecycle(&mut findings, &mut checks);
+    for scenario in SCENARIOS {
         checks += 1;
-        if let Err(reason) = check_home_slot_reuse(layout, mutant) {
-            let mut reuse = Fixture::new(NAME, mutant.map(Mutant::name), &reason);
-            reuse.push_data("layout", layout.name);
-            fixture.get_or_insert(reuse);
+        if let Err(reason) = scenario(mutant) {
+            fixture.get_or_insert_with(|| Fixture::new(NAME, mutant.map(Mutant::name), &reason));
             findings.push(Diagnostic::new(DiagCode::Vp001, "grant-table", None, reason));
         }
     }
@@ -638,122 +625,150 @@ pub fn check_revocation(mutant: Option<Mutant>) -> PropertyReport {
     }
 }
 
-/// Home-slot reuse under `layout`: the first reference is revoked, the
-/// references before `first + CAP` are spent, and `first + CAP` is declared
-/// with the same window — into the same home slot. Validating the revoked
-/// reference must still be `UnknownRef`. Under
-/// [`Mutant::GrantPageSkipRefCompare`] the lookup resolves it to its home
-/// slot's occupant — `fresh` — instead.
-fn check_home_slot_reuse(layout: &Layout, mutant: Option<Mutant>) -> Result<(), String> {
-    let window = vec![MemOpGrant::CopyFromGuest {
-        addr: GuestVirtAddr::new(0x1000),
+/// A scripted `grant-revocation` scenario, run under a seeded mutant.
+type Scenario = fn(Option<Mutant>) -> Result<(), String>;
+
+/// The scenarios a `grant-revocation` fixture replays.
+const SCENARIOS: [Scenario; 2] = [check_home_slot_reuse, check_live_home_kept];
+
+fn copy_window(addr: u64) -> MemOpGrant {
+    MemOpGrant::CopyFromGuest {
+        addr: GuestVirtAddr::new(addr),
         len: 0x1000,
-    }];
-    let probe = MemOpRequest::CopyFromGuest {
-        addr: GuestVirtAddr::new(0x1000),
+    }
+}
+
+fn copy_request(addr: u64) -> MemOpRequest {
+    MemOpRequest::CopyFromGuest {
+        addr: GuestVirtAddr::new(addr),
         len: 1,
-    };
+    }
+}
+
+/// Declares one [`copy_window`] for [`GUEST`].
+fn declare(table: &ShardedGrantTable, addr: u64) -> Result<GrantRef, GrantError> {
+    table.declare(GUEST, vec![copy_window(addr)])
+}
+
+/// Home-slot reuse: the first reference is revoked, the references before
+/// `first + CAP` are spent, and `first + CAP` is declared with the same
+/// window — into the same home slot. Validating the revoked reference must
+/// still be `UnknownRef`. Under [`Mutant::GrantPageSkipRefCompare`] the
+/// lookup resolves it to its home slot's occupant — `fresh` — instead.
+fn check_home_slot_reuse(mutant: Option<Mutant>) -> Result<(), String> {
     let cap = GRANT_TABLE_CAPACITY as u32;
-    let mut table = (layout.fresh)();
-    let stale = table.declare(window.clone()).map_err(|e| format!("declare: {e}"))?;
-    table.revoke(stale);
-    let mut table = table.with_refs_spent(cap - 1);
-    let fresh = table.declare(window).map_err(|e| format!("declare: {e}"))?;
+    let table = fresh();
+    let stale = declare(&table, 0x1000).map_err(|e| format!("declare: {e}"))?;
+    table.revoke(GUEST, stale);
+    let table = table.with_refs_spent(GUEST, cap - 1);
+    let fresh = declare(&table, 0x1000).map_err(|e| format!("declare: {e}"))?;
     if fresh.0 != stale.0 + cap {
-        return Err(format!("{} layout: expected {stale} + {cap}, got {fresh}", layout.name));
+        return Err(format!("expected {stale} + {cap}, got {fresh}"));
     }
     // `fresh` sits in `stale`'s home slot: the page held nothing else.
     let resolved = if mutant == Some(Mutant::GrantPageSkipRefCompare) { fresh } else { stale };
-    match table.validate(resolved, &probe) {
+    match table.validate(GUEST, resolved, &copy_request(0x1000)) {
         Err(GrantError::UnknownRef { .. }) => Ok(()),
         other => Err(format!(
-            "{} layout: revoked {stale} validated as {other:?} once {fresh} took its home slot",
-            layout.name
+            "revoked {stale} validated as {other:?} once {fresh} took its home slot"
         )),
     }
 }
 
-fn check_revocation_in(layout: &Layout, findings: &mut Vec<Diagnostic>, checks: &mut usize) {
+/// A live home slot is kept: `live` is held, the references before
+/// `live + CAP` are spent, and one more is declared. `live` must keep
+/// validating its own window and only that. Under
+/// [`Mutant::GrantIssueIntoOccupiedHome`] the sequence publishes
+/// `live + CAP` over `live`'s declaration — modelled by dropping `live`'s
+/// declaration before the declare, which is what the overwrite does.
+fn check_live_home_kept(mutant: Option<Mutant>) -> Result<(), String> {
+    let cap = GRANT_TABLE_CAPACITY as u32;
+    let table = fresh();
+    let live = declare(&table, 0x1000).map_err(|e| format!("declare: {e}"))?;
+    let table = table.with_refs_spent(GUEST, cap - 1);
+    if mutant == Some(Mutant::GrantIssueIntoOccupiedHome) {
+        table.revoke(GUEST, live);
+    }
+    let next = declare(&table, 0x2000).map_err(|e| format!("declare: {e}"))?;
+    if next == live {
+        return Err(format!("live {live} was issued again"));
+    }
+    match table.validate(GUEST, live, &copy_request(0x1000)) {
+        Ok(()) => {}
+        other => {
+            return Err(format!(
+                "live {live} validated its own window as {other:?} once {next} was declared"
+            ))
+        }
+    }
+    match table.validate(GUEST, live, &copy_request(0x2000)) {
+        Err(GrantError::NotCovered { .. }) => Ok(()),
+        other => Err(format!("live {live} validated {next}'s window as {other:?}")),
+    }
+}
+
+/// The scripted lifecycle: numbering pins at the first and last sequence
+/// numbers, revocation, capacity, `revoke_all`, and the wrap past a live
+/// reference.
+fn check_lifecycle(findings: &mut Vec<Diagnostic>, checks: &mut usize) {
     let fail = |findings: &mut Vec<Diagnostic>, message: String| {
-        findings.push(Diagnostic::new(
-            DiagCode::Vp001,
-            "grant-table",
-            None,
-            format!("{} layout: {message}", layout.name),
-        ));
+        findings.push(Diagnostic::new(DiagCode::Vp001, "grant-table", None, message));
+    };
+    let valid = |table: &ShardedGrantTable, grant, addr| {
+        table.validate(GUEST, grant, &copy_request(addr)).is_ok()
     };
 
-    let window = |addr: u64| MemOpGrant::CopyFromGuest {
-        addr: GuestVirtAddr::new(addr),
-        len: 0x1000,
-    };
-    let probe = |addr: u64| MemOpRequest::CopyFromGuest {
-        addr: GuestVirtAddr::new(addr),
-        len: 1,
-    };
-
-    let mut table = (layout.fresh)();
-    let d1 = table.declare(vec![window(0x1000)]).expect("declare d1");
-    let d2 = table.declare(vec![window(0x2000)]).expect("declare d2");
+    let table = fresh();
+    let d1 = declare(&table, 0x1000).expect("declare d1");
+    let d2 = declare(&table, 0x2000).expect("declare d2");
     *checks += 1;
-    if (d1, d2) != (GrantRef(layout.first), GrantRef(layout.first + 1)) {
-        fail(findings, format!("numbering must start at the layout's first ref, got {d1}, {d2}"));
+    if (d1, d2) != (GrantRef(0), GrantRef(1)) {
+        fail(findings, format!("numbering must start at the guest's first ref, got {d1}, {d2}"));
     }
     *checks += 1;
-    if table.validate(d1, &probe(0x1000)).is_err() || table.validate(d2, &probe(0x2000)).is_err() {
+    if !valid(&table, d1, 0x1000) || !valid(&table, d2, 0x2000) {
         fail(findings, "fresh declarations must validate".into());
     }
     *checks += 1;
-    if !table.revoke(d1) {
+    if !table.revoke(GUEST, d1) {
         fail(findings, "revoking a live ref must succeed".into());
     }
     *checks += 1;
-    match table.validate(d1, &probe(0x1000)) {
+    match table.validate(GUEST, d1, &copy_request(0x1000)) {
         Err(GrantError::UnknownRef { .. }) => {}
-        other => fail(
-            findings,
-            format!("revoked ref must be UnknownRef, got {other:?}"),
-        ),
+        other => fail(findings, format!("revoked ref must be UnknownRef, got {other:?}")),
     }
     *checks += 1;
-    if table.validate(d2, &probe(0x2000)).is_err() {
+    if !valid(&table, d2, 0x2000) {
         fail(findings, "revoking d1 must not affect d2".into());
     }
     *checks += 1;
-    if table.revoke(d1) {
+    if table.revoke(GUEST, d1) {
         fail(findings, "revoking a revoked ref must be inert".into());
     }
-    let d3 = table.declare(vec![window(0x3000)]).expect("declare d3");
+    let d3 = declare(&table, 0x3000).expect("declare d3");
     *checks += 1;
     if d3 == d1 {
-        fail(findings, "a revoked ref must never be reused".into());
+        fail(findings, "a revoked ref must not come back before a full lap".into());
     }
     *checks += 1;
     let revoked = table.revoke_all();
     if revoked != 2 || table.outstanding() != 0 {
-        fail(
-            findings,
-            format!("revoke_all revoked {revoked}, outstanding {}", table.outstanding()),
-        );
+        let outstanding = table.outstanding();
+        fail(findings, format!("revoke_all revoked {revoked}, outstanding {outstanding}"));
     }
     *checks += 1;
-    if table.validate(d2, &probe(0x2000)).is_ok() || table.validate(d3, &probe(0x3000)).is_ok() {
+    if valid(&table, d2, 0x2000) || valid(&table, d3, 0x3000) {
         fail(findings, "refs must die with revoke_all".into());
     }
 
-    // Capacity is exactly GRANT_TABLE_CAPACITY, and revocation frees a slot.
-    let mut full = (layout.fresh)();
-    let mut refs = Vec::new();
+    // Capacity is exactly GRANT_TABLE_CAPACITY live refs, revocation frees
+    // a slot, and revoke_all frees every slot.
+    let full = fresh();
     let mut declared = 0usize;
-    loop {
-        match full.declare(vec![window((declared as u64 + 1) * 0x1000)]) {
-            Ok(r) => {
-                refs.push(r);
-                declared += 1;
-                if declared > GRANT_TABLE_CAPACITY {
-                    break;
-                }
-            }
+    while declared <= GRANT_TABLE_CAPACITY {
+        match declare(&full, (declared as u64 + 1) * 0x1000) {
+            Ok(_) => declared += 1,
             Err(GrantError::TableFull) => break,
             Err(other) => {
                 fail(findings, format!("unexpected declare error {other:?}"));
@@ -769,52 +784,46 @@ fn check_revocation_in(layout: &Layout, findings: &mut Vec<Diagnostic>, checks: 
         );
     }
     *checks += 1;
-    if let Some(&first) = refs.first() {
-        full.revoke(first);
-        if full.declare(vec![window(0xdead_0000)]).is_err() {
-            fail(findings, "revocation must free a capacity slot".into());
-        }
+    full.revoke(GUEST, GrantRef(0));
+    if declare(&full, 0xdead_0000).is_err() {
+        fail(findings, "revocation must free a capacity slot".into());
+    }
+    *checks += 1;
+    let revoked = full.revoke_all();
+    let refilled = (0..GRANT_TABLE_CAPACITY as u64).filter(|i| declare(&full, i * 0x1000).is_ok());
+    if revoked != GRANT_TABLE_CAPACITY || refilled.count() != GRANT_TABLE_CAPACITY {
+        fail(findings, format!("revoke_all revoked {revoked} of a full page, must free all"));
     }
 
-    // The exhaustion edge: the last reference is issued exactly once, then
-    // the table fails closed forever — a numbering that restarted would
-    // hand a stale holder's reference to a new declaration.
-    let mut edge = (layout.fresh)().with_refs_spent(layout.last - layout.first - 1);
-    let penultimate = edge.declare(vec![window(0x1000)]);
-    let last = edge.declare(vec![window(0x2000)]);
+    // The wrap: the last sequence number is issued, then the sequence
+    // restarts at the guest's first ref — skipping it while it is live.
+    let last = ShardedGrantTable::compose_ref(GUEST, SEQ_MASK);
+    let edge = fresh();
+    let live = declare(&edge, 0x1000).expect("declare the live ref");
+    let edge = edge.with_refs_spent(GUEST, SEQ_MASK - 2);
+    let penultimate = declare(&edge, 0x2000);
+    let at_edge = declare(&edge, 0x3000);
     *checks += 1;
-    if (penultimate, last) != (Ok(GrantRef(layout.last - 1)), Ok(GrantRef(layout.last))) {
+    if (penultimate, at_edge) != (Ok(GrantRef(last.0 - 1)), Ok(last)) {
         fail(
             findings,
-            format!("the last two refs must be issued in order, got {penultimate:?}, {last:?}"),
+            format!("the last two refs must be issued in order, got {penultimate:?}, {at_edge:?}"),
         );
     }
+    let wrapped = declare(&edge, 0x4000);
     *checks += 1;
-    if (0..3).any(|_| edge.declare(vec![window(0x3000)]) != Err(GrantError::TableFull)) {
-        fail(findings, "a spent reference space must be TableFull forever".into());
+    if wrapped != Ok(GrantRef(1)) {
+        fail(findings, format!("the wrap must skip live {live} to grant#1, got {wrapped:?}"));
     }
     *checks += 1;
-    if edge.validate(GrantRef(layout.last), &probe(0x2000)).is_err() {
-        fail(findings, "the last ref must stay live while the table is spent".into());
-    }
-    *checks += 1;
-    edge.revoke(GrantRef(layout.last));
-    if edge.declare(vec![window(0x3000)]) != Err(GrantError::TableFull) {
-        fail(findings, "revoking must not reopen a spent reference space".into());
-    }
-    *checks += 1;
-    edge.revoke_all();
-    if edge.declare(vec![window(0x3000)]) != Err(GrantError::TableFull)
-        || edge.validate(GrantRef(layout.last), &probe(0x2000)).is_ok()
-    {
-        fail(findings, "revoke_all must not reopen or resurrect anything".into());
+    if !valid(&edge, live, 0x1000) || valid(&edge, live, 0x4000) {
+        fail(findings, "a live ref must keep exactly its own window across the wrap".into());
     }
 }
 
-/// Replays a grant fixture: a `grant-revocation` one re-runs the home-slot
-/// reuse scenario on its `layout=`; a `grant-soundness` one rebuilds the
-/// table from `decl=` lines and re-runs the three-way comparison on the
-/// `request=` line.
+/// Replays a grant fixture: a `grant-revocation` one re-runs the scripted
+/// scenarios; a `grant-soundness` one rebuilds the table from `decl=` lines
+/// and re-runs the three-way comparison on the `request=` line.
 ///
 /// # Errors
 ///
@@ -822,12 +831,7 @@ fn check_revocation_in(layout: &Layout, findings: &mut Vec<Diagnostic>, checks: 
 /// under the given mutant), or a parse error for malformed fixtures.
 pub fn replay(fixture: &Fixture, mutant: Option<Mutant>) -> Result<(), String> {
     if fixture.property == "grant-revocation" {
-        let name = fixture.value("layout").ok_or("missing layout= line")?;
-        let layout = LAYOUTS
-            .iter()
-            .find(|layout| layout.name == name)
-            .ok_or_else(|| format!("unknown layout {name:?}"))?;
-        return check_home_slot_reuse(layout, mutant);
+        return SCENARIOS.iter().try_for_each(|scenario| scenario(mutant));
     }
     let strict_end = mutant == Some(Mutant::GrantCoverOffByOne);
     let decls: Vec<MemOpGrant> = fixture
@@ -836,9 +840,9 @@ pub fn replay(fixture: &Fixture, mutant: Option<Mutant>) -> Result<(), String> {
         .map(parse_decl)
         .collect::<Result<_, _>>()?;
     let request = parse_request(fixture.value("request").ok_or("missing request= line")?)?;
-    let mut table = GrantTable::new();
+    let table = fresh();
     let grant = table
-        .declare(decls.clone())
+        .declare(GUEST, decls.clone())
         .map_err(|e| format!("declare failed: {e}"))?;
     check_one(&table, grant, &decls, &request, strict_end)
 }
@@ -869,11 +873,21 @@ mod tests {
     fn skipping_the_ref_compare_is_caught_on_a_reused_home_slot() {
         let report = check_revocation(Some(Mutant::GrantPageSkipRefCompare));
         assert!(!report.proved);
-        assert_eq!(report.findings.len(), LAYOUTS.len(), "both layouts see it");
+        assert_eq!(report.findings.len(), 1, "only the home-slot reuse scenario sees it");
         let fixture = report.counterexample.expect("counterexample emitted");
-        assert_eq!(fixture.value("layout"), Some("32-bit"));
         assert!(replay(&fixture, None).is_ok());
         assert!(replay(&fixture, Some(Mutant::GrantPageSkipRefCompare)).is_err());
+    }
+
+    #[test]
+    fn issuing_into_an_occupied_home_is_caught_on_a_live_ref() {
+        let report = check_revocation(Some(Mutant::GrantIssueIntoOccupiedHome));
+        assert!(!report.proved);
+        assert_eq!(report.findings.len(), 1, "only the live-home scenario sees it");
+        let fixture = report.counterexample.expect("counterexample emitted");
+        assert_eq!(fixture.file_name(), "grant-issue-into-occupied-home.fixture");
+        assert!(replay(&fixture, None).is_ok());
+        assert!(replay(&fixture, Some(Mutant::GrantIssueIntoOccupiedHome)).is_err());
     }
 
     #[test]

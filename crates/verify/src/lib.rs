@@ -8,7 +8,8 @@
 //! parse (the lone attack surface the backend exposes to a compromised
 //! frontend and vice versa). This crate proves those three kernels correct
 //! within documented bounds, by running the *real* implementations —
-//! [`paradice_hypervisor::GrantTable`], [`paradice_hypervisor::RingIndex`],
+//! [`paradice_hypervisor::ShardedGrantTable`] (the one grant store),
+//! [`paradice_hypervisor::RingIndex`],
 //! [`paradice_cvd::cache::GrantCache`], the `decode_probed` codec paths,
 //! the frontend's JIT evaluator that decides what gets granted —
 //! against independent executable specifications:
@@ -17,7 +18,7 @@
 //! |---------------------|------------------------------------------|
 //! | `grant-soundness`   | boundary-value enumeration vs a `u128` coverage model |
 //! | `grant-batch`       | exhaustive small-vector enumeration (all-or-nothing phase split) |
-//! | `grant-revocation`  | scripted lifecycle, home-slot reuse + capacity exhaustion |
+//! | `grant-revocation`  | scripted lifecycle, home-slot reuse, live-home skip, capacity, sequence wrap |
 //! | `ring-depth1/8`     | bounded-unrolling state exploration, zero and wrap seeds |
 //! | `cache-revocation`  | full-state-space exploration with canonical ref renaming |
 //! | `codec-roundtrip`   | corpus enumeration incl. all truncations  |
@@ -35,10 +36,9 @@
 //! [`Diagnostic`](paradice_analyzer::lint::Diagnostic)s and as replayable
 //! [`Fixture`](fixture::Fixture)s. Seeded [`Mutant`](report::Mutant)s are
 //! the checker's own regression suite: each deliberately-broken variant
-//! must be disproved, or the checker has gone blind. The same properties
-//! are mirrored as `cargo kani` proof harnesses next to the kernels they
-//! prove (`#[cfg(kani)]` in the hypervisor and cvd crates); the model
-//! checker is the always-on gate, kani the optional deeper one.
+//! must be disproved, or the checker has gone blind. The model checker is
+//! the always-on gate; the one remaining `cargo kani` harness, next to
+//! `RingIndex`, is an optional stage.
 
 pub mod adversary;
 pub mod cache;

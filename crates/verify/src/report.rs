@@ -62,11 +62,15 @@ pub enum Mutant {
     /// into the same slot, the stale `r` validates against the new
     /// declaration.
     GrantPageSkipRefCompare,
+    /// The grant sequence issues its next number without checking that
+    /// number's home slot: with `r` live and 127 refs spent, `r + CAP` is
+    /// published over `r`'s declaration, and `r` stops validating.
+    GrantIssueIntoOccupiedHome,
 }
 
 impl Mutant {
     /// Every seeded mutant, for `--list` and the check.sh gate.
-    pub const ALL: [Mutant; 15] = [
+    pub const ALL: [Mutant; 16] = [
         Mutant::RingWindowOffByOne,
         Mutant::GrantCoverOffByOne,
         Mutant::CacheEvictInflight,
@@ -82,6 +86,7 @@ impl Mutant {
         Mutant::JitRefetchUnsnapshotted,
         Mutant::ReadyPublishBeforeFrame,
         Mutant::GrantPageSkipRefCompare,
+        Mutant::GrantIssueIntoOccupiedHome,
     ];
 
     /// The CLI/fixture name.
@@ -102,6 +107,7 @@ impl Mutant {
             Mutant::JitRefetchUnsnapshotted => "jit-refetch-unsnapshotted",
             Mutant::ReadyPublishBeforeFrame => "ready-publish-before-frame",
             Mutant::GrantPageSkipRefCompare => "grant-page-skip-ref-compare",
+            Mutant::GrantIssueIntoOccupiedHome => "grant-issue-into-occupied-home",
         }
     }
 

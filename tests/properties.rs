@@ -5,8 +5,9 @@
 //!
 //! * grant validation is *sound*: no request outside a declared grant ever
 //!   validates (fault isolation, §4.1);
-//! * the sharded table is the grant kernel published, nothing more: the two
-//!   agree on every reference, verdict and count;
+//! * the one grant store agrees with an independent model of live
+//!   declarations on every verdict and count, and never issues a live
+//!   reference again, also across the wrap of a guest's sequence;
 //! * the analyzer's extraction *agrees with the driver*: the operations the
 //!   JIT predicts are exactly the operations the driver performs (§4.1);
 //! * two-stage translation round-trips;
@@ -17,6 +18,7 @@
 //!   refusal applies nothing of its hypercall.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use proptest::prelude::*;
@@ -24,7 +26,9 @@ use proptest::prelude::*;
 use paradice_cvd::HypercallMemOps;
 use paradice_devfs::ioc::{IoctlCmd, IoctlDir, MAX_IOC_SIZE};
 use paradice_devfs::{Errno, MemOps};
-use paradice_hypervisor::grants::{GrantTable, MemOpGrant, MemOpRequest, GRANT_TABLE_CAPACITY};
+use paradice_hypervisor::grants::{
+    GrantError, MemOpGrant, MemOpRequest, GRANT_TABLE_CAPACITY, SEQ_MASK,
+};
 use paradice_hypervisor::vm::VmRole;
 use paradice_hypervisor::{BlockedBy, CostModel, Hypervisor, ShardedGrantTable, SimClock};
 use paradice_mem::pagetable::{FlatGpaSpace, GuestPageTables};
@@ -185,19 +189,19 @@ proptest! {
         to_guest in any::<bool>(),
         req_to_guest in any::<bool>(),
     ) {
-        let mut table = GrantTable::new();
+        let table = ShardedGrantTable::with_guests(1);
         let grant_op = if to_guest {
             MemOpGrant::CopyToGuest { addr: GuestVirtAddr::new(grant_addr), len: grant_len }
         } else {
             MemOpGrant::CopyFromGuest { addr: GuestVirtAddr::new(grant_addr), len: grant_len }
         };
-        let reference = table.declare(vec![grant_op]).unwrap();
+        let reference = table.declare(0, vec![grant_op]).unwrap();
         let request = if req_to_guest {
             MemOpRequest::CopyToGuest { addr: GuestVirtAddr::new(req_addr), len: req_len }
         } else {
             MemOpRequest::CopyFromGuest { addr: GuestVirtAddr::new(req_addr), len: req_len }
         };
-        let allowed = table.validate(reference, &request).is_ok();
+        let allowed = table.validate(0, reference, &request).is_ok();
         let contained = to_guest == req_to_guest
             && req_addr >= grant_addr
             && req_addr.checked_add(req_len)
@@ -208,81 +212,112 @@ proptest! {
     /// Revoked grants never validate anything.
     #[test]
     fn revoked_grants_are_dead(addr in 0u64..1 << 30, len in 1u64..4096) {
-        let mut table = GrantTable::new();
+        let table = ShardedGrantTable::with_guests(1);
         let reference = table
-            .declare(vec![MemOpGrant::CopyToGuest {
+            .declare(0, vec![MemOpGrant::CopyToGuest {
                 addr: GuestVirtAddr::new(addr),
                 len,
             }])
             .unwrap();
-        table.revoke(reference);
+        table.revoke(0, reference);
         let request = MemOpRequest::CopyToGuest { addr: GuestVirtAddr::new(addr), len };
-        prop_assert!(table.validate(reference, &request).is_err());
+        prop_assert!(table.validate(0, reference, &request).is_err());
     }
 
-    /// One kernel, two substrates: any declare / validate / validate_batch /
-    /// revoke / revoke_all script yields identical references, verdicts and
-    /// outstanding counts on a guest-qualified `GrantTable` and on that
-    /// guest's shard of a `ShardedGrantTable`. The prefill keeps up to
-    /// 127 references live; the churn then issues two pages' worth, each
-    /// revoked at once, so every home slot is reused — past live
-    /// residents, too — before the script probes live, stale and
-    /// never-issued references. The prefill makes `TableFull` reachable.
+    /// The one grant store against an independent model: a map of the live
+    /// declarations, checked with linear `MemOpGrant::covers`. Any
+    /// declare / validate / validate_batch / revoke / revoke_all script
+    /// yields the verdicts and counts the model predicts, and no issued
+    /// reference equals a live one. The prefill keeps up to 127 references
+    /// live; the churn then issues two pages' worth, each revoked at once,
+    /// so every home slot is reused — past live residents, too — before the
+    /// script probes live, stale and never-issued references. The prefill
+    /// makes `TableFull` reachable, and half the cases start one page short
+    /// of the wrap, so the sequence wraps while references are live.
     #[test]
-    fn sharded_table_agrees_with_the_kernel(
+    fn sharded_table_agrees_with_a_model_of_live_declarations(
         prefill in 0usize..GRANT_TABLE_CAPACITY,
+        near_wrap in any::<bool>(),
         script in proptest::collection::vec((0u8..16, 0u32..640, 0u64..0x100), 1..120),
     ) {
-        const GUEST: u32 = 3;
+        const GUEST: u32 = 0;
         const CHURN: usize = 2 * GRANT_TABLE_CAPACITY;
-        let mut kernel = GrantTable::for_guest(GUEST);
-        let sharded = ShardedGrantTable::with_guests(GUEST as usize + 1);
+        let start = if near_wrap { SEQ_MASK + 1 - GRANT_TABLE_CAPACITY as u32 } else { 0 };
+        // A neighbour shard that the script never touches.
+        let table = ShardedGrantTable::with_guests(2).with_refs_spent(GUEST, start);
+        let mut live: BTreeMap<_, Vec<MemOpGrant>> = BTreeMap::new();
         // The n-th issued reference grants [n·4K, n·4K + 0x80).
-        let window = |seq: u64| vec![MemOpGrant::CopyFromGuest {
-            addr: GuestVirtAddr::new(seq * 0x1000),
+        let window = |n: u64| vec![MemOpGrant::CopyFromGuest {
+            addr: GuestVirtAddr::new(n * 0x1000),
             len: 0x80,
         }];
         let mut issued = 0u64;
+        // Declares the next window; `TableFull` exactly when the page is.
+        let mut declare = |live: &mut BTreeMap<_, _>| match table.declare(GUEST, window(issued)) {
+            Ok(grant) => {
+                prop_assert_eq!(ShardedGrantTable::guest_of(grant), GUEST);
+                prop_assert!(!live.contains_key(&grant), "{} issued while live", grant);
+                live.insert(grant, window(issued));
+                issued += 1;
+                Ok(Some(grant))
+            }
+            Err(e) => {
+                prop_assert_eq!((e, live.len()), (GrantError::TableFull, GRANT_TABLE_CAPACITY));
+                Ok(None)
+            }
+        };
         for _ in 0..prefill {
-            let declared = kernel.declare(window(issued));
-            prop_assert_eq!(sharded.declare(GUEST, window(issued)), declared);
-            issued += 1;
+            declare(&mut live)?;
         }
         for _ in 0..CHURN {
-            let declared = kernel.declare(window(issued)).expect("a free slot remains");
-            prop_assert_eq!(sharded.declare(GUEST, window(issued)), Ok(declared));
-            prop_assert_eq!(sharded.revoke(GUEST, declared), kernel.revoke(declared));
-            issued += 1;
+            let grant = declare(&mut live)?.expect("a free slot remains");
+            prop_assert!(table.revoke(GUEST, grant));
+            live.remove(&grant);
         }
         for (kind, seq, offset) in script {
             // `seq` names a live, revoked or never-issued reference.
-            let target = ShardedGrantTable::compose_ref(GUEST, seq);
+            let target = ShardedGrantTable::compose_ref(GUEST, (start + seq) & SEQ_MASK);
+            let base = match live.get(&target).map(Vec::as_slice) {
+                Some([MemOpGrant::CopyFromGuest { addr, .. }]) => addr.raw(),
+                _ => u64::from(seq) * 0x1000,
+            };
             let request = |offset: u64| MemOpRequest::CopyFromGuest {
-                addr: GuestVirtAddr::new(u64::from(seq) * 0x1000 + offset),
+                addr: GuestVirtAddr::new(base + offset),
                 len: 0x20,
+            };
+            // The model's verdict on `requests`: the first one no window of
+            // `target`'s live declaration covers.
+            let expected = |requests: &[MemOpRequest]| {
+                let Some(ops) = live.get(&target) else {
+                    return Err((0, GrantError::UnknownRef { grant: target }));
+                };
+                match requests.iter().position(|r| !ops.iter().any(|op| op.covers(r))) {
+                    Some(index) => Err((index, GrantError::NotCovered { grant: target })),
+                    None => Ok(()),
+                }
             };
             match kind {
                 0..=6 => {
-                    let declared = kernel.declare(window(issued));
-                    prop_assert_eq!(sharded.declare(GUEST, window(issued)), declared);
-                    issued += u64::from(declared.is_ok());
+                    declare(&mut live)?;
                 }
                 7..=9 => prop_assert_eq!(
-                    sharded.validate(GUEST, target, &request(offset)),
-                    kernel.validate(target, &request(offset))
+                    table.validate(GUEST, target, &request(offset)),
+                    expected(&[request(offset)]).map_err(|(_, e)| e)
                 ),
                 10..=11 => {
                     let batch = [request(0), request(offset), request(0x60)];
-                    prop_assert_eq!(
-                        sharded.validate_batch(GUEST, target, &batch),
-                        kernel.validate_batch(target, &batch)
-                    );
+                    prop_assert_eq!(table.validate_batch(GUEST, target, &batch), expected(&batch));
                 }
-                12..=14 => prop_assert_eq!(sharded.revoke(GUEST, target), kernel.revoke(target)),
-                _ => prop_assert_eq!(sharded.revoke_all(), kernel.revoke_all()),
+                12..=14 => {
+                    prop_assert_eq!(table.revoke(GUEST, target), live.remove(&target).is_some());
+                }
+                _ => {
+                    prop_assert_eq!(table.revoke_all(), live.len());
+                    live.clear();
+                }
             }
-            prop_assert_eq!(sharded.outstanding_of(GUEST), kernel.outstanding());
-            prop_assert_eq!(sharded.outstanding(), kernel.outstanding());
+            prop_assert_eq!(table.outstanding_of(GUEST), live.len());
+            prop_assert_eq!(table.outstanding(), live.len());
         }
     }
 
