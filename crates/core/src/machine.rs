@@ -950,12 +950,15 @@ impl Machine {
         Ok(fd)
     }
 
-    fn fd_of(&self, task: TaskId, fd: u64) -> Result<(FdInner, String), Errno> {
-        self.process(task)?
-            .fds
-            .get(&fd)
-            .cloned()
-            .ok_or(Errno::Ebadf)
+    fn fd_of(&self, task: TaskId, fd: u64) -> Result<FdInner, Errno> {
+        let (inner, _) = self.process(task)?.fds.get(&fd).ok_or(Errno::Ebadf)?;
+        Ok(*inner)
+    }
+
+    /// The attached device a host descriptor was opened on.
+    fn host_device_of(&self, task: TaskId, fd: u64) -> Result<&AttachedDevice, Errno> {
+        let (_, path) = self.process(task)?.fds.get(&fd).ok_or(Errno::Ebadf)?;
+        self.host_device(path)
     }
 
     fn host_ctx(&self, task: TaskId, handle: FileHandleId) -> Result<OpenContext, Errno> {
@@ -983,11 +986,11 @@ impl Machine {
     /// `EBADF` for unknown descriptors.
     pub fn close(&mut self, task: TaskId, fd: u64) -> Result<(), Errno> {
         self.charge_syscall();
-        let (inner, path) = self.fd_of(task, fd)?;
+        let inner = self.fd_of(task, fd)?;
         match inner {
             FdInner::Host(handle) => {
                 let ctx = self.host_ctx(task, handle)?;
-                let device = self.host_device(&path)?;
+                let device = self.host_device_of(task, fd)?;
                 device.fileops().borrow_mut().release(ctx)?;
                 self.host_devfs.close(handle)?;
             }
@@ -1013,12 +1016,12 @@ impl Machine {
         len: u64,
     ) -> Result<u64, Errno> {
         self.charge_syscall();
-        let (inner, path) = self.fd_of(task, fd)?;
+        let inner = self.fd_of(task, fd)?;
         match inner {
             FdInner::Host(handle) => {
                 let ctx = self.host_ctx(task, handle)?;
                 let mut mem = self.direct_memops(task)?;
-                let device = self.host_device(&path)?;
+                let device = self.host_device_of(task, fd)?;
                 device
                     .fileops()
                     .borrow_mut()
@@ -1047,12 +1050,12 @@ impl Machine {
         len: u64,
     ) -> Result<u64, Errno> {
         self.charge_syscall();
-        let (inner, path) = self.fd_of(task, fd)?;
+        let inner = self.fd_of(task, fd)?;
         match inner {
             FdInner::Host(handle) => {
                 let ctx = self.host_ctx(task, handle)?;
                 let mut mem = self.direct_memops(task)?;
-                let device = self.host_device(&path)?;
+                let device = self.host_device_of(task, fd)?;
                 device
                     .fileops()
                     .borrow_mut()
@@ -1081,12 +1084,12 @@ impl Machine {
         arg: u64,
     ) -> Result<i64, Errno> {
         self.charge_syscall();
-        let (inner, path) = self.fd_of(task, fd)?;
+        let inner = self.fd_of(task, fd)?;
         match inner {
             FdInner::Host(handle) => {
                 let ctx = self.host_ctx(task, handle)?;
                 let mut mem = self.direct_memops(task)?;
-                let device = self.host_device(&path)?;
+                let device = self.host_device_of(task, fd)?;
                 device.fileops().borrow_mut().ioctl(ctx, &mut mem, cmd, arg)
             }
             FdInner::Guest(gfd) => {
@@ -1123,7 +1126,7 @@ impl Machine {
             process.next_va += (pages + 1) * PAGE_SIZE;
             GuestVirtAddr::new(va)
         };
-        let (inner, path) = self.fd_of(task, fd)?;
+        let inner = self.fd_of(task, fd)?;
         match inner {
             FdInner::Host(handle) => {
                 let (vm, mut pt) = {
@@ -1143,7 +1146,7 @@ impl Machine {
                 self.process_mut(task)?.pt = pt;
                 let ctx = self.host_ctx(task, handle)?;
                 let mut mem = self.direct_memops(task)?;
-                let device = self.host_device(&path)?;
+                let device = self.host_device_of(task, fd)?;
                 device.fileops().borrow_mut().mmap(
                     ctx,
                     &mut mem,
@@ -1189,7 +1192,7 @@ impl Machine {
         len: u64,
     ) -> Result<(), Errno> {
         self.charge_syscall();
-        let (inner, path) = self.fd_of(task, fd)?;
+        let inner = self.fd_of(task, fd)?;
         match inner {
             FdInner::Host(handle) => {
                 let (vm, pt) = {
@@ -1207,7 +1210,7 @@ impl Machine {
                 }
                 let ctx = self.host_ctx(task, handle)?;
                 let mut mem = self.direct_memops(task)?;
-                let device = self.host_device(&path)?;
+                let device = self.host_device_of(task, fd)?;
                 device.fileops().borrow_mut().munmap(ctx, &mut mem, va, len)
             }
             FdInner::Guest(gfd) => {
@@ -1228,7 +1231,7 @@ impl Machine {
     ///
     /// `EFAULT` outside any device mapping; driver errors otherwise.
     pub fn fault_page(&mut self, task: TaskId, fd: u64, va: GuestVirtAddr) -> Result<(), Errno> {
-        let (inner, path) = self.fd_of(task, fd)?;
+        let inner = self.fd_of(task, fd)?;
         match inner {
             FdInner::Host(handle) => {
                 // The host kernel creates the intermediates for the faulting
@@ -1246,7 +1249,7 @@ impl Machine {
                 self.process_mut(task)?.pt = pt;
                 let ctx = self.host_ctx(task, handle)?;
                 let mut mem = self.direct_memops(task)?;
-                let device = self.host_device(&path)?;
+                let device = self.host_device_of(task, fd)?;
                 device.fileops().borrow_mut().fault(ctx, &mut mem, va)
             }
             FdInner::Guest(gfd) => {
@@ -1264,11 +1267,11 @@ impl Machine {
     /// Driver errors.
     pub fn poll(&mut self, task: TaskId, fd: u64) -> Result<PollEvents, Errno> {
         self.charge_syscall();
-        let (inner, path) = self.fd_of(task, fd)?;
+        let inner = self.fd_of(task, fd)?;
         match inner {
             FdInner::Host(handle) => {
                 let ctx = self.host_ctx(task, handle)?;
-                let device = self.host_device(&path)?;
+                let device = self.host_device_of(task, fd)?;
                 let events = device.fileops().borrow_mut().poll(ctx)?;
                 Ok(events)
             }
@@ -1286,11 +1289,11 @@ impl Machine {
     /// Driver errors.
     pub fn fasync(&mut self, task: TaskId, fd: u64, on: bool) -> Result<(), Errno> {
         self.charge_syscall();
-        let (inner, path) = self.fd_of(task, fd)?;
+        let inner = self.fd_of(task, fd)?;
         match inner {
             FdInner::Host(handle) => {
                 let ctx = self.host_ctx(task, handle)?;
-                let device = self.host_device(&path)?;
+                let device = self.host_device_of(task, fd)?;
                 device.fileops().borrow_mut().fasync(ctx, on)
             }
             FdInner::Guest(gfd) => {
@@ -1629,7 +1632,7 @@ impl Machine {
         arg: u64,
     ) -> Result<(), Errno> {
         self.charge_syscall();
-        let (inner, _path) = self.fd_of(task, fd)?;
+        let inner = self.fd_of(task, fd)?;
         match inner {
             FdInner::Host(_) => Err(Errno::Einval),
             FdInner::Guest(gfd) => {

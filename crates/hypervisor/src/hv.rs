@@ -26,8 +26,8 @@ use paradice_mem::iommu::DomainId;
 use paradice_mem::layout::GpaExhausted;
 use paradice_mem::pagetable::{GpaSpace, GuestPageTables, PtWalkError};
 use paradice_mem::{
-    Access, DmaAddr, EptViolation, GuestPhysAddr, GuestVirtAddr, Iommu, IommuFault, MemError,
-    PhysAddr, RegionId, SystemMemory, PAGE_SIZE,
+    Access, DmaAddr, EptViolation, GuestPhysAddr, GuestVirtAddr, Iommu, IommuDomain, IommuFault,
+    MemError, PhysAddr, RegionId, SystemMemory, PAGE_SIZE,
 };
 use paradice_trace::{SpanId, TraceEvent, TraceMemOpKind, Tracer};
 
@@ -397,25 +397,15 @@ pub struct VmGpaSpace<'a> {
 
 impl GpaSpace for VmGpaSpace<'_> {
     fn read_u64(&self, gpa: GuestPhysAddr) -> Result<u64, PtWalkError> {
-        let pa = self
-            .vm
-            .ept()
-            .translate_unchecked(gpa)
-            .ok_or(PtWalkError::Backing { gpa })?;
-        self.mem
-            .read_u64(pa)
-            .map_err(|_| PtWalkError::Backing { gpa })
+        let pa = self.vm.ept().translate_unchecked(gpa);
+        let value = pa.and_then(|pa| self.mem.read_u64(pa).ok());
+        value.ok_or(PtWalkError::Backing { gpa })
     }
 
     fn write_u64(&mut self, gpa: GuestPhysAddr, value: u64) -> Result<(), PtWalkError> {
-        let pa = self
-            .vm
-            .ept()
-            .translate_unchecked(gpa)
-            .ok_or(PtWalkError::Backing { gpa })?;
-        self.mem
-            .write_u64(pa, value)
-            .map_err(|_| PtWalkError::Backing { gpa })
+        let pa = self.vm.ept().translate_unchecked(gpa);
+        let written = pa.and_then(|pa| self.mem.write_u64(pa, value).ok());
+        written.ok_or(PtWalkError::Backing { gpa })
     }
 
     fn alloc_table_page(&mut self) -> Result<GuestPhysAddr, PtWalkError> {
@@ -1234,7 +1224,8 @@ impl Hypervisor {
     /// # Errors
     ///
     /// Role violations, missing region tag under isolation, bookkeeping
-    /// failures.
+    /// failures; a `dma` beyond the IOMMU's 39-bit address width is
+    /// refused as [`IommuFault::Unmapped`].
     #[allow(clippy::too_many_arguments)]
     pub fn hc_iommu_map(
         &mut self,
@@ -1250,6 +1241,9 @@ impl Hypervisor {
             .advance(self.cost.hypercall_ns + self.cost.iommu_map_ns);
         let driver_vm = self.domain_state(domain).driver_vm;
         let pa = self.frame_of(driver_vm, driver_gpa)?;
+        if !IommuDomain::addressable(dma) {
+            return Err(IommuFault::Unmapped { dma }.into());
+        }
         if self.data_isolation(domain) {
             let region = region.ok_or(HvError::RegionRequired)?;
             self.domain_state_mut(domain)
@@ -2022,6 +2016,26 @@ mod tests {
                 .count_blocked_by(crate::audit::BlockedBy::IommuRegion),
             1
         );
+    }
+
+    #[test]
+    fn a_bus_address_beyond_the_iommu_width_is_refused_not_mapped() {
+        let mut hv = boot();
+        let driver = hv.create_vm(VmRole::Driver, 8 * PAGE_SIZE).unwrap();
+        let domain = hv.assign_device(driver, DataIsolation::Disabled).unwrap();
+        let before = hv.iommu.domain(domain).mapped_pages();
+        for dma in [DmaAddr::new(1 << 39), DmaAddr::new(u64::MAX)] {
+            let page = GuestPhysAddr::new(PAGE_SIZE);
+            let err = hv
+                .hc_iommu_map(driver, domain, dma, page, Access::RW, None)
+                .unwrap_err();
+            assert_eq!(err, HvError::Iommu(IommuFault::Unmapped { dma }));
+        }
+        assert_eq!(hv.iommu.domain(domain).mapped_pages(), before);
+        let top = DmaAddr::new((1 << 39) - PAGE_SIZE);
+        hv.hc_iommu_map(driver, domain, top, GuestPhysAddr::new(0), Access::RW, None)
+            .unwrap();
+        assert_eq!(hv.iommu.domain(domain).mapped_pages(), before + 1);
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //!   [`Ept::set_access`], and the walker reports an [`EptViolation`] when the
 //!   compromised driver VM touches them anyway.
 //!
-//! Real EPTs are 4-level radix trees; since no guest ever inspects EPT
-//! *structure* (only the hypervisor walks them), a sorted map keyed by
-//! guest-physical page number is behaviourally equivalent and much easier to
-//! audit. The x86 restriction that write-only encodings do not exist is
-//! enforced at [`Ept::map`]/[`Ept::set_access`] (paper §5.3(iv)).
+//! The entries live in a `PageMap`, the two-level radix the IOMMU uses
+//! too. Its leaves have a hardware EPT table's 512 entries, and a lookup is
+//! two indexed loads; no guest ever sees the table's structure, so the
+//! hardware's upper levels would only add loads. The x86 restriction that
+//! write-only encodings do not exist is enforced at
+//! [`Ept::map`]/[`Ept::set_access`] (paper §5.3(iv)).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::addr::{GuestPhysAddr, PhysAddr, PAGE_SIZE};
+use crate::pagemap::PageMap;
 use crate::perms::Access;
 
 /// A permission violation or missing-mapping fault during an EPT access.
@@ -94,7 +95,7 @@ struct EptEntry {
 /// the permission set.
 #[derive(Debug, Default)]
 pub struct Ept {
-    entries: BTreeMap<u64, EptEntry>,
+    entries: PageMap<EptEntry>,
 }
 
 impl Ept {
@@ -122,6 +123,10 @@ impl Ept {
     ///
     /// Returns [`EptMapError::WriteOnlyUnsupported`] for permission sets x86
     /// cannot encode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gpa` is not below 2^39, the page map's address width.
     pub fn map(
         &mut self,
         gpa: GuestPhysAddr,
@@ -148,7 +153,7 @@ impl Ept {
     /// "upon unmapping … the hypervisor only needs to destroy the mappings in
     /// the EPTs").
     pub fn unmap(&mut self, gpa: GuestPhysAddr) -> Option<PhysAddr> {
-        self.entries.remove(&gpa.page_number()).map(|e| e.frame)
+        self.entries.remove(gpa.page_number()).map(|e| e.frame)
     }
 
     /// Changes the permissions of an existing mapping (data isolation's
@@ -165,7 +170,7 @@ impl Ept {
         if !access.is_ept_expressible() {
             return Err(EptMapError::WriteOnlyUnsupported { requested: access });
         }
-        match self.entries.get_mut(&gpa.page_number()) {
+        match self.entries.get_mut(gpa.page_number()) {
             Some(entry) => {
                 entry.access = access;
                 Ok(())
@@ -182,12 +187,13 @@ impl Ept {
     /// # Errors
     ///
     /// Returns an [`EptViolation`] if the page is unmapped or lacks rights.
+    #[inline]
     pub fn translate(
         &self,
         gpa: GuestPhysAddr,
         attempted: Access,
     ) -> Result<PhysAddr, EptViolation> {
-        match self.entries.get(&gpa.page_number()) {
+        match self.entries.get(gpa.page_number()) {
             Some(entry) if entry.access.contains(attempted) => {
                 Ok(entry.frame.add(gpa.page_offset()))
             }
@@ -209,20 +215,22 @@ impl Ept {
     /// Translates without a permission check — the hypervisor's own accesses
     /// (e.g. reading guest page tables during a walk) are not subject to the
     /// guest-visible permissions.
+    #[inline]
     pub fn translate_unchecked(&self, gpa: GuestPhysAddr) -> Option<PhysAddr> {
         self.entries
-            .get(&gpa.page_number())
+            .get(gpa.page_number())
             .map(|e| e.frame.add(gpa.page_offset()))
     }
 
     /// Returns the frame backing `gpa`'s page without permission checks.
+    #[inline]
     pub fn frame_of(&self, gpa: GuestPhysAddr) -> Option<PhysAddr> {
-        self.entries.get(&gpa.page_number()).map(|e| e.frame)
+        self.entries.get(gpa.page_number()).map(|e| e.frame)
     }
 
     /// Iterates over `(guest-physical page base, frame base, access)`.
     pub fn iter(&self) -> impl Iterator<Item = (GuestPhysAddr, PhysAddr, Access)> + '_ {
-        self.entries.iter().map(|(&gpn, entry)| {
+        self.entries.iter().map(|(gpn, entry)| {
             (
                 GuestPhysAddr::new(gpn * PAGE_SIZE),
                 entry.frame,

@@ -15,11 +15,16 @@
 //! this is observationally identical to the paper's unmap-all/remap-all
 //! switch and lets [`IommuDomain::switch_region`] report how many pages a
 //! real switch would touch.
+//!
+//! A domain's mappings live in a `PageMap`, the two-level radix the EPT
+//! uses too: 512-entry leaves, as in a VT-d page table, and a lookup of two
+//! indexed loads. It covers 39-bit bus addresses (three-level VT-d), and
+//! [`IommuDomain::addressable`] says whether a bus address lies inside.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::addr::{DmaAddr, PhysAddr, PAGE_SIZE};
+use crate::pagemap::{PageMap, PAGE_LIMIT};
 use crate::perms::Access;
 
 /// Identifier of a protected memory region (one per guest VM, paper §4.2).
@@ -111,7 +116,7 @@ struct DmaEntry {
 /// The translation domain of one assigned device.
 #[derive(Debug, Default)]
 pub struct IommuDomain {
-    entries: BTreeMap<u64, DmaEntry>,
+    entries: PageMap<DmaEntry>,
     active: Option<RegionId>,
 }
 
@@ -121,8 +126,18 @@ impl IommuDomain {
         IommuDomain::default()
     }
 
+    /// Whether `dma` lies inside the domain's 39-bit bus address space, so
+    /// that [`IommuDomain::map`] can map it.
+    pub fn addressable(dma: DmaAddr) -> bool {
+        dma.page_number() < PAGE_LIMIT
+    }
+
     /// Maps the page containing `dma` to the frame containing `pa`, tagged
     /// with `region`. Pass [`RegionId::GLOBAL`] for always-active mappings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dma` is not [`IommuDomain::addressable`].
     pub fn map(&mut self, dma: DmaAddr, pa: PhysAddr, access: Access, region: RegionId) {
         self.entries.insert(
             dma.page_number(),
@@ -136,7 +151,7 @@ impl IommuDomain {
 
     /// Removes a mapping, returning the frame it pointed at.
     pub fn unmap(&mut self, dma: DmaAddr) -> Option<PhysAddr> {
-        self.entries.remove(&dma.page_number()).map(|e| e.frame)
+        self.entries.remove(dma.page_number()).map(|e| e.frame)
     }
 
     /// Bulk identity-style mapping used for plain device assignment: maps
@@ -171,9 +186,7 @@ impl IommuDomain {
     pub fn switch_region(&mut self, region: Option<RegionId>) -> usize {
         let count_of = |r: Option<RegionId>| -> usize {
             match r {
-                Some(r) if r != RegionId::GLOBAL => {
-                    self.entries.values().filter(|e| e.region == r).count()
-                }
+                Some(r) if r != RegionId::GLOBAL => self.pages_in_region(r),
                 _ => 0,
             }
         };
@@ -184,7 +197,10 @@ impl IommuDomain {
 
     /// Number of pages currently mapped for `region`.
     pub fn pages_in_region(&self, region: RegionId) -> usize {
-        self.entries.values().filter(|e| e.region == region).count()
+        self.entries
+            .iter()
+            .filter(|(_, e)| e.region == region)
+            .count()
     }
 
     /// Total mapped pages across all regions.
@@ -198,10 +214,11 @@ impl IommuDomain {
     ///
     /// Faults if the page is unmapped, tagged with an inactive region, or
     /// mapped with insufficient rights.
+    #[inline]
     pub fn translate(&self, dma: DmaAddr, attempted: Access) -> Result<PhysAddr, IommuFault> {
         let entry = self
             .entries
-            .get(&dma.page_number())
+            .get(dma.page_number())
             .ok_or(IommuFault::Unmapped { dma })?;
         if entry.region != RegionId::GLOBAL && Some(entry.region) != self.active {
             return Err(IommuFault::RegionInactive {
@@ -225,7 +242,7 @@ impl IommuDomain {
     ///
     /// Returns `false` if the page was not mapped.
     pub fn set_access(&mut self, dma: DmaAddr, access: Access) -> bool {
-        match self.entries.get_mut(&dma.page_number()) {
+        match self.entries.get_mut(dma.page_number()) {
             Some(entry) => {
                 entry.access = access;
                 true
@@ -236,9 +253,9 @@ impl IommuDomain {
 
     /// Iterates over `(dma page base, frame, access, region)`.
     pub fn iter(&self) -> impl Iterator<Item = (DmaAddr, PhysAddr, Access, RegionId)> + '_ {
-        self.entries.iter().map(|(&pn, e)| {
-            (DmaAddr::new(pn * PAGE_SIZE), e.frame, e.access, e.region)
-        })
+        self.entries
+            .iter()
+            .map(|(pn, e)| (DmaAddr::new(pn * PAGE_SIZE), e.frame, e.access, e.region))
     }
 }
 

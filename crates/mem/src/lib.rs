@@ -19,6 +19,8 @@
 //!   frame allocator that zeroes frames on free.
 //! * [`pagetable`] — PAE-style 3-level guest page tables stored *inside*
 //!   guest physical memory, with a software walker.
+//! * `pagemap` — `PageMap`, the two-level radix with 512-entry leaves that
+//!   stores both second-stage translations below.
 //! * [`ept`] — per-VM extended page tables with permission enforcement and
 //!   violation reporting.
 //! * [`iommu`] — region-tagged DMA translation with a single active region,
@@ -46,6 +48,7 @@ pub mod addr;
 pub mod ept;
 pub mod iommu;
 pub mod layout;
+mod pagemap;
 pub mod pagetable;
 pub mod perms;
 pub mod sysmem;

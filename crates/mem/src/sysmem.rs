@@ -214,16 +214,46 @@ impl SystemMemory {
         Ok(())
     }
 
+    /// Reads `N` bytes at `addr`: in place when they lie inside one frame
+    /// (every page-table entry), through [`SystemMemory::read`] when they
+    /// straddle two.
+    #[inline]
+    fn read_array<const N: usize>(&self, addr: PhysAddr) -> Result<[u8; N], MemError> {
+        let off = addr.page_offset() as usize;
+        let mut bytes = [0u8; N];
+        match self.frame_bytes(addr)?.get(off..off + N) {
+            Some(inside) => bytes.copy_from_slice(inside),
+            None => self.read(addr, &mut bytes)?,
+        }
+        Ok(bytes)
+    }
+
+    /// Writes `bytes` at `addr`: in place when they lie inside one frame,
+    /// through [`SystemMemory::write`] (all or nothing) when they straddle
+    /// two.
+    #[inline]
+    fn write_array<const N: usize>(
+        &mut self,
+        addr: PhysAddr,
+        bytes: [u8; N],
+    ) -> Result<(), MemError> {
+        let off = addr.page_offset() as usize;
+        match self.frame_bytes_mut(addr)?.get_mut(off..off + N) {
+            Some(inside) => inside.copy_from_slice(&bytes),
+            None => self.write(addr, &bytes)?,
+        }
+        Ok(())
+    }
+
     /// Reads a little-endian `u64` at `addr` (page-table entries, ring
     /// pointers, registers-in-memory).
     ///
     /// # Errors
     ///
     /// Fails if the touched frames are unallocated or out of bounds.
+    #[inline]
     pub fn read_u64(&self, addr: PhysAddr) -> Result<u64, MemError> {
-        let mut buf = [0u8; 8];
-        self.read(addr, &mut buf)?;
-        Ok(u64::from_le_bytes(buf))
+        self.read_array(addr).map(u64::from_le_bytes)
     }
 
     /// Writes a little-endian `u64` at `addr`.
@@ -231,8 +261,9 @@ impl SystemMemory {
     /// # Errors
     ///
     /// Fails if the touched frames are unallocated or out of bounds.
+    #[inline]
     pub fn write_u64(&mut self, addr: PhysAddr, value: u64) -> Result<(), MemError> {
-        self.write(addr, &value.to_le_bytes())
+        self.write_array(addr, value.to_le_bytes())
     }
 
     /// Reads a little-endian `u32` at `addr`.
@@ -241,9 +272,7 @@ impl SystemMemory {
     ///
     /// Fails if the touched frames are unallocated or out of bounds.
     pub fn read_u32(&self, addr: PhysAddr) -> Result<u32, MemError> {
-        let mut buf = [0u8; 4];
-        self.read(addr, &mut buf)?;
-        Ok(u32::from_le_bytes(buf))
+        self.read_array(addr).map(u32::from_le_bytes)
     }
 
     /// Writes a little-endian `u32` at `addr`.
@@ -252,7 +281,7 @@ impl SystemMemory {
     ///
     /// Fails if the touched frames are unallocated or out of bounds.
     pub fn write_u32(&mut self, addr: PhysAddr, value: u32) -> Result<(), MemError> {
-        self.write(addr, &value.to_le_bytes())
+        self.write_array(addr, value.to_le_bytes())
     }
 
     /// Fills `len` bytes at `addr` with `byte`.
@@ -267,20 +296,6 @@ impl SystemMemory {
             frame[off..off + chunk_len as usize].fill(byte);
         }
         Ok(())
-    }
-
-    /// Copies `len` bytes from `src` to `dst` within physical memory.
-    ///
-    /// This is the primitive under the hypervisor's cross-VM copy: both sides
-    /// have already been translated to physical addresses.
-    ///
-    /// # Errors
-    ///
-    /// Fails if either range touches unallocated or out-of-bounds frames.
-    pub fn copy(&mut self, src: PhysAddr, dst: PhysAddr, len: u64) -> Result<(), MemError> {
-        let mut buf = vec![0u8; len as usize];
-        self.read(src, &mut buf)?;
-        self.write(dst, &buf)
     }
 }
 
@@ -409,15 +424,36 @@ mod tests {
     }
 
     #[test]
-    fn phys_copy() {
+    fn a_straddling_u64_round_trips() {
         let mut mem = SystemMemory::new(2);
         let a = mem.alloc_frame().unwrap();
-        let b = mem.alloc_frame().unwrap();
-        mem.write(a.base(), b"payload").unwrap();
-        mem.copy(a.base(), b.base().add(16), 7).unwrap();
-        let mut buf = [0u8; 7];
-        mem.read(b.base().add(16), &mut buf).unwrap();
-        assert_eq!(&buf, b"payload");
+        let _b = mem.alloc_frame().unwrap();
+        let addr = a.base().add(PAGE_SIZE - 4);
+        mem.write_u64(addr, 0x0102_0304_0506_0708).unwrap();
+        assert_eq!(mem.read_u64(addr).unwrap(), 0x0102_0304_0506_0708);
+        let mut halves = [0u8; 8];
+        mem.read(addr, &mut halves).unwrap();
+        assert_eq!(halves, 0x0102_0304_0506_0708u64.to_le_bytes());
+        mem.write_u32(addr.add(2), 0xaabb_ccdd).unwrap();
+        assert_eq!(mem.read_u32(addr.add(2)).unwrap(), 0xaabb_ccdd);
+    }
+
+    #[test]
+    fn a_straddling_u64_into_an_unallocated_frame_writes_nothing() {
+        let mut mem = SystemMemory::new(2);
+        let a = mem.alloc_frame().unwrap();
+        let addr = a.base().add(PAGE_SIZE - 4);
+        mem.write_u32(addr, 0x5a5a_5a5a).unwrap();
+        let next = a.base().add(PAGE_SIZE);
+        assert_eq!(
+            mem.write_u64(addr, u64::MAX),
+            Err(MemError::Unallocated { addr: next })
+        );
+        assert_eq!(
+            mem.read_u64(addr),
+            Err(MemError::Unallocated { addr: next })
+        );
+        assert_eq!(mem.read_u32(addr).unwrap(), 0x5a5a_5a5a);
     }
 
     #[test]
