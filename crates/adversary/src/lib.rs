@@ -7,8 +7,9 @@
 //! those enumerate *known* attack shapes. This crate generates them: a
 //! seeded mutation engine over encoded [`WireRequest`] bytes, grant-ref
 //! replay/forgery against the live hypervisor, shared-page probing of the
-//! WP001 single-read decode discipline, ring-index/length corruption on
-//! both the virtual depth-8 ring and the lock-free [`AtomicRing`], and
+//! WP001 single-read decode discipline, slot and control-word corruption
+//! of the one ring kernel, [`AtomicRing`] (behind the virtual depth-8
+//! channel's fault hooks, and shared lock-free on the wall engine), and
 //! hypercall/doorbell floods.
 //!
 //! Campaigns run on **both** substrates — [`EngineKind::Virtual`] (the

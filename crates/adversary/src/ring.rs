@@ -268,8 +268,8 @@ impl TaggedEncode for WireRequest {
 
 /// Runs the ring-corruption campaign: the virtual channel's fault hooks
 /// on the virtual substrate, the atomic ring's control words on the wall
-/// substrate (each engine attacks the ring implementation it executes
-/// on).
+/// substrate (each engine attacks the ring the way it drives it: owned by
+/// one thread, or shared between two).
 pub fn run(engine: EngineKind, seed: u64, steps: u32) -> FamilyOutcome {
     let mut outcome = FamilyOutcome::new(AttackFamily::RingCorruption, engine);
     let mut rng = SplitMix64::new(seed);

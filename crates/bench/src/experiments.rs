@@ -94,7 +94,7 @@ const TRUSTED_PATH: [(&str, &[&str]); 2] = [
     ),
     (
         "hypervisor",
-        &["channel", "ring", "grants", "shards", "hv", "regions", "audit", "vm"],
+        &["channel", "aring", "grants", "shards", "hv", "regions", "audit", "vm"],
     ),
 ];
 

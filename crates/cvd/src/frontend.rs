@@ -37,7 +37,7 @@ use paradice_trace::{SpanId, TraceEvent, TraceGrant, Tracer, WireDelta};
 
 use crate::backend::SharedBackend;
 use crate::cache::{Eviction, GrantCache, GrantCacheKey};
-use crate::proto::{CvdChannel, WireOp, WireRequest, WireResponse};
+use crate::proto::{CvdChannel, WireOp, WireRequest, WireResponse, MAX_PATH};
 
 /// Default per-operation watchdog deadline on the virtual clock (50 ms).
 ///
@@ -645,8 +645,8 @@ impl Frontend {
             grant: pending.grant,
             op,
         };
-        // Only a pipelined submission can meet a full ring (or page budget)
-        // — a synchronous op starts on a drained one: complete the
+        // Only a pipelined submission can meet a full ring — a synchronous
+        // op starts on a drained one: complete the
         // accumulated batch, then retry.
         let retry = (!self.pipeline.is_empty()).then(|| request.clone());
         let mut sent = self.channel.borrow_mut().send_request(request);
@@ -917,8 +917,14 @@ impl Frontend {
     ///
     /// # Errors
     ///
-    /// Whatever the real driver/devfs returns (`ENOENT`, `EBUSY`, …).
+    /// `EINVAL`, before anything is posted, for a path longer than
+    /// [`MAX_PATH`] (its request would not fit a shared-page slot; the
+    /// backend refuses such a path with the same errno); otherwise
+    /// whatever the real driver/devfs returns (`ENOENT`, `EBUSY`, …).
     pub fn open(&mut self, task: TaskId, path: &str, flags: OpenFlags) -> Result<u64, Errno> {
+        if path.len() > MAX_PATH {
+            return Err(Errno::Einval);
+        }
         let op = WireOp::Open {
             path: path.to_owned(),
             flags,

@@ -12,7 +12,7 @@
 
 use paradice_devfs::ioc::IoctlCmd;
 use paradice_devfs::{Errno, OpenFlags, PollEvents};
-use paradice_hypervisor::{Channel, GrantRef, WireCodec};
+use paradice_hypervisor::{Channel, GrantRef, WireCodec, ARING_SLOT_BYTES};
 use paradice_mem::{Access, GuestPhysAddr, GuestVirtAddr, PAGE_SIZE};
 use paradice_trace::TraceOpKind;
 
@@ -22,8 +22,17 @@ use paradice_trace::TraceOpKind;
 /// never touch raw bytes.
 pub type CvdChannel = Channel<WireRequest, WireResponse, WireSignal>;
 
-/// Maximum device path length on the wire.
-pub const MAX_PATH: usize = 256;
+/// Bytes of a grant-present `Open` request before its path: opcode, task,
+/// page-table root, handle, span, grant flag and reference, open flags,
+/// and the path length word (the decode IR's `[0, 43)`).
+const OPEN_PATH_AT: usize = 1 + 8 + 8 + 8 + 8 + 1 + 4 + 1 + 4;
+
+/// Maximum device path length on the wire: the longest `Open` request
+/// fills one shared-page slot exactly, so every request the frontend
+/// builds fits the ring it is posted on.
+pub const MAX_PATH: usize = ARING_SLOT_BYTES - OPEN_PATH_AT;
+
+const _: () = assert!(OPEN_PATH_AT == 43 && OPEN_PATH_AT + MAX_PATH == ARING_SLOT_BYTES);
 
 /// A file operation as transmitted frontend → backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -930,20 +939,29 @@ mod tests {
         assert_eq!(WireRequest::decode(&bytes), Err(WireError));
     }
 
+    /// `MAX_PATH` is the longest path whose request fits one shared-page
+    /// slot: with every header field at its widest, a `MAX_PATH` request
+    /// fills the slot exactly and round-trips; one byte more is refused.
     #[test]
     fn oversized_path_rejected() {
-        let req = WireRequest {
-            task: 1,
-            pt_root: GuestPhysAddr::new(0),
-            handle: 0,
-            span: 0,
-            grant: None,
+        let open = |len| WireRequest {
+            task: u64::MAX,
+            pt_root: GuestPhysAddr::new(u64::MAX),
+            handle: u64::MAX,
+            span: u64::MAX,
+            grant: Some(GrantRef(u32::MAX)),
             op: WireOp::Open {
-                path: "x".repeat(MAX_PATH + 1),
-                flags: OpenFlags::RDWR,
+                path: "x".repeat(len),
+                flags: OpenFlags::RDWR.nonblocking(),
             },
         };
-        assert_eq!(WireRequest::decode(&req.encode()), Err(WireError));
+        let longest = open(MAX_PATH);
+        assert_eq!(longest.encode().len(), ARING_SLOT_BYTES);
+        assert_eq!(WireRequest::decode(&longest.encode()), Ok(longest));
+        assert_eq!(
+            WireRequest::decode(&open(MAX_PATH + 1).encode()),
+            Err(WireError)
+        );
     }
 
     #[test]

@@ -284,3 +284,26 @@ fn unknown_device_open_fails_cleanly() {
         Err(Errno::Enoent)
     );
 }
+
+#[test]
+fn an_overlong_path_is_einval_before_anything_is_posted() {
+    use paradice_cvd::proto::MAX_PATH;
+    let mut r = rig(TransportMode::Interrupts);
+    let path = format!("/dev/{}", "p".repeat(MAX_PATH - 5));
+    assert_eq!(
+        r.frontend.open(TaskId(1), &path, OpenFlags::RDWR),
+        Err(Errno::Enoent)
+    );
+    let forwarded = r.channel.borrow().stats();
+    assert_eq!(forwarded.requests, 1, "a MAX_PATH path fits its slot");
+    assert_eq!(
+        r.frontend
+            .open(TaskId(1), &format!("{path}p"), OpenFlags::RDWR),
+        Err(Errno::Einval)
+    );
+    assert_eq!(
+        r.channel.borrow().stats(),
+        forwarded,
+        "nothing crossed the channel"
+    );
+}

@@ -1,12 +1,13 @@
-//! The shared ring page driven with real atomics.
+//! The shared ring page: the one ring kernel of both substrates.
 //!
-//! [`RingIndex`](crate::ring::RingIndex) is the *virtual-time* ring: a pure
-//! index kernel stepped by one thread under the cost model, proved safe by
-//! `paradice-verify`. This module is its wall-clock twin: the same 4-KiB
-//! shared page, but the head/tail cursors and per-slot ownership are
-//! published with acquire/release atomics so a frontend thread and a
-//! backend thread can drive it concurrently, and the doorbell is a real
-//! park/unpark handoff instead of a virtual-time spin budget.
+//! One direction of a frontend↔backend channel is one 4-KiB page of 16
+//! slots. The virtual [`Channel`](crate::channel::Channel) owns one
+//! [`AtomicRing`] per direction and drives it from its one thread under
+//! the cost model; the wall-clock engine shares one between a frontend
+//! thread and a backend thread. Either way the head/tail cursors and
+//! per-slot ownership are published with acquire/release atomics, so the
+//! same code is correct concurrently, and on real threads the doorbell is
+//! a park/unpark handoff instead of a virtual-time spin budget.
 //!
 //! # Memory-ordering argument (DESIGN.md §12/§14 carry the prose version)
 //!
@@ -64,16 +65,18 @@ use std::time::Duration;
 
 use crate::atomic::{Access, AccessKind, AtomicBool, AtomicU32, Edge, MemOrder, Role, SiteSpec};
 
-/// Slots in the atomic ring. Matches the virtual ring's
-/// [`RING_CAPACITY`](crate::ring::RING_CAPACITY); must divide `2^32`.
+/// Slots in the ring, and so the deepest a
+/// [`Channel`](crate::channel::Channel) direction can be; must divide
+/// `2^32`.
 pub const ARING_CAPACITY: usize = 16;
 
 /// Payload bytes per slot: `(4096 - 2*64) / 16` minus the 8 bytes of
-/// per-slot sequence + length. A no-op wire request is ~40 bytes and the
-/// largest benchmarked ioctl frame is well under 200, so one slot holds
-/// any coalesced fast-path frame; oversize frames are rejected, exactly
-/// like the virtual channel's [`ChannelError::TooLarge`]
-/// (crate::channel::ChannelError::TooLarge).
+/// per-slot sequence + length. The largest frame the CVD encodes is an
+/// `Open` request with a path of `proto::MAX_PATH` bytes, which fills a
+/// slot exactly; a longer frame is [`ARingError::Oversize`] here and
+/// [`ChannelError::TooLarge`](crate::channel::ChannelError::TooLarge) on
+/// the channel. Sixteen full slots fit the page, so no byte budget is
+/// kept beside the slot count.
 pub const ARING_SLOT_BYTES: usize = 240;
 
 const MASK: u32 = ARING_CAPACITY as u32 - 1;
@@ -316,7 +319,10 @@ impl SeqSlot for Slot {
 /// [`try_push`](AtomicRing::try_push) and exactly one may call
 /// [`try_pop`](AtomicRing::try_pop). The type is `Sync` so both sides can
 /// share it behind an `Arc`; the SPSC discipline is the caller's contract
-/// (the engine owns one thread per side by construction).
+/// (the engine owns one thread per side by construction). A
+/// [`Channel`](crate::channel::Channel) owns its rings by value and is both
+/// sides on one thread; only such an owner can reach the `&mut self` fault
+/// hooks.
 #[repr(C)]
 pub struct AtomicRing {
     cursors: Cursors,
@@ -359,11 +365,10 @@ impl AtomicRing {
     }
 
     /// Producer side: publishes one frame. Returns `true` when the ring
-    /// was empty just before the push — the empty→non-empty transition the
-    /// virtual ring's [`PushGrant::doorbell`](crate::ring::PushGrant)
-    /// coalesces on. The view is taken before publication, so a caller
-    /// that skips [`Doorbell::ring`] on `false` can lose a wake-up to a
-    /// concurrent drain (ROADMAP item 1); ringing after every push cannot.
+    /// was empty just before the push. The view is taken before
+    /// publication, so a caller that skips [`Doorbell::ring`] on `false`
+    /// can lose a wake-up to a concurrent drain (ROADMAP [wake]); ringing
+    /// after every push cannot.
     pub fn try_push(&self, frame: &[u8]) -> Result<bool, ARingError> {
         if frame.len() > ARING_SLOT_BYTES {
             return Err(ARingError::Oversize { len: frame.len() });
@@ -378,8 +383,15 @@ impl AtomicRing {
         })
     }
 
-    /// Consumer side: takes the oldest frame, if any.
+    /// Consumer side: takes the oldest frame, if any, as an owned copy.
     pub fn try_pop(&self) -> Option<Vec<u8>> {
+        self.try_pop_with(<[u8]>::to_vec)
+    }
+
+    /// Consumer side: hands the oldest frame, if any, to `take` in place
+    /// (the slot is recycled once `take` returns), so a decoder reads the
+    /// shared page without copying it out first.
+    pub fn try_pop_with<T>(&self, take: impl FnOnce(&[u8]) -> T) -> Option<T> {
         self.cursors.pop(&self.slots, |slot| {
             // Clamp: `len` lives in shared memory, so a hostile or
             // corrupted producer can store any value. Truncated garbage
@@ -389,8 +401,44 @@ impl AtomicRing {
             // SAFETY: the kernel calls `take` only once seq == head + 1:
             // the slot holds a published frame and the producer will not
             // touch it until we recycle it.
-            unsafe { (&*slot.data.get())[..len].to_vec() }
+            take(unsafe { &(&*slot.data.get())[..len] })
         })
+    }
+
+    /// The push number of the newest published frame, for the fault hooks.
+    fn newest(&self) -> Option<u32> {
+        let tail = self.cursors.tail.load(&TAIL_OCCUPANCY);
+        (tail != self.cursors.head.load(&HEAD_OCCUPANCY)).then(|| tail.wrapping_sub(1))
+    }
+
+    /// Fault hook for the ring's sole owner: rewrites the newest published
+    /// frame in place (a corrupted or partial shared-page write). `rewrite`
+    /// gets the slot's payload area and the frame's length and returns the
+    /// new length, clamped to the slot. `false` when nothing is published.
+    pub fn rewrite_newest(
+        &mut self,
+        rewrite: impl FnOnce(&mut [u8; ARING_SLOT_BYTES], usize) -> usize,
+    ) -> bool {
+        let Some(newest) = self.newest() else {
+            return false;
+        };
+        let slot = &mut self.slots[(newest & MASK) as usize];
+        let len = (*slot.len.get_mut() as usize).min(ARING_SLOT_BYTES);
+        let len = rewrite(slot.data.get_mut(), len).min(ARING_SLOT_BYTES);
+        *slot.len.get_mut() = len as u32;
+        true
+    }
+
+    /// Fault hook for the ring's sole owner: takes back the newest
+    /// published frame (a lost delivery), freeing its slot for the next
+    /// push. `false` when nothing is published.
+    pub fn unpush_newest(&mut self) -> bool {
+        let Some(newest) = self.newest() else {
+            return false;
+        };
+        *self.slots[(newest & MASK) as usize].seq.get_mut() = newest;
+        *self.cursors.tail.get_mut() = newest;
+        true
     }
 
     /// Adversarial injection: bumps the newest published slot's sequence
@@ -400,12 +448,9 @@ impl AtomicRing {
     /// a data race with nobody — the consumer simply observes a sequence
     /// that never matches and treats the slot as not-yet-published.
     pub fn corrupt_newest_seq(&self, delta: u32) -> bool {
-        let tail = self.cursors.tail.load(&TAIL_OCCUPANCY);
-        let head = self.cursors.head.load(&HEAD_OCCUPANCY);
-        if tail == head {
+        let Some(newest) = self.newest() else {
             return false;
-        }
-        let newest = tail.wrapping_sub(1);
+        };
         let slot = &self.slots[(newest & MASK) as usize];
         let seq = slot.seq.load(&SEQ_CORRUPT_LOAD);
         slot.seq.store(seq.wrapping_add(delta), &SEQ_CORRUPT_STORE);
@@ -418,12 +463,9 @@ impl AtomicRing {
     /// worst a hostile length can do is truncate the frame into a decode
     /// error. Returns `false` when nothing is published.
     pub fn corrupt_newest_len(&self, len: u32) -> bool {
-        let tail = self.cursors.tail.load(&TAIL_OCCUPANCY);
-        let head = self.cursors.head.load(&HEAD_OCCUPANCY);
-        if tail == head {
+        let Some(newest) = self.newest() else {
             return false;
-        }
-        let newest = tail.wrapping_sub(1);
+        };
         let slot = &self.slots[(newest & MASK) as usize];
         slot.len.store(len, &LEN_CORRUPT_STORE);
         true
@@ -663,6 +705,29 @@ mod tests {
                 next_pop += 1;
             }
         }
+    }
+
+    /// The owner's fault hooks at a cursor offset past one lap: a rewrite
+    /// clamps to the slot, and an unpushed slot takes the next push.
+    #[test]
+    fn the_owner_rewrites_and_unpushes_the_newest_frame() {
+        let mut ring = AtomicRing::new();
+        assert!(!ring.rewrite_newest(|_, len| len) && !ring.unpush_newest());
+        for i in 0..ARING_CAPACITY + 3 {
+            ring.try_push(&[i as u8]).expect("push");
+            assert_eq!(ring.try_pop_with(|frame| frame[0]), Some(i as u8));
+        }
+        ring.try_push(b"old").expect("push");
+        ring.try_push(b"lost").expect("push");
+        assert!(ring.unpush_newest());
+        ring.try_push(b"next").expect("the freed slot");
+        assert!(ring.rewrite_newest(|_, _| usize::MAX));
+        assert_eq!(ring.try_pop().as_deref(), Some(&b"old"[..]));
+        assert_eq!(
+            ring.try_pop().map(|frame| frame.len()),
+            Some(ARING_SLOT_BYTES)
+        );
+        assert_eq!(ring.try_pop(), None);
     }
 
     #[test]

@@ -133,6 +133,14 @@ impl AtomicU32 {
         record(access);
         self.0.fetch_add(value, to_std(access.ordering))
     }
+
+    /// The word itself, for its exclusive owner: `&mut self` proves no
+    /// other thread can observe it, so this is a plain access and names no
+    /// declared site.
+    #[inline(always)]
+    pub fn get_mut(&mut self) -> &mut u32 {
+        self.0.get_mut()
+    }
 }
 
 /// An instrumented `std::sync::atomic::AtomicUsize`.

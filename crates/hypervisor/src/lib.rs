@@ -21,17 +21,16 @@
 //!   service.
 //! * [`regions`] — protected memory regions for device data isolation.
 //! * [`channel`] — shared-page inter-VM communication in interrupt and
-//!   polling modes, with the paper's measured latencies as cost anchors.
-//! * [`ring`] — the pure head/tail ring-index kernel underneath the
-//!   channel, factored out so the `crates/verify` model checker and the
-//!   optional Kani harnesses can prove its safety properties.
+//!   polling modes, with the paper's measured latencies as cost anchors;
+//!   each direction is one [`AtomicRing`] page.
 //! * [`audit`] — the isolation audit log: every blocked attack is recorded
 //!   with what stopped it.
 //! * [`fairq`] — the fair-share pick rule shared by the CVD backend, both
 //!   multi-guest substrates and the GPU model's engine scheduler.
-//! * [`aring`] — the same ring page driven with real atomics
-//!   (acquire/release slot publication, park/unpark doorbell) for the
-//!   wall-clock engine.
+//! * [`aring`] — the one ring kernel: the shared page of 16 slots with
+//!   acquire/release slot publication, under the channel and, shared
+//!   between two threads with a park/unpark doorbell, under the wall-clock
+//!   engine.
 //! * [`shards`] — the one grant store, [`ShardedGrantTable`]: one page
 //!   per guest with atomic slots, owned by the [`Hypervisor`] and by each
 //!   multi-guest engine. A declare publishes one declaration, a revoke
@@ -57,7 +56,6 @@ pub mod fairq;
 pub mod grants;
 pub mod hv;
 pub mod regions;
-pub mod ring;
 pub mod shards;
 pub mod vm;
 
@@ -80,5 +78,4 @@ pub use grants::{
 pub use shards::{ShardedGrantTable, RETIRED_CAP};
 pub use hv::{HvError, Hypervisor, MemOp};
 pub use regions::RegionManager;
-pub use ring::{PushGrant, RingIndex, RING_CAPACITY};
 pub use vm::{Vm, VmId};

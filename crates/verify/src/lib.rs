@@ -3,13 +3,13 @@
 //!
 //! The devices themselves are not trusted — that is the paper's whole
 //! premise — but three mechanisms *are*: the hypervisor grant table that
-//! confines the driver VM's memory access (§4.1), the ring indices that
-//! sequence the shared-page channel (§5.1), and the wire codec both VMs
+//! confines the driver VM's memory access (§4.1), the ring that sequences
+//! the shared-page channel (§5.1), and the wire codec both VMs
 //! parse (the lone attack surface the backend exposes to a compromised
 //! frontend and vice versa). This crate proves those three kernels correct
 //! within documented bounds, by running the *real* implementations —
 //! [`paradice_hypervisor::ShardedGrantTable`] (the one grant store),
-//! [`paradice_hypervisor::RingIndex`],
+//! [`paradice_hypervisor::Channel`] on its one ring kernel,
 //! [`paradice_cvd::cache::GrantCache`], the `decode_probed` codec paths,
 //! the frontend's JIT evaluator that decides what gets granted —
 //! against independent executable specifications:
@@ -19,7 +19,7 @@
 //! | `grant-soundness`   | boundary-value enumeration vs a `u128` coverage model |
 //! | `grant-batch`       | exhaustive small-vector enumeration (all-or-nothing phase split) |
 //! | `grant-revocation`  | scripted lifecycle, home-slot reuse, live-home skip, capacity, sequence wrap |
-//! | `ring-depth1/8`     | bounded-unrolling state exploration, zero and wrap seeds |
+//! | `ring-depth1/8`     | full state exploration of the channel at every cursor offset |
 //! | `cache-revocation`  | full-state-space exploration with canonical ref renaming |
 //! | `codec-roundtrip`   | corpus enumeration incl. all truncations  |
 //! | `codec-single-read` | counting probe on the real decoders + the `WP001` wire lint |
@@ -37,8 +37,7 @@
 //! [`Fixture`](fixture::Fixture)s. Seeded [`Mutant`](report::Mutant)s are
 //! the checker's own regression suite: each deliberately-broken variant
 //! must be disproved, or the checker has gone blind. The model checker is
-//! the always-on gate; the one remaining `cargo kani` harness, next to
-//! `RingIndex`, is an optional stage.
+//! the gate; no Kani harness is left.
 
 pub mod adversary;
 pub mod cache;

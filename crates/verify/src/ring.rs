@@ -1,149 +1,134 @@
-//! Ring-index properties: window discipline, FIFO slot identity, and
-//! doorbell edges — checked by bounded exhaustive exploration of the *real*
-//! [`RingIndex`] kernel against a shadow queue.
+//! Ring properties: window discipline, FIFO payload identity, and doorbell
+//! charges — checked by exhaustive exploration of the *real* [`Channel`]
+//! (one `AtomicRing` page per direction) against a shadow queue, through
+//! its public API only: send/take results, the bytes that come back, and
+//! [`ChannelStats`].
 //!
-//! The pipelined channel (PR 5) trusts `RingIndex` for one thing: a slot
-//! handed out by `try_push` is never aliased with an outstanding slot, a
-//! slot handed back by `try_pop` is exactly the oldest committed one, the
-//! number of outstanding slots never exceeds the ring depth, and the
-//! doorbell fires on every empty→non-empty edge (doorbell coalescing must
-//! not lose wakeups). The model here is the obvious one — a FIFO queue of
-//! handed-out slot numbers — and the checker runs every push/pop sequence
-//! up to a bounded length against both, from a zero seed *and* from a seed
-//! a few steps below `u32::MAX` so the head/tail counters wrap mid-trace.
-//!
-//! Because the counters are monotonic `u32`s, the state space is unbounded
-//! and the proof is a *bounded unrolling* (every sequence of ≤ `2·depth+8`
-//! steps); the wrap seed makes the bound meaningful across the only
-//! discontinuity the arithmetic has. DESIGN.md §11 records the bound.
+//! A state is `(pops mod ARING_CAPACITY, queued)`: where the cursors sit in
+//! the page and how many entries are outstanding (the shadow queue is
+//! `payload(0..queued)`). Each step rebuilds a fresh channel in that state
+//! — `pops` empty round trips, then `queued` sends — applies one push or
+//! pop, and drains what is left against the shadow queue, so slot reuse is
+//! covered at every cursor offset. The space is finite
+//! (`ARING_CAPACITY × (depth + 1)` states) and explored in full.
 
 use paradice_analyzer::dataflow::reach::{explore, Bounds, TransitionSystem};
 use paradice_analyzer::lint::{DiagCode, Diagnostic};
-use paradice_hypervisor::{RingIndex, RING_CAPACITY};
+use paradice_hypervisor::channel::MAX_RING_DEPTH;
+use paradice_hypervisor::{
+    Channel, ChannelError, CostModel, SimClock, TransportMode, ARING_CAPACITY,
+};
 
 use crate::fixture::Fixture;
 use crate::report::{Mutant, PropertyReport};
 
-/// One explored ring configuration: the real kernel plus the shadow queue.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// One explored ring configuration; a state with an error is a sink.
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RingState {
-    idx: RingIndex,
-    /// Slots handed out by `try_push`, FIFO; the model the kernel must
-    /// agree with.
-    outstanding: Vec<u32>,
-    /// Set when a step did something unsound; violating states are sinks.
+    pops: usize,
+    queued: usize,
     error: Option<String>,
 }
 
+/// The entry at queue position `i`: distinct bytes and length per
+/// position, so a stale slot or length word shows.
+fn payload(i: usize) -> Vec<u8> {
+    vec![i as u8; i + 1]
+}
+
 /// The ring model: declared depth plus the (possibly mutated) depth passed
-/// to the kernel.
+/// to the channel.
 pub struct RingModel {
-    depth: u32,
-    /// Depth handed to `try_push`. [`Mutant::RingWindowOffByOne`] passes
-    /// `depth + 1`, admitting one more outstanding slot than declared.
-    push_depth: u32,
-    seeds: Vec<u32>,
+    depth: usize,
+    /// Depth handed to `set_ring_depth`. [`Mutant::RingWindowOffByOne`]
+    /// passes `depth + 1`, admitting one more entry than declared.
+    channel_depth: usize,
 }
 
 impl RingModel {
     /// A model for `depth`, optionally perturbed by `mutant`.
-    pub fn new(depth: u32, mutant: Option<Mutant>) -> RingModel {
-        let push_depth = if mutant == Some(Mutant::RingWindowOffByOne) {
-            depth + 1
-        } else {
-            depth
-        };
+    pub fn new(depth: usize, mutant: Option<Mutant>) -> RingModel {
+        let channel_depth = depth + usize::from(mutant == Some(Mutant::RingWindowOffByOne));
         RingModel {
             depth,
-            push_depth,
-            seeds: vec![0, u32::MAX - 5],
+            channel_depth,
         }
     }
 
-    /// Applies one labelled step. Returns `None` when the step is a no-op
-    /// from this state (refused push/pop with nothing wrong).
+    /// Applies one labelled step to a fresh channel in `state`. `Ok(None)`
+    /// when the step is correctly refused (nothing changes).
     fn step(&self, state: &RingState, label: &str) -> Result<Option<RingState>, String> {
+        let mut channel: Channel = Channel::new(
+            TransportMode::Interrupts,
+            SimClock::new(),
+            CostModel::default(),
+        );
+        for _ in 0..state.pops {
+            channel
+                .send_request(Vec::new())
+                .expect("an empty ring admits");
+            channel.take_request().expect("the entry just sent");
+        }
+        channel.set_ring_depth(MAX_RING_DEPTH);
+        let mut shadow: Vec<Vec<u8>> = (0..state.queued).map(payload).collect();
+        for entry in &shadow {
+            channel
+                .send_request(entry.clone())
+                .expect("below the page's capacity");
+        }
+        channel.set_ring_depth(self.channel_depth);
+        let before = channel.stats();
         let mut next = state.clone();
-        match label {
-            "push" => {
-                let room = next.outstanding.len() < self.depth as usize;
-                let expect_doorbell = next.idx.is_empty();
-                match next.idx.try_push(self.push_depth) {
-                    Some(grant) => {
-                        if !room {
-                            next.error = Some(format!(
-                                "push admitted past the window: {} outstanding at depth {}",
-                                state.outstanding.len(),
-                                self.depth,
-                            ));
-                        } else if grant.doorbell != expect_doorbell {
-                            next.error = Some(format!(
-                                "doorbell {} on a {} ring (empty→non-empty edge lost or \
-                                 spurious wakeup)",
-                                grant.doorbell,
-                                if expect_doorbell { "sleeping" } else { "busy" },
-                            ));
-                        } else if next.outstanding.contains(&grant.slot) {
-                            next.error = Some(format!(
-                                "push aliased outstanding slot {}",
-                                grant.slot
-                            ));
-                        } else if grant.slot >= RING_CAPACITY {
-                            next.error =
-                                Some(format!("slot {} outside the shared page", grant.slot));
-                        } else {
-                            next.outstanding.push(grant.slot);
-                        }
-                    }
-                    None => {
-                        if room {
-                            next.error = Some(format!(
-                                "push refused with room: {} outstanding at depth {}",
-                                state.outstanding.len(),
-                                self.depth,
-                            ));
-                        } else {
-                            return Ok(None); // correctly refused, no new state
-                        }
-                    }
+        let (depth, queued) = (self.depth, state.queued);
+        let error = match (label, shadow.is_empty()) {
+            ("push", _) => match channel.send_request(payload(queued)) {
+                Ok(()) if queued >= depth => Some(format!(
+                    "push admitted past the window: {queued} outstanding at depth {depth}"
+                )),
+                Ok(()) => {
+                    shadow.push(payload(queued));
+                    next.queued += 1;
+                    let after = channel.stats();
+                    let rang = after.interrupt_deliveries - before.interrupt_deliveries;
+                    let coalesced = after.coalesced_deliveries - before.coalesced_deliveries;
+                    let expected = if queued == 0 { (1, 0) } else { (0, 1) };
+                    ((rang, coalesced) != expected).then(|| {
+                        format!(
+                            "send at {queued} outstanding charged {rang} doorbell(s) and \
+                             {coalesced} coalesced (empty→non-empty edge lost or spurious \
+                             wakeup)"
+                        )
+                    })
                 }
-            }
-            "pop" => match next.idx.try_pop() {
-                Some(slot) => {
-                    if next.outstanding.is_empty() {
-                        next.error = Some(format!(
-                            "pop handed out uncommitted slot {slot} from an empty ring"
-                        ));
-                    } else if next.outstanding[0] != slot {
-                        next.error = Some(format!(
-                            "pop broke FIFO: got slot {slot}, oldest committed is {}",
-                            next.outstanding[0],
-                        ));
-                    } else {
-                        next.outstanding.remove(0);
-                    }
-                }
-                None => {
-                    if next.outstanding.is_empty() {
-                        return Ok(None); // correctly refused
-                    }
-                    next.error = Some(format!(
-                        "pop refused with {} committed entries",
-                        next.outstanding.len()
-                    ));
-                }
+                Err(ChannelError::SlotBusy) if queued >= depth => return Ok(None),
+                Err(error) => Some(format!(
+                    "push refused ({error}) at {queued} outstanding, depth {depth}"
+                )),
             },
-            other => return Err(format!("unknown ring event {other:?}")),
-        }
-        // The kernel's own length must track the shadow queue (checked even
-        // on error states so the counterexample carries the full picture).
-        if next.error.is_none() && next.idx.len() as usize != next.outstanding.len() {
-            next.error = Some(format!(
-                "kernel len {} != shadow len {}",
-                next.idx.len(),
-                next.outstanding.len(),
-            ));
-        }
+            ("pop", true) => match channel.take_request() {
+                Err(ChannelError::Empty) => return Ok(None),
+                other => Some(format!("pop from an empty ring returned {other:?}")),
+            },
+            ("pop", false) => match channel.take_request() {
+                Ok(bytes) if bytes == shadow[0] => {
+                    shadow.remove(0);
+                    next.queued -= 1;
+                    next.pops = (state.pops + 1) % ARING_CAPACITY;
+                    None
+                }
+                other => Some(format!(
+                    "pop broke FIFO: got {other:?}, oldest committed is {:?}",
+                    shadow[0]
+                )),
+            },
+            (other, _) => return Err(format!("unknown ring event {other:?}")),
+        };
+        // What the ring still holds is the shadow queue, in order: nothing
+        // overwritten, lost or extra.
+        next.error = error.or_else(|| {
+            let held: Vec<Vec<u8>> = std::iter::from_fn(|| channel.take_request().ok()).collect();
+            (held != shadow).then(|| format!("ring holds {held:?}, shadow holds {shadow:?}"))
+        });
         Ok(Some(next))
     }
 }
@@ -152,153 +137,110 @@ impl TransitionSystem for RingModel {
     type State = RingState;
 
     fn initial(&self) -> Vec<RingState> {
-        self.seeds
-            .iter()
-            .map(|&seed| RingState {
-                idx: RingIndex::new_at(seed),
-                outstanding: Vec::new(),
-                error: None,
-            })
-            .collect()
+        vec![RingState::default()]
     }
 
     fn successors(&self, state: &RingState) -> Vec<(String, RingState)> {
         if state.error.is_some() {
-            return Vec::new(); // violations are sinks
+            return Vec::new();
         }
         ["push", "pop"]
             .iter()
             .filter_map(|label| {
-                self.step(state, label)
-                    .expect("known label")
-                    .map(|next| ((*label).to_owned(), next))
+                let next = self.step(state, label).expect("known label")?;
+                Some(((*label).to_owned(), next))
             })
             .collect()
     }
 
     fn invariant(&self, state: &RingState) -> Result<(), String> {
-        match &state.error {
-            Some(error) => Err(error.clone()),
-            None => Ok(()),
-        }
+        state.error.clone().map_or(Ok(()), Err)
     }
 }
 
 fn check_depth(
     name: &'static str,
     description: &'static str,
-    depth: u32,
+    depth: usize,
     mutant: Option<Mutant>,
 ) -> PropertyReport {
     let model = RingModel::new(depth, mutant);
+    // The space is finite: unbounded exploration is total.
     let bounds = Bounds {
-        max_states: 1_000_000,
-        // Bounded unrolling: enough steps to fill, drain, and refill the
-        // window twice, from both seeds (the wrap seed crosses u32::MAX
-        // within this horizon).
-        max_depth: (2 * depth + 8) as usize,
+        max_states: usize::MAX,
+        max_depth: usize::MAX,
     };
     let run = explore(&model, bounds);
-    match run.violation {
-        None => PropertyReport::proved(name, description, run.states_visited, run.transitions),
-        Some(violation) => {
-            // Which seed the trace started from: replay from each and see
-            // which one reaches the violating state.
-            let seed = model
-                .seeds
-                .iter()
-                .copied()
-                .find(|&seed| {
-                    replay_trace(&model, seed, &violation.trace).is_err()
-                })
-                .unwrap_or(0);
-            let finding = Diagnostic::new(
-                DiagCode::Vp002,
-                "ring-index",
-                None,
-                format!(
-                    "{} (depth {}, seed {}, after {:?})",
-                    violation.reason, depth, seed, violation.trace
-                ),
-            );
-            let mut fixture =
-                Fixture::new(name, mutant.map(Mutant::name), &violation.reason);
-            fixture.push_data("depth", depth.to_string());
-            fixture.push_data("seed", seed.to_string());
-            fixture.trace = violation.trace;
-            PropertyReport::disproved(
-                name,
-                description,
-                run.states_visited,
-                run.transitions,
-                vec![finding],
-                Some(fixture),
-            )
-        }
-    }
-}
-
-fn replay_trace(model: &RingModel, seed: u32, trace: &[String]) -> Result<(), String> {
-    let mut state = RingState {
-        idx: RingIndex::new_at(seed),
-        outstanding: Vec::new(),
-        error: None,
+    let Some(violation) = run.violation else {
+        return PropertyReport::proved(name, description, run.states_visited, run.transitions);
     };
-    for label in trace {
-        match model.step(&state, label)? {
-            Some(next) => state = next,
-            None => continue, // refused no-op step; trace tolerant
-        }
-        if let Some(error) = &state.error {
-            return Err(error.clone());
-        }
-    }
-    Ok(())
+    let finding = Diagnostic::new(
+        DiagCode::Vp002,
+        "ring",
+        None,
+        format!(
+            "{} (depth {depth}, after {:?})",
+            violation.reason, violation.trace
+        ),
+    );
+    let mut fixture = Fixture::new(name, mutant.map(Mutant::name), &violation.reason);
+    fixture.push_data("depth", depth.to_string());
+    fixture.trace = violation.trace;
+    PropertyReport::disproved(
+        name,
+        description,
+        run.states_visited,
+        run.transitions,
+        vec![finding],
+        Some(fixture),
+    )
 }
 
 /// `ring-depth1`: the paper's single bounded slot — push/pop strictly
-/// alternate, one slot, doorbell on every push.
+/// alternate, one entry, doorbell on every push.
 pub fn check_depth1(mutant: Option<Mutant>) -> PropertyReport {
     check_depth(
         "ring-depth1",
-        "depth-1 ring: single-slot alternation, exact doorbells, FIFO identity \
-         (bounded unrolling, zero and wrap seeds)",
+        "depth-1 channel ring: single-entry alternation, exact doorbells, FIFO payload \
+         identity (every cursor offset of the page)",
         1,
         mutant,
     )
 }
 
-/// `ring-depth8`: the fast-path pipeline depth — window of 8, wrap-around
-/// slot reuse only after completion, doorbell only on the empty edge.
+/// `ring-depth8`: the fast-path pipeline depth — window of 8, slot reuse
+/// only after completion, doorbell only on the empty edge.
 pub fn check_depth8(mutant: Option<Mutant>) -> PropertyReport {
     check_depth(
         "ring-depth8",
-        "depth-8 ring: window discipline, no aliasing across wrap, doorbell only on \
-         empty→non-empty (bounded unrolling, zero and wrap seeds)",
+        "depth-8 channel ring: window discipline, no overwrite across slot reuse, doorbell \
+         only on empty→non-empty (every cursor offset of the page)",
         8,
         mutant,
     )
 }
 
-/// Replays a ring fixture (`seed=`, `depth=`, `trace=` lines) against the
-/// real kernel.
+/// Replays a ring fixture (`depth=`, `trace=` lines) against the real
+/// channel.
 ///
 /// # Errors
 ///
 /// `Err(reason)` when the trace violates the invariants under `mutant`.
 pub fn replay(fixture: &Fixture, mutant: Option<Mutant>) -> Result<(), String> {
-    let depth: u32 = fixture
+    let depth: usize = fixture
         .value("depth")
         .ok_or("missing depth= line")?
         .parse()
         .map_err(|_| "bad depth")?;
-    let seed: u32 = fixture
-        .value("seed")
-        .ok_or("missing seed= line")?
-        .parse()
-        .map_err(|_| "bad seed")?;
     let model = RingModel::new(depth, mutant);
-    replay_trace(&model, seed, &fixture.trace)
+    let mut state = RingState::default();
+    for label in &fixture.trace {
+        if let Some(next) = model.step(&state, label)? {
+            state = next;
+        }
+        model.invariant(&state)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -311,9 +253,9 @@ mod tests {
         assert!(d1.proved, "{:?}", d1.findings);
         let d8 = check_depth8(None);
         assert!(d8.proved, "{:?}", d8.findings);
-        // The exploration actually covered wrap territory: two seeds, many
-        // states.
-        assert!(d8.states > 100);
+        // Every (cursor offset, queued) pair of the window was reached.
+        assert_eq!(d1.states, ARING_CAPACITY * 2);
+        assert_eq!(d8.states, ARING_CAPACITY * 9);
     }
 
     #[test]
@@ -339,5 +281,80 @@ mod tests {
         // Depth 1 with an off-by-one window: push, push is the shortest
         // refutation and BFS must find exactly it.
         assert_eq!(fixture.trace, vec!["push", "push"]);
+    }
+
+    /// Replays `trace` (`push`/`pop` labels) at `depth` through the same
+    /// checks the exploration applies to every step.
+    fn scripted(depth: usize, trace: &str) -> Result<(), String> {
+        let mut fixture = Fixture::new("ring-scripted", None, "");
+        fixture.push_data("depth", depth.to_string());
+        fixture.trace = trace.split_whitespace().map(str::to_owned).collect();
+        replay(&fixture, None)
+    }
+
+    #[test]
+    fn depth_one_alternates_one_slot_at_a_time() {
+        // Each second push is refused and each second pop finds nothing,
+        // for two and a half laps of the page.
+        assert_eq!(scripted(1, &"push push pop pop ".repeat(40)), Ok(()));
+    }
+
+    #[test]
+    fn depth_eight_full_ring_then_fifo_drain() {
+        // The ninth push is refused although the page has free slots.
+        let trace = format!("{}{}", "push ".repeat(9), "pop ".repeat(9));
+        assert_eq!(scripted(8, &trace), Ok(()));
+    }
+
+    #[test]
+    fn same_slot_produce_consume_at_full_window() {
+        // All 16 slots outstanding: the next pop and the next push name one
+        // slot, so the push waits for the pop, then reuses the slot without
+        // overwriting anything still queued.
+        let trace = format!("{}pop push {}", "push ".repeat(17), "pop ".repeat(17));
+        assert_eq!(scripted(MAX_RING_DEPTH, &trace), Ok(()));
+    }
+
+    fn channel() -> Channel {
+        Channel::new(
+            TransportMode::Interrupts,
+            SimClock::new(),
+            CostModel::default(),
+        )
+    }
+
+    #[test]
+    fn narrowing_depth_keeps_queued_entries() {
+        let mut ch = channel();
+        ch.set_ring_depth(8);
+        for i in 0..8 {
+            ch.send_request(payload(i)).unwrap();
+        }
+        // Narrowed to 1 with 8 queued: sends refused, takes still drain.
+        ch.set_ring_depth(1);
+        assert_eq!(ch.send_request(payload(8)), Err(ChannelError::SlotBusy));
+        for i in 0..7 {
+            assert_eq!(ch.take_request().unwrap(), payload(i));
+        }
+        // Still one queued = the narrowed depth: refused.
+        assert_eq!(ch.send_request(payload(8)), Err(ChannelError::SlotBusy));
+        assert_eq!(ch.take_request().unwrap(), payload(7));
+        ch.send_request(payload(8)).unwrap();
+        assert_eq!(ch.take_request().unwrap(), payload(8));
+    }
+
+    #[test]
+    fn depth_is_clamped_to_capacity() {
+        let mut ch = channel();
+        ch.set_ring_depth(usize::MAX);
+        assert_eq!(ch.ring_depth(), ARING_CAPACITY);
+        for i in 0..ARING_CAPACITY {
+            ch.send_request(payload(i)).unwrap();
+        }
+        assert_eq!(
+            ch.send_request(payload(ARING_CAPACITY)),
+            Err(ChannelError::SlotBusy),
+            "capacity bounds any depth"
+        );
     }
 }
