@@ -32,7 +32,7 @@ use crate::proto::WireOp;
 /// workloads repeat — and the *full* canonical grant tuple participates, so
 /// any shape change (different buffer, length, or derived grant set) misses
 /// and declares cold.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct GrantCacheKey {
     /// Owning guest: cached declarations live in a per-guest grant shard
     /// (ISSUE 10), so the key is guest-qualified — one guest's cache
@@ -58,19 +58,24 @@ impl GrantCacheKey {
         op: &WireOp,
         grants: &[MemOpGrant],
     ) -> Option<GrantCacheKey> {
-        let (tag, cmd) = match op {
-            WireOp::Read { .. } => (0u8, 0u32),
+        let mut key = GrantCacheKey::default();
+        key.refill(guest, handle, op, grants).then_some(key)
+    }
+
+    /// Makes this key [`GrantCacheKey::for_op`]'s in place, keeping the
+    /// grant tuple's capacity, so a cache hit builds nothing; `false` (the
+    /// key then unspecified) when the shape is not cacheable.
+    pub fn refill(&mut self, guest: u32, handle: u64, op: &WireOp, grants: &[MemOpGrant]) -> bool {
+        (self.op, self.cmd) = match op {
+            WireOp::Read { .. } => (0, 0),
             WireOp::Write { .. } => (1, 0),
             WireOp::Ioctl { cmd, .. } => (2, cmd.raw()),
-            _ => return None,
+            _ => return false,
         };
-        Some(GrantCacheKey {
-            guest,
-            handle,
-            op: tag,
-            cmd,
-            grants: grants.iter().map(Self::canon).collect(),
-        })
+        (self.guest, self.handle) = (guest, handle);
+        self.grants.clear();
+        self.grants.extend(grants.iter().map(Self::canon));
+        true
     }
 
     fn canon(grant: &MemOpGrant) -> (u8, u64, u64, u8) {

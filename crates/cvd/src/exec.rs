@@ -64,7 +64,8 @@ fn memop_trace_fields(request: &MemOpRequest) -> (TraceMemOpKind, u64, u64) {
 /// every memory operation against the grant table, record the outcome.
 /// A blocked operation (no grant attached, or the grant does not cover
 /// it) turns the response into `EFAULT` — the hypervisor refused the
-/// hypercall, so the driver's operation failed.
+/// hypercall, so the driver's operation failed. The caller encodes the
+/// response where it keeps it.
 pub(crate) fn dispatch(
     guest: u32,
     frame: &[u8],
@@ -72,9 +73,9 @@ pub(crate) fn dispatch(
     grants: &ShardedGrantTable,
     now_ns: u64,
     events: &mut Vec<TraceEvent>,
-) -> Vec<u8> {
+) -> WireResponse {
     let Ok(request) = WireRequest::decode(frame) else {
-        return WireResponse::Err(Errno::Einval).encode();
+        return WireResponse::Err(Errno::Einval);
     };
     let (response, memops) = service.serve(&request);
     let mut blocked = false;
@@ -96,12 +97,11 @@ pub(crate) fn dispatch(
             });
         }
     }
-    let response = if blocked {
+    if blocked {
         WireResponse::Err(Errno::Efault)
     } else {
         response
-    };
-    response.encode()
+    }
 }
 
 /// One workload item: a wire operation plus the grants its frontend
@@ -220,7 +220,7 @@ pub fn run_workload(
             Some(
                 engine
                     .grants()
-                    .declare(guest, item.grants.clone())
+                    .declare(guest, &item.grants)
                     .expect("workload stays under grant capacity"),
             )
         };

@@ -140,45 +140,57 @@ impl IoctlKnowledge {
     ///
     /// # Errors
     ///
-    /// `EFAULT` if JIT evaluation cannot read the caller's memory (the
-    /// operation would fault in the driver anyway).
+    /// As [`IoctlKnowledge::grants_into`].
     pub fn grants_for(
         &self,
         cmd: IoctlCmd,
         arg: u64,
         reader: &mut dyn UserReader,
     ) -> Result<Vec<MemOpGrant>, Errno> {
-        if let Some(report) = &self.report {
-            if let Some(extraction) = report.commands.get(&cmd.raw()) {
-                return match extraction {
-                    Extraction::Static(templates) => Ok(templates
-                        .iter()
-                        .map(|t| grant(t.kind, t.addr.resolve(arg), t.len))
-                        .collect()),
-                    Extraction::Jit { slice, .. } => {
-                        let ops = evaluate_slice(slice, cmd.raw(), arg, reader)
-                            .map_err(|_| Errno::Efault)?;
-                        Ok(ops
-                            .into_iter()
-                            .map(|op| grant(op.kind, op.addr, op.len))
-                            .collect())
-                    }
-                };
-            }
-        }
-        // Fallback: the `_IOC` encoding embeds size and direction (§4.1).
         let mut grants = Vec::new();
-        let size = u64::from(cmd.size());
-        if size > 0 {
-            let addr = GuestVirtAddr::new(arg);
-            if cmd.dir().copies_from_user() {
-                grants.push(MemOpGrant::CopyFromGuest { addr, len: size });
+        self.grants_into(cmd, arg, reader, &mut grants)?;
+        Ok(grants)
+    }
+
+    /// Derives the legitimate memory operations of `ioctl(cmd, arg)` into
+    /// `grants`, replacing its contents: a caller that keeps one buffer
+    /// derives every op's grants without allocating.
+    ///
+    /// # Errors
+    ///
+    /// `EFAULT` if JIT evaluation cannot read the caller's memory (the
+    /// operation would fault in the driver anyway).
+    pub fn grants_into(
+        &self,
+        cmd: IoctlCmd,
+        arg: u64,
+        reader: &mut dyn UserReader,
+        grants: &mut Vec<MemOpGrant>,
+    ) -> Result<(), Errno> {
+        grants.clear();
+        let extraction = self.report.as_ref().and_then(|r| r.commands.get(&cmd.raw()));
+        match extraction {
+            Some(Extraction::Static(templates)) => {
+                grants.extend(templates.iter().map(|t| grant(t.kind, t.addr.resolve(arg), t.len)));
             }
-            if cmd.dir().copies_to_user() {
-                grants.push(MemOpGrant::CopyToGuest { addr, len: size });
+            Some(Extraction::Jit { slice, .. }) => {
+                let ops =
+                    evaluate_slice(slice, cmd.raw(), arg, reader).map_err(|_| Errno::Efault)?;
+                grants.extend(ops.into_iter().map(|op| grant(op.kind, op.addr, op.len)));
+            }
+            // Fallback: the `_IOC` encoding embeds size and direction (§4.1).
+            None => {
+                let size = u64::from(cmd.size());
+                let addr = GuestVirtAddr::new(arg);
+                if size > 0 && cmd.dir().copies_from_user() {
+                    grants.push(MemOpGrant::CopyFromGuest { addr, len: size });
+                }
+                if size > 0 && cmd.dir().copies_to_user() {
+                    grants.push(MemOpGrant::CopyToGuest { addr, len: size });
+                }
             }
         }
-        Ok(grants)
+        Ok(())
     }
 }
 
@@ -350,6 +362,11 @@ pub struct Frontend {
     /// Memoized grant declarations (fast path): op shape → live reference,
     /// with explicit ownership handoff on eviction (see [`crate::cache`]).
     grant_cache: GrantCache,
+    /// The current op's cache key, refilled in place for every lookup and
+    /// cloned only into a cold insert.
+    cache_key: GrantCacheKey,
+    /// The current ioctl's derived grants, refilled in place for every op.
+    grant_buf: Vec<MemOpGrant>,
     /// Requests posted to the ring, awaiting their FIFO-ordered responses.
     pipeline: Vec<PendingOp>,
     /// Results of completed pipelined ops, handed out by `flush_pipeline`.
@@ -394,6 +411,8 @@ impl Frontend {
             breaker_backoff_ns: 0,
             fastpath: false,
             grant_cache: GrantCache::new(GRANT_CACHE_CAP),
+            cache_key: GrantCacheKey::default(),
+            grant_buf: Vec::new(),
             pipeline: Vec::new(),
             completed: Vec::new(),
         }
@@ -565,7 +584,7 @@ impl Frontend {
         self.pending_mmap_range = Some((va, len));
     }
 
-    fn declare(&mut self, ops: Vec<MemOpGrant>) -> Result<GrantRef, Errno> {
+    fn declare(&mut self, ops: &[MemOpGrant]) -> Result<GrantRef, Errno> {
         self.stats.grants_declared += 1;
         self.hv
             .borrow_mut()
@@ -595,7 +614,7 @@ impl Frontend {
         task: TaskId,
         pt_root: GuestPhysAddr,
         handle: u64,
-        grants: Option<Vec<MemOpGrant>>,
+        grants: Option<&[MemOpGrant]>,
         op: WireOp,
     ) -> Result<WireResponse, Errno> {
         // Responses are FIFO-matched on the ring: any pipelined submissions
@@ -632,7 +651,7 @@ impl Frontend {
         task: TaskId,
         pt_root: GuestPhysAddr,
         handle: u64,
-        grants: Option<Vec<MemOpGrant>>,
+        grants: Option<&[MemOpGrant]>,
         op: WireOp,
     ) -> Result<PendingOp, Errno> {
         let pending = self.begin_op(task, handle, grants, &op)?;
@@ -666,7 +685,7 @@ impl Frontend {
         &mut self,
         task: TaskId,
         handle: u64,
-        grants: Option<Vec<MemOpGrant>>,
+        grants: Option<&[MemOpGrant]>,
         op: &WireOp,
     ) -> Result<PendingOp, Errno> {
         let enabled = self.tracer.is_enabled();
@@ -742,50 +761,48 @@ impl Frontend {
         &mut self,
         handle: u64,
         op: &WireOp,
-        ops: Vec<MemOpGrant>,
+        ops: &[MemOpGrant],
         span: SpanId,
         enabled: bool,
     ) -> Result<(GrantRef, bool), Errno> {
-        if self.fastpath {
-            if let Some(key) = GrantCacheKey::for_op(self.guest.0, handle, op, &ops) {
-                if let Some(grant) = self.grant_cache.lookup(&key) {
-                    self.stats.grant_cache_hits += 1;
-                    if enabled {
-                        self.tracer.record(TraceEvent::GrantCache { span, hit: true });
-                    }
-                    return Ok((grant, true));
-                }
-                let grant = self.declare(ops)?;
-                let pipeline = &self.pipeline;
-                let eviction = self.grant_cache.insert(key, grant, |evicted| {
-                    pipeline.iter().any(|p| p.grant == Some(evicted))
-                });
-                match eviction {
-                    Eviction::None => {}
-                    Eviction::Revoke(evicted) => self.revoke(evicted),
-                    // The evicted ref is still attached to in-flight
-                    // pipelined ops: revoking now would fail their
-                    // hypercalls mid-flight. Hand ownership to the *last*
-                    // pending op using it — `drain_pipeline` revokes
-                    // non-cache-owned grants after completion, and earlier
-                    // ops sharing the ref stay `cache_owned` so only the
-                    // final use revokes.
-                    Eviction::Transfer(evicted) => {
-                        if let Some(entry) = self
-                            .pipeline
-                            .iter_mut()
-                            .rev()
-                            .find(|p| p.grant == Some(evicted))
-                        {
-                            entry.cache_owned = false;
-                        }
-                    }
-                }
+        if self.fastpath && self.cache_key.refill(self.guest.0, handle, op, ops) {
+            if let Some(grant) = self.grant_cache.lookup(&self.cache_key) {
+                self.stats.grant_cache_hits += 1;
                 if enabled {
-                    self.tracer.record(TraceEvent::GrantCache { span, hit: false });
+                    self.tracer.record(TraceEvent::GrantCache { span, hit: true });
                 }
                 return Ok((grant, true));
             }
+            let grant = self.declare(ops)?;
+            let pipeline = &self.pipeline;
+            let eviction = self.grant_cache.insert(self.cache_key.clone(), grant, |evicted| {
+                pipeline.iter().any(|p| p.grant == Some(evicted))
+            });
+            match eviction {
+                Eviction::None => {}
+                Eviction::Revoke(evicted) => self.revoke(evicted),
+                // The evicted ref is still attached to in-flight
+                // pipelined ops: revoking now would fail their
+                // hypercalls mid-flight. Hand ownership to the *last*
+                // pending op using it — `drain_pipeline` revokes
+                // non-cache-owned grants after completion, and earlier
+                // ops sharing the ref stay `cache_owned` so only the
+                // final use revokes.
+                Eviction::Transfer(evicted) => {
+                    if let Some(entry) = self
+                        .pipeline
+                        .iter_mut()
+                        .rev()
+                        .find(|p| p.grant == Some(evicted))
+                    {
+                        entry.cache_owned = false;
+                    }
+                }
+            }
+            if enabled {
+                self.tracer.record(TraceEvent::GrantCache { span, hit: false });
+            }
+            return Ok((grant, true));
         }
         self.declare(ops).map(|grant| (grant, false))
     }
@@ -988,8 +1005,8 @@ impl Frontend {
         len: u64,
     ) -> Result<u64, Errno> {
         let handle = self.handle(fd)?;
-        let grants = vec![MemOpGrant::CopyToGuest { addr, len }];
-        self.run_op(task, pt.root(), handle, Some(grants), WireOp::Read { addr, len })
+        let grants = [MemOpGrant::CopyToGuest { addr, len }];
+        self.run_op(task, pt.root(), handle, Some(&grants), WireOp::Read { addr, len })
             .and_then(WireResponse::result)
             .map(|n| n as u64)
     }
@@ -1008,23 +1025,25 @@ impl Frontend {
         len: u64,
     ) -> Result<u64, Errno> {
         let handle = self.handle(fd)?;
-        let grants = vec![MemOpGrant::CopyFromGuest { addr, len }];
-        self.run_op(task, pt.root(), handle, Some(grants), WireOp::Write { addr, len })
+        let grants = [MemOpGrant::CopyFromGuest { addr, len }];
+        self.run_op(task, pt.root(), handle, Some(&grants), WireOp::Write { addr, len })
             .and_then(WireResponse::result)
             .map(|n| n as u64)
     }
 
-    /// What [`Frontend::ioctl`] and [`Frontend::ioctl_pipelined`] do before
-    /// submitting: resolve the descriptor and derive the op's grants from
-    /// the device's [`IoctlKnowledge`], reading the caller's memory where
-    /// the command needs JIT evaluation.
-    fn ioctl_grants(
+    /// What [`Frontend::ioctl`] and [`Frontend::ioctl_pipelined`] share:
+    /// resolve the descriptor, derive the op's grants from the device's
+    /// [`IoctlKnowledge`] into the frontend's one buffer — reading the
+    /// caller's memory where the command needs JIT evaluation — and hand
+    /// them to `submit` with the backend handle.
+    fn with_ioctl_grants<T>(
         &mut self,
         pt: GuestPageTables,
         fd: u64,
         cmd: IoctlCmd,
         arg: u64,
-    ) -> Result<(u64, Vec<MemOpGrant>), Errno> {
+        submit: impl FnOnce(&mut Self, u64, &[MemOpGrant]) -> Result<T, Errno>,
+    ) -> Result<T, Errno> {
         let file = self.open.get(&fd).ok_or(Errno::Ebadf)?;
         let handle = file.backend_handle;
         let knowledge = self
@@ -1045,8 +1064,12 @@ impl Frontend {
             guest: self.guest,
             pt_root: pt.root(),
         };
-        let ops = knowledge.grants_for(cmd, arg, &mut reader)?;
-        Ok((handle, ops))
+        let mut grants = std::mem::take(&mut self.grant_buf);
+        let result = knowledge
+            .grants_into(cmd, arg, &mut reader, &mut grants)
+            .and_then(|()| submit(self, handle, &grants));
+        self.grant_buf = grants;
+        result
     }
 
     /// Forwards `ioctl`: grants derived from the analyzer table (static or
@@ -1063,9 +1086,10 @@ impl Frontend {
         cmd: IoctlCmd,
         arg: u64,
     ) -> Result<i64, Errno> {
-        let (handle, ops) = self.ioctl_grants(pt, fd, cmd, arg)?;
-        self.run_op(task, pt.root(), handle, Some(ops), WireOp::Ioctl { cmd, arg })
-            .and_then(WireResponse::result)
+        self.with_ioctl_grants(pt, fd, cmd, arg, |this, handle, ops| {
+            this.run_op(task, pt.root(), handle, Some(ops), WireOp::Ioctl { cmd, arg })
+        })
+        .and_then(WireResponse::result)
     }
 
     /// Posts an `ioctl` to the ring **without waiting for its response**
@@ -1086,8 +1110,9 @@ impl Frontend {
         cmd: IoctlCmd,
         arg: u64,
     ) -> Result<(), Errno> {
-        let (handle, ops) = self.ioctl_grants(pt, fd, cmd, arg)?;
-        self.submit_op(task, pt.root(), handle, Some(ops), WireOp::Ioctl { cmd, arg })
+        self.with_ioctl_grants(pt, fd, cmd, arg, |this, handle, ops| {
+            this.submit_op(task, pt.root(), handle, Some(ops), WireOp::Ioctl { cmd, arg })
+        })
     }
 
     /// Completes every pipelined submission: the backend drains the request
@@ -1113,7 +1138,7 @@ impl Frontend {
         task: TaskId,
         pt_root: GuestPhysAddr,
         handle: u64,
-        grants: Option<Vec<MemOpGrant>>,
+        grants: Option<&[MemOpGrant]>,
         op: WireOp,
     ) -> Result<(), Errno> {
         debug_assert!(op.is_pipelineable(), "op {} cannot be pipelined", op.name());
@@ -1136,10 +1161,14 @@ impl Frontend {
         while served.is_ok() && self.channel.borrow().request_backlog() > 0 {
             served = self.backend.borrow_mut().handle_request(self.guest);
         }
-        for op in std::mem::take(&mut self.pipeline) {
+        // Taken and put back, so the queue keeps its capacity: completing
+        // an op never posts another.
+        let mut pipeline = std::mem::take(&mut self.pipeline);
+        for op in pipeline.drain(..) {
             let outcome = self.complete(&op, &mut served);
             self.completed.push(outcome.and_then(WireResponse::result));
         }
+        self.pipeline = pipeline;
     }
 
     /// Forwards `mmap`: pre-creates the intermediate page-table levels for
@@ -1187,7 +1216,7 @@ impl Frontend {
                 task,
                 pt.root(),
                 handle,
-                Some(vec![MemOpGrant::MapPages { va, pages, access }]),
+                Some(&[MemOpGrant::MapPages { va, pages, access }]),
                 WireOp::Mmap {
                     va,
                     len,
@@ -1243,7 +1272,7 @@ impl Frontend {
             task,
             pt.root(),
             handle,
-            Some(vec![MemOpGrant::MapPages {
+            Some(&[MemOpGrant::MapPages {
                 va: va.page_base(),
                 pages: 1,
                 access: vma.access,
@@ -1284,7 +1313,7 @@ impl Frontend {
                 task,
                 pt.root(),
                 handle,
-                Some(vec![MemOpGrant::UnmapPages { va, pages }]),
+                Some(&[MemOpGrant::UnmapPages { va, pages }]),
                 WireOp::Munmap { va, len },
             )
             .and_then(WireResponse::result);

@@ -52,7 +52,7 @@ use std::thread::JoinHandle;
 use paradice_hypervisor::engine::{EngineError, EngineKind};
 use paradice_hypervisor::{
     ARingError, AtomicRing, ClockSource, CostModel, Doorbell, FairSched, IdRing, SchedPolicy,
-    ShardedGrantTable, SimClock, WallClock, ARING_CAPACITY, ARING_SLOT_BYTES,
+    ShardedGrantTable, SimClock, WallClock, WireCodec, ARING_CAPACITY, ARING_SLOT_BYTES,
 };
 use paradice_trace::TraceEvent;
 
@@ -188,7 +188,7 @@ impl MultiVirtualEngine {
             self.clock.now_ns(),
             &mut self.backend_events,
         );
-        Some((guest, response))
+        Some((guest, response.encode()))
     }
 }
 
@@ -373,22 +373,29 @@ impl MultiWallEngine {
                             continue;
                         };
                         let (req_ring, resp_ring) = &rings[guest as usize];
-                        let Some(frame) = req_ring.try_pop() else {
+                        // Served in its slot: the frame is decoded where
+                        // the frontend wrote it, never copied out.
+                        let served = req_ring.try_pop_with(|frame| {
+                            let started = clock.now_ns();
+                            let response =
+                                dispatch(guest, frame, &mut service, &grants, started, &mut events);
+                            (started, response)
+                        });
+                        let Some((started, response)) = served else {
                             // An id with no frame behind it (only a
                             // misbehaving frontend publishes one): drop the
                             // claim. A real frame brings its own id.
                             pending[guest as usize] = 0;
                             continue;
                         };
-                        let started = clock.now_ns();
-                        let response =
-                            dispatch(guest, &frame, &mut service, &grants, started, &mut events);
                         sched.charge(guest, clock.now_ns().saturating_sub(started).max(1));
+                        let mut frame = [0u8; ARING_SLOT_BYTES];
+                        let len = response.encode_into(&mut frame).expect("a response fits a slot");
                         // The frontend caps a guest at MULTI_QUEUE_CAP =
                         // ARING_CAPACITY ops in flight and counts an op
                         // until it takes the response, so this one's
                         // response always finds a free slot.
-                        resp_ring.try_push(&response).expect(
+                        resp_ring.try_push(&frame[..len]).expect(
                             "a response ring holds at most MULTI_QUEUE_CAP - 1 other responses, \
                              and responses are tiny",
                         );

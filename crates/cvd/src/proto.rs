@@ -192,19 +192,52 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-struct Writer(Vec<u8>);
+/// Writes a frame into a caller's buffer and counts every byte, including
+/// those that did not fit, so an overlong message reports the length it
+/// needs.
+struct Writer<'a> {
+    out: &'a mut [u8],
+    len: usize,
+}
 
-impl Writer {
+impl Writer<'_> {
+    fn bytes(&mut self, bytes: &[u8]) {
+        if let Some(at) = self.out.get_mut(self.len..self.len + bytes.len()) {
+            at.copy_from_slice(bytes);
+        }
+        self.len += bytes.len();
+    }
+
     fn u8(&mut self, v: u8) {
-        self.0.push(v);
+        self.bytes(&[v]);
     }
 
     fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
 
     fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// [`WireCodec::encode_into`]'s answer.
+    fn finish(self) -> Result<usize, usize> {
+        (self.len <= self.out.len()).then_some(self.len).ok_or(self.len)
+    }
+}
+
+/// A message's frame as an owned `Vec`, for callers that keep frames (the
+/// engines' queues, tests, probes): encoded on the stack when it fits a
+/// slot, otherwise at its own length.
+fn owned_frame(message: &impl WireCodec) -> Vec<u8> {
+    let mut slot = [0u8; ARING_SLOT_BYTES];
+    match message.encode_into(&mut slot) {
+        Ok(len) => slot[..len].to_vec(),
+        Err(len) => {
+            let mut frame = vec![0; len];
+            let _ = message.encode_into(&mut frame);
+            frame
+        }
     }
 }
 
@@ -288,56 +321,10 @@ fn decode_flags(raw: u8) -> OpenFlags {
 }
 
 impl WireRequest {
-    /// Serializes the request for the shared page.
+    /// Serializes the request into an owned frame;
+    /// [`WireCodec::encode_into`] writes the same bytes into a caller's buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer(Vec::with_capacity(64));
-        w.u8(self.op.opcode());
-        w.u64(self.task);
-        w.u64(self.pt_root.raw());
-        w.u64(self.handle);
-        w.u64(self.span);
-        match self.grant {
-            Some(grant) => {
-                w.u8(1);
-                w.u32(grant.0);
-            }
-            None => w.u8(0),
-        }
-        match &self.op {
-            WireOp::Open { path, flags } => {
-                w.u8(encode_flags(*flags));
-                let bytes = path.as_bytes();
-                w.u32(bytes.len() as u32);
-                w.0.extend_from_slice(bytes);
-            }
-            WireOp::Release | WireOp::Poll => {}
-            WireOp::Read { addr, len } | WireOp::Write { addr, len } => {
-                w.u64(addr.raw());
-                w.u64(*len);
-            }
-            WireOp::Ioctl { cmd, arg } => {
-                w.u32(cmd.raw());
-                w.u64(*arg);
-            }
-            WireOp::Mmap {
-                va,
-                len,
-                offset,
-                access,
-            } => {
-                w.u64(va.raw());
-                w.u64(*len);
-                w.u64(*offset);
-                w.u8(access.bits());
-            }
-            WireOp::Munmap { va, len } => {
-                w.u64(va.raw());
-                w.u64(*len);
-            }
-            WireOp::Fault { va } => w.u64(va.raw()),
-            WireOp::Fasync { on } => w.u8(u8::from(*on)),
-        }
-        w.0
+        owned_frame(self)
     }
 
     /// Parses a request from the shared page.
@@ -461,24 +448,10 @@ impl WireResponse {
         }
     }
 
-    /// Serializes the response.
+    /// Serializes the response into an owned frame;
+    /// [`WireCodec::encode_into`] writes the same bytes into a caller's buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer(Vec::with_capacity(9));
-        match self {
-            WireResponse::Value(value) => {
-                w.u8(0);
-                w.u64(*value as u64);
-            }
-            WireResponse::Err(errno) => {
-                w.u8(1);
-                w.u32(errno.code() as u32);
-            }
-            WireResponse::Poll(events) => {
-                w.u8(2);
-                w.u32(u32::from(events.bits()));
-            }
-        }
-        w.0
+        owned_frame(self)
     }
 
     /// Parses a response.
@@ -528,12 +501,10 @@ pub struct WireSignal {
 }
 
 impl WireSignal {
-    /// Serializes the signal.
+    /// Serializes the signal into an owned frame;
+    /// [`WireCodec::encode_into`] writes the same bytes into a caller's buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer(Vec::with_capacity(16));
-        w.u64(self.task);
-        w.u64(self.handle);
-        w.0
+        owned_frame(self)
     }
 
     /// Parses a signal.
@@ -711,8 +682,55 @@ pub fn doctored_wire_request_decode_ir() -> paradice_analyzer::ir::Handler {
 // through these impls, so encode/decode happens in exactly one place.
 
 impl WireCodec for WireRequest {
-    fn encode_wire(&self) -> Vec<u8> {
-        self.encode()
+    fn encode_into(&self, out: &mut [u8]) -> Result<usize, usize> {
+        let mut w = Writer { out, len: 0 };
+        w.u8(self.op.opcode());
+        w.u64(self.task);
+        w.u64(self.pt_root.raw());
+        w.u64(self.handle);
+        w.u64(self.span);
+        match self.grant {
+            Some(grant) => {
+                w.u8(1);
+                w.u32(grant.0);
+            }
+            None => w.u8(0),
+        }
+        match &self.op {
+            WireOp::Open { path, flags } => {
+                w.u8(encode_flags(*flags));
+                let bytes = path.as_bytes();
+                w.u32(bytes.len() as u32);
+                w.bytes(bytes);
+            }
+            WireOp::Release | WireOp::Poll => {}
+            WireOp::Read { addr, len } | WireOp::Write { addr, len } => {
+                w.u64(addr.raw());
+                w.u64(*len);
+            }
+            WireOp::Ioctl { cmd, arg } => {
+                w.u32(cmd.raw());
+                w.u64(*arg);
+            }
+            WireOp::Mmap {
+                va,
+                len,
+                offset,
+                access,
+            } => {
+                w.u64(va.raw());
+                w.u64(*len);
+                w.u64(*offset);
+                w.u8(access.bits());
+            }
+            WireOp::Munmap { va, len } => {
+                w.u64(va.raw());
+                w.u64(*len);
+            }
+            WireOp::Fault { va } => w.u64(va.raw()),
+            WireOp::Fasync { on } => w.u8(u8::from(*on)),
+        }
+        w.finish()
     }
 
     fn decode_wire(bytes: &[u8]) -> Option<Self> {
@@ -721,8 +739,23 @@ impl WireCodec for WireRequest {
 }
 
 impl WireCodec for WireResponse {
-    fn encode_wire(&self) -> Vec<u8> {
-        self.encode()
+    fn encode_into(&self, out: &mut [u8]) -> Result<usize, usize> {
+        let mut w = Writer { out, len: 0 };
+        match self {
+            WireResponse::Value(value) => {
+                w.u8(0);
+                w.u64(*value as u64);
+            }
+            WireResponse::Err(errno) => {
+                w.u8(1);
+                w.u32(errno.code() as u32);
+            }
+            WireResponse::Poll(events) => {
+                w.u8(2);
+                w.u32(u32::from(events.bits()));
+            }
+        }
+        w.finish()
     }
 
     fn decode_wire(bytes: &[u8]) -> Option<Self> {
@@ -731,8 +764,11 @@ impl WireCodec for WireResponse {
 }
 
 impl WireCodec for WireSignal {
-    fn encode_wire(&self) -> Vec<u8> {
-        self.encode()
+    fn encode_into(&self, out: &mut [u8]) -> Result<usize, usize> {
+        let mut w = Writer { out, len: 0 };
+        w.u64(self.task);
+        w.u64(self.handle);
+        w.finish()
     }
 
     fn decode_wire(bytes: &[u8]) -> Option<Self> {
@@ -964,6 +1000,29 @@ mod tests {
         );
     }
 
+    /// `encode_into` writes the frame `encode` returns; a buffer one byte
+    /// short gets nothing usable and the length the message needs.
+    #[test]
+    fn encode_into_reports_the_length_a_short_buffer_lacks() {
+        let request = WireRequest {
+            task: 3,
+            pt_root: GuestPhysAddr::new(0x7000),
+            handle: 2,
+            span: 0,
+            grant: Some(GrantRef(5)),
+            op: WireOp::Ioctl {
+                cmd: iowr(b'd', 0x26, 16),
+                arg: 0x1000,
+            },
+        };
+        let frame = request.encode();
+        let mut out = [0u8; ARING_SLOT_BYTES];
+        assert_eq!(request.encode_into(&mut out), Ok(frame.len()));
+        assert_eq!(&out[..frame.len()], &frame[..]);
+        assert_eq!(request.encode_into(&mut out[..frame.len() - 1]), Err(frame.len()));
+        assert_eq!(WireResponse::Value(7).encode_into(&mut []), Err(9));
+    }
+
     #[test]
     fn responses_roundtrip() {
         for resp in [
@@ -998,10 +1057,7 @@ mod tests {
         assert_eq!(WireResponse::decode(&bytes), Err(WireError));
         assert_eq!(WireResponse::decode(&[3, 0, 0, 0, 0]), Err(WireError));
         // Poll bits beyond u16 are not representable events.
-        let mut poll = Writer(Vec::new());
-        poll.u8(2);
-        poll.u32(0x1_0000);
-        assert_eq!(WireResponse::decode(&poll.0), Err(WireError));
+        assert_eq!(WireResponse::decode(&[2, 0, 0, 1, 0]), Err(WireError));
     }
 
     #[test]

@@ -41,11 +41,11 @@
 //! (`Channel<Req, Resp, Sig>`), each of which supplies its wire format via
 //! [`WireCodec`]. Encoding happens inside `send_*` and decoding inside
 //! `take_*` — exactly one serialization boundary, so the frontend and
-//! backend exchange typed values and never hand-roll byte buffers. The
-//! slots hold the encoded bytes, and `take_*` decodes them in place.
-//! `Vec<u8>` implements [`WireCodec`] as the identity codec, and the type
-//! parameters default to it, so a bare `Channel` is the old untyped byte
-//! channel.
+//! backend exchange typed values and never hand-roll byte buffers. A send
+//! encodes into a slot-sized frame on its own stack and pushes that; `take_*`
+//! decodes in the slot. Neither allocates. `Vec<u8>` implements
+//! [`WireCodec`] as the identity codec, and the type parameters default to
+//! it, so a bare `Channel` is the old untyped byte channel.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -56,21 +56,24 @@ use crate::clock::{ClockSource, CostModel};
 
 /// A message type with a defined shared-page wire format.
 ///
-/// Implementations must round-trip: `decode_wire(&x.encode_wire())` is
-/// `Some(x)` for every value `x`, and decoding must reject trailing bytes
-/// (the slot hands back exactly what was posted, so extra bytes mean a
-/// malformed or forged message).
+/// Implementations must round-trip: a frame `encode_into` writes decodes
+/// to `Some(x)` for every value `x`, and decoding must reject trailing
+/// bytes (the slot hands back exactly what was posted, so extra bytes mean
+/// a malformed or forged message).
 pub trait WireCodec: Sized {
-    /// Serializes the message for the shared page.
-    fn encode_wire(&self) -> Vec<u8>;
+    /// Serializes the message for the shared page into `out`: `Ok(len)`
+    /// with the frame in `out[..len]`, or `Err(len)`, the length the
+    /// message needs, when it does not fit.
+    fn encode_into(&self, out: &mut [u8]) -> Result<usize, usize>;
     /// Parses a message from the shared page; `None` on any malformation.
     fn decode_wire(bytes: &[u8]) -> Option<Self>;
 }
 
 /// The identity codec: raw bytes travel as-is (the pre-typed-channel API).
 impl WireCodec for Vec<u8> {
-    fn encode_wire(&self) -> Vec<u8> {
-        self.clone()
+    fn encode_into(&self, out: &mut [u8]) -> Result<usize, usize> {
+        out.get_mut(..self.len()).ok_or(self.len())?.copy_from_slice(self);
+        Ok(self.len())
     }
 
     fn decode_wire(bytes: &[u8]) -> Option<Self> {
@@ -305,14 +308,6 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
         self.last_activity_ns = self.clock.now_ns();
     }
 
-    fn check_len(bytes: &[u8]) -> Result<(), ChannelError> {
-        if bytes.len() > ARING_SLOT_BYTES {
-            Err(ChannelError::TooLarge { len: bytes.len() })
-        } else {
-            Ok(())
-        }
-    }
-
     /// A coalesced send: the ring was already non-empty, so the doorbell is
     /// already rung — the peer will drain this entry under the same
     /// interrupt (or polling pass). Only marshalling is paid.
@@ -322,29 +317,33 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
         self.last_activity_ns = self.clock.now_ns();
     }
 
-    /// One direction's send: admission into `ring` (a slot's length, then
-    /// the ring depth), then the doorbell charge if the ring was empty —
-    /// exact here, where one thread is both sides — or the coalesced one.
-    /// Returns the encoded length for the caller's byte counter.
+    /// One direction's send: admission into `ring` (the message must
+    /// encode into one slot, then the ring depth), then the doorbell charge
+    /// if the ring was empty — exact here, where one thread is both sides —
+    /// or the coalesced one. Returns the encoded length for the caller's
+    /// byte counter.
     fn send(
         &mut self,
-        bytes: &[u8],
+        message: &impl WireCodec,
         ring: impl FnOnce(&mut Self) -> &mut AtomicRing,
     ) -> Result<u64, ChannelError> {
-        Self::check_len(bytes)?;
+        let mut frame = [0u8; ARING_SLOT_BYTES];
+        let len = message
+            .encode_into(&mut frame)
+            .map_err(|len| ChannelError::TooLarge { len })?;
         let depth = self.ring_depth;
         let ring = ring(self);
         let queued = ring.len();
         if queued >= depth {
             return Err(ChannelError::SlotBusy);
         }
-        ring.try_push(bytes).map_err(|_| ChannelError::SlotBusy)?;
+        ring.try_push(&frame[..len]).map_err(|_| ChannelError::SlotBusy)?;
         if queued == 0 {
             self.charge_delivery();
         } else {
             self.charge_coalesced();
         }
-        Ok(bytes.len() as u64)
+        Ok(len as u64)
     }
 
     /// One direction's take: the oldest entry of `ring`, decoded in its
@@ -382,7 +381,7 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
     /// [`ChannelError::TooLarge`] (longer than a slot) or
     /// [`ChannelError::SlotBusy`] (the ring holds its depth).
     pub fn send_request(&mut self, request: Req) -> Result<(), ChannelError> {
-        let len = self.send(&request.encode_wire(), |c| &mut c.requests)?;
+        let len = self.send(&request, |c| &mut c.requests)?;
         self.stats.requests += 1;
         self.stats.request_bytes += len;
         Ok(())
@@ -406,7 +405,7 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
     /// [`ChannelError::TooLarge`] (longer than a slot) or
     /// [`ChannelError::SlotBusy`] (the ring holds its depth).
     pub fn send_response(&mut self, response: Resp) -> Result<(), ChannelError> {
-        let len = self.send(&response.encode_wire(), |c| &mut c.responses)?;
+        let len = self.send(&response, |c| &mut c.responses)?;
         self.stats.responses += 1;
         self.stats.response_bytes += len;
         Ok(())
@@ -430,12 +429,14 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
     ///
     /// [`ChannelError::TooLarge`].
     pub fn send_notification(&mut self, signal: Sig) -> Result<(), ChannelError> {
-        let bytes = signal.encode_wire();
-        Self::check_len(&bytes)?;
+        let mut frame = [0u8; ARING_SLOT_BYTES];
+        let len = signal
+            .encode_into(&mut frame)
+            .map_err(|len| ChannelError::TooLarge { len })?;
         self.charge_delivery();
         self.stats.notifications += 1;
-        self.stats.notification_bytes += bytes.len() as u64;
-        self.notifications.push_back(bytes);
+        self.stats.notification_bytes += len as u64;
+        self.notifications.push_back(frame[..len].to_vec());
         Ok(())
     }
 
@@ -736,10 +737,11 @@ mod tests {
     struct Ping(u32);
 
     impl WireCodec for Ping {
-        fn encode_wire(&self) -> Vec<u8> {
-            let mut out = vec![0x50];
-            out.extend_from_slice(&self.0.to_le_bytes());
-            out
+        fn encode_into(&self, out: &mut [u8]) -> Result<usize, usize> {
+            let frame = out.get_mut(..5).ok_or(5usize)?;
+            frame[0] = 0x50;
+            frame[1..].copy_from_slice(&self.0.to_le_bytes());
+            Ok(5)
         }
 
         fn decode_wire(bytes: &[u8]) -> Option<Self> {
@@ -850,9 +852,15 @@ mod prop_tests {
         body.iter().fold(0x5c, |acc, b| acc ^ b)
     }
 
-    impl WireCodec for Sealed {
-        fn encode_wire(&self) -> Vec<u8> {
+    impl Sealed {
+        fn frame(&self) -> Vec<u8> {
             [&self.0[..], &[seal(&self.0)]].concat()
+        }
+    }
+
+    impl WireCodec for Sealed {
+        fn encode_into(&self, out: &mut [u8]) -> Result<usize, usize> {
+            self.frame().encode_into(out)
         }
 
         fn decode_wire(bytes: &[u8]) -> Option<Self> {
@@ -979,7 +987,7 @@ mod prop_tests {
             clock.advance(idle_ns);
             model.now_ns += idle_ns;
             let message = Sealed(vec![step as u8; len]);
-            let frame = message.encode_wire();
+            let frame = message.frame();
             match kind {
                 0 | 1 => prop_assert_eq!(ch.send_request(message), model.send(0, frame)),
                 2 | 3 => prop_assert_eq!(ch.send_response(message), model.send(1, frame)),

@@ -233,89 +233,84 @@ impl std::error::Error for GrantError {}
 /// capacity.
 pub const GRANT_TABLE_CAPACITY: usize = 128;
 
-/// Sorted-range index over the declared windows of one grant kind: one
-/// block of `(start, prefix_max_end)` pairs, ascending by start, where
-/// `prefix_max_end` is the largest end among this range and every range
-/// before it. A request `[addr, addr+len)` is covered by *some single*
-/// declared range iff a range starting at or before `addr` ends at or after
-/// `addr+len` — which the prefix maximum answers after one binary search.
-#[derive(Default)]
-struct RangeIndex(Vec<(u64, u64)>);
+/// The validation indexes of one declaration: copy-from, copy-to and
+/// unmap windows, then one index of map windows per access value (a map
+/// request is checked against every access that contains the requested
+/// rights).
+const COPY_FROM: u8 = 0;
+const COPY_TO: u8 = 1;
+const UNMAP: u8 = 2;
+const MAP: u8 = 3;
 
-impl RangeIndex {
-    /// Sorts the `(start, end)` windows pushed in and turns each end into
-    /// the prefix maximum.
-    fn seal(&mut self) {
-        self.0.sort_unstable();
-        let mut max_end = 0u64;
-        for (_, end) in &mut self.0 {
-            max_end = max_end.max(*end);
-            *end = max_end;
-        }
-    }
-
-    /// Exactly [`MemOpGrant::covers`]'s arithmetic: the request end is
-    /// computed with `checked_add` (overflow is never covered) and compared
-    /// against grant ends that were saturated at build time.
-    fn covers(&self, addr: u64, len: u64) -> bool {
-        let idx = self.0.partition_point(|&(start, _)| start <= addr);
-        addr.checked_add(len).is_some_and(|end| idx > 0 && self.0[idx - 1].1 >= end)
-    }
-}
-
-/// Range indexes of one declaration: copy-from, copy-to and unmap windows,
-/// then one index of map windows per access value (a map request is
-/// checked against every access that contains the requested rights).
-const COPY_FROM: usize = 0;
-const COPY_TO: usize = 1;
-const UNMAP: usize = 2;
-const MAP: usize = 3;
-const INDEXES: usize = MAP + 8;
-
-/// The index a declared operation's window belongs to, and the window as
-/// `(start, end)` with its end saturated.
-fn window(op: &MemOpGrant) -> (usize, (u64, u64)) {
-    let span = |start: GuestVirtAddr, len: u64| (start.raw(), start.raw().saturating_add(len));
-    let paged = |va, pages: u64| span(va, pages.saturating_mul(PAGE_SIZE));
+/// A declared operation's window as `(index, start, end)`, its end
+/// saturated.
+fn window(op: &MemOpGrant) -> (u8, u64, u64) {
+    let span = |kind, start: GuestVirtAddr, len: u64| {
+        (kind, start.raw(), start.raw().saturating_add(len))
+    };
+    let paged = |kind, va, pages: u64| span(kind, va, pages.saturating_mul(PAGE_SIZE));
     match *op {
-        MemOpGrant::CopyFromGuest { addr, len } => (COPY_FROM, span(addr, len)),
-        MemOpGrant::CopyToGuest { addr, len } => (COPY_TO, span(addr, len)),
-        MemOpGrant::UnmapPages { va, pages } => (UNMAP, paged(va, pages)),
-        MemOpGrant::MapPages { va, pages, access } => {
-            (MAP + usize::from(access.bits()), paged(va, pages))
-        }
+        MemOpGrant::CopyFromGuest { addr, len } => span(COPY_FROM, addr, len),
+        MemOpGrant::CopyToGuest { addr, len } => span(COPY_TO, addr, len),
+        MemOpGrant::UnmapPages { va, pages } => paged(UNMAP, va, pages),
+        MemOpGrant::MapPages { va, pages, access } => paged(MAP + access.bits(), va, pages),
     }
 }
 
 /// One declaration as it sits in a page slot: the reference that owns the
-/// slot and the validation index of its operations, built once at declare
-/// time in one pass — one block per non-empty index (its first four
-/// windows fit the first block).
+/// slot and one block of its windows, `(index, start, prefix_max_end)`
+/// sorted by index and start, where `prefix_max_end` is the largest end
+/// among this window and every earlier one of its index. A request
+/// `[addr, addr+len)` is covered by *some single* declared window of an
+/// index iff a window of that index starting at or before `addr` ends at
+/// or after `addr+len` — which the prefix maximum answers after one binary
+/// search. A shard recycles a revoked declaration's box and rebuilds it in
+/// place, so a warm declare allocates nothing.
 pub(crate) struct Declaration {
     pub(crate) grant: GrantRef,
-    index: [RangeIndex; INDEXES],
+    windows: Vec<(u8, u64, u64)>,
 }
 
 impl Declaration {
-    fn build(grant: GrantRef, ops: &[MemOpGrant]) -> Declaration {
-        let mut index: [RangeIndex; INDEXES] = Default::default();
-        for (kind, range) in ops.iter().map(window) {
-            index[kind].0.push(range);
+    /// A declaration of nothing, for a shard with no box to recycle.
+    pub(crate) fn empty() -> Declaration {
+        Declaration { grant: GrantRef(0), windows: Vec::new() }
+    }
+
+    /// Rebuilds this declaration in place as `grant`'s, declaring `ops`;
+    /// the block of windows keeps its capacity.
+    pub(crate) fn build(&mut self, grant: GrantRef, ops: &[MemOpGrant]) {
+        self.grant = grant;
+        self.windows.clear();
+        self.windows.extend(ops.iter().map(window));
+        self.windows.sort_unstable();
+        let mut prev = (u8::MAX, 0u64);
+        for (index, _, end) in &mut self.windows {
+            if prev.0 == *index {
+                *end = (*end).max(prev.1);
+            }
+            prev = (*index, *end);
         }
-        index.iter_mut().for_each(RangeIndex::seal);
-        Declaration { grant, index }
+    }
+
+    /// Exactly [`MemOpGrant::covers`]'s arithmetic for one index: the
+    /// request end is computed with `checked_add` (overflow is never
+    /// covered) and compared against window ends saturated at build time.
+    fn covers_in(&self, index: u8, addr: u64, len: u64) -> bool {
+        let at = self.windows.partition_point(|&(i, start, _)| (i, start) <= (index, addr));
+        addr.checked_add(len).is_some_and(|end| {
+            at > 0 && self.windows[at - 1].0 == index && self.windows[at - 1].2 >= end
+        })
     }
 
     fn covers(&self, request: &MemOpRequest) -> bool {
         match *request {
-            MemOpRequest::CopyFromGuest { addr, len } => {
-                self.index[COPY_FROM].covers(addr.raw(), len)
-            }
-            MemOpRequest::CopyToGuest { addr, len } => self.index[COPY_TO].covers(addr.raw(), len),
+            MemOpRequest::CopyFromGuest { addr, len } => self.covers_in(COPY_FROM, addr.raw(), len),
+            MemOpRequest::CopyToGuest { addr, len } => self.covers_in(COPY_TO, addr.raw(), len),
             MemOpRequest::MapPage { va, access } => (0..8u8)
                 .filter(|&bits| Access::from_bits(bits).contains(access))
-                .any(|bits| self.index[MAP + usize::from(bits)].covers(va.raw(), PAGE_SIZE)),
-            MemOpRequest::UnmapPage { va } => self.index[UNMAP].covers(va.raw(), PAGE_SIZE),
+                .any(|bits| self.covers_in(MAP + bits, va.raw(), PAGE_SIZE)),
+            MemOpRequest::UnmapPage { va } => self.covers_in(UNMAP, va.raw(), PAGE_SIZE),
         }
     }
 }
@@ -354,27 +349,23 @@ impl Sequence {
         self.next = (self.next + (count & SEQ_MASK)) & SEQ_MASK;
     }
 
-    /// Declares `ops` into `page`: issues the next sequence number whose
-    /// home slot is empty — skipping at most `GRANT_TABLE_CAPACITY - 1`,
-    /// whose homes are every other slot — and returns that slot with the
-    /// declaration. The caller publishes it there before anything else
-    /// touches the page.
+    /// Issues the reference of a declaration into `page`: the next
+    /// sequence number whose home slot is empty — skipping at most
+    /// `GRANT_TABLE_CAPACITY - 1`, whose homes are every other slot — and
+    /// returns that slot with the reference. The caller publishes the
+    /// declaration there before anything else touches the page.
     ///
     /// # Errors
     ///
     /// [`GrantError::TableFull`] when every slot holds a live declaration;
     /// it issues no reference.
-    pub(crate) fn declare(
-        &mut self,
-        page: &GrantTable,
-        ops: &[MemOpGrant],
-    ) -> Result<(usize, Box<Declaration>), GrantError> {
+    pub(crate) fn issue(&mut self, page: &GrantTable) -> Result<(usize, GrantRef), GrantError> {
         let seq = (self.next..self.next + GRANT_TABLE_CAPACITY as u32)
             .map(|seq| seq & SEQ_MASK)
             .find(|&seq| page.slots[home(seq)].get().is_none())
             .ok_or(GrantError::TableFull)?;
         self.next = (seq + 1) & SEQ_MASK;
-        Ok((home(seq), Box::new(Declaration::build(GrantRef(self.guest | seq), ops))))
+        Ok((home(seq), GrantRef(self.guest | seq)))
     }
 }
 
@@ -722,7 +713,7 @@ mod tests {
 
     #[test]
     fn indexed_validation_matches_the_linear_scan() {
-        // The sorted-range index must answer exactly like the reference
+        // The sorted windows must answer exactly like the reference
         // `any(covers)` scan, including for overlapping windows where a
         // request fits no single grant even though the union covers it.
         let ops: Vec<MemOpGrant> = (0..64)
@@ -744,6 +735,41 @@ mod tests {
             let linear = ops.iter().any(|op| op.covers(request));
             let indexed = table.validate(0, grant, request).is_ok();
             assert_eq!(indexed, linear, "divergence on {request:?}");
+        }
+    }
+
+    /// Windows of every kind share one block, declared in any order: a
+    /// request searches only its own kind's windows.
+    #[test]
+    fn every_kind_searches_only_its_own_windows() {
+        let ops: Vec<MemOpGrant> = (0..48u64)
+            .rev()
+            .map(|i| {
+                let addr = va(0x1000 + i * 0x800);
+                match i % 4 {
+                    0 => MemOpGrant::CopyFromGuest { addr, len: 0x900 },
+                    1 => MemOpGrant::CopyToGuest { addr, len: 0x900 },
+                    2 => MemOpGrant::UnmapPages { va: addr, pages: 1 },
+                    _ => MemOpGrant::MapPages { va: addr, pages: 2, access: Access::from_bits(i as u8 % 8) },
+                }
+            })
+            .collect();
+        let table = table();
+        let grant = table.declare(0, &ops).unwrap();
+        for addr in (0x0800..0x1a000u64).step_by(0x400) {
+            let mut requests = vec![
+                MemOpRequest::CopyFromGuest { addr: va(addr), len: 0x100 },
+                MemOpRequest::CopyToGuest { addr: va(addr), len: 0x100 },
+                MemOpRequest::UnmapPage { va: va(addr) },
+            ];
+            requests.extend((0..8).map(|bits| MemOpRequest::MapPage {
+                va: va(addr),
+                access: Access::from_bits(bits),
+            }));
+            for request in &requests {
+                let linear = ops.iter().any(|op| op.covers(request));
+                assert_eq!(table.validate(0, grant, request).is_ok(), linear, "{request:?}");
+            }
         }
     }
 

@@ -736,7 +736,7 @@ impl Hypervisor {
     pub fn declare_grants(
         &mut self,
         guest: VmId,
-        ops: Vec<MemOpGrant>,
+        ops: impl AsRef<[MemOpGrant]>,
     ) -> Result<GrantRef, HvError> {
         self.vm(guest)?;
         self.hypercalls += 1;

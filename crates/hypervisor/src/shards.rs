@@ -44,13 +44,14 @@
 //! Each slot of a shard's page is an `AtomicPtr` to one boxed declaration
 //! (null when empty). Readers announce themselves on the shard's
 //! `in_flight` gate, then look the reference up — load its home slot,
-//! compare the declaration's reference, scan its range index — and exit:
+//! compare the declaration's reference, search its windows — and exit:
 //! no lock, no waiting. Writers take the shard's writer mutex, which owns the
 //! reference sequence, so the kernel's sequence needs no atomics of its
 //! own:
 //!
-//! * `declare` builds one box and publishes it into the empty home slot
-//!   the kernel picked — one pointer store;
+//! * `declare` rebuilds a recycled box in place (or builds the shard's
+//!   first ones) and publishes it into the empty home slot the kernel
+//!   picked — one pointer store;
 //! * `revoke` unpublishes that one box (swaps its slot to null) and
 //!   *retires* it into the writer's list; nothing else on the page moves.
 //!
@@ -60,29 +61,35 @@
 //! # Eager, bounded reclamation (DESIGN.md §14)
 //!
 //! After every retirement the writer (still under its mutex) reads the
-//! gate: at `in_flight == 0` it frees the whole retired list at once, so a
-//! shard no reader is probing holds no retired box at all. Otherwise the
-//! boxes wait for a later retirement — unless more than [`RETIRED_CAP`]
-//! are waiting, in which case the writer spins until it reads zero.
-//! Soundness is a sequential-consistency argument, which is why the
-//! publish and unpublish swaps, the reader's gate enter, the reader's slot
-//! load, and the writer's gate check are all declared `SeqCst`
-//! ([`Edge::Gate`] in [`ATOMIC_SITES`], lint rule `MO005`):
+//! gate: at `in_flight == 0` it moves the whole retired list onto its free
+//! list at once, so a shard no reader is probing holds no retired box at
+//! all, and the next declares rebuild those boxes instead of allocating.
+//! Otherwise the boxes wait for a later retirement — unless more than
+//! [`RETIRED_CAP`] are waiting, in which case the writer spins until it
+//! reads zero. Recycling a box rewrites it, so it is exactly as dangerous
+//! as freeing it, and it happens exactly where the free used to. Soundness
+//! is a sequential-consistency argument, which is why the publish and
+//! unpublish swaps, the reader's gate enter, the reader's slot load, and
+//! the writer's gate check are all declared `SeqCst` ([`Edge::Gate`] in
+//! [`ATOMIC_SITES`], lint rule `MO005`):
 //!
 //! * a reader counted in `in_flight` finished its lookup before its gate
 //!   exit, and the exit precedes the writer's `0` observation in the SC
-//!   total order — lookup happens-before free;
+//!   total order — lookup happens-before recycle;
 //! * a reader *not* counted entered the gate SC-after the writer's `0`
 //!   observation, hence SC-after every unpublish that retired the boxes
-//!   being freed; its SeqCst slot loads therefore return null or a newer
-//!   box, never a freed one — the store-load shape release/acquire cannot
-//!   order (the `shard-retire-unfenced` mutant in `paradice-verify`
-//!   exhibits the use-after-free a weaker gate admits).
+//!   being recycled; its SeqCst slot loads therefore return null or a
+//!   newer publication, never a box on the free list — the store-load
+//!   shape release/acquire cannot order (the `shard-retire-unfenced`
+//!   mutant in `paradice-verify` exhibits the use-after-recycle a weaker
+//!   gate admits).
 //!
 //! Readers stay wait-free (two uncontended-in-the-common-case RMWs per
 //! validate or batch); the writer blocks only past [`RETIRED_CAP`] boxes
 //! retired while readers kept the gate busy, so retired memory is
-//! `O(guests * RETIRED_CAP)` declarations at worst. The per-guest protocol
+//! `O(guests * RETIRED_CAP)` declarations at worst. The free list holds
+//! only boxes the shard once had live or retired, so a shard's boxes never
+//! outnumber its own peak of live plus retired declarations. The per-guest protocol
 //! instances all execute the orderings declared once in [`ATOMIC_SITES`] —
 //! one logical site, many instances — so the MO/RC lint and the
 //! `race-shards` interleaving model cover every guest's shard with the
@@ -147,8 +154,8 @@ impl AtomicSlot {
     pub(crate) fn get(&self) -> Option<&Declaration> {
         // SAFETY: this module loads a slot only inside the reader gate
         // (`Shard::read`) or under the writer mutex, and the box a load
-        // returns is freed only by the writer, behind a zero gate reading
-        // that follows its unpublish (module docs).
+        // returns is recycled or freed only by the writer, behind a zero
+        // gate reading that follows its unpublish (module docs).
         unsafe { self.0.load(&SLOT_LOAD).as_ref() }
     }
 
@@ -173,12 +180,15 @@ impl Drop for AtomicSlot {
 struct Writer {
     /// The guest's reference sequence.
     sequence: Sequence,
-    /// Declarations unpublished but not yet freed. The boxes are
+    /// Declarations unpublished but not yet recycled. The boxes are
     /// load-bearing, not redundant: readers hold `&Declaration`
     /// references into the box allocations, which must stay pinned while
     /// retired.
     #[allow(clippy::vec_box)]
     retired: Vec<Box<Declaration>>,
+    /// Reclaimed boxes no reader can reach, for `declare` to rebuild.
+    #[allow(clippy::vec_box)]
+    free: Vec<Box<Declaration>>,
 }
 
 /// One guest's shard: the page, the reclamation gate, and the writer
@@ -209,6 +219,7 @@ impl Shard {
             writer: Mutex::new(Writer {
                 sequence: Sequence::for_guest(guest),
                 retired: Vec::new(),
+                free: Vec::new(),
             }),
         }
     }
@@ -217,12 +228,14 @@ impl Shard {
         self.writer.lock().expect("grant shard writer poisoned")
     }
 
-    /// Declares into the empty home slot the kernel picks: one box, one
-    /// publish.
-    fn declare(&self, ops: Vec<MemOpGrant>) -> Result<GrantRef, GrantError> {
+    /// Declares into the empty home slot the kernel picks: one recycled
+    /// (or, cold, new) box rebuilt in place, one publish.
+    fn declare(&self, ops: &[MemOpGrant]) -> Result<GrantRef, GrantError> {
         let mut writer = self.writer();
-        let (index, declaration) = writer.sequence.declare(&self.page, &ops)?;
-        let grant = declaration.grant;
+        let (index, grant) = writer.sequence.issue(&self.page)?;
+        let mut declaration =
+            writer.free.pop().unwrap_or_else(|| Box::new(Declaration::empty()));
+        declaration.build(grant, ops);
         let old = self.page.slots()[index].0.swap(Box::into_raw(declaration), &SLOT_PUBLISH);
         debug_assert!(old.is_null(), "the kernel picked an occupied slot");
         Ok(grant)
@@ -242,10 +255,10 @@ impl Shard {
         retired
     }
 
-    /// Frees the retired list as soon as the gate reads zero; leaves it
-    /// for a later retirement while readers are inside, unless more than
-    /// [`RETIRED_CAP`] boxes are waiting (module docs for the soundness
-    /// argument).
+    /// Moves the retired list onto the free list as soon as the gate
+    /// reads zero; leaves it for a later retirement while readers are
+    /// inside, unless more than [`RETIRED_CAP`] boxes are waiting (module
+    /// docs for the soundness argument).
     fn reclaim(&self, writer: &mut Writer) {
         while self.in_flight.load(&INFLIGHT_WRITER_CHECK) != 0 {
             if writer.retired.len() <= RETIRED_CAP {
@@ -256,7 +269,7 @@ impl Shard {
             // oversubscription.
             std::thread::yield_now();
         }
-        writer.retired.clear();
+        writer.free.append(&mut writer.retired);
     }
 
     /// Wait-free read of the page under the reclamation gate: every
@@ -347,8 +360,12 @@ impl ShardedGrantTable {
     /// declarations *for this guest* (neighbors are unaffected).
     ///
     /// [`GRANT_TABLE_CAPACITY`]: crate::grants::GRANT_TABLE_CAPACITY
-    pub fn declare(&self, guest: u32, ops: Vec<MemOpGrant>) -> Result<GrantRef, GrantError> {
-        self.shard_of(guest).declare(ops)
+    pub fn declare(
+        &self,
+        guest: u32,
+        ops: impl AsRef<[MemOpGrant]>,
+    ) -> Result<GrantRef, GrantError> {
+        self.shard_of(guest).declare(ops.as_ref())
     }
 
     /// Validates `request` against the declarations of `grant` without
@@ -431,6 +448,14 @@ impl ShardedGrantTable {
     /// [`RETIRED_CAP`] per shard otherwise.
     pub fn retired_declarations(&self) -> usize {
         self.shards.iter().map(|shard| shard.writer().retired.len()).sum()
+    }
+
+    /// Reclaimed declarations waiting on the shards' free lists for a
+    /// declare to rebuild — the memory recycling keeps. After `k` live
+    /// declarations are revoked, a shard holds at most `k` more.
+    #[doc(hidden)]
+    pub fn spare_declarations(&self) -> usize {
+        self.shards.iter().map(|shard| shard.writer().free.len()).sum()
     }
 }
 

@@ -1,15 +1,15 @@
 //! Allocation regression test for the grant page.
 //!
 //! A shard publishes one declaration per `declare` and retires one per
-//! `revoke`; nothing else on the page is copied. A counting global
-//! allocator pins that down: on a warmed shard, `revoke` allocates
-//! nothing, and `declare` allocates the declaration's box plus one block
-//! per non-empty range index — three for an ioctl that copies in and out.
+//! `revoke`; nothing else on the page is copied, and a retired declaration
+//! is recycled, not freed. A counting global allocator pins that down: on a
+//! warmed shard neither `declare` nor `revoke` allocates, and the boxes a
+//! shard keeps for recycling never outnumber the declarations it had live.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use paradice_hypervisor::{MemOpGrant, ShardedGrantTable};
+use paradice_hypervisor::{GrantRef, MemOpGrant, ShardedGrantTable};
 use paradice_mem::GuestVirtAddr;
 
 /// Forwards to the system allocator, counting the calls that hand out a
@@ -53,20 +53,23 @@ fn blocks_allocated<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// The wall workloads' ioctl grant: copy the argument in and back out.
-fn ioctl(slot: u64) -> Vec<MemOpGrant> {
+fn ioctl(slot: u64) -> [MemOpGrant; 2] {
     let addr = GuestVirtAddr::new(0x10_0000 + slot * 16);
-    vec![
+    [
         MemOpGrant::CopyFromGuest { addr, len: 8 },
         MemOpGrant::CopyToGuest { addr, len: 8 },
     ]
 }
 
 #[test]
-fn revoke_allocates_nothing_and_declare_one_block_per_index() {
+fn a_warm_shard_declares_and_revokes_without_allocating() {
     let table = ShardedGrantTable::with_guests(2);
-    // Warm-up: the writer's retired list gets its capacity.
-    for slot in 0..4 {
-        let grant = table.declare(1, ioctl(slot)).expect("declare");
+    // Warm-up: the writer's lists get their capacity, and four boxes
+    // their blocks of windows.
+    let warm: Vec<GrantRef> = (0..4)
+        .map(|slot| table.declare(1, ioctl(slot)).expect("declare"))
+        .collect();
+    for grant in warm {
         assert!(table.revoke(1, grant));
     }
     // Three laps of the page, with one long-lived declaration holding a
@@ -76,15 +79,50 @@ fn revoke_allocates_nothing_and_declare_one_block_per_index() {
         let ops = ioctl(slot);
         let (grant, declared) = blocks_allocated(|| table.declare(1, ops));
         let grant = grant.expect("declare");
-        assert!(declared <= 3, "declare {slot} allocated {declared} blocks, expected ≤ 1 + 2");
+        assert_eq!(declared, 0, "declare {slot} allocated");
         let (live, revoked) = blocks_allocated(|| table.revoke(1, grant));
         assert!(live);
         assert_eq!(revoked, 0, "revoke {slot} allocated");
     }
-    // A declaration with no operations is the box alone.
-    let (grant, declared) = blocks_allocated(|| table.declare(1, Vec::new()));
-    assert_eq!(declared, 1);
+    // A declaration with no operations recycles a box too.
+    let (grant, declared) = blocks_allocated(|| table.declare(1, []));
+    assert_eq!(declared, 0);
     let (_, revoked) = blocks_allocated(|| table.revoke(1, grant.expect("declare")));
     assert_eq!(revoked, 0);
     assert!(table.revoke(1, resident));
+}
+
+#[test]
+fn a_shard_keeps_at_most_one_spare_box_per_revoked_declaration() {
+    let table = ShardedGrantTable::with_guests(2);
+    assert_eq!(table.spare_declarations(), 0);
+    for k in [1usize, 5, 40, 128] {
+        let live: Vec<GrantRef> = (0..k as u64)
+            .map(|slot| table.declare(1, ioctl(slot)).expect("declare"))
+            .collect();
+        // Every earlier spare box is live again before a new one is built.
+        assert_eq!(table.spare_declarations(), 0, "{k} live declarations");
+        for grant in live {
+            assert!(table.revoke(1, grant));
+        }
+        assert_eq!(
+            table.retired_declarations(),
+            0,
+            "a quiescent shard recycles eagerly"
+        );
+        assert_eq!(
+            table.spare_declarations(),
+            k,
+            "after revoking {k} live declarations"
+        );
+    }
+    // Revoking everything at once recycles the same way, and a neighbour's
+    // churn touches only its own shard's spares.
+    for slot in 0..10 {
+        table.declare(1, ioctl(slot)).expect("declare");
+    }
+    assert_eq!(table.revoke_guest(1), 10);
+    let neighbour = table.declare(0, ioctl(0)).expect("declare");
+    assert!(table.revoke(0, neighbour));
+    assert_eq!(table.spare_declarations(), 128 + 1);
 }

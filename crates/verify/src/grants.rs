@@ -7,10 +7,11 @@
 //! validates. Every property drives the one grant store the hypervisor and
 //! the engines share, [`ShardedGrantTable`], on guest 0, whose references
 //! start at `GrantRef(0)`. Its real implementation stacks three layers —
-//! `range_within` saturating/checked u64 arithmetic, per-kind sorted range
-//! indexes (`RangeIndex`, PR 5), and the linear `MemOpGrant::covers`
-//! fallback — and this module proves all three agree with a fourth, independent
-//! formulation: coverage computed in exact `u128` arithmetic.
+//! `range_within` saturating/checked u64 arithmetic, a declaration's one
+//! block of windows sorted by kind and start with per-kind prefix-maximum
+//! ends, and the linear `MemOpGrant::covers` fallback — and this module
+//! proves all three agree with a fourth, independent formulation: coverage
+//! computed in exact `u128` arithmetic.
 //!
 //! The spec the oracle encodes (also the trust boundary documented in
 //! DESIGN.md §11): a request `[addr, addr+len)` is accepted iff

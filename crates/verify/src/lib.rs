@@ -27,7 +27,7 @@
 //! | `adversary-containment` | bit-flip/truncation/forged-ref sweep vs real enforcement |
 //! | `race-ring`         | exhaustive store-buffer interleaving: no torn slot read |
 //! | `race-doorbell`     | exhaustive store-buffer interleaving: no lost wakeup |
-//! | `race-shards`       | exhaustive store-buffer interleaving: no freed-declaration read |
+//! | `race-shards`       | exhaustive store-buffer interleaving: no recycled-declaration read |
 //! | `race-ready`        | exhaustive store-buffer interleaving: a consumed ready id always finds its frame |
 //! | `jit-snapshot`      | exhaustive ≤ 3-fetch overlap scripts vs a per-byte first-read-wins model |
 //!

@@ -42,7 +42,7 @@
 //! |-----------------|-------------------------------------------------------|
 //! | `race-ring`     | 2-slot ring, 3 pushes racing 3 pops: no torn payload read, FIFO identity, plus a value-level crosscheck of the real [`AtomicRing`] |
 //! | `race-doorbell` | one empty→non-empty publication racing a consumer park: no terminal state with the consumer asleep, work published, and no wakeup pending |
-//! | `race-shards`   | writer publishing, unpublishing and retiring two declarations through one page slot racing a reader's enter/load/compare/scan/exit: the reader never dereferences a freed declaration |
+//! | `race-shards`   | writer publishing, unpublishing and retiring two declarations through one page slot racing a reader's enter/load/compare/scan/exit: the reader never dereferences a recycled declaration |
 //! | `race-ready`    | frame push → ready-id publish racing ready-id consume → frame pop, 2 guests, one of them published twice: every consumed id finds its frame, every published id is consumed once, in order |
 //!
 //! Disproofs surface as `VP005` diagnostics and replayable fixtures; the
@@ -816,11 +816,11 @@ pub fn check_doorbell(mutant: Option<Mutant>) -> PropertyReport {
     check_system("race-doorbell", DESC, "hypervisor::aring", &model, mutant)
 }
 
-// --- race-shards: use-after-free on retired declaration reclamation. ---
+// --- race-shards: use-after-recycle on retired declaration reclamation. ---
 
 /// Shards-model knobs: the gate ordering comes from the shipped table;
-/// [`Mutant::ShardRetireUnfenced`] removes the gate entirely (free without
-/// waiting for `in_flight == 0`).
+/// [`Mutant::ShardRetireUnfenced`] removes the gate entirely (recycle
+/// without waiting for `in_flight == 0`).
 #[derive(Debug, Clone, Copy)]
 struct ShardConfig {
     gated: bool,
@@ -868,10 +868,11 @@ struct RaceShardState {
     r_iter: u8,
     /// Box id the reader loaded from the slot (0 = empty).
     held: u32,
-    /// Bit `id` set: box `id` is retired, not yet freed.
+    /// Bit `id` set: box `id` is retired, not yet recycled.
     retired: u8,
-    /// Bit `id` set: box `id` has been freed.
-    freed: u8,
+    /// Bit `id` set: box `id` is on the free list, where the next declare
+    /// may rewrite it.
+    recycled: u8,
     error: Option<String>,
 }
 
@@ -884,20 +885,20 @@ impl RaceShardModel {
         RaceShardModel { config }
     }
 
-    /// The writer's gate check after a retirement: free everything at a
-    /// zero reading, keep the list while it fits the cap, else wait.
-    /// Under the mutant the free happens unconditionally.
+    /// The writer's gate check after a retirement: recycle everything at
+    /// a zero reading, keep the list while it fits the cap, else wait.
+    /// Under the mutant the recycle happens unconditionally.
     fn gate(&self, s: &RaceShardState, out: &mut Vec<(String, RaceShardState)>) {
         let mut n = s.clone();
         n.w_pc += 1;
         if !self.config.gated {
-            n.freed |= n.retired;
+            n.recycled |= n.retired;
             n.retired = 0;
-            out.push(("W:free-retired".into(), n));
+            out.push(("W:recycle-retired".into(), n));
         } else if s.mem.load(0, INFLIGHT) == 0 {
-            n.freed |= n.retired;
+            n.recycled |= n.retired;
             n.retired = 0;
-            out.push(("W:gate-zero-free".into(), n));
+            out.push(("W:gate-zero-recycle".into(), n));
         } else if s.retired.count_ones() <= MODEL_RETIRED_CAP {
             out.push(("W:gate-busy-keep".into(), n));
         }
@@ -906,9 +907,9 @@ impl RaceShardModel {
 
     /// A reader dereference of the box it holds.
     fn deref(s: &RaceShardState, what: &str) -> Option<String> {
-        (s.freed & (1 << s.held) != 0).then(|| {
+        (s.recycled & (1 << s.held) != 0).then(|| {
             format!(
-                "use-after-free: reader {what} box {} after the writer freed it",
+                "use-after-recycle: reader {what} box {} after the writer recycled it",
                 s.held
             )
         })
@@ -995,7 +996,7 @@ impl TransitionSystem for RaceShardModel {
             r_iter: 0,
             held: 0,
             retired: 0,
-            freed: 0,
+            recycled: 0,
             error: None,
         }]
     }
@@ -1031,13 +1032,13 @@ impl TransitionSystem for RaceShardModel {
 }
 
 /// `race-shards`: a writer declaring and revoking twice through one home
-/// slot — publish, unpublish and retire, free on a zero gate — racing a
+/// slot — publish, unpublish and retire, recycle on a zero gate — racing a
 /// reader's enter/load/compare/scan/exit, under every schedule. Proved iff
-/// no reader ever dereferences a freed declaration.
+/// no reader ever dereferences a recycled declaration.
 pub fn check_shards(mutant: Option<Mutant>) -> PropertyReport {
     const DESC: &str = "grant-page slot reclamation under every 2-thread schedule: two \
          declare/revoke rounds through one home slot (publish, unpublish + retire, \
-         free at a zero gate, wait past the cap) never free a declaration a reader \
+         recycle at a zero gate, wait past the cap) never recycle a declaration a reader \
          inside the in_flight gate compares or scans";
     let model = RaceShardModel::new(ShardConfig::shipped(mutant));
     check_system("race-shards", DESC, "hypervisor::shards", &model, mutant)

@@ -45,9 +45,10 @@ pub enum Mutant {
     /// parked instead of after: a ring landing between the check and the
     /// announcement is missed and the consumer sleeps on published work.
     DoorbellCheckBeforePublish,
-    /// The sharded grant table's writer frees retired declarations
+    /// The sharded grant table's writer recycles retired declarations
     /// without waiting for `in_flight == 0`: a reader between its slot
-    /// load and its reference compare dereferences freed memory.
+    /// load and its reference compare dereferences a box the next declare
+    /// rewrites.
     ShardRetireUnfenced,
     /// The frontend's JIT evaluator skips the snapshot overlay: a second
     /// fetch of bytes that already fed grant derivation believes whatever

@@ -113,6 +113,25 @@ if ! grep -q '    requests: AtomicRing,' crates/hypervisor/src/channel.rs \
     exit 1
 fi
 
+echo "==> one-encoder gate (a frame is encoded into a slot-sized buffer; a send allocates nothing)"
+# WireCodec::encode_into is the one encoder: it writes into a caller's
+# buffer, and the channel's sends encode into a stack slot-frame and push
+# that. The Vec-returning trait encoder must not come back, nor may a send
+# build or copy out an owned frame.
+if grep -rn 'encode_wire' crates tests examples; then
+    echo "ERROR: encode_wire is gone; implement WireCodec::encode_into" >&2
+    exit 1
+fi
+SENDS="$(sed '/^#\[cfg(test)\]/,$d' crates/hypervisor/src/channel.rs | awk '
+    /^    (pub )?fn (send|send_request|send_response)[(<]/ { body = 1; found++ }
+    body { print }
+    body && /^    }$/ { body = 0 }
+    END { if (found != 3) print "MISSING: " found " of send/send_request/send_response" }')"
+if printf '%s\n' "$SENDS" | grep -nE 'to_vec\(|Vec<u8>|MISSING'; then
+    echo "ERROR: a Channel send allocates a frame; encode into a [u8; ARING_SLOT_BYTES] on the stack" >&2
+    exit 1
+fi
+
 echo "==> one-page-map gate (the EPT and the IOMMU store their entries in PageMap)"
 # Both second translation stages are thin wrappers over mem::pagemap's
 # two-level radix (two indexed loads per lookup): neither may keep a sorted
@@ -188,7 +207,7 @@ echo "==> trusted-path ceiling gate (Table 2's CVD + hypervisor API row may shri
 # first #[cfg(test)], over the module list in crates/bench/src/
 # experiments.rs). Lower this pin when the figure drops; raising it needs a
 # reason in CHANGES.md.
-TRUSTED_PATH_CEILING=4884
+TRUSTED_PATH_CEILING=4926
 cargo run -q --release -p paradice-bench --bin experiments -- --table2 >/dev/null
 TRUSTED_PATH="$(awk -F, '$4 ~ /^trusted path/ { print $5 }' results/table2.csv)"
 if [ -z "$TRUSTED_PATH" ] || [ "$TRUSTED_PATH" -gt "$TRUSTED_PATH_CEILING" ]; then
