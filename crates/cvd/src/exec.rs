@@ -1,22 +1,22 @@
-//! What both execution substrates share: the device-model contract, the
-//! one backend step, and the differential harness.
+//! What sits on either side of the engine seam: the device-model
+//! contract, the server's device step, and the differential harness.
 //!
-//! The engines themselves live in [`crate::multi`] — a single guest is
-//! the N = 1 case of [`MultiEngine`]. This module holds what sits on
-//! either side of that seam: [`DeviceService`] (what the backend serves),
-//! `dispatch` (decode, serve, validate every memory operation against the
-//! [`ShardedGrantTable`]) and [`run_workload`], which drives one guest's
-//! workload through any engine and assembles the artifacts the
-//! cross-mode differential gate (`tests/wallclock.rs`) compares: for one
-//! workload, both substrates must produce byte-identical encoded
-//! responses and replay-lint-clean traces.
+//! The engine itself lives in [`crate::multi`] — a single guest is the
+//! N = 1 case of [`MultiEngine`]. This module holds [`DeviceService`]
+//! (what the engine's server serves), `dispatch` (serve, validate every
+//! memory operation against the [`ShardedGrantTable`]) and
+//! [`run_workload`], which drives one guest's workload through an engine
+//! of either kind and assembles the artifacts the cross-mode differential
+//! gate (`tests/wallclock.rs`) compares: for one workload, both
+//! substrates must produce byte-identical encoded responses and
+//! replay-lint-clean traces.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use paradice_devfs::Errno;
 use paradice_hypervisor::engine::{EngineError, EngineKind};
-use paradice_hypervisor::{GrantRef, MemOpGrant, MemOpRequest, ShardedGrantTable};
+use paradice_hypervisor::{Clock, GrantRef, MemOpGrant, MemOpRequest, ShardedGrantTable};
 use paradice_mem::GuestPhysAddr;
 use paradice_trace::{SpanId, TraceEvent, TraceMemOpKind, WireDelta};
 
@@ -60,24 +60,26 @@ fn memop_trace_fields(request: &MemOpRequest) -> (TraceMemOpKind, u64, u64) {
     }
 }
 
-/// The one backend step both substrates share: decode, serve, validate
-/// every memory operation against the grant table, record the outcome.
+/// The engine server's device step: serve a decoded request (`None`: the
+/// frame did not decode, `EINVAL`), validate every memory operation
+/// against the grant table, record the outcome — a traced request's
+/// memory operations as events stamped on `clock`, read only for them.
 /// A blocked operation (no grant attached, or the grant does not cover
 /// it) turns the response into `EFAULT` — the hypervisor refused the
 /// hypercall, so the driver's operation failed. The caller encodes the
 /// response where it keeps it.
-pub(crate) fn dispatch(
+pub(crate) fn dispatch<C: Clock>(
     guest: u32,
-    frame: &[u8],
+    request: Option<&WireRequest>,
     service: &mut dyn DeviceService,
     grants: &ShardedGrantTable,
-    now_ns: u64,
+    clock: &C,
     events: &mut Vec<TraceEvent>,
 ) -> WireResponse {
-    let Ok(request) = WireRequest::decode(frame) else {
+    let Some(request) = request else {
         return WireResponse::Err(Errno::Einval);
     };
-    let (response, memops) = service.serve(&request);
+    let (response, memops) = service.serve(request);
     let mut blocked = false;
     for memop in &memops {
         let ok = match request.grant {
@@ -89,7 +91,7 @@ pub(crate) fn dispatch(
             let (kind, addr, len) = memop_trace_fields(memop);
             events.push(TraceEvent::MemOp {
                 span: SpanId(request.span),
-                t_ns: now_ns,
+                t_ns: clock.now_ns(),
                 kind,
                 addr,
                 len,

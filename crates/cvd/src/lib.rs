@@ -24,15 +24,15 @@
 //!   asynchronous-notification forwarding.
 //! * [`FairSched`] / [`SchedPolicy`] — the fair-share queue discipline
 //!   (`paradice_hypervisor::fairq`, re-exported here): the one pick rule
-//!   behind the backend drain, the multi-guest engines and the GPU
-//!   scheduler.
-//! * [`multi`] — the execution substrates behind the one
-//!   [`MultiEngine`] seam (a single guest is N = 1): per-guest ring
-//!   channels, per-guest wait-queue caps, and fair-share backend service
-//!   on both virtual and wall time.
-//! * [`exec`] — what both substrates share: the [`DeviceService`]
-//!   contract, the one backend dispatch step, and [`run_workload`], the
-//!   cross-substrate differential harness.
+//!   behind the multi-guest engine's serve step and the GPU model's
+//!   engine scheduler. ([`Backend`] serves the calling guest inline and
+//!   schedules nothing.)
+//! * [`multi`] — the multi-guest engine behind the one [`MultiEngine`]
+//!   seam (a single guest is N = 1): per-guest ring channels, per-guest
+//!   wait-queue caps, and one fair-share server on virtual or wall time.
+//! * [`exec`] — what sits on either side of that seam: the
+//!   [`DeviceService`] contract, the server's dispatch step, and
+//!   [`run_workload`], the cross-substrate differential harness.
 //! * [`info`] — device info modules and the virtual PCI bus (§5.1).
 //! * [`sharing`] — device-sharing policies: foreground/background graphics,
 //!   concurrent GPGPU, foreground-only input, exclusive camera/netmap
@@ -53,9 +53,7 @@ pub use cache::{Eviction, GrantCache, GrantCacheKey};
 pub use exec::{run_workload, DeviceService, ExecRun, ScriptedService, WorkloadOp};
 pub use paradice_hypervisor::{FairSched, SchedPolicy};
 pub use frontend::{Frontend, IoctlKnowledge, OsPersonality};
-pub use multi::{
-    build_multi, Completion, MultiEngine, MultiVirtualEngine, MultiWallEngine, MULTI_QUEUE_CAP,
-};
+pub use multi::{build_multi, Completion, MultiEngine, MULTI_QUEUE_CAP};
 pub use info::{DeviceInfoModule, VirtualPciBus};
 pub use memops::HypercallMemOps;
 pub use proto::{WireOp, WireRequest, WireResponse};

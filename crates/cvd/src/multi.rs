@@ -1,48 +1,55 @@
-//! The execution substrates: N guests' channels behind the one
-//! [`MultiEngine`] seam, one implementation per [`EngineKind`].
+//! The multi-guest engine: N guests' channels behind the one
+//! [`MultiEngine`] seam — one transport and one server on either clock.
 //!
 //! A single guest is the N = 1 case — [`crate::exec::run_workload`], the
 //! differential harness, drives one guest of any engine built here, and
 //! this module is the only place a backend thread is spawned. N guests
-//! share one device roster, and the ISSUE 10 requirement is that one
-//! guest's backlog or grant churn never contends on another's fast path:
+//! share one device roster and one backend that serves every guest from
+//! per-guest wait queues (paper §3.2.3, §5.1), and one guest's backlog or
+//! grant churn never contends on another's fast path:
 //!
 //! * **Per-guest queues.** Each guest gets its own request/response
-//!   channel: a virtual-time `VecDeque` pair on [`MultiVirtualEngine`],
-//!   a real [`AtomicRing`] pair on [`MultiWallEngine`]. A flooding
-//!   guest fills only its own queue.
+//!   [`AtomicRing`] pair. A flooding guest fills only its own queue.
 //! * **Per-guest wait-queue caps.** Submission past the cap fails with
 //!   [`EngineError::Backpressure`] — the engine-seam spelling of the
 //!   backend's `EDQUOT` (paper §5.1, the per-guest 100-op cap): the
 //!   guest's own syscall returns `EAGAIN` and *nothing is dropped or
 //!   reordered* — every accepted op completes, in per-guest FIFO order.
-//! * **Fair-share service.** The shared backend picks the next guest by
-//!   least consumed service time ([`FairSched`], the default policy),
-//!   so a light guest's op overtakes a heavy neighbor's backlog without
-//!   ever starving it.
-//! * **Per-guest grant shards.** Both engines validate against a
+//! * **Fair-share service.** The server picks the next guest by least
+//!   consumed service time ([`FairSched`], the default policy), so a light
+//!   guest's op overtakes a heavy neighbor's backlog without ever
+//!   starving it.
+//! * **Per-guest grant shards.** The server validates against a
 //!   [`ShardedGrantTable`] sized for the guest population — declare,
 //!   validate, and revoke touch only the owning guest's shard.
-//!
 //! * **Edges, not scans.** Nothing on the op path looks at a guest that
-//!   has no work. On the wall substrate each direction has one *ready
-//!   ring* ([`IdRing`]): after pushing a frame into a guest's ring the
-//!   producer publishes that guest's id and rings the doorbell — after
-//!   *every* publication, never gated on an occupancy view — and the
-//!   consumer drains ids into thread-local per-guest pending counts. The
-//!   backend feeds [`FairSched`]'s ready heap from them; the frontend
-//!   takes completions one per ready guest in rotation. A ready ring
-//!   holds at most one id per in-flight op, and the per-guest cap bounds
-//!   those, so it is sized never to fill and no guest can crowd another
-//!   out of it. Both engines drive the same `enqueue`/`pick_ready` pair.
+//!   has no work. Each direction has one *ready ring* ([`IdRing`]): after
+//!   pushing a frame into a guest's ring the producer publishes that
+//!   guest's id and rings the doorbell — after *every* publication, never
+//!   gated on an occupancy view. A ready ring holds at most one id per
+//!   in-flight op, and the per-guest cap bounds those, so it is sized
+//!   never to fill and no guest can crowd another out of it.
+//! * **Exact arrival order.** The engine is the request ready ring's only
+//!   producer, so ids leave it in submission order: the server turns each
+//!   into the next arrival stamp on its guest's FIFO, and a guest waits in
+//!   [`FairSched`] under the stamp of its oldest unserved op. The frontend
+//!   turns response ids into per-guest counts and takes completions one
+//!   per ready guest in rotation.
 //!
-//! Scheduling state is thread-local: the wall backend thread owns its
-//! [`FairSched`] and pending counts and stamps service time with its own
-//! clock reads; the frontend owns the per-guest in-flight counts and its
-//! completion rotation. What the two threads share is the per-guest
-//! rings, the two ready rings and the two doorbells — all one kernel and
-//! one doorbell protocol, proved by `race-ring`, `race-ready` and
-//! `race-doorbell`.
+//! [`EngineKind`] decides two things only: the clock, and where the one
+//! server runs. On [`EngineKind::Virtual`] it serves one op at the top of
+//! every [`MultiEngine::complete`] and a [`SimClock`](paradice_hypervisor::SimClock)
+//! advances by the op's modeled cost; on [`EngineKind::Wall`] it loops on
+//! the `cvd-mx-backend` thread and a
+//! [`WallClock`](paradice_hypervisor::WallClock) measures what the op took. Either way the
+//! scheduler is charged the time its clock saw pass, so both substrates
+//! serve one backlog in one order (`tests/wallclock.rs`).
+//!
+//! Scheduling state belongs to the server: [`FairSched`], the arrival
+//! FIFOs and the trace events. The frontend owns the per-guest in-flight
+//! counts and its completion rotation. What the two share is the
+//! transport — one ring kernel and one doorbell protocol, proved by
+//! `race-ring`, `race-ready` and `race-doorbell`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,17 +58,16 @@ use std::thread::JoinHandle;
 
 use paradice_hypervisor::engine::{EngineError, EngineKind};
 use paradice_hypervisor::{
-    ARingError, AtomicRing, ClockSource, CostModel, Doorbell, FairSched, IdRing, SchedPolicy,
-    ShardedGrantTable, SimClock, WallClock, WireCodec, ARING_CAPACITY, ARING_SLOT_BYTES,
+    ARingError, AtomicRing, Clock, ClockSource, CostModel, Doorbell, FairSched, IdRing,
+    SchedPolicy, ShardedGrantTable, WireCodec, ARING_CAPACITY, ARING_SLOT_BYTES,
 };
 use paradice_trace::TraceEvent;
 
 use crate::exec::{dispatch, DeviceService};
 use crate::proto::{WireOp, WireRequest};
 
-/// Per-guest wait-queue cap on both substrates: the wall ring's depth,
-/// mirrored by the virtual engine so backpressure kicks in at the same
-/// depth on both (differential parity).
+/// Per-guest wait-queue cap on both substrates: the depth of a guest's
+/// request ring.
 pub const MULTI_QUEUE_CAP: usize = ARING_CAPACITY;
 
 /// One completion: which guest it belongs to plus the encoded response.
@@ -112,14 +118,15 @@ pub trait MultiEngine {
     fn finish(&mut self) -> Vec<TraceEvent>;
 }
 
-/// The modeled service cost of one request frame on the virtual clock:
-/// dispatch overhead plus per-byte copy cost for the op's payload. This
-/// is what makes a netmap batch or camera frame *heavier* than an
-/// interactive ioctl in virtual time, so fairness is measurable. The
-/// length comes off the wire — hostile input — so it is clamped to 4 GiB:
-/// a tampered frame is charged like a huge copy, never wraps the clock.
-fn modeled_service_ns(cost: &CostModel, frame: &[u8]) -> u64 {
-    let payload = WireRequest::decode(frame).map_or(0, |request| match request.op {
+/// The modeled service cost of one request on the virtual clock: dispatch
+/// overhead plus per-byte copy cost for the op's payload (`None`: a frame
+/// that does not decode). This is what makes a netmap batch or camera
+/// frame *heavier* than an interactive ioctl in virtual time, so fairness
+/// is measurable. The length comes off the wire — hostile input — so it
+/// is clamped to 4 GiB: a tampered frame is charged like a huge copy,
+/// never wraps the clock.
+fn modeled_service_ns(cost: &CostModel, request: Option<&WireRequest>) -> u64 {
+    let payload = request.map_or(0, |request| match request.op {
         WireOp::Read { len, .. } | WireOp::Write { len, .. } => len.min(1 << 32),
         WireOp::Ioctl { .. } => 16,
         _ => 0,
@@ -129,127 +136,54 @@ fn modeled_service_ns(cost: &CostModel, frame: &[u8]) -> u64 {
         + payload * cost.copy_page_ns / paradice_mem::PAGE_SIZE
 }
 
-/// N guests on the deterministic substrate: per-guest queues on one
-/// [`SimClock`], the backend serving one op per [`MultiEngine::complete`]
-/// in fair-share order, service time charged from the [`CostModel`].
-///
-/// Frontends are modeled as running on their own vCPUs: submission does
-/// not advance the shared clock; only the serialized backend's service
-/// does. An op's virtual latency is therefore its queueing delay plus
-/// service — exactly the quantity the scheduler controls.
-pub struct MultiVirtualEngine {
-    clock: SimClock,
-    cost: CostModel,
-    service: Box<dyn DeviceService>,
-    grants: Arc<ShardedGrantTable>,
-    /// Per guest: queued request frames with their arrival stamps (FIFO).
-    guests: Vec<VecDeque<(u64, Vec<u8>)>>,
-    sched: FairSched,
-    arrivals: u64,
-    backend_events: Vec<TraceEvent>,
-    dead: bool,
+/// What the frontend and the server share: per guest a request and a
+/// response ring, per direction a ready ring and a doorbell, and the stop
+/// flag. The field order is the cache-line layout (`repr(C)`, and the
+/// ready rings are 64-byte aligned): the ring arrays, which both sides
+/// read on every op, and each doorbell, which one side writes on every
+/// op, get lines of their own.
+#[repr(C)]
+struct Transport {
+    requests: Box<[GuestRing]>,
+    responses: Box<[GuestRing]>,
+    req_ready: IdRing,
+    req_bell: Doorbell,
+    resp_ready: IdRing,
+    resp_bell: Doorbell,
+    stop: AtomicBool,
 }
 
-impl MultiVirtualEngine {
-    /// An engine for guests `0..guests` under `policy`, all queues capped
-    /// at [`MULTI_QUEUE_CAP`].
-    pub fn new(service: impl DeviceService, guests: usize, policy: SchedPolicy) -> Self {
-        MultiVirtualEngine {
-            clock: SimClock::new(),
-            cost: CostModel::default(),
-            service: Box::new(service),
-            grants: Arc::new(ShardedGrantTable::with_guests(guests)),
-            guests: vec![VecDeque::new(); guests],
-            sched: FairSched::new(policy),
-            arrivals: 0,
-            backend_events: Vec::new(),
-            dead: false,
-        }
-    }
-
-    /// Serves the fair-share pick's oldest queued op, advancing the
-    /// clock by its modeled service time.
-    fn serve_one(&mut self) -> Option<Completion> {
-        let guest = self.sched.pick_ready()?;
-        let queue = &mut self.guests[guest as usize];
-        let (_, frame) = queue.pop_front().expect("an enqueued guest is backlogged");
-        let next_head = queue.front().map(|(stamp, _)| *stamp);
-        let service_ns = modeled_service_ns(&self.cost, &frame);
-        self.clock.advance(service_ns);
-        self.sched.charge(guest, service_ns);
-        if let Some(stamp) = next_head {
-            self.sched.enqueue(guest, stamp);
-        }
-        let response = dispatch(
-            guest,
-            &frame,
-            self.service.as_mut(),
-            &self.grants,
-            self.clock.now_ns(),
-            &mut self.backend_events,
-        );
-        Some((guest, response.encode()))
-    }
+/// One guest's ring in a direction's array, one cache line longer than a
+/// page: at a bare 4-KiB stride every guest's cursors would share the same
+/// cache sets, and a thousand guests' rings would evict one another.
+#[repr(C)]
+struct GuestRing {
+    ring: AtomicRing,
+    _stagger: [u8; 64],
 }
 
-impl MultiEngine for MultiVirtualEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Virtual
-    }
-
-    fn clock(&self) -> ClockSource {
-        self.clock.clone().into()
-    }
-
-    fn grants(&self) -> &Arc<ShardedGrantTable> {
-        &self.grants
-    }
-
-    fn submit(&mut self, guest: u32, frame: &[u8]) -> Result<(), EngineError> {
-        if self.dead {
-            return Err(EngineError::Dead("engine shut down".into()));
-        }
-        if frame.len() > ARING_SLOT_BYTES {
-            return Err(EngineError::Oversize { len: frame.len() });
-        }
-        let queue = &mut self.guests[guest as usize];
-        if queue.len() >= MULTI_QUEUE_CAP {
-            return Err(EngineError::Backpressure);
-        }
-        if queue.is_empty() {
-            self.sched.enqueue(guest, self.arrivals);
-        }
-        queue.push_back((self.arrivals, frame.to_vec()));
-        self.arrivals += 1;
-        Ok(())
-    }
-
-    fn complete(&mut self) -> Result<Option<Completion>, EngineError> {
-        if self.dead {
-            return Err(EngineError::Dead("engine shut down".into()));
-        }
-        Ok(self.serve_one())
-    }
-
-    fn complete_blocking(&mut self) -> Result<Completion, EngineError> {
-        match self.complete()? {
-            Some(done) => Ok(done),
-            None => Err(EngineError::Dead("no frames in flight".into())),
+impl Transport {
+    fn new(guests: usize) -> Transport {
+        let rings = || {
+            (0..guests)
+                .map(|_| GuestRing {
+                    ring: AtomicRing::new(),
+                    _stagger: [0; 64],
+                })
+                .collect()
+        };
+        Transport {
+            requests: rings(),
+            responses: rings(),
+            // One id per in-flight op at most, and the per-guest cap bounds
+            // those: sized from the guest count, the ready rings never fill.
+            req_ready: IdRing::with_capacity(guests * MULTI_QUEUE_CAP),
+            req_bell: Doorbell::new(),
+            resp_ready: IdRing::with_capacity(guests * MULTI_QUEUE_CAP),
+            resp_bell: Doorbell::new(),
+            stop: AtomicBool::new(false),
         }
     }
-
-    fn finish(&mut self) -> Vec<TraceEvent> {
-        self.dead = true;
-        std::mem::take(&mut self.backend_events)
-    }
-}
-
-struct WallGuestChannel {
-    req_ring: Arc<AtomicRing>,
-    resp_ring: Arc<AtomicRing>,
-    /// Frontend-local: accepted-but-uncompleted ops, bounded by
-    /// [`MULTI_QUEUE_CAP`].
-    in_flight: usize,
 }
 
 /// Publishes `guest` into a direction's ready ring, then rings its bell —
@@ -263,196 +197,211 @@ fn publish_ready(ready: &IdRing, guest: u32, bell: &Doorbell) {
     bell.ring();
 }
 
-/// Drains a ready ring into the consumer's per-guest `pending` counts,
-/// reporting each guest whose count left zero. An id is a shared-memory
-/// word, so one outside `pending` is ignored, and a count only promises
-/// the consumer a *look* at that guest's ring: a look that finds it empty
-/// drops the claim (see the callers), it never waits for the frame.
-fn drain_ready(ready: &IdRing, pending: &mut [u32], mut became_ready: impl FnMut(u32)) {
-    while let Some(guest) = ready.try_pop() {
-        let Some(count) = pending.get_mut(guest as usize) else {
-            continue;
-        };
-        *count = count.saturating_add(1);
-        if *count == 1 {
-            became_ready(guest);
+/// The one backend: serves the guests' request rings in [`FairSched`]
+/// order through the device model, validating every memory operation
+/// against the grant shards, and records the trace events.
+struct Server {
+    transport: Arc<Transport>,
+    service: Box<dyn DeviceService>,
+    grants: Arc<ShardedGrantTable>,
+    cost: CostModel,
+    sched: FairSched,
+    /// Per guest: the arrival stamps of its announced, unserved ops,
+    /// oldest first. The guest waits in `sched` exactly while this is
+    /// non-empty.
+    arrivals: Vec<VecDeque<u64>>,
+    next_stamp: u64,
+    events: Vec<TraceEvent>,
+}
+
+impl Server {
+    /// Serves the policy's next op, if any guest has one: decoded in its
+    /// slot, charged on `clock`, answered on the guest's response ring.
+    /// Returns whether an op was served.
+    fn serve_next<C: Clock>(&mut self, clock: &C) -> bool {
+        // Ids are shared-memory words: one outside the population is
+        // ignored, and one with no frame behind it is dropped below.
+        while let Some(guest) = self.transport.req_ready.try_pop() {
+            let Some(stamps) = self.arrivals.get_mut(guest as usize) else {
+                continue;
+            };
+            if stamps.is_empty() {
+                self.sched.enqueue(guest, self.next_stamp);
+            }
+            stamps.push_back(self.next_stamp);
+            self.next_stamp += 1;
+        }
+        loop {
+            let Some(guest) = self.sched.pick_ready() else {
+                return false;
+            };
+            let index = guest as usize;
+            let served = self.transport.requests[index].ring.try_pop_with(|frame| {
+                let started = clock.now_ns();
+                let request = WireRequest::decode(frame).ok();
+                clock.advance(modeled_service_ns(&self.cost, request.as_ref()));
+                let response = dispatch(
+                    guest,
+                    request.as_ref(),
+                    self.service.as_mut(),
+                    &self.grants,
+                    clock,
+                    &mut self.events,
+                );
+                (started, response)
+            });
+            let stamps = &mut self.arrivals[index];
+            let Some((started, response)) = served else {
+                // An empty ring: every frame announced so far was served,
+                // so what is left are ids only a misbehaving frontend
+                // publishes. Drop them; a real frame brings its own id.
+                stamps.clear();
+                continue;
+            };
+            self.sched
+                .charge(guest, clock.now_ns().saturating_sub(started).max(1));
+            stamps.pop_front();
+            if let Some(&next) = stamps.front() {
+                self.sched.enqueue(guest, next);
+            }
+            let mut frame = [0u8; ARING_SLOT_BYTES];
+            let len = response
+                .encode_into(&mut frame)
+                .expect("a response fits a slot");
+            // The frontend caps a guest at MULTI_QUEUE_CAP = ARING_CAPACITY
+            // ops in flight and counts an op until it takes the response,
+            // so this one's response always finds a free slot.
+            self.transport.responses[index]
+                .ring
+                .try_push(&frame[..len])
+                .expect(
+                    "a response ring holds at most MULTI_QUEUE_CAP - 1 other responses, \
+                     and responses are tiny",
+                );
+            publish_ready(&self.transport.resp_ready, guest, &self.transport.resp_bell);
+            return true;
         }
     }
 }
 
-/// N guests on the measurement substrate: one [`AtomicRing`] pair per
-/// guest, one shared backend thread serving them in fair-share order
-/// (service time stamped with real clock reads held in thread-local
-/// accounting — no shared scheduler state), one ready ring and one
-/// doorbell per direction telling each side which guests have work.
+/// Where the server runs.
+enum Backend {
+    /// Virtual time: at the top of every [`MultiEngine::complete`].
+    Inline(Box<Server>),
+    /// Wall time: on the `cvd-mx-backend` thread, which hands back its
+    /// trace events when joined.
+    Thread(JoinHandle<Vec<TraceEvent>>),
+    /// After [`MultiEngine::finish`].
+    Stopped,
+}
+
+/// Frontend-local state of one guest.
+#[derive(Clone, Copy, Default)]
+struct GuestState {
+    /// Accepted-but-uncompleted ops, bounded by [`MULTI_QUEUE_CAP`].
+    in_flight: usize,
+    /// Responses the server has announced and `complete` has not taken.
+    announced: u32,
+}
+
+/// The one [`MultiEngine`]: N guests over one [`Transport`], served by one
+/// [`Server`] inline or on its thread, as the [`EngineKind`] says.
 ///
 /// Single-frontend discipline: one thread constructs and drives all
-/// guests' submissions (the constructor registers that thread as the
-/// response doorbell's waiter; a driver loop plays every guest's vCPU),
-/// so each ready ring has exactly one producer.
-pub struct MultiWallEngine {
-    clock: WallClock,
-    guests: Vec<WallGuestChannel>,
-    req_ready: Arc<IdRing>,
-    resp_ready: Arc<IdRing>,
-    req_bell: Arc<Doorbell>,
-    resp_bell: Arc<Doorbell>,
-    stop: Arc<AtomicBool>,
+/// guests' submissions and completions (on the wall substrate the
+/// constructor registers it as the response doorbell's waiter; a driver
+/// loop plays every guest's vCPU), so each ring has exactly one producer.
+struct RingEngine {
+    clock: ClockSource,
+    transport: Arc<Transport>,
     grants: Arc<ShardedGrantTable>,
-    worker: Option<JoinHandle<Vec<TraceEvent>>>,
-    /// Per guest: responses the backend has announced and
-    /// [`MultiEngine::complete`] has not yet taken.
-    resp_pending: Vec<u32>,
+    backend: Backend,
+    guests: Vec<GuestState>,
     /// Guests with announced responses, each once, in the order they take
     /// their turn.
-    resp_rotation: VecDeque<u32>,
-    total_in_flight: usize,
+    rotation: VecDeque<u32>,
+    in_flight: usize,
 }
 
-impl MultiWallEngine {
-    /// Spawns the shared backend thread over per-guest ring pairs.
-    pub fn new(service: impl DeviceService, guests: usize, policy: SchedPolicy) -> Self {
-        let clock = WallClock::new();
-        let channels: Vec<WallGuestChannel> = (0..guests)
-            .map(|_| WallGuestChannel {
-                req_ring: Arc::new(AtomicRing::new()),
-                resp_ring: Arc::new(AtomicRing::new()),
-                in_flight: 0,
-            })
-            .collect();
-        // One id per in-flight op at most, and the per-guest cap bounds
-        // those: sized from the guest count, the ready rings never fill.
-        let req_ready = Arc::new(IdRing::with_capacity(guests * MULTI_QUEUE_CAP));
-        let resp_ready = Arc::new(IdRing::with_capacity(guests * MULTI_QUEUE_CAP));
-        let req_bell = Arc::new(Doorbell::new());
-        let resp_bell = Arc::new(Doorbell::new());
-        let stop = Arc::new(AtomicBool::new(false));
+impl RingEngine {
+    fn new(
+        kind: EngineKind,
+        service: impl DeviceService,
+        guests: usize,
+        policy: SchedPolicy,
+    ) -> RingEngine {
+        let transport = Arc::new(Transport::new(guests));
         let grants = Arc::new(ShardedGrantTable::with_guests(guests));
-        resp_bell.register(); // we (the constructing thread) are the frontend
-
-        let worker = {
-            let rings: Vec<(Arc<AtomicRing>, Arc<AtomicRing>)> = channels
-                .iter()
-                .map(|c| (Arc::clone(&c.req_ring), Arc::clone(&c.resp_ring)))
-                .collect();
-            let (req_ready, resp_ready) = (Arc::clone(&req_ready), Arc::clone(&resp_ready));
-            let (req_bell, resp_bell) = (Arc::clone(&req_bell), Arc::clone(&resp_bell));
-            let (stop, grants) = (Arc::clone(&stop), Arc::clone(&grants));
-            let mut service = service;
-            std::thread::Builder::new()
-                .name("cvd-mx-backend".into())
-                .spawn(move || {
-                    req_bell.register();
-                    // Backend-thread-local scheduling state: consumed
-                    // service time per guest, announced-but-unserved
-                    // request counts, and backlog-arrival stamps. A guest
-                    // is stamped when its count leaves zero and re-stamped
-                    // after every served op while it stays backlogged, so
-                    // the stamp tracks when the *current head* became
-                    // head. The backend cannot observe per-op arrival
-                    // times, so wall-side FIFO is a head-age approximation
-                    // of the virtual engine's exact per-op arrival order
-                    // (under the default fair-share policy stamps are only
-                    // the tie-break).
-                    let mut sched = FairSched::new(policy);
-                    let mut pending = vec![0u32; rings.len()];
-                    let mut next_stamp = 0u64;
-                    let mut events = Vec::new();
-                    loop {
-                        drain_ready(&req_ready, &mut pending, |guest| {
-                            sched.enqueue(guest, next_stamp);
-                            next_stamp += 1;
-                        });
-                        let Some(guest) = sched.pick_ready() else {
-                            if stop.load(Ordering::Acquire) {
+        let mut server = Server {
+            transport: Arc::clone(&transport),
+            service: Box::new(service),
+            grants: Arc::clone(&grants),
+            cost: CostModel::default(),
+            sched: FairSched::new(policy),
+            arrivals: vec![VecDeque::new(); guests],
+            next_stamp: 0,
+            events: Vec::new(),
+        };
+        let clock = kind.clock();
+        let backend = match clock {
+            ClockSource::Virtual(_) => Backend::Inline(Box::new(server)),
+            ClockSource::Wall(wall) => {
+                transport.resp_bell.register(); // we (the constructing thread) are the frontend
+                let worker = std::thread::Builder::new()
+                    .name("cvd-mx-backend".into())
+                    .spawn(move || {
+                        let transport = Arc::clone(&server.transport);
+                        transport.req_bell.register();
+                        loop {
+                            if server.serve_next(&wall) {
+                                continue;
+                            }
+                            if transport.stop.load(Ordering::Acquire) {
                                 break;
                             }
-                            req_bell.wait(|| {
-                                !req_ready.is_empty() || stop.load(Ordering::Acquire)
+                            transport.req_bell.wait(|| {
+                                !transport.req_ready.is_empty()
+                                    || transport.stop.load(Ordering::Acquire)
                             });
-                            continue;
-                        };
-                        let (req_ring, resp_ring) = &rings[guest as usize];
-                        // Served in its slot: the frame is decoded where
-                        // the frontend wrote it, never copied out.
-                        let served = req_ring.try_pop_with(|frame| {
-                            let started = clock.now_ns();
-                            let response =
-                                dispatch(guest, frame, &mut service, &grants, started, &mut events);
-                            (started, response)
-                        });
-                        let Some((started, response)) = served else {
-                            // An id with no frame behind it (only a
-                            // misbehaving frontend publishes one): drop the
-                            // claim. A real frame brings its own id.
-                            pending[guest as usize] = 0;
-                            continue;
-                        };
-                        sched.charge(guest, clock.now_ns().saturating_sub(started).max(1));
-                        let mut frame = [0u8; ARING_SLOT_BYTES];
-                        let len = response.encode_into(&mut frame).expect("a response fits a slot");
-                        // The frontend caps a guest at MULTI_QUEUE_CAP =
-                        // ARING_CAPACITY ops in flight and counts an op
-                        // until it takes the response, so this one's
-                        // response always finds a free slot.
-                        resp_ring.try_push(&frame[..len]).expect(
-                            "a response ring holds at most MULTI_QUEUE_CAP - 1 other responses, \
-                             and responses are tiny",
-                        );
-                        publish_ready(&resp_ready, guest, &resp_bell);
-                        let left = &mut pending[guest as usize];
-                        *left -= 1;
-                        if *left > 0 {
-                            // Fresh stamp for the new head: without it a
-                            // long-backlogged ring would keep its
-                            // first-enqueue stamp and starve younger
-                            // queues under SchedPolicy::Fifo.
-                            sched.enqueue(guest, next_stamp);
-                            next_stamp += 1;
                         }
-                    }
-                    events
-                })
-                .expect("spawn cvd-mx-backend thread")
+                        server.events
+                    })
+                    .expect("spawn cvd-mx-backend thread");
+                Backend::Thread(worker)
+            }
         };
-
-        MultiWallEngine {
+        RingEngine {
             clock,
-            resp_pending: vec![0; channels.len()],
-            guests: channels,
-            req_ready,
-            resp_ready,
-            req_bell,
-            resp_bell,
-            stop,
+            transport,
             grants,
-            worker: Some(worker),
-            resp_rotation: VecDeque::new(),
-            total_in_flight: 0,
+            backend,
+            guests: vec![GuestState::default(); guests],
+            rotation: VecDeque::new(),
+            in_flight: 0,
         }
     }
 
-    fn backend_alive(&self) -> bool {
-        self.worker.as_ref().is_some_and(|w| !w.is_finished())
-    }
-
-    fn join_backend(&mut self) -> Vec<TraceEvent> {
-        self.stop.store(true, Ordering::Release);
-        self.req_bell.ring();
-        match self.worker.take() {
-            Some(worker) => worker.join().unwrap_or_default(),
-            None => Vec::new(),
+    fn check_alive(&self) -> Result<(), EngineError> {
+        match &self.backend {
+            Backend::Stopped => Err(EngineError::Dead("engine shut down".into())),
+            Backend::Thread(worker) if worker.is_finished() => {
+                Err(EngineError::Dead("backend thread exited".into()))
+            }
+            _ => Ok(()),
         }
     }
 }
 
-impl MultiEngine for MultiWallEngine {
+impl MultiEngine for RingEngine {
     fn kind(&self) -> EngineKind {
-        EngineKind::Wall
+        match self.clock {
+            ClockSource::Virtual(_) => EngineKind::Virtual,
+            ClockSource::Wall(_) => EngineKind::Wall,
+        }
     }
 
     fn clock(&self) -> ClockSource {
-        self.clock.into()
+        self.clock.clone()
     }
 
     fn grants(&self) -> &Arc<ShardedGrantTable> {
@@ -460,21 +409,16 @@ impl MultiEngine for MultiWallEngine {
     }
 
     fn submit(&mut self, guest: u32, frame: &[u8]) -> Result<(), EngineError> {
-        if self.worker.is_none() {
-            return Err(EngineError::Dead("engine shut down".into()));
-        }
-        if !self.backend_alive() {
-            return Err(EngineError::Dead("backend thread exited".into()));
-        }
-        let channel = &mut self.guests[guest as usize];
-        if channel.in_flight >= MULTI_QUEUE_CAP {
+        self.check_alive()?;
+        let state = &mut self.guests[guest as usize];
+        if state.in_flight >= MULTI_QUEUE_CAP {
             return Err(EngineError::Backpressure);
         }
-        match channel.req_ring.try_push(frame) {
+        match self.transport.requests[guest as usize].ring.try_push(frame) {
             Ok(_) => {
-                channel.in_flight += 1;
-                self.total_in_flight += 1;
-                publish_ready(&self.req_ready, guest, &self.req_bell);
+                state.in_flight += 1;
+                self.in_flight += 1;
+                publish_ready(&self.transport.req_ready, guest, &self.transport.req_bell);
                 Ok(())
             }
             Err(ARingError::Full) => Err(EngineError::Backpressure),
@@ -485,58 +429,77 @@ impl MultiEngine for MultiWallEngine {
     /// One response per ready guest in rotation: a guest with sixteen
     /// responses waiting takes one turn, then queues behind every other
     /// guest that has one — round-robin over ready guests, not the
-    /// backend's global service order, so a light guest's completion is
+    /// server's global service order, so a light guest's completion is
     /// never stuck behind its neighbours' backlog.
     fn complete(&mut self) -> Result<Option<Completion>, EngineError> {
-        let rotation = &mut self.resp_rotation;
-        drain_ready(&self.resp_ready, &mut self.resp_pending, |guest| {
-            rotation.push_back(guest);
-        });
-        while let Some(guest) = self.resp_rotation.pop_front() {
-            let index = guest as usize;
-            let Some(frame) = self.guests[index].resp_ring.try_pop() else {
-                // Announced but not there: drop the claim, as the backend
-                // does for requests.
-                self.resp_pending[index] = 0;
+        match &mut self.backend {
+            Backend::Inline(server) => {
+                server.serve_next(&self.clock);
+            }
+            Backend::Thread(_) => {}
+            Backend::Stopped => return Err(EngineError::Dead("engine shut down".into())),
+        }
+        let transport = &*self.transport;
+        while let Some(guest) = transport.resp_ready.try_pop() {
+            let Some(state) = self.guests.get_mut(guest as usize) else {
                 continue;
             };
-            self.resp_pending[index] -= 1;
-            if self.resp_pending[index] > 0 {
-                self.resp_rotation.push_back(guest);
+            state.announced = state.announced.saturating_add(1);
+            if state.announced == 1 {
+                self.rotation.push_back(guest);
             }
-            self.guests[index].in_flight -= 1;
-            self.total_in_flight -= 1;
+        }
+        while let Some(guest) = self.rotation.pop_front() {
+            let state = &mut self.guests[guest as usize];
+            let Some(frame) = transport.responses[guest as usize].ring.try_pop() else {
+                // Announced but not there: drop the claim, as the server
+                // does for requests.
+                state.announced = 0;
+                continue;
+            };
+            state.announced -= 1;
+            if state.announced > 0 {
+                self.rotation.push_back(guest);
+            }
+            state.in_flight -= 1;
+            self.in_flight -= 1;
             return Ok(Some((guest, frame)));
         }
-        if self.total_in_flight > 0 && !self.backend_alive() {
-            return Err(EngineError::Dead("backend thread exited".into()));
+        if self.in_flight > 0 {
+            self.check_alive()?;
         }
         Ok(None)
     }
 
     fn complete_blocking(&mut self) -> Result<Completion, EngineError> {
-        if self.total_in_flight == 0 {
+        if self.in_flight == 0 {
             return Err(EngineError::Dead("no frames in flight".into()));
         }
         loop {
             if let Some(done) = self.complete()? {
                 return Ok(done);
             }
-            let ready = &self.resp_ready;
-            self.resp_bell.wait(|| !ready.is_empty());
+            let ready = &self.transport.resp_ready;
+            self.transport.resp_bell.wait(|| !ready.is_empty());
         }
     }
 
     fn finish(&mut self) -> Vec<TraceEvent> {
-        self.join_backend()
+        match std::mem::replace(&mut self.backend, Backend::Stopped) {
+            Backend::Inline(server) => server.events,
+            Backend::Thread(worker) => {
+                self.transport.stop.store(true, Ordering::Release);
+                self.transport.req_bell.ring();
+                worker.join().unwrap_or_default()
+            }
+            Backend::Stopped => Vec::new(),
+        }
     }
 }
 
-impl Drop for MultiWallEngine {
+impl Drop for RingEngine {
     fn drop(&mut self) {
-        if self.worker.is_some() {
-            let _ = self.join_backend();
-        }
+        self.finish();
     }
 }
 
@@ -547,10 +510,7 @@ pub fn build_multi(
     guests: usize,
     policy: SchedPolicy,
 ) -> Box<dyn MultiEngine> {
-    match kind {
-        EngineKind::Virtual => Box::new(MultiVirtualEngine::new(service, guests, policy)),
-        EngineKind::Wall => Box::new(MultiWallEngine::new(service, guests, policy)),
-    }
+    Box::new(RingEngine::new(kind, service, guests, policy))
 }
 
 #[cfg(test)]
@@ -675,7 +635,7 @@ mod tests {
     #[test]
     fn virtual_fair_share_lets_the_light_guest_overtake() {
         let (service, _) = ScriptedService::new();
-        let mut engine = MultiVirtualEngine::new(service, 2, SchedPolicy::FairShare);
+        let mut engine = RingEngine::new(EngineKind::Virtual, service, 2, SchedPolicy::FairShare);
         // Guest 0 floods heavy 4-KiB writes; guest 1 queues one ioctl last.
         for i in 0..8u64 {
             let grant = engine
@@ -807,7 +767,7 @@ mod tests {
     #[test]
     fn a_light_guests_completion_is_not_behind_its_neighbours_backlog() {
         let (service, served) = ScriptedService::new();
-        let mut engine = MultiWallEngine::new(service, 2, SchedPolicy::FairShare);
+        let mut engine = RingEngine::new(EngineKind::Wall, service, 2, SchedPolicy::FairShare);
         let heavy = write_window(&mut engine, 0, MULTI_QUEUE_CAP as u64);
         for len in 1..=MULTI_QUEUE_CAP as u64 {
             engine.submit(0, &write_frame(0, heavy, len)).expect("below the cap");
@@ -817,7 +777,9 @@ mod tests {
         // All seventeen served, then all seventeen announced: only then
         // does the first `complete()` see the whole picture.
         let all = MULTI_QUEUE_CAP as u64 + 1;
-        while *served.lock().expect("counter") < all || engine.resp_ready.len() < all as usize {
+        while *served.lock().expect("counter") < all
+            || engine.transport.resp_ready.len() < all as usize
+        {
             std::thread::yield_now();
         }
         let (first, _) = engine.complete().expect("alive").expect("announced");
@@ -833,40 +795,45 @@ mod tests {
         assert_eq!(rest, MULTI_QUEUE_CAP - 1, "every other completion follows");
     }
 
-    /// (d) A ready id is hostile input. The drain helper ignores one
-    /// outside the guest population; the backend drops one whose ring
-    /// turns out empty; neither disturbs the ops around it.
+    /// (d) A ready id is hostile input, on both substrates: the server
+    /// ignores one outside the guest population, and a burst of ids with
+    /// no frames behind them — more than a queue holds, published ahead
+    /// of the guest's real frames — neither strands nor duplicates an op.
     #[test]
     fn out_of_range_and_spurious_ready_ids_are_ignored() {
-        let ready = IdRing::with_capacity(8);
-        for id in [1, 7, u32::MAX, 0, 1] {
-            ready.try_push(id).expect("room");
-        }
-        let mut pending = [0u32; 2];
-        let mut became_ready = Vec::new();
-        drain_ready(&ready, &mut pending, |guest| became_ready.push(guest));
-        assert_eq!(pending, [1, 2]);
-        assert_eq!(became_ready, [1, 0], "each guest reported once, on leaving zero");
-        assert!(ready.is_empty());
-
-        let (service, served) = ScriptedService::new();
-        let mut engine = MultiWallEngine::new(service, 2, SchedPolicy::FairShare);
-        // This thread is the request ready ring's one producer.
-        publish_ready(&engine.req_ready, 9, &engine.req_bell);
-        publish_ready(&engine.req_ready, 1, &engine.req_bell);
-        let windows = [0, 1].map(|guest| write_window(&mut engine, guest, 4));
-        let mut completed = [0u64; 2];
-        for round in 0..4u64 {
-            for guest in [0, 1] {
-                let frame = write_frame(guest, windows[guest as usize], round + 1);
-                engine.submit(guest, &frame).expect("submit");
-                publish_ready(&engine.req_ready, guest, &engine.req_bell); // one too many
+        for kind in [EngineKind::Virtual, EngineKind::Wall] {
+            let (service, served) = ScriptedService::new();
+            let mut engine = RingEngine::new(kind, service, 2, SchedPolicy::FairShare);
+            let transport = Arc::clone(&engine.transport);
+            // This thread is the request ready ring's one producer.
+            let spurious = |guest| publish_ready(&transport.req_ready, guest, &transport.req_bell);
+            spurious(9);
+            for _ in 0..=MULTI_QUEUE_CAP {
+                spurious(0);
             }
-            take_in_fifo_order(&mut engine, &[0, 1], &mut completed);
-            take_in_fifo_order(&mut engine, &[0, 1], &mut completed);
+            spurious(1);
+            let windows = [0, 1].map(|guest| write_window(&mut engine, guest, 4));
+            let mut completed = [0u64; 2];
+            for round in 0..4u64 {
+                for guest in [0, 1] {
+                    let frame = write_frame(guest, windows[guest as usize], round + 1);
+                    engine.submit(guest, &frame).expect("submit");
+                    spurious(guest); // one too many
+                }
+                take_in_fifo_order(&mut engine, &[0, 1], &mut completed);
+                take_in_fifo_order(&mut engine, &[0, 1], &mut completed);
+            }
+            assert_eq!(completed, [4, 4], "{kind}: every op served once");
+            assert!(
+                matches!(engine.complete(), Ok(None)),
+                "{kind}: nothing invented"
+            );
+            assert_eq!(
+                *served.lock().expect("counter"),
+                8,
+                "{kind}: no id was served as an op"
+            );
+            engine.finish();
         }
-        assert_eq!(completed, [4, 4]);
-        assert!(matches!(engine.complete(), Ok(None)));
-        assert_eq!(*served.lock().expect("counter"), 8, "no id was served as an op");
     }
 }

@@ -17,9 +17,9 @@
 //! failures ([`EngineError`]) so the hypervisor crate never depends on
 //! the CVD wire types. The engine seam itself is `paradice-cvd`'s
 //! `multi::MultiEngine`: a byte-level submit/complete interface over
-//! per-guest queues, with one implementation per substrate and a
-//! differential harness (`exec::run_workload`) that proves them
-//! op-equivalent.
+//! per-guest queues, with one implementation whose kind picks the clock
+//! and where its server runs, and a differential harness
+//! (`exec::run_workload`) that proves the two kinds op-equivalent.
 
 use std::fmt;
 

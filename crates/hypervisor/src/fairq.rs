@@ -1,11 +1,12 @@
 //! The device-class-agnostic fair-share queue discipline.
 //!
-//! ISSUE 10 promoted fair-share device scheduling from a GPU ablation knob
-//! to the *default* discipline everywhere queued work from several guests
-//! is ordered: the GPU model's engine scheduler (`paradice_drivers`'
-//! `RadeonGpu`, whose `GpuSched` is an alias of [`SchedPolicy`]), the
-//! virtual-time CVD backend's cross-guest drain, and both multi-guest
-//! execution substrates (`paradice_cvd::multi`). This module is the one
+//! Fair-share device scheduling is the *default* discipline everywhere
+//! queued work from several guests is ordered: the GPU model's engine
+//! scheduler (`paradice_drivers`' `RadeonGpu`, whose `GpuSched` is an
+//! alias of [`SchedPolicy`]) and the serve step of the multi-guest engine
+//! (`paradice_cvd::multi`), on either clock. (The `Machine` path's
+//! `paradice_cvd::Backend` serves the calling guest inline and schedules
+//! nothing.) This module is the one
 //! kernel of that discipline, independent of device class, substrate, and
 //! clock — it lives in the hypervisor crate because that is the lowest one
 //! all of its callers share. It only ever sees guest ids, arrival order,

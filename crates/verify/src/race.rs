@@ -1114,7 +1114,7 @@ impl RaceReadyModel {
 
     fn program_successors(&self, s: &RaceReadyState) -> Vec<(String, RaceReadyState)> {
         let mut out = Vec::new();
-        // Producer (thread 0): MultiWallEngine::submit — AtomicRing::try_push
+        // Producer (thread 0): the engine's submit — AtomicRing::try_push
         // of the frame (payload, then SEQ), then IdRing::try_push of the
         // guest's id (payload, then SEQ). The mutant swaps the two pushes.
         if s.p_j < READY_SCRIPT.len() {

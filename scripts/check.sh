@@ -25,16 +25,36 @@ if grep -rn "std::sync::atomic" crates/hypervisor/src --include='*.rs' \
     exit 1
 fi
 
-echo "==> one-engine-seam gate (one backend-thread spawn; no single-guest engines)"
+echo "==> one-engine-seam gate (one engine, one backend-thread spawn, one serve step)"
 # cvd::multi is the only place a backend thread is spawned, and the
-# single-guest engines it subsumed must not grow back.
+# engines it subsumed must not grow back: the single-guest ones, and the
+# per-substrate multi-guest pair with the virtual engine's private queues.
 SPAWNS="$(grep -rn "thread::Builder" crates/cvd/src --include='*.rs' | wc -l)"
 if [ "$SPAWNS" -ne 1 ]; then
     echo "ERROR: expected exactly one thread::Builder spawn under crates/cvd/src, found $SPAWNS" >&2
     exit 1
 fi
-if grep -rnE '\bVirtualEngine\b|\bWallEngine\b|CvdEngine' crates tests examples; then
-    echo "ERROR: the single-guest engines are gone; build_multi(kind, svc, 1, ..) is the N = 1 case" >&2
+if grep -rnE '\bVirtualEngine\b|\bWallEngine\b|CvdEngine|MultiVirtualEngine|MultiWallEngine' \
+    crates tests examples || grep -rnF 'VecDeque<(u64, Vec<u8>)>' crates tests examples; then
+    echo "ERROR: one engine serves both substrates; build_multi(kind, ..) picks the clock" >&2
+    exit 1
+fi
+# One serve step: the server calls exec::dispatch once, multi.rs builds
+# one FairSched, and the one backend thread keeps its name (the
+# benchmark pins it by that name).
+DISPATCHES="$(for f in crates/cvd/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done \
+    | grep -E '(^|[^.[:alnum:]_])dispatch\(' | grep -vc 'fn dispatch(' || true)"
+if [ "$DISPATCHES" -ne 1 ]; then
+    echo "ERROR: expected exactly one call of dispatch( in non-test crates/cvd/src, found $DISPATCHES" >&2
+    exit 1
+fi
+MULTI="$(sed '/^#\[cfg(test)\]/,$d' crates/cvd/src/multi.rs)"
+if [ "$(printf '%s\n' "$MULTI" | grep -c 'FairSched::new')" -ne 1 ]; then
+    echo "ERROR: non-test multi.rs must build exactly one FairSched" >&2
+    exit 1
+fi
+if ! printf '%s\n' "$MULTI" | grep -qF '.name("cvd-mx-backend".into())'; then
+    echo "ERROR: the engine's backend thread must be named cvd-mx-backend" >&2
     exit 1
 fi
 

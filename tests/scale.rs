@@ -24,9 +24,7 @@
 use std::collections::VecDeque;
 
 use paradice_cvd::proto::{WireOp, WireRequest, WireResponse};
-use paradice_cvd::{
-    build_multi, MultiEngine, MultiVirtualEngine, SchedPolicy, ScriptedService, MULTI_QUEUE_CAP,
-};
+use paradice_cvd::{build_multi, MultiEngine, SchedPolicy, ScriptedService, MULTI_QUEUE_CAP};
 use paradice_devfs::ioc::io;
 use paradice_hypervisor::{EngineError, EngineKind, GrantRef, MemOpGrant};
 use paradice_mem::{GuestPhysAddr, GuestVirtAddr};
@@ -257,7 +255,7 @@ fn granted_ioctl(engine: &mut dyn MultiEngine, guest: u32, arg: u64) -> (Vec<u8>
 /// neighbors, under `policy`.
 fn light_latency_ns(policy: SchedPolicy) -> u64 {
     let (service, _) = ScriptedService::new();
-    let mut engine = MultiVirtualEngine::new(service, 8, policy);
+    let mut engine = build_multi(EngineKind::Virtual, service, 8, policy);
     for guest in 0..7u32 {
         for i in 0..8u64 {
             let addr = GuestVirtAddr::new(0x10_0000 + u64::from(guest) * 0x10_000 + i * 0x1000);
@@ -277,7 +275,7 @@ fn light_latency_ns(policy: SchedPolicy) -> u64 {
             engine.submit(guest, &frame).expect("submit heavy");
         }
     }
-    let (frame, _) = granted_ioctl(&mut engine, 7, 0x9000);
+    let (frame, _) = granted_ioctl(engine.as_mut(), 7, 0x9000);
     engine.submit(7, &frame).expect("submit light");
     loop {
         let (guest, response) = engine.complete_blocking().expect("serve");

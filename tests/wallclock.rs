@@ -4,7 +4,7 @@
 //! reads) is only trustworthy if it computes *exactly* what the
 //! deterministic virtual substrate computes — the virtual clock stays the
 //! correctness oracle, the wall clock only changes how long things take.
-//! These tests pin that equivalence at three levels:
+//! These tests pin that equivalence at five levels:
 //!
 //! 1. **Bytes** — the same workload through both engines yields
 //!    byte-identical encoded responses, in the same order.
@@ -17,6 +17,8 @@
 //! 4. **N = 1** — a single guest is the one-guest case of the multi-guest
 //!    engine: the same workload as the only guest and as one guest among
 //!    idle neighbours yields the same bytes on both substrates.
+//! 5. **Schedule** — one held cross-guest backlog is served in the same
+//!    order on both substrates, under FIFO and under fair share.
 
 use paradice_analyzer::lint::{replay, DiagCode, Diagnostic, Severity};
 use paradice_cvd::exec::{run_workload, ExecRun, ScriptedService, WorkloadOp};
@@ -321,4 +323,83 @@ fn survival_matrix_is_identical_on_the_wall_substrate() {
     assert_eq!(wall.recovery_counts(), (35, 35));
     assert!(wall.pass(), "{}", wall.render());
     assert_eq!(wall.guest_failures(), 0);
+}
+
+/// One three-guest engine of `kind` serving a held backlog under `policy`:
+/// guest C's op is in service when A1, A2 and B1 arrive. Returns the tasks
+/// in the order the service saw them. On the wall substrate the service
+/// blocks its first serve on a gate this thread releases only after the
+/// three later ops are submitted; on the virtual substrate nothing is
+/// served before `complete()`, so the gate is open before the first serve.
+fn held_backlog_order(kind: EngineKind, policy: SchedPolicy) -> Vec<u64> {
+    use std::sync::{mpsc, Arc, Mutex};
+
+    const A: u32 = 0;
+    const B: u32 = 1;
+    const C: u32 = 2;
+    let served = Arc::new(Mutex::new(Vec::new()));
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, gate) = mpsc::channel::<()>();
+    let mut gated = Some((entered_tx, gate));
+    let log = Arc::clone(&served);
+    let service = move |req: &WireRequest| {
+        log.lock().expect("log").push(req.task);
+        if let Some((entered_tx, gate)) = gated.take() {
+            entered_tx.send(()).expect("test is waiting");
+            gate.recv().expect("test releases the gate");
+        }
+        (WireResponse::Value(0), Vec::new())
+    };
+    let mut engine = build_multi(kind, service, 3, policy);
+    let frame = |task: u64| {
+        WireRequest {
+            task,
+            pt_root: GuestPhysAddr::new(0x4000),
+            handle: 1,
+            span: 0,
+            grant: None,
+            op: WireOp::Ioctl {
+                cmd: INTERACTIVE_CMD,
+                arg: 0,
+            },
+        }
+        .encode()
+    };
+    // Tasks name the ops: guest * 10 + its op number.
+    engine.submit(C, &frame(21)).expect("submit C1");
+    if kind == EngineKind::Wall {
+        entered.recv().expect("the backend entered C1's serve");
+    }
+    engine.submit(A, &frame(1)).expect("submit A1");
+    engine.submit(A, &frame(2)).expect("submit A2");
+    engine.submit(B, &frame(11)).expect("submit B1");
+    // On the virtual substrate the gate opens before anything is served.
+    release.send(()).expect("the service holds the gate");
+    for _ in 0..4 {
+        engine.complete_blocking().expect("complete");
+    }
+    engine.finish();
+    let order = served.lock().expect("log").clone();
+    order
+}
+
+#[test]
+fn both_substrates_serve_a_held_backlog_in_the_same_order() {
+    // The scheduler sees per-op arrival order on both substrates: under
+    // FIFO, A's second op (submitted before B1) is served before B1.
+    let fifo = [EngineKind::Virtual, EngineKind::Wall]
+        .map(|kind| held_backlog_order(kind, SchedPolicy::Fifo));
+    assert_eq!(fifo[0], [21, 1, 2, 11], "virtual FIFO order");
+    assert_eq!(
+        fifo[1], fifo[0],
+        "wall FIFO order must equal the virtual oracle's"
+    );
+    // Under fair share A has consumed service after A1 and B has not.
+    let fair = [EngineKind::Virtual, EngineKind::Wall]
+        .map(|kind| held_backlog_order(kind, SchedPolicy::FairShare));
+    assert_eq!(fair[0], [21, 1, 11, 2], "virtual fair-share order");
+    assert_eq!(
+        fair[1], fair[0],
+        "wall fair-share order must equal the virtual oracle's"
+    );
 }
