@@ -68,6 +68,8 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::time::Instant;
 
+use paradice_trace::json_escape;
+
 use crate::extract::{specialize_command, ExtractionError};
 use crate::ir::Handler;
 
@@ -321,21 +323,6 @@ impl Diagnostic {
             json_escape(&self.message),
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A recorded justification for a known deviation in a shipped driver.

@@ -90,7 +90,9 @@ const PAPER_TRUSTED_PATH: [&str; 4] = [
 const TRUSTED_PATH: [(&str, &[&str]); 2] = [
     (
         "cvd",
-        &["frontend", "backend", "proto", "memops", "cache", "info", "sharing"],
+        &[
+            "frontend", "backend", "devices", "proto", "memops", "cache", "info", "sharing",
+        ],
     ),
     (
         "hypervisor",

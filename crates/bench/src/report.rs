@@ -5,6 +5,8 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
+use paradice_trace::json_escape;
+
 /// One table cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Cell {
@@ -173,20 +175,6 @@ pub fn render_experiments_json(tables: &[Table]) -> String {
         "{{\n  \"schema\": \"paradice-experiments/v1\",\n  \"tables\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     )
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -13,14 +13,15 @@ use std::rc::Rc;
 
 use paradice_analyzer::extract::analyze_handler;
 use paradice_cvd::backend::{Backend, SharedBackend, DEFAULT_QUEUE_CAP};
+use paradice_cvd::devices::DeviceTable;
 use paradice_cvd::frontend::{Frontend, IoctlKnowledge};
 use paradice_cvd::info::{DeviceInfoModule, VirtualPciBus};
-use paradice_cvd::proto::{CvdChannel, WireResponse};
+use paradice_cvd::proto::{CvdChannel, WireOp, WireResponse};
 use paradice_cvd::sharing::{SharingPolicy, VirtualTerminals};
 pub use paradice_cvd::OsPersonality;
-use paradice_devfs::fileops::{FileOps, MmapRange, OpenContext, PollEvents, TaskId, UserBuffer};
+use paradice_devfs::fileops::{FileOps, PollEvents, TaskId};
 use paradice_devfs::ioc::IoctlCmd;
-use paradice_devfs::registry::{DevFs, FileHandleId, OpenPolicy};
+use paradice_devfs::registry::{DeviceId, FileHandleId, OpenPolicy};
 use paradice_devfs::sysinfo::{known, DeviceClass};
 use paradice_devfs::{Errno, MemOps, OpenFlags};
 use paradice_drivers::audio::PcmDriver;
@@ -266,19 +267,9 @@ impl fmt::Debug for DriverHandle {
     }
 }
 
-struct AttachedDevice {
-    spec: DeviceSpec,
-    handle: DriverHandle,
-    env: Rc<KernelEnv>,
-    /// devfs id when registered on the host (native/assignment).
-    host_id: Option<paradice_devfs::DeviceId>,
-    /// devfs id in the backend (Paradice).
-    backend_id: Option<paradice_devfs::DeviceId>,
-}
-
-impl AttachedDevice {
+impl DriverHandle {
     fn fileops(&self) -> Rc<RefCell<dyn FileOps>> {
-        match &self.handle {
+        match self {
             DriverHandle::Gpu(d) => d.clone(),
             DriverHandle::IntelGpu(d) => d.clone(),
             DriverHandle::Input(d) => d.clone(),
@@ -287,6 +278,14 @@ impl AttachedDevice {
             DriverHandle::Netmap(d) => d.clone(),
         }
     }
+}
+
+struct AttachedDevice {
+    spec: DeviceSpec,
+    handle: DriverHandle,
+    env: Rc<KernelEnv>,
+    /// The device's id in the one device table that serves it.
+    id: DeviceId,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -300,7 +299,7 @@ struct Process {
     guest_index: Option<usize>,
     pt: GuestPageTables,
     next_va: u64,
-    fds: BTreeMap<u64, (FdInner, String)>,
+    fds: BTreeMap<u64, FdInner>,
     next_fd: u64,
     pending_events: Vec<u64>, // fds with pending notifications (host path)
 }
@@ -430,7 +429,7 @@ impl MachineBuilder {
             guest_vms: guest_vms.clone(),
             guest_specs: self.guests.clone(),
             devices: Vec::new(),
-            host_devfs: DevFs::new(),
+            host_devices: (!paradice).then(DeviceTable::default),
             backend: None,
             frontends: Vec::new(),
             terminals: None,
@@ -488,7 +487,9 @@ pub struct Machine {
     guest_vms: Vec<VmId>,
     guest_specs: Vec<GuestSpec>,
     devices: Vec<AttachedDevice>,
-    host_devfs: DevFs,
+    /// The host kernel's device table (native and device-assignment
+    /// modes). Under Paradice the backend holds the one table.
+    host_devices: Option<DeviceTable>,
     backend: Option<SharedBackend>,
     frontends: Vec<Rc<RefCell<Frontend>>>,
     terminals: Option<Rc<RefCell<VirtualTerminals>>>,
@@ -515,10 +516,13 @@ impl fmt::Debug for Machine {
 /// The native/assignment [`MemOps`]: direct kernel access to the local
 /// process (the paper's unmodified `copy_to_user`/`vm_insert_pfn`).
 ///
-/// Together with [`paradice_devfs::BufferMemOps`] (plain in-memory buffers)
-/// and `paradice_cvd::memops::HypercallMemOps` (grant-checked hypercalls
-/// from the driver VM), this completes the unified [`MemOps`] story: one
-/// trait, three execution modes, the same driver code against all of them.
+/// The three execution modes differ at the driver only in this binding and
+/// the thread mark: every file operation runs through
+/// [`DeviceTable::serve`], bound here to `DirectMemOps` with no mark
+/// (native, device assignment) or in the backend to
+/// `paradice_cvd::memops::HypercallMemOps` marked with the calling guest
+/// (Paradice). [`paradice_devfs::BufferMemOps`] (plain in-memory buffers)
+/// serves driver unit tests.
 pub struct DirectMemOps {
     hv: SharedHypervisor,
     vm: VmId,
@@ -631,24 +635,16 @@ impl Machine {
             }
         };
 
-        let mut attached = AttachedDevice {
-            spec,
-            handle,
-            env,
-            host_id: None,
-            backend_id: None,
+        let (path, class, policy) = (spec.path(), spec.class(), spec.open_policy());
+        let (sharing, ops, driver_env) = (spec.sharing(), handle.fileops(), env.clone());
+        let id = match (&self.backend, &mut self.host_devices) {
+            (Some(b), _) => b
+                .borrow_mut()
+                .register_device(path, class, policy, sharing, ops, driver_env)?,
+            (None, Some(table)) => table.register(path, class, policy, sharing, ops, driver_env)?,
+            (None, None) => unreachable!("a machine without a backend has a host table"),
         };
-
-        if let Some(backend) = &self.backend {
-            let id = backend.borrow_mut().register_device(
-                spec.path(),
-                spec.class(),
-                spec.open_policy(),
-                spec.sharing(),
-                attached.fileops(),
-                attached.env.clone(),
-            )?;
-            attached.backend_id = Some(id);
+        if self.backend.is_some() {
             // Install analyzer knowledge and plug the device info module
             // into every guest (§5.1).
             for (i, frontend) in self.frontends.iter().enumerate() {
@@ -668,13 +664,13 @@ impl Machine {
                 }
                 self.buses[i].plug(DeviceInfoModule::new(spec.pci_info(), spec.path()));
             }
-        } else {
-            let id =
-                self.host_devfs
-                    .register(spec.path(), spec.class(), spec.open_policy())?;
-            attached.host_id = Some(id);
         }
-        self.devices.push(attached);
+        self.devices.push(AttachedDevice {
+            spec,
+            handle,
+            env,
+            id,
+        });
         Ok(())
     }
 
@@ -892,13 +888,6 @@ impl Machine {
     // File operations (mode-dispatched)
     // ------------------------------------------------------------------
 
-    fn host_device(&self, path: &str) -> Result<&AttachedDevice, Errno> {
-        self.devices
-            .iter()
-            .find(|d| d.spec.path() == path)
-            .ok_or(Errno::Enoent)
-    }
-
     /// Opens a device file for `task` (read-write).
     ///
     /// # Errors
@@ -923,19 +912,12 @@ impl Machine {
         let guest_index = self.process(task)?.guest_index;
         let inner = match guest_index {
             None => {
-                let (handle, _) = self.host_devfs.open(path, task, flags)?;
-                let device = self.host_device(path)?;
-                let ctx = OpenContext {
-                    handle,
-                    task,
+                let open = WireOp::Open {
+                    path: path.to_owned(),
                     flags,
                 };
-                let result = device.fileops().borrow_mut().open(ctx);
-                if let Err(errno) = result {
-                    let _ = self.host_devfs.close(handle);
-                    return Err(errno);
-                }
-                FdInner::Host(handle)
+                let handle = self.host_call(task, 0, open)?.result()?;
+                FdInner::Host(FileHandleId(handle as u64))
             }
             Some(i) => {
                 let frontend = self.frontends[i].clone();
@@ -946,37 +928,31 @@ impl Machine {
         let process = self.process_mut(task)?;
         let fd = process.next_fd;
         process.next_fd += 1;
-        process.fds.insert(fd, (inner, path.to_owned()));
+        process.fds.insert(fd, inner);
         Ok(fd)
     }
 
     fn fd_of(&self, task: TaskId, fd: u64) -> Result<FdInner, Errno> {
-        let (inner, _) = self.process(task)?.fds.get(&fd).ok_or(Errno::Ebadf)?;
-        Ok(*inner)
-    }
-
-    /// The attached device a host descriptor was opened on.
-    fn host_device_of(&self, task: TaskId, fd: u64) -> Result<&AttachedDevice, Errno> {
-        let (_, path) = self.process(task)?.fds.get(&fd).ok_or(Errno::Ebadf)?;
-        self.host_device(path)
-    }
-
-    fn host_ctx(&self, task: TaskId, handle: FileHandleId) -> Result<OpenContext, Errno> {
-        let open = self.host_devfs.resolve(handle)?;
-        Ok(OpenContext {
-            handle,
-            task,
-            flags: open.flags,
-        })
-    }
-
-    fn direct_memops(&self, task: TaskId) -> Result<DirectMemOps, Errno> {
         let process = self.process(task)?;
-        Ok(DirectMemOps {
-            hv: self.hv.clone(),
-            vm: process.vm,
-            pt_root: process.pt.root(),
-        })
+        process.fds.get(&fd).copied().ok_or(Errno::Ebadf)
+    }
+
+    /// The frontend and page tables a guest process's operation runs with.
+    fn guest_side(&self, task: TaskId) -> Result<(&RefCell<Frontend>, GuestPageTables), Errno> {
+        let p = self.process(task)?;
+        let i = p.guest_index.ok_or(Errno::Ebadf)?;
+        Ok((&self.frontends[i], p.pt))
+    }
+
+    /// The host kernel's half of a native or device-assignment file
+    /// operation: `op` runs on `handle` through the host device table's
+    /// serve step, with direct access to `task`'s memory and no thread
+    /// mark.
+    fn host_call(&mut self, task: TaskId, handle: u64, op: WireOp) -> Result<WireResponse, Errno> {
+        let process = self.process(task)?;
+        let mem = DirectMemOps::new(self.hv.clone(), process.vm, process.pt.root());
+        let table = self.host_devices.as_mut().ok_or(Errno::Ebadf)?;
+        table.serve(None, task, handle, &op, |_| mem)
     }
 
     /// Closes a descriptor.
@@ -986,13 +962,9 @@ impl Machine {
     /// `EBADF` for unknown descriptors.
     pub fn close(&mut self, task: TaskId, fd: u64) -> Result<(), Errno> {
         self.charge_syscall();
-        let inner = self.fd_of(task, fd)?;
-        match inner {
+        match self.fd_of(task, fd)? {
             FdInner::Host(handle) => {
-                let ctx = self.host_ctx(task, handle)?;
-                let device = self.host_device_of(task, fd)?;
-                device.fileops().borrow_mut().release(ctx)?;
-                self.host_devfs.close(handle)?;
+                self.host_call(task, handle.0, WireOp::Release)?;
             }
             FdInner::Guest(gfd) => {
                 let i = self.process(task)?.guest_index.ok_or(Errno::Ebadf)?;
@@ -1016,23 +988,14 @@ impl Machine {
         len: u64,
     ) -> Result<u64, Errno> {
         self.charge_syscall();
-        let inner = self.fd_of(task, fd)?;
-        match inner {
-            FdInner::Host(handle) => {
-                let ctx = self.host_ctx(task, handle)?;
-                let mut mem = self.direct_memops(task)?;
-                let device = self.host_device_of(task, fd)?;
-                device
-                    .fileops()
-                    .borrow_mut()
-                    .read(ctx, &mut mem, UserBuffer::new(addr, len))
-            }
+        match self.fd_of(task, fd)? {
+            FdInner::Host(handle) => self
+                .host_call(task, handle.0, WireOp::Read { addr, len })?
+                .result()
+                .map(|n| n as u64),
             FdInner::Guest(gfd) => {
-                let p = self.process(task)?;
-                let (i, pt) = (p.guest_index.ok_or(Errno::Ebadf)?, p.pt);
-                self.frontends[i]
-                    .borrow_mut()
-                    .read(task, pt, gfd, addr, len)
+                let (frontend, pt) = self.guest_side(task)?;
+                frontend.borrow_mut().read(task, pt, gfd, addr, len)
             }
         }
     }
@@ -1050,23 +1013,14 @@ impl Machine {
         len: u64,
     ) -> Result<u64, Errno> {
         self.charge_syscall();
-        let inner = self.fd_of(task, fd)?;
-        match inner {
-            FdInner::Host(handle) => {
-                let ctx = self.host_ctx(task, handle)?;
-                let mut mem = self.direct_memops(task)?;
-                let device = self.host_device_of(task, fd)?;
-                device
-                    .fileops()
-                    .borrow_mut()
-                    .write(ctx, &mut mem, UserBuffer::new(addr, len))
-            }
+        match self.fd_of(task, fd)? {
+            FdInner::Host(handle) => self
+                .host_call(task, handle.0, WireOp::Write { addr, len })?
+                .result()
+                .map(|n| n as u64),
             FdInner::Guest(gfd) => {
-                let p = self.process(task)?;
-                let (i, pt) = (p.guest_index.ok_or(Errno::Ebadf)?, p.pt);
-                self.frontends[i]
-                    .borrow_mut()
-                    .write(task, pt, gfd, addr, len)
+                let (frontend, pt) = self.guest_side(task)?;
+                frontend.borrow_mut().write(task, pt, gfd, addr, len)
             }
         }
     }
@@ -1084,20 +1038,13 @@ impl Machine {
         arg: u64,
     ) -> Result<i64, Errno> {
         self.charge_syscall();
-        let inner = self.fd_of(task, fd)?;
-        match inner {
-            FdInner::Host(handle) => {
-                let ctx = self.host_ctx(task, handle)?;
-                let mut mem = self.direct_memops(task)?;
-                let device = self.host_device_of(task, fd)?;
-                device.fileops().borrow_mut().ioctl(ctx, &mut mem, cmd, arg)
-            }
+        match self.fd_of(task, fd)? {
+            FdInner::Host(handle) => self
+                .host_call(task, handle.0, WireOp::Ioctl { cmd, arg })?
+                .result(),
             FdInner::Guest(gfd) => {
-                let p = self.process(task)?;
-                let (i, pt) = (p.guest_index.ok_or(Errno::Ebadf)?, p.pt);
-                self.frontends[i]
-                    .borrow_mut()
-                    .ioctl(task, pt, gfd, cmd, arg)
+                let (frontend, pt) = self.guest_side(task)?;
+                frontend.borrow_mut().ioctl(task, pt, gfd, cmd, arg)
             }
         }
     }
@@ -1126,37 +1073,22 @@ impl Machine {
             process.next_va += (pages + 1) * PAGE_SIZE;
             GuestVirtAddr::new(va)
         };
-        let inner = self.fd_of(task, fd)?;
-        match inner {
+        match self.fd_of(task, fd)? {
             FdInner::Host(handle) => {
-                let (vm, mut pt) = {
-                    let p = self.process(task)?;
-                    (p.vm, p.pt)
-                };
+                let (vm, mut pt) = self.process(task).map(|p| (p.vm, p.pt))?;
                 // The host kernel creates the intermediate levels, as the
                 // guest kernel does under Paradice (§5.2).
-                {
-                    let mut hv = self.hv.borrow_mut();
-                    let mut space = hv.gpa_space(vm);
-                    for i in 0..len.div_ceil(PAGE_SIZE) {
-                        pt.ensure_intermediate(&mut space, va.add(i * PAGE_SIZE))
-                            .map_err(|_| Errno::Enomem)?;
-                    }
-                }
+                let pages = len.div_ceil(PAGE_SIZE);
+                pt.ensure_range(&mut self.hv.borrow_mut().gpa_space(vm), va, pages)
+                    .map_err(|_| Errno::Enomem)?;
                 self.process_mut(task)?.pt = pt;
-                let ctx = self.host_ctx(task, handle)?;
-                let mut mem = self.direct_memops(task)?;
-                let device = self.host_device_of(task, fd)?;
-                device.fileops().borrow_mut().mmap(
-                    ctx,
-                    &mut mem,
-                    MmapRange {
-                        va,
-                        len,
-                        offset,
-                        access,
-                    },
-                )?;
+                let op = WireOp::Mmap {
+                    va,
+                    len,
+                    offset,
+                    access,
+                };
+                self.host_call(task, handle.0, op)?;
             }
             FdInner::Guest(gfd) => {
                 let p = self.process(task)?;
@@ -1192,33 +1124,19 @@ impl Machine {
         len: u64,
     ) -> Result<(), Errno> {
         self.charge_syscall();
-        let inner = self.fd_of(task, fd)?;
-        match inner {
+        match self.fd_of(task, fd)? {
             FdInner::Host(handle) => {
-                let (vm, pt) = {
-                    let p = self.process(task)?;
-                    (p.vm, p.pt)
-                };
+                let (vm, pt) = self.process(task).map(|p| (p.vm, p.pt))?;
                 // Kernel clears the leaf entries first (§5.2)…
-                {
-                    let mut hv = self.hv.borrow_mut();
-                    let mut space = hv.gpa_space(vm);
-                    for i in 0..len.div_ceil(PAGE_SIZE) {
-                        pt.unmap(&mut space, va.add(i * PAGE_SIZE))
-                            .map_err(|_| Errno::Efault)?;
-                    }
-                }
-                let ctx = self.host_ctx(task, handle)?;
-                let mut mem = self.direct_memops(task)?;
-                let device = self.host_device_of(task, fd)?;
-                device.fileops().borrow_mut().munmap(ctx, &mut mem, va, len)
+                let pages = len.div_ceil(PAGE_SIZE);
+                pt.unmap_range(&mut self.hv.borrow_mut().gpa_space(vm), va, pages)
+                    .map_err(|_| Errno::Efault)?;
+                self.host_call(task, handle.0, WireOp::Munmap { va, len })
+                    .map(|_| ())
             }
             FdInner::Guest(gfd) => {
-                let p = self.process(task)?;
-                let (i, pt) = (p.guest_index.ok_or(Errno::Ebadf)?, p.pt);
-                self.frontends[i]
-                    .borrow_mut()
-                    .munmap(task, pt, gfd, va, len)
+                let (frontend, pt) = self.guest_side(task)?;
+                frontend.borrow_mut().munmap(task, pt, gfd, va, len)
             }
         }
     }
@@ -1231,31 +1149,20 @@ impl Machine {
     ///
     /// `EFAULT` outside any device mapping; driver errors otherwise.
     pub fn fault_page(&mut self, task: TaskId, fd: u64, va: GuestVirtAddr) -> Result<(), Errno> {
-        let inner = self.fd_of(task, fd)?;
-        match inner {
+        match self.fd_of(task, fd)? {
             FdInner::Host(handle) => {
                 // The host kernel creates the intermediates for the faulting
                 // page before asking the driver to fill the leaf.
-                let (vm, mut pt) = {
-                    let p = self.process(task)?;
-                    (p.vm, p.pt)
-                };
-                {
-                    let mut hv = self.hv.borrow_mut();
-                    let mut space = hv.gpa_space(vm);
-                    pt.ensure_intermediate(&mut space, va.page_base())
-                        .map_err(|_| Errno::Enomem)?;
-                }
+                let (vm, mut pt) = self.process(task).map(|p| (p.vm, p.pt))?;
+                pt.ensure_range(&mut self.hv.borrow_mut().gpa_space(vm), va.page_base(), 1)
+                    .map_err(|_| Errno::Enomem)?;
                 self.process_mut(task)?.pt = pt;
-                let ctx = self.host_ctx(task, handle)?;
-                let mut mem = self.direct_memops(task)?;
-                let device = self.host_device_of(task, fd)?;
-                device.fileops().borrow_mut().fault(ctx, &mut mem, va)
+                let fault = WireOp::Fault { va };
+                self.host_call(task, handle.0, fault).map(|_| ())
             }
             FdInner::Guest(gfd) => {
-                let p = self.process(task)?;
-                let (i, pt) = (p.guest_index.ok_or(Errno::Ebadf)?, p.pt);
-                self.frontends[i].borrow_mut().fault(task, pt, gfd, va)
+                let (frontend, pt) = self.guest_side(task)?;
+                frontend.borrow_mut().fault(task, pt, gfd, va)
             }
         }
     }
@@ -1267,14 +1174,12 @@ impl Machine {
     /// Driver errors.
     pub fn poll(&mut self, task: TaskId, fd: u64) -> Result<PollEvents, Errno> {
         self.charge_syscall();
-        let inner = self.fd_of(task, fd)?;
-        match inner {
-            FdInner::Host(handle) => {
-                let ctx = self.host_ctx(task, handle)?;
-                let device = self.host_device_of(task, fd)?;
-                let events = device.fileops().borrow_mut().poll(ctx)?;
-                Ok(events)
-            }
+        match self.fd_of(task, fd)? {
+            // The serve step answers `poll` with the dedicated variant.
+            FdInner::Host(handle) => match self.host_call(task, handle.0, WireOp::Poll)? {
+                WireResponse::Poll(events) => Ok(events),
+                _ => Err(Errno::Eio),
+            },
             FdInner::Guest(gfd) => {
                 let i = self.process(task)?.guest_index.ok_or(Errno::Ebadf)?;
                 self.frontends[i].borrow_mut().poll(task, gfd)
@@ -1289,13 +1194,10 @@ impl Machine {
     /// Driver errors.
     pub fn fasync(&mut self, task: TaskId, fd: u64, on: bool) -> Result<(), Errno> {
         self.charge_syscall();
-        let inner = self.fd_of(task, fd)?;
-        match inner {
-            FdInner::Host(handle) => {
-                let ctx = self.host_ctx(task, handle)?;
-                let device = self.host_device_of(task, fd)?;
-                device.fileops().borrow_mut().fasync(ctx, on)
-            }
+        match self.fd_of(task, fd)? {
+            FdInner::Host(handle) => self
+                .host_call(task, handle.0, WireOp::Fasync { on })
+                .map(|_| ()),
             FdInner::Guest(gfd) => {
                 let i = self.process(task)?.guest_index.ok_or(Errno::Ebadf)?;
                 self.frontends[i].borrow_mut().fasync(task, gfd, on)
@@ -1334,11 +1236,11 @@ impl Machine {
             value,
         };
         let signals = driver.borrow_mut().report_event(event);
-        match (&self.backend, device.backend_id) {
-            (Some(backend), Some(id)) => {
-                backend.borrow_mut().deliver_signals(id, &signals);
+        match &self.backend {
+            Some(backend) => {
+                backend.borrow_mut().deliver_signals(device.id, &signals);
             }
-            _ => {
+            None => {
                 // Host path: queue signals on the subscribing processes.
                 for signal in signals {
                     if let Some(process) = self.processes.get_mut(&signal.task.0) {
@@ -1346,9 +1248,7 @@ impl Machine {
                         let fd = process
                             .fds
                             .iter()
-                            .find(|(_, (inner, _))| {
-                                matches!(inner, FdInner::Host(h) if *h == signal.handle)
-                            })
+                            .find(|(_, inner)| matches!(inner, FdInner::Host(h) if *h == signal.handle))
                             .map(|(&fd, _)| fd);
                         if let Some(fd) = fd {
                             process.pending_events.push(fd);
@@ -1394,7 +1294,7 @@ impl Machine {
                 let fd = process
                     .fds
                     .iter()
-                    .find(|(_, (inner, _))| matches!(inner, FdInner::Guest(g) if *g == gfd))
+                    .find(|(_, inner)| matches!(inner, FdInner::Guest(g) if *g == gfd))
                     .map(|(&fd, _)| fd)?;
                 self.clock.advance(cost);
                 Some(fd)
@@ -1540,7 +1440,7 @@ impl Machine {
         for process in self.processes.values_mut() {
             process
                 .fds
-                .retain(|_, (inner, _)| !matches!(inner, FdInner::Guest(_)));
+                .retain(|_, inner| !matches!(inner, FdInner::Guest(_)));
         }
         Ok(())
     }
@@ -1632,13 +1532,11 @@ impl Machine {
         arg: u64,
     ) -> Result<(), Errno> {
         self.charge_syscall();
-        let inner = self.fd_of(task, fd)?;
-        match inner {
+        match self.fd_of(task, fd)? {
             FdInner::Host(_) => Err(Errno::Einval),
             FdInner::Guest(gfd) => {
-                let p = self.process(task)?;
-                let (i, pt) = (p.guest_index.ok_or(Errno::Ebadf)?, p.pt);
-                self.frontends[i]
+                let (frontend, pt) = self.guest_side(task)?;
+                frontend
                     .borrow_mut()
                     .ioctl_pipelined(task, pt, gfd, cmd, arg)
             }

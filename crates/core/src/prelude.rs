@@ -5,6 +5,10 @@
 //! [`DirectMemOps`] (native/assignment, straight through the hypervisor),
 //! [`HypercallMemOps`] (Paradice, grant-checked hypercalls) — implements
 //! the one trait, so driver code is oblivious to which world it runs in.
+//! Every mode calls the driver through one step, the device table's
+//! `serve` (`paradice_cvd::devices`): the three modes differ only in the
+//! `MemOps` binding and the thread mark (the calling guest under Paradice,
+//! none on the host).
 //!
 //! Likewise the unified execution story: one [`MultiEngine`] seam over
 //! the deterministic virtual substrate ([`SimClock`], the correctness

@@ -7,9 +7,10 @@
 //! modify this cap for different queues for better load balancing or
 //! enforcing priorities between guest VMs" (paper §5.1).
 //!
-//! Dispatch marks the executing "thread" with the calling guest (the
-//! `task_struct` flag of §5.2) so the driver's wrapper stubs — our
-//! [`HypercallMemOps`] — and the data-isolation code know whose memory and
+//! Each request runs through the [`DeviceTable`]'s one serve step, the
+//! same one the host kernel uses natively, marked with the calling guest
+//! (the `task_struct` flag of §5.2) and bound to [`HypercallMemOps`] so the
+//! driver's wrapper stubs and the data-isolation code know whose memory and
 //! region to use. Asynchronous notifications flow backend → frontend over
 //! the same channels, filtered by the input-sharing policy (§5.1: "for
 //! input devices, we only send notifications to the foreground guest VM").
@@ -19,8 +20,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use paradice_devfs::fasync::Signal;
-use paradice_devfs::fileops::{FileOps, MmapRange, OpenContext, TaskId, UserBuffer};
-use paradice_devfs::registry::{DevFs, DeviceId, FileHandleId, OpenPolicy};
+use paradice_devfs::fileops::{FileOps, TaskId};
+use paradice_devfs::registry::{DeviceId, OpenPolicy};
 use paradice_devfs::sysinfo::DeviceClass;
 use paradice_devfs::Errno;
 use paradice_drivers::env::KernelEnv;
@@ -30,8 +31,9 @@ use paradice_hypervisor::{ChannelError, GrantRef, MemOp, SharedHypervisor, VmId}
 use paradice_mem::GuestVirtAddr;
 use paradice_trace::SpanId;
 
+use crate::devices::DeviceTable;
 use crate::memops::HypercallMemOps;
-use crate::proto::{CvdChannel, WireOp, WireRequest, WireResponse, WireSignal};
+use crate::proto::{CvdChannel, WireRequest, WireResponse, WireSignal};
 use crate::sharing::{SharingPolicy, VirtualTerminals};
 
 /// The paper's per-guest wait-queue cap.
@@ -50,38 +52,18 @@ enum InjectOutcome {
 /// A shared handle to the backend (one backend serves every guest, §3.2.3).
 pub type SharedBackend = Rc<RefCell<Backend>>;
 
-struct DeviceSlot {
-    ops: Rc<RefCell<dyn FileOps>>,
-    env: Rc<KernelEnv>,
-    class: DeviceClass,
-    policy: SharingPolicy,
-}
-
 struct GuestState {
     channel: Rc<RefCell<CvdChannel>>,
     /// Queued requests, per-guest FIFO.
     queue: VecDeque<WireRequest>,
     cap: usize,
-    /// This guest's open files: per-guest handle tables (ISSUE 10), so a
-    /// neighbor's open/close churn never touches another guest's lookup
-    /// path. Handle ids stay globally unique (devfs allocates them).
-    opens: BTreeMap<u64, OpenState>,
-}
-
-/// Per-open-file bookkeeping. Lives in the owning guest's table, so the
-/// owner is the table itself rather than a field.
-#[derive(Debug, Clone, Copy)]
-struct OpenState {
-    device: DeviceId,
-    flags: paradice_devfs::OpenFlags,
 }
 
 /// The CVD backend.
 pub struct Backend {
     hv: SharedHypervisor,
     driver_vm: VmId,
-    devfs: DevFs,
-    devices: BTreeMap<u32, DeviceSlot>,
+    devices: DeviceTable,
     guests: BTreeMap<u32, GuestState>,
     task_origin: BTreeMap<u64, VmId>,
     terminals: Option<Rc<RefCell<VirtualTerminals>>>,
@@ -108,7 +90,7 @@ impl std::fmt::Debug for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Backend")
             .field("driver_vm", &self.driver_vm)
-            .field("devices", &self.devices.len())
+            .field("devices", &self.devices)
             .field("guests", &self.guests.len())
             .field("ops_executed", &self.ops_executed)
             .finish()
@@ -121,8 +103,7 @@ impl Backend {
         Rc::new(RefCell::new(Backend {
             hv,
             driver_vm,
-            devfs: DevFs::new(),
-            devices: BTreeMap::new(),
+            devices: DeviceTable::default(),
             guests: BTreeMap::new(),
             task_origin: BTreeMap::new(),
             terminals: None,
@@ -166,17 +147,8 @@ impl Backend {
         ops: Rc<RefCell<dyn FileOps>>,
         env: Rc<KernelEnv>,
     ) -> Result<DeviceId, Errno> {
-        let id = self.devfs.register(path, class, open_policy)?;
-        self.devices.insert(
-            id.0,
-            DeviceSlot {
-                ops,
-                env,
-                class,
-                policy: sharing,
-            },
-        );
-        Ok(id)
+        self.devices
+            .register(path, class, open_policy, sharing, ops, env)
     }
 
     /// Attaches a guest VM with its shared-page channel and queue cap.
@@ -187,7 +159,6 @@ impl Backend {
                 channel,
                 queue: VecDeque::new(),
                 cap,
-                opens: BTreeMap::new(),
             },
         );
     }
@@ -239,12 +210,8 @@ impl Backend {
     /// frontends; device registrations survive (the machine swaps in the
     /// freshly instantiated driver objects).
     pub fn reset_for_recovery(&mut self) {
+        self.devices.close_all();
         for state in self.guests.values_mut() {
-            let handles: Vec<u64> = state.opens.keys().copied().collect();
-            for handle in handles {
-                let _ = self.devfs.close(FileHandleId(handle));
-            }
-            state.opens.clear();
             state.queue.clear();
         }
         self.paused = false;
@@ -388,10 +355,20 @@ impl Backend {
                 }
             }
             self.ops_executed += 1;
-            Some(match self.dispatch(guest, request) {
-                Ok(response) => response,
-                Err(errno) => WireResponse::Err(errno),
-            })
+            // The wrapper-stub binding: every memory operation the driver
+            // performs for this request is a grant-checked hypercall. A
+            // missing grant fails closed (no declaration can ever match).
+            let grant = request.grant.unwrap_or(GrantRef(u32::MAX));
+            let (hv, vm, batch) = (&self.hv, self.driver_vm, self.fastpath_batch);
+            let (task, pt) = (TaskId(request.task), request.pt_root);
+            let bind = |env: &KernelEnv| {
+                let domain = Some(env.domain());
+                HypercallMemOps::new(hv.clone(), vm, guest, pt, grant, domain, batch)
+            };
+            let served = self
+                .devices
+                .serve(Some(guest), task, request.handle, &request.op, bind);
+            Some(served.unwrap_or_else(WireResponse::Err))
         };
         self.hv.borrow_mut().set_current_span(SpanId::NONE);
         outcome
@@ -468,166 +445,13 @@ impl Backend {
         }
     }
 
-    fn dispatch(&mut self, guest: VmId, request: WireRequest) -> Result<WireResponse, Errno> {
-        let task = TaskId(request.task);
-        match &request.op {
-            WireOp::Open { path, flags } => {
-                let (handle, device) = self.devfs.open(path, task, *flags)?;
-                let slot = self.devices.get(&device.0).ok_or(Errno::Enodev)?;
-                let ctx = OpenContext {
-                    handle,
-                    task,
-                    flags: *flags,
-                };
-                slot.env.set_current_guest(Some(guest));
-                let result = slot.ops.borrow_mut().open(ctx);
-                slot.env.set_current_guest(None);
-                if let Err(errno) = result {
-                    let _ = self.devfs.close(handle);
-                    return Err(errno);
-                }
-                self.guests
-                    .get_mut(&guest.0)
-                    .ok_or(Errno::Einval)?
-                    .opens
-                    .insert(
-                        handle.0,
-                        OpenState {
-                            device,
-                            flags: *flags,
-                        },
-                    );
-                Ok(WireResponse::Value(handle.0 as i64))
-            }
-            op => {
-                let handle = FileHandleId(request.handle);
-                // Per-guest handle tables: the fast path touches only the
-                // calling guest's table. A miss falls to the error path,
-                // which distinguishes a neighbor's handle (EPERM — a guest
-                // may only drive its own open files) from a handle nobody
-                // holds (EBADF); neighbors pay that scan only when already
-                // faulting.
-                let own = self
-                    .guests
-                    .get(&guest.0)
-                    .and_then(|state| state.opens.get(&request.handle))
-                    .copied();
-                let Some(open) = own else {
-                    let foreign = self.guests.iter().any(|(id, state)| {
-                        *id != guest.0 && state.opens.contains_key(&request.handle)
-                    });
-                    return Err(if foreign { Errno::Eperm } else { Errno::Ebadf });
-                };
-                let slot = self.devices.get(&open.device.0).ok_or(Errno::Enodev)?;
-                let ctx = OpenContext {
-                    handle,
-                    task,
-                    flags: open.flags,
-                };
-                // The wrapper-stub binding: every memory operation the
-                // driver performs for this request is a grant-checked
-                // hypercall. A missing grant fails closed (no declaration
-                // can ever match).
-                let grant = request.grant.unwrap_or(GrantRef(u32::MAX));
-                let mut mem = HypercallMemOps::new(
-                    self.hv.clone(),
-                    self.driver_vm,
-                    guest,
-                    request.pt_root,
-                    grant,
-                    Some(slot.env.domain()),
-                    self.fastpath_batch,
-                );
-                // Thread marking (§5.2).
-                slot.env.set_current_guest(Some(guest));
-                let result = match op {
-                    WireOp::Read { addr, len } => slot.ops.borrow_mut().read(
-                        ctx,
-                        &mut mem,
-                        UserBuffer::new(*addr, *len),
-                    ).map(|n| WireResponse::Value(n as i64)),
-                    WireOp::Write { addr, len } => slot.ops.borrow_mut().write(
-                        ctx,
-                        &mut mem,
-                        UserBuffer::new(*addr, *len),
-                    ).map(|n| WireResponse::Value(n as i64)),
-                    WireOp::Ioctl { cmd, arg } => slot
-                        .ops
-                        .borrow_mut()
-                        .ioctl(ctx, &mut mem, *cmd, *arg)
-                        .map(WireResponse::Value),
-                    WireOp::Mmap {
-                        va,
-                        len,
-                        offset,
-                        access,
-                    } => slot
-                        .ops
-                        .borrow_mut()
-                        .mmap(
-                            ctx,
-                            &mut mem,
-                            MmapRange {
-                                va: *va,
-                                len: *len,
-                                offset: *offset,
-                                access: *access,
-                            },
-                        )
-                        .map(|()| WireResponse::Value(0)),
-                    WireOp::Munmap { va, len } => slot
-                        .ops
-                        .borrow_mut()
-                        .munmap(ctx, &mut mem, *va, *len)
-                        .map(|()| WireResponse::Value(0)),
-                    WireOp::Fault { va } => slot
-                        .ops
-                        .borrow_mut()
-                        .fault(ctx, &mut mem, *va)
-                        .map(|()| WireResponse::Value(0)),
-                    // `poll` answers with its dedicated variant: event bits
-                    // are not a return value and never masquerade as one.
-                    WireOp::Poll => slot.ops.borrow_mut().poll(ctx).map(WireResponse::Poll),
-                    WireOp::Fasync { on } => slot
-                        .ops
-                        .borrow_mut()
-                        .fasync(ctx, *on)
-                        .map(|()| WireResponse::Value(0)),
-                    WireOp::Release => {
-                        let result = slot.ops.borrow_mut().release(ctx);
-                        let _ = self.devfs.close(handle);
-                        if let Some(state) = self.guests.get_mut(&guest.0) {
-                            state.opens.remove(&request.handle);
-                        }
-                        result.map(|()| WireResponse::Value(0))
-                    }
-                    WireOp::Open { .. } => unreachable!("handled above"),
-                };
-                slot.env.set_current_guest(None);
-                // Fast path: trailing deferred memory operations land as one
-                // vectored hypercall before the response is posted. A flush
-                // failure (grant violation in the batch) fails the whole op
-                // — nothing was applied. The driver's own errno wins when
-                // both fail.
-                let flushed = mem.flush();
-                match (result, flushed) {
-                    (Ok(response), Ok(())) => Ok(response),
-                    (Ok(_), Err(errno)) => Err(errno),
-                    (Err(errno), _) => Err(errno),
-                }
-            }
-        }
-    }
-
     /// Routes asynchronous notifications from a driver to the guests whose
     /// tasks subscribed (§5.1). Input-class notifications only reach the
     /// foreground guest. Returns how many were forwarded.
     pub fn deliver_signals(&mut self, device: DeviceId, signals: &[Signal]) -> usize {
-        let Some(slot) = self.devices.get(&device.0) else {
+        let Some(input_filtered) = self.devices.foreground_only(device) else {
             return 0;
         };
-        let input_filtered =
-            slot.class == DeviceClass::Input || slot.policy == SharingPolicy::ForegroundInput;
         let foreground = self
             .terminals
             .as_ref()

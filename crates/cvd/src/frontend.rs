@@ -1203,14 +1203,8 @@ impl Frontend {
         }
         let handle = self.handle(fd)?;
         let pages = len.div_ceil(PAGE_SIZE);
-        {
-            let mut hv = self.hv.borrow_mut();
-            let mut space = hv.gpa_space(self.guest);
-            for i in 0..pages {
-                pt.ensure_intermediate(&mut space, va.add(i * PAGE_SIZE))
-                    .map_err(|_| Errno::Enomem)?;
-            }
-        }
+        pt.ensure_range(&mut self.hv.borrow_mut().gpa_space(self.guest), va, pages)
+            .map_err(|_| Errno::Enomem)?;
         let result = self
             .run_op(
                 task,
@@ -1248,7 +1242,7 @@ impl Frontend {
     pub fn fault(
         &mut self,
         task: TaskId,
-        pt: GuestPageTables,
+        mut pt: GuestPageTables,
         fd: u64,
         va: GuestVirtAddr,
     ) -> Result<(), Errno> {
@@ -1261,19 +1255,15 @@ impl Frontend {
             })
             .copied()
             .ok_or(Errno::Efault)?;
-        {
-            let mut hv = self.hv.borrow_mut();
-            let mut space = hv.gpa_space(self.guest);
-            pt.clone()
-                .ensure_intermediate(&mut space, va.page_base())
-                .map_err(|_| Errno::Enomem)?;
-        }
+        let page = va.page_base();
+        pt.ensure_range(&mut self.hv.borrow_mut().gpa_space(self.guest), page, 1)
+            .map_err(|_| Errno::Enomem)?;
         self.run_op(
             task,
             pt.root(),
             handle,
             Some(&[MemOpGrant::MapPages {
-                va: va.page_base(),
+                va: page,
                 pages: 1,
                 access: vma.access,
             }]),
@@ -1300,14 +1290,8 @@ impl Frontend {
     ) -> Result<(), Errno> {
         let handle = self.handle(fd)?;
         let pages = len.div_ceil(PAGE_SIZE);
-        {
-            let mut hv = self.hv.borrow_mut();
-            let mut space = hv.gpa_space(self.guest);
-            for i in 0..pages {
-                pt.unmap(&mut space, va.add(i * PAGE_SIZE))
-                    .map_err(|_| Errno::Efault)?;
-            }
-        }
+        pt.unmap_range(&mut self.hv.borrow_mut().gpa_space(self.guest), va, pages)
+            .map_err(|_| Errno::Efault)?;
         let result = self
             .run_op(
                 task,

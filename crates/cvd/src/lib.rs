@@ -19,9 +19,13 @@
 //! * [`cache`] — the pure grant-declaration cache kernel behind the fast
 //!   path: shape-keyed FIFO memoization with explicit ref-ownership
 //!   transfer, small enough for the bounded-model checker to exhaust.
+//! * [`devices`] — the device table: the devfs, the registered drivers,
+//!   per-caller open tables and the one serve step that calls a driver's
+//!   file operations, for forwarded and native calls alike (§3.2).
 //! * [`backend`] — the driver-VM side: per-guest wait queues capped at 100
-//!   operations (DoS guard, §5.1), thread marking, driver dispatch, and
-//!   asynchronous-notification forwarding.
+//!   operations (DoS guard, §5.1), the grant-checked binding of each
+//!   request to the device table, and asynchronous-notification
+//!   forwarding.
 //! * [`FairSched`] / [`SchedPolicy`] — the fair-share queue discipline
 //!   (`paradice_hypervisor::fairq`, re-exported here): the one pick rule
 //!   behind the multi-guest engine's serve step and the GPU model's
@@ -40,6 +44,7 @@
 
 pub mod backend;
 pub mod cache;
+pub mod devices;
 pub mod exec;
 pub mod frontend;
 pub mod multi;
@@ -50,6 +55,7 @@ pub mod sharing;
 
 pub use backend::{Backend, SharedBackend};
 pub use cache::{Eviction, GrantCache, GrantCacheKey};
+pub use devices::DeviceTable;
 pub use exec::{run_workload, DeviceService, ExecRun, ScriptedService, WorkloadOp};
 pub use paradice_hypervisor::{FairSched, SchedPolicy};
 pub use frontend::{Frontend, IoctlKnowledge, OsPersonality};

@@ -58,7 +58,7 @@ impl Deferred {
 /// (`copy_to_user`, `insert_pfn`, `zap_pfn`) are queued; a `copy_from_user`
 /// appends the read to the queue and issues the whole queue as one
 /// hypercall, applied in order, so the read observes the queued writes. The
-/// dispatcher must call [`HypercallMemOps::flush`] when the file operation
+/// dispatcher must call [`MemOps::flush`] when the file operation
 /// returns so trailing writes land before the response is posted. One
 /// ungranted operation refuses its whole hypercall — in deferred mode, every
 /// write queued with it — so a partially applied wild batch never reaches
@@ -87,7 +87,7 @@ impl std::fmt::Debug for HypercallMemOps {
 
 impl HypercallMemOps {
     /// Binds one file operation's memory-operation context; `defer` queues
-    /// guest-visible writes until the next read or [`Self::flush`].
+    /// guest-visible writes until the next read or [`MemOps::flush`].
     pub fn new(
         hv: SharedHypervisor,
         driver_vm: VmId,
@@ -162,12 +162,6 @@ impl HypercallMemOps {
         });
         Ok(())
     }
-
-    /// Flushes all queued operations; must run before the dispatch's
-    /// response is posted. All-or-nothing on a grant violation.
-    pub fn flush(&mut self) -> Result<(), Errno> {
-        self.issue(None)
-    }
 }
 
 impl MemOps for HypercallMemOps {
@@ -189,6 +183,12 @@ impl MemOps for HypercallMemOps {
 
     fn zap_pfn(&mut self, va: GuestVirtAddr) -> Result<(), Errno> {
         self.write(MemOp::ZapPage { va })
+    }
+
+    /// Issues every queued operation as one hypercall; must run before the
+    /// dispatch's response is posted. All-or-nothing on a grant violation.
+    fn flush(&mut self) -> Result<(), Errno> {
+        self.issue(None)
     }
 }
 

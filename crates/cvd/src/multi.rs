@@ -52,11 +52,11 @@
 //! `race-ring`, `race-ready` and `race-doorbell`.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use paradice_hypervisor::engine::{EngineError, EngineKind};
+use paradice_hypervisor::atomic::AtomicBool;
+use paradice_hypervisor::engine::{EngineError, EngineKind, STOP_CHECK, STOP_REQUEST};
 use paradice_hypervisor::{
     ARingError, AtomicRing, Clock, ClockSource, CostModel, Doorbell, FairSched, IdRing,
     SchedPolicy, ShardedGrantTable, WireCodec, ARING_CAPACITY, ARING_SLOT_BYTES,
@@ -356,12 +356,11 @@ impl RingEngine {
                             if server.serve_next(&wall) {
                                 continue;
                             }
-                            if transport.stop.load(Ordering::Acquire) {
+                            if transport.stop.load(&STOP_CHECK) {
                                 break;
                             }
                             transport.req_bell.wait(|| {
-                                !transport.req_ready.is_empty()
-                                    || transport.stop.load(Ordering::Acquire)
+                                !transport.req_ready.is_empty() || transport.stop.load(&STOP_CHECK)
                             });
                         }
                         server.events
@@ -488,7 +487,7 @@ impl MultiEngine for RingEngine {
         match std::mem::replace(&mut self.backend, Backend::Stopped) {
             Backend::Inline(server) => server.events,
             Backend::Thread(worker) => {
-                self.transport.stop.store(true, Ordering::Release);
+                self.transport.stop.store(true, &STOP_REQUEST);
                 self.transport.req_bell.ring();
                 worker.join().unwrap_or_default()
             }

@@ -61,6 +61,17 @@ pub trait MemOps {
     /// `EFAULT` if the teardown fails.
     fn zap_pfn(&mut self, va: GuestVirtAddr) -> Result<(), Errno>;
 
+    /// Lands every operation the binding deferred. The dispatcher calls it
+    /// once the file operation returns, before the result is answered; a
+    /// binding that defers nothing has nothing to flush.
+    ///
+    /// # Errors
+    ///
+    /// `EFAULT` if a deferred operation is refused (then none is applied).
+    fn flush(&mut self) -> Result<(), Errno> {
+        Ok(())
+    }
+
     /// Convenience: copies a little-endian `u64` from process memory.
     ///
     /// # Errors

@@ -1,8 +1,9 @@
 //! Instrumented atomics: the shim between the lock-free kernels and
 //! `std::sync::atomic`.
 //!
-//! Every atomic in `hypervisor::{aring, shards}` is one of these
-//! wrappers, and every operation on one names a static
+//! Every atomic in `hypervisor::{aring, shards}` and the multi-guest
+//! engine's stop flag (`cvd::multi`, declared in [`crate::engine`]) is one
+//! of these wrappers, and every operation on one names a static
 //! [`Access`] drawn from the module's declared [`SiteSpec`] table. The
 //! ordering the operation *executes* is `access.ordering` — the same
 //! constant the `paradice-race` MO/RC passes lint and the
@@ -41,6 +42,7 @@ pub fn all_sites() -> Vec<&'static SiteSpec> {
     let mut sites = Vec::new();
     sites.extend_from_slice(&crate::aring::ATOMIC_SITES);
     sites.extend_from_slice(&crate::shards::ATOMIC_SITES);
+    sites.extend_from_slice(&crate::engine::ATOMIC_SITES);
     sites
 }
 
@@ -276,6 +278,7 @@ mod tests {
         let sites = all_sites();
         assert!(sites.iter().any(|s| s.module == "hypervisor::aring"));
         assert!(sites.iter().any(|s| s.module == "hypervisor::shards"));
+        assert!(sites.iter().any(|s| s.module == "cvd::multi"));
         assert!(sites.iter().all(|s| !s.accesses.is_empty()));
     }
 

@@ -23,7 +23,35 @@
 
 use std::fmt;
 
+use crate::atomic::{Access, AccessKind, Edge, MemOrder, Role, SiteSpec};
 use crate::clock::ClockSource;
+
+/// The multi-guest engine's stop request: the store that asks the wall
+/// backend thread to exit, the last write before the frontend rings the
+/// request doorbell.
+pub static STOP_REQUEST: Access = Access::pre_doorbell(
+    "request",
+    AccessKind::Store,
+    MemOrder::Release,
+    Edge::Observe,
+);
+/// The backend thread's check of the stop flag, in its loop and in its
+/// wait predicate.
+pub static STOP_CHECK: Access =
+    Access::new("check", AccessKind::Load, MemOrder::Acquire, Edge::Observe);
+static STOP_ACCESSES: [&Access; 2] = [&STOP_REQUEST, &STOP_CHECK];
+static STOP_SITE: SiteSpec = SiteSpec {
+    module: "cvd::multi",
+    name: "stop",
+    group: "multi.stop",
+    role: Role::Flag,
+    accesses: &STOP_ACCESSES,
+};
+
+/// The engine's declared atomic-site table (its stop flag lives in
+/// `paradice-cvd`, which this crate cannot name), aggregated by
+/// [`crate::atomic::all_sites`].
+pub static ATOMIC_SITES: [&SiteSpec; 1] = [&STOP_SITE];
 
 /// Which execution substrate an engine (or a whole machine) runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

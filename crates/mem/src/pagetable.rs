@@ -295,6 +295,43 @@ impl GuestPageTables {
         Self::descend_or_create(space, pd, idx[1])
     }
 
+    /// [`GuestPageTables::ensure_intermediate`] for each of the `pages`
+    /// pages from `va` on, in order: the kernel's half of `mmap` and of a
+    /// device-mapping page fault.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first page that fails, as `ensure_intermediate`.
+    pub fn ensure_range(
+        &mut self,
+        space: &mut dyn GpaSpace,
+        va: GuestVirtAddr,
+        pages: u64,
+    ) -> Result<(), PtWalkError> {
+        for i in 0..pages {
+            self.ensure_intermediate(space, va.add(i * PAGE_SIZE))?;
+        }
+        Ok(())
+    }
+
+    /// [`GuestPageTables::unmap`] for each of the `pages` pages from `va`
+    /// on, in order: the kernel's half of `munmap`.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first page that fails, as `unmap`.
+    pub fn unmap_range(
+        &self,
+        space: &mut dyn GpaSpace,
+        va: GuestVirtAddr,
+        pages: u64,
+    ) -> Result<(), PtWalkError> {
+        for i in 0..pages {
+            self.unmap(space, va.add(i * PAGE_SIZE))?;
+        }
+        Ok(())
+    }
+
     /// Fixes only the *leaf* entry for `va`, the hypervisor's half of `mmap`.
     ///
     /// # Errors
@@ -512,6 +549,25 @@ mod tests {
         pt.unmap(&mut space, va1).unwrap();
         assert!(!pt.is_mapped(&space, va1));
         assert!(pt.is_mapped(&space, va2));
+    }
+
+    #[test]
+    fn ranges_cover_every_page_and_only_those() {
+        // Three pages straddling a leaf-table boundary (512 pages apart).
+        let (mut space, mut pt) = setup();
+        let va = GuestVirtAddr::new(511 * PAGE_SIZE);
+        pt.ensure_range(&mut space, va, 3).unwrap();
+        for i in 0..3 {
+            let page = va.add(i * PAGE_SIZE);
+            pt.set_leaf(&mut space, page, GuestPhysAddr::new(0x5000), Access::RW)
+                .unwrap();
+        }
+        let past = va.add(3 * PAGE_SIZE);
+        pt.map(&mut space, past, GuestPhysAddr::new(0x6000), Access::RW)
+            .unwrap();
+        pt.unmap_range(&mut space, va, 3).unwrap();
+        assert!((0..3).all(|i| !pt.is_mapped(&space, va.add(i * PAGE_SIZE))));
+        assert!(pt.is_mapped(&space, past));
     }
 
     #[test]

@@ -509,7 +509,10 @@ impl TraceEvent {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for a JSON string literal: quote, backslash, `\n`, `\r`
+/// and `\t` by name, other control characters as `\u00XX`. The one
+/// escaper every JSON emitter in the workspace uses.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -1,6 +1,7 @@
 //! Property reports, seeded mutants, and the `--json` rendering.
 
 use paradice_analyzer::lint::Diagnostic;
+use paradice_trace::json_escape;
 
 use crate::fixture::Fixture;
 
@@ -181,21 +182,6 @@ impl PropertyReport {
             duration_ms: 0,
         }
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the `--json` report: per-property stats plus the overall verdict.

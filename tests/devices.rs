@@ -3,6 +3,7 @@
 //! roster, minus the GPU which has its own suite).
 
 use paradice::app::{netmap, pcm, v4l};
+use paradice::camera_ioctl::VIDIOC_STREAMON;
 use paradice::prelude::*;
 
 fn modes() -> Vec<ExecMode> {
@@ -104,6 +105,54 @@ fn camera_is_exclusive_across_guests() {
     let _cam = v4l::CameraClient::open(&mut m, t0).expect("first open");
     // §5.1: "for camera … we only allow access from one guest VM at a time."
     assert_eq!(m.open(t1, "/dev/video0"), Err(Errno::Ebusy));
+}
+
+/// One misuse sequence on the exclusive camera, answered with the same
+/// errnos natively, under device assignment and through Paradice: every
+/// mode reaches the driver through the same device-table step.
+#[test]
+fn misuse_errnos_match_across_modes() {
+    let modes = [
+        ExecMode::Native,
+        ExecMode::DeviceAssignment,
+        ExecMode::Paradice {
+            transport: TransportMode::Interrupts,
+            data_isolation: false,
+        },
+    ];
+    let vectors: Vec<Vec<Result<(), Errno>>> = modes
+        .into_iter()
+        .map(|mode| {
+            let mut m = machine_with(mode, DeviceSpec::Camera);
+            let task = spawn(&mut m);
+            let buf = m.alloc_buffer(task, 64).expect("buffer");
+            let mut seen = vec![m.open(task, "/dev/video9").map(drop)];
+            let fd = m.open(task, "/dev/video0").expect("first open");
+            seen.push(m.open(task, "/dev/video0").map(drop));
+            seen.push(m.close(task, fd));
+            seen.push(m.read(task, fd, buf, 64).map(drop));
+            seen.push(m.ioctl(task, fd, VIDIOC_STREAMON, 0).map(drop));
+            seen.push(m.poll(task, fd).map(drop));
+            seen.push(m.fasync(task, fd, true));
+            seen.push(m.close(task, fd));
+            seen.push(m.open(task, "/dev/video0").map(drop));
+            seen
+        })
+        .collect();
+    let expected = vec![
+        Err(Errno::Enoent),
+        Err(Errno::Ebusy),
+        Ok(()),
+        Err(Errno::Ebadf),
+        Err(Errno::Ebadf),
+        Err(Errno::Ebadf),
+        Err(Errno::Ebadf),
+        Err(Errno::Ebadf),
+        Ok(()),
+    ];
+    for (mode, seen) in modes.iter().zip(&vectors) {
+        assert_eq!(seen, &expected, "{mode:?}");
+    }
 }
 
 // ---------------------------------------------------------------------
