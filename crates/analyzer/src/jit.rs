@@ -5,11 +5,18 @@
 //! the memory operation arguments just-in-time by executing the extracted
 //! code at runtime" (paper §4.1).
 //!
-//! [`evaluate_slice`] interprets a specialized slice with the concrete ioctl
-//! argument. Reads of user memory go through a [`UserReader`] — the frontend
-//! reads the *calling process's own* memory, so this step needs no special
-//! privileges — and produce the concrete operation list the frontend then
-//! declares in the grant table.
+//! Only the runtime part is done per op. Everything that depends on the
+//! slice alone — renumbering its variables to dense slots, validating its
+//! field reads, each buffer's extent (below) — is done once, when the
+//! frontend's knowledge of a command is built: [`JitProgram::compile`].
+//! [`JitProgram::run`] then interprets the program with the concrete ioctl
+//! argument on a [`JitScratch`] the frontend reuses from op to op, and hands
+//! each concrete operation to the caller as it is found (the frontend
+//! writes it straight into its grant buffer). Reads of user memory go
+//! through a [`UserReader`] — the frontend reads the *calling process's own*
+//! memory, so this step needs no special privileges.
+//! [`evaluate_slice`] is the one-shot form: compile, then run on a fresh
+//! scratch.
 //!
 //! # What is fetched, and why it is pinned
 //!
@@ -23,21 +30,31 @@
 //!
 //! A process could change a buffer between two fetches of the same address
 //! (the double-fetch/TOCTOU hazard of every cross-domain copy boundary), so
-//! what is fetched is pinned in a per-evaluation **consumed-range
-//! snapshot**: a later fetch is overlaid with the first-read bytes wherever
-//! it overlaps an earlier one, byte-exact. Bytes never fetched need no
-//! pinning — nothing that decides a grant depends on them, and the driver
-//! reads them once, through the grant, as a native `copy_from_user` would.
-//! (The static half of the defense is the `DF*` passes in [`crate::lint`].)
+//! what is fetched is pinned in a per-run **consumed-range snapshot**: a
+//! later fetch is overlaid with the first-read bytes wherever it overlaps an
+//! earlier one, byte-exact. Every run ends by clearing the scratch, so no
+//! pin outlives its run. Bytes never fetched need no pinning — nothing that
+//! decides a grant depends on them, and the driver reads them once, through
+//! the grant, as a native `copy_from_user` would; nor does a program that
+//! can make only one consumed fetch per run (a `GEM_PWRITE` header), since
+//! no later fetch could consult the pin. Such a program's warm run
+//! allocates nothing; a program that pins keeps its pins in a map whose
+//! nodes each run allocates afresh. (The static half of the defense is the
+//! `DF*` passes in [`crate::lint`].)
 
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::extract::{Extraction, OpTemplate};
 use crate::ir::{Cond, Expr, OpKind, Stmt, VarId};
 
 /// Iteration safety valve for runtime loops (a malicious process could claim
 /// a huge chunk count; the frontend refuses rather than spins).
 const MAX_JIT_ITERATIONS: u64 = 1 << 20;
+
+/// Fetched bytes whose capacity a [`JitScratch`] keeps from one run to the
+/// next.
+const SCRATCH_RETAIN: usize = 4096;
 
 /// How the JIT reads the calling process's memory.
 pub trait UserReader {
@@ -112,34 +129,138 @@ pub struct ResolvedOp {
     pub len: u64,
 }
 
+/// A specialized slice compiled once, when the frontend's knowledge of its
+/// command is built; [`JitProgram::run`] then evaluates it per op.
+///
+/// Compiling renumbers the slice's variables to dense slots and validates
+/// every field read once (`width` 1, 2, 4 or 8, `offset + width`
+/// representable), recording each slot's **extent** — the highest `offset +
+/// width` the slice reads from it, 0 if none: all a fetch into it has to
+/// cover. A malformed slice still compiles: its error is kept and returned
+/// by every run, so its command fails every call.
 #[derive(Debug, Clone)]
-enum RtVal {
-    Scalar(u64),
-    Buffer(Vec<u8>),
-}
-
-struct JitState<'a> {
-    arg: u64,
-    cmd: u32,
-    env: BTreeMap<VarId, RtVal>,
-    ops: Vec<ResolvedOp>,
-    reader: &'a mut dyn UserReader,
-    iterations: u64,
-    /// `extent(dst)` of every buffer variable the slice reads fields of.
-    extents: BTreeMap<VarId, u64>,
-    /// The largest extent: no pinned range is longer than this.
+pub struct JitProgram {
+    /// The slice, each variable renumbered to its slot.
+    slice: Vec<Stmt>,
+    /// The slice's own name of each slot, for error reports.
+    names: Vec<VarId>,
+    /// `extent` of each slot, or the malformed field read that fails every run.
+    extents: Result<Vec<u64>, JitError>,
+    /// The largest extent: no fetch, and so no pinned range, is longer.
     max_extent: u64,
-    /// First-read-wins snapshot (double-fetch defense): every fetched range
-    /// by start address, pinned to the bytes the evaluation saw there
-    /// whatever the [`UserReader`] would return now. Ranges are stored
-    /// *after* overlay, so any two agree where they overlap.
-    pinned: BTreeMap<u64, Vec<u8>>,
+    /// Whether a run can make two consumed fetches: only then can a pin
+    /// answer for a later fetch, so only then does a run keep any.
+    pins: bool,
 }
 
-/// One walk of the slice: validates every field read (`width` 1, 2, 4 or 8,
-/// `offset + width` representable) and returns each buffer variable's
-/// highest `offset + width` — all a fetch into it has to cover.
-fn field_extents(slice: &[Stmt]) -> Result<BTreeMap<VarId, u64>, JitError> {
+/// How a command's grants are derived per op: from the templates the
+/// analyzer resolved offline, or by running its slice, compiled once.
+#[derive(Debug, Clone)]
+pub enum Derivation {
+    /// Every operation known offline.
+    Static(Vec<OpTemplate>),
+    /// Runtime data is needed: the slice's program (boxed, so a map of
+    /// derivations stays as compact as the analyzer's report).
+    Jit(Box<JitProgram>),
+}
+
+impl From<Extraction> for Derivation {
+    fn from(extraction: Extraction) -> Self {
+        match extraction {
+            Extraction::Static(templates) => Derivation::Static(templates),
+            Extraction::Jit { slice, .. } => Derivation::Jit(Box::new(JitProgram::compile(&slice))),
+        }
+    }
+}
+
+/// Where one run of a [`JitProgram`] keeps its state, reused from run to
+/// run. A run ends by clearing it: no variable, fetched byte or pin
+/// survives into the next run.
+#[derive(Debug, Clone, Default)]
+pub struct JitScratch {
+    vars: Vec<Slot>,
+    /// The post-overlay bytes of the run's fetches, end to end; a buffer
+    /// slot and a pin each name a span of them.
+    bytes: Vec<u8>,
+    /// First-read-wins snapshot (double-fetch defense): every fetched range,
+    /// as its span of `bytes`, keyed by its start address and pinned to the
+    /// bytes the run saw there whatever the [`UserReader`] would return now.
+    /// Ranges are stored *after* overlay, so any two agree where they
+    /// overlap, and one range is kept per start address.
+    pins: BTreeMap<u64, (usize, usize)>,
+}
+
+impl JitScratch {
+    /// Clears every variable, fetched byte and pin. Byte capacity beyond
+    /// [`SCRATCH_RETAIN`] is given back: one run through a long loop must
+    /// not keep its peak.
+    fn clear(&mut self) {
+        self.vars.clear();
+        self.bytes.clear();
+        self.bytes.shrink_to(SCRATCH_RETAIN);
+        self.pins.clear();
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Unbound,
+    Scalar(u64),
+    /// `len` fetched bytes at `bytes[at..]`.
+    Buffer {
+        at: usize,
+        len: usize,
+    },
+}
+
+/// Calls `visit` on every variable the slice names, nested bodies included
+/// (unspecialized dispatch is refused when execution gets there).
+fn for_each_var(stmts: &mut [Stmt], visit: &mut impl FnMut(&mut VarId)) {
+    fn expr(e: &mut Expr, visit: &mut impl FnMut(&mut VarId)) {
+        match e {
+            Expr::Var(var) | Expr::Field { base: var, .. } => visit(var),
+            Expr::Add(a, b) | Expr::Mul(a, b) => {
+                expr(a, visit);
+                expr(b, visit);
+            }
+            Expr::Const(_) | Expr::Arg | Expr::Cmd => {}
+        }
+    }
+    for stmt in stmts {
+        match stmt {
+            Stmt::Assign { var, value } => {
+                visit(var);
+                expr(value, visit);
+            }
+            Stmt::CopyFromUser { dst, src, len } => {
+                visit(dst);
+                expr(src, visit);
+                expr(len, visit);
+            }
+            Stmt::CopyToUser { dst, len } => {
+                expr(dst, visit);
+                expr(len, visit);
+            }
+            Stmt::If { cond, then, els } => {
+                let (Cond::Eq(a, b) | Cond::Ne(a, b) | Cond::Lt(a, b) | Cond::Gt(a, b)) = cond;
+                expr(a, visit);
+                expr(b, visit);
+                for_each_var(then, visit);
+                for_each_var(els, visit);
+            }
+            Stmt::ForRange { var, count, body } => {
+                visit(var);
+                expr(count, visit);
+                for_each_var(body, visit);
+            }
+            Stmt::SwitchCmd { .. } | Stmt::Call(_) | Stmt::Return => {}
+        }
+    }
+}
+
+/// One walk of the renumbered slice: validates every field read and returns
+/// each slot's extent. An error names the slice's own variable.
+fn field_extents(slice: &[Stmt], names: &[VarId]) -> Result<Vec<u64>, JitError> {
     fn walk(stmts: &[Stmt], visit: &mut impl FnMut(VarId, u64, u8)) {
         for stmt in stmts {
             stmt.for_each_field(visit);
@@ -149,93 +270,115 @@ fn field_extents(slice: &[Stmt]) -> Result<BTreeMap<VarId, u64>, JitError> {
                     walk(els, visit);
                 }
                 Stmt::ForRange { body, .. } => walk(body, visit),
-                // Unspecialized dispatch is refused when execution gets there.
                 _ => {}
             }
         }
     }
-    let mut extents = BTreeMap::new();
+    let mut extents = vec![0; names.len()];
     let mut malformed = None;
     walk(slice, &mut |base, offset, width| {
         let end = offset.checked_add(u64::from(width));
         match end.filter(|_| matches!(width, 1 | 2 | 4 | 8)) {
             Some(end) => {
-                let extent = extents.entry(base).or_insert(0);
+                let extent = &mut extents[base.0 as usize];
                 *extent = end.max(*extent);
             }
             None => malformed = malformed.or(Some(base)),
         }
     });
-    malformed.map_or(Ok(extents), |var| Err(JitError::BadFieldRead { var }))
+    match malformed {
+        Some(slot) => Err(JitError::BadFieldRead {
+            var: names[slot.0 as usize],
+        }),
+        None => Ok(extents),
+    }
 }
 
-/// Reads `[addr, addr + n)` through the reader and pins it. Bytes an earlier
-/// fetch already saw keep their first-read value; `addr + n` must not wrap.
-fn fetch(state: &mut JitState<'_>, addr: u64, n: u64) -> Result<Vec<u8>, ()> {
-    let mut bytes = vec![0u8; n as usize];
-    if n == 0 {
-        return Ok(bytes);
-    }
-    state.reader.read_user(addr, &mut bytes)?;
-    let end = addr + n;
-    // Only ranges starting less than `max_extent` below `addr` reach it: the
-    // overlay costs IR constants, however many fetches a loop has made.
-    let reach = addr.saturating_sub(state.max_extent);
-    for (&start, seen) in state.pinned.range(reach..end) {
-        let (lo, hi) = (addr.max(start), end.min(start + seen.len() as u64));
-        if lo < hi {
-            bytes[(lo - addr) as usize..(hi - addr) as usize]
-                .copy_from_slice(&seen[(lo - start) as usize..(hi - start) as usize]);
+/// Consumed fetch sites of `stmts`, a site in a loop counting twice.
+fn consumed_fetches(stmts: &[Stmt], extents: &[u64]) -> u64 {
+    let count = |stmt: &Stmt| match stmt {
+        Stmt::CopyFromUser { dst, .. } => u64::from(extents[dst.0 as usize] > 0),
+        Stmt::If { then, els, .. } => {
+            consumed_fetches(then, extents).saturating_add(consumed_fetches(els, extents))
+        }
+        Stmt::ForRange { body, .. } => consumed_fetches(body, extents).saturating_mul(2),
+        _ => 0,
+    };
+    stmts.iter().map(count).fold(0, u64::saturating_add)
+}
+
+impl JitProgram {
+    /// Compiles `slice`: the work that depends only on the slice, done once.
+    pub fn compile(slice: &[Stmt]) -> JitProgram {
+        let mut slice = slice.to_vec();
+        let mut names = Vec::new();
+        for_each_var(&mut slice, &mut |var| names.push(*var));
+        names.sort_unstable();
+        names.dedup();
+        for_each_var(&mut slice, &mut |var| {
+            *var = VarId(names.binary_search(var).expect("collected above") as u32);
+        });
+        let extents = field_extents(&slice, &names);
+        let max_extent = extents
+            .as_ref()
+            .map_or(0, |e| e.iter().copied().max().unwrap_or(0));
+        let pins = extents
+            .as_ref()
+            .is_ok_and(|e| consumed_fetches(&slice, e) > 1);
+        JitProgram {
+            slice,
+            names,
+            extents,
+            max_extent,
+            pins,
         }
     }
-    // Same start: the longer post-overlay range subsumes the shorter.
-    let slot = state.pinned.entry(addr).or_default();
-    if slot.len() < bytes.len() {
-        slot.clone_from(&bytes);
-    }
-    Ok(bytes)
-}
 
-fn eval(state: &JitState<'_>, expr: &Expr) -> Result<u64, JitError> {
-    match expr {
-        Expr::Const(value) => Ok(*value),
-        Expr::Arg => Ok(state.arg),
-        Expr::Cmd => Ok(u64::from(state.cmd)),
-        Expr::Var(var) => match state.env.get(var) {
-            Some(RtVal::Scalar(value)) => Ok(*value),
-            Some(RtVal::Buffer(_)) => Err(JitError::BadFieldRead { var: *var }),
-            None => Err(JitError::UnboundVariable { var: *var }),
-        },
-        Expr::Field {
-            base,
-            offset,
-            width,
-        } => {
-            let bytes = match state.env.get(base) {
-                Some(RtVal::Buffer(bytes)) => bytes,
-                _ => return Err(JitError::BadFieldRead { var: *base }),
-            };
-            // `field_extents` checked the width and that this cannot wrap.
-            let start = *offset as usize;
-            let slice = bytes
-                .get(start..start + *width as usize)
-                .ok_or(JitError::BadFieldRead { var: *base })?;
-            let mut raw = [0u8; 8];
-            raw[..slice.len()].copy_from_slice(slice);
-            Ok(u64::from_le_bytes(raw))
-        }
-        Expr::Add(a, b) => Ok(eval(state, a)?.wrapping_add(eval(state, b)?)),
-        Expr::Mul(a, b) => Ok(eval(state, a)?.wrapping_mul(eval(state, b)?)),
+    /// Evaluates the program against the concrete ioctl `arg`, reading the
+    /// caller's memory through `reader`, and hands `emit` each concrete
+    /// operation to declare as a grant, in order. A run that fails may have
+    /// emitted some operations first.
+    ///
+    /// # Errors
+    ///
+    /// The slice's compile error, bad user reads, unbound variables and
+    /// runaway loops.
+    pub fn run(
+        &self,
+        scratch: &mut JitScratch,
+        cmd: u32,
+        arg: u64,
+        reader: &mut dyn UserReader,
+        emit: &mut dyn FnMut(ResolvedOp),
+    ) -> Result<(), JitError> {
+        let extents = self.extents.as_ref().map_err(Clone::clone)?;
+        scratch.vars.resize(self.names.len(), Slot::Unbound);
+        let mut run = Run {
+            program: self,
+            extents,
+            scratch,
+            reader,
+            emit,
+            cmd,
+            arg,
+            iterations: 0,
+        };
+        let flow = run.exec(&self.slice);
+        scratch.clear();
+        flow.map(drop)
     }
 }
 
-fn eval_cond(state: &JitState<'_>, cond: &Cond) -> Result<bool, JitError> {
-    Ok(match cond {
-        Cond::Eq(a, b) => eval(state, a)? == eval(state, b)?,
-        Cond::Ne(a, b) => eval(state, a)? != eval(state, b)?,
-        Cond::Lt(a, b) => eval(state, a)? < eval(state, b)?,
-        Cond::Gt(a, b) => eval(state, a)? > eval(state, b)?,
-    })
+/// One run in progress.
+struct Run<'a> {
+    program: &'a JitProgram,
+    extents: &'a [u64],
+    scratch: &'a mut JitScratch,
+    reader: &'a mut dyn UserReader,
+    emit: &'a mut dyn FnMut(ResolvedOp),
+    cmd: u32,
+    arg: u64,
+    iterations: u64,
 }
 
 enum Flow {
@@ -243,74 +386,162 @@ enum Flow {
     Return,
 }
 
-fn exec(stmts: &[Stmt], state: &mut JitState<'_>) -> Result<Flow, JitError> {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Assign { var, value } => {
-                let value = eval(state, value)?;
-                state.env.insert(*var, RtVal::Scalar(value));
-            }
-            Stmt::CopyFromUser { dst, src, len } => {
-                let addr = eval(state, src)?;
-                let len = eval(state, len)?;
-                let bad_read = JitError::BadUserRead { addr, len };
-                // No mapping can satisfy a range that wraps the address space.
-                if addr.checked_add(len).is_none() {
-                    return Err(bad_read);
-                }
-                // The payload beyond what the slice consumes feeds nothing.
-                let consumed = state.extents.get(dst).map_or(0, |extent| len.min(*extent));
-                let bytes = fetch(state, addr, consumed).map_err(|()| bad_read)?;
-                state.ops.push(ResolvedOp {
-                    kind: OpKind::CopyFromUser,
-                    addr,
-                    len,
-                });
-                state.env.insert(*dst, RtVal::Buffer(bytes));
-            }
-            Stmt::CopyToUser { dst, len } => {
-                let addr = eval(state, dst)?;
-                let len = eval(state, len)?;
-                state.ops.push(ResolvedOp {
-                    kind: OpKind::CopyToUser,
-                    addr,
-                    len,
-                });
-            }
-            Stmt::If { cond, then, els } => {
-                let taken = eval_cond(state, cond)?;
-                let body = if taken { then } else { els };
-                match exec(body, state)? {
-                    Flow::Continue => {}
-                    Flow::Return => return Ok(Flow::Return),
-                }
-            }
-            Stmt::ForRange { var, count, body } => {
-                let count = eval(state, count)?;
-                for i in 0..count {
-                    state.iterations += 1;
-                    if state.iterations > MAX_JIT_ITERATIONS {
-                        return Err(JitError::IterationLimit);
-                    }
-                    state.env.insert(*var, RtVal::Scalar(i));
-                    match exec(body, state)? {
-                        Flow::Continue => {}
-                        Flow::Return => return Ok(Flow::Return),
-                    }
-                }
-            }
-            Stmt::Return => return Ok(Flow::Return),
-            Stmt::SwitchCmd { .. } | Stmt::Call(_) => {
-                return Err(JitError::UnspecializedStatement)
+impl Run<'_> {
+    fn name(&self, slot: VarId) -> VarId {
+        self.program.names[slot.0 as usize]
+    }
+
+    /// Reads `[addr, addr + n)` through the reader and pins it, returning
+    /// where its bytes start in the scratch. Bytes an earlier fetch already
+    /// saw keep their first-read value; `addr + n` must not wrap.
+    fn fetch(&mut self, addr: u64, n: usize) -> Result<usize, ()> {
+        let JitScratch { bytes, pins, .. } = &mut *self.scratch;
+        let at = bytes.len();
+        if n == 0 {
+            return Ok(at);
+        }
+        bytes.resize(at + n, 0);
+        self.reader.read_user(addr, &mut bytes[at..])?;
+        if !self.program.pins {
+            return Ok(at);
+        }
+        let end = addr + n as u64;
+        // Only ranges starting less than `max_extent` below `addr` reach it: the
+        // overlay costs IR constants, however many fetches a loop has made.
+        let reach = addr.saturating_sub(self.program.max_extent);
+        for (&start, &(from, len)) in pins.range(reach..end) {
+            let (lo, hi) = (addr.max(start), end.min(start + len as u64));
+            if lo < hi {
+                let from = from + (lo - start) as usize;
+                bytes.copy_within(from..from + (hi - lo) as usize, at + (lo - addr) as usize);
             }
         }
+        // Same start: the longer post-overlay range subsumes the shorter, so
+        // a range already pinned at least as long is kept once, however
+        // often a loop re-reads it.
+        let pin = pins.entry(addr).or_insert((at, 0));
+        if pin.1 >= n {
+            bytes.truncate(at);
+            return Ok(pin.0);
+        }
+        *pin = (at, n);
+        Ok(at)
     }
-    Ok(Flow::Continue)
+
+    fn eval(&self, expr: &Expr) -> Result<u64, JitError> {
+        match expr {
+            Expr::Const(value) => Ok(*value),
+            Expr::Arg => Ok(self.arg),
+            Expr::Cmd => Ok(u64::from(self.cmd)),
+            Expr::Var(var) => match self.scratch.vars[var.0 as usize] {
+                Slot::Scalar(value) => Ok(value),
+                Slot::Buffer { .. } => Err(JitError::BadFieldRead {
+                    var: self.name(*var),
+                }),
+                Slot::Unbound => Err(JitError::UnboundVariable {
+                    var: self.name(*var),
+                }),
+            },
+            Expr::Field {
+                base,
+                offset,
+                width,
+            } => {
+                // Compiling checked the width and that this cannot wrap.
+                let (start, end) = (*offset as usize, (offset + u64::from(*width)) as usize);
+                match self.scratch.vars[base.0 as usize] {
+                    Slot::Buffer { at, len } if end <= len => {
+                        let field = &self.scratch.bytes[at + start..at + end];
+                        Ok(field
+                            .iter()
+                            .rev()
+                            .fold(0, |value, &byte| value << 8 | u64::from(byte)))
+                    }
+                    _ => Err(JitError::BadFieldRead {
+                        var: self.name(*base),
+                    }),
+                }
+            }
+            Expr::Add(a, b) => Ok(self.eval(a)?.wrapping_add(self.eval(b)?)),
+            Expr::Mul(a, b) => Ok(self.eval(a)?.wrapping_mul(self.eval(b)?)),
+        }
+    }
+
+    fn eval_cond(&self, cond: &Cond) -> Result<bool, JitError> {
+        Ok(match cond {
+            Cond::Eq(a, b) => self.eval(a)? == self.eval(b)?,
+            Cond::Ne(a, b) => self.eval(a)? != self.eval(b)?,
+            Cond::Lt(a, b) => self.eval(a)? < self.eval(b)?,
+            Cond::Gt(a, b) => self.eval(a)? > self.eval(b)?,
+        })
+    }
+
+    fn exec(&mut self, stmts: &[Stmt]) -> Result<Flow, JitError> {
+        for stmt in stmts {
+            match stmt {
+                Stmt::Assign { var, value } => {
+                    self.scratch.vars[var.0 as usize] = Slot::Scalar(self.eval(value)?);
+                }
+                Stmt::CopyFromUser { dst, src, len } => {
+                    let addr = self.eval(src)?;
+                    let len = self.eval(len)?;
+                    let bad_read = JitError::BadUserRead { addr, len };
+                    // No mapping can satisfy a range that wraps the address space.
+                    if addr.checked_add(len).is_none() {
+                        return Err(bad_read);
+                    }
+                    // The payload beyond what the slice consumes feeds nothing.
+                    let consumed = len.min(self.extents[dst.0 as usize]) as usize;
+                    let at = self.fetch(addr, consumed).map_err(|()| bad_read)?;
+                    (self.emit)(ResolvedOp {
+                        kind: OpKind::CopyFromUser,
+                        addr,
+                        len,
+                    });
+                    self.scratch.vars[dst.0 as usize] = Slot::Buffer { at, len: consumed };
+                }
+                Stmt::CopyToUser { dst, len } => {
+                    let addr = self.eval(dst)?;
+                    let len = self.eval(len)?;
+                    (self.emit)(ResolvedOp {
+                        kind: OpKind::CopyToUser,
+                        addr,
+                        len,
+                    });
+                }
+                Stmt::If { cond, then, els } => {
+                    let body = if self.eval_cond(cond)? { then } else { els };
+                    if let Flow::Return = self.exec(body)? {
+                        return Ok(Flow::Return);
+                    }
+                }
+                Stmt::ForRange { var, count, body } => {
+                    let count = self.eval(count)?;
+                    for i in 0..count {
+                        self.iterations += 1;
+                        if self.iterations > MAX_JIT_ITERATIONS {
+                            return Err(JitError::IterationLimit);
+                        }
+                        self.scratch.vars[var.0 as usize] = Slot::Scalar(i);
+                        if let Flow::Return = self.exec(body)? {
+                            return Ok(Flow::Return);
+                        }
+                    }
+                }
+                Stmt::Return => return Ok(Flow::Return),
+                Stmt::SwitchCmd { .. } | Stmt::Call(_) => {
+                    return Err(JitError::UnspecializedStatement)
+                }
+            }
+        }
+        Ok(Flow::Continue)
+    }
 }
 
 /// Evaluates a specialized slice against the concrete ioctl `arg`, reading
 /// the caller's memory through `reader`, and returns the concrete operation
-/// list to declare as grants.
+/// list to declare as grants: [`JitProgram::compile`], then one
+/// [`JitProgram::run`] on a fresh scratch.
 ///
 /// # Errors
 ///
@@ -321,20 +552,15 @@ pub fn evaluate_slice(
     arg: u64,
     reader: &mut dyn UserReader,
 ) -> Result<Vec<ResolvedOp>, JitError> {
-    let extents = field_extents(slice)?;
-    let mut state = JitState {
-        arg,
+    let mut ops = Vec::new();
+    JitProgram::compile(slice).run(
+        &mut JitScratch::default(),
         cmd,
-        env: BTreeMap::new(),
-        ops: Vec::new(),
+        arg,
         reader,
-        iterations: 0,
-        max_extent: extents.values().copied().max().unwrap_or(0),
-        extents,
-        pinned: BTreeMap::new(),
-    };
-    exec(slice, &mut state)?;
-    Ok(state.ops)
+        &mut |op| ops.push(op),
+    )?;
+    Ok(ops)
 }
 
 #[cfg(test)]
@@ -361,6 +587,18 @@ mod tests {
 
     fn v(n: u32) -> VarId {
         VarId(n)
+    }
+
+    /// One run of `program` on `scratch`, its operations collected.
+    fn run_ops(
+        program: &JitProgram,
+        scratch: &mut JitScratch,
+        arg: u64,
+        reader: &mut dyn UserReader,
+    ) -> Result<Vec<ResolvedOp>, JitError> {
+        let mut ops = Vec::new();
+        program.run(scratch, 0, arg, reader, &mut |op| ops.push(op))?;
+        Ok(ops)
     }
 
     #[test]
@@ -771,6 +1009,118 @@ mod tests {
         assert_eq!(ops[2].len, 0x0101_0101);
         assert_eq!(ops[3].len, 0x0101_0101);
         assert_eq!(ops[4].len, 0x0202_0202);
+    }
+
+    #[test]
+    fn one_program_run_again_and_again_equals_fresh_evaluations() {
+        // A header byte counts chunks one byte apart whose first two bytes
+        // each size a write-back, so every fetch overlaps the one before
+        // it; sparse variable names exercise the renumbering. Under a
+        // reader whose bytes change on every call, every run of the one
+        // program on the one scratch must see only its own fetches.
+        let slice = vec![
+            Stmt::CopyFromUser {
+                dst: v(7),
+                src: Expr::Arg,
+                len: Expr::Const(4),
+            },
+            Stmt::ForRange {
+                var: v(3),
+                count: Expr::field(v(7), 0, 1),
+                body: vec![
+                    Stmt::CopyFromUser {
+                        dst: v(900),
+                        src: Expr::add(Expr::Arg, Expr::Var(v(3))),
+                        len: Expr::Const(4),
+                    },
+                    Stmt::CopyToUser {
+                        dst: Expr::Var(v(3)),
+                        len: Expr::field(v(900), 0, 2),
+                    },
+                ],
+            },
+        ];
+        let program = JitProgram::compile(&slice);
+        let mut scratch = JitScratch::default();
+        for run in 0..8u8 {
+            // A reader that has made `calls` calls answers `calls + 1` next.
+            let reader = |calls| MutatingUser { calls };
+            let arg = 0x1000 + u64::from(run % 3) * 6;
+            let mut user = reader(0);
+            let expected = evaluate_slice(&slice, 0, arg, &mut user);
+            let mut user = reader(0);
+            let actual = run_ops(&program, &mut scratch, arg, &mut user);
+            assert_eq!(actual, expected, "run {run}");
+            // A fresh scratch and a warm one agree with a reader that has
+            // moved on, too: no pin of an earlier run answers for it.
+            let mut moved_on = reader(run);
+            let fresh = evaluate_slice(&slice, 0, arg, &mut moved_on);
+            let mut moved_on = reader(run);
+            let warm = run_ops(&program, &mut scratch, arg, &mut moved_on);
+            assert_eq!(warm, fresh, "run {run}");
+        }
+    }
+
+    #[test]
+    fn a_long_run_does_not_keep_its_peak() {
+        // 10 000 overlapping one-byte fetches: the run pins each one, and
+        // gives back what it held when it ends.
+        let slice = vec![
+            Stmt::CopyFromUser {
+                dst: v(0),
+                src: Expr::Arg,
+                len: Expr::Const(2),
+            },
+            Stmt::ForRange {
+                var: v(1),
+                count: Expr::field(v(0), 0, 2),
+                body: vec![
+                    Stmt::CopyFromUser {
+                        dst: v(2),
+                        src: Expr::add(Expr::Arg, Expr::Var(v(1))),
+                        len: Expr::Const(1),
+                    },
+                    Stmt::CopyToUser {
+                        dst: Expr::Arg,
+                        len: Expr::field(v(2), 0, 1),
+                    },
+                ],
+            },
+        ];
+        let mut bytes = vec![0u8; 10_002];
+        bytes[..2].copy_from_slice(&10_000u16.to_le_bytes());
+        let mut user = FlatUser { base: 0, bytes };
+        let program = JitProgram::compile(&slice);
+        let mut scratch = JitScratch::default();
+        let ops = run_ops(&program, &mut scratch, 0, &mut user).unwrap();
+        assert_eq!(ops.len(), 20_001);
+        assert!(scratch.vars.is_empty() && scratch.pins.is_empty());
+        assert!(scratch.bytes.is_empty() && scratch.bytes.capacity() <= SCRATCH_RETAIN);
+    }
+
+    #[test]
+    fn a_malformed_slice_fails_every_run() {
+        let slice = vec![
+            Stmt::CopyFromUser {
+                dst: v(5),
+                src: Expr::Arg,
+                len: Expr::Const(32),
+            },
+            Stmt::CopyToUser {
+                dst: Expr::Arg,
+                len: Expr::field(v(5), 0, 3),
+            },
+        ];
+        let program = JitProgram::compile(&slice);
+        let mut scratch = JitScratch::default();
+        for _ in 0..3 {
+            let mut user = MutatingUser { calls: 0 };
+            assert_eq!(
+                run_ops(&program, &mut scratch, 0, &mut user),
+                Err(JitError::BadFieldRead { var: v(5) })
+            );
+            assert_eq!(user.calls, 0, "nothing is read for a malformed slice");
+        }
     }
 
     #[test]

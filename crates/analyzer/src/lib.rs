@@ -68,5 +68,7 @@ pub mod race;
 pub use diff::{diff_handlers, CommandDelta, HandlerDiff};
 pub use extract::{analyze_handler, extract_command, Extraction, ExtractionError, HandlerReport};
 pub use ir::{Expr, Function, Handler, OpKind, Stmt, VarId};
-pub use jit::{evaluate_slice, JitError, ResolvedOp, UserReader};
+pub use jit::{
+    evaluate_slice, Derivation, JitError, JitProgram, JitScratch, ResolvedOp, UserReader,
+};
 pub use lint::{apply_allowlist, has_errors, lint_handler, AllowEntry, DiagCode, Diagnostic, Severity};

@@ -24,9 +24,9 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use paradice_analyzer::extract::{Extraction, HandlerReport};
+use paradice_analyzer::extract::HandlerReport;
 use paradice_analyzer::ir::OpKind;
-use paradice_analyzer::jit::{evaluate_slice, UserReader};
+use paradice_analyzer::jit::{Derivation, JitScratch, ResolvedOp, UserReader};
 use paradice_devfs::fileops::{FileOpKind, OpenFlags, PollEvents, TaskId};
 use paradice_devfs::ioc::IoctlCmd;
 use paradice_devfs::Errno;
@@ -115,17 +115,22 @@ impl OsPersonality {
 
 /// What the frontend knows about a device's ioctl commands: the analyzer's
 /// per-command extraction ("static entries in a source file that is included
-/// in the CVD frontend", §4.1).
-#[derive(Debug, Clone)]
+/// in the CVD frontend", §4.1), with every JIT slice compiled once, here.
+#[derive(Debug, Clone, Default)]
 pub struct IoctlKnowledge {
-    report: Option<Rc<HandlerReport>>,
+    /// Analyzed commands; any other falls back to `_IOC` parsing.
+    commands: BTreeMap<u32, Derivation>,
+    /// The one scratch every JIT run of these commands reuses.
+    scratch: RefCell<JitScratch>,
 }
 
 impl IoctlKnowledge {
     /// Knowledge from an analyzer report.
     pub fn from_report(report: HandlerReport) -> Self {
+        let commands = report.commands.into_iter().map(|(cmd, e)| (cmd, e.into())).collect();
         IoctlKnowledge {
-            report: Some(Rc::new(report)),
+            commands,
+            ..Self::default()
         }
     }
 
@@ -133,7 +138,12 @@ impl IoctlKnowledge {
     /// (sufficient for drivers whose ioctls only copy their parameter
     /// struct, like UVC, §4.1).
     pub fn ioc_only() -> Self {
-        IoctlKnowledge { report: None }
+        Self::default()
+    }
+
+    /// Whether `cmd`'s grants come from JIT evaluation.
+    fn is_jit(&self, cmd: IoctlCmd) -> bool {
+        matches!(self.commands.get(&cmd.raw()), Some(Derivation::Jit(_)))
     }
 
     /// Derives the legitimate memory operations of `ioctl(cmd, arg)`.
@@ -154,12 +164,14 @@ impl IoctlKnowledge {
 
     /// Derives the legitimate memory operations of `ioctl(cmd, arg)` into
     /// `grants`, replacing its contents: a caller that keeps one buffer
-    /// derives every op's grants without allocating.
+    /// derives grants without allocating, but for the pins of a JIT command
+    /// whose slice can make two consumed fetches.
     ///
     /// # Errors
     ///
     /// `EFAULT` if JIT evaluation cannot read the caller's memory (the
-    /// operation would fault in the driver anyway).
+    /// operation would fault in the driver anyway) or the command's slice is
+    /// malformed.
     pub fn grants_into(
         &self,
         cmd: IoctlCmd,
@@ -168,15 +180,15 @@ impl IoctlKnowledge {
         grants: &mut Vec<MemOpGrant>,
     ) -> Result<(), Errno> {
         grants.clear();
-        let extraction = self.report.as_ref().and_then(|r| r.commands.get(&cmd.raw()));
-        match extraction {
-            Some(Extraction::Static(templates)) => {
+        match self.commands.get(&cmd.raw()) {
+            Some(Derivation::Static(templates)) => {
                 grants.extend(templates.iter().map(|t| grant(t.kind, t.addr.resolve(arg), t.len)));
             }
-            Some(Extraction::Jit { slice, .. }) => {
-                let ops =
-                    evaluate_slice(slice, cmd.raw(), arg, reader).map_err(|_| Errno::Efault)?;
-                grants.extend(ops.into_iter().map(|op| grant(op.kind, op.addr, op.len)));
+            Some(Derivation::Jit(program)) => {
+                let mut emit = |op: ResolvedOp| grants.push(grant(op.kind, op.addr, op.len));
+                program
+                    .run(&mut self.scratch.borrow_mut(), cmd.raw(), arg, reader, &mut emit)
+                    .map_err(|_| Errno::Efault)?;
             }
             // Fallback: the `_IOC` encoding embeds size and direction (§4.1).
             None => {
@@ -1051,14 +1063,7 @@ impl Frontend {
             .get(&file.path)
             .cloned()
             .unwrap_or_else(|| Rc::new(IoctlKnowledge::ioc_only()));
-        let is_jit = knowledge
-            .report
-            .as_ref()
-            .and_then(|r| r.commands.get(&cmd.raw()))
-            .is_some_and(|e| !e.is_static());
-        if is_jit {
-            self.stats.jit_evaluations += 1;
-        }
+        self.stats.jit_evaluations += u64::from(knowledge.is_jit(cmd));
         let mut reader = ProcessReader {
             hv: self.hv.clone(),
             guest: self.guest,

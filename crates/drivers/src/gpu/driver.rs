@@ -26,7 +26,7 @@ use paradice_devfs::{Errno, MemOps};
 use paradice_mem::{DmaAddr, GuestPhysAddr, GuestVirtAddr, RegionId, PAGE_SIZE};
 
 use crate::env::KernelEnv;
-use crate::gpu::bo::{BoDomain, BufferObject, VramAllocator};
+use crate::gpu::bo::{BoDomain, BufferObject, Staging, VramAllocator};
 use crate::gpu::isolation::IsolationState;
 use crate::gpu::model::{GpuCommand, RadeonGpu};
 
@@ -151,6 +151,8 @@ pub struct RadeonDriver {
     global_gtt: Option<crate::env::DmaPool>,
     /// Lazily-populated mappings awaiting faults: `(task, va, len, handle)`.
     lazy_vmas: Vec<(TaskId, GuestVirtAddr, u64, u32)>,
+    /// The buffer `GEM_PWRITE`/`GEM_PREAD` payloads stage through.
+    staging: Staging,
     open_count: u32,
 }
 
@@ -187,6 +189,7 @@ impl RadeonDriver {
             isolation: None,
             global_gtt: None,
             lazy_vmas: Vec::new(),
+            staging: Staging::default(),
             open_count: 0,
         }
     }
@@ -212,6 +215,7 @@ impl RadeonDriver {
             isolation: Some(isolation),
             global_gtt: None,
             lazy_vmas: Vec::new(),
+            staging: Staging::default(),
             open_count: 0,
         }
     }
@@ -430,13 +434,28 @@ impl RadeonDriver {
             return Err(Errno::Einval);
         }
         let bo = self.bo(handle)?.clone();
-        if offset + size > bo.size {
+        if offset.checked_add(size).is_none_or(|end| end > bo.size) {
             return Err(Errno::Einval);
         }
+        let mut staged = self.staging.lend(size as usize);
+        let result = self.pwrite_staged(mem, &bo, offset, data_ptr, &mut staged[..size as usize]);
+        self.staging.give_back(staged);
+        result
+    }
+
+    /// `GEM_PWRITE`'s transfer of `data.len()` bytes into `bo` at `offset`,
+    /// staged through `data`.
+    fn pwrite_staged(
+        &mut self,
+        mem: &mut dyn MemOps,
+        bo: &BufferObject,
+        offset: u64,
+        data_ptr: u64,
+        data: &mut [u8],
+    ) -> Result<i64, Errno> {
         // Nested copy: the payload, whose address and length came from the
         // args struct.
-        let mut data = vec![0u8; size as usize];
-        mem.copy_from_user(GuestVirtAddr::new(data_ptr), &mut data)?;
+        mem.copy_from_user(GuestVirtAddr::new(data_ptr), data)?;
         match &bo.domain {
             BoDomain::Gtt { pages } => {
                 // GTT pages may be protected (region pool); the *driver*
@@ -491,12 +510,12 @@ impl RadeonDriver {
                         region,
                         &mut self.gpu,
                         vram_off + offset,
-                        &data,
+                        data,
                     )?;
                 } else {
                     // CPU write through the BAR.
                     self.env
-                        .kernel_write(self.gpu.bar_base().add(vram_off + offset), &data)?;
+                        .kernel_write(self.gpu.bar_base().add(vram_off + offset), data)?;
                 }
             }
         }
@@ -537,10 +556,25 @@ impl RadeonDriver {
             return Err(Errno::Eperm);
         }
         let bo = self.bo(handle)?.clone();
-        if offset + size > bo.size {
+        if offset.checked_add(size).is_none_or(|end| end > bo.size) {
             return Err(Errno::Einval);
         }
-        let mut data = vec![0u8; size as usize];
+        let mut staged = self.staging.lend(size as usize);
+        let result = self.pread_staged(mem, &bo, offset, data_ptr, &mut staged[..size as usize]);
+        self.staging.give_back(staged);
+        result
+    }
+
+    /// `GEM_PREAD`'s transfer of `data.len()` bytes out of `bo` at
+    /// `offset`, staged through `data`.
+    fn pread_staged(
+        &mut self,
+        mem: &mut dyn MemOps,
+        bo: &BufferObject,
+        offset: u64,
+        data_ptr: u64,
+        data: &mut [u8],
+    ) -> Result<i64, Errno> {
         match &bo.domain {
             BoDomain::Gtt { pages } => {
                 let mut read = 0usize;
@@ -557,11 +591,11 @@ impl RadeonDriver {
             }
             BoDomain::Vram { offset: vram_off } => {
                 self.env
-                    .kernel_read(self.gpu.bar_base().add(vram_off + offset), &mut data)?;
+                    .kernel_read(self.gpu.bar_base().add(vram_off + offset), data)?;
             }
         }
         // Nested copy out: destination from the args struct.
-        mem.copy_to_user(GuestVirtAddr::new(data_ptr), &data)?;
+        mem.copy_to_user(GuestVirtAddr::new(data_ptr), data)?;
         Ok(0)
     }
 }
@@ -825,6 +859,7 @@ impl FileOps for RadeonDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpu::bo::STAGING_RETAIN;
     use paradice_devfs::fileops::{OpenFlags, TaskId};
     use paradice_devfs::memops::BufferMemOps;
     use paradice_devfs::registry::FileHandleId;
@@ -837,12 +872,16 @@ mod tests {
     const VRAM_PAGES: u64 = 256;
 
     fn native_driver() -> RadeonDriver {
+        native_driver_with_vram(VRAM_PAGES)
+    }
+
+    fn native_driver_with_vram(vram_pages: u64) -> RadeonDriver {
         let mut hv = Hypervisor::new(16384, SimClock::new(), CostModel::default());
         let vm = hv.create_vm(VmRole::Driver, 1024 * PAGE_SIZE).unwrap();
         let domain = hv.assign_device(vm, DataIsolation::Disabled).unwrap();
-        let bar = hv.map_device_bar(domain, VRAM_PAGES).unwrap();
+        let bar = hv.map_device_bar(domain, vram_pages).unwrap();
         let env = KernelEnv::new(Rc::new(RefCell::new(hv)), vm, domain, false);
-        let gpu = RadeonGpu::new(env.clone(), bar, VRAM_PAGES * PAGE_SIZE);
+        let gpu = RadeonGpu::new(env.clone(), bar, vram_pages * PAGE_SIZE);
         RadeonDriver::new(env, gpu, DriverVersion::V3_2_0)
     }
 
@@ -1047,6 +1086,76 @@ mod tests {
         let mut back = [0u8; 8];
         mem.copy_from_user(GuestVirtAddr::new(0x3000), &mut back).unwrap();
         assert_eq!(&back, b"texels!!");
+    }
+
+    /// Stages `{bo, offset, size, data_ptr}` at user 0x100 and issues `cmd`.
+    fn transfer(
+        drv: &mut RadeonDriver,
+        mem: &mut BufferMemOps,
+        cmd: IoctlCmd,
+        bo: u32,
+        size: u64,
+        data_ptr: u64,
+    ) -> Result<i64, Errno> {
+        let mut args = [0u8; 32];
+        args[0..4].copy_from_slice(&bo.to_le_bytes());
+        args[16..24].copy_from_slice(&size.to_le_bytes());
+        args[24..32].copy_from_slice(&data_ptr.to_le_bytes());
+        mem.copy_to_user(GuestVirtAddr::new(0x100), &args).unwrap();
+        drv.ioctl(ctx(1), mem, cmd, 0x100)
+    }
+
+    /// A 4-KiB object holding 0x33 and a 16-KiB one just written with 0xaa
+    /// through the staging buffer; user memory is 64 KiB.
+    fn staged_pair() -> (RadeonDriver, BufferMemOps, u32, u32) {
+        let mut drv = native_driver();
+        let mut mem = BufferMemOps::new(0x10000);
+        let small = gem_create(&mut drv, &mut mem, 1, PAGE_SIZE, gem_domain::VRAM).unwrap();
+        let big = gem_create(&mut drv, &mut mem, 1, 4 * PAGE_SIZE, gem_domain::VRAM).unwrap();
+        mem.copy_to_user(GuestVirtAddr::new(0x1000), &[0x33; 4096]).unwrap();
+        transfer(&mut drv, &mut mem, RADEON_GEM_PWRITE, small, 4096, 0x1000).unwrap();
+        mem.copy_to_user(GuestVirtAddr::new(0x1000), &[0xaa; 16384]).unwrap();
+        transfer(&mut drv, &mut mem, RADEON_GEM_PWRITE, big, 16384, 0x1000).unwrap();
+        (drv, mem, small, big)
+    }
+
+    #[test]
+    fn a_short_pread_after_a_long_pwrite_returns_only_the_objects_bytes() {
+        let (mut drv, mut mem, small, _) = staged_pair();
+        mem.copy_to_user(GuestVirtAddr::new(0x8000), &[0x77; 16384]).unwrap();
+        transfer(&mut drv, &mut mem, RADEON_GEM_PREAD, small, 4096, 0x8000).unwrap();
+        let landed = &mem.bytes()[0x8000..0x8000 + 16384];
+        assert!(landed[..4096].iter().all(|&b| b == 0x33), "the object's bytes");
+        assert!(landed[4096..].iter().all(|&b| b == 0x77), "no stale staged tail");
+    }
+
+    #[test]
+    fn a_pwrite_whose_payload_faults_leaves_vram_untouched() {
+        let (mut drv, mut mem, small, _) = staged_pair();
+        // The payload runs past the end of user memory: the staged bytes
+        // are the earlier 0xaa transfer's, and none may reach the object.
+        assert_eq!(
+            transfer(&mut drv, &mut mem, RADEON_GEM_PWRITE, small, 4096, 0xf800),
+            Err(Errno::Efault)
+        );
+        transfer(&mut drv, &mut mem, RADEON_GEM_PREAD, small, 4096, 0x8000).unwrap();
+        assert!(mem.bytes()[0x8000..0x9000].iter().all(|&b| b == 0x33));
+    }
+
+    #[test]
+    fn a_transfer_above_the_retention_bound_gives_its_buffer_back() {
+        let over = STAGING_RETAIN as u64 + PAGE_SIZE;
+        let mut drv = native_driver_with_vram(2 * over / PAGE_SIZE);
+        let mut mem = BufferMemOps::new(0x1000 + over as usize);
+        let bo = gem_create(&mut drv, &mut mem, 1, over, gem_domain::VRAM).unwrap();
+        transfer(&mut drv, &mut mem, RADEON_GEM_PWRITE, bo, 16384, 0x1000).unwrap();
+        assert!((16384..=STAGING_RETAIN).contains(&drv.staging.retained()));
+        transfer(&mut drv, &mut mem, RADEON_GEM_PWRITE, bo, over, 0x1000).unwrap();
+        assert_eq!(drv.staging.retained(), 0);
+        transfer(&mut drv, &mut mem, RADEON_GEM_PREAD, bo, over, 0x1000).unwrap();
+        assert_eq!(drv.staging.retained(), 0);
+        transfer(&mut drv, &mut mem, RADEON_GEM_PREAD, bo, 16384, 0x1000).unwrap();
+        assert!((16384..=STAGING_RETAIN).contains(&drv.staging.retained()));
     }
 
     #[test]

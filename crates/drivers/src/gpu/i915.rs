@@ -21,7 +21,7 @@ use paradice_devfs::{Errno, MemOps};
 use paradice_mem::{GuestVirtAddr, PAGE_SIZE};
 
 use crate::env::KernelEnv;
-use crate::gpu::bo::VramAllocator;
+use crate::gpu::bo::{Staging, VramAllocator};
 use crate::gpu::model::{GpuCommand, RadeonGpu as GpuEngine};
 
 /// `DRM_IOCTL_I915_GETPARAM`: `{u32 param, u32 pad, u64 value}`.
@@ -79,6 +79,8 @@ pub struct I915Driver {
     bos: BTreeMap<u32, I915Bo>,
     next_handle: u32,
     aperture: VramAllocator,
+    /// The buffer `I915_GEM_PWRITE` payloads stage through.
+    staging: Staging,
 }
 
 impl std::fmt::Debug for I915Driver {
@@ -100,6 +102,7 @@ impl I915Driver {
             bos: BTreeMap::new(),
             next_handle: 1,
             aperture,
+            staging: Staging::default(),
         }
     }
 
@@ -219,16 +222,23 @@ impl FileOps for I915Driver {
                 let size = u64::from_le_bytes(req[16..24].try_into().expect("len 8"));
                 let data_ptr = u64::from_le_bytes(req[24..32].try_into().expect("len 8"));
                 let bo = self.bo(handle)?.clone();
-                if size > 16 * 1024 * 1024 || offset + size > bo.size {
+                if size > 16 * 1024 * 1024
+                    || offset.checked_add(size).is_none_or(|end| end > bo.size)
+                {
                     return Err(Errno::Einval);
                 }
                 // Nested copy: the payload address and length come from the
                 // just-copied struct.
-                let mut data = vec![0u8; size as usize];
-                mem.copy_from_user(GuestVirtAddr::new(data_ptr), &mut data)?;
-                self.env
-                    .kernel_write(self.gpu.bar_base().add(bo.offset + offset), &data)?;
-                Ok(0)
+                let mut staged = self.staging.lend(size as usize);
+                let data = &mut staged[..size as usize];
+                let result = mem
+                    .copy_from_user(GuestVirtAddr::new(data_ptr), data)
+                    .and_then(|()| {
+                        self.env
+                            .kernel_write(self.gpu.bar_base().add(bo.offset + offset), data)
+                    });
+                self.staging.give_back(staged);
+                result.map(|()| 0)
             }
             I915_GEM_EXECBUFFER2 => {
                 let mut req = [0u8; 24];

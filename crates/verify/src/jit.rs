@@ -1,5 +1,5 @@
 //! JIT snapshot property: every byte that feeds grant derivation is pinned
-//! to its first-read value.
+//! to its first-read value, and to nothing an earlier op read.
 //!
 //! The frontend derives grants by running an extracted slice over the
 //! calling process's memory ([`paradice_analyzer::jit`]). That memory is the
@@ -10,7 +10,10 @@
 //! The shipped evaluator keeps the fetched *ranges* and fetches only
 //! the prefix of each copy the slice consumes; the specification here is the
 //! obvious one it replaced — a map from address to the first byte read
-//! there.
+//! there. The frontend compiles each slice once and runs it per op on one
+//! reused scratch, so the pins must also die with their run: a pin one op
+//! left behind would answer for the next op's fetch of the same bytes —
+//! [`Mutant::JitScratchKeepsPins`].
 //!
 //! `jit-snapshot` is exhaustive within its bounds: every script of ≤ 3
 //! fetches whose ranges start in a 3-byte window and are 0–3 bytes long
@@ -18,14 +21,17 @@
 //! adjacent, disjoint), each with every consumed prefix from nothing to all
 //! of it, at a low window and at one whose last byte is `u64::MAX` (ranges
 //! past it wrap and must be refused), against a reader that returns
-//! different bytes on every call. [`evaluate_slice`] must yield the model's
-//! [`ResolvedOp`]s — field values included, since each consumed byte is
-//! surfaced as the length of a `CopyToUser`.
+//! different bytes on every call. Each script is compiled once and run
+//! twice on one scratch, the reader moving on between the runs; each run of
+//! [`JitProgram::run`] must yield the model's [`ResolvedOp`]s for that run
+//! alone — field values included, since each consumed byte is surfaced as
+//! the length of a `CopyToUser`.
 
 use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
 
 use paradice_analyzer::ir::{Expr, OpKind, Stmt, VarId};
-use paradice_analyzer::jit::{evaluate_slice, JitError, ResolvedOp, UserReader};
+use paradice_analyzer::jit::{JitError, JitProgram, JitScratch, ResolvedOp, UserReader};
 use paradice_analyzer::lint::{DiagCode, Diagnostic};
 
 use crate::fixture::Fixture;
@@ -34,8 +40,9 @@ use crate::report::{Mutant, PropertyReport};
 const NAME: &str = "jit-snapshot";
 const DESC: &str =
     "JIT double-fetch defense: over every script of ≤ 3 overlapping fetches with every \
-     consumed prefix, under a reader that changes its answer on every call, evaluate_slice \
-     yields the ops and field values of a per-byte first-read-wins model";
+     consumed prefix, compiled once and run twice on one scratch under a reader that changes \
+     its answer on every call, each run yields the ops and field values of a per-byte \
+     first-read-wins model of that run alone";
 
 /// Ranges start at `base + 0..WINDOW` and are `0..=WINDOW` bytes long.
 const WINDOW: u64 = 3;
@@ -89,12 +96,18 @@ fn slice_of(base: u64, script: &[Fetch]) -> Vec<Stmt> {
 }
 
 /// The specification: what the script resolves to when every fetched byte is
-/// pinned, individually, to the first value read at its address. With
-/// `pin == false` it is the seeded bug instead — an evaluator that believes
-/// whatever the latest fetch returned.
-fn model(base: u64, script: &[Fetch], pin: bool) -> Result<Vec<ResolvedOp>, JitError> {
-    let mut user = FlippingUser::default();
-    let mut first_read: BTreeMap<u64, u8> = BTreeMap::new();
+/// pinned, individually, to the first value `user` returns at its address
+/// in this run — `first_read` holds those, and starts every run empty. With
+/// `pin == false` it is the seeded double-fetch bug instead — an evaluator
+/// that believes whatever the latest fetch returned — and a `first_read`
+/// carried over from an earlier run is the seeded stale-scratch bug.
+fn model(
+    base: u64,
+    script: &[Fetch],
+    pin: bool,
+    user: &mut FlippingUser,
+    first_read: &mut BTreeMap<u64, u8>,
+) -> Result<Vec<ResolvedOp>, JitError> {
     let mut ops = Vec::new();
     let mut reads = Vec::new();
     for (i, fetch) in script.iter().enumerate() {
@@ -128,18 +141,12 @@ fn model(base: u64, script: &[Fetch], pin: bool) -> Result<Vec<ResolvedOp>, JitE
     Ok(ops)
 }
 
-/// Checks one script; `Err` describes the first disagreement.
-fn check_script(base: u64, script: &[Fetch], mutant: Option<Mutant>) -> Result<usize, String> {
-    let expected = model(base, script, true);
-    let actual = if mutant == Some(Mutant::JitRefetchUnsnapshotted) {
-        model(base, script, false)
-    } else {
-        evaluate_slice(&slice_of(base, script), 0, 0, &mut FlippingUser::default())
-    };
-    if actual == expected {
-        return Ok(expected.map_or(1, |ops| ops.len()));
-    }
-    let detail = match (&actual, &expected) {
+/// The first op where `actual` and `expected` part.
+fn disagreement(
+    actual: &Result<Vec<ResolvedOp>, JitError>,
+    expected: &Result<Vec<ResolvedOp>, JitError>,
+) -> String {
+    match (actual, expected) {
         (Ok(actual), Ok(expected)) => actual
             .iter()
             .zip(expected)
@@ -152,10 +159,51 @@ fn check_script(base: u64, script: &[Fetch], mutant: Option<Mutant>) -> Result<u
             })
             .unwrap_or_else(|| format!("{} ops, the model has {}", actual.len(), expected.len())),
         _ => format!("{actual:?}, the model says {expected:?}"),
-    };
-    Err(format!(
-        "a value feeding grant derivation changed between two fetches of the same bytes: {detail}"
-    ))
+    }
+}
+
+/// Checks one script, run twice through one compiled program and one
+/// scratch while the reader's answers move on; `Err` describes the first
+/// disagreement.
+fn check_script(base: u64, script: &[Fetch], mutant: Option<Mutant>) -> Result<usize, String> {
+    let program = JitProgram::compile(&slice_of(base, script));
+    let mut scratch = JitScratch::default();
+    let (mut user, mut model_user) = (FlippingUser::default(), FlippingUser::default());
+    let mut carried = BTreeMap::new();
+    let mut compared = 0;
+    for run in 0..2 {
+        let expected = model(base, script, true, &mut model_user, &mut BTreeMap::new());
+        let actual = match mutant {
+            Some(Mutant::JitRefetchUnsnapshotted) => {
+                model(base, script, false, &mut user, &mut BTreeMap::new())
+            }
+            Some(Mutant::JitScratchKeepsPins) => model(base, script, true, &mut user, &mut carried),
+            _ => {
+                // A scratch left stale by the run before can make the
+                // evaluator panic: that is a disproof too, not a crash.
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                    let mut ops = Vec::new();
+                    program
+                        .run(&mut scratch, 0, 0, &mut user, &mut |op| ops.push(op))
+                        .map(|()| ops)
+                }));
+                outcome.map_err(|_| format!("the program panicked in run {} of 2", run + 1))?
+            }
+        };
+        if actual != expected {
+            let detail = disagreement(&actual, &expected);
+            return Err(if run == 0 {
+                format!(
+                    "a value feeding grant derivation changed between two fetches of the same \
+                     bytes: {detail}"
+                )
+            } else {
+                format!("a run of the program saw bytes pinned by the run before it: {detail}")
+            });
+        }
+        compared += expected.map_or(1, |ops| ops.len());
+    }
+    Ok(compared)
 }
 
 fn fixture_of(base: u64, script: &[Fetch], mutant: Option<Mutant>, reason: &str) -> Fixture {
@@ -273,6 +321,16 @@ mod tests {
     }
 
     #[test]
+    fn a_scratch_that_keeps_pins_is_disproved_by_one_consumed_fetch() {
+        let report = check_snapshot(Some(Mutant::JitScratchKeepsPins));
+        assert!(!report.proved);
+        let fixture = report.counterexample.expect("fixture emitted");
+        assert_eq!(fixture.values("fetch"), ["0:1:1"]);
+        assert!(replay(&fixture, None).is_ok());
+        assert!(replay(&fixture, Some(Mutant::JitScratchKeepsPins)).is_err());
+    }
+
+    #[test]
     fn the_model_refuses_what_wraps_and_skips_what_is_unconsumed() {
         let top = BASES[1];
         let wraps = [Fetch {
@@ -280,8 +338,11 @@ mod tests {
             len: 3,
             consumed: 0,
         }];
+        let run = |base, script: &[Fetch]| {
+            model(base, script, true, &mut FlippingUser::default(), &mut BTreeMap::new())
+        };
         assert!(matches!(
-            model(top, &wraps, true),
+            run(top, &wraps),
             Err(JitError::BadUserRead { len: 3, .. })
         ));
         assert!(check_script(top, &wraps, None).is_ok());
@@ -299,7 +360,7 @@ mod tests {
                 consumed: 1,
             },
         ];
-        let ops = model(0x1000, &script, true).unwrap();
+        let ops = run(0x1000, &script).unwrap();
         assert_eq!(ops[2].len, 0x10);
     }
 }

@@ -68,11 +68,15 @@ pub enum Mutant {
     /// number's home slot: with `r` live and 127 refs spent, `r + CAP` is
     /// published over `r`'s declaration, and `r` stops validating.
     GrantIssueIntoOccupiedHome,
+    /// The frontend's JIT scratch is not cleared between runs of a
+    /// compiled program: a pin left by one op answers for the next op's
+    /// fetch of the same bytes, whatever the process has put there since.
+    JitScratchKeepsPins,
 }
 
 impl Mutant {
     /// Every seeded mutant, for `--list` and the check.sh gate.
-    pub const ALL: [Mutant; 16] = [
+    pub const ALL: [Mutant; 17] = [
         Mutant::RingWindowOffByOne,
         Mutant::GrantCoverOffByOne,
         Mutant::CacheEvictInflight,
@@ -89,6 +93,7 @@ impl Mutant {
         Mutant::ReadyPublishBeforeFrame,
         Mutant::GrantPageSkipRefCompare,
         Mutant::GrantIssueIntoOccupiedHome,
+        Mutant::JitScratchKeepsPins,
     ];
 
     /// The CLI/fixture name.
@@ -110,6 +115,7 @@ impl Mutant {
             Mutant::ReadyPublishBeforeFrame => "ready-publish-before-frame",
             Mutant::GrantPageSkipRefCompare => "grant-page-skip-ref-compare",
             Mutant::GrantIssueIntoOccupiedHome => "grant-issue-into-occupied-home",
+            Mutant::JitScratchKeepsPins => "jit-scratch-keeps-pins",
         }
     }
 

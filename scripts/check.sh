@@ -256,7 +256,7 @@ echo "==> trusted-path ceiling gate (Table 2's CVD + hypervisor API row may shri
 # first #[cfg(test)], over the module list in crates/bench/src/
 # experiments.rs). Lower this pin when the figure drops; raising it needs a
 # reason in CHANGES.md.
-TRUSTED_PATH_CEILING=4920
+TRUSTED_PATH_CEILING=4919
 cargo run -q --release -p paradice-bench --bin experiments -- --table2 >/dev/null
 TRUSTED_PATH="$(awk -F, '$4 ~ /^trusted path/ { print $5 }' results/table2.csv)"
 if [ -z "$TRUSTED_PATH" ] || [ "$TRUSTED_PATH" -gt "$TRUSTED_PATH_CEILING" ]; then
@@ -284,6 +284,30 @@ echo "==> no-per-byte-JIT-state gate (the JIT pins fetched ranges, sized by the 
 # come back (they made a 16-KiB GEM_PWRITE cost 2 ms of grant derivation).
 if grep -nF -e 'BTreeMap<u64, u8>' -e 'vec![0u8; len as usize]' crates/analyzer/src/jit.rs; then
     echo "ERROR: crates/analyzer/src/jit.rs keeps per-byte state or sizes a buffer by a user length" >&2
+    exit 1
+fi
+
+echo "==> compile-once-stage-once gate (a JIT slice is validated when compiled; bulk payloads stage through one kept buffer)"
+# IoctlKnowledge compiles each Extraction::Jit slice into a JitProgram once;
+# per op only JitProgram::run executes, on a reused scratch, and
+# evaluate_slice is compile + run. Slice validation must stay in the
+# compile step, jit.rs must keep one statement interpreter, and the GPU
+# drivers' PWRITE/PREAD must not zero-fill a fresh buffer per transfer.
+JIT_SRC="$(awk '/#\[cfg\(test\)\]/ { exit } { print }' crates/analyzer/src/jit.rs)"
+VALIDATORS="$(printf '%s\n' "$JIT_SRC" | awk '
+    /^ *(pub )?fn [a-z_]+/ { name = $0; sub(/^ *(pub )?fn /, "", name); sub(/[(<].*/, "", name) }
+    /field_extents\(/ && !/fn field_extents\(/ { print name }')"
+if [ "$VALIDATORS" != "compile" ]; then
+    echo "ERROR: field_extents( must be called from JitProgram::compile only (callers: ${VALIDATORS:-none})" >&2
+    exit 1
+fi
+if [ "$(printf '%s\n' "$JIT_SRC" | grep -c 'fn exec(')" -ne 1 ] ||
+    [ "$(printf '%s\n' "$JIT_SRC" | grep -c 'Stmt::Return => return')" -ne 1 ]; then
+    echo "ERROR: crates/analyzer/src/jit.rs must define exactly one statement interpreter" >&2
+    exit 1
+fi
+if grep -nF 'vec![0u8; size' crates/drivers/src/gpu/driver.rs crates/drivers/src/gpu/i915.rs; then
+    echo "ERROR: a GPU driver zero-fills a fresh buffer per transfer instead of staging through Staging" >&2
     exit 1
 fi
 

@@ -394,6 +394,42 @@ fn pwrite_from_an_unmapped_payload_faults_in_every_mode() {
 }
 
 #[test]
+fn a_transfer_whose_end_wraps_is_refused_in_every_mode() {
+    // `offset + size` past 2^64 must not wrap to a small end that passes the
+    // bounds check and moves the copy into the neighbouring object.
+    let wrapping = u64::MAX - PAGE_SIZE + 1;
+    for mode in all_modes() {
+        let mut m = machine(mode);
+        let task = spawn(&mut m);
+        let drm = DrmClient::open(&mut m, task).expect("open card0");
+        let bo0 = drm.gem_create(&mut m, PAGE_SIZE, gem_domain::VRAM).expect("bo 0");
+        let bo1 = drm.gem_create(&mut m, PAGE_SIZE, gem_domain::VRAM).expect("bo 1");
+        let data_va = m.alloc_buffer(task, PAGE_SIZE).expect("staging");
+        let read_va = m.alloc_buffer(task, PAGE_SIZE).expect("readback");
+        m.write_mem(task, data_va, &[0x11; PAGE_SIZE as usize]).expect("stage");
+        drm.gem_pwrite(&mut m, bo0, 0, data_va, PAGE_SIZE).expect("seed bo 0");
+        m.write_mem(task, data_va, &[0x99; PAGE_SIZE as usize]).expect("restage");
+        m.write_mem(task, read_va, &[0x77; PAGE_SIZE as usize]).expect("mark");
+        assert_eq!(
+            drm.gem_pread(&mut m, bo1, wrapping, read_va, PAGE_SIZE),
+            Err(Errno::Einval),
+            "{mode:?}"
+        );
+        let mut back = [0u8; PAGE_SIZE as usize];
+        m.read_mem(task, read_va, &mut back).expect("read");
+        assert!(back.iter().all(|&b| b == 0x77), "{mode:?}: bo 0 was read");
+        assert_eq!(
+            drm.gem_pwrite(&mut m, bo1, wrapping, data_va, PAGE_SIZE),
+            Err(Errno::Einval),
+            "{mode:?}"
+        );
+        drm.gem_pread(&mut m, bo0, 0, read_va, PAGE_SIZE).expect("pread bo 0");
+        m.read_mem(task, read_va, &mut back).expect("read");
+        assert!(back.iter().all(|&b| b == 0x11), "{mode:?}: bo 0 was overwritten");
+    }
+}
+
+#[test]
 fn machine_configuration_errors_are_reported() {
     // Guests in native mode.
     assert!(Machine::builder()

@@ -4,14 +4,18 @@
 //! `Channel`, backend, driver, `hc_memops`, grant page — and allocates
 //! nothing: frames are encoded into stack slot-frames, the frontend derives
 //! grants into one reused buffer, and a grant declaration is a recycled
-//! block. A counting global allocator pins that down, and pins the
+//! block. So does a 16-KiB `GEM_PWRITE` / `GEM_PREAD`: its JIT program runs
+//! on a reused scratch and the driver stages the payload through one kept
+//! buffer. A counting global allocator pins that down, and pins the
 //! pipelined fast path's count too, so a new per-op allocation on either
 //! path fails here instead of showing up as a slower benchmark.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use paradice::gpu_ioctl::{info, RADEON_INFO};
+use paradice::gpu_ioctl::{
+    gem_domain, info, RADEON_GEM_CREATE, RADEON_GEM_PREAD, RADEON_GEM_PWRITE, RADEON_INFO,
+};
 use paradice::prelude::*;
 
 /// Forwards to the system allocator, counting the calls that hand out a
@@ -138,4 +142,74 @@ fn a_pipelined_round_allocates_only_its_results_and_deferred_writes() {
         rounds * BLOCKS_PER_ROUND,
         "{rounds} pipelined rounds of {ROUND} allocated {blocks} blocks"
     );
+}
+
+/// Bytes per bulk transfer, as the benchmark's bulk workload moves them.
+const BULK: u64 = 16 * 1024;
+
+/// A machine in `mode` with the GPU open, a 16-KiB VRAM buffer object and
+/// one staged `{handle, offset, size, data_ptr}` struct per direction:
+/// `(machine, task, fd, pwrite_arg, pread_arg)`.
+fn bulk_rig(mode: ExecMode) -> (Machine, TaskId, u64, u64, u64) {
+    let mut builder = Machine::builder().mode(mode).device(DeviceSpec::gpu());
+    if matches!(mode, ExecMode::Paradice { .. }) {
+        builder = builder.guest(GuestSpec::linux());
+    }
+    let mut m = builder.build().expect("machine builds");
+    let guest = matches!(mode, ExecMode::Paradice { .. }).then_some(0);
+    let task = m.spawn_process(guest).expect("spawn");
+    let fd = m.open(task, "/dev/dri/card0").expect("open card0");
+    let args = m.alloc_buffer(task, 4096).expect("args");
+    let mut create = [0u8; 24];
+    create[0..8].copy_from_slice(&BULK.to_le_bytes());
+    create[8..12].copy_from_slice(&gem_domain::VRAM.to_le_bytes());
+    m.write_mem(task, args, &create).expect("stage GEM_CREATE");
+    m.ioctl(task, fd, RADEON_GEM_CREATE, args.raw()).expect("GEM_CREATE");
+    m.read_mem(task, args, &mut create).expect("read GEM_CREATE");
+    let handle = u32::from_le_bytes(create[16..20].try_into().expect("len 4"));
+    let transfer_at = |m: &mut Machine, slot: u64| {
+        let data = m.alloc_buffer(task, BULK).expect("payload");
+        m.write_mem(task, data, &[0x5a; BULK as usize]).expect("stage payload");
+        let mut transfer = [0u8; 32];
+        transfer[0..4].copy_from_slice(&handle.to_le_bytes());
+        transfer[16..24].copy_from_slice(&BULK.to_le_bytes());
+        transfer[24..32].copy_from_slice(&data.raw().to_le_bytes());
+        let arg = args.add(slot * 32);
+        m.write_mem(task, arg, &transfer).expect("stage transfer");
+        arg.raw()
+    };
+    let pwrite = transfer_at(&mut m, 0);
+    let pread = transfer_at(&mut m, 1);
+    (m, task, fd, pwrite, pread)
+}
+
+#[test]
+fn a_bulk_write_and_read_allocate_nothing_in_steady_state() {
+    for mode in [
+        ExecMode::Native,
+        ExecMode::Paradice {
+            transport: TransportMode::Interrupts,
+            data_isolation: false,
+        },
+    ] {
+        let (mut m, task, fd, pwrite, pread) = bulk_rig(mode);
+        let mut call = |i: usize| {
+            let (cmd, arg) = if i.is_multiple_of(2) {
+                (RADEON_GEM_PWRITE, pwrite)
+            } else {
+                (RADEON_GEM_PREAD, pread)
+            };
+            m.ioctl(task, fd, cmd, arg)
+        };
+        for i in 0..WARM_UP {
+            call(i).expect("warm-up transfer");
+        }
+        let (failed, blocks) =
+            blocks_allocated(|| (0..2_000).filter(|&i| call(i).is_err()).count());
+        assert_eq!(failed, 0, "{mode:?}");
+        assert_eq!(
+            blocks, 0,
+            "{mode:?}: 1 000 16-KiB GEM_PWRITE + GEM_PREAD pairs allocated {blocks} blocks"
+        );
+    }
 }
