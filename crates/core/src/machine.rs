@@ -1543,8 +1543,9 @@ impl Machine {
         }
     }
 
-    /// Completes `task`'s pipelined submissions, returning per-op results
-    /// in submission order.
+    /// Completes the pipelined submissions of `task`'s guest, returning
+    /// `task`'s per-op results in submission order. Results are per task:
+    /// another task's results wait for its own flush.
     ///
     /// # Errors
     ///
@@ -1552,7 +1553,7 @@ impl Machine {
     pub fn flush_pipeline(&mut self, task: TaskId) -> Result<Vec<Result<i64, Errno>>, Errno> {
         let p = self.process(task)?;
         let i = p.guest_index.ok_or(Errno::Ebadf)?;
-        self.frontends[i].borrow_mut().flush_pipeline()
+        self.frontends[i].borrow_mut().flush_pipeline(task)
     }
 
     /// Drains a paused backend queue (test/diagnostic pass-through).

@@ -32,7 +32,7 @@ use paradice_mem::GuestVirtAddr;
 use paradice_trace::SpanId;
 
 use crate::devices::DeviceTable;
-use crate::memops::HypercallMemOps;
+use crate::memops::{DeferredBatch, HypercallMemOps};
 use crate::proto::{CvdChannel, WireRequest, WireResponse, WireSignal};
 use crate::sharing::{SharingPolicy, VirtualTerminals};
 
@@ -81,9 +81,10 @@ pub struct Backend {
     /// frontend watchdog measures *delivery* lag against this, so blocking
     /// operations may legitimately run long without tripping it.
     last_post_ns: u64,
-    /// Fast path: [`HypercallMemOps`] defers each file operation's
-    /// guest-visible writes and issues them as one hypercall.
-    fastpath_batch: bool,
+    /// Fast path: the one batch lent to every dispatch's
+    /// [`HypercallMemOps`], which defers the file operation's guest-visible
+    /// writes and issues them as one hypercall.
+    batch: Option<DeferredBatch>,
 }
 
 impl std::fmt::Debug for Backend {
@@ -112,7 +113,7 @@ impl Backend {
             plan: None,
             pending_wire_fault: None,
             last_post_ns: 0,
-            fastpath_batch: false,
+            batch: None,
         }))
     }
 
@@ -120,7 +121,7 @@ impl Backend {
     /// driver's memory operations are deferred into one `hc_memops` call,
     /// validated atomically — all-or-nothing on a grant violation.
     pub fn set_fastpath_batch(&mut self, on: bool) {
-        self.fastpath_batch = on;
+        self.batch = on.then(DeferredBatch::default);
     }
 
     /// The driver VM hosting this backend.
@@ -359,7 +360,7 @@ impl Backend {
             // performs for this request is a grant-checked hypercall. A
             // missing grant fails closed (no declaration can ever match).
             let grant = request.grant.unwrap_or(GrantRef(u32::MAX));
-            let (hv, vm, batch) = (&self.hv, self.driver_vm, self.fastpath_batch);
+            let (hv, vm, batch) = (&self.hv, self.driver_vm, self.batch.as_mut());
             let (task, pt) = (TaskId(request.task), request.pt_root);
             let bind = |env: &KernelEnv| {
                 let domain = Some(env.domain());

@@ -330,6 +330,7 @@ enum BreakerState {
 /// An operation posted to the ring whose response has not been taken yet.
 #[derive(Debug)]
 struct PendingOp {
+    task: TaskId,
     span: SpanId,
     /// Span start; the hang watchdog also measures its wait from here.
     start_ns: u64,
@@ -375,14 +376,15 @@ pub struct Frontend {
     /// with explicit ownership handoff on eviction (see [`crate::cache`]).
     grant_cache: GrantCache,
     /// The current op's cache key, refilled in place for every lookup and
-    /// cloned only into a cold insert.
+    /// copied only into a cold insert.
     cache_key: GrantCacheKey,
     /// The current ioctl's derived grants, refilled in place for every op.
     grant_buf: Vec<MemOpGrant>,
     /// Requests posted to the ring, awaiting their FIFO-ordered responses.
     pipeline: Vec<PendingOp>,
-    /// Results of completed pipelined ops, handed out by `flush_pipeline`.
-    completed: Vec<Result<i64, Errno>>,
+    /// Results of completed pipelined ops, each handed out by its task's
+    /// `flush_pipeline`.
+    completed: Vec<(TaskId, Result<i64, Errno>)>,
 }
 
 impl std::fmt::Debug for Frontend {
@@ -722,6 +724,7 @@ impl Frontend {
             ChannelStats::default()
         };
         let mut pending = PendingOp {
+            task,
             span,
             start_ns,
             stats_before,
@@ -765,7 +768,7 @@ impl Frontend {
 
     /// Resolves the grant reference for one op: on the fast path, cacheable
     /// shapes (`read`/`write`/`ioctl`) reuse a memoized declaration when the
-    /// full canonical grant set matches — skipping the declare hypercall —
+    /// full grant set matches — skipping the declare hypercall —
     /// and a cold declare populates the cache (skipping the revoke). Every
     /// cached reference is still strictly validated by the hypervisor on
     /// each use. Returns `(grant, cache_owned)`.
@@ -787,7 +790,7 @@ impl Frontend {
             }
             let grant = self.declare(ops)?;
             let pipeline = &self.pipeline;
-            let eviction = self.grant_cache.insert(self.cache_key.clone(), grant, |evicted| {
+            let eviction = self.grant_cache.insert(&self.cache_key, grant, |evicted| {
                 pipeline.iter().any(|p| p.grant == Some(evicted))
             });
             match eviction {
@@ -1123,17 +1126,21 @@ impl Frontend {
     /// Completes every pipelined submission: the backend drains the request
     /// ring (one interrupt for the whole batch), then responses are matched
     /// FIFO to their submissions, each with its own watchdog delivery-lag
-    /// check. Returns the per-op results in submission order, including any
-    /// completed by an intermediate auto-flush.
+    /// check. Returns `task`'s per-op results in submission order,
+    /// including any completed by an intermediate auto-flush; other tasks'
+    /// results wait for their own flush.
     ///
     /// # Errors
     ///
     /// None today: a transport-level failure (hung/corrupted driver VM)
     /// runs containment and fails the remaining entries wholesale, each in
     /// its own slot of the returned vector.
-    pub fn flush_pipeline(&mut self) -> Result<Vec<Result<i64, Errno>>, Errno> {
+    pub fn flush_pipeline(&mut self, task: TaskId) -> Result<Vec<Result<i64, Errno>>, Errno> {
         self.drain_pipeline();
-        Ok(std::mem::take(&mut self.completed))
+        let mut results = Vec::with_capacity(self.completed.len());
+        let mine = self.completed.extract_if(.., |&mut (t, _)| t == task);
+        results.extend(mine.map(|(_, result)| result));
+        Ok(results)
     }
 
     /// Queues one op on the ring without taking its response: the first
@@ -1171,7 +1178,8 @@ impl Frontend {
         let mut pipeline = std::mem::take(&mut self.pipeline);
         for op in pipeline.drain(..) {
             let outcome = self.complete(&op, &mut served);
-            self.completed.push(outcome.and_then(WireResponse::result));
+            self.completed
+                .push((op.task, outcome.and_then(WireResponse::result)));
         }
         self.pipeline = pipeline;
     }

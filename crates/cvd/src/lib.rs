@@ -61,6 +61,6 @@ pub use paradice_hypervisor::{FairSched, SchedPolicy};
 pub use frontend::{Frontend, IoctlKnowledge, OsPersonality};
 pub use multi::{build_multi, Completion, MultiEngine, MULTI_QUEUE_CAP};
 pub use info::{DeviceInfoModule, VirtualPciBus};
-pub use memops::HypercallMemOps;
+pub use memops::{DeferredBatch, HypercallMemOps};
 pub use proto::{WireOp, WireRequest, WireResponse};
 pub use sharing::{SharingPolicy, VirtualTerminals};

@@ -429,14 +429,6 @@ pub enum WireResponse {
 }
 
 impl WireResponse {
-    /// Wraps a classic `Result` (non-poll operations).
-    pub fn from_result(result: Result<i64, Errno>) -> WireResponse {
-        match result {
-            Ok(value) => WireResponse::Value(value),
-            Err(errno) => WireResponse::Err(errno),
-        }
-    }
-
     /// Collapses to a classic `Result`. Poll readiness degrades to its raw
     /// bits — callers that expect poll events should match
     /// [`WireResponse::Poll`] instead.
@@ -1058,6 +1050,16 @@ mod tests {
         assert_eq!(WireResponse::decode(&[3, 0, 0, 0, 0]), Err(WireError));
         // Poll bits beyond u16 are not representable events.
         assert_eq!(WireResponse::decode(&[2, 0, 0, 1, 0]), Err(WireError));
+    }
+
+    impl WireResponse {
+        /// Wraps a classic `Result` (non-poll operations).
+        fn from_result(result: Result<i64, Errno>) -> WireResponse {
+            match result {
+                Ok(value) => WireResponse::Value(value),
+                Err(errno) => WireResponse::Err(errno),
+            }
+        }
     }
 
     #[test]

@@ -123,13 +123,11 @@ impl CacheState {
 /// The deterministic cache key for one model shape.
 fn shape_key(shape: u8) -> GrantCacheKey {
     let addr = GuestVirtAddr::new(u64::from(shape) * 0x1000);
-    GrantCacheKey::for_op(
-        1,
-        1,
-        &WireOp::Read { addr, len: 16 },
-        &[MemOpGrant::CopyToGuest { addr, len: 16 }],
-    )
-    .expect("read is cacheable")
+    let mut key = GrantCacheKey::default();
+    let read = WireOp::Read { addr, len: 16 };
+    let cacheable = key.refill(1, 1, &read, &[MemOpGrant::CopyToGuest { addr, len: 16 }]);
+    assert!(cacheable, "read is cacheable");
+    key
 }
 
 /// The transition system, parameterized by the active mutant.
@@ -152,10 +150,10 @@ impl CacheModel {
     fn kernel_insert(&self, state: &CacheState, shape: u8, fresh: u32) -> Eviction {
         let mut kernel = GrantCache::new(CACHE_CAP);
         for &(s, r) in &state.cached {
-            kernel.insert(shape_key(s), GrantRef(r), |_| false);
+            kernel.insert(&shape_key(s), GrantRef(r), |_| false);
         }
         let inflight: Vec<u32> = state.inflight.iter().map(|&(r, _)| r).collect();
-        kernel.insert(shape_key(shape), GrantRef(fresh), |r| {
+        kernel.insert(&shape_key(shape), GrantRef(fresh), |r| {
             inflight.contains(&r.0)
         })
     }

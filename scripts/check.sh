@@ -256,7 +256,7 @@ echo "==> trusted-path ceiling gate (Table 2's CVD + hypervisor API row may shri
 # first #[cfg(test)], over the module list in crates/bench/src/
 # experiments.rs). Lower this pin when the figure drops; raising it needs a
 # reason in CHANGES.md.
-TRUSTED_PATH_CEILING=4919
+TRUSTED_PATH_CEILING=4916
 cargo run -q --release -p paradice-bench --bin experiments -- --table2 >/dev/null
 TRUSTED_PATH="$(awk -F, '$4 ~ /^trusted path/ { print $5 }' results/table2.csv)"
 if [ -z "$TRUSTED_PATH" ] || [ "$TRUSTED_PATH" -gt "$TRUSTED_PATH_CEILING" ]; then
@@ -308,6 +308,25 @@ if [ "$(printf '%s\n' "$JIT_SRC" | grep -c 'fn exec(')" -ne 1 ] ||
 fi
 if grep -nF 'vec![0u8; size' crates/drivers/src/gpu/driver.rs crates/drivers/src/gpu/i915.rs; then
     echo "ERROR: a GPU driver zero-fills a fresh buffer per transfer instead of staging through Staging" >&2
+    exit 1
+fi
+
+echo "==> pipelined-crossing-allocates-nothing gate (one lent deferred batch, one fingerprinted FIFO cache)"
+# The backend lends its one DeferredBatch to every dispatch: a deferred
+# copy_to_user copies into the batch's byte arena, never into a Vec of its
+# own. The grant cache is one VecDeque of (fingerprint, key, ref): the
+# ordered map and the key ordering it needed must not come back.
+if sed '/^#\[cfg(test)\]/,$d' crates/cvd/src/memops.rs | grep -nF '.to_vec()'; then
+    echo "ERROR: crates/cvd/src/memops.rs copies a deferred write into a Vec of its own; use the batch's arena" >&2
+    exit 1
+fi
+CACHE_SRC="$(sed '/^#\[cfg(test)\]/,$d' crates/cvd/src/cache.rs)"
+if printf '%s\n' "$CACHE_SRC" | grep -n 'BTreeMap'; then
+    echo "ERROR: crates/cvd/src/cache.rs keeps an ordered map; the cache is one fingerprinted FIFO" >&2
+    exit 1
+fi
+if printf '%s\n' "$CACHE_SRC" | grep -B3 -E '^pub struct GrantCacheKey' | grep -nE 'derive\(.*Ord'; then
+    echo "ERROR: GrantCacheKey derives an ordering; a lookup compares fingerprints, then keys" >&2
     exit 1
 fi
 

@@ -356,3 +356,36 @@ fn evicting_a_cached_shape_with_an_op_in_flight_defers_the_revoke() {
     );
     assert_eq!(cache_len(&m), GRANT_CACHE_CAP);
 }
+
+#[test]
+fn a_flush_returns_only_the_calling_tasks_results() {
+    let mut m = fast_machine(&[DeviceSpec::gpu()]);
+    let (a, b) = (
+        m.spawn_process(Some(0)).unwrap(),
+        m.spawn_process(Some(0)).unwrap(),
+    );
+    let (fd_a, fd_b) = (
+        m.open(a, "/dev/dri/card0").unwrap(),
+        m.open(b, "/dev/dri/card0").unwrap(),
+    );
+    let (good_a, good_b) = (stage_info(&mut m, a), stage_info(&mut m, b));
+    // A request id the driver refuses, so A's two results differ in order.
+    let bad_a = m.alloc_buffer(a, 256).unwrap();
+    m.write_mem(a, bad_a, &[0xff; 16]).unwrap();
+    m.ioctl_pipelined(a, fd_a, RADEON_INFO, good_a.raw())
+        .unwrap();
+    m.ioctl_pipelined(b, fd_b, RADEON_INFO, good_b.raw())
+        .unwrap();
+    m.ioctl_pipelined(a, fd_a, RADEON_INFO, bad_a.raw())
+        .unwrap();
+    let for_a = m.flush_pipeline(a).expect("flush A");
+    assert_eq!(for_a.len(), 2, "A submitted two ops: {for_a:?}");
+    assert!(
+        for_a[0].is_ok() && for_a[1] == Err(Errno::Einval),
+        "{for_a:?}"
+    );
+    // B's op completed in A's flush; its result waits for B's.
+    assert_ne!(info_result(&mut m, b, good_b), 0, "B's op ran");
+    assert_eq!(m.flush_pipeline(b).expect("flush B"), vec![Ok(0)]);
+    assert!(m.flush_pipeline(a).expect("flush A again").is_empty());
+}

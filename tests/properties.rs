@@ -15,7 +15,9 @@
 //! * the VRAM allocator never double-allocates or leaks;
 //! * a driver's memory operations cost the same work whether issued one
 //!   hypercall each or deferred into one hypercall per flush, and a grant
-//!   refusal applies nothing of its hypercall.
+//!   refusal applies nothing of its hypercall;
+//! * one deferred batch lent to consecutive bindings behaves as a fresh
+//!   batch per binding.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -23,7 +25,7 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use paradice_cvd::HypercallMemOps;
+use paradice_cvd::{DeferredBatch, HypercallMemOps};
 use paradice_devfs::ioc::{IoctlCmd, IoctlDir, MAX_IOC_SIZE};
 use paradice_devfs::{Errno, MemOps};
 use paradice_hypervisor::grants::{
@@ -66,7 +68,7 @@ enum Step {
 }
 
 /// What one run of a script leaves behind.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct MemOpRun {
     result: Result<(), Errno>,
     reads: Vec<Vec<u8>>,
@@ -78,9 +80,21 @@ struct MemOpRun {
 }
 
 /// Runs `script` through one [`HypercallMemOps`] on a fresh hypervisor,
-/// immediate or deferred, the way a driver does: it stops at the first
-/// refused operation, else flushes when the file operation returns.
+/// immediate or deferred into a fresh batch, the way a driver does: it
+/// stops at the first refused operation, else flushes when the file
+/// operation returns.
 fn run_memops(script: &[Step], defer: bool) -> MemOpRun {
+    run_memops_in(
+        script,
+        defer.then_some(&mut DeferredBatch::default()),
+        false,
+    )
+}
+
+/// [`run_memops`] lending the binding `batch`. An `abandon`ed run ignores
+/// refusals and drops the binding without a flush, with whatever it
+/// queued still in `batch`; its result is the first refusal.
+fn run_memops_in(script: &[Step], batch: Option<&mut DeferredBatch>, abandon: bool) -> MemOpRun {
     let mut hv = Hypervisor::new(256, SimClock::new(), CostModel::default());
     let guest = hv.create_vm(VmRole::Guest, GUEST_RAM).unwrap();
     let driver = hv.create_vm(VmRole::Driver, 16 * PAGE_SIZE).unwrap();
@@ -123,13 +137,13 @@ fn run_memops(script: &[Step], defer: bool) -> MemOpRun {
         .unwrap();
     let (hypercalls, clock_ns) = (hv.hypercall_count(), hv.clock().now_ns());
     let hv = Rc::new(RefCell::new(hv));
-    let mut mem = HypercallMemOps::new(hv.clone(), driver, guest, pt.root(), grant, None, defer);
+    let mut mem = HypercallMemOps::new(hv.clone(), driver, guest, pt.root(), grant, None, batch);
     let mut mapped = [false; 2];
     let mut reads = Vec::new();
     let mut result = Ok(());
     for &step in script {
         let va = |at: u64| GuestVirtAddr::new(DATA_VA + at);
-        result = match step {
+        let done = match step {
             Step::Write { at, len, byte } => mem.copy_to_user(va(at), &vec![byte; len]),
             Step::Read { at, len } => {
                 let mut buf = vec![0u8; len];
@@ -154,12 +168,13 @@ fn run_memops(script: &[Step], defer: bool) -> MemOpRun {
                 mem.copy_to_user(GuestVirtAddr::new(WILD_VA), b"wild!!!!")
             }
         };
-        if result.is_err() {
+        result = result.and(done);
+        if result.is_err() && !abandon {
             break;
         }
     }
-    if result.is_ok() {
-        result = mem.flush();
+    if !abandon {
+        result = result.and_then(|()| mem.flush());
     }
     drop(mem);
     let mut hv = hv.borrow_mut();
@@ -531,6 +546,42 @@ proptest! {
             // The refused hypercall is counted but charges nothing.
             prop_assert_eq!(refused.hypercalls, expected.hypercalls + 1);
             prop_assert_eq!(refused.clock_ns, expected.clock_ns);
+        }
+    }
+
+    /// One batch lent to consecutive bindings leaves, run after run, what a
+    /// fresh batch per binding leaves: the same guest bytes, reads,
+    /// refusals, hypercalls and clock. That holds also after a binding was
+    /// dropped with writes still queued — by a driver that ignores a
+    /// refusal and returns without the dispatcher's flush — because the
+    /// next binding never issues them under its own grant.
+    #[test]
+    fn a_reused_batch_matches_a_fresh_one_per_binding(
+        runs in proptest::collection::vec(
+            (
+                proptest::collection::vec(
+                    (0u8..5, 0u64..DATA_LEN - 64, 1usize..64, any::<u8>(), 0u64..2),
+                    1..=6,
+                ),
+                any::<bool>(),
+            ),
+            2..=4,
+        ),
+    ) {
+        let mut batch = DeferredBatch::default();
+        for (raw, abandon) in &runs {
+            let script: Vec<Step> = raw
+                .iter()
+                .map(|&(kind, at, len, byte, slot)| match kind {
+                    0 | 1 => Step::Write { at, len, byte },
+                    2 => Step::Read { at, len },
+                    3 => Step::Toggle { slot },
+                    _ => Step::Wild { read: byte % 2 == 0 },
+                })
+                .collect();
+            let reused = run_memops_in(&script, Some(&mut batch), *abandon);
+            let fresh = run_memops_in(&script, Some(&mut DeferredBatch::default()), *abandon);
+            prop_assert_eq!(reused, fresh);
         }
     }
 

@@ -6,9 +6,10 @@
 //! grants into one reused buffer, and a grant declaration is a recycled
 //! block. So does a 16-KiB `GEM_PWRITE` / `GEM_PREAD`: its JIT program runs
 //! on a reused scratch and the driver stages the payload through one kept
-//! buffer. A counting global allocator pins that down, and pins the
-//! pipelined fast path's count too, so a new per-op allocation on either
-//! path fails here instead of showing up as a slower benchmark.
+//! buffer. A pipelined round allocates only the results `Vec` it returns:
+//! the backend lends one deferred batch to every dispatch. A counting
+//! global allocator pins these counts down, so a new per-op allocation on
+//! any path fails here instead of showing up as a slower benchmark.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -109,16 +110,16 @@ fn a_blocking_ioctl_allocates_nothing_in_steady_state() {
     );
 }
 
-/// The fast path's rounds allocate exactly this many blocks each:
-/// - the per-op results `flush_pipeline` hands back are a fresh `Vec`,
-///   grown to hold a round (two blocks);
-/// - each op's deferred mem-op batch queues its `copy_to_user` bytes in a
-///   `Vec` of their own, in a queue of its own, and issues them through a
-///   collected slice (three blocks per op).
-const BLOCKS_PER_ROUND: usize = 2 + 3 * ROUND;
+/// A fast-path round allocates exactly one block: the results `Vec` that
+/// `Machine::flush_pipeline` must return, sized to the round. Everything
+/// else is kept from round to round — the grant cache's entries, the
+/// frontend's completed list, and the backend's one deferred batch, whose
+/// queue, byte arena and issue slice (re-typed per issue by an in-place
+/// `collect` that keeps its allocation) each keep their capacity.
+const BLOCKS_PER_ROUND: usize = 1;
 
 #[test]
-fn a_pipelined_round_allocates_only_its_results_and_deferred_writes() {
+fn a_pipelined_round_allocates_only_its_results() {
     let (mut m, task, fd, args) = gpu_rig(true);
     let mut round = |r: usize| {
         for i in 0..ROUND {
