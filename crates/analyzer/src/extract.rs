@@ -1,7 +1,11 @@
-//! The extraction pass: symbolic execution + specialization per command.
+//! The extraction pass: specialization + symbolic execution per command.
 //!
-//! For each ioctl command number, the analyzer symbolically executes the
-//! handler IR with the command known and the pointer argument symbolic:
+//! For each ioctl command number, the analyzer first *specializes* the
+//! handler to it ([`specialize_command`]: `switch (cmd)` resolved, helper
+//! calls inlined — the only place either happens), then symbolically
+//! executes that slice with the command known and the pointer argument
+//! symbolic, over the analyzer's one abstract value [`SymVal`] and
+//! environment [`SymEnv`] (the lint passes read the same two types):
 //!
 //! * If every memory operation's address/length is constant or linear in the
 //!   argument, and all control flow resolves statically, the command gets a
@@ -10,9 +14,9 @@
 //!   operations".
 //! * Otherwise the command needs runtime information (most often **nested
 //!   copies**, where a copied struct's fields feed the next copy's
-//!   arguments) and gets an [`Extraction::Jit`] slice: the handler body
-//!   specialized to the command, which the frontend evaluates just-in-time
-//!   against the caller's memory (§4.1).
+//!   arguments) and gets an [`Extraction::Jit`] entry carrying the slice,
+//!   which the frontend evaluates just-in-time against the caller's memory
+//!   (§4.1).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -122,209 +126,192 @@ impl Extraction {
     }
 }
 
-/// A symbolic scalar during extraction.
+/// What a scalar — an address, a length, a trip count, a branch operand —
+/// is relative to the ioctl argument. The one abstract value of the
+/// analyzer: extraction classifies commands with it and the lint passes
+/// read the same values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SymVal {
-    /// A known constant.
+pub enum SymVal {
+    /// A known constant (absolute address or literal length).
     Const(u64),
-    /// `arg + k`.
+    /// `arg + k`: the declared-envelope case.
     ArgPlus(u64),
-    /// Depends on data copied from user space (nested-copy signal).
+    /// Derived from bytes copied in from user space: the nested-copy
+    /// signal, granted exactly by the JIT at runtime.
     UserData,
-    /// Unsupported combination (e.g. `arg * 2`).
+    /// Nothing useful is known (unbound variable, nonlinear arithmetic).
     Opaque,
 }
 
-#[derive(Debug)]
-struct SymState {
-    env: BTreeMap<VarId, SymVal>,
-    buffers: BTreeSet<VarId>,
-    ops: Vec<OpTemplate>,
-    dynamic: bool,
-    nested: bool,
+impl SymVal {
+    /// Whether an access at this address escapes static reasoning.
+    pub fn is_dynamic(self) -> bool {
+        matches!(self, SymVal::UserData | SymVal::Opaque)
+    }
+}
+
+/// The symbolic environment at one program point of a specialized slice.
+#[derive(Debug, Clone, Default)]
+pub struct SymEnv {
+    /// Scalar bindings; an unbound variable reads as [`SymVal::Opaque`].
+    pub vars: BTreeMap<VarId, SymVal>,
+    /// Variables holding bytes copied from user space.
+    pub buffers: BTreeSet<VarId>,
+}
+
+impl SymEnv {
+    /// Evaluates `expr`. `Cmd` is the command the slice is specialized to,
+    /// opaque when there is none (the wire-protocol IR).
+    pub fn eval(&self, cmd: Option<u32>, expr: &Expr) -> SymVal {
+        match expr {
+            Expr::Const(value) => SymVal::Const(*value),
+            Expr::Arg => SymVal::ArgPlus(0),
+            Expr::Cmd => cmd.map_or(SymVal::Opaque, |cmd| SymVal::Const(u64::from(cmd))),
+            Expr::Var(var) => self.vars.get(var).copied().unwrap_or(SymVal::Opaque),
+            Expr::Field { base, .. } if self.buffers.contains(base) => SymVal::UserData,
+            Expr::Field { .. } => SymVal::Opaque,
+            Expr::Add(a, b) => match (self.eval(cmd, a), self.eval(cmd, b)) {
+                (SymVal::Const(x), SymVal::Const(y)) => SymVal::Const(x.wrapping_add(y)),
+                (SymVal::ArgPlus(x), SymVal::Const(y)) | (SymVal::Const(y), SymVal::ArgPlus(x)) => {
+                    SymVal::ArgPlus(x.wrapping_add(y))
+                }
+                (SymVal::UserData, _) | (_, SymVal::UserData) => SymVal::UserData,
+                _ => SymVal::Opaque,
+            },
+            Expr::Mul(a, b) => match (self.eval(cmd, a), self.eval(cmd, b)) {
+                (SymVal::Const(x), SymVal::Const(y)) => SymVal::Const(x.wrapping_mul(y)),
+                (SymVal::UserData, _) | (_, SymVal::UserData) => SymVal::UserData,
+                _ => SymVal::Opaque,
+            },
+        }
+    }
+
+    /// The branch taken when both operands are constants. Otherwise the
+    /// reason it is unknown: `UserData` when an operand derives from
+    /// user-copied bytes, `Opaque` when not.
+    pub fn eval_cond(&self, cmd: Option<u32>, cond: &Cond) -> Result<bool, SymVal> {
+        let (a, b, op): (&Expr, &Expr, fn(u64, u64) -> bool) = match cond {
+            Cond::Eq(a, b) => (a, b, |x, y| x == y),
+            Cond::Ne(a, b) => (a, b, |x, y| x != y),
+            Cond::Lt(a, b) => (a, b, |x, y| x < y),
+            Cond::Gt(a, b) => (a, b, |x, y| x > y),
+        };
+        match (self.eval(cmd, a), self.eval(cmd, b)) {
+            (SymVal::Const(x), SymVal::Const(y)) => Ok(op(x, y)),
+            (SymVal::UserData, _) | (_, SymVal::UserData) => Err(SymVal::UserData),
+            _ => Err(SymVal::Opaque),
+        }
+    }
+
+    /// A `copy_from_user` into `dst`: it now holds user bytes, and the
+    /// scalar it held is gone.
+    pub fn fetch_into(&mut self, dst: VarId) {
+        self.buffers.insert(dst);
+        self.vars.remove(&dst);
+    }
+
+    /// Joins the environment of another path into this one: bindings that
+    /// agree survive, the rest become [`SymVal::Opaque`], buffers are the
+    /// union. Returns whether anything changed.
+    pub fn join(&mut self, other: &SymEnv) -> bool {
+        let mut changed = false;
+        for (var, value) in &other.vars {
+            match self.vars.get(var) {
+                Some(mine) if mine == value || *mine == SymVal::Opaque => {}
+                _ => {
+                    self.vars.insert(*var, SymVal::Opaque);
+                    changed = true;
+                }
+            }
+        }
+        for (var, value) in self.vars.iter_mut() {
+            if *value != SymVal::Opaque && !other.vars.contains_key(var) {
+                *value = SymVal::Opaque;
+                changed = true;
+            }
+        }
+        let buffers = self.buffers.len();
+        self.buffers.extend(other.buffers.iter().copied());
+        changed || self.buffers.len() != buffers
+    }
 }
 
 enum Flow {
     Continue,
     Return,
-    /// Static extraction impossible; fall back to JIT.
-    Dynamic,
+    /// Static extraction impossible; the command goes to the JIT.
+    /// `nested` when user-copied data made it so.
+    Dynamic {
+        nested: bool,
+    },
 }
 
-fn eval(state: &SymState, cmd: u32, expr: &Expr) -> SymVal {
-    match expr {
-        Expr::Const(value) => SymVal::Const(*value),
-        Expr::Arg => SymVal::ArgPlus(0),
-        Expr::Cmd => SymVal::Const(u64::from(cmd)),
-        Expr::Var(var) => state.env.get(var).copied().unwrap_or(SymVal::Opaque),
-        Expr::Field { base, .. } => {
-            if state.buffers.contains(base) {
-                SymVal::UserData
-            } else {
-                SymVal::Opaque
-            }
+/// Appends the static template of one copy to `ops`, or returns the JIT
+/// verdict when its address or length is not statically known.
+fn push_op(ops: &mut Vec<OpTemplate>, kind: OpKind, addr: SymVal, len: SymVal) -> Flow {
+    let (addr, len) = match (addr, len) {
+        (SymVal::Const(a), SymVal::Const(n)) => (AddrTemplate::Abs(a), n),
+        (SymVal::ArgPlus(k), SymVal::Const(n)) => (AddrTemplate::ArgPlus(k), n),
+        _ => {
+            let nested = addr == SymVal::UserData || len == SymVal::UserData;
+            return Flow::Dynamic { nested };
         }
-        Expr::Add(a, b) => match (eval(state, cmd, a), eval(state, cmd, b)) {
-            (SymVal::Const(x), SymVal::Const(y)) => SymVal::Const(x.wrapping_add(y)),
-            (SymVal::ArgPlus(x), SymVal::Const(y)) | (SymVal::Const(y), SymVal::ArgPlus(x)) => {
-                SymVal::ArgPlus(x.wrapping_add(y))
-            }
-            (SymVal::UserData, _) | (_, SymVal::UserData) => SymVal::UserData,
-            _ => SymVal::Opaque,
-        },
-        Expr::Mul(a, b) => match (eval(state, cmd, a), eval(state, cmd, b)) {
-            (SymVal::Const(x), SymVal::Const(y)) => SymVal::Const(x.wrapping_mul(y)),
-            (SymVal::UserData, _) | (_, SymVal::UserData) => SymVal::UserData,
-            _ => SymVal::Opaque,
-        },
-    }
-}
-
-fn eval_cond(state: &SymState, cmd: u32, cond: &Cond) -> Option<bool> {
-    let (a, b, op): (&Expr, &Expr, fn(u64, u64) -> bool) = match cond {
-        Cond::Eq(a, b) => (a, b, |x, y| x == y),
-        Cond::Ne(a, b) => (a, b, |x, y| x != y),
-        Cond::Lt(a, b) => (a, b, |x, y| x < y),
-        Cond::Gt(a, b) => (a, b, |x, y| x > y),
     };
-    match (eval(state, cmd, a), eval(state, cmd, b)) {
-        (SymVal::Const(x), SymVal::Const(y)) => Some(op(x, y)),
-        _ => None,
-    }
+    ops.push(OpTemplate { kind, addr, len });
+    Flow::Continue
 }
 
-fn cond_mentions_user_data(state: &SymState, cmd: u32, cond: &Cond) -> bool {
-    let (a, b) = match cond {
-        Cond::Eq(a, b) | Cond::Ne(a, b) | Cond::Lt(a, b) | Cond::Gt(a, b) => (a, b),
-    };
-    eval(state, cmd, a) == SymVal::UserData || eval(state, cmd, b) == SymVal::UserData
-}
-
-fn exec(
-    handler: &Handler,
-    cmd: u32,
-    stmts: &[Stmt],
-    state: &mut SymState,
-    depth: usize,
-) -> Result<Flow, ExtractionError> {
-    if depth > MAX_CALL_DEPTH {
-        return Err(ExtractionError::CallDepthExceeded);
-    }
+/// Path-sensitive symbolic execution of a specialized slice: constant
+/// branches are resolved, constant loops unrolled, and every copy becomes
+/// an [`OpTemplate`] until the first one that needs runtime data.
+fn exec(cmd: Option<u32>, stmts: &[Stmt], env: &mut SymEnv, ops: &mut Vec<OpTemplate>) -> Flow {
     for stmt in stmts {
-        match stmt {
+        let flow = match stmt {
             Stmt::Assign { var, value } => {
-                let value = eval(state, cmd, value);
-                state.env.insert(*var, value);
+                let value = env.eval(cmd, value);
+                env.vars.insert(*var, value);
+                Flow::Continue
             }
             Stmt::CopyFromUser { dst, src, len } => {
-                let addr = eval(state, cmd, src);
-                let length = eval(state, cmd, len);
-                state.buffers.insert(*dst);
-                match (addr, length) {
-                    (SymVal::Const(a), SymVal::Const(l)) => state.ops.push(OpTemplate {
-                        kind: OpKind::CopyFromUser,
-                        addr: AddrTemplate::Abs(a),
-                        len: l,
-                    }),
-                    (SymVal::ArgPlus(k), SymVal::Const(l)) => state.ops.push(OpTemplate {
-                        kind: OpKind::CopyFromUser,
-                        addr: AddrTemplate::ArgPlus(k),
-                        len: l,
-                    }),
-                    _ => {
-                        state.dynamic = true;
-                        if addr == SymVal::UserData || length == SymVal::UserData {
-                            state.nested = true;
-                        }
-                        return Ok(Flow::Dynamic);
-                    }
-                }
+                let (addr, len) = (env.eval(cmd, src), env.eval(cmd, len));
+                env.fetch_into(*dst);
+                push_op(ops, OpKind::CopyFromUser, addr, len)
             }
             Stmt::CopyToUser { dst, len } => {
-                let addr = eval(state, cmd, dst);
-                let length = eval(state, cmd, len);
-                match (addr, length) {
-                    (SymVal::Const(a), SymVal::Const(l)) => state.ops.push(OpTemplate {
-                        kind: OpKind::CopyToUser,
-                        addr: AddrTemplate::Abs(a),
-                        len: l,
-                    }),
-                    (SymVal::ArgPlus(k), SymVal::Const(l)) => state.ops.push(OpTemplate {
-                        kind: OpKind::CopyToUser,
-                        addr: AddrTemplate::ArgPlus(k),
-                        len: l,
-                    }),
-                    _ => {
-                        state.dynamic = true;
-                        if addr == SymVal::UserData || length == SymVal::UserData {
-                            state.nested = true;
-                        }
-                        return Ok(Flow::Dynamic);
-                    }
-                }
+                let (addr, len) = (env.eval(cmd, dst), env.eval(cmd, len));
+                push_op(ops, OpKind::CopyToUser, addr, len)
             }
-            Stmt::If { cond, then, els } => match eval_cond(state, cmd, cond) {
-                Some(true) => match exec(handler, cmd, then, state, depth)? {
-                    Flow::Continue => {}
-                    other => return Ok(other),
+            Stmt::If { cond, then, els } => match env.eval_cond(cmd, cond) {
+                Ok(taken) => exec(cmd, if taken { then } else { els }, env, ops),
+                Err(why) => Flow::Dynamic {
+                    nested: why == SymVal::UserData,
                 },
-                Some(false) => match exec(handler, cmd, els, state, depth)? {
-                    Flow::Continue => {}
-                    other => return Ok(other),
-                },
-                None => {
-                    state.dynamic = true;
-                    if cond_mentions_user_data(state, cmd, cond) {
-                        state.nested = true;
-                    }
-                    return Ok(Flow::Dynamic);
-                }
             },
-            Stmt::SwitchCmd { arms, default } => {
-                let body = arms
-                    .iter()
-                    .find(|(arm_cmd, _)| *arm_cmd == cmd)
-                    .map(|(_, body)| body)
-                    .unwrap_or(default);
-                match exec(handler, cmd, body, state, depth)? {
-                    Flow::Continue => {}
-                    other => return Ok(other),
-                }
-            }
-            Stmt::ForRange { var, count, body } => match eval(state, cmd, count) {
+            Stmt::ForRange { var, count, body } => match env.eval(cmd, count) {
                 SymVal::Const(n) if n <= MAX_UNROLL => {
+                    let mut flow = Flow::Continue;
                     for i in 0..n {
-                        state.env.insert(*var, SymVal::Const(i));
-                        match exec(handler, cmd, body, state, depth)? {
-                            Flow::Continue => {}
-                            other => return Ok(other),
+                        env.vars.insert(*var, SymVal::Const(i));
+                        flow = exec(cmd, body, env, ops);
+                        if !matches!(flow, Flow::Continue) {
+                            break;
                         }
                     }
+                    flow
                 }
-                value => {
-                    state.dynamic = true;
-                    if value == SymVal::UserData {
-                        state.nested = true;
-                    }
-                    return Ok(Flow::Dynamic);
-                }
+                count => Flow::Dynamic {
+                    nested: count == SymVal::UserData,
+                },
             },
-            Stmt::Call(name) => {
-                let function =
-                    handler
-                        .function(name)
-                        .ok_or_else(|| ExtractionError::UnknownFunction {
-                            name: name.clone(),
-                        })?;
-                match exec(handler, cmd, &function.body, state, depth + 1)? {
-                    Flow::Continue => {}
-                    other => return Ok(other),
-                }
-            }
-            Stmt::Return => return Ok(Flow::Return),
+            Stmt::Return => Flow::Return,
+            // `specialize` resolved every dispatch and inlined every call.
+            Stmt::SwitchCmd { .. } | Stmt::Call(_) => Flow::Continue,
+        };
+        if !matches!(flow, Flow::Continue) {
+            return flow;
         }
     }
-    Ok(Flow::Continue)
+    Flow::Continue
 }
 
 /// Specializes the handler body to one command: `switch (cmd)` resolved,
@@ -390,32 +377,23 @@ pub fn specialize_command(handler: &Handler, cmd: u32) -> Result<Vec<Stmt>, Extr
     specialize(handler, cmd, &entry.body, 0)
 }
 
-/// Analyzes one command of a handler.
+/// Analyzes one command of a handler: specializes it once, then executes
+/// the slice symbolically.
 ///
 /// # Errors
 ///
 /// Malformed handlers (unknown helper functions, unbounded call nesting).
 pub fn extract_command(handler: &Handler, cmd: u32) -> Result<Extraction, ExtractionError> {
-    let entry = handler
-        .function(handler.entry())
-        .expect("entry checked at construction");
-    let mut state = SymState {
-        env: BTreeMap::new(),
-        buffers: BTreeSet::new(),
-        ops: Vec::new(),
-        dynamic: false,
-        nested: false,
-    };
-    exec(handler, cmd, &entry.body, &mut state, 0)?;
-    if state.dynamic {
-        let slice = specialize(handler, cmd, &entry.body, 0)?;
-        Ok(Extraction::Jit {
+    let slice = specialize_command(handler, cmd)?;
+    let mut ops = Vec::new();
+    let flow = exec(Some(cmd), &slice, &mut SymEnv::default(), &mut ops);
+    Ok(match flow {
+        Flow::Dynamic { nested } => Extraction::Jit {
             slice,
-            nested_copies: state.nested,
-        })
-    } else {
-        Ok(Extraction::Static(state.ops))
-    }
+            nested_copies: nested,
+        },
+        Flow::Continue | Flow::Return => Extraction::Static(ops),
+    })
 }
 
 /// Whole-handler analysis report, the analogue of running the paper's Clang
@@ -491,7 +469,6 @@ pub fn analyze_handler(handler: &Handler) -> Result<HandlerReport, ExtractionErr
 mod tests {
     use super::*;
     use crate::ir::{Expr, Function, VarId};
-    use std::collections::BTreeMap;
 
     fn v(n: u32) -> VarId {
         VarId(n)
@@ -735,5 +712,26 @@ mod tests {
             extract_command(&handler, 0),
             Err(ExtractionError::CallDepthExceeded)
         );
+    }
+
+    #[test]
+    fn sym_env_join_keeps_agreement_only() {
+        let env = |bindings: &[(u32, SymVal)]| SymEnv {
+            vars: bindings.iter().map(|(var, val)| (v(*var), *val)).collect(),
+            buffers: BTreeSet::new(),
+        };
+        let mut a = env(&[(0, SymVal::Const(1)), (1, SymVal::Const(2)), (3, SymVal::Const(5))]);
+        let b = env(&[(0, SymVal::Const(1)), (1, SymVal::Const(3)), (2, SymVal::Const(4))]);
+        assert!(a.join(&b));
+        assert_eq!(a.vars[&v(0)], SymVal::Const(1));
+        assert_eq!(a.vars[&v(1)], SymVal::Opaque);
+        assert_eq!(a.vars[&v(2)], SymVal::Opaque);
+        assert_eq!(a.vars[&v(3)], SymVal::Opaque);
+        // Joining the same path again changes nothing: the fixpoint stops.
+        assert!(!a.join(&b));
+        let mut with_buffer = a.clone();
+        with_buffer.fetch_into(v(0));
+        assert!(a.join(&with_buffer));
+        assert!(a.buffers.contains(&v(0)));
     }
 }

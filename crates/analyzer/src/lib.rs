@@ -18,10 +18,12 @@
 //! * [`ir`] — the abstract syntax tree drivers describe their ioctl
 //!   handlers in (assignments, user copies, conditionals, `switch (cmd)`,
 //!   bounded loops, calls).
-//! * [`extract`] — the analyzer: symbolically executes the handler for each
-//!   command, classifying it as [`Extraction::Static`] (operation templates
-//!   linear in the ioctl argument) or [`Extraction::Jit`] (a pruned slice to
-//!   run at operation time), and detecting nested copies.
+//! * [`extract`] — the analyzer: specializes the handler to each command and
+//!   symbolically executes the slice, classifying it as
+//!   [`Extraction::Static`] (operation templates linear in the ioctl
+//!   argument) or [`Extraction::Jit`] (the slice, run at operation time),
+//!   and detecting nested copies. Its [`extract::SymVal`] and
+//!   [`extract::SymEnv`] are the analyzer's one abstract reading of the IR.
 //! * [`jit`] — the runtime evaluator the CVD frontend uses to turn a slice
 //!   plus concrete argument (and reads of the caller's own memory) into the
 //!   final grant list.
@@ -36,9 +38,10 @@
 //! # Static lint suite
 //!
 //! [`lint`] turns the extraction machinery into a safety linter
-//! (`paradice-lint`): the same specialized slices the frontend would JIT
-//! are walked by passes that flag double fetches (`DF001`/`DF002` —
-//! re-reading user memory a decision was already made on), over-grants
+//! (`paradice-lint`): the same specialized slices the frontend would JIT,
+//! read through the same `SymVal`, are checked by passes that flag double
+//! fetches (`DF001`/`DF002` — re-reading user memory a decision was already
+//! made on), over-grants
 //! (`OG001`–`OG003` — declared `_IOC` envelopes provably wider than, or
 //! disjoint from, what the handler does), structural hazards
 //! (`SH001`–`SH006` — unroll-limit loops, opaque trip counts, recursion,
@@ -51,10 +54,11 @@
 //!
 //! The order-sensitive passes sit on a proper dataflow stack ([`dataflow`]):
 //! CFG lowering, a generic worklist fixpoint solver, and interprocedural
-//! function summaries. Double-fetch v2 (`DF001`/`DF002`), user-taint copy
+//! function summaries. Double fetch (`DF001`/`DF002`), user-taint copy
 //! lengths (`TA001`/`TA002`) and the wire-protocol decode lint (`WP001`)
 //! are domains over that engine, which buys them helper-boundary reasoning
-//! and loop fixpoints the syntactic walkers never had.
+//! and loop fixpoints. The over-grant and loop passes share one
+//! all-branches walk ([`lint::envelope::Envelope`]).
 
 pub mod dataflow;
 pub mod diff;

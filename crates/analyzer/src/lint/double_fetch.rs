@@ -30,21 +30,23 @@
 //! Nested-copy fetches at user-data-derived addresses are the JIT's
 //! business and never reported here.
 //!
-//! The pre-dataflow syntactic walker survives as [`check_syntactic`]: the
-//! differential test pins the new engine to find at least everything the
-//! old one did (and strictly more — see
-//! `upgrade_when_first_copy_consumed_after_refetch`).
+//! Addresses, lengths and the environment are the analyzer's one abstract
+//! reading ([`SymEnv`]), and a fetch's byte range is
+//! [`envelope::interval`](crate::lint::envelope::interval): a fetch whose
+//! end would pass `u64::MAX` is not statically bounded and takes no part
+//! in an overlap. The syntactic walker this pass replaced is gone; its
+//! findings are frozen in `tests/fixtures/syntactic_double_fetch.expected`,
+//! and the differential tests check that this pass covers every line.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::dataflow::cfg::{lower, CfgStmt, SiteId, Terminator};
 use crate::dataflow::solver::{Analysis, Direction, JoinSemiLattice};
 use crate::dataflow::summary::{solve_program, ProcTable};
+use crate::extract::{SymEnv, SymVal};
 use crate::ir::{Expr, Handler, Stmt, VarId};
-use crate::lint::envelope::{
-    cond_field_bases, eval_expr, field_bases, merge_env, stmt_field_bases, SymScalar,
-};
+use crate::lint::envelope::{cond_field_bases, field_bases, interval, stmt_field_bases};
 use crate::lint::{DiagCode, Diagnostic};
 
 /// Address-space class of a concrete fetch interval.
@@ -56,74 +58,40 @@ enum Base {
     Arg,
 }
 
-/// A concrete fetched interval.
+/// A concrete fetched interval `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Fetch {
     base: Base,
     start: u64,
-    len: u64,
+    end: u64,
     /// The buffer variable the bytes landed in.
     var: VarId,
 }
 
 impl Fetch {
     fn overlaps(&self, other: &Fetch) -> bool {
-        self.base == other.base
-            && self.start < other.start + other.len
-            && other.start < self.start + self.len
+        self.base == other.base && self.start < other.end && other.start < self.end
     }
 
     fn describe(&self) -> String {
         match self.base {
-            Base::Abs => format!("[{:#x}, {:#x})", self.start, self.start + self.len),
-            Base::Arg => format!("[arg+{}, arg+{})", self.start, self.start + self.len),
+            Base::Abs => format!("[{:#x}, {:#x})", self.start, self.end),
+            Base::Arg => format!("[arg+{}, arg+{})", self.start, self.end),
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Flow-sensitive engine (the shipping pass)
-// ---------------------------------------------------------------------------
-
 /// Forward domain: reached fetches plus which buffers were consumed so far.
 #[derive(Debug, Clone, Default)]
 struct DfState {
-    env: BTreeMap<VarId, SymScalar>,
-    buffers: BTreeSet<VarId>,
+    env: SymEnv,
     fetches: BTreeSet<Fetch>,
     consumed: BTreeSet<VarId>,
 }
 
 impl JoinSemiLattice for DfState {
     fn join_with(&mut self, other: &Self) -> bool {
-        let mut changed = false;
-        // Environments: agreeing bindings survive; a binding present on only
-        // one path, or with different values, degrades to Opaque.
-        for (var, value) in &other.env {
-            match self.env.get(var) {
-                Some(existing) if existing == value => {}
-                Some(SymScalar::Opaque) => {}
-                _ => {
-                    self.env.insert(*var, SymScalar::Opaque);
-                    changed = true;
-                }
-            }
-        }
-        let one_sided: Vec<VarId> = self
-            .env
-            .iter()
-            .filter(|(var, value)| {
-                !other.env.contains_key(var) && **value != SymScalar::Opaque
-            })
-            .map(|(var, _)| *var)
-            .collect();
-        for var in one_sided {
-            self.env.insert(var, SymScalar::Opaque);
-            changed = true;
-        }
-        for var in &other.buffers {
-            changed |= self.buffers.insert(*var);
-        }
+        let mut changed = self.env.join(&other.env);
         for fetch in &other.fetches {
             changed |= self.fetches.insert(*fetch);
         }
@@ -134,23 +102,30 @@ impl JoinSemiLattice for DfState {
     }
 }
 
-/// The concrete fetch a `CopyFromUser` performs under `state`, if its
-/// address and length are statically known (and non-empty).
-fn concrete_fetch(state: &DfState, src: &Expr, len: &Expr, dst: VarId) -> Option<Fetch> {
-    let (base, start) = match eval_expr(&state.env, &state.buffers, src) {
-        SymScalar::Const(addr) => (Base::Abs, addr),
-        SymScalar::ArgPlus(offset) => (Base::Arg, offset),
+/// The concrete fetch a `CopyFromUser` performs in `env`, if its address
+/// and length are statically known, non-empty and bounded.
+fn concrete_fetch(
+    env: &SymEnv,
+    cmd: Option<u32>,
+    src: &Expr,
+    len: &Expr,
+    dst: VarId,
+) -> Option<Fetch> {
+    let addr = env.eval(cmd, src);
+    let base = match addr {
+        SymVal::ArgPlus(_) => Base::Arg,
+        _ => Base::Abs,
+    };
+    let (start, end) = match env.eval(cmd, len) {
+        SymVal::Const(n) if n > 0 => interval(addr, n)?,
         _ => return None,
     };
-    match eval_expr(&state.env, &state.buffers, len) {
-        SymScalar::Const(n) if n > 0 => Some(Fetch {
-            base,
-            start,
-            len: n,
-            var: dst,
-        }),
-        _ => None,
-    }
+    Some(Fetch {
+        base,
+        start,
+        end,
+        var: dst,
+    })
 }
 
 struct DfAnalysis<'a> {
@@ -169,20 +144,19 @@ impl Analysis for DfAnalysis<'_> {
         }
         match stmt {
             CfgStmt::LoopIndex(var) => {
-                state.env.insert(*var, SymScalar::Opaque);
+                state.env.vars.insert(*var, SymVal::Opaque);
                 true
             }
             CfgStmt::Ir(Stmt::Assign { var, value }) => {
-                let value = eval_expr(&state.env, &state.buffers, value);
-                state.env.insert(*var, value);
+                let value = state.env.eval(self.cmd, value);
+                state.env.vars.insert(*var, value);
                 true
             }
             CfgStmt::Ir(Stmt::CopyFromUser { dst, src, len }) => {
-                if let Some(fetch) = concrete_fetch(state, src, len, *dst) {
+                if let Some(fetch) = concrete_fetch(&state.env, self.cmd, src, len, *dst) {
                     state.fetches.insert(fetch);
                 }
-                state.buffers.insert(*dst);
-                state.env.remove(dst);
+                state.env.fetch_into(*dst);
                 true
             }
             CfgStmt::Ir(Stmt::Call(name)) => {
@@ -334,7 +308,7 @@ pub fn analyze_flow(handler: &Handler, cmd: Option<u32>) -> FlowRun {
                     // Mirror the transfer's ordering: this statement's own
                     // operand reads count as prior consumption.
                     stmt_field_bases(ir, &mut state.consumed);
-                    if let Some(fetch) = concrete_fetch(&state, src, len, *dst) {
+                    if let Some(fetch) = concrete_fetch(&state.env, cmd, src, len, *dst) {
                         report_fetch(
                             &state,
                             &afters[stmt_idx],
@@ -345,8 +319,7 @@ pub fn analyze_flow(handler: &Handler, cmd: Option<u32>) -> FlowRun {
                         );
                         state.fetches.insert(fetch);
                     }
-                    state.buffers.insert(*dst);
-                    state.env.remove(dst);
+                    state.env.fetch_into(*dst);
                 } else if !fwd.transfer_stmt(*site, stmt, &mut state) {
                     break; // callee summary never materialized; abandon
                 }
@@ -459,148 +432,11 @@ pub fn check(
     (run.blocks, run.iterations)
 }
 
-// ---------------------------------------------------------------------------
-// Syntactic v1 (kept as the differential baseline)
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Default)]
-struct SynState {
-    env: BTreeMap<VarId, SymScalar>,
-    buffers: BTreeSet<VarId>,
-    fetches: Vec<Fetch>,
-    consumed: BTreeSet<VarId>,
-}
-
-struct SynCtx<'a> {
-    driver: &'a str,
-    cmd: u32,
-    diags: Vec<Diagnostic>,
-}
-
-fn syn_walk(stmts: &[Stmt], state: &mut SynState, ctx: &mut SynCtx<'_>) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Assign { var, value } => {
-                field_bases(value, &mut state.consumed);
-                let value = eval_expr(&state.env, &state.buffers, value);
-                state.env.insert(*var, value);
-            }
-            Stmt::CopyFromUser { dst, src, len } => {
-                field_bases(src, &mut state.consumed);
-                field_bases(len, &mut state.consumed);
-                let addr = eval_expr(&state.env, &state.buffers, src);
-                let length = eval_expr(&state.env, &state.buffers, len);
-                if let (Some((base, start)), SymScalar::Const(n)) = (
-                    match addr {
-                        SymScalar::Const(a) => Some((Base::Abs, a)),
-                        SymScalar::ArgPlus(k) => Some((Base::Arg, k)),
-                        _ => None,
-                    },
-                    length,
-                ) {
-                    let fetch = Fetch {
-                        base,
-                        start,
-                        len: n,
-                        var: *dst,
-                    };
-                    let mut worst: Option<(bool, Fetch)> = None;
-                    for prior in &state.fetches {
-                        if n > 0 && prior.len > 0 && prior.overlaps(&fetch) {
-                            let consumed = state.consumed.contains(&prior.var);
-                            let better = match worst {
-                                None => true,
-                                Some((was_consumed, _)) => consumed && !was_consumed,
-                            };
-                            if better {
-                                worst = Some((consumed, *prior));
-                            }
-                        }
-                    }
-                    if let Some((consumed, prior)) = worst {
-                        let (code, verb) = if consumed {
-                            (DiagCode::Df001, "already-consumed")
-                        } else {
-                            (DiagCode::Df002, "previously-fetched")
-                        };
-                        ctx.diags.push(Diagnostic::new(
-                            code,
-                            ctx.driver,
-                            Some(ctx.cmd),
-                            format!(
-                                "re-fetches {} user region {} (first copied into {}); a \
-                                 concurrent thread can change the bytes between the fetches",
-                                verb,
-                                prior.describe(),
-                                prior.var,
-                            ),
-                        ));
-                    }
-                    state.fetches.push(fetch);
-                }
-                state.buffers.insert(*dst);
-                state.env.remove(dst);
-            }
-            Stmt::CopyToUser { dst, len } => {
-                field_bases(dst, &mut state.consumed);
-                field_bases(len, &mut state.consumed);
-            }
-            Stmt::If { cond, then, els } => {
-                cond_field_bases(cond, &mut state.consumed);
-                let shared = state.fetches.len();
-                let mut then_state = state.clone();
-                syn_walk(then, &mut then_state, ctx);
-                syn_walk(els, state, ctx);
-                // Conflicts across exclusive branches are impossible, so they
-                // were checked per-branch; afterwards, both branches' fetches
-                // and consumption conservatively persist.
-                state.env = merge_env(then_state.env, &state.env);
-                state.buffers.extend(then_state.buffers);
-                state.consumed.extend(then_state.consumed);
-                state
-                    .fetches
-                    .extend(then_state.fetches.iter().skip(shared).copied());
-            }
-            Stmt::ForRange { var, count, body } => {
-                field_bases(count, &mut state.consumed);
-                // Two passes: the second sees the first's fetches, so a
-                // loop-invariant concrete fetch conflicts with itself — the
-                // "fetch the same header every iteration" bug. Loop-variant
-                // addresses are opaque and never participate.
-                state.env.insert(*var, SymScalar::Opaque);
-                syn_walk(body, state, ctx);
-                syn_walk(body, state, ctx);
-            }
-            Stmt::Return => return,
-            Stmt::SwitchCmd { .. } | Stmt::Call(_) => {}
-        }
-    }
-}
-
-/// The pre-dataflow syntactic double-fetch pass, run over a fully-inlined
-/// specialized slice. Kept verbatim as the differential-test baseline: the
-/// flow-sensitive [`check`] must find everything this does. Its known blind
-/// spot — classification happens at fetch time, so consumption *after* the
-/// re-fetch never upgrades DF002 to DF001 — is exactly what the dataflow
-/// engine fixes.
-pub fn check_syntactic(driver: &str, cmd: u32, slice: &[Stmt], diags: &mut Vec<Diagnostic>) {
-    let mut ctx = SynCtx {
-        driver,
-        cmd,
-        diags: Vec::new(),
-    };
-    let mut state = SynState::default();
-    syn_walk(slice, &mut state, &mut ctx);
-    // The two-pass loop walk can report one site twice; keep each distinct
-    // finding once.
-    ctx.diags
-        .dedup_by(|a, b| a.code == b.code && a.message == b.message);
-    diags.extend(ctx.diags);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use crate::ir::{Cond, Function};
     use crate::lint::Severity;
 
@@ -623,24 +459,9 @@ mod tests {
         diags
     }
 
-    fn run_syntactic(slice: &[Stmt]) -> Vec<Diagnostic> {
-        let mut diags = Vec::new();
-        check_syntactic("test", 0x1234, slice, &mut diags);
-        diags
-    }
-
-    /// Both engines, asserted to agree (the differential test does this at
-    /// corpus scale; here it documents per-scenario expectations).
-    fn run_both(slice: &[Stmt]) -> Vec<Diagnostic> {
-        let flow = run_flow(slice);
-        let syn = run_syntactic(slice);
-        assert_eq!(
-            flow.iter().map(|d| d.code).collect::<Vec<_>>(),
-            syn.iter().map(|d| d.code).collect::<Vec<_>>(),
-            "flow vs syntactic disagreement"
-        );
-        flow
-    }
+    // Each test down to the flow-only cases asserts the exact code list;
+    // the syntactic walker this pass replaced reported the same list on
+    // every one of these shapes.
 
     #[test]
     fn consumed_refetch_is_df001() {
@@ -652,7 +473,7 @@ mod tests {
             },
             fetch(1, 16),
         ];
-        let diags = run_both(&slice);
+        let diags = run_flow(&slice);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, DiagCode::Df001);
         assert_eq!(diags[0].severity, Severity::Error);
@@ -660,7 +481,7 @@ mod tests {
 
     #[test]
     fn unconsumed_refetch_is_df002() {
-        let diags = run_both(&[fetch(0, 8), fetch(1, 8)]);
+        let diags = run_flow(&[fetch(0, 8), fetch(1, 8)]);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, DiagCode::Df002);
         assert_eq!(diags[0].severity, Severity::Warning);
@@ -680,7 +501,7 @@ mod tests {
                 len: Expr::Const(8),
             },
         ];
-        let diags = run_both(&slice);
+        let diags = run_flow(&slice);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, DiagCode::Df001);
     }
@@ -695,7 +516,7 @@ mod tests {
                 len: Expr::Const(8),
             },
         ];
-        assert!(run_both(&slice).is_empty());
+        assert!(run_flow(&slice).is_empty());
     }
 
     #[test]
@@ -709,7 +530,7 @@ mod tests {
                 len: Expr::field(v(0), 16, 8),
             },
         ];
-        assert!(run_both(&slice).is_empty());
+        assert!(run_flow(&slice).is_empty());
     }
 
     #[test]
@@ -719,7 +540,7 @@ mod tests {
             then: vec![fetch(0, 16)],
             els: vec![fetch(1, 16)],
         }];
-        assert!(run_both(&both_branches_fetch).is_empty());
+        assert!(run_flow(&both_branches_fetch).is_empty());
     }
 
     #[test]
@@ -732,7 +553,7 @@ mod tests {
             },
             fetch(1, 16),
         ];
-        let diags = run_both(&slice);
+        let diags = run_flow(&slice);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, DiagCode::Df002);
     }
@@ -744,7 +565,7 @@ mod tests {
             count: Expr::Const(4),
             body: vec![fetch(0, 8)],
         }];
-        let diags = run_both(&slice);
+        let diags = run_flow(&slice);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, DiagCode::Df002);
     }
@@ -760,15 +581,15 @@ mod tests {
                 len: Expr::Const(16),
             }],
         }];
-        assert!(run_both(&slice).is_empty());
+        assert!(run_flow(&slice).is_empty());
     }
 
     // -- cases only the flow-sensitive engine gets right ---------------------
 
     #[test]
     fn upgrade_when_first_copy_consumed_after_refetch() {
-        // The v1 blind spot: the first copy is consumed *after* the
-        // re-fetch, so v1 can only ever say DF002.
+        // The syntactic walker's blind spot: the first copy is consumed
+        // *after* the re-fetch, so classifying at fetch time said DF002.
         let slice = vec![
             fetch(0, 16),
             fetch(1, 16),
@@ -777,9 +598,6 @@ mod tests {
                 value: Expr::field(v(0), 0, 4),
             },
         ];
-        let syn = run_syntactic(&slice);
-        assert_eq!(syn.len(), 1);
-        assert_eq!(syn[0].code, DiagCode::Df002, "v1 baseline misses the upgrade");
         let flow = run_flow(&slice);
         assert_eq!(flow.len(), 1);
         assert_eq!(flow[0].code, DiagCode::Df001);
@@ -860,5 +678,15 @@ mod tests {
     fn flow_findings_carry_sites() {
         let diags = run_flow(&[fetch(0, 8), fetch(1, 8)]);
         assert_eq!(diags[0].site.as_deref(), Some("ioctl#1"));
+    }
+
+    #[test]
+    fn a_fetch_whose_end_wraps_takes_no_part_in_an_overlap() {
+        let wrapping = |dst: u32| Stmt::CopyFromUser {
+            dst: v(dst),
+            src: Expr::Const(0xffff_ffff_ffff_fffc),
+            len: Expr::Const(8),
+        };
+        assert!(run_flow(&[wrapping(0), wrapping(1)]).is_empty());
     }
 }

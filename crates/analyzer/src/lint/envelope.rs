@@ -1,77 +1,21 @@
-//! Shared symbolic machinery for the lint passes.
+//! The all-branches reading of a specialized slice, shared by the lint
+//! passes.
 //!
-//! Every pass walks a *specialized slice* (see
-//! [`specialize_command`](crate::extract::specialize_command)) and needs the
-//! same question answered: "what does this address/length expression look
-//! like relative to the ioctl argument?". [`SymScalar`] is the lint suite's
-//! slightly coarser cousin of the extractor's internal lattice — it keeps
-//! the distinction between *user-data-derived* values (nested copies; fine,
-//! the JIT grants them precisely) and *opaque* values (unbound variables,
-//! nonlinear arithmetic; the analyzer can say nothing about them).
+//! Extraction follows one path: it resolves constant branches and stops at
+//! the first copy that needs runtime data. A lint pass must instead see
+//! everything a command *can* do. [`Envelope::of`] walks every arm of every
+//! `If` and every loop body once, over the analyzer's one abstract value
+//! ([`SymVal`]) and environment ([`SymEnv`]), joining the two arms'
+//! environments where they meet. It records each user-memory access, which
+//! [`over_grant`](super::over_grant) reads, and each loop's trip count,
+//! which [`loops`](super::loops) reads. [`interval`] is the one place a
+//! static access becomes a byte range, for those passes and
+//! [`double_fetch`](super::double_fetch) alike.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
+use crate::extract::{SymEnv, SymVal};
 use crate::ir::{Cond, Expr, OpKind, Stmt, VarId};
-
-/// Symbolic value of a scalar expression in a specialized slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SymScalar {
-    /// A compile-time constant (absolute address or literal length).
-    Const(u64),
-    /// The ioctl argument plus a constant offset — the declared-envelope
-    /// case.
-    ArgPlus(u64),
-    /// Derived from bytes copied in from user space (nested-copy data; the
-    /// JIT path grants these exactly at runtime).
-    UserData,
-    /// Nothing useful is known (unbound variable, nonlinear arithmetic).
-    Opaque,
-}
-
-impl SymScalar {
-    /// Whether a memory access at this address can escape static reasoning.
-    pub fn is_dynamic(self) -> bool {
-        matches!(self, SymScalar::UserData | SymScalar::Opaque)
-    }
-}
-
-/// Evaluates an expression against an environment of scalar bindings and a
-/// set of variables known to hold user-copied buffers.
-pub fn eval_expr(
-    env: &BTreeMap<VarId, SymScalar>,
-    buffers: &BTreeSet<VarId>,
-    expr: &Expr,
-) -> SymScalar {
-    match expr {
-        Expr::Const(value) => SymScalar::Const(*value),
-        Expr::Arg => SymScalar::ArgPlus(0),
-        // Slices are specialized to one command, but the constant is not
-        // threaded here; `Cmd` in address math is driver-defined weirdness.
-        Expr::Cmd => SymScalar::Opaque,
-        Expr::Var(var) => env.get(var).copied().unwrap_or(SymScalar::Opaque),
-        Expr::Field { base, .. } => {
-            if buffers.contains(base) {
-                SymScalar::UserData
-            } else {
-                SymScalar::Opaque
-            }
-        }
-        Expr::Add(a, b) => match (eval_expr(env, buffers, a), eval_expr(env, buffers, b)) {
-            (SymScalar::Const(x), SymScalar::Const(y)) => SymScalar::Const(x.wrapping_add(y)),
-            (SymScalar::ArgPlus(x), SymScalar::Const(y))
-            | (SymScalar::Const(y), SymScalar::ArgPlus(x)) => {
-                SymScalar::ArgPlus(x.wrapping_add(y))
-            }
-            (SymScalar::UserData, _) | (_, SymScalar::UserData) => SymScalar::UserData,
-            _ => SymScalar::Opaque,
-        },
-        Expr::Mul(a, b) => match (eval_expr(env, buffers, a), eval_expr(env, buffers, b)) {
-            (SymScalar::Const(x), SymScalar::Const(y)) => SymScalar::Const(x.wrapping_mul(y)),
-            (SymScalar::UserData, _) | (_, SymScalar::UserData) => SymScalar::UserData,
-            _ => SymScalar::Opaque,
-        },
-    }
-}
 
 /// Collects every buffer variable whose *fields* an expression reads — the
 /// consumption signal the double-fetch pass keys on.
@@ -95,29 +39,15 @@ pub fn stmt_field_bases(stmt: &Stmt, out: &mut BTreeSet<VarId>) {
     });
 }
 
-/// Merges the variable environments of two exclusive branches: bindings that
-/// agree survive, everything else degrades to [`SymScalar::Opaque`].
-pub fn merge_env(
-    mut then_env: BTreeMap<VarId, SymScalar>,
-    els_env: &BTreeMap<VarId, SymScalar>,
-) -> BTreeMap<VarId, SymScalar> {
-    for (var, value) in els_env {
-        match then_env.get(var) {
-            Some(existing) if existing == value => {}
-            _ => {
-                then_env.insert(*var, SymScalar::Opaque);
-            }
-        }
+/// The `[start, end)` byte range of a `len`-byte access at a constant or
+/// `arg + k` address, relative to its base. `None` for a dynamic address,
+/// and for a range whose end overflows `u64`: that access is not
+/// statically bounded.
+pub fn interval(addr: SymVal, len: u64) -> Option<(u64, u64)> {
+    match addr {
+        SymVal::Const(start) | SymVal::ArgPlus(start) => Some((start, start.checked_add(len)?)),
+        SymVal::UserData | SymVal::Opaque => None,
     }
-    let stale: Vec<VarId> = then_env
-        .keys()
-        .filter(|var| !els_env.contains_key(*var))
-        .copied()
-        .collect();
-    for var in stale {
-        then_env.insert(var, SymScalar::Opaque);
-    }
-    then_env
 }
 
 /// One user-memory access observed while walking a slice.
@@ -126,96 +56,85 @@ pub struct Access {
     /// Copy direction.
     pub kind: OpKind,
     /// Symbolic address.
-    pub addr: SymScalar,
+    pub addr: SymVal,
     /// Constant byte length, if statically known.
     pub len: Option<u64>,
-    /// Whether the access sits inside a `ForRange` body.
-    pub in_loop: bool,
 }
 
 impl Access {
     /// The `[offset, offset+len)` interval inside the declared `arg`
-    /// envelope, when both ends are statically known.
+    /// envelope, when the access is statically bounded there.
     pub fn arg_interval(&self) -> Option<(u64, u64)> {
-        match (self.addr, self.len) {
-            (SymScalar::ArgPlus(offset), Some(len)) => Some((offset, offset + len)),
+        match self.addr {
+            SymVal::ArgPlus(_) => interval(self.addr, self.len?),
             _ => None,
         }
     }
 }
 
-fn walk(
-    stmts: &[Stmt],
-    env: &mut BTreeMap<VarId, SymScalar>,
-    buffers: &mut BTreeSet<VarId>,
-    in_loop: bool,
-    out: &mut Vec<Access>,
-) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Assign { var, value } => {
-                let value = eval_expr(env, buffers, value);
-                env.insert(*var, value);
-            }
-            Stmt::CopyFromUser { dst, src, len } => {
-                let addr = eval_expr(env, buffers, src);
-                let len = match eval_expr(env, buffers, len) {
-                    SymScalar::Const(n) => Some(n),
-                    _ => None,
-                };
-                out.push(Access {
-                    kind: OpKind::CopyFromUser,
-                    addr,
-                    len,
-                    in_loop,
-                });
-                buffers.insert(*dst);
-                env.remove(dst);
-            }
-            Stmt::CopyToUser { dst, len } => {
-                let addr = eval_expr(env, buffers, dst);
-                let len = match eval_expr(env, buffers, len) {
-                    SymScalar::Const(n) => Some(n),
-                    _ => None,
-                };
-                out.push(Access {
-                    kind: OpKind::CopyToUser,
-                    addr,
-                    len,
-                    in_loop,
-                });
-            }
-            Stmt::If { then, els, .. } => {
-                let mut then_env = env.clone();
-                let mut then_buffers = buffers.clone();
-                walk(then, &mut then_env, &mut then_buffers, in_loop, out);
-                walk(els, env, buffers, in_loop, out);
-                *env = merge_env(then_env, env);
-                buffers.extend(then_buffers);
-            }
-            Stmt::ForRange { var, body, .. } => {
-                // One conservative pass with the counter opaque: accesses
-                // whose address depends on it surface as dynamic, which is
-                // exactly how the grant machinery must treat them.
-                env.insert(*var, SymScalar::Opaque);
-                walk(body, env, buffers, true, out);
-            }
-            Stmt::Return => return,
-            // Slices are specialized; anything left is malformed and the
-            // orchestrator reports it before the passes run.
-            Stmt::SwitchCmd { .. } | Stmt::Call(_) => {}
-        }
-    }
+/// What one all-branches walk of a specialized slice observes.
+#[derive(Debug, Default)]
+pub struct Envelope {
+    /// Every user-memory access the slice can perform, in statement order.
+    pub accesses: Vec<Access>,
+    /// Every loop's symbolic trip count, in statement order.
+    pub trip_counts: Vec<SymVal>,
 }
 
-/// Collects every user-memory access a specialized slice can perform, over
-/// *all* branches (both arms of each `If`, loop bodies once).
-pub fn collect_accesses(slice: &[Stmt]) -> Vec<Access> {
-    let mut env = BTreeMap::new();
-    let mut buffers = BTreeSet::new();
-    let mut out = Vec::new();
-    walk(slice, &mut env, &mut buffers, false, &mut out);
-    out
+impl Envelope {
+    /// Walks `slice`, specialized to `cmd`, over all branches: both arms of
+    /// each `If`, each loop body once with its counter opaque.
+    pub fn of(cmd: u32, slice: &[Stmt]) -> Envelope {
+        let mut out = Envelope::default();
+        out.walk(Some(cmd), slice, &mut SymEnv::default());
+        out
+    }
+
+    fn record(&mut self, kind: OpKind, addr: SymVal, len: SymVal) {
+        let len = match len {
+            SymVal::Const(n) => Some(n),
+            _ => None,
+        };
+        self.accesses.push(Access { kind, addr, len });
+    }
+
+    fn walk(&mut self, cmd: Option<u32>, stmts: &[Stmt], env: &mut SymEnv) {
+        for stmt in stmts {
+            match stmt {
+                Stmt::Assign { var, value } => {
+                    let value = env.eval(cmd, value);
+                    env.vars.insert(*var, value);
+                }
+                Stmt::CopyFromUser { dst, src, len } => {
+                    let (addr, len) = (env.eval(cmd, src), env.eval(cmd, len));
+                    self.record(OpKind::CopyFromUser, addr, len);
+                    env.fetch_into(*dst);
+                }
+                Stmt::CopyToUser { dst, len } => {
+                    let (addr, len) = (env.eval(cmd, dst), env.eval(cmd, len));
+                    self.record(OpKind::CopyToUser, addr, len);
+                }
+                Stmt::If { then, els, .. } => {
+                    let mut then_env = env.clone();
+                    self.walk(cmd, then, &mut then_env);
+                    self.walk(cmd, els, env);
+                    env.join(&then_env);
+                }
+                Stmt::ForRange { var, count, body } => {
+                    // One conservative pass with the counter opaque: accesses
+                    // whose address depends on it surface as dynamic, which
+                    // is exactly how the grant machinery must treat them.
+                    self.trip_counts.push(env.eval(cmd, count));
+                    env.vars.insert(*var, SymVal::Opaque);
+                    self.walk(cmd, body, env);
+                }
+                Stmt::Return => return,
+                // Slices are specialized; anything left is malformed and the
+                // orchestrator reports it before the passes run.
+                Stmt::SwitchCmd { .. } | Stmt::Call(_) => {}
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -247,7 +166,7 @@ mod tests {
                 }],
             },
         ];
-        let accesses = collect_accesses(&slice);
+        let accesses = Envelope::of(0, &slice).accesses;
         assert_eq!(accesses.len(), 3);
         assert_eq!(accesses[1].arg_interval(), Some((8, 16)));
         assert_eq!(accesses[2].arg_interval(), Some((0, 4)));
@@ -263,9 +182,8 @@ mod tests {
                 len: Expr::Const(16),
             }],
         }];
-        let accesses = collect_accesses(&slice);
+        let accesses = Envelope::of(0, &slice).accesses;
         assert_eq!(accesses.len(), 1);
-        assert!(accesses[0].in_loop);
         assert!(accesses[0].addr.is_dynamic());
     }
 
@@ -283,8 +201,8 @@ mod tests {
                 len: Expr::field(v(0), 8, 4),
             },
         ];
-        let accesses = collect_accesses(&slice);
-        assert_eq!(accesses[1].addr, SymScalar::UserData);
+        let accesses = Envelope::of(0, &slice).accesses;
+        assert_eq!(accesses[1].addr, SymVal::UserData);
         assert_eq!(accesses[1].len, None);
     }
 
@@ -300,17 +218,30 @@ mod tests {
     }
 
     #[test]
-    fn merge_env_keeps_agreement_only() {
-        let mut a = BTreeMap::new();
-        a.insert(v(0), SymScalar::Const(1));
-        a.insert(v(1), SymScalar::Const(2));
-        let mut b = BTreeMap::new();
-        b.insert(v(0), SymScalar::Const(1));
-        b.insert(v(1), SymScalar::Const(3));
-        b.insert(v(2), SymScalar::Const(4));
-        let merged = merge_env(a, &b);
-        assert_eq!(merged[&v(0)], SymScalar::Const(1));
-        assert_eq!(merged[&v(1)], SymScalar::Opaque);
-        assert_eq!(merged[&v(2)], SymScalar::Opaque);
+    fn trip_counts_are_read_after_joining_both_arms() {
+        let assign = |var: u32, n: u64| Stmt::Assign {
+            var: v(var),
+            value: Expr::Const(n),
+        };
+        let count = |var: u32| Stmt::ForRange {
+            var: v(9),
+            count: Expr::Var(v(var)),
+            body: vec![],
+        };
+        let slice = vec![
+            Stmt::If {
+                cond: Cond::Eq(Expr::Arg, Expr::Const(0)),
+                then: vec![assign(1, 4), assign(2, 4)],
+                els: vec![assign(1, 4), assign(2, 8), count(2)],
+            },
+            count(1),
+            count(2),
+        ];
+        // The else arm sees its own binding, not the then arm's; after the
+        // join only the agreeing binding survives.
+        assert_eq!(
+            Envelope::of(0, &slice).trip_counts,
+            vec![SymVal::Const(8), SymVal::Const(4), SymVal::Opaque]
+        );
     }
 }

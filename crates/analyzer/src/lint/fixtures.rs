@@ -259,22 +259,21 @@ mod tests {
 
     #[test]
     fn cross_helper_double_fetch_upgrades_past_the_syntactic_pass() {
-        // The syntactic walker classifies at fetch time: when the helper
-        // re-fetches, nothing is consumed yet, so it reports only DF002.
-        // The flow pass sees the post-re-fetch consumption via the backward
-        // summary and upgrades to DF001.
-        use crate::extract::specialize_command;
-        let handler = buggy_handler();
-        let slice = specialize_command(&handler, FIX_XHELPER_DF.raw()).unwrap();
-        let mut syn = Vec::new();
-        crate::lint::double_fetch::check_syntactic(
-            FIXTURE_DRIVER,
-            FIX_XHELPER_DF.raw(),
-            &slice,
-            &mut syn,
+        // The syntactic walker classified at fetch time: when the helper
+        // re-fetched, nothing was consumed yet, so it reported only DF002
+        // (its frozen findings). The flow pass sees the post-re-fetch
+        // consumption via the backward summary and upgrades to DF001.
+        let frozen = include_str!("../../../../tests/fixtures/syntactic_double_fetch.expected");
+        let cmd = FIX_XHELPER_DF.raw();
+        let line = format!("{FIXTURE_DRIVER} {cmd:#010x} DF002");
+        assert!(frozen.lines().any(|l| l == line), "{frozen}");
+        let diags = lint_handler(FIXTURE_DRIVER, &buggy_handler());
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.code == DiagCode::Df001 && d.command == Some(cmd)),
+            "{diags:?}"
         );
-        assert!(syn.iter().any(|d| d.code == DiagCode::Df002), "{syn:?}");
-        assert!(!syn.iter().any(|d| d.code == DiagCode::Df001), "{syn:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Structural loop hazards — `SH001`/`SH002`.
 //!
 //! * **SH001** (warning): a constant trip count above
-//!   [`MAX_UNROLL`](crate::extract::MAX_UNROLL). The extractor refuses to
+//!   [`MAX_UNROLL`]. The extractor refuses to
 //!   unroll it, so a command that could have had a static grant-table entry
 //!   silently pays the JIT path on every call.
 //! * **SH002** (warning): an *opaque* trip count — not constant, not the
@@ -11,89 +11,47 @@
 //!   information the real driver had.
 //!
 //! User-data-derived counts (`hdr.count`-style) are the normal nested-copy
-//! shape and are not reported.
+//! shape and are not reported. The trip counts come from the shared
+//! all-branches walk ([`Envelope`]), which joins the environments of a
+//! branch's two arms where they meet.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use crate::extract::MAX_UNROLL;
-use crate::ir::{Stmt, VarId};
-use crate::lint::envelope::{eval_expr, SymScalar};
+use crate::extract::{SymVal, MAX_UNROLL};
+use crate::lint::envelope::Envelope;
 use crate::lint::{DiagCode, Diagnostic};
 
-struct LoopCtx<'a> {
-    driver: &'a str,
-    cmd: u32,
-}
-
-fn walk(
-    stmts: &[Stmt],
-    env: &mut BTreeMap<VarId, SymScalar>,
-    buffers: &mut BTreeSet<VarId>,
-    ctx: &LoopCtx<'_>,
-    diags: &mut Vec<Diagnostic>,
-) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Assign { var, value } => {
-                let value = eval_expr(env, buffers, value);
-                env.insert(*var, value);
-            }
-            Stmt::CopyFromUser { dst, .. } => {
-                buffers.insert(*dst);
-                env.remove(dst);
-            }
-            Stmt::If { then, els, .. } => {
-                walk(then, env, buffers, ctx, diags);
-                walk(els, env, buffers, ctx, diags);
-            }
-            Stmt::ForRange { var, count, body } => {
-                match eval_expr(env, buffers, count) {
-                    SymScalar::Const(n) if n > MAX_UNROLL => diags.push(Diagnostic::new(
-                        DiagCode::Sh001,
-                        ctx.driver,
-                        Some(ctx.cmd),
-                        format!(
-                            "loop with constant trip count {n} exceeds the static \
-                             unroll limit ({MAX_UNROLL}); the command forfeits its \
-                             static grant-table entry and JITs on every call",
-                        ),
-                    )),
-                    SymScalar::Opaque => diags.push(Diagnostic::new(
-                        DiagCode::Sh002,
-                        ctx.driver,
-                        Some(ctx.cmd),
-                        "loop trip count is opaque to the analyzer (not constant, not \
-                         argument-derived, not user-copied data); its operations cannot \
-                         be predicted"
-                            .to_owned(),
-                    )),
-                    _ => {}
-                }
-                env.insert(*var, SymScalar::Opaque);
-                walk(body, env, buffers, ctx, diags);
-            }
-            Stmt::Return => return,
-            Stmt::CopyToUser { .. } | Stmt::SwitchCmd { .. } | Stmt::Call(_) => {}
+/// Runs the loop-hazard pass over the trip counts of one command's
+/// all-branches envelope.
+pub fn check(driver: &str, cmd: u32, envelope: &Envelope, diags: &mut Vec<Diagnostic>) {
+    for count in &envelope.trip_counts {
+        match *count {
+            SymVal::Const(n) if n > MAX_UNROLL => diags.push(Diagnostic::new(
+                DiagCode::Sh001,
+                driver,
+                Some(cmd),
+                format!(
+                    "loop with constant trip count {n} exceeds the static \
+                     unroll limit ({MAX_UNROLL}); the command forfeits its \
+                     static grant-table entry and JITs on every call",
+                ),
+            )),
+            SymVal::Opaque => diags.push(Diagnostic::new(
+                DiagCode::Sh002,
+                driver,
+                Some(cmd),
+                "loop trip count is opaque to the analyzer (not constant, not \
+                 argument-derived, not user-copied data); its operations cannot \
+                 be predicted"
+                    .to_owned(),
+            )),
+            _ => {}
         }
     }
-}
-
-/// Runs the loop-hazard pass over one command's specialized slice.
-pub fn check(driver: &str, cmd: u32, slice: &[Stmt], diags: &mut Vec<Diagnostic>) {
-    let ctx = LoopCtx { driver, cmd };
-    walk(
-        slice,
-        &mut BTreeMap::new(),
-        &mut BTreeSet::new(),
-        &ctx,
-        diags,
-    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::Expr;
+    use crate::ir::{Expr, Stmt, VarId};
 
     fn v(n: u32) -> VarId {
         VarId(n)
@@ -101,7 +59,7 @@ mod tests {
 
     fn run(slice: &[Stmt]) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
-        check("test", 0, slice, &mut diags);
+        check("test", 0, &Envelope::of(0, slice), &mut diags);
         diags
     }
 

@@ -72,6 +72,7 @@ use paradice_trace::json_escape;
 
 use crate::extract::{specialize_command, ExtractionError};
 use crate::ir::Handler;
+use crate::lint::envelope::Envelope;
 
 /// How bad a finding is. `Error`-class findings fail `paradice-lint`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -447,6 +448,16 @@ impl LintStats {
     }
 }
 
+/// Runs one pass, charging its wall time and the `(blocks, iterations)`
+/// it returns (zeros for passes that solve no dataflow) to `stats`.
+fn timed(stats: &mut PassStats, pass: impl FnOnce() -> (usize, usize)) {
+    let t0 = Instant::now();
+    let (blocks, iterations) = pass();
+    stats.blocks += blocks;
+    stats.iterations += iterations;
+    stats.wall_ns += t0.elapsed().as_nanos();
+}
+
 /// Runs every static pass over one handler and returns the deduped
 /// findings, ordered by command.
 pub fn lint_handler(driver: &str, handler: &Handler) -> Vec<Diagnostic> {
@@ -463,47 +474,33 @@ pub fn lint_handler_with_stats(
     for pass in ["dispatch", "double_fetch", "loops", "over_grant", "taint"] {
         stats.pass_mut(pass).handlers += 1;
     }
-    {
-        let t0 = Instant::now();
+    timed(stats.pass_mut("dispatch"), || {
         dispatch::check_handler(driver, handler, &mut diags);
-        stats.pass_mut("dispatch").wall_ns += t0.elapsed().as_nanos();
-    }
+        (0, 0)
+    });
     for cmd in handler.commands() {
         match specialize_command(handler, cmd) {
             Ok(slice) => {
-                {
-                    let t0 = Instant::now();
-                    let (blocks, iterations) = double_fetch::check(driver, cmd, handler, &mut diags);
-                    let s = stats.pass_mut("double_fetch");
-                    s.commands += 1;
-                    s.blocks += blocks;
-                    s.iterations += iterations;
-                    s.wall_ns += t0.elapsed().as_nanos();
+                for pass in ["double_fetch", "loops", "over_grant", "taint"] {
+                    stats.pass_mut(pass).commands += 1;
                 }
-                {
-                    let t0 = Instant::now();
-                    let (blocks, iterations) = taint::check(driver, cmd, handler, &mut diags);
-                    let s = stats.pass_mut("taint");
-                    s.commands += 1;
-                    s.blocks += blocks;
-                    s.iterations += iterations;
-                    s.wall_ns += t0.elapsed().as_nanos();
-                }
-                {
-                    let t0 = Instant::now();
-                    over_grant::check(driver, cmd, &slice, &mut diags);
-                    let s = stats.pass_mut("over_grant");
-                    s.commands += 1;
-                    s.wall_ns += t0.elapsed().as_nanos();
-                }
-                {
-                    let t0 = Instant::now();
-                    loops::check(driver, cmd, &slice, &mut diags);
+                timed(stats.pass_mut("double_fetch"), || {
+                    double_fetch::check(driver, cmd, handler, &mut diags)
+                });
+                timed(stats.pass_mut("taint"), || {
+                    taint::check(driver, cmd, handler, &mut diags)
+                });
+                // One all-branches walk feeds both syntactic passes.
+                let envelope = Envelope::of(cmd, &slice);
+                timed(stats.pass_mut("over_grant"), || {
+                    over_grant::check(driver, cmd, &envelope, &mut diags);
+                    (0, 0)
+                });
+                timed(stats.pass_mut("loops"), || {
+                    loops::check(driver, cmd, &envelope, &mut diags);
                     dispatch::check_chain_depth(driver, cmd, &slice, &mut diags);
-                    let s = stats.pass_mut("loops");
-                    s.commands += 1;
-                    s.wall_ns += t0.elapsed().as_nanos();
-                }
+                    (0, 0)
+                });
             }
             Err(ExtractionError::CallDepthExceeded) => diags.push(Diagnostic::new(
                 DiagCode::Sh003,

@@ -18,12 +18,15 @@
 //!
 //! Accesses at user-data-derived or opaque addresses (nested copies) are
 //! granted precisely by the JIT path and suppress OG001/OG002 for their
-//! direction — the pass only claims what it can prove.
+//! direction — the pass only claims what it can prove. So does an access
+//! whose end would pass `u64::MAX`: it has no interval to compare.
+//! The accesses come from the shared all-branches walk ([`Envelope`]).
 
 use paradice_devfs::ioc::IoctlCmd;
 
-use crate::ir::{OpKind, Stmt};
-use crate::lint::envelope::{collect_accesses, Access, SymScalar};
+use crate::extract::SymVal;
+use crate::ir::OpKind;
+use crate::lint::envelope::{Access, Envelope};
 use crate::lint::{DiagCode, Diagnostic};
 
 fn direction_name(kind: OpKind) -> &'static str {
@@ -42,12 +45,16 @@ fn check_direction(
     declared_size: u64,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let of_kind: Vec<&Access> = accesses.iter().filter(|a| a.kind == kind).collect();
-    let has_dynamic = of_kind
+    // Absolute-address accesses don't participate in the arg envelope; they
+    // are rare (fixed mappings) and granted as absolute static templates.
+    let of_kind: Vec<&Access> = accesses
         .iter()
-        .any(|a| a.addr.is_dynamic() || a.len.is_none());
-    let arg_intervals: Vec<(u64, u64)> =
-        of_kind.iter().filter_map(|a| a.arg_interval()).collect();
+        .filter(|a| a.kind == kind && !matches!(a.addr, SymVal::Const(_)))
+        .collect();
+    let arg_intervals: Vec<(u64, u64)> = of_kind.iter().filter_map(|a| a.arg_interval()).collect();
+    // An access with no interval (a dynamic address or length, or an end
+    // past `u64::MAX`) is not statically bounded: the JIT grants it.
+    let has_dynamic = arg_intervals.len() < of_kind.len();
     let max_extent = arg_intervals.iter().map(|(_, end)| *end).max().unwrap_or(0);
 
     if declared && declared_size > 0 {
@@ -120,41 +127,22 @@ fn check_direction(
     }
 }
 
-/// Runs the over-grant pass over one command's specialized slice.
-pub fn check(driver: &str, cmd: u32, slice: &[Stmt], diags: &mut Vec<Diagnostic>) {
+/// Runs the over-grant pass over one command's all-branches envelope.
+pub fn check(driver: &str, cmd: u32, envelope: &Envelope, diags: &mut Vec<Diagnostic>) {
     let ioc = IoctlCmd(cmd);
-    let accesses = collect_accesses(slice);
-    // Absolute-address accesses don't participate in the arg envelope; they
-    // are rare (fixed mappings) and granted as absolute static templates.
-    let accesses: Vec<Access> = accesses
-        .into_iter()
-        .filter(|a| !matches!(a.addr, SymScalar::Const(_)))
-        .collect();
     let size = u64::from(ioc.size());
-    check_direction(
-        driver,
-        cmd,
-        &accesses,
-        OpKind::CopyFromUser,
-        ioc.dir().copies_from_user(),
-        size,
-        diags,
-    );
-    check_direction(
-        driver,
-        cmd,
-        &accesses,
-        OpKind::CopyToUser,
-        ioc.dir().copies_to_user(),
-        size,
-        diags,
-    );
+    for (kind, declared) in [
+        (OpKind::CopyFromUser, ioc.dir().copies_from_user()),
+        (OpKind::CopyToUser, ioc.dir().copies_to_user()),
+    ] {
+        check_direction(driver, cmd, &envelope.accesses, kind, declared, size, diags);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Expr, VarId};
+    use crate::ir::{Expr, Stmt, VarId};
     use paradice_devfs::ioc::{io, ior, iow, iowr};
 
     fn v(n: u32) -> VarId {
@@ -177,7 +165,7 @@ mod tests {
 
     fn run(cmd: u32, slice: &[Stmt]) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
-        check("test", cmd, slice, &mut diags);
+        check("test", cmd, &Envelope::of(cmd, slice), &mut diags);
         diags
     }
 
@@ -282,5 +270,24 @@ mod tests {
         let diags = run(io(b'X', 8).raw(), &slice);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, DiagCode::Og003);
+    }
+
+    #[test]
+    fn an_access_whose_end_wraps_is_not_statically_bounded() {
+        // `arg + u64::MAX` is `arg - 1`: the 8 bytes straddle the argument,
+        // so no interval inside the envelope describes them. The to-user
+        // direction is dynamic, not a 7-byte over-grant.
+        let slice = vec![
+            Stmt::CopyFromUser {
+                dst: v(0),
+                src: Expr::Arg,
+                len: Expr::Const(16),
+            },
+            Stmt::CopyToUser {
+                dst: Expr::add(Expr::Arg, Expr::Const(u64::MAX)),
+                len: Expr::Const(8),
+            },
+        ];
+        assert!(run(iowr(b'T', 1, 16).raw(), &slice).is_empty());
     }
 }

@@ -645,22 +645,19 @@ impl Machine {
             (None, None) => unreachable!("a machine without a backend has a host table"),
         };
         if self.backend.is_some() {
-            // Install analyzer knowledge and plug the device info module
-            // into every guest (§5.1).
+            // Install analyzer knowledge, analyzed once per device, and plug
+            // the device info module into every guest (§5.1).
+            let ir = match spec {
+                DeviceSpec::Gpu { .. } => Some(radeon_handler_3_2_0()),
+                DeviceSpec::IntelGpu { .. } => Some(i915_handler_ir()),
+                _ => None,
+            };
+            let report = ir.map(|ir| analyze_handler(&ir)).transpose();
+            let report = report.map_err(|e| MachineError::Config(e.to_string()))?;
             for (i, frontend) in self.frontends.iter().enumerate() {
-                if matches!(spec, DeviceSpec::Gpu { .. }) {
-                    let report = analyze_handler(&radeon_handler_3_2_0())
-                        .map_err(|e| MachineError::Config(e.to_string()))?;
-                    frontend
-                        .borrow_mut()
-                        .install_knowledge(spec.path(), IoctlKnowledge::from_report(report));
-                }
-                if matches!(spec, DeviceSpec::IntelGpu { .. }) {
-                    let report = analyze_handler(&i915_handler_ir())
-                        .map_err(|e| MachineError::Config(e.to_string()))?;
-                    frontend
-                        .borrow_mut()
-                        .install_knowledge(spec.path(), IoctlKnowledge::from_report(report));
+                if let Some(report) = &report {
+                    let knowledge = IoctlKnowledge::from_report(report.clone());
+                    frontend.borrow_mut().install_knowledge(spec.path(), knowledge);
                 }
                 self.buses[i].plug(DeviceInfoModule::new(spec.pci_info(), spec.path()));
             }

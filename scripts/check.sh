@@ -264,6 +264,30 @@ if [ -z "$TRUSTED_PATH" ] || [ "$TRUSTED_PATH" -gt "$TRUSTED_PATH_CEILING" ]; th
     exit 1
 fi
 
+echo "==> one-analyzer gate (one symbolic reading of the driver IR; Table 2's analyzer row may shrink, not grow)"
+# The extractor and the lint passes read the handler IR through one SymVal
+# and one SymEnv (crates/analyzer/src/extract.rs). The lint-private lattice,
+# its environment merge and the syntactic double-fetch walker must not come
+# back: the walker's findings live on as data in
+# tests/fixtures/syntactic_double_fetch.expected. The analyzer row is read
+# from the results/table2.csv the trusted-path gate just wrote. Lower the
+# pin when the figure drops; raising it needs a reason in CHANGES.md.
+ANALYZER_CEILING=4184
+SYMVAL_ENUMS="$(grep -rw 'enum SymVal' crates/analyzer/src | wc -l)"
+if [ "$SYMVAL_ENUMS" -ne 1 ]; then
+    echo "ERROR: crates/analyzer/src defines $SYMVAL_ENUMS enum SymVal; the analyzer has exactly one" >&2
+    exit 1
+fi
+if grep -rnwE 'SymScalar|check_syntactic|syn_walk|merge_env' crates/analyzer/src; then
+    echo "ERROR: a second symbolic lattice, environment merge or the syntactic double-fetch walker is back" >&2
+    exit 1
+fi
+ANALYZER="$(awk -F, '$4 == "paradice-analyzer" { print $5 }' results/table2.csv)"
+if [ -z "$ANALYZER" ] || [ "$ANALYZER" -gt "$ANALYZER_CEILING" ]; then
+    echo "ERROR: paradice-analyzer is ${ANALYZER:-uncounted} lines, over the ceiling of $ANALYZER_CEILING" >&2
+    exit 1
+fi
+
 echo "==> no-stopwatch gate (no test under crates/ or tests/ takes an Instant or calls .elapsed())"
 # Timing thresholds live in the benchmark's gates, not in cargo test: a
 # test that takes no Instant cannot compare one. (Virtual-clock reads —
