@@ -551,6 +551,32 @@ impl MemOps for DirectMemOps {
             .map_err(|_| Errno::Efault)
     }
 
+    /// The kernel and the process share a VM here: the driver side is
+    /// checked against that VM's EPT, as the driver's own write would be.
+    fn copy_from_user_to_phys(
+        &mut self,
+        src: GuestVirtAddr,
+        dst: GuestPhysAddr,
+        len: u64,
+    ) -> Result<(), Errno> {
+        self.hv
+            .borrow_mut()
+            .process_copy_driver((self.vm, self.pt_root, src), (self.vm, dst), len, true)
+            .map_err(|_| Errno::Efault)
+    }
+
+    fn copy_to_user_from_phys(
+        &mut self,
+        dst: GuestVirtAddr,
+        src: GuestPhysAddr,
+        len: u64,
+    ) -> Result<(), Errno> {
+        self.hv
+            .borrow_mut()
+            .process_copy_driver((self.vm, self.pt_root, dst), (self.vm, src), len, false)
+            .map_err(|_| Errno::Efault)
+    }
+
     fn insert_pfn(&mut self, va: GuestVirtAddr, pfn: u64, access: Access) -> Result<(), Errno> {
         self.hv
             .borrow_mut()
@@ -613,10 +639,7 @@ impl Machine {
             DeviceSpec::IntelGpu { vram_pages } => {
                 let bar = self.hv.borrow_mut().map_device_bar(domain, vram_pages)?;
                 let gpu = RadeonGpu::new(env.clone(), bar, vram_pages * PAGE_SIZE);
-                DriverHandle::IntelGpu(Rc::new(RefCell::new(I915Driver::new(
-                    env.clone(),
-                    gpu,
-                ))))
+                DriverHandle::IntelGpu(Rc::new(RefCell::new(I915Driver::new(gpu))))
             }
             DeviceSpec::Mouse => {
                 DriverHandle::Input(Rc::new(RefCell::new(EvdevDriver::usb_mouse(env.clone()))))
@@ -1401,8 +1424,8 @@ impl Machine {
                         let gpu = driver.gpu();
                         (device.env.clone(), gpu.bar_base(), gpu.vram_bytes())
                     };
-                    let gpu = RadeonGpu::new(env.clone(), bar, vram);
-                    *cell.borrow_mut() = I915Driver::new(env, gpu);
+                    let gpu = RadeonGpu::new(env, bar, vram);
+                    *cell.borrow_mut() = I915Driver::new(gpu);
                 }
                 DriverHandle::Input(cell) => {
                     let name_is_mouse = device.spec == DeviceSpec::Mouse;

@@ -82,7 +82,8 @@ fn recycle<'a>(ops: Vec<MemOp<'_>>) -> Vec<MemOp<'a>> {
 /// operation returns so trailing writes land before the response is posted.
 /// One ungranted operation refuses its whole hypercall — with a batch,
 /// every write queued with it — so a partially applied wild batch never
-/// reaches the guest.
+/// reaches the guest. The two-sided copies issue like a `copy_from_user`:
+/// at the call, with the queue in front of them.
 pub struct HypercallMemOps<'b> {
     hv: SharedHypervisor,
     driver_vm: VmId,
@@ -190,6 +191,26 @@ impl MemOps for HypercallMemOps<'_> {
         let bytes = at..batch.arena.len();
         batch.queued.push(Queued::Copy { dst, bytes });
         Ok(())
+    }
+
+    fn copy_from_user_to_phys(
+        &mut self,
+        src: GuestVirtAddr,
+        dst: GuestPhysAddr,
+        len: u64,
+    ) -> Result<(), Errno> {
+        self.issue(Some(MemOp::CopyFromGuestToDriver { src, dst, len }))
+    }
+
+    /// Issued at the call with whatever is queued, never deferred: it reads
+    /// driver memory the driver could change before a flush.
+    fn copy_to_user_from_phys(
+        &mut self,
+        dst: GuestVirtAddr,
+        src: GuestPhysAddr,
+        len: u64,
+    ) -> Result<(), Errno> {
+        self.issue(Some(MemOp::CopyToGuestFromDriver { dst, src, len }))
     }
 
     fn insert_pfn(&mut self, va: GuestVirtAddr, pfn: u64, access: Access) -> Result<(), Errno> {

@@ -17,8 +17,17 @@
 //! * In **Paradice** mode the CVD backend binds it to hypercalls, where every
 //!   operation is validated against the grants declared by the frontend
 //!   (§4.1) before it executes.
+//!
+//! A bulk transfer between process memory and a contiguous range of the
+//! driver's own memory (a `GEM_PWRITE` into the BAR) crosses in one copy:
+//! [`MemOps::copy_from_user_to_phys`] and [`MemOps::copy_to_user_from_phys`]
+//! name the driver-physical range instead of a kernel buffer, and the
+//! hypervisor copies between the two with no staging copy in the driver.
 
-use paradice_mem::{Access, GuestVirtAddr};
+use std::fmt;
+use std::rc::Rc;
+
+use paradice_mem::{Access, GuestPhysAddr, GuestVirtAddr};
 
 use crate::errno::Errno;
 
@@ -43,6 +52,37 @@ pub trait MemOps {
     ///
     /// `EFAULT` if `dst` is unmapped or the operation is ungranted.
     fn copy_to_user(&mut self, dst: GuestVirtAddr, buf: &[u8]) -> Result<(), Errno>;
+
+    /// Copies `len` bytes from process memory at `src` straight into the
+    /// driver's own memory at caller-physical `dst` — a `copy_from_user`
+    /// whose destination is a mapped BAR range. The destination is checked
+    /// as the driver's own CPU write would be.
+    ///
+    /// # Errors
+    ///
+    /// As [`MemOps::copy_from_user`], and `EFAULT` if the driver may not
+    /// write `dst`. A refused copy moves no byte.
+    fn copy_from_user_to_phys(
+        &mut self,
+        src: GuestVirtAddr,
+        dst: GuestPhysAddr,
+        len: u64,
+    ) -> Result<(), Errno>;
+
+    /// Copies `len` bytes of the driver's own memory at caller-physical
+    /// `src` straight into process memory at `dst`; issued when called,
+    /// never deferred, since the driver could change `src` afterwards.
+    ///
+    /// # Errors
+    ///
+    /// As [`MemOps::copy_to_user`], and `EFAULT` if the driver may not read
+    /// `src`. A refused copy moves no byte.
+    fn copy_to_user_from_phys(
+        &mut self,
+        dst: GuestVirtAddr,
+        src: GuestPhysAddr,
+        len: u64,
+    ) -> Result<(), Errno>;
 
     /// Maps the caller-physical frame `pfn` into the process address space at
     /// `va` — the `vm_insert_pfn` wrapper stub.
@@ -113,9 +153,30 @@ pub trait MemOps {
     }
 }
 
+/// The driver's own memory as its CPU reaches it, at driver-physical
+/// addresses: the other side of a [`BufferMemOps`] two-sided copy.
+pub trait DriverMemory: fmt::Debug {
+    /// Reads `buf.len()` bytes at `gpa`.
+    ///
+    /// # Errors
+    ///
+    /// `EFAULT` where the driver may not read; then `buf` is untouched.
+    fn read(&self, gpa: GuestPhysAddr, buf: &mut [u8]) -> Result<(), Errno>;
+
+    /// Writes `buf` at `gpa`.
+    ///
+    /// # Errors
+    ///
+    /// `EFAULT` where the driver may not write; then nothing is written.
+    fn write(&self, gpa: GuestPhysAddr, buf: &[u8]) -> Result<(), Errno>;
+}
+
 /// A flat-buffer [`MemOps`] for driver unit tests: "process memory" is a
 /// plain byte vector starting at virtual address 0, and `insert_pfn` records
-/// the mappings it was asked for.
+/// the mappings it was asked for. It is also the reference for the
+/// two-sided copies: with [`BufferMemOps::with_driver_memory`], each one
+/// goes through the driver's own memory accesses — the path a driver took
+/// before the hypervisor copied for it; without, it fails with `EFAULT`.
 ///
 /// # Example
 ///
@@ -134,6 +195,7 @@ pub trait MemOps {
 pub struct BufferMemOps {
     bytes: Vec<u8>,
     mappings: Vec<(GuestVirtAddr, u64, Access)>,
+    driver: Option<Rc<dyn DriverMemory>>,
 }
 
 impl BufferMemOps {
@@ -142,7 +204,15 @@ impl BufferMemOps {
         BufferMemOps {
             bytes: vec![0u8; len],
             mappings: Vec::new(),
+            driver: None,
         }
+    }
+
+    /// Reaches the driver's own memory through `driver` for the two-sided
+    /// copies.
+    pub fn with_driver_memory(mut self, driver: Rc<dyn DriverMemory>) -> Self {
+        self.driver = Some(driver);
+        self
     }
 
     /// The `insert_pfn` calls recorded so far, in order.
@@ -163,6 +233,18 @@ impl BufferMemOps {
         }
         Ok(start..end)
     }
+
+    /// The process range of a two-sided copy, and the driver memory on its
+    /// other side.
+    fn two_sided(
+        &self,
+        addr: GuestVirtAddr,
+        len: u64,
+    ) -> Result<(std::ops::Range<usize>, Rc<dyn DriverMemory>), Errno> {
+        let len = usize::try_from(len).map_err(|_| Errno::Efault)?;
+        let driver = self.driver.clone().ok_or(Errno::Efault)?;
+        Ok((self.range(addr, len)?, driver))
+    }
 }
 
 impl MemOps for BufferMemOps {
@@ -176,6 +258,26 @@ impl MemOps for BufferMemOps {
         let range = self.range(dst, buf.len())?;
         self.bytes[range].copy_from_slice(buf);
         Ok(())
+    }
+
+    fn copy_from_user_to_phys(
+        &mut self,
+        src: GuestVirtAddr,
+        dst: GuestPhysAddr,
+        len: u64,
+    ) -> Result<(), Errno> {
+        let (range, driver) = self.two_sided(src, len)?;
+        driver.write(dst, &self.bytes[range])
+    }
+
+    fn copy_to_user_from_phys(
+        &mut self,
+        dst: GuestVirtAddr,
+        src: GuestPhysAddr,
+        len: u64,
+    ) -> Result<(), Errno> {
+        let (range, driver) = self.two_sided(dst, len)?;
+        driver.read(src, &mut self.bytes[range])
     }
 
     fn insert_pfn(&mut self, va: GuestVirtAddr, pfn: u64, access: Access) -> Result<(), Errno> {
@@ -241,6 +343,58 @@ mod tests {
         mem.zap_pfn(va).unwrap();
         assert!(mem.mappings().is_empty());
         assert_eq!(mem.zap_pfn(va), Err(Errno::Efault));
+    }
+
+    /// Driver memory over a flat vector, refusing the top page as a
+    /// protected one.
+    #[derive(Debug)]
+    struct FlatDriver(std::cell::RefCell<Vec<u8>>);
+
+    impl FlatDriver {
+        fn range(&self, gpa: GuestPhysAddr, len: usize) -> Result<std::ops::Range<usize>, Errno> {
+            let start = gpa.raw() as usize;
+            let writable = self.0.borrow().len() - 4096;
+            (start + len <= writable)
+                .then_some(start..start + len)
+                .ok_or(Errno::Efault)
+        }
+    }
+
+    impl DriverMemory for FlatDriver {
+        fn read(&self, gpa: GuestPhysAddr, buf: &mut [u8]) -> Result<(), Errno> {
+            buf.copy_from_slice(&self.0.borrow()[self.range(gpa, buf.len())?]);
+            Ok(())
+        }
+
+        fn write(&self, gpa: GuestPhysAddr, buf: &[u8]) -> Result<(), Errno> {
+            let range = self.range(gpa, buf.len())?;
+            self.0.borrow_mut()[range].copy_from_slice(buf);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn two_sided_copies_go_through_driver_memory() {
+        let driver = Rc::new(FlatDriver(std::cell::RefCell::new(vec![0u8; 8192])));
+        let mut mem = BufferMemOps::new(64);
+        let (va, gpa) = (GuestVirtAddr::new(8), GuestPhysAddr::new(100));
+        assert_eq!(mem.copy_from_user_to_phys(va, gpa, 4), Err(Errno::Efault), "no driver memory");
+        let mut mem = mem.with_driver_memory(driver.clone());
+        mem.copy_to_user(va, b"bulk").unwrap();
+        mem.copy_from_user_to_phys(va, gpa, 4).unwrap();
+        assert_eq!(&driver.0.borrow()[100..104], b"bulk");
+        mem.copy_to_user_from_phys(GuestVirtAddr::new(32), gpa, 4).unwrap();
+        assert_eq!(&mem.bytes()[32..36], b"bulk");
+        // A refused side moves no byte.
+        assert_eq!(
+            mem.copy_to_user_from_phys(GuestVirtAddr::new(62), gpa, 4),
+            Err(Errno::Efault)
+        );
+        let protected = GuestPhysAddr::new(4094);
+        assert_eq!(mem.copy_to_user_from_phys(va, protected, 4), Err(Errno::Efault));
+        assert_eq!(mem.copy_from_user_to_phys(va, protected, 4), Err(Errno::Efault));
+        assert_eq!(&mem.bytes()[8..12], b"bulk");
+        assert_eq!(&driver.0.borrow()[4094..4096], &[0, 0]);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 
+use paradice_devfs::memops::DriverMemory;
 use paradice_devfs::Errno;
 use paradice_hypervisor::hv::HvError;
 use paradice_hypervisor::{SharedHypervisor, VmId};
@@ -254,6 +255,18 @@ impl KernelEnv {
             .borrow_mut()
             .gpa_read_privileged(self.vm, gpa, buf)
             .map_err(|e| hv_to_errno(&e))
+    }
+}
+
+/// The driver's CPU accesses, the driver side of a
+/// [`paradice_devfs::memops::BufferMemOps`] two-sided copy.
+impl DriverMemory for KernelEnv {
+    fn read(&self, gpa: GuestPhysAddr, buf: &mut [u8]) -> Result<(), Errno> {
+        self.kernel_read(gpa, buf)
+    }
+
+    fn write(&self, gpa: GuestPhysAddr, buf: &[u8]) -> Result<(), Errno> {
+        self.kernel_write(gpa, buf)
     }
 }
 

@@ -437,6 +437,13 @@ impl RadeonDriver {
         if offset.checked_add(size).is_none_or(|end| end > bo.size) {
             return Err(Errno::Einval);
         }
+        if let (BoDomain::Vram { offset: vram_off }, None) = (&bo.domain, &self.isolation) {
+            // Nested copy, straight into the BAR: the payload, whose
+            // address and length came from the args struct, crosses once.
+            let bar = self.gpu.bar_base().add(vram_off + offset);
+            mem.copy_from_user_to_phys(GuestVirtAddr::new(data_ptr), bar, size)?;
+            return Ok(0);
+        }
         let mut staged = self.staging.lend(size as usize);
         let result = self.pwrite_staged(mem, &bo, offset, data_ptr, &mut staged[..size as usize]);
         self.staging.give_back(staged);
@@ -444,7 +451,8 @@ impl RadeonDriver {
     }
 
     /// `GEM_PWRITE`'s transfer of `data.len()` bytes into `bo` at `offset`,
-    /// staged through `data`.
+    /// staged through `data`: into GTT pages, whose destination is not one
+    /// contiguous range, and into protected VRAM under isolation.
     fn pwrite_staged(
         &mut self,
         mem: &mut dyn MemOps,
@@ -498,25 +506,19 @@ impl RadeonDriver {
                 }
             }
             BoDomain::Vram { offset: vram_off } => {
-                if self.isolation.is_some() {
-                    // The driver VM has no access to protected VRAM: stage
-                    // through the region's staging page and let the device
-                    // copy (§5.3(iv)).
-                    self.ensure_region_active()?;
-                    let region = self.current_region().ok_or(Errno::Eperm)?;
-                    let isolation = self.isolation.as_mut().expect("checked above");
-                    isolation.stage_to_vram(
-                        &self.env,
-                        region,
-                        &mut self.gpu,
-                        vram_off + offset,
-                        data,
-                    )?;
-                } else {
-                    // CPU write through the BAR.
-                    self.env
-                        .kernel_write(self.gpu.bar_base().add(vram_off + offset), data)?;
-                }
+                // The driver VM has no access to protected VRAM: stage
+                // through the region's staging page and let the device copy
+                // (§5.3(iv)).
+                self.ensure_region_active()?;
+                let region = self.current_region().ok_or(Errno::Eperm)?;
+                let isolation = self.isolation.as_mut().ok_or(Errno::Einval)?;
+                isolation.stage_to_vram(
+                    &self.env,
+                    region,
+                    &mut self.gpu,
+                    vram_off + offset,
+                    data,
+                )?;
             }
         }
         Ok(0)
@@ -559,40 +561,42 @@ impl RadeonDriver {
         if offset.checked_add(size).is_none_or(|end| end > bo.size) {
             return Err(Errno::Einval);
         }
+        let pages = match &bo.domain {
+            BoDomain::Vram { offset: vram_off } => {
+                // Nested copy out, straight from the BAR: destination from
+                // the args struct.
+                let bar = self.gpu.bar_base().add(vram_off + offset);
+                mem.copy_to_user_from_phys(GuestVirtAddr::new(data_ptr), bar, size)?;
+                return Ok(0);
+            }
+            BoDomain::Gtt { pages } => pages,
+        };
         let mut staged = self.staging.lend(size as usize);
-        let result = self.pread_staged(mem, &bo, offset, data_ptr, &mut staged[..size as usize]);
+        let result = self.pread_staged(mem, pages, offset, data_ptr, &mut staged[..size as usize]);
         self.staging.give_back(staged);
         result
     }
 
-    /// `GEM_PREAD`'s transfer of `data.len()` bytes out of `bo` at
-    /// `offset`, staged through `data`.
+    /// `GEM_PREAD`'s transfer of `data.len()` bytes out of the GTT object
+    /// backed by `pages` at `offset`, staged through `data`.
     fn pread_staged(
         &mut self,
         mem: &mut dyn MemOps,
-        bo: &BufferObject,
+        pages: &[GuestPhysAddr],
         offset: u64,
         data_ptr: u64,
         data: &mut [u8],
     ) -> Result<i64, Errno> {
-        match &bo.domain {
-            BoDomain::Gtt { pages } => {
-                let mut read = 0usize;
-                let mut cursor = offset;
-                while read < data.len() {
-                    let page = pages[(cursor / PAGE_SIZE) as usize];
-                    let page_off = cursor % PAGE_SIZE;
-                    let len = ((PAGE_SIZE - page_off) as usize).min(data.len() - read);
-                    self.env
-                        .kernel_read(page.add(page_off), &mut data[read..read + len])?;
-                    read += len;
-                    cursor += len as u64;
-                }
-            }
-            BoDomain::Vram { offset: vram_off } => {
-                self.env
-                    .kernel_read(self.gpu.bar_base().add(vram_off + offset), data)?;
-            }
+        let mut read = 0usize;
+        let mut cursor = offset;
+        while read < data.len() {
+            let page = pages[(cursor / PAGE_SIZE) as usize];
+            let page_off = cursor % PAGE_SIZE;
+            let len = ((PAGE_SIZE - page_off) as usize).min(data.len() - read);
+            self.env
+                .kernel_read(page.add(page_off), &mut data[read..read + len])?;
+            read += len;
+            cursor += len as u64;
         }
         // Nested copy out: destination from the args struct.
         mem.copy_to_user(GuestVirtAddr::new(data_ptr), data)?;
@@ -872,16 +876,12 @@ mod tests {
     const VRAM_PAGES: u64 = 256;
 
     fn native_driver() -> RadeonDriver {
-        native_driver_with_vram(VRAM_PAGES)
-    }
-
-    fn native_driver_with_vram(vram_pages: u64) -> RadeonDriver {
         let mut hv = Hypervisor::new(16384, SimClock::new(), CostModel::default());
         let vm = hv.create_vm(VmRole::Driver, 1024 * PAGE_SIZE).unwrap();
         let domain = hv.assign_device(vm, DataIsolation::Disabled).unwrap();
-        let bar = hv.map_device_bar(domain, vram_pages).unwrap();
+        let bar = hv.map_device_bar(domain, VRAM_PAGES).unwrap();
         let env = KernelEnv::new(Rc::new(RefCell::new(hv)), vm, domain, false);
-        let gpu = RadeonGpu::new(env.clone(), bar, vram_pages * PAGE_SIZE);
+        let gpu = RadeonGpu::new(env.clone(), bar, VRAM_PAGES * PAGE_SIZE);
         RadeonDriver::new(env, gpu, DriverVersion::V3_2_0)
     }
 
@@ -1068,7 +1068,7 @@ mod tests {
     #[test]
     fn pwrite_then_pread_roundtrip_native() {
         let mut drv = native_driver();
-        let mut mem = BufferMemOps::new(16384);
+        let mut mem = BufferMemOps::new(16384).with_driver_memory(drv.env.clone());
         let bo = gem_create(&mut drv, &mut mem, 1, PAGE_SIZE, gem_domain::VRAM).unwrap();
         // Data at user 0x2000.
         mem.copy_to_user(GuestVirtAddr::new(0x2000), b"texels!!").unwrap();
@@ -1105,11 +1105,11 @@ mod tests {
         drv.ioctl(ctx(1), mem, cmd, 0x100)
     }
 
-    /// A 4-KiB object holding 0x33 and a 16-KiB one just written with 0xaa
-    /// through the staging buffer; user memory is 64 KiB.
+    /// A 4-KiB object holding 0x33 and a 16-KiB one just written with 0xaa;
+    /// user memory is 64 KiB.
     fn staged_pair() -> (RadeonDriver, BufferMemOps, u32, u32) {
         let mut drv = native_driver();
-        let mut mem = BufferMemOps::new(0x10000);
+        let mut mem = BufferMemOps::new(0x10000).with_driver_memory(drv.env.clone());
         let small = gem_create(&mut drv, &mut mem, 1, PAGE_SIZE, gem_domain::VRAM).unwrap();
         let big = gem_create(&mut drv, &mut mem, 1, 4 * PAGE_SIZE, gem_domain::VRAM).unwrap();
         mem.copy_to_user(GuestVirtAddr::new(0x1000), &[0x33; 4096]).unwrap();
@@ -1132,8 +1132,8 @@ mod tests {
     #[test]
     fn a_pwrite_whose_payload_faults_leaves_vram_untouched() {
         let (mut drv, mut mem, small, _) = staged_pair();
-        // The payload runs past the end of user memory: the staged bytes
-        // are the earlier 0xaa transfer's, and none may reach the object.
+        // The payload runs past the end of user memory: none of it, and
+        // none of the earlier 0xaa transfer, may reach the object.
         assert_eq!(
             transfer(&mut drv, &mut mem, RADEON_GEM_PWRITE, small, 4096, 0xf800),
             Err(Errno::Efault)
@@ -1144,10 +1144,11 @@ mod tests {
 
     #[test]
     fn a_transfer_above_the_retention_bound_gives_its_buffer_back() {
+        // GTT pages are not one contiguous range: their transfers stage.
         let over = STAGING_RETAIN as u64 + PAGE_SIZE;
-        let mut drv = native_driver_with_vram(2 * over / PAGE_SIZE);
+        let mut drv = native_driver();
         let mut mem = BufferMemOps::new(0x1000 + over as usize);
-        let bo = gem_create(&mut drv, &mut mem, 1, over, gem_domain::VRAM).unwrap();
+        let bo = gem_create(&mut drv, &mut mem, 1, over, gem_domain::GTT).unwrap();
         transfer(&mut drv, &mut mem, RADEON_GEM_PWRITE, bo, 16384, 0x1000).unwrap();
         assert!((16384..=STAGING_RETAIN).contains(&drv.staging.retained()));
         transfer(&mut drv, &mut mem, RADEON_GEM_PWRITE, bo, over, 0x1000).unwrap();

@@ -13,15 +13,13 @@
 //! abstractions.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use paradice_devfs::fileops::{FileOps, MmapRange, OpenContext, PollEvents, TaskId};
 use paradice_devfs::ioc::{iow, iowr, IoctlCmd};
 use paradice_devfs::{Errno, MemOps};
 use paradice_mem::{GuestVirtAddr, PAGE_SIZE};
 
-use crate::env::KernelEnv;
-use crate::gpu::bo::{Staging, VramAllocator};
+use crate::gpu::bo::VramAllocator;
 use crate::gpu::model::{GpuCommand, RadeonGpu as GpuEngine};
 
 /// `DRM_IOCTL_I915_GETPARAM`: `{u32 param, u32 pad, u64 value}`.
@@ -74,13 +72,10 @@ struct I915Bo {
 
 /// The DRM/i915 driver.
 pub struct I915Driver {
-    env: Rc<KernelEnv>,
     gpu: GpuEngine,
     bos: BTreeMap<u32, I915Bo>,
     next_handle: u32,
     aperture: VramAllocator,
-    /// The buffer `I915_GEM_PWRITE` payloads stage through.
-    staging: Staging,
 }
 
 impl std::fmt::Debug for I915Driver {
@@ -94,15 +89,13 @@ impl std::fmt::Debug for I915Driver {
 impl I915Driver {
     /// Creates the driver atop an initialized engine (the GM965's "stolen
     /// memory" aperture is the engine's device memory).
-    pub fn new(env: Rc<KernelEnv>, gpu: GpuEngine) -> Self {
+    pub fn new(gpu: GpuEngine) -> Self {
         let aperture = VramAllocator::new(0, gpu.vram_bytes());
         I915Driver {
-            env,
             gpu,
             bos: BTreeMap::new(),
             next_handle: 1,
             aperture,
-            staging: Staging::default(),
         }
     }
 
@@ -227,18 +220,11 @@ impl FileOps for I915Driver {
                 {
                     return Err(Errno::Einval);
                 }
-                // Nested copy: the payload address and length come from the
-                // just-copied struct.
-                let mut staged = self.staging.lend(size as usize);
-                let data = &mut staged[..size as usize];
-                let result = mem
-                    .copy_from_user(GuestVirtAddr::new(data_ptr), data)
-                    .and_then(|()| {
-                        self.env
-                            .kernel_write(self.gpu.bar_base().add(bo.offset + offset), data)
-                    });
-                self.staging.give_back(staged);
-                result.map(|()| 0)
+                // Nested copy, straight into the aperture: the payload
+                // address and length come from the just-copied struct.
+                let bar = self.gpu.bar_base().add(bo.offset + offset);
+                mem.copy_from_user_to_phys(GuestVirtAddr::new(data_ptr), bar, size)?;
+                Ok(0)
             }
             I915_GEM_EXECBUFFER2 => {
                 let mut req = [0u8; 24];
@@ -459,6 +445,7 @@ pub fn i915_handler_ir() -> paradice_analyzer::ir::Handler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::KernelEnv;
     use paradice_analyzer::extract::analyze_handler;
     use paradice_devfs::fileops::OpenFlags;
     use paradice_devfs::memops::BufferMemOps;
@@ -467,15 +454,17 @@ mod tests {
     use paradice_hypervisor::vm::VmRole;
     use paradice_hypervisor::{CostModel, SimClock};
     use std::cell::RefCell;
+    use std::rc::Rc;
 
-    fn driver() -> I915Driver {
+    /// The driver and the kernel environment its engine runs in.
+    fn driver() -> (I915Driver, Rc<KernelEnv>) {
         let mut hv = Hypervisor::new(8192, SimClock::new(), CostModel::default());
         let vm = hv.create_vm(VmRole::Driver, 256 * PAGE_SIZE).unwrap();
         let domain = hv.assign_device(vm, DataIsolation::Disabled).unwrap();
         let bar = hv.map_device_bar(domain, 256).unwrap();
         let env = KernelEnv::new(Rc::new(RefCell::new(hv)), vm, domain, false);
         let gpu = GpuEngine::new(env.clone(), bar, 256 * PAGE_SIZE);
-        I915Driver::new(env, gpu)
+        (I915Driver::new(gpu), env)
     }
 
     fn ctx() -> OpenContext {
@@ -496,7 +485,7 @@ mod tests {
 
     #[test]
     fn getparam_reports_gm965() {
-        let mut drv = driver();
+        let (mut drv, _) = driver();
         let mut mem = BufferMemOps::new(4096);
         let mut req = [0u8; 16];
         req[0..4].copy_from_slice(&param::CHIPSET_ID.to_le_bytes());
@@ -507,7 +496,7 @@ mod tests {
 
     #[test]
     fn execbuffer2_renders_and_fences() {
-        let mut drv = driver();
+        let (mut drv, env) = driver();
         let mut mem = BufferMemOps::new(16384);
         let fb = create_bo(&mut drv, &mut mem, 4 * PAGE_SIZE);
         // Exec-object list at 0x400 (one entry), batch at 0x500.
@@ -525,7 +514,7 @@ mod tests {
         req[12..16].copy_from_slice(&6u32.to_le_bytes());
         req[16..24].copy_from_slice(&0x500u64.to_le_bytes());
         mem.copy_to_user(GuestVirtAddr::new(0x600), &req).unwrap();
-        let t0 = drv.env.now_ns();
+        let t0 = env.now_ns();
         let fence = drv
             .ioctl(ctx(), &mut mem, I915_GEM_EXECBUFFER2, 0x600)
             .unwrap();
@@ -535,12 +524,12 @@ mod tests {
         wait[0..4].copy_from_slice(&fb.to_le_bytes());
         mem.copy_to_user(GuestVirtAddr::new(0x700), &wait).unwrap();
         drv.ioctl(ctx(), &mut mem, I915_GEM_WAIT, 0x700).unwrap();
-        assert_eq!(drv.env.now_ns() - t0, 2_000_000);
+        assert_eq!(env.now_ns() - t0, 2_000_000);
     }
 
     #[test]
     fn execbuffer2_rejects_unknown_buffers() {
-        let mut drv = driver();
+        let (mut drv, _) = driver();
         let mut mem = BufferMemOps::new(16384);
         let mut object = [0u8; 16];
         object[0..4].copy_from_slice(&77u32.to_le_bytes()); // no such bo
@@ -559,8 +548,8 @@ mod tests {
 
     #[test]
     fn pwrite_then_mmap_roundtrip() {
-        let mut drv = driver();
-        let mut mem = BufferMemOps::new(16384);
+        let (mut drv, env) = driver();
+        let mut mem = BufferMemOps::new(16384).with_driver_memory(env.clone());
         let bo = create_bo(&mut drv, &mut mem, PAGE_SIZE);
         mem.copy_to_user(GuestVirtAddr::new(0x2000), b"intel-bytes").unwrap();
         let mut req = [0u8; 32];
@@ -585,15 +574,14 @@ mod tests {
         // The data is in the aperture (read through the BAR alias).
         let offset = drv.bo(bo).unwrap().offset;
         let mut seen = [0u8; 11];
-        drv.env
-            .kernel_read(drv.gpu.bar_base().add(offset), &mut seen)
+        env.kernel_read(drv.gpu.bar_base().add(offset), &mut seen)
             .unwrap();
         assert_eq!(&seen, b"intel-bytes");
     }
 
     #[test]
     fn close_frees_aperture() {
-        let mut drv = driver();
+        let (mut drv, _) = driver();
         let mut mem = BufferMemOps::new(4096);
         let before = drv.aperture.free_bytes();
         let bo = create_bo(&mut drv, &mut mem, 8 * PAGE_SIZE);

@@ -207,6 +207,7 @@ impl IsolationState {
         data: &[u8],
     ) -> Result<(), Errno> {
         let staging = self.state_of(region)?.staging;
+        let mut bounce = [0u8; PAGE_SIZE as usize];
         let mut written = 0usize;
         while written < data.len() {
             let chunk = (data.len() - written).min(PAGE_SIZE as usize);
@@ -215,9 +216,9 @@ impl IsolationState {
             env.kernel_write(staging, &data[written..written + chunk])?;
             // Device copy engine: DMA-read staging (read-only to the
             // device), write VRAM (aperture-checked).
-            let mut bounce = vec![0u8; chunk];
-            env.device_dma_read(DmaAddr::new(staging.raw()), &mut bounce)?;
-            gpu.vram_write(vram_offset + written as u64, &bounce)?;
+            let bounce = &mut bounce[..chunk];
+            env.device_dma_read(DmaAddr::new(staging.raw()), bounce)?;
+            gpu.vram_write(vram_offset + written as u64, bounce)?;
             env.advance_ns(chunk as u64 / COPY_ENGINE_BYTES_PER_NS);
             written += chunk;
         }
@@ -244,9 +245,10 @@ impl IsolationState {
         }
         let staging = self.state_of(region)?.staging;
         env.kernel_write(staging, data)?;
-        let mut bounce = vec![0u8; data.len()];
-        env.device_dma_read(DmaAddr::new(staging.raw()), &mut bounce)?;
-        env.device_dma_write(DmaAddr::new(dst_page.raw() + page_offset), &bounce)?;
+        let mut bounce = [0u8; PAGE_SIZE as usize];
+        let bounce = &mut bounce[..data.len()];
+        env.device_dma_read(DmaAddr::new(staging.raw()), bounce)?;
+        env.device_dma_write(DmaAddr::new(dst_page.raw() + page_offset), bounce)?;
         env.advance_ns(data.len() as u64 / COPY_ENGINE_BYTES_PER_NS);
         Ok(())
     }

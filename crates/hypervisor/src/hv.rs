@@ -7,7 +7,9 @@
 //!   DMA confined to driver-VM memory by the IOMMU;
 //! * the **hypercall API for driver memory operations** (§5.2), one entry
 //!   point ([`Hypervisor::hc_memops`]) for a slice of [`MemOp`]s: cross-VM
-//!   copies via two-stage software page-table walks, and `mmap` fix-ups that
+//!   copies via two-stage software page-table walks — between a guest
+//!   process and a driver buffer, or straight between a guest process and
+//!   the driver VM's own memory (a BAR range) — and `mmap` fix-ups that
 //!   pick an unused guest-physical page, edit the guest's EPT, and fix the
 //!   last level of the guest's page tables;
 //! * **strict runtime checks**: every memory operation requested by the
@@ -21,6 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use paradice_mem::addr::page_chunks;
 use paradice_mem::ept::EptMapError;
 use paradice_mem::iommu::DomainId;
 use paradice_mem::layout::GpaExhausted;
@@ -280,6 +283,29 @@ pub enum MemOp<'a> {
         /// Guest virtual address of the mapping.
         va: GuestVirtAddr,
     },
+    /// Copy `len` bytes from guest process memory at `src` straight into
+    /// the calling driver VM's memory at driver-physical `dst` (a BAR
+    /// range), with no driver buffer in between. Granted, traced and
+    /// charged as the `CopyFromGuest` of `(src, len)`.
+    CopyFromGuestToDriver {
+        /// Source address in the guest process.
+        src: GuestVirtAddr,
+        /// Destination in the driver VM's physical address space.
+        dst: GuestPhysAddr,
+        /// Bytes to copy.
+        len: u64,
+    },
+    /// Copy `len` bytes of the calling driver VM's memory at
+    /// driver-physical `src` straight into guest process memory at `dst`.
+    /// Granted, traced and charged as the `CopyToGuest` of `(dst, len)`.
+    CopyToGuestFromDriver {
+        /// Destination address in the guest process.
+        dst: GuestVirtAddr,
+        /// Source in the driver VM's physical address space.
+        src: GuestPhysAddr,
+        /// Bytes to copy.
+        len: u64,
+    },
 }
 
 impl MemOp<'_> {
@@ -296,6 +322,12 @@ impl MemOp<'_> {
             },
             MemOp::InsertPfn { va, access, .. } => MemOpRequest::MapPage { va, access },
             MemOp::ZapPage { va } => MemOpRequest::UnmapPage { va },
+            MemOp::CopyFromGuestToDriver { src, len, .. } => {
+                MemOpRequest::CopyFromGuest { addr: src, len }
+            }
+            MemOp::CopyToGuestFromDriver { dst, len, .. } => {
+                MemOpRequest::CopyToGuest { addr: dst, len }
+            }
         }
     }
 }
@@ -376,6 +408,10 @@ pub struct Hypervisor {
     /// what separates paravirtual from native — the fast-path evaluation
     /// reports this counter per workload.
     hypercalls: u64,
+    /// The `(system-physical address, length)` page chunks of the copy in
+    /// progress — both sides of a two-sided one — kept between calls so a
+    /// warm copy allocates nothing.
+    plan: Vec<(PhysAddr, u64)>,
 }
 
 impl fmt::Debug for Hypervisor {
@@ -434,6 +470,7 @@ impl Hypervisor {
             current_span: SpanId::NONE,
             failed_driver_vms: BTreeSet::new(),
             hypercalls: 0,
+            plan: Vec::new(),
         }
     }
 
@@ -703,21 +740,7 @@ impl Hypervisor {
             let isolation = state.isolation;
             // Without data isolation the identity DMA map must come back.
             if isolation == DataIsolation::Disabled {
-                let ram_pages = self.vm(driver_vm)?.ram_pages();
-                for page in 0..ram_pages {
-                    let gpa = GuestPhysAddr::new(page * PAGE_SIZE);
-                    let pa = self
-                        .vm(driver_vm)?
-                        .ept()
-                        .frame_of(gpa)
-                        .expect("RAM is identity-mapped");
-                    self.iommu.domain_mut(domain).map(
-                        DmaAddr::new(gpa.raw()),
-                        pa,
-                        Access::RW,
-                        RegionId::GLOBAL,
-                    );
-                }
+                self.map_identity_dma(driver_vm, domain)?;
             }
         }
         Ok(())
@@ -856,15 +879,16 @@ impl Hypervisor {
         pa.ok_or_else(|| unmapped(gpa, Access::READ))
     }
 
-    /// The one page-chunk walker under every byte-copy path: splits the
-    /// buffer's range at page boundaries, asks `translate` for each chunk's
-    /// system-physical address (each path's own checks and audit record
-    /// live there; `need` follows the direction), and copies the chunk.
+    /// The one page-chunk walker under every byte-copy path: translates
+    /// every page of the buffer's range into the kept plan with
+    /// `translate` (each path's own checks and audit record live there;
+    /// `need` follows the direction), then copies. A refused page moves no
+    /// byte.
     fn copy_chunks<A>(
         &mut self,
         start: A,
         mut transfer: Transfer<'_>,
-        mut translate: impl FnMut(&mut Self, A, Access) -> Result<PhysAddr, HvError>,
+        translate: impl FnMut(&mut Self, A, Access) -> Result<PhysAddr, HvError>,
     ) -> Result<(), HvError>
     where
         A: Copy + Into<u64> + From<u64>,
@@ -873,9 +897,10 @@ impl Hypervisor {
             Transfer::Read(buf) => (buf.len(), Access::READ),
             Transfer::Write(buf) => (buf.len(), Access::WRITE),
         };
+        self.plan.clear();
+        self.plan_range((start, len as u64), need, translate)?;
         let mut done = 0usize;
-        for (chunk, n) in paradice_mem::addr::page_chunks(start, len as u64) {
-            let pa = translate(self, chunk, need)?;
+        for &(pa, n) in &self.plan {
             let range = done..done + n as usize;
             match &mut transfer {
                 Transfer::Read(buf) => self.mem.read(pa, &mut buf[range])?,
@@ -884,6 +909,57 @@ impl Hypervisor {
             done += n as usize;
         }
         Ok(())
+    }
+
+    /// Appends the `(system-physical address, length)` chunks of
+    /// `[start, start + len)` to the plan, each page translated by
+    /// `translate`, and returns the plan's length. A range past the top of
+    /// the address space is refused as an access to an unmapped page.
+    fn plan_range<A: Copy + Into<u64> + From<u64>>(
+        &mut self,
+        (start, len): (A, u64),
+        need: Access,
+        mut translate: impl FnMut(&mut Self, A, Access) -> Result<PhysAddr, HvError>,
+    ) -> Result<usize, HvError> {
+        let wraps = || unmapped(GuestPhysAddr::new(start.into()), need);
+        for (chunk, n) in page_chunks(start, len).ok_or_else(wraps)? {
+            let pa = translate(self, chunk, need)?;
+            self.plan.push((pa, n));
+        }
+        Ok(self.plan.len())
+    }
+
+    /// The copy under [`MemOp::CopyFromGuestToDriver`] and
+    /// [`MemOp::CopyToGuestFromDriver`], and their trusted native
+    /// counterpart: `len` bytes between `vm`'s process at `va` and
+    /// `driver`'s own memory at driver-physical `gpa`, toward the driver
+    /// when `to_driver`. The process side is walked in software; the
+    /// driver side goes through the driver VM's EPT with the access the
+    /// direction needs, a refusal audited as a protected-region access —
+    /// the check `vm_mem_read`/`vm_mem_write` make. Every page of both
+    /// sides is planned before a byte moves, so a fault on either side
+    /// moves nothing; then the bytes go frame to frame with no buffer in
+    /// between.
+    ///
+    /// # Errors
+    ///
+    /// Walk, permission and EPT failures (the last audited).
+    pub fn process_copy_driver(
+        &mut self,
+        (vm, pt_root, va): (VmId, GuestPhysAddr, GuestVirtAddr),
+        (driver, gpa): (VmId, GuestPhysAddr),
+        len: u64,
+        to_driver: bool,
+    ) -> Result<(), HvError> {
+        let walk = |hv: &mut Self, chunk, need| hv.translate_gva(vm, pt_root, chunk, need);
+        let ept = |hv: &mut Self, chunk, need| hv.ept_translate(driver, chunk, need);
+        let need = |source| if source { Access::READ } else { Access::WRITE };
+        self.plan.clear();
+        let split = self.plan_range((va, len), need(to_driver), walk)?;
+        self.plan_range((gpa, len), need(!to_driver), ept)?;
+        let (process, driver) = self.plan.split_at(split);
+        let (from, to) = if to_driver { (process, driver) } else { (driver, process) };
+        Ok(self.mem.copy(from, to)?)
     }
 
     /// Reads `buf.len()` bytes of process memory (the process's own access
@@ -944,11 +1020,16 @@ impl Hypervisor {
     /// slice cannot leak its first k operations. An admitted call charges
     /// one `hypercall_ns` crossing, then applies the operations in order,
     /// each charging its work minus its own crossing — a one-op call costs
-    /// exactly its work. A fault during apply (e.g. an unmapped guest page
-    /// mid-copy) aborts the rest; such faults are the guest's own mapping
-    /// state, not an isolation boundary.
+    /// exactly its work. A fault during apply (e.g. an unmapped guest page)
+    /// moves nothing of its op and aborts the rest; such faults are the
+    /// guest's own mapping state, not an isolation boundary, except a
+    /// refused driver page of a two-sided copy, which is audited.
     ///
-    /// `CopyFromGuest` fills its buffer in place. `InsertPfn` maps the
+    /// `CopyFromGuest` fills its buffer in place. `CopyFromGuestToDriver`
+    /// and `CopyToGuestFromDriver` copy between the guest range and the
+    /// caller's own memory in one copy (see `process_copy_driver`): checked
+    /// against the grant as the plain copy of the same guest range, and on
+    /// the driver side against the caller's EPT. `InsertPfn` maps the
     /// driver frame through a fix-up (see `install_fixup`); with data
     /// isolation, `domain` confines protected pages to the owning guest's
     /// region. `ZapPage` destroys only the EPT side: "the hypervisor only
@@ -995,6 +1076,12 @@ impl Hypervisor {
                     self.install_fixup(guest, pt_root, *va, pa, *access)?;
                 }
                 MemOp::ZapPage { va } => self.remove_fixup(guest, pt_root, *va)?,
+                MemOp::CopyFromGuestToDriver { src, dst, len } => {
+                    self.process_copy_driver((guest, pt_root, *src), (caller, *dst), *len, true)?;
+                }
+                MemOp::CopyToGuestFromDriver { dst, src, len } => {
+                    self.process_copy_driver((guest, pt_root, *dst), (caller, *src), *len, false)?;
+                }
             }
         }
         Ok(())
@@ -1104,24 +1191,10 @@ impl Hypervisor {
         driver_vm: VmId,
         isolation: DataIsolation,
     ) -> Result<DomainId, HvError> {
-        let ram_pages = self.vm(driver_vm)?.ram_pages();
+        self.vm(driver_vm)?;
         let domain = self.iommu.create_domain();
         if isolation == DataIsolation::Disabled {
-            // DMA address space mirrors driver-VM guest-physical space.
-            for page in 0..ram_pages {
-                let gpa = GuestPhysAddr::new(page * PAGE_SIZE);
-                let pa = self
-                    .vm(driver_vm)?
-                    .ept()
-                    .frame_of(gpa)
-                    .expect("RAM is identity-mapped");
-                self.iommu.domain_mut(domain).map(
-                    DmaAddr::new(gpa.raw()),
-                    pa,
-                    Access::RW,
-                    RegionId::GLOBAL,
-                );
-            }
+            self.map_identity_dma(driver_vm, domain)?;
         }
         self.domains.insert(
             domain.index(),
@@ -1136,6 +1209,18 @@ impl Hypervisor {
             },
         );
         Ok(domain)
+    }
+
+    /// Lets DMA reach all of `driver_vm`'s RAM: the domain's bus addresses
+    /// mirror the VM's guest-physical space.
+    fn map_identity_dma(&mut self, driver_vm: VmId, domain: DomainId) -> Result<(), HvError> {
+        for page in 0..self.vm(driver_vm)?.ram_pages() {
+            let gpa = GuestPhysAddr::new(page * PAGE_SIZE);
+            let pa = self.frame_of(driver_vm, gpa)?;
+            let dma = DmaAddr::new(gpa.raw());
+            self.iommu.domain_mut(domain).map(dma, pa, Access::RW, RegionId::GLOBAL);
+        }
+        Ok(())
     }
 
     fn domain_state(&self, domain: DomainId) -> &DomainState {

@@ -169,7 +169,9 @@ impl Frame {
     }
 }
 
-/// Splits the byte range `[addr, addr + len)` into per-page chunks.
+/// Splits the byte range `[addr, addr + len)` into per-page chunks, or
+/// `None` when the range runs past the top of the address space (a range
+/// that ends exactly at 2^64 is split like any other).
 ///
 /// Cross-page accesses must be translated page-by-page because contiguous
 /// guest pages need not be contiguous in system physical memory (paper §5.2).
@@ -181,20 +183,27 @@ impl Frame {
 /// use paradice_mem::addr::{page_chunks, PAGE_SIZE};
 /// use paradice_mem::GuestVirtAddr;
 ///
-/// let chunks: Vec<_> = page_chunks(GuestVirtAddr::new(PAGE_SIZE - 8), 24).collect();
+/// let chunks: Vec<_> = page_chunks(GuestVirtAddr::new(PAGE_SIZE - 8), 24)
+///     .unwrap()
+///     .collect();
 /// assert_eq!(chunks.len(), 2);
 /// assert_eq!(chunks[0].1, 8);
 /// assert_eq!(chunks[1].1, 16);
+/// assert!(page_chunks(GuestVirtAddr::new(u64::MAX - 15), 17).is_none());
 /// ```
-pub fn page_chunks<A>(addr: A, len: u64) -> PageChunks<A>
+pub fn page_chunks<A>(addr: A, len: u64) -> Option<PageChunks<A>>
 where
     A: Copy + Into<u64> + From<u64>,
 {
-    PageChunks {
-        cursor: addr.into(),
+    let cursor = addr.into();
+    if len > 0 && cursor.checked_add(len - 1).is_none() {
+        return None;
+    }
+    Some(PageChunks {
+        cursor,
         remaining: len,
         _marker: std::marker::PhantomData,
-    }
+    })
 }
 
 /// Iterator returned by [`page_chunks`].
@@ -218,7 +227,9 @@ where
         let offset = self.cursor & PAGE_MASK;
         let in_page = (PAGE_SIZE - offset).min(self.remaining);
         let item = (A::from(self.cursor), in_page);
-        self.cursor += in_page;
+        // The last chunk of a range ending at 2^64 wraps the cursor to 0,
+        // which is never read again.
+        self.cursor = self.cursor.wrapping_add(in_page);
         self.remaining -= in_page;
         Some(item)
     }
@@ -275,7 +286,7 @@ mod tests {
             let a = GuestVirtAddr::new(addr);
             assert_eq!(
                 page_span(a, len),
-                page_chunks(a, len).count() as u64,
+                page_chunks(a, len).unwrap().count() as u64,
                 "addr {addr:#x} len {len}"
             );
         }
@@ -300,13 +311,17 @@ mod tests {
 
     #[test]
     fn chunks_within_one_page() {
-        let chunks: Vec<_> = page_chunks(GuestVirtAddr::new(0x100), 0x200).collect();
+        let chunks: Vec<_> = page_chunks(GuestVirtAddr::new(0x100), 0x200)
+            .unwrap()
+            .collect();
         assert_eq!(chunks, vec![(GuestVirtAddr::new(0x100), 0x200)]);
     }
 
     #[test]
     fn chunks_spanning_pages() {
-        let chunks: Vec<_> = page_chunks(GuestVirtAddr::new(0xff0), 0x20).collect();
+        let chunks: Vec<_> = page_chunks(GuestVirtAddr::new(0xff0), 0x20)
+            .unwrap()
+            .collect();
         assert_eq!(
             chunks,
             vec![
@@ -318,14 +333,28 @@ mod tests {
 
     #[test]
     fn chunks_exact_pages() {
-        let chunks: Vec<_> = page_chunks(PhysAddr::new(0x2000), 2 * PAGE_SIZE).collect();
+        let chunks: Vec<_> = page_chunks(PhysAddr::new(0x2000), 2 * PAGE_SIZE)
+            .unwrap()
+            .collect();
         assert_eq!(chunks.len(), 2);
         assert!(chunks.iter().all(|&(_, len)| len == PAGE_SIZE));
     }
 
     #[test]
     fn chunks_zero_len() {
-        assert_eq!(page_chunks(PhysAddr::new(0), 0).count(), 0);
+        assert_eq!(page_chunks(PhysAddr::new(0), 0).unwrap().count(), 0);
+    }
+
+    #[test]
+    fn a_range_ending_at_the_top_is_split_and_one_past_it_is_refused() {
+        let top = GuestVirtAddr::new(u64::MAX - 15);
+        let chunks: Vec<_> = page_chunks(top, 16).unwrap().collect();
+        assert_eq!(chunks, vec![(top, 16)]);
+        let last_page = GuestVirtAddr::new(u64::MAX - PAGE_SIZE + 1);
+        assert_eq!(page_chunks(last_page, PAGE_SIZE).unwrap().count(), 1);
+        assert!(page_chunks(top, 17).is_none());
+        assert!(page_chunks(top, u64::MAX).is_none());
+        assert_eq!(page_chunks(GuestVirtAddr::new(u64::MAX), 0).unwrap().count(), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use crate::addr::{page_chunks, Frame, PhysAddr, PAGE_SIZE};
+use crate::addr::{page_chunks, Frame, PageChunks, PhysAddr, PAGE_SIZE};
 
 /// Errors reported by [`SystemMemory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -185,7 +185,7 @@ impl SystemMemory {
     /// Fails if any touched frame is unallocated or out of bounds.
     pub fn read(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<(), MemError> {
         let mut done = 0usize;
-        for (chunk_addr, len) in page_chunks(addr, buf.len() as u64) {
+        for (chunk_addr, len) in chunks(addr, buf.len() as u64)? {
             let frame = self.frame_bytes(chunk_addr)?;
             let off = chunk_addr.page_offset() as usize;
             buf[done..done + len as usize].copy_from_slice(&frame[off..off + len as usize]);
@@ -201,11 +201,11 @@ impl SystemMemory {
     /// Fails if any touched frame is unallocated or out of bounds.
     pub fn write(&mut self, addr: PhysAddr, buf: &[u8]) -> Result<(), MemError> {
         // Validate the whole range first so a failing write is all-or-nothing.
-        for (chunk_addr, _) in page_chunks(addr, buf.len() as u64) {
+        for (chunk_addr, _) in chunks(addr, buf.len() as u64)? {
             self.frame_bytes(chunk_addr)?;
         }
         let mut done = 0usize;
-        for (chunk_addr, len) in page_chunks(addr, buf.len() as u64) {
+        for (chunk_addr, len) in chunks(addr, buf.len() as u64)? {
             let frame = self.frame_bytes_mut(chunk_addr)?;
             let off = chunk_addr.page_offset() as usize;
             frame[off..off + len as usize].copy_from_slice(&buf[done..done + len as usize]);
@@ -290,18 +290,121 @@ impl SystemMemory {
     ///
     /// Fails if any touched frame is unallocated or out of bounds.
     pub fn fill(&mut self, addr: PhysAddr, len: u64, byte: u8) -> Result<(), MemError> {
-        for (chunk_addr, chunk_len) in page_chunks(addr, len) {
+        for (chunk_addr, chunk_len) in chunks(addr, len)? {
             let frame = self.frame_bytes_mut(chunk_addr)?;
             let off = chunk_addr.page_offset() as usize;
             frame[off..off + chunk_len as usize].fill(byte);
         }
         Ok(())
     }
+
+    /// Copies bytes frame to frame with no buffer in between: `from` and
+    /// `to` list the same number of bytes as `(address, length)` chunks,
+    /// each inside one frame (callers split at page boundaries), and the
+    /// bytes of `from` land in `to` in order. Two chunks in one frame may
+    /// overlap.
+    ///
+    /// # Errors
+    ///
+    /// Fails, copying nothing, if a touched frame is unallocated or out of
+    /// bounds, or a chunk leaves its frame.
+    ///
+    /// # Panics
+    ///
+    /// If the two lists hold different numbers of bytes.
+    pub fn copy(
+        &mut self,
+        from: &[(PhysAddr, u64)],
+        to: &[(PhysAddr, u64)],
+    ) -> Result<(), MemError> {
+        let bytes = |chunks: &[(PhysAddr, u64)]| chunks.iter().map(|&(_, n)| n).sum::<u64>();
+        assert_eq!(bytes(from), bytes(to), "copy between ranges of different lengths");
+        for &(addr, n) in from.iter().chain(to) {
+            if n > PAGE_SIZE - addr.page_offset() {
+                return Err(MemError::OutOfBounds { addr });
+            }
+            self.frame_bytes(addr)?;
+        }
+        let (mut from, mut to) = (from.iter().copied(), to.iter().copied());
+        let (mut src, mut dst) = (from.next(), to.next());
+        while let (Some((s, sn)), Some((d, dn))) = (src, dst) {
+            let n = sn.min(dn);
+            self.copy_in_frames(s, d, n as usize);
+            src = if n < sn { Some((s.add(n), sn - n)) } else { from.next() };
+            dst = if n < dn { Some((d.add(n), dn - n)) } else { to.next() };
+        }
+        Ok(())
+    }
+
+    /// Copies `n` bytes from `src` to `dst`, both checked to lie inside
+    /// allocated frames.
+    fn copy_in_frames(&mut self, src: PhysAddr, dst: PhysAddr, n: usize) {
+        let (from, to) = (src.page_offset() as usize, dst.page_offset() as usize);
+        let frames = [src.page_number() as usize, dst.page_number() as usize];
+        if frames[0] == frames[1] {
+            if let Some(FrameSlot::Allocated(frame)) = self.frames.get_mut(frames[0]) {
+                frame.copy_within(from..from + n, to);
+            }
+            return;
+        }
+        if let Ok([FrameSlot::Allocated(s), FrameSlot::Allocated(d)]) =
+            self.frames.get_disjoint_mut(frames)
+        {
+            d[to..to + n].copy_from_slice(&s[from..from + n]);
+        }
+    }
+}
+
+/// The page chunks of `[addr, addr + len)`; a range past the top of
+/// physical address space is out of bounds.
+fn chunks(addr: PhysAddr, len: u64) -> Result<PageChunks<PhysAddr>, MemError> {
+    page_chunks(addr, len).ok_or(MemError::OutOfBounds { addr })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn copy_moves_bytes_between_and_within_frames() {
+        let mut mem = SystemMemory::new(4);
+        let a = mem.alloc_frame().unwrap().base();
+        let b = mem.alloc_frame().unwrap().base();
+        mem.write(a, b"abcdef").unwrap();
+        // Five bytes out of `a` land split across the end of `b` and the
+        // start of `a`'s second half.
+        let to = [(b.add(PAGE_SIZE - 2), 2), (a.add(2048), 3)];
+        mem.copy(&[(a.add(1), 5)], &to).unwrap();
+        let mut out = [0u8; 3];
+        mem.read(b.add(PAGE_SIZE - 2), &mut out[..2]).unwrap();
+        assert_eq!(&out[..2], b"bc");
+        mem.read(a.add(2048), &mut out).unwrap();
+        assert_eq!(&out, b"def");
+        // Overlapping, inside one frame: memmove semantics.
+        mem.copy(&[(a, 4)], &[(a.add(2), 4)]).unwrap();
+        let mut out = [0u8; 6];
+        mem.read(a, &mut out).unwrap();
+        assert_eq!(&out, b"ababcd");
+        // A chunk leaving its frame, or in an unallocated frame, copies
+        // nothing — not even the chunks before it.
+        let unallocated = PhysAddr::new(3 * PAGE_SIZE);
+        for to in [
+            [(b, 2), (b.add(PAGE_SIZE - 1), 2)],
+            [(b, 2), (unallocated, 2)],
+        ] {
+            assert!(mem.copy(&[(a, 4)], &to).is_err());
+            mem.read(b, &mut out[..2]).unwrap();
+            assert_eq!(&out[..2], &[0, 0]);
+        }
+    }
+
+    #[test]
+    fn a_range_past_the_top_of_physical_memory_is_out_of_bounds() {
+        let mut mem = SystemMemory::new(1);
+        let top = PhysAddr::new(u64::MAX - 7);
+        assert_eq!(mem.write(top, &[0; 9]), Err(MemError::OutOfBounds { addr: top }));
+        assert_eq!(mem.read(top, &mut [0; 9]), Err(MemError::OutOfBounds { addr: top }));
+    }
 
     #[test]
     fn alloc_and_rw_roundtrip() {

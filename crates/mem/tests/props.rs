@@ -92,7 +92,7 @@ proptest! {
     /// crossing page boundaries.
     #[test]
     fn page_chunks_partition_the_range(addr in 0u64..1 << 40, len in 0u64..1 << 16) {
-        let chunks: Vec<(PhysAddr, u64)> = page_chunks(PhysAddr::new(addr), len).collect();
+        let chunks: Vec<(PhysAddr, u64)> = page_chunks(PhysAddr::new(addr), len).unwrap().collect();
         // Total length matches.
         let total: u64 = chunks.iter().map(|&(_, l)| l).sum();
         prop_assert_eq!(total, len);

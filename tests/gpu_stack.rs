@@ -3,7 +3,7 @@
 //! claim — the device file boundary is class-agnostic and mode-agnostic).
 
 use paradice::app::drm::DrmClient;
-use paradice::gpu_ioctl::{gem_domain, info};
+use paradice::gpu_ioctl::{gem_domain, info, RADEON_GEM_PREAD, RADEON_GEM_PWRITE};
 use paradice::prelude::*;
 
 fn machine(mode: ExecMode) -> Machine {
@@ -426,6 +426,38 @@ fn a_transfer_whose_end_wraps_is_refused_in_every_mode() {
         drm.gem_pread(&mut m, bo0, 0, read_va, PAGE_SIZE).expect("pread bo 0");
         m.read_mem(task, read_va, &mut back).expect("read");
         assert!(back.iter().all(|&b| b == 0x11), "{mode:?}: bo 0 was overwritten");
+    }
+}
+
+#[test]
+fn a_range_past_the_top_of_the_address_space_faults_in_every_mode() {
+    // The args struct or the payload runs past 2^64 (or ends exactly at
+    // it): refused as an unmapped page before the range is split into
+    // pages, never wrapped round to address 0.
+    let (past, ending) = (u64::MAX - 15, u64::MAX - 31);
+    for mode in all_modes() {
+        let mut m = machine(mode);
+        let task = spawn(&mut m);
+        let drm = DrmClient::open(&mut m, task).expect("open card0");
+        let bo = drm.gem_create(&mut m, PAGE_SIZE, gem_domain::VRAM).expect("bo");
+        for arg in [past, ending] {
+            for cmd in [RADEON_GEM_PWRITE, RADEON_GEM_PREAD] {
+                assert_eq!(m.ioctl(task, drm.fd, cmd, arg), Err(Errno::Efault), "{mode:?}");
+            }
+        }
+        for payload in [past, ending].map(GuestVirtAddr::new) {
+            assert_eq!(
+                drm.gem_pwrite(&mut m, bo, 0, payload, 32),
+                Err(Errno::Efault),
+                "{mode:?}"
+            );
+            assert_eq!(
+                drm.gem_pread(&mut m, bo, 0, payload, 32),
+                Err(Errno::Efault),
+                "{mode:?}"
+            );
+        }
+        assert!(!m.driver_vm_failed(), "{mode:?}");
     }
 }
 

@@ -7,7 +7,10 @@ use paradice::attack;
 use paradice::gpu_ioctl::gem_domain;
 use paradice::prelude::*;
 use paradice_hypervisor::audit::BlockedBy;
-use paradice_hypervisor::MemOp;
+use paradice_hypervisor::hv::HvError;
+use paradice_hypervisor::{AuditEvent, Hypervisor, MemOp, MemOpGrant, VmId};
+use paradice_mem::pagetable::GuestPageTables;
+use paradice_mem::GuestPhysAddr;
 
 fn isolated_machine() -> Machine {
     Machine::builder()
@@ -54,6 +57,94 @@ fn the_full_attack_suite_is_blocked() {
             "{mechanism} never fired"
         );
     }
+}
+
+/// A fresh page of `guest`'s memory mapped read-write at `va` in page
+/// tables of its own: the root a driver VM's `hc_memops` walks.
+fn guest_page(m: &Machine, guest: VmId, va: GuestVirtAddr) -> GuestPhysAddr {
+    let mut hv = m.hv().borrow_mut();
+    let gpa = hv.vm_mut(guest).unwrap().alloc_kernel_page().unwrap();
+    let mut space = hv.gpa_space(guest);
+    let mut tables = GuestPageTables::new(&mut space).unwrap();
+    tables.map(&mut space, va, gpa, Access::RW).unwrap();
+    tables.root()
+}
+
+#[test]
+fn the_one_copy_checks_the_driver_side_against_the_driver_vms_ept() {
+    let m = isolated_machine();
+    let domain = m.device_env("/dev/dri/card0").expect("gpu").domain();
+    let (driver_vm, guest) = (m.driver_vm(), m.guest_vms()[0]);
+    let va = GuestVirtAddr::new(0x4000_0000);
+    let root = guest_page(&m, guest, va);
+    let mut hv = m.hv().borrow_mut();
+    // Page 0 of the BAR lies in guest 0's VRAM slice; a protected pool page
+    // sits at the top of driver RAM. Neither is the driver CPU's to touch.
+    let (bar, _) = hv.device_bar(domain).expect("bar");
+    let ram_pages = hv.vm(driver_vm).unwrap().ram_pages();
+    let pool_page = (0..ram_pages)
+        .rev()
+        .map(|page| GuestPhysAddr::new(page * PAGE_SIZE))
+        .find(|&gpa| hv.vm(driver_vm).unwrap().ept().translate(gpa, Access::READ).is_err())
+        .expect("a protected pool page");
+    hv.process_write(guest, root, va, &[0x77; 64]).unwrap();
+    let window = |len| {
+        vec![
+            MemOpGrant::CopyToGuest { addr: va, len },
+            MemOpGrant::CopyFromGuest { addr: va, len },
+        ]
+    };
+    let grant = hv.declare_grants(guest, window(64)).unwrap();
+    let guest_bytes = |hv: &mut Hypervisor| {
+        let mut seen = [0u8; 64];
+        hv.process_read(guest, root, va, &mut seen).unwrap();
+        seen
+    };
+    for protected in [bar, pool_page] {
+        hv.gpa_write_privileged(driver_vm, protected, &[0x5e; 64]).unwrap();
+        for op in [
+            MemOp::CopyToGuestFromDriver { dst: va, src: protected, len: 64 },
+            MemOp::CopyFromGuestToDriver { src: va, dst: protected, len: 64 },
+        ] {
+            let audited = hv.audit().len();
+            let result = hv.hc_memops(driver_vm, guest, root, grant, Some(domain), &mut [op]);
+            assert!(matches!(result, Err(HvError::Ept(_))), "{protected}: {result:?}");
+            let records = &hv.audit().records()[audited..];
+            assert_eq!(records.len(), 1, "{protected}: audited once");
+            assert_eq!(
+                records[0].event,
+                AuditEvent::ProtectedRegionAccess { caller: driver_vm, gpa: protected }
+            );
+            assert_eq!(guest_bytes(&mut hv), [0x77; 64], "{protected}: no byte reached the guest");
+            let mut kept = [0u8; 64];
+            hv.gpa_read_privileged(driver_vm, protected, &mut kept).unwrap();
+            assert_eq!(kept, [0x5e; 64], "{protected}: no byte reached the driver page");
+        }
+    }
+    // A guest range one byte longer than the grant refuses its whole call,
+    // the granted write queued in front of it included.
+    let scratch = hv.vm_mut(driver_vm).unwrap().alloc_kernel_page().unwrap();
+    hv.gpa_write_privileged(driver_vm, scratch, &[0x33; 65]).unwrap();
+    for wild in [
+        MemOp::CopyToGuestFromDriver { dst: va, src: scratch, len: 65 },
+        MemOp::CopyFromGuestToDriver { src: va, dst: scratch, len: 65 },
+    ] {
+        let audited = hv.audit().len();
+        let mut ops = [MemOp::CopyToGuest { dst: va, data: b"granted" }, wild];
+        let result = hv.hc_memops(driver_vm, guest, root, grant, Some(domain), &mut ops);
+        assert!(matches!(result, Err(HvError::Grant(_))), "{result:?}");
+        let records = &hv.audit().records()[audited..];
+        assert_eq!(records.len(), 1);
+        assert!(matches!(records[0].event, AuditEvent::UngrantedMemOp { .. }));
+        assert_eq!(guest_bytes(&mut hv), [0x77; 64], "nothing was applied");
+        let mut kept = [0u8; 65];
+        hv.gpa_read_privileged(driver_vm, scratch, &mut kept).unwrap();
+        assert_eq!(kept, [0x33; 65]);
+    }
+    // Within the grant, an unprotected driver page crosses as usual.
+    let op = MemOp::CopyToGuestFromDriver { dst: va, src: scratch, len: 64 };
+    hv.hc_memops(driver_vm, guest, root, grant, Some(domain), &mut [op]).unwrap();
+    assert_eq!(guest_bytes(&mut hv), [0x33; 64]);
 }
 
 #[test]

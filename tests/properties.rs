@@ -17,7 +17,10 @@
 //!   hypercall each or deferred into one hypercall per flush, and a grant
 //!   refusal applies nothing of its hypercall;
 //! * one deferred batch lent to consecutive bindings behaves as a fresh
-//!   batch per binding.
+//!   batch per binding;
+//! * a `GEM_PWRITE`/`GEM_PREAD` that the hypervisor copies straight
+//!   between process pages and the BAR leaves the same bytes and errno as
+//!   the staged reference, and a fault on either side moves nothing.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -25,6 +28,7 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 
+use paradice::machine::{DeviceSpec, ExecMode, GuestSpec, Machine};
 use paradice_cvd::{DeferredBatch, HypercallMemOps};
 use paradice_devfs::ioc::{IoctlCmd, IoctlDir, MAX_IOC_SIZE};
 use paradice_devfs::{Errno, MemOps};
@@ -32,7 +36,9 @@ use paradice_hypervisor::grants::{
     GrantError, MemOpGrant, MemOpRequest, GRANT_TABLE_CAPACITY, SEQ_MASK,
 };
 use paradice_hypervisor::vm::VmRole;
-use paradice_hypervisor::{BlockedBy, CostModel, Hypervisor, ShardedGrantTable, SimClock};
+use paradice_hypervisor::{
+    BlockedBy, CostModel, Hypervisor, ShardedGrantTable, SimClock, TransportMode,
+};
 use paradice_mem::pagetable::{FlatGpaSpace, GuestPageTables};
 use paradice_mem::{Access, GuestPhysAddr, GuestVirtAddr, PAGE_SIZE};
 
@@ -604,5 +610,148 @@ proptest! {
         let _ = paradice_cvd::proto::WireRequest::decode(&bytes);
         let _ = paradice_cvd::proto::WireResponse::decode(&bytes);
         let _ = paradice_cvd::proto::WireSignal::decode(&bytes);
+    }
+}
+
+/// Pages of the buffer object and of the payload buffer in the transfer
+/// differential; the payload buffer is followed by an unmapped page.
+const XFER_BO_BYTES: u64 = 8 * PAGE_SIZE;
+const XFER_PAYLOAD_BYTES: u64 = 4 * PAGE_SIZE;
+
+/// One GEM transfer's outcome: its result, then the buffer object's and
+/// the payload buffer's bytes after it.
+type XferOutcome = (Result<(), Errno>, Vec<u8>, Vec<u8>);
+
+/// `len` bytes that repeat at no small period, distinct per `seed`.
+fn xfer_pattern(len: u64, seed: u64) -> Vec<u8> {
+    (0..len)
+        .map(|i| ((i + seed).wrapping_mul(0x9e37_79b9) >> 16) as u8)
+        .collect()
+}
+
+/// The transfer through a whole machine in `mode`: the hypervisor copies
+/// straight between the payload's pages and the BAR.
+fn xfer_direct(mode: ExecMode, write: bool, bo_offset: u64, payload_at: u64, size: u64) -> XferOutcome {
+    use paradice::app::drm::DrmClient;
+    use paradice::gpu_ioctl::gem_domain;
+
+    let mut builder = Machine::builder().mode(mode).device(DeviceSpec::gpu());
+    if matches!(mode, ExecMode::Paradice { .. }) {
+        builder = builder.guest(GuestSpec::linux());
+    }
+    let mut m = builder.build().unwrap();
+    let guest = matches!(mode, ExecMode::Paradice { .. }).then_some(0);
+    let task = m.spawn_process(guest).unwrap();
+    let drm = DrmClient::open(&mut m, task).unwrap();
+    let bo = drm.gem_create(&mut m, XFER_BO_BYTES, gem_domain::VRAM).unwrap();
+    let whole = m.alloc_buffer(task, XFER_BO_BYTES).unwrap();
+    m.write_mem(task, whole, &xfer_pattern(XFER_BO_BYTES, 1)).unwrap();
+    drm.gem_pwrite(&mut m, bo, 0, whole, XFER_BO_BYTES).unwrap();
+    let payload = m.alloc_buffer(task, XFER_PAYLOAD_BYTES).unwrap();
+    m.write_mem(task, payload, &xfer_pattern(XFER_PAYLOAD_BYTES, 2)).unwrap();
+    let at = payload.add(payload_at);
+    let result = match write {
+        true => drm.gem_pwrite(&mut m, bo, bo_offset, at, size),
+        false => drm.gem_pread(&mut m, bo, bo_offset, at, size),
+    };
+    drm.gem_pread(&mut m, bo, 0, whole, XFER_BO_BYTES).unwrap();
+    let mut bo_bytes = vec![0u8; XFER_BO_BYTES as usize];
+    m.read_mem(task, whole, &mut bo_bytes).unwrap();
+    let mut payload_bytes = vec![0u8; XFER_PAYLOAD_BYTES as usize];
+    m.read_mem(task, payload, &mut payload_bytes).unwrap();
+    (result, bo_bytes, payload_bytes)
+}
+
+/// The same transfer through a bare driver whose process memory is a
+/// [`BufferMemOps`]: `[0, 4 KiB)` args, then a whole-object buffer, then
+/// the payload buffer, which ends the space. Its two-sided copies go
+/// through the driver's own `kernel_read`/`kernel_write`, as the staged
+/// transfers did.
+fn xfer_staged(write: bool, bo_offset: u64, payload_at: u64, size: u64) -> XferOutcome {
+    use paradice_devfs::fileops::{FileOps, OpenContext, OpenFlags, TaskId};
+    use paradice_devfs::memops::BufferMemOps;
+    use paradice_devfs::registry::FileHandleId;
+    use paradice_drivers::env::KernelEnv;
+    use paradice_drivers::gpu::driver::{
+        gem_domain, DriverVersion, RadeonDriver, RADEON_GEM_CREATE, RADEON_GEM_PREAD,
+        RADEON_GEM_PWRITE,
+    };
+    use paradice_drivers::gpu::model::RadeonGpu;
+    use paradice_hypervisor::hv::DataIsolation;
+
+    const VRAM_PAGES: u64 = 64;
+    let mut hv = Hypervisor::new(4096, SimClock::new(), CostModel::default());
+    let vm = hv.create_vm(VmRole::Driver, 1024 * PAGE_SIZE).unwrap();
+    let domain = hv.assign_device(vm, DataIsolation::Disabled).unwrap();
+    let bar = hv.map_device_bar(domain, VRAM_PAGES).unwrap();
+    let env = KernelEnv::new(Rc::new(RefCell::new(hv)), vm, domain, false);
+    let gpu = RadeonGpu::new(env.clone(), bar, VRAM_PAGES * PAGE_SIZE);
+    let mut drv = RadeonDriver::new(env.clone(), gpu, DriverVersion::V3_2_0);
+    let (whole, payload) = (PAGE_SIZE, PAGE_SIZE + XFER_BO_BYTES);
+    let mut mem = BufferMemOps::new((payload + XFER_PAYLOAD_BYTES) as usize).with_driver_memory(env);
+    let ctx = OpenContext {
+        handle: FileHandleId(1),
+        task: TaskId(1),
+        flags: OpenFlags::RDWR,
+    };
+    let mut create = [0u8; 24];
+    create[0..8].copy_from_slice(&XFER_BO_BYTES.to_le_bytes());
+    create[8..12].copy_from_slice(&gem_domain::VRAM.to_le_bytes());
+    mem.copy_to_user(GuestVirtAddr::new(0), &create).unwrap();
+    drv.ioctl(ctx, &mut mem, RADEON_GEM_CREATE, 0).unwrap();
+    let bo = mem.read_user_u32(GuestVirtAddr::new(16)).unwrap();
+    let mut transfer = |mem: &mut BufferMemOps, cmd, offset: u64, data_ptr: u64, size: u64| {
+        let mut args = [0u8; 32];
+        args[0..4].copy_from_slice(&bo.to_le_bytes());
+        args[8..16].copy_from_slice(&offset.to_le_bytes());
+        args[16..24].copy_from_slice(&size.to_le_bytes());
+        args[24..32].copy_from_slice(&data_ptr.to_le_bytes());
+        mem.copy_to_user(GuestVirtAddr::new(0), &args).unwrap();
+        drv.ioctl(ctx, mem, cmd, 0).map(drop)
+    };
+    mem.copy_to_user(GuestVirtAddr::new(whole), &xfer_pattern(XFER_BO_BYTES, 1)).unwrap();
+    transfer(&mut mem, RADEON_GEM_PWRITE, 0, whole, XFER_BO_BYTES).unwrap();
+    mem.copy_to_user(GuestVirtAddr::new(payload), &xfer_pattern(XFER_PAYLOAD_BYTES, 2)).unwrap();
+    let cmd = if write { RADEON_GEM_PWRITE } else { RADEON_GEM_PREAD };
+    let result = transfer(&mut mem, cmd, bo_offset, payload + payload_at, size);
+    transfer(&mut mem, RADEON_GEM_PREAD, 0, whole, XFER_BO_BYTES).unwrap();
+    let bytes = |at: u64, len: u64| mem.bytes()[at as usize..(at + len) as usize].to_vec();
+    (result, bytes(whole, XFER_BO_BYTES), bytes(payload, XFER_PAYLOAD_BYTES))
+}
+
+proptest! {
+    /// The one-copy transfer against the staged reference, on a Native and
+    /// a Paradice machine: any object offset, sizes of zero, under a page
+    /// and across pages, a payload page offset independent of the BAR's,
+    /// either direction. Bytes and errnos agree; a payload running into
+    /// the unmapped page after its buffer moves no byte either way.
+    #[test]
+    fn a_direct_transfer_matches_the_staged_reference(
+        write in any::<bool>(),
+        bo_offset in 0u64..5 * PAGE_SIZE,
+        payload_at in 0u64..XFER_PAYLOAD_BYTES,
+        size in (0u64..3, 1u64..7 * PAGE_SIZE / 2).prop_map(|(kind, n)| match kind {
+            0 => 0,
+            1 => n % (PAGE_SIZE - 1) + 1,
+            _ => n.max(PAGE_SIZE + 1),
+        }),
+    ) {
+        let reference = xfer_staged(write, bo_offset, payload_at, size);
+        for mode in [
+            ExecMode::Native,
+            ExecMode::Paradice {
+                transport: TransportMode::Interrupts,
+                data_isolation: false,
+            },
+        ] {
+            let direct = xfer_direct(mode, write, bo_offset, payload_at, size);
+            prop_assert_eq!(&direct, &reference, "{:?}", mode);
+        }
+        let in_bounds = bo_offset + size <= XFER_BO_BYTES;
+        if in_bounds && payload_at + size > XFER_PAYLOAD_BYTES {
+            prop_assert_eq!(reference.0, Err(Errno::Efault));
+            prop_assert!(reference.1 == xfer_pattern(XFER_BO_BYTES, 1), "the object moved");
+            prop_assert!(reference.2 == xfer_pattern(XFER_PAYLOAD_BYTES, 2), "the payload moved");
+        }
     }
 }

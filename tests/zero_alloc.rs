@@ -5,11 +5,15 @@
 //! nothing: frames are encoded into stack slot-frames, the frontend derives
 //! grants into one reused buffer, and a grant declaration is a recycled
 //! block. So does a 16-KiB `GEM_PWRITE` / `GEM_PREAD`: its JIT program runs
-//! on a reused scratch and the driver stages the payload through one kept
-//! buffer. A pipelined round allocates only the results `Vec` it returns:
-//! the backend lends one deferred batch to every dispatch. A counting
-//! global allocator pins these counts down, so a new per-op allocation on
-//! any path fails here instead of showing up as a slower benchmark.
+//! on a reused scratch, and the hypervisor copies the payload straight
+//! between the process pages and the BAR through the page plan it keeps.
+//! Under data isolation a `GEM_PWRITE` stages through the driver's kept
+//! buffer, and the device copy bounces each page through one stack page:
+//! it allocates nothing either. A pipelined round allocates only the
+//! results `Vec` it returns: the backend lends one deferred batch to every
+//! dispatch. A counting global allocator pins these counts down, so a new
+//! per-op allocation on any path fails here instead of showing up as a
+//! slower benchmark.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -213,4 +217,25 @@ fn a_bulk_write_and_read_allocate_nothing_in_steady_state() {
             "{mode:?}: 1 000 16-KiB GEM_PWRITE + GEM_PREAD pairs allocated {blocks} blocks"
         );
     }
+}
+
+#[test]
+fn an_isolated_bulk_write_allocates_nothing_in_steady_state() {
+    // Under data isolation the payload stages through the driver's kept
+    // buffer and the region's staging page, and the device's copy engine
+    // bounces each page through one stack page.
+    let (mut m, task, fd, pwrite, _) = bulk_rig(ExecMode::Paradice {
+        transport: TransportMode::Interrupts,
+        data_isolation: true,
+    });
+    let mut call = || m.ioctl(task, fd, RADEON_GEM_PWRITE, pwrite);
+    for _ in 0..WARM_UP {
+        call().expect("warm-up transfer");
+    }
+    let (failed, blocks) = blocks_allocated(|| (0..1_000).filter(|_| call().is_err()).count());
+    assert_eq!(failed, 0);
+    assert_eq!(
+        blocks, 0,
+        "1 000 isolated 16-KiB GEM_PWRITEs allocated {blocks} blocks"
+    );
 }
