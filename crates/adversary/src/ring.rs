@@ -162,7 +162,7 @@ fn aring_step(outcome: &mut FamilyOutcome, rng: &mut SplitMix64, engine: EngineK
     let burst = 2 + rng.gen_range(6) as usize;
     let frames: Vec<Vec<u8>> = (0..burst).map(|i| request(rng).encode_with_tag(i)).collect();
     for frame in &frames {
-        ring.try_push(frame).expect("ring has room");
+        ring.push(frame).expect("ring has room");
     }
     if rng.gen_range(2) == 0 {
         // Length-word corruption: the consumer must clamp, returning a
@@ -231,8 +231,8 @@ fn aring_step(outcome: &mut FamilyOutcome, rng: &mut SplitMix64, engine: EngineK
         }
         let mut full = false;
         for i in 0..=ARING_CAPACITY {
-            match ring.try_push(&[i as u8]) {
-                Ok(_) => {}
+            match ring.push(&[i as u8]) {
+                Ok(()) => {}
                 Err(ARingError::Full) => {
                     full = true;
                     break;

@@ -377,11 +377,9 @@ impl Backend {
 
     /// Asks the armed plan (if any) whether a fault fires on this dispatch.
     fn consult_fault_plan(&mut self, request: &WireRequest) -> Option<FaultKind> {
+        let plan = self.plan.as_ref()?;
         let now_ns = self.hv.borrow().clock().now_ns();
-        self.plan
-            .as_ref()?
-            .borrow_mut()
-            .on_dispatch(request.op.name(), now_ns)
+        plan.borrow_mut().on_dispatch(request.op.name(), now_ns)
     }
 
     /// Simulates `kind` firing inside the driver while it dispatches

@@ -192,7 +192,7 @@ impl Transport {
 /// view taken before publishing can lose the wake-up.
 fn publish_ready(ready: &IdRing, guest: u32, bell: &Doorbell) {
     ready
-        .try_push(guest)
+        .push(guest)
         .expect("a ready ring holds one id per in-flight op");
     bell.ring();
 }
@@ -273,7 +273,7 @@ impl Server {
             // so this one's response always finds a free slot.
             self.transport.responses[index]
                 .ring
-                .try_push(&frame[..len])
+                .push(&frame[..len])
                 .expect(
                     "a response ring holds at most MULTI_QUEUE_CAP - 1 other responses, \
                      and responses are tiny",
@@ -413,8 +413,8 @@ impl MultiEngine for RingEngine {
         if state.in_flight >= MULTI_QUEUE_CAP {
             return Err(EngineError::Backpressure);
         }
-        match self.transport.requests[guest as usize].ring.try_push(frame) {
-            Ok(_) => {
+        match self.transport.requests[guest as usize].ring.push(frame) {
+            Ok(()) => {
                 state.in_flight += 1;
                 self.in_flight += 1;
                 publish_ready(&self.transport.req_ready, guest, &self.transport.req_bell);

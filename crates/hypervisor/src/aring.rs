@@ -26,9 +26,12 @@
 //!   producer's next claim of the same slot (push number `h + N`).
 //!
 //! Cursors themselves are only ever written by their owning side, so the
-//! slot sequence is the sole synchronization edge for payload bytes; the
-//! `tail`/`head` stores exist so the *other* side can compute occupancy
-//! (doorbell coalescing, backpressure) and are published with `Release`
+//! slot sequence is the sole synchronization edge for payload bytes, and a
+//! full ring is seen through it too: a push reads nothing the consumer
+//! writes but the sequence word of the slot it claims. The `tail`/`head`
+//! stores exist only for [`len`](AtomicRing::len) and
+//! [`is_empty`](AtomicRing::is_empty) — the engine's wait predicates and
+//! the virtual channel's depth check — and are published with `Release`
 //! and read with `Acquire` for a conservative view. `N` divides `2^32`,
 //! so wrapping `u32` arithmetic never aliases two in-flight pushes.
 //!
@@ -250,10 +253,11 @@ impl Cursors {
     }
 
     /// Producer side: claims the slot for the next push, lets `fill` write
-    /// its payload, publishes it. `Ok(was_empty)` reports the occupancy
-    /// seen just *before* publication. `slots.len()` is a power of two ≥ 2.
+    /// its payload, publishes it. Reads no cursor the consumer writes: a
+    /// full ring shows in the claimed slot's sequence. `slots.len()` is a
+    /// power of two ≥ 2.
     #[inline(always)]
-    fn push<S: SeqSlot>(&self, slots: &[S], fill: impl FnOnce(&S)) -> Result<bool, ARingError> {
+    fn push<S: SeqSlot>(&self, slots: &[S], fill: impl FnOnce(&S)) -> Result<(), ARingError> {
         let tail = self.tail.load(&TAIL_OWNER); // sole writer: us
         let slot = &slots[tail as usize & (slots.len() - 1)];
         // Acquire: synchronizes with the consumer's recycling store, so
@@ -263,12 +267,11 @@ impl Cursors {
             return Err(ARingError::Full);
         }
         fill(slot);
-        let was_empty = self.head.load(&HEAD_OCCUPANCY) == tail;
         // Release: the payload happens-before any consumer that sees
         // seq == tail + 1.
         slot.seq().store(tail.wrapping_add(1), &SEQ_PUBLISH);
         self.tail.store(tail.wrapping_add(1), &TAIL_ADVANCE);
-        Ok(was_empty)
+        Ok(())
     }
 
     /// Consumer side: if the oldest slot is published, lets `take` read
@@ -316,7 +319,7 @@ impl SeqSlot for Slot {
 /// One direction of the shared ring page, concurrency-safe.
 ///
 /// Single-producer single-consumer: exactly one thread may call
-/// [`try_push`](AtomicRing::try_push) and exactly one may call
+/// [`push`](AtomicRing::push) and exactly one may call
 /// [`try_pop`](AtomicRing::try_pop). The type is `Sync` so both sides can
 /// share it behind an `Arc`; the SPSC discipline is the caller's contract
 /// (the engine owns one thread per side by construction). A
@@ -364,12 +367,8 @@ impl AtomicRing {
         }
     }
 
-    /// Producer side: publishes one frame. Returns `true` when the ring
-    /// was empty just before the push. The view is taken before
-    /// publication, so a caller that skips [`Doorbell::ring`] on `false`
-    /// can lose a wake-up to a concurrent drain (ROADMAP [wake]); ringing
-    /// after every push cannot.
-    pub fn try_push(&self, frame: &[u8]) -> Result<bool, ARingError> {
+    /// Producer side: publishes one frame.
+    pub fn push(&self, frame: &[u8]) -> Result<(), ARingError> {
         if frame.len() > ARING_SLOT_BYTES {
             return Err(ARingError::Oversize { len: frame.len() });
         }
@@ -381,6 +380,17 @@ impl AtomicRing {
             }
             slot.len.store(frame.len() as u32, &LEN_WRITE);
         })
+    }
+
+    /// [`push`](AtomicRing::push), plus whether the ring looked empty just
+    /// before it. Only the benchmark's probes read that view, and
+    /// ROADMAP [bench-debt] deletes this wrapper. The view is stale by the
+    /// time the frame is published, so a caller that skips
+    /// [`Doorbell::ring`] on `false` can lose a wake-up to a concurrent
+    /// drain; ringing after every push cannot.
+    pub fn try_push(&self, frame: &[u8]) -> Result<bool, ARingError> {
+        let was_empty = self.is_empty();
+        self.push(frame).map(|()| was_empty)
     }
 
     /// Consumer side: takes the oldest frame, if any, as an owned copy.
@@ -547,9 +557,9 @@ impl IdRing {
         self.slots.len()
     }
 
-    /// Producer side: publishes one id. `Ok(was_empty)` as for
-    /// [`AtomicRing::try_push`]; the only error is [`ARingError::Full`].
-    pub fn try_push(&self, id: u32) -> Result<bool, ARingError> {
+    /// Producer side: publishes one id; the only error is
+    /// [`ARingError::Full`].
+    pub fn push(&self, id: u32) -> Result<(), ARingError> {
         self.cursors
             .push(&self.slots, |slot| slot.id.store(id, &LEN_WRITE))
     }
@@ -620,7 +630,7 @@ impl Doorbell {
     /// *every* publication the waiter's `ready()` predicate observes —
     /// that per-publication protocol is what `race-doorbell` proves
     /// lossless; gating it on an occupancy view taken before publishing
-    /// is not (see [`AtomicRing::try_push`]).
+    /// is not (the `doorbell-coalesce-on-stale-empty` mutant).
     pub fn ring(&self) {
         self.rung.store(true, &RUNG_RING);
         if self.parked.load(&PARKED_CHECK) {
@@ -653,9 +663,10 @@ mod tests {
     fn push_pop_roundtrip_preserves_bytes() {
         let ring = AtomicRing::new();
         assert!(ring.is_empty());
-        assert!(ring.try_push(b"hello").expect("push"));
+        ring.push(b"hello").expect("push");
         assert_eq!(ring.len(), 1);
-        assert!(!ring.try_push(b"world").expect("push"), "not empty now");
+        ring.push(b"world").expect("push");
+        assert_eq!(ring.len(), 2);
         assert_eq!(ring.try_pop().as_deref(), Some(&b"hello"[..]));
         assert_eq!(ring.try_pop().as_deref(), Some(&b"world"[..]));
         assert_eq!(ring.try_pop(), None);
@@ -665,11 +676,11 @@ mod tests {
     fn fills_at_capacity_and_recovers() {
         let ring = AtomicRing::new();
         for i in 0..ARING_CAPACITY {
-            ring.try_push(&[i as u8]).expect("push below capacity");
+            ring.push(&[i as u8]).expect("push below capacity");
         }
-        assert_eq!(ring.try_push(b"x"), Err(ARingError::Full));
+        assert_eq!(ring.push(b"x"), Err(ARingError::Full));
         assert_eq!(ring.try_pop().as_deref(), Some(&[0u8][..]));
-        ring.try_push(b"y").expect("freed slot re-usable");
+        ring.push(b"y").expect("freed slot re-usable");
         for i in 1..ARING_CAPACITY {
             assert_eq!(ring.try_pop().as_deref(), Some(&[i as u8][..]));
         }
@@ -681,12 +692,12 @@ mod tests {
         let ring = AtomicRing::new();
         let frame = [0u8; ARING_SLOT_BYTES + 1];
         assert_eq!(
-            ring.try_push(&frame),
+            ring.push(&frame),
             Err(ARingError::Oversize {
                 len: ARING_SLOT_BYTES + 1
             })
         );
-        ring.try_push(&[0u8; ARING_SLOT_BYTES]).expect("exact fit");
+        ring.push(&[0u8; ARING_SLOT_BYTES]).expect("exact fit");
     }
 
     #[test]
@@ -696,7 +707,7 @@ mod tests {
         for round in 0..64u32 {
             for lap in 0..ARING_CAPACITY as u32 {
                 let value = round * ARING_CAPACITY as u32 + lap;
-                ring.try_push(&value.to_le_bytes()).expect("push");
+                ring.push(&value.to_le_bytes()).expect("push");
             }
             for _ in 0..ARING_CAPACITY {
                 let frame = ring.try_pop().expect("pop");
@@ -714,13 +725,13 @@ mod tests {
         let mut ring = AtomicRing::new();
         assert!(!ring.rewrite_newest(|_, len| len) && !ring.unpush_newest());
         for i in 0..ARING_CAPACITY + 3 {
-            ring.try_push(&[i as u8]).expect("push");
+            ring.push(&[i as u8]).expect("push");
             assert_eq!(ring.try_pop_with(|frame| frame[0]), Some(i as u8));
         }
-        ring.try_push(b"old").expect("push");
-        ring.try_push(b"lost").expect("push");
+        ring.push(b"old").expect("push");
+        ring.push(b"lost").expect("push");
         assert!(ring.unpush_newest());
-        ring.try_push(b"next").expect("the freed slot");
+        ring.push(b"next").expect("the freed slot");
         assert!(ring.rewrite_newest(|_, _| usize::MAX));
         assert_eq!(ring.try_pop().as_deref(), Some(&b"old"[..]));
         assert_eq!(
@@ -730,18 +741,21 @@ mod tests {
         assert_eq!(ring.try_pop(), None);
     }
 
+    /// The probes' wrapper keeps its meaning: the view before the push,
+    /// and the push itself, refusals included.
     #[test]
-    fn doorbell_fires_only_on_empty_to_nonempty() {
+    fn try_push_reports_the_view_before_the_push() {
         let ring = AtomicRing::new();
-        let mut doorbells = 0;
-        for _ in 0..4 {
-            if ring.try_push(b"a").expect("push") {
-                doorbells += 1;
-            }
-        }
-        assert_eq!(doorbells, 1, "coalesced: one bell for four queued frames");
+        let views: Vec<bool> = (0..4u8)
+            .map(|i| ring.try_push(&[i]).expect("push"))
+            .collect();
+        assert_eq!(views, [true, false, false, false]);
+        assert_eq!(ring.len(), 4);
         while ring.try_pop().is_some() {}
-        assert!(ring.try_push(b"b").expect("push"), "empty again: new bell");
+        assert_eq!(ring.try_push(b"b"), Ok(true), "empty again");
+        while ring.push(b"f").is_ok() {}
+        assert_eq!(ring.try_push(b"x"), Err(ARingError::Full));
+        assert_eq!(ring.len(), ARING_CAPACITY);
     }
 
     #[test]
@@ -753,7 +767,7 @@ mod tests {
             std::thread::spawn(move || {
                 for i in 0..total {
                     loop {
-                        match ring.try_push(&i.to_le_bytes()) {
+                        match ring.push(&i.to_le_bytes()) {
                             Ok(_) => break,
                             Err(ARingError::Full) => std::hint::spin_loop(),
                             Err(e) => panic!("unexpected push error: {e}"),
@@ -785,7 +799,7 @@ mod tests {
     #[test]
     fn a_hostile_length_word_is_clamped_not_overread() {
         let ring = AtomicRing::new();
-        ring.try_push(b"short frame").expect("push");
+        ring.push(b"short frame").expect("push");
         assert!(ring.corrupt_newest_len(u32::MAX), "slot is published");
         // The consumer must clamp to the slot size instead of slicing past
         // the payload: a truncated-garbage frame, never a panic.
@@ -797,8 +811,8 @@ mod tests {
     #[test]
     fn a_corrupted_seq_word_hides_the_slot_but_cannot_corrupt_fifo() {
         let ring = AtomicRing::new();
-        ring.try_push(b"first").expect("push");
-        ring.try_push(b"second").expect("push");
+        ring.push(b"first").expect("push");
+        ring.push(b"second").expect("push");
         assert!(ring.corrupt_newest_seq(7));
         // The older slot is untouched; the corrupted one reads as
         // not-yet-published, so the consumer stalls instead of handing out
@@ -808,9 +822,9 @@ mod tests {
         // The producer eventually observes the stuck slot as Full — loss
         // is detected as backpressure, never silent reuse.
         for _ in 0..ARING_CAPACITY {
-            let _ = ring.try_push(b"fill");
+            let _ = ring.push(b"fill");
         }
-        assert_eq!(ring.try_push(b"x"), Err(ARingError::Full));
+        assert_eq!(ring.push(b"x"), Err(ARingError::Full));
     }
 
     #[test]
@@ -818,7 +832,7 @@ mod tests {
         let ring = AtomicRing::new();
         assert!(!ring.corrupt_newest_seq(1));
         assert!(!ring.corrupt_newest_len(9999));
-        ring.try_push(b"ok").expect("push");
+        ring.push(b"ok").expect("push");
         assert_eq!(ring.try_pop().as_deref(), Some(&b"ok"[..]));
     }
 
@@ -835,9 +849,8 @@ mod tests {
             })
         };
         std::thread::sleep(Duration::from_millis(5));
-        if ring.try_push(b"ding").expect("push") {
-            bell.ring();
-        }
+        ring.push(b"ding").expect("push");
+        bell.ring();
         let frame = waiter.join().expect("waiter");
         assert_eq!(frame, b"ding");
     }
@@ -877,8 +890,7 @@ mod tests {
                     while !ring.is_empty() {
                         std::hint::spin_loop();
                     }
-                    let was_empty = ring.try_push(&i.to_le_bytes()).expect("push");
-                    assert!(was_empty, "drained ring: push must report empty");
+                    ring.push(&i.to_le_bytes()).expect("a drained ring has room");
                     bell.ring();
                 }
             })
@@ -897,10 +909,10 @@ mod tests {
         let mut next = 0u32;
         for round in 0..64u32 {
             for lap in 0..4 {
-                let was_empty = ring.try_push(round * 4 + lap).expect("push");
-                assert_eq!(was_empty, lap == 0);
+                ring.push(round * 4 + lap).expect("push below capacity");
+                assert_eq!(ring.len(), lap as usize + 1);
             }
-            assert_eq!(ring.try_push(u32::MAX), Err(ARingError::Full));
+            assert_eq!(ring.push(u32::MAX), Err(ARingError::Full));
             assert_eq!(ring.len(), 4);
             while let Some(id) = ring.try_pop() {
                 assert_eq!(id, next);
@@ -924,10 +936,10 @@ mod tests {
             std::thread::spawn(move || {
                 for i in 0..ROUNDS {
                     let guest = (i % 3 == 0) as usize;
-                    while frames[guest].try_push(&i.to_le_bytes()).is_err() {
+                    while frames[guest].push(&i.to_le_bytes()).is_err() {
                         std::hint::spin_loop();
                     }
-                    ready.try_push(guest as u32).expect("bounded by the frame rings");
+                    ready.push(guest as u32).expect("bounded by the frame rings");
                 }
             })
         };
@@ -954,7 +966,9 @@ mod tests {
             return;
         }
         let ring = AtomicRing::new();
-        ring.try_push(b"x").expect("push");
+        ring.push(b"x").expect("push");
+        // The engine's wait predicates read occupancy through is_empty().
+        assert!(!ring.is_empty());
         ring.try_pop().expect("pop");
         let bell = Doorbell::new();
         bell.register();

@@ -337,7 +337,7 @@ impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
         if queued >= depth {
             return Err(ChannelError::SlotBusy);
         }
-        ring.try_push(&frame[..len]).map_err(|_| ChannelError::SlotBusy)?;
+        ring.push(&frame[..len]).map_err(|_| ChannelError::SlotBusy)?;
         if queued == 0 {
             self.charge_delivery();
         } else {

@@ -41,14 +41,15 @@
 //! | property        | instance                                              |
 //! |-----------------|-------------------------------------------------------|
 //! | `race-ring`     | 2-slot ring, 3 pushes racing 3 pops: no torn payload read, FIFO identity, plus a value-level crosscheck of the real [`AtomicRing`] |
-//! | `race-doorbell` | one empty→non-empty publication racing a consumer park: no terminal state with the consumer asleep, work published, and no wakeup pending |
+//! | `race-doorbell` | two publications, or a stop request in place of either, racing the backend loop's wait on `!ready.is_empty() \|\| stop`: no terminal state with the consumer asleep, work or stop visible, and no wakeup pending |
 //! | `race-shards`   | writer publishing, unpublishing and retiring two declarations through one page slot racing a reader's enter/load/compare/scan/exit: the reader never dereferences a recycled declaration |
 //! | `race-ready`    | frame push → ready-id publish racing ready-id consume → frame pop, 2 guests, one of them published twice: every consumed id finds its frame, every published id is consumed once, in order |
 //!
 //! Disproofs surface as `VP005` diagnostics and replayable fixtures; the
 //! seeded ordering mutants (`aring-publish-relaxed`,
 //! `aring-consume-no-acquire`, `doorbell-check-before-publish`,
-//! `shard-retire-unfenced`, `ready-publish-before-frame`) are this
+//! `doorbell-coalesce-on-stale-empty`, `shard-retire-unfenced`,
+//! `ready-publish-before-frame`) are this
 //! checker's own regression suite.
 //! Bounds are exhaustive for these instances (every run asserts
 //! `!truncated`); DESIGN.md §14 records the model and its limits.
@@ -331,7 +332,7 @@ impl RaceRingModel {
 
     fn program_successors(&self, s: &RaceRingState) -> Vec<(String, RaceRingState)> {
         let mut out = Vec::new();
-        // Producer (thread 0), mirroring AtomicRing::try_push for push p_k:
+        // Producer (thread 0), mirroring AtomicRing::push for push p_k:
         // claim when SEQ[slot] == k, write payload, publish SEQ[slot] = k+1.
         if s.p_k < RING_PUSHES {
             match s.p_pc {
@@ -465,7 +466,7 @@ impl TransitionSystem for RaceRingModel {
 fn crosscheck_geometry<R, T: PartialEq + std::fmt::Debug>(
     capacity: usize,
     make: impl Fn() -> R,
-    push: impl Fn(&R, &T) -> Result<bool, ARingError>,
+    push: impl Fn(&R, &T) -> Result<(), ARingError>,
     pop: impl Fn(&R) -> Option<T>,
     len: impl Fn(&R) -> usize,
     payload: impl Fn(u8, u8) -> T,
@@ -482,17 +483,10 @@ fn crosscheck_geometry<R, T: PartialEq + std::fmt::Debug>(
                 stamp = stamp.wrapping_add(1);
                 let item = payload(stamp, bit as u8);
                 let expect_room = shadow.len() < capacity;
-                let expect_edge = shadow.is_empty();
                 match push(&ring, &item) {
-                    Ok(edge) => {
+                    Ok(()) => {
                         if !expect_room {
                             return Err("real ring admitted a push past capacity".into());
-                        }
-                        if edge != expect_edge {
-                            return Err(format!(
-                                "real ring doorbell edge {edge} on a {} ring",
-                                if expect_edge { "sleeping" } else { "busy" },
-                            ));
                         }
                         shadow.push_back(item);
                     }
@@ -541,7 +535,7 @@ fn crosscheck_real_ring() -> Result<usize, String> {
     let frames = crosscheck_geometry(
         ARING_CAPACITY,
         AtomicRing::new,
-        |ring, frame: &Vec<u8>| ring.try_push(frame),
+        |ring, frame: &Vec<u8>| ring.push(frame),
         AtomicRing::try_pop,
         AtomicRing::len,
         |stamp, bit| vec![stamp, bit, 0x5a],
@@ -549,7 +543,7 @@ fn crosscheck_real_ring() -> Result<usize, String> {
     let ids = crosscheck_geometry(
         RING_SLOTS as usize,
         || IdRing::with_capacity(RING_SLOTS as usize),
-        |ring, id: &u32| ring.try_push(*id),
+        |ring, id: &u32| ring.push(*id),
         IdRing::try_pop,
         IdRing::len,
         |stamp, bit| u32::from(stamp) << 8 | u32::from(bit),
@@ -596,13 +590,17 @@ pub fn check_ring(mutant: Option<Mutant>) -> PropertyReport {
 
 /// Doorbell-model orderings, read from the shipped site table. The
 /// consumer's drain and the park-token exchange are RMWs (always flushing)
-/// so only the flag stores/loads carry orderings here.
+/// so only the plain stores carry orderings here.
 #[derive(Debug, Clone, Copy)]
 struct DoorbellOrders {
-    /// The producer's non-empty publication (the ring's `slot_seq` publish).
+    /// The producer's publication (the ring's `slot_seq` publish).
     publish: MemOrder,
     /// The consumer's readiness check (the ring's occupancy load).
     occupancy: MemOrder,
+    /// The consumer's pop as the producer sees it (the `head` advance).
+    head_advance: MemOrder,
+    /// The engine's shutdown request (the `stop` store).
+    stop: MemOrder,
     /// `rung` store on the ring side.
     ring: MemOrder,
     /// `parked` load on the ring side.
@@ -618,6 +616,8 @@ impl DoorbellOrders {
         DoorbellOrders {
             publish: shipped_ordering("slot_seq", "publish"),
             occupancy: shipped_ordering("tail", "occupancy"),
+            head_advance: shipped_ordering("head", "advance"),
+            stop: shipped_ordering("stop", "request"),
             ring: shipped_ordering("rung", "ring"),
             check: shipped_ordering("parked", "unpark-check"),
             park: shipped_ordering("parked", "park"),
@@ -626,21 +626,56 @@ impl DoorbellOrders {
     }
 }
 
-/// Locations: 0 = ring-non-empty flag (publication proxy), 1 = `rung`,
-/// 2 = `parked`, 3 = the park token (`std::thread` unpark permit).
-const RINGNE: usize = 0;
-const RUNG: usize = 1;
-const PARKED: usize = 2;
-const TOKEN: usize = 3;
+/// Locations: 0 = the ring's tail (publications so far), 1 = its head
+/// (pops so far), 2 = the engine's `stop`, 3 = `rung`, 4 = `parked`,
+/// 5 = the park token (`std::thread` unpark permit).
+const TAIL: usize = 0;
+const HEAD: usize = 1;
+const STOP: usize = 2;
+const RUNG: usize = 3;
+const PARKED: usize = 4;
+const TOKEN: usize = 5;
+
+/// Publications the producer makes before it stops or leaves: more than
+/// one, so a publication can land behind an unserved one.
+const PUBLICATIONS: u32 = 2;
+
+/// Producer program counters.
+const P_CHOOSE: u8 = 0;
+const P_RING: u8 = 1;
+const P_CHECK: u8 = 2;
+const P_UNPARK: u8 = 3;
+const P_DONE: u8 = 4;
+const P_PUBLISH: u8 = 5;
+
+/// Consumer program counters: the backend loop (serve, check `stop`) and
+/// `Doorbell::wait` inside it.
+const C_SERVE: u8 = 0;
+const C_CHECK_STOP: u8 = 1;
+const C_DRAIN: u8 = 2;
+const C_READY: u8 = 3;
+const C_ANNOUNCE: u8 = 4;
+const C_RECHECK: u8 = 5;
+const C_READY_RECHECK: u8 = 6;
+const C_PARK: u8 = 7;
+const C_CLEAR: u8 = 8;
+const C_ASLEEP: u8 = 9;
+const C_EXITED: u8 = 10;
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct RaceDoorbellState {
     mem: Mem,
-    /// Producer: 0 publish, 1 ring, 2 check, 3 unpark, 4 done.
     p_pc: u8,
-    /// Consumer: 0 drain, 1 ready, 2 announce-park, 3 recheck,
-    /// 4 ready-recheck, 5 park, 6 parked (asleep), 7 clear, 8 done.
+    /// Publications made so far.
+    p_sent: u32,
+    /// Whether the producer rings for a stop request (and then leaves).
+    p_stopping: bool,
+    /// Whether the publication under way rings: always, but for
+    /// [`Mutant::DoorbellCoalesceOnStaleEmpty`]'s occupancy view.
+    p_rings: bool,
     c_pc: u8,
+    /// Frames the consumer has popped (its own head).
+    c_head: u32,
     error: Option<String>,
 }
 
@@ -651,6 +686,9 @@ struct RaceDoorbellModel {
     /// clears this: all checking happens before the announcement, so a ring
     /// landing in between is missed.
     recheck_after_announce: bool,
+    /// [`Mutant::DoorbellCoalesceOnStaleEmpty`]: the producer reads
+    /// `is_empty()` before each push and rings only when it said empty.
+    coalesce_on_empty: bool,
 }
 
 impl RaceDoorbellModel {
@@ -658,105 +696,153 @@ impl RaceDoorbellModel {
         RaceDoorbellModel {
             orders,
             recheck_after_announce: mutant != Some(Mutant::DoorbellCheckBeforePublish),
+            coalesce_on_empty: mutant == Some(Mutant::DoorbellCoalesceOnStaleEmpty),
+        }
+    }
+
+    /// The consumer's wait predicate, `!ready.is_empty() || stop`.
+    fn ready(&self, s: &RaceDoorbellState) -> bool {
+        let _ = self.orders.occupancy; // load ordering: no hoisting here
+        s.mem.load(1, TAIL) != s.c_head || s.mem.load(1, STOP) == 1
+    }
+
+    /// Where the consumer goes once the bell or the token has woken it.
+    fn after_wake(&self) -> u8 {
+        if self.recheck_after_announce {
+            C_RECHECK
+        } else {
+            C_CLEAR
         }
     }
 
     fn program_successors(&self, s: &RaceDoorbellState) -> Vec<(String, RaceDoorbellState)> {
         let mut out = Vec::new();
-        // Producer: publish work, ring the bell, unpark if the consumer
-        // announced itself parked (Doorbell::ring).
+        // Producer: publish work and ring (the engine's submit), or request
+        // a stop and ring (its finish); after the last publication it may
+        // also leave without stopping.
+        let next_round = |n: &mut RaceDoorbellState| {
+            n.p_pc = if n.p_stopping { P_DONE } else { P_CHOOSE };
+        };
         match s.p_pc {
-            0 => {
+            P_CHOOSE => {
+                if s.p_sent < PUBLICATIONS {
+                    let mut n = s.clone();
+                    if self.coalesce_on_empty {
+                        // is_empty() through the public API: both cursors.
+                        n.p_rings = n.mem.load(0, TAIL) == n.mem.load(0, HEAD);
+                        n.p_pc = P_PUBLISH;
+                        out.push(("P:is-empty".into(), n));
+                    } else {
+                        n.p_sent += 1;
+                        n.mem.store(0, TAIL, n.p_sent, self.orders.publish);
+                        n.p_pc = P_RING;
+                        out.push(("P:publish".into(), n));
+                    }
+                } else {
+                    let mut n = s.clone();
+                    n.p_pc = P_DONE;
+                    out.push(("P:leave".into(), n));
+                }
                 let mut n = s.clone();
-                n.mem.store(0, RINGNE, 1, self.orders.publish);
-                n.p_pc = 1;
+                n.mem.store(0, STOP, 1, self.orders.stop);
+                n.p_stopping = true;
+                n.p_pc = P_RING;
+                out.push(("P:stop".into(), n));
+            }
+            P_PUBLISH => {
+                let mut n = s.clone();
+                n.p_sent += 1;
+                n.mem.store(0, TAIL, n.p_sent, self.orders.publish);
+                n.p_pc = if n.p_rings { P_RING } else { P_CHOOSE };
                 out.push(("P:publish".into(), n));
             }
-            1 => {
+            P_RING => {
                 let mut n = s.clone();
                 n.mem.store(0, RUNG, 1, self.orders.ring);
-                n.p_pc = 2;
+                n.p_pc = P_CHECK;
                 out.push(("P:ring".into(), n));
             }
-            2 => {
+            P_CHECK => {
                 let mut n = s.clone();
-                n.p_pc = if n.mem.load(0, PARKED) == 1 { 3 } else { 4 };
                 let _ = self.orders.check; // load ordering: no hoisting here
+                if n.mem.load(0, PARKED) == 1 {
+                    n.p_pc = P_UNPARK;
+                } else {
+                    next_round(&mut n);
+                }
                 out.push(("P:check-parked".into(), n));
             }
-            3 => {
+            P_UNPARK => {
                 let mut n = s.clone();
                 // The unpark syscall: deposits the token, always visible.
                 n.mem.store(0, TOKEN, 1, MemOrder::SeqCst);
-                n.p_pc = 4;
+                next_round(&mut n);
                 out.push(("P:unpark".into(), n));
             }
             _ => {}
         }
-        // Consumer: Doorbell::wait — drain the bell, check readiness,
-        // announce parked, recheck, sleep on the token.
-        match s.c_pc {
-            0 => {
-                let mut n = s.clone();
-                let old = n.mem.rmw(1, RUNG, |_| 0);
-                n.c_pc = if old == 1 { 8 } else { 1 };
-                out.push(("C:drain".into(), n));
-            }
-            1 => {
-                let mut n = s.clone();
-                let _ = self.orders.occupancy;
-                n.c_pc = if n.mem.load(1, RINGNE) == 1 { 8 } else { 2 };
-                out.push(("C:ready".into(), n));
-            }
-            2 => {
-                let mut n = s.clone();
-                n.mem.store(1, PARKED, 1, self.orders.park);
-                n.c_pc = if self.recheck_after_announce { 3 } else { 5 };
-                out.push(("C:announce-park".into(), n));
-            }
-            3 => {
-                let mut n = s.clone();
-                let old = n.mem.rmw(1, RUNG, |_| 0);
-                n.c_pc = if old == 1 { 7 } else { 4 };
-                out.push(("C:recheck".into(), n));
-            }
-            4 => {
-                let mut n = s.clone();
-                n.c_pc = if n.mem.load(1, RINGNE) == 1 { 7 } else { 5 };
-                out.push(("C:ready-recheck".into(), n));
-            }
-            5 => {
-                let mut n = s.clone();
-                // park(): consumes a pending token and returns, else sleeps.
-                let got = n.mem.rmw(1, TOKEN, |_| 0);
-                n.c_pc = if got == 1 {
-                    if self.recheck_after_announce {
-                        3
-                    } else {
-                        8
-                    }
+        // Consumer: the backend loop — serve while there is work, leave on
+        // `stop`, else Doorbell::wait on the composed predicate: drain the
+        // bell, check readiness, announce parked, recheck, sleep on the
+        // token.
+        let mut n = s.clone();
+        let label = match s.c_pc {
+            C_SERVE => {
+                if n.mem.load(1, TAIL) != n.c_head {
+                    n.c_head += 1;
+                    n.mem.store(1, HEAD, n.c_head, self.orders.head_advance);
+                    "C:serve"
                 } else {
-                    6
-                };
-                out.push(("C:park".into(), n));
+                    n.c_pc = C_CHECK_STOP;
+                    "C:serve-none"
+                }
+            }
+            C_CHECK_STOP => {
+                n.c_pc = if n.mem.load(1, STOP) == 1 { C_EXITED } else { C_DRAIN };
+                "C:check-stop"
+            }
+            C_DRAIN => {
+                n.c_pc = if n.mem.rmw(1, RUNG, |_| 0) == 1 { C_SERVE } else { C_READY };
+                "C:drain"
+            }
+            C_READY => {
+                n.c_pc = if self.ready(&n) { C_SERVE } else { C_ANNOUNCE };
+                "C:ready"
+            }
+            C_ANNOUNCE => {
+                n.mem.store(1, PARKED, 1, self.orders.park);
+                n.c_pc = if self.recheck_after_announce { C_RECHECK } else { C_PARK };
+                "C:announce-park"
+            }
+            C_RECHECK => {
+                n.c_pc = if n.mem.rmw(1, RUNG, |_| 0) == 1 { C_CLEAR } else { C_READY_RECHECK };
+                "C:recheck"
+            }
+            C_READY_RECHECK => {
+                n.c_pc = if self.ready(&n) { C_CLEAR } else { C_PARK };
+                "C:ready-recheck"
+            }
+            C_PARK => {
+                // park(): consumes a pending token and returns, else sleeps.
+                n.c_pc = if n.mem.rmw(1, TOKEN, |_| 0) == 1 { self.after_wake() } else { C_ASLEEP };
+                "C:park"
             }
             // Asleep: only an unpark token wakes us (no spurious wakeups
             // — the shipped park_timeout is defense in depth, and
             // modeling it would mask exactly the bug we hunt).
-            6 if s.mem.shared[TOKEN] == 1 => {
-                let mut n = s.clone();
+            C_ASLEEP if s.mem.shared[TOKEN] == 1 => {
                 n.mem.rmw(1, TOKEN, |_| 0);
-                n.c_pc = if self.recheck_after_announce { 3 } else { 8 };
-                out.push(("C:wake".into(), n));
+                n.c_pc = self.after_wake();
+                "C:wake"
             }
-            7 => {
-                let mut n = s.clone();
+            C_CLEAR => {
                 n.mem.store(1, PARKED, 0, self.orders.clear);
-                n.c_pc = 8;
-                out.push(("C:clear-park".into(), n));
+                n.c_pc = C_SERVE;
+                "C:clear-park"
             }
-            _ => {}
-        }
+            _ => return out,
+        };
+        out.push((label.into(), n));
         out
     }
 }
@@ -766,9 +852,13 @@ impl TransitionSystem for RaceDoorbellModel {
 
     fn initial(&self) -> Vec<RaceDoorbellState> {
         vec![RaceDoorbellState {
-            mem: Mem::new(vec![0; 4]),
-            p_pc: 0,
-            c_pc: 0,
+            mem: Mem::new(vec![0; 6]),
+            p_pc: P_CHOOSE,
+            p_sent: 0,
+            p_stopping: false,
+            p_rings: true,
+            c_pc: C_SERVE,
+            c_head: 0,
             error: None,
         }]
     }
@@ -783,14 +873,21 @@ impl TransitionSystem for RaceDoorbellModel {
             next.mem = mem;
             next
         }));
-        let done = state.p_pc == 4 && state.c_pc == 8;
-        if out.is_empty() && !(done && state.mem.drained()) {
+        // Terminal: the producer is done and every buffer drained. A
+        // consumer asleep then stays asleep; that is idle only if it has
+        // nothing to see.
+        if out.is_empty() && state.c_pc == C_ASLEEP {
+            let what = if state.mem.shared[STOP] == 1 {
+                "stop requested"
+            } else if state.mem.shared[TAIL] != state.c_head {
+                "work published"
+            } else {
+                return out;
+            };
             let mut next = state.clone();
-            next.error = Some(
-                "lost wakeup: consumer parked forever with the ring published \
-                 non-empty and no unpark token pending"
-                    .to_owned(),
-            );
+            next.error = Some(format!(
+                "lost wakeup: consumer parked forever with {what} and no unpark token pending"
+            ));
             out.push(("lost-wakeup".into(), next));
         }
         out
@@ -804,14 +901,17 @@ impl TransitionSystem for RaceDoorbellModel {
     }
 }
 
-/// `race-doorbell`: one empty→non-empty publication racing one consumer
-/// descent into park, under every schedule and drain timing. Proved iff no
-/// terminal state leaves the consumer asleep with work published and no
-/// token pending.
+/// `race-doorbell`: the engine's backend loop racing a producer that makes
+/// two publications, or requests a stop in place of any of them, under
+/// every schedule and drain timing. Proved iff no terminal state leaves
+/// the consumer asleep with work or `stop` visible and no token pending —
+/// so a stop while parked always ends the loop.
 pub fn check_doorbell(mutant: Option<Mutant>) -> PropertyReport {
-    const DESC: &str = "park/unpark doorbell under every 2-thread schedule: no lost wakeup on \
-         the empty→non-empty edge (orderings read from the shipped site \
-         table; the pure protocol, park_timeout masking disabled)";
+    const DESC: &str = "park/unpark doorbell under every 2-thread schedule: two publications, or a \
+         stop request in place of either, each rung, against the backend loop waiting on \
+         !ready.is_empty() || stop — never parked forever with work or stop visible \
+         (orderings read from the shipped site table; the pure protocol, park_timeout \
+         masking disabled)";
     let model = RaceDoorbellModel::new(DoorbellOrders::shipped(), mutant);
     check_system("race-doorbell", DESC, "hypervisor::aring", &model, mutant)
 }
@@ -1114,8 +1214,8 @@ impl RaceReadyModel {
 
     fn program_successors(&self, s: &RaceReadyState) -> Vec<(String, RaceReadyState)> {
         let mut out = Vec::new();
-        // Producer (thread 0): the engine's submit — AtomicRing::try_push
-        // of the frame (payload, then SEQ), then IdRing::try_push of the
+        // Producer (thread 0): the engine's submit — AtomicRing::push
+        // of the frame (payload, then SEQ), then IdRing::push of the
         // guest's id (payload, then SEQ). The mutant swaps the two pushes.
         if s.p_j < READY_SCRIPT.len() {
             let guest = READY_SCRIPT[s.p_j];
@@ -1342,10 +1442,11 @@ mod tests {
     #[test]
     fn each_ordering_mutant_is_disproved_with_a_replayable_fixture() {
         type Check = fn(Option<Mutant>) -> PropertyReport;
-        let cases: [(Mutant, Check); 7] = [
+        let cases: [(Mutant, Check); 8] = [
             (Mutant::AringPublishRelaxed, check_ring),
             (Mutant::AringConsumeNoAcquire, check_ring),
             (Mutant::DoorbellCheckBeforePublish, check_doorbell),
+            (Mutant::DoorbellCoalesceOnStaleEmpty, check_doorbell),
             (Mutant::ShardRetireUnfenced, check_shards),
             (Mutant::ReadyPublishBeforeFrame, check_ready),
             // The composition leans on the same two orderings as the ring.
@@ -1401,6 +1502,42 @@ mod tests {
         );
         let violation = run.violation.expect("R/A doorbell must lose a wakeup");
         assert!(violation.reason.contains("lost wakeup"), "{}", violation.reason);
+    }
+
+    /// Shutdown while parked: the consumer is asleep on an empty ring when
+    /// the stop request is rung, and the loop it wakes into ends.
+    #[test]
+    fn a_stop_while_parked_ends_the_backend_loop() {
+        let model = RaceDoorbellModel::new(DoorbellOrders::shipped(), None);
+        let mut state = model.initial().remove(0);
+        for label in [
+            "C:serve-none",
+            "C:check-stop",
+            "C:drain",
+            "C:ready",
+            "C:announce-park",
+            "C:recheck",
+            "C:ready-recheck",
+            "C:park",
+            "P:stop",
+            "P:ring",
+            "P:check-parked",
+            "P:unpark",
+            "C:wake",
+            "C:recheck",
+            "C:clear-park",
+            "C:serve-none",
+            "C:check-stop",
+        ] {
+            state = model
+                .successors(&state)
+                .into_iter()
+                .find(|(l, _)| l == label)
+                .unwrap_or_else(|| panic!("{label} not enabled in {state:?}"))
+                .1;
+        }
+        assert_eq!((state.p_pc, state.c_pc), (P_DONE, C_EXITED));
+        assert!(model.successors(&state).is_empty(), "a clean end, not a lost wakeup");
     }
 
     #[test]

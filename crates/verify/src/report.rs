@@ -72,11 +72,16 @@ pub enum Mutant {
     /// compiled program: a pin left by one op answers for the next op's
     /// fetch of the same bytes, whatever the process has put there since.
     JitScratchKeepsPins,
+    /// The doorbell producer reads the ring's `is_empty()` before each
+    /// push and rings only when it said empty: a second publication made
+    /// while the consumer is draining the first is never rung for, and the
+    /// consumer parks on it.
+    DoorbellCoalesceOnStaleEmpty,
 }
 
 impl Mutant {
     /// Every seeded mutant, for `--list` and the check.sh gate.
-    pub const ALL: [Mutant; 17] = [
+    pub const ALL: [Mutant; 18] = [
         Mutant::RingWindowOffByOne,
         Mutant::GrantCoverOffByOne,
         Mutant::CacheEvictInflight,
@@ -94,6 +99,7 @@ impl Mutant {
         Mutant::GrantPageSkipRefCompare,
         Mutant::GrantIssueIntoOccupiedHome,
         Mutant::JitScratchKeepsPins,
+        Mutant::DoorbellCoalesceOnStaleEmpty,
     ];
 
     /// The CLI/fixture name.
@@ -116,6 +122,7 @@ impl Mutant {
             Mutant::GrantPageSkipRefCompare => "grant-page-skip-ref-compare",
             Mutant::GrantIssueIntoOccupiedHome => "grant-issue-into-occupied-home",
             Mutant::JitScratchKeepsPins => "jit-scratch-keeps-pins",
+            Mutant::DoorbellCoalesceOnStaleEmpty => "doorbell-coalesce-on-stale-empty",
         }
     }
 

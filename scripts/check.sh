@@ -162,6 +162,23 @@ if ! grep -q '    requests: AtomicRing,' crates/hypervisor/src/channel.rs \
     exit 1
 fi
 
+echo "==> a-publication-reads-no-consumer-cursor gate (a push loads no head; no shipped try_push caller)"
+# A push is write-only toward its consumer: the kernel's Cursors::push sees
+# a full ring through the claimed slot's sequence and never loads the
+# consumer's head, which on real threads is a cross-core miss per push.
+# AtomicRing::try_push (the view before the push) stays only for the
+# benchmark's probes; nothing else may call it.
+if awk '/fn push<S: SeqSlot>/ { on = 1 } on { print } on && /^    }$/ { exit }' \
+    crates/hypervisor/src/aring.rs | grep -nw 'head'; then
+    echo "ERROR: Cursors::push reads the consumer's head again; a publication reads no consumer cursor" >&2
+    exit 1
+fi
+if grep -rn 'try_push(' crates tests examples --include='*.rs' \
+    | grep -v '^crates/hypervisor/src/aring.rs:'; then
+    echo "ERROR: a shipped caller uses try_push; call push and ring after every publication" >&2
+    exit 1
+fi
+
 echo "==> one-encoder gate (a frame is encoded into a slot-sized buffer; a send allocates nothing)"
 # WireCodec::encode_into is the one encoder: it writes into a caller's
 # buffer, and the channel's sends encode into a stack slot-frame and push
@@ -256,7 +273,7 @@ echo "==> trusted-path ceiling gate (Table 2's CVD + hypervisor API row may shri
 # first #[cfg(test)], over the module list in crates/bench/src/
 # experiments.rs). Lower this pin when the figure drops; raising it needs a
 # reason in CHANGES.md.
-TRUSTED_PATH_CEILING=4970
+TRUSTED_PATH_CEILING=4971
 cargo run -q --release -p paradice-bench --bin experiments -- --table2 >/dev/null
 TRUSTED_PATH="$(awk -F, '$4 ~ /^trusted path/ { print $5 }' results/table2.csv)"
 if [ -z "$TRUSTED_PATH" ] || [ "$TRUSTED_PATH" -gt "$TRUSTED_PATH_CEILING" ]; then
