@@ -16,7 +16,8 @@
 //! * [`perms`] — access-permission sets, including the x86 quirk that
 //!   *write-only* mappings are unsupported (paper §5.3(iv)).
 //! * [`sysmem`] — [`SystemMemory`], the machine's physical frame arena plus a
-//!   frame allocator that zeroes frames on free.
+//!   frame allocator: an allocated frame reads as zeros until first written;
+//!   freeing drops its bytes.
 //! * [`pagetable`] — PAE-style 3-level guest page tables stored *inside*
 //!   guest physical memory, with a software walker.
 //! * `pagemap` — `PageMap`, the two-level radix with 512-entry leaves that

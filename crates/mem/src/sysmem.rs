@@ -54,15 +54,59 @@ impl std::error::Error for MemError {}
 #[derive(Debug)]
 enum FrameSlot {
     Free,
-    Allocated(Box<[u8]>),
+    /// Allocated and never written since: reads as [`ZERO_PAGE`] and holds
+    /// no bytes of its own.
+    Zero,
+    /// Allocated and written.
+    Backed(Box<[u8]>),
+}
+
+/// What every allocated, never-written frame reads as.
+static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+
+impl FrameSlot {
+    /// The bytes of an allocated frame; `None` when it is free.
+    #[inline]
+    fn bytes(&self) -> Option<&[u8]> {
+        match self {
+            FrameSlot::Backed(bytes) => Some(bytes),
+            FrameSlot::Zero => Some(&ZERO_PAGE),
+            FrameSlot::Free => None,
+        }
+    }
+
+    /// The bytes of an allocated frame for writing, backing a never-written
+    /// one with a zeroed page first (counted in `backed`); `None` when it is
+    /// free.
+    #[inline]
+    fn bytes_mut(&mut self, backed: &mut usize) -> Option<&mut [u8]> {
+        match self {
+            FrameSlot::Backed(bytes) => Some(bytes),
+            FrameSlot::Zero => Some(self.back(backed)),
+            FrameSlot::Free => None,
+        }
+    }
+
+    /// Gives a never-written frame a zeroed page of its own.
+    #[cold]
+    fn back(&mut self, backed: &mut usize) -> &mut [u8] {
+        *backed += 1;
+        *self = FrameSlot::Backed(vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+        match self {
+            FrameSlot::Backed(bytes) => bytes,
+            _ => unreachable!("just backed"),
+        }
+    }
 }
 
 /// The simulated physical memory of the whole machine.
 ///
-/// Frames are 4 KiB and allocated through [`SystemMemory::alloc_frame`].
-/// Freed frames are zeroed, mirroring the paper's hypervisor, which zeroes
-/// pages before unmapping them from an IOMMU region (§5.3(i)) so stale guest
-/// data can never leak through reallocation.
+/// Frames are 4 KiB and allocated through [`SystemMemory::alloc_frame`]. An
+/// allocated frame reads as zeros until first written; freeing drops its
+/// bytes. So a frame holds memory only once something writes to it, and
+/// stale guest data can never leak through reallocation, as in the paper's
+/// hypervisor, which zeroes pages before unmapping them from an IOMMU region
+/// (§5.3(i)).
 ///
 /// # Example
 ///
@@ -72,22 +116,31 @@ enum FrameSlot {
 /// # fn main() -> Result<(), paradice_mem::MemError> {
 /// let mut mem = SystemMemory::new(16);
 /// let f = mem.alloc_frame()?;
+/// assert_eq!(mem.read_u64(f.base())?, 0);
+/// assert_eq!(mem.backed_frames(), 0);
 /// mem.write_u64(f.base(), 0xdead_beef)?;
 /// assert_eq!(mem.read_u64(f.base())?, 0xdead_beef);
+/// assert_eq!(mem.backed_frames(), 1);
 /// # Ok(())
 /// # }
 /// ```
 pub struct SystemMemory {
+    /// Every frame below the high-water mark, by number: frames at and
+    /// above `frames.len()` have never been allocated.
     frames: Vec<FrameSlot>,
-    free_list: Vec<u64>,
+    total: usize,
+    /// Freed frames below the high-water mark, the most recent on top.
+    freed: Vec<u64>,
     allocated: usize,
+    backed: usize,
 }
 
 impl fmt::Debug for SystemMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SystemMemory")
-            .field("total_frames", &self.frames.len())
+            .field("total_frames", &self.total)
             .field("allocated_frames", &self.allocated)
+            .field("backed_frames", &self.backed)
             .finish()
     }
 }
@@ -95,14 +148,12 @@ impl fmt::Debug for SystemMemory {
 impl SystemMemory {
     /// Creates a machine memory of `total_frames` 4-KiB frames.
     pub fn new(total_frames: usize) -> Self {
-        let mut frames = Vec::with_capacity(total_frames);
-        frames.resize_with(total_frames, || FrameSlot::Free);
-        // Hand out low frame numbers first so dumps are easy to read.
-        let free_list = (0..total_frames as u64).rev().collect();
         SystemMemory {
-            frames,
-            free_list,
+            frames: Vec::with_capacity(total_frames),
+            total: total_frames,
+            freed: Vec::new(),
             allocated: 0,
+            backed: 0,
         }
     }
 
@@ -113,36 +164,51 @@ impl SystemMemory {
 
     /// Number of frames still available.
     pub fn free_frames(&self) -> usize {
-        self.free_list.len()
+        self.total - self.frames.len() + self.freed.len()
     }
 
-    /// Allocates one zeroed frame.
+    /// Number of allocated frames that hold bytes of their own: those
+    /// written since they were allocated.
+    pub fn backed_frames(&self) -> usize {
+        self.backed
+    }
+
+    /// Allocates one frame, which reads as zeros: the most recently freed
+    /// frame, else the lowest never-allocated one.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::OutOfFrames`] when physical memory is exhausted.
     pub fn alloc_frame(&mut self) -> Result<Frame, MemError> {
-        let number = self.free_list.pop().ok_or(MemError::OutOfFrames)?;
-        self.frames[number as usize] =
-            FrameSlot::Allocated(vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+        let number = match self.freed.pop() {
+            Some(number) => {
+                self.frames[number as usize] = FrameSlot::Zero;
+                number
+            }
+            None if self.frames.len() < self.total => {
+                self.frames.push(FrameSlot::Zero);
+                self.frames.len() as u64 - 1
+            }
+            None => return Err(MemError::OutOfFrames),
+        };
         self.allocated += 1;
         Ok(Frame::from_base(PhysAddr::new(number * PAGE_SIZE)))
     }
 
-    /// Allocates `n` zeroed frames.
+    /// Allocates `n` frames, each reading as zeros.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::OutOfFrames`] if fewer than `n` frames remain; in
     /// that case no frames are allocated.
     pub fn alloc_frames(&mut self, n: usize) -> Result<Vec<Frame>, MemError> {
-        if self.free_list.len() < n {
+        if self.free_frames() < n {
             return Err(MemError::OutOfFrames);
         }
         (0..n).map(|_| self.alloc_frame()).collect()
     }
 
-    /// Frees a frame, zeroing its contents.
+    /// Frees a frame, dropping its bytes.
     ///
     /// # Errors
     ///
@@ -150,31 +216,37 @@ impl SystemMemory {
     pub fn free_frame(&mut self, frame: Frame) -> Result<(), MemError> {
         let number = frame.number() as usize;
         match self.frames.get_mut(number) {
-            Some(slot @ FrameSlot::Allocated(_)) => {
+            Some(FrameSlot::Free) => Err(MemError::BadFree { addr: frame.base() }),
+            Some(slot) => {
+                if let FrameSlot::Backed(_) = slot {
+                    self.backed -= 1;
+                }
                 *slot = FrameSlot::Free;
-                self.free_list.push(number as u64);
+                self.freed.push(number as u64);
                 self.allocated -= 1;
                 Ok(())
             }
-            Some(FrameSlot::Free) => Err(MemError::BadFree { addr: frame.base() }),
+            None if number < self.total => Err(MemError::BadFree { addr: frame.base() }),
             None => Err(MemError::OutOfBounds { addr: frame.base() }),
         }
     }
 
+    #[inline]
     fn frame_bytes(&self, addr: PhysAddr) -> Result<&[u8], MemError> {
-        match self.frames.get(addr.page_number() as usize) {
-            Some(FrameSlot::Allocated(bytes)) => Ok(bytes),
-            Some(FrameSlot::Free) => Err(MemError::Unallocated { addr }),
-            None => Err(MemError::OutOfBounds { addr }),
-        }
+        self.frames
+            .get(addr.page_number() as usize)
+            .and_then(FrameSlot::bytes)
+            .ok_or_else(|| fault(addr, self.total))
     }
 
+    /// The bytes of the frame holding `addr`, backed if they were not.
+    #[inline]
     fn frame_bytes_mut(&mut self, addr: PhysAddr) -> Result<&mut [u8], MemError> {
-        match self.frames.get_mut(addr.page_number() as usize) {
-            Some(FrameSlot::Allocated(bytes)) => Ok(bytes),
-            Some(FrameSlot::Free) => Err(MemError::Unallocated { addr }),
-            None => Err(MemError::OutOfBounds { addr }),
-        }
+        let total = self.total;
+        self.frames
+            .get_mut(addr.page_number() as usize)
+            .and_then(|slot| slot.bytes_mut(&mut self.backed))
+            .ok_or_else(|| fault(addr, total))
     }
 
     /// Reads `buf.len()` bytes starting at `addr`, crossing frame boundaries
@@ -229,8 +301,8 @@ impl SystemMemory {
     }
 
     /// Writes `bytes` at `addr`: in place when they lie inside one frame,
-    /// through [`SystemMemory::write`] (all or nothing) when they straddle
-    /// two.
+    /// through [`SystemMemory::write`] (all or nothing, so a failing write
+    /// backs neither frame) when they straddle two.
     #[inline]
     fn write_array<const N: usize>(
         &mut self,
@@ -238,9 +310,10 @@ impl SystemMemory {
         bytes: [u8; N],
     ) -> Result<(), MemError> {
         let off = addr.page_offset() as usize;
-        match self.frame_bytes_mut(addr)?.get_mut(off..off + N) {
-            Some(inside) => inside.copy_from_slice(&bytes),
-            None => self.write(addr, &bytes)?,
+        if off + N <= PAGE_SIZE as usize {
+            self.frame_bytes_mut(addr)?[off..off + N].copy_from_slice(&bytes);
+        } else {
+            self.write(addr, &bytes)?;
         }
         Ok(())
     }
@@ -284,20 +357,6 @@ impl SystemMemory {
         self.write_array(addr, value.to_le_bytes())
     }
 
-    /// Fills `len` bytes at `addr` with `byte`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any touched frame is unallocated or out of bounds.
-    pub fn fill(&mut self, addr: PhysAddr, len: u64, byte: u8) -> Result<(), MemError> {
-        for (chunk_addr, chunk_len) in chunks(addr, len)? {
-            let frame = self.frame_bytes_mut(chunk_addr)?;
-            let off = chunk_addr.page_offset() as usize;
-            frame[off..off + chunk_len as usize].fill(byte);
-        }
-        Ok(())
-    }
-
     /// Copies bytes frame to frame with no buffer in between: `from` and
     /// `to` list the same number of bytes as `(address, length)` chunks,
     /// each inside one frame (callers split at page boundaries), and the
@@ -337,21 +396,40 @@ impl SystemMemory {
     }
 
     /// Copies `n` bytes from `src` to `dst`, both checked to lie inside
-    /// allocated frames.
+    /// allocated frames. Bytes out of a never-written frame are zeros:
+    /// moving them inside it, or into another never-written frame, changes
+    /// nothing and backs nothing.
     fn copy_in_frames(&mut self, src: PhysAddr, dst: PhysAddr, n: usize) {
         let (from, to) = (src.page_offset() as usize, dst.page_offset() as usize);
         let frames = [src.page_number() as usize, dst.page_number() as usize];
         if frames[0] == frames[1] {
-            if let Some(FrameSlot::Allocated(frame)) = self.frames.get_mut(frames[0]) {
+            if let Some(FrameSlot::Backed(frame)) = self.frames.get_mut(frames[0]) {
                 frame.copy_within(from..from + n, to);
             }
             return;
         }
-        if let Ok([FrameSlot::Allocated(s), FrameSlot::Allocated(d)]) =
-            self.frames.get_disjoint_mut(frames)
-        {
-            d[to..to + n].copy_from_slice(&s[from..from + n]);
+        let Ok([s, d]) = self.frames.get_disjoint_mut(frames) else {
+            return;
+        };
+        let bytes = match s {
+            FrameSlot::Backed(s) => &s[from..from + n],
+            _ if matches!(d, FrameSlot::Zero) => return,
+            _ => &ZERO_PAGE[..n],
+        };
+        if let Some(d) = d.bytes_mut(&mut self.backed) {
+            d[to..to + n].copy_from_slice(bytes);
         }
+    }
+}
+
+/// Why the frame holding `addr` cannot be accessed, in a memory of `total`
+/// frames.
+#[cold]
+fn fault(addr: PhysAddr, total: usize) -> MemError {
+    if addr.page_number() < total as u64 {
+        MemError::Unallocated { addr }
+    } else {
+        MemError::OutOfBounds { addr }
     }
 }
 
@@ -560,13 +638,62 @@ mod tests {
     }
 
     #[test]
-    fn fill_range() {
+    fn a_frame_holds_bytes_only_once_written() {
         let mut mem = SystemMemory::new(2);
-        let a = mem.alloc_frame().unwrap();
-        let _b = mem.alloc_frame().unwrap();
-        mem.fill(a.base().add(PAGE_SIZE - 4), 8, 0x5a).unwrap();
-        let mut buf = [0u8; 8];
-        mem.read(a.base().add(PAGE_SIZE - 4), &mut buf).unwrap();
-        assert_eq!(buf, [0x5a; 8]);
+        let f = mem.alloc_frame().unwrap();
+        let mut buf = [0xffu8; 16];
+        mem.read(f.base().add(100), &mut buf).unwrap();
+        assert_eq!(buf, [0; 16]);
+        assert_eq!(mem.read_u64(f.base().add(PAGE_SIZE - 8)).unwrap(), 0);
+        assert_eq!(mem.backed_frames(), 0);
+        mem.write_u32(f.base().add(8), 7).unwrap();
+        mem.write(f.base(), b"ab").unwrap();
+        assert_eq!(mem.backed_frames(), 1);
+        let base = f.base();
+        mem.free_frame(f).unwrap();
+        assert_eq!(mem.backed_frames(), 0);
+        let again = mem.alloc_frame().unwrap();
+        assert_eq!(again.base(), base);
+        assert_eq!(mem.read_u64(base.add(8)).unwrap(), 0);
+        assert_eq!(mem.backed_frames(), 0);
+    }
+
+    #[test]
+    fn a_failed_access_backs_no_frame() {
+        let mut mem = SystemMemory::new(3);
+        let a = mem.alloc_frame().unwrap().base();
+        let next = a.add(PAGE_SIZE);
+        assert!(mem.write(a.add(PAGE_SIZE - 2), &[1; 4]).is_err());
+        assert!(mem.write_u64(a.add(PAGE_SIZE - 4), u64::MAX).is_err());
+        assert!(mem.copy(&[(a, 4)], &[(a.add(8), 2), (next, 2)]).is_err());
+        assert!(mem.copy(&[(next, 4)], &[(a, 4)]).is_err());
+        assert_eq!(mem.backed_frames(), 0);
+    }
+
+    #[test]
+    fn a_copy_backs_only_a_frame_it_moves_bytes_into() {
+        let mut mem = SystemMemory::new(4);
+        let [written, zero, other_zero, other_written] =
+            [(); 4].map(|()| mem.alloc_frame().unwrap().base());
+        mem.write(written, b"abcd").unwrap();
+        mem.write(other_written, b"wxyz").unwrap();
+        assert_eq!(mem.backed_frames(), 2);
+        // Unbacked to unbacked, and inside one unbacked frame: nothing moves.
+        mem.copy(&[(zero, 8)], &[(other_zero, 8)]).unwrap();
+        mem.copy(&[(zero, 8)], &[(zero.add(4), 8)]).unwrap();
+        assert_eq!(mem.backed_frames(), 2);
+        // Unbacked to backed: the destination reads zeros.
+        mem.copy(&[(zero, 2)], &[(other_written.add(1), 2)]).unwrap();
+        let mut out = [0u8; 4];
+        mem.read(other_written, &mut out).unwrap();
+        assert_eq!(&out, b"w\0\0z");
+        assert_eq!(mem.backed_frames(), 2);
+        // Backed to unbacked: the destination is backed.
+        mem.copy(&[(written.add(1), 3)], &[(zero.add(10), 3)]).unwrap();
+        mem.read(zero.add(9), &mut out).unwrap();
+        assert_eq!(&out, b"\0bcd");
+        assert_eq!(mem.backed_frames(), 3);
+        mem.read(other_zero, &mut out).unwrap();
+        assert_eq!(out, [0; 4]);
     }
 }

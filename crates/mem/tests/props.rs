@@ -9,8 +9,8 @@ use paradice_mem::addr::{page_chunks, pages_for};
 use paradice_mem::ept::EptMapError;
 use paradice_mem::iommu::IommuDomain;
 use paradice_mem::{
-    Access, DmaAddr, Ept, EptViolation, GuestPhysAddr, IommuFault, PhysAddr, RegionId,
-    SystemMemory, PAGE_SIZE,
+    Access, DmaAddr, Ept, EptViolation, Frame, GuestPhysAddr, IommuFault, MemError, PhysAddr,
+    RegionId, SystemMemory, PAGE_SIZE,
 };
 
 /// Pages on both sides of the first two leaf edges of a page map.
@@ -85,6 +85,142 @@ fn iommu_expect(
 
 fn region_pages(model: &BTreeMap<u64, (u64, Access, RegionId)>, region: RegionId) -> usize {
     model.values().filter(|&&(_, _, r)| r == region).count()
+}
+
+/// Frames in the differential test: few, so frees and reallocations are
+/// frequent and ranges often reach an unallocated or a missing frame.
+const FLAT_FRAMES: u64 = 6;
+
+/// The reference [`SystemMemory`]: every frame a flat page of bytes plus an
+/// allocated flag, handed out most recently freed first, then lowest first.
+struct FlatMemory {
+    frames: Vec<(bool, Vec<u8>)>,
+    freed: Vec<u64>,
+    used: u64,
+}
+
+impl FlatMemory {
+    fn new() -> Self {
+        FlatMemory {
+            frames: (0..FLAT_FRAMES)
+                .map(|_| (false, vec![0; PAGE_SIZE as usize]))
+                .collect(),
+            freed: Vec::new(),
+            used: 0,
+        }
+    }
+
+    fn alloc(&mut self) -> Result<u64, MemError> {
+        let number = match self.freed.pop() {
+            Some(number) => number,
+            None if self.used < FLAT_FRAMES => {
+                self.used += 1;
+                self.used - 1
+            }
+            None => return Err(MemError::OutOfFrames),
+        };
+        self.frames[number as usize] = (true, vec![0; PAGE_SIZE as usize]);
+        Ok(number)
+    }
+
+    fn free(&mut self, number: u64) -> Result<(), MemError> {
+        let addr = PhysAddr::new(number * PAGE_SIZE);
+        match self.frames.get_mut(number as usize) {
+            None => Err(MemError::OutOfBounds { addr }),
+            Some((false, _)) => Err(MemError::BadFree { addr }),
+            Some((allocated, _)) => {
+                *allocated = false;
+                self.freed.push(number);
+                Ok(())
+            }
+        }
+    }
+
+    /// The first error an access to `[addr, addr + len)` meets.
+    fn check(&self, addr: PhysAddr, len: u64) -> Result<(), MemError> {
+        for (chunk, _) in page_chunks(addr, len).unwrap() {
+            match self.frames.get(chunk.page_number() as usize) {
+                None => return Err(MemError::OutOfBounds { addr: chunk }),
+                Some((false, _)) => return Err(MemError::Unallocated { addr: chunk }),
+                Some(_) => {}
+            }
+        }
+        Ok(())
+    }
+
+    fn read(&self, addr: PhysAddr, len: u64) -> Result<Vec<u8>, MemError> {
+        self.check(addr, len)?;
+        let mut out = Vec::new();
+        for (chunk, n) in page_chunks(addr, len).unwrap() {
+            let off = chunk.page_offset() as usize;
+            out.extend_from_slice(
+                &self.frames[chunk.page_number() as usize].1[off..off + n as usize],
+            );
+        }
+        Ok(out)
+    }
+
+    fn write(&mut self, addr: PhysAddr, bytes: &[u8]) -> Result<(), MemError> {
+        self.check(addr, bytes.len() as u64)?;
+        let mut done = 0;
+        for (chunk, n) in page_chunks(addr, bytes.len() as u64).unwrap() {
+            let off = chunk.page_offset() as usize;
+            let frame = &mut self.frames[chunk.page_number() as usize].1;
+            frame[off..off + n as usize].copy_from_slice(&bytes[done..done + n as usize]);
+            done += n as usize;
+        }
+        Ok(())
+    }
+
+    /// A copy between chunk lists: every chunk checked in order, then the
+    /// source read whole and written whole (callers' ranges here do not
+    /// overlap across chunks).
+    fn copy(&mut self, from: &[(PhysAddr, u64)], to: &[(PhysAddr, u64)]) -> Result<(), MemError> {
+        for &(addr, n) in from.iter().chain(to) {
+            if n > PAGE_SIZE - addr.page_offset() {
+                return Err(MemError::OutOfBounds { addr });
+            }
+            self.check(addr, n)?;
+        }
+        let mut bytes = Vec::new();
+        for &(addr, n) in from {
+            bytes.extend(self.read(addr, n)?);
+        }
+        let mut done = 0;
+        for &(addr, n) in to {
+            self.write(addr, &bytes[done..done + n as usize])?;
+            done += n as usize;
+        }
+        Ok(())
+    }
+
+    fn allocated(&self) -> usize {
+        self.frames
+            .iter()
+            .filter(|(allocated, _)| *allocated)
+            .count()
+    }
+
+    /// Allocated frames holding a nonzero byte: a lower bound on the
+    /// frames the real memory must have backed.
+    fn written(&self) -> usize {
+        self.frames
+            .iter()
+            .filter(|(allocated, bytes)| *allocated && bytes.iter().any(|&b| b != 0))
+            .count()
+    }
+}
+
+/// An address in or just past the differential test's memory, near a frame
+/// edge half the time.
+fn flat_addr(pick: u64) -> PhysAddr {
+    let page = (pick >> 1) % (FLAT_FRAMES + 1);
+    let offset = if pick & 1 == 0 {
+        (pick >> 8) % PAGE_SIZE
+    } else {
+        PAGE_SIZE - 1 - (pick >> 8) % 16
+    };
+    PhysAddr::new(page * PAGE_SIZE + offset)
 }
 
 proptest! {
@@ -325,6 +461,105 @@ proptest! {
         let mut out = vec![0u8; 32 * 4096];
         mem.read(base, &mut out).unwrap();
         prop_assert_eq!(out, shadow);
+    }
+
+    /// `SystemMemory` and a flat reference model, driven through one random
+    /// history of allocations, frees, reallocations, reads and writes (of
+    /// bytes and of `u64`s, straddling frames and reaching unallocated and
+    /// missing ones) and copies (between any mix of written and
+    /// never-written frames, and overlapping inside one frame), return the
+    /// same bytes and the same errors for every operation. Frames hold
+    /// bytes only once written: a read or a failed operation backs none.
+    #[test]
+    fn sysmem_agrees_with_a_flat_model(
+        ops in proptest::collection::vec((0u8..9, any::<u64>(), any::<u64>(), 0u64..6000), 1..120),
+    ) {
+        let mut mem = SystemMemory::new(FLAT_FRAMES as usize);
+        let mut flat = FlatMemory::new();
+        for (kind, a, b, len) in ops {
+            let (at, to) = (flat_addr(a), flat_addr(b));
+            let bytes: Vec<u8> = (0..len).map(|i| (b >> (i % 8 * 8)) as u8 | 1).collect();
+            let backed = mem.backed_frames();
+            let result = match kind {
+                0 => {
+                    let frame = mem.alloc_frame().map(|f| f.number());
+                    prop_assert_eq!(frame, flat.alloc());
+                    frame.map(drop)
+                }
+                1 => {
+                    let number = (a >> 1) % (FLAT_FRAMES + 1);
+                    let result = mem.free_frame(Frame::from_base(PhysAddr::new(number * PAGE_SIZE)));
+                    prop_assert_eq!(result, flat.free(number));
+                    result
+                }
+                2 => {
+                    let mut out = vec![0u8; len as usize];
+                    let result = mem.read(at, &mut out);
+                    let expected = flat.read(at, len);
+                    prop_assert_eq!(result.map(|()| out), expected.clone());
+                    prop_assert_eq!(mem.backed_frames(), backed);
+                    expected.map(drop)
+                }
+                3 => {
+                    let result = mem.write(at, &bytes);
+                    prop_assert_eq!(result, flat.write(at, &bytes));
+                    result
+                }
+                4 => {
+                    let result = mem.read_u64(at);
+                    let expected = flat.read(at, 8).map(|v| u64::from_le_bytes(v.try_into().unwrap()));
+                    prop_assert_eq!(result, expected);
+                    prop_assert_eq!(mem.backed_frames(), backed);
+                    result.map(drop)
+                }
+                5 => {
+                    let result = mem.write_u64(at, b);
+                    prop_assert_eq!(result, flat.write(at, &b.to_le_bytes()));
+                    result
+                }
+                6 | 7 => {
+                    // Two ranges that share no byte, split at page edges;
+                    // kind 7 hands the destination over as one chunk, which
+                    // leaves its frame when it straddles an edge.
+                    let len = len.min(2 * PAGE_SIZE);
+                    if at.raw() < to.raw() + len && to.raw() < at.raw() + len {
+                        continue;
+                    }
+                    let from: Vec<_> = page_chunks(at, len).unwrap().collect();
+                    let to: Vec<_> = if kind == 6 {
+                        page_chunks(to, len).unwrap().collect()
+                    } else {
+                        vec![(to, len)]
+                    };
+                    let result = mem.copy(&from, &to);
+                    prop_assert_eq!(result, flat.copy(&from, &to));
+                    result
+                }
+                _ => {
+                    // Overlapping, inside one frame: memmove semantics.
+                    let frame = at.page_number() * PAGE_SIZE;
+                    let len = len % PAGE_SIZE;
+                    let (src, dst) = (a % (PAGE_SIZE - len + 1), b % (PAGE_SIZE - len + 1));
+                    let (from, to) = (PhysAddr::new(frame + src), PhysAddr::new(frame + dst));
+                    let result = mem.copy(&[(from, len)], &[(to, len)]);
+                    prop_assert_eq!(result, flat.copy(&[(from, len)], &[(to, len)]));
+                    result
+                }
+            };
+            if result.is_err() {
+                prop_assert_eq!(mem.backed_frames(), backed);
+            }
+            prop_assert_eq!(mem.allocated_frames(), flat.allocated());
+            prop_assert_eq!(mem.free_frames(), FLAT_FRAMES as usize - flat.allocated());
+            prop_assert!(mem.backed_frames() <= mem.allocated_frames());
+            prop_assert!(mem.backed_frames() >= flat.written());
+        }
+        for number in 0..FLAT_FRAMES {
+            let addr = PhysAddr::new(number * PAGE_SIZE);
+            let mut out = vec![0u8; PAGE_SIZE as usize];
+            let result = mem.read(addr, &mut out);
+            prop_assert_eq!(result.map(|()| out), flat.read(addr, PAGE_SIZE));
+        }
     }
 
     /// Frame allocator: handles are unique, frees are reusable, and the

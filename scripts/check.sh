@@ -220,6 +220,22 @@ if sed '/^#\[cfg(test)\]/,$d' crates/mem/src/sysmem.rs | grep -nF 'vec![0u8; len
     exit 1
 fi
 
+echo "==> demand-zero gate (allocating a frame allocates no bytes; the first write does)"
+# A machine set-up allocates every page of RAM and VRAM as a frame and
+# writes to almost none of them, so SystemMemory::alloc_frame hands out a
+# frame that reads as zeros and holds no bytes: a page of its own comes with
+# the first write. Its body must not allocate a page again.
+ALLOC_FRAME="$(awk '/^    pub fn alloc_frame\(/ { on = 1 } on { print } on && /^    }$/ { exit }' \
+    crates/mem/src/sysmem.rs)"
+if [ -z "$ALLOC_FRAME" ]; then
+    echo "ERROR: SystemMemory::alloc_frame not found in crates/mem/src/sysmem.rs" >&2
+    exit 1
+fi
+if printf '%s\n' "$ALLOC_FRAME" | grep -nE 'vec!|Box::new|into_boxed_slice'; then
+    echo "ERROR: SystemMemory::alloc_frame allocates the frame's bytes; back a frame on its first write" >&2
+    exit 1
+fi
+
 echo "==> one-op-lifecycle gate (a synchronous op is a pipeline of one; the backend keeps no scheduler)"
 # cvd::frontend has one post/complete pair that both Machine::ioctl and
 # ioctl_pipelined + flush_pipeline go through: the watchdog, containment
