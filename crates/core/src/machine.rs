@@ -162,6 +162,73 @@ impl DeviceSpec {
             DeviceSpec::Netmap => known::intel_gigabit(),
         }
     }
+
+    /// The pages of device memory behind the device's BAR: the GPUs' VRAM
+    /// or aperture, `None` for a device without one.
+    fn vram_pages(&self) -> Option<u64> {
+        match *self {
+            DeviceSpec::Gpu { vram_pages, .. } | DeviceSpec::IntelGpu { vram_pages } => {
+                Some(vram_pages)
+            }
+            _ => None,
+        }
+    }
+
+    /// Builds one incarnation of the device's driver on its attached
+    /// hardware: `env` and `bar` (mapped once, for the pages of
+    /// [`DeviceSpec::vram_pages`]) outlive every incarnation. Attach and
+    /// each driver-VM reboot call this, so a rebooted driver is built
+    /// exactly as the first one was.
+    fn incarnate(
+        self,
+        env: &Rc<KernelEnv>,
+        bar: Option<GuestPhysAddr>,
+        guests: &[VmId],
+    ) -> Result<DriverHandle, MachineError> {
+        let gpu = |vram_pages: u64| {
+            let bar = bar.expect("a GPU's BAR is mapped at attach");
+            RadeonGpu::new(env.clone(), bar, vram_pages * PAGE_SIZE)
+        };
+        Ok(match self {
+            DeviceSpec::Gpu {
+                vram_pages,
+                version,
+            } => {
+                let mut gpu = gpu(vram_pages);
+                let driver = if env.data_isolation() {
+                    let isolation = IsolationState::setup(env, &gpu, guests, 64)
+                        .map_err(MachineError::Errno)?;
+                    RadeonDriver::new_isolated(env.clone(), gpu, version, isolation)
+                } else {
+                    // Without isolation the driver allocates and reads the
+                    // interrupt status ring in system memory (the §5.3
+                    // behaviour that data isolation forbids).
+                    let irq_page = env.alloc_kernel_page()?;
+                    gpu.set_irq_status_page(irq_page);
+                    RadeonDriver::new(env.clone(), gpu, version)
+                };
+                DriverHandle::Gpu(Rc::new(RefCell::new(driver)))
+            }
+            DeviceSpec::IntelGpu { vram_pages } => {
+                DriverHandle::IntelGpu(Rc::new(RefCell::new(I915Driver::new(gpu(vram_pages)))))
+            }
+            DeviceSpec::Mouse => {
+                DriverHandle::Input(Rc::new(RefCell::new(EvdevDriver::usb_mouse(env.clone()))))
+            }
+            DeviceSpec::Keyboard => DriverHandle::Input(Rc::new(RefCell::new(
+                EvdevDriver::usb_keyboard(env.clone()),
+            ))),
+            DeviceSpec::Camera => {
+                DriverHandle::Camera(Rc::new(RefCell::new(UvcDriver::new(env.clone()))))
+            }
+            DeviceSpec::Audio => {
+                DriverHandle::Audio(Rc::new(RefCell::new(PcmDriver::new(env.clone()))))
+            }
+            DeviceSpec::Netmap => {
+                DriverHandle::Netmap(Rc::new(RefCell::new(NetmapDriver::new(env.clone()))))
+            }
+        })
+    }
 }
 
 /// A guest VM to create at build time (Paradice mode only).
@@ -278,12 +345,29 @@ impl DriverHandle {
             DriverHandle::Netmap(d) => d.clone(),
         }
     }
+
+    /// Moves `fresh`'s driver into this handle's cell, so every holder of
+    /// the cell — the device table's `FileOps`, [`Machine::driver`] —
+    /// serves the new incarnation. The old driver drops with `fresh`.
+    fn replace_with(&self, fresh: DriverHandle) {
+        match (self, fresh) {
+            (DriverHandle::Gpu(cell), DriverHandle::Gpu(new)) => cell.swap(&new),
+            (DriverHandle::IntelGpu(cell), DriverHandle::IntelGpu(new)) => cell.swap(&new),
+            (DriverHandle::Input(cell), DriverHandle::Input(new)) => cell.swap(&new),
+            (DriverHandle::Camera(cell), DriverHandle::Camera(new)) => cell.swap(&new),
+            (DriverHandle::Audio(cell), DriverHandle::Audio(new)) => cell.swap(&new),
+            (DriverHandle::Netmap(cell), DriverHandle::Netmap(new)) => cell.swap(&new),
+            (old, new) => unreachable!("{old:?} reincarnated as {new:?}"),
+        }
+    }
 }
 
 struct AttachedDevice {
     spec: DeviceSpec,
     handle: DriverHandle,
     env: Rc<KernelEnv>,
+    /// The device memory BAR mapped at attach (the two GPU kinds).
+    bar: Option<GuestPhysAddr>,
     /// The device's id in the one device table that serves it.
     id: DeviceId,
 }
@@ -397,15 +481,7 @@ impl MachineBuilder {
         };
 
         // Size physical memory: driver RAM + guests + VRAM + slack.
-        let vram_pages: u64 = self
-            .devices
-            .iter()
-            .map(|d| match d {
-                DeviceSpec::Gpu { vram_pages, .. }
-                | DeviceSpec::IntelGpu { vram_pages } => *vram_pages,
-                _ => 0,
-            })
-            .sum();
+        let vram_pages: u64 = self.devices.iter().filter_map(DeviceSpec::vram_pages).sum();
         let guest_pages: u64 = self.guests.iter().map(|g| g.ram_bytes / PAGE_SIZE).sum();
         let total_frames =
             (self.driver_ram_pages + guest_pages + vram_pages + 4096) as usize;
@@ -616,47 +692,11 @@ impl Machine {
             .borrow_mut()
             .assign_device(self.driver_vm, isolation_mode)?;
         let env = KernelEnv::new(self.hv.clone(), self.driver_vm, domain, di);
-
-        let handle = match spec {
-            DeviceSpec::Gpu { vram_pages, version } => {
-                let bar = self.hv.borrow_mut().map_device_bar(domain, vram_pages)?;
-                let mut gpu = RadeonGpu::new(env.clone(), bar, vram_pages * PAGE_SIZE);
-                let driver = if di {
-                    let isolation =
-                        IsolationState::setup(&env, &gpu, &self.guest_vms, 64)
-                            .map_err(MachineError::Errno)?;
-                    RadeonDriver::new_isolated(env.clone(), gpu, version, isolation)
-                } else {
-                    // Without isolation the driver allocates and reads the
-                    // interrupt status ring in system memory (the §5.3
-                    // behaviour that data isolation forbids).
-                    let irq_page = env.alloc_kernel_page()?;
-                    gpu.set_irq_status_page(irq_page);
-                    RadeonDriver::new(env.clone(), gpu, version)
-                };
-                DriverHandle::Gpu(Rc::new(RefCell::new(driver)))
-            }
-            DeviceSpec::IntelGpu { vram_pages } => {
-                let bar = self.hv.borrow_mut().map_device_bar(domain, vram_pages)?;
-                let gpu = RadeonGpu::new(env.clone(), bar, vram_pages * PAGE_SIZE);
-                DriverHandle::IntelGpu(Rc::new(RefCell::new(I915Driver::new(gpu))))
-            }
-            DeviceSpec::Mouse => {
-                DriverHandle::Input(Rc::new(RefCell::new(EvdevDriver::usb_mouse(env.clone()))))
-            }
-            DeviceSpec::Keyboard => DriverHandle::Input(Rc::new(RefCell::new(
-                EvdevDriver::usb_keyboard(env.clone()),
-            ))),
-            DeviceSpec::Camera => {
-                DriverHandle::Camera(Rc::new(RefCell::new(UvcDriver::new(env.clone()))))
-            }
-            DeviceSpec::Audio => {
-                DriverHandle::Audio(Rc::new(RefCell::new(PcmDriver::new(env.clone()))))
-            }
-            DeviceSpec::Netmap => {
-                DriverHandle::Netmap(Rc::new(RefCell::new(NetmapDriver::new(env.clone()))))
-            }
-        };
+        let bar = spec
+            .vram_pages()
+            .map(|pages| self.hv.borrow_mut().map_device_bar(domain, pages))
+            .transpose()?;
+        let handle = spec.incarnate(&env, bar, &self.guest_vms)?;
 
         let (path, class, policy) = (spec.path(), spec.class(), spec.open_policy());
         let (sharing, ops, driver_env) = (spec.sharing(), handle.fileops(), env.clone());
@@ -677,18 +717,21 @@ impl Machine {
             };
             let report = ir.map(|ir| analyze_handler(&ir)).transpose();
             let report = report.map_err(|e| MachineError::Config(e.to_string()))?;
-            for (i, frontend) in self.frontends.iter().enumerate() {
-                if let Some(report) = &report {
-                    let knowledge = IoctlKnowledge::from_report(report.clone());
-                    frontend.borrow_mut().install_knowledge(spec.path(), knowledge);
+            let knowledge = report.map(|report| Rc::new(IoctlKnowledge::from_report(report)));
+            for (frontend, bus) in self.frontends.iter().zip(&mut self.buses) {
+                if let Some(knowledge) = &knowledge {
+                    frontend
+                        .borrow_mut()
+                        .install_knowledge(spec.path(), knowledge.clone());
                 }
-                self.buses[i].plug(DeviceInfoModule::new(spec.pci_info(), spec.path()));
+                bus.plug(DeviceInfoModule::new(spec.pci_info(), spec.path()));
             }
         }
         self.devices.push(AttachedDevice {
             spec,
             handle,
             env,
+            bar,
             id,
         });
         Ok(())
@@ -1363,9 +1406,12 @@ impl Machine {
     ///    be re-established from scratch (works with isolation *enabled*).
     /// 3. The virtual clock pays the reboot cost, then the failure mark is
     ///    lifted (recorded as a `driver_vm_recovered` trace event).
-    /// 4. **Reboot**: every driver is re-instantiated exactly as at attach
-    ///    time — the data-isolated GPU re-runs its protected-region setup,
-    ///    the plain GPU re-allocates its interrupt status page.
+    /// 4. **Reboot**: every driver is re-incarnated by the one function
+    ///    attach builds it with (`DeviceSpec::incarnate`, on the device's
+    ///    kept kernel environment and BAR) — the data-isolated GPU re-runs
+    ///    its protected-region setup, the plain GPU re-allocates its
+    ///    interrupt status page — and moved into the cell the device table
+    ///    serves.
     /// 5. Backend handle tables and wait queues reset; each frontend
     ///    invalidates its descriptors, clears stale channel slots, and
     ///    closes its circuit breaker. All open handles die (`EBADF`);
@@ -1376,9 +1422,9 @@ impl Machine {
     /// `ENOTSUP` outside Paradice mode; hypervisor errors if the isolation
     /// state cannot be re-created.
     pub fn recover_driver_vm(&mut self) -> Result<(), MachineError> {
-        let ExecMode::Paradice { data_isolation, .. } = self.mode else {
+        if !matches!(self.mode, ExecMode::Paradice { .. }) {
             return Err(MachineError::Errno(Errno::Enotsup));
-        };
+        }
         // 1. Containment (a no-op when the watchdog got there first).
         let _ = self.hv.borrow_mut().mark_driver_vm_failed(self.driver_vm);
         // 2. Clean-slate isolation state for every domain the VM owns.
@@ -1388,64 +1434,12 @@ impl Machine {
         //    refused, so the mark must lift first.
         self.clock.advance(DRIVER_VM_REBOOT_NS);
         self.hv.borrow_mut().clear_driver_vm_failed(self.driver_vm);
-        // 4. Re-instantiate the drivers in place: the backend's registered
-        //    `Rc<RefCell<dyn FileOps>>` cells keep their identity, so the
-        //    fresh driver objects serve the already-registered devfs paths.
+        // 4. Re-incarnate every driver through the function attach used, and
+        //    move it into the cell the device table registered, so the
+        //    fresh driver serves the already-registered devfs path.
         for device in &self.devices {
-            match &device.handle {
-                DriverHandle::Gpu(cell) => {
-                    let (env, bar, vram, version) = {
-                        let driver = cell.borrow();
-                        let gpu = driver.gpu();
-                        (
-                            device.env.clone(),
-                            gpu.bar_base(),
-                            gpu.vram_bytes(),
-                            driver.version(),
-                        )
-                    };
-                    let mut gpu = RadeonGpu::new(env.clone(), bar, vram);
-                    *cell.borrow_mut() = if data_isolation {
-                        let isolation =
-                            IsolationState::setup(&env, &gpu, &self.guest_vms, 64)
-                                .map_err(MachineError::Errno)?;
-                        RadeonDriver::new_isolated(env, gpu, version, isolation)
-                    } else {
-                        // Mirror attach: the rebooted driver allocates a
-                        // fresh interrupt status ring in system memory.
-                        let irq_page = env.alloc_kernel_page()?;
-                        gpu.set_irq_status_page(irq_page);
-                        RadeonDriver::new(env, gpu, version)
-                    };
-                }
-                DriverHandle::IntelGpu(cell) => {
-                    let (env, bar, vram) = {
-                        let driver = cell.borrow();
-                        let gpu = driver.gpu();
-                        (device.env.clone(), gpu.bar_base(), gpu.vram_bytes())
-                    };
-                    let gpu = RadeonGpu::new(env, bar, vram);
-                    *cell.borrow_mut() = I915Driver::new(gpu);
-                }
-                DriverHandle::Input(cell) => {
-                    let name_is_mouse = device.spec == DeviceSpec::Mouse;
-                    let env = device.env.clone();
-                    *cell.borrow_mut() = if name_is_mouse {
-                        EvdevDriver::usb_mouse(env)
-                    } else {
-                        EvdevDriver::usb_keyboard(env)
-                    };
-                }
-                DriverHandle::Camera(cell) => {
-                    *cell.borrow_mut() = UvcDriver::new(device.env.clone());
-                }
-                DriverHandle::Audio(cell) => {
-                    *cell.borrow_mut() = PcmDriver::new(device.env.clone());
-                }
-                DriverHandle::Netmap(cell) => {
-                    *cell.borrow_mut() = NetmapDriver::new(device.env.clone());
-                }
-            }
+            let fresh = device.spec.incarnate(&device.env, device.bar, &self.guest_vms)?;
+            device.handle.replace_with(fresh);
         }
         // 5. Flush CVD state on both sides of the wire.
         if let Some(backend) = &self.backend {

@@ -134,13 +134,6 @@ impl IoctlKnowledge {
         }
     }
 
-    /// No analysis available: fall back to `_IOC` parsing for every command
-    /// (sufficient for drivers whose ioctls only copy their parameter
-    /// struct, like UVC, §4.1).
-    pub fn ioc_only() -> Self {
-        Self::default()
-    }
-
     /// Whether `cmd`'s grants come from JIT evaluation.
     fn is_jit(&self, cmd: IoctlCmd) -> bool {
         matches!(self.commands.get(&cmd.raw()), Some(Derivation::Jit(_)))
@@ -353,6 +346,10 @@ pub struct Frontend {
     channel: Rc<RefCell<CvdChannel>>,
     backend: SharedBackend,
     knowledge: BTreeMap<String, Rc<IoctlKnowledge>>,
+    /// What a device without analyzer knowledge gets: `_IOC` parsing for
+    /// every command (enough for drivers whose ioctls only copy their
+    /// parameter struct, like UVC, §4.1).
+    ioc_only: IoctlKnowledge,
     open: BTreeMap<u64, OpenFile>,
     backend_to_local: BTreeMap<u64, u64>,
     next_fd: u64,
@@ -414,6 +411,7 @@ impl Frontend {
             channel,
             backend,
             knowledge: BTreeMap::new(),
+            ioc_only: IoctlKnowledge::default(),
             open: BTreeMap::new(),
             backend_to_local: BTreeMap::new(),
             next_fd: 3, // after stdio, for verisimilitude
@@ -586,9 +584,9 @@ impl Frontend {
     }
 
     /// Installs analyzer knowledge for the device at `path` (the generated
-    /// source file of §4.1).
-    pub fn install_knowledge(&mut self, path: &str, knowledge: IoctlKnowledge) {
-        self.knowledge.insert(path.to_owned(), Rc::new(knowledge));
+    /// source file of §4.1), shared with every other frontend of the device.
+    pub fn install_knowledge(&mut self, path: &str, knowledge: Rc<IoctlKnowledge>) {
+        self.knowledge.insert(path.to_owned(), knowledge);
     }
 
     /// The FreeBSD hook (§5.1): records the VA range of the upcoming `mmap`
@@ -1064,8 +1062,7 @@ impl Frontend {
         let knowledge = self
             .knowledge
             .get(&file.path)
-            .cloned()
-            .unwrap_or_else(|| Rc::new(IoctlKnowledge::ioc_only()));
+            .map_or(&self.ioc_only, Rc::as_ref);
         self.stats.jit_evaluations += u64::from(knowledge.is_jit(cmd));
         let mut reader = ProcessReader {
             hv: self.hv.clone(),

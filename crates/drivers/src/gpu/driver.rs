@@ -230,11 +230,6 @@ impl RadeonDriver {
         &mut self.gpu
     }
 
-    /// The modeled driver version.
-    pub fn version(&self) -> DriverVersion {
-        self.version
-    }
-
     /// Live buffer objects (tests).
     pub fn bo_count(&self) -> usize {
         self.bos.len()

@@ -99,16 +99,6 @@ impl I915Driver {
         }
     }
 
-    /// The underlying engine (machine wiring, experiments).
-    pub fn gpu(&self) -> &GpuEngine {
-        &self.gpu
-    }
-
-    /// Mutable engine access.
-    pub fn gpu_mut(&mut self) -> &mut GpuEngine {
-        &mut self.gpu
-    }
-
     /// Live buffer objects.
     pub fn bo_count(&self) -> usize {
         self.bos.len()

@@ -87,6 +87,28 @@ if grep -rnwE 'host_devfs|host_ctx|host_device_of|host_device|host_id|backend_id
     exit 1
 fi
 
+echo "==> one-incarnation gate (attach and a driver-VM reboot build every driver through one function)"
+# DeviceSpec::incarnate builds a driver on its attached hardware, and both
+# Machine::attach_device and recover_driver_vm call it: a reboot must not
+# re-create drivers by code of its own. Outside test modules in
+# crates/core/src each driver constructor, the isolation set-up and the
+# IRQ status page wiring occur once, and incarnate has two callers.
+CORE_SRC="$(for f in crates/core/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done)"
+for ctor in 'RadeonDriver::new(' 'RadeonDriver::new_isolated(' 'I915Driver::new(' \
+    'EvdevDriver::usb_mouse(' 'EvdevDriver::usb_keyboard(' 'UvcDriver::new(' \
+    'PcmDriver::new(' 'NetmapDriver::new(' 'IsolationState::setup(' 'set_irq_status_page('; do
+    COUNT="$(printf '%s\n' "$CORE_SRC" | grep -oF "$ctor" | wc -l)"
+    if [ "$COUNT" -ne 1 ]; then
+        echo "ERROR: crates/core/src has $COUNT occurrences of $ctor; build drivers only in DeviceSpec::incarnate" >&2
+        exit 1
+    fi
+done
+INCARNATIONS="$(printf '%s\n' "$CORE_SRC" | grep -F '.incarnate(' | grep -cvF 'fn incarnate(' || true)"
+if [ "$INCARNATIONS" -ne 2 ]; then
+    echo "ERROR: DeviceSpec::incarnate has $INCARNATIONS call sites; attach and recover_driver_vm are its two" >&2
+    exit 1
+fi
+
 echo "==> one-grant-store gate (the hypervisor and the engines share ShardedGrantTable; a ref is its slot's index)"
 # There is one grant store: the hypervisor validates against the same
 # ShardedGrantTable the engines do, and a declaration lives only in its
@@ -289,7 +311,7 @@ echo "==> trusted-path ceiling gate (Table 2's CVD + hypervisor API row may shri
 # first #[cfg(test)], over the module list in crates/bench/src/
 # experiments.rs). Lower this pin when the figure drops; raising it needs a
 # reason in CHANGES.md.
-TRUSTED_PATH_CEILING=4971
+TRUSTED_PATH_CEILING=4969
 cargo run -q --release -p paradice-bench --bin experiments -- --table2 >/dev/null
 TRUSTED_PATH="$(awk -F, '$4 ~ /^trusted path/ { print $5 }' results/table2.csv)"
 if [ -z "$TRUSTED_PATH" ] || [ "$TRUSTED_PATH" -gt "$TRUSTED_PATH_CEILING" ]; then

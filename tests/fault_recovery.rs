@@ -8,9 +8,15 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use paradice::app::drm::DrmClient;
+use paradice::app::i915::{param, IntelClient};
+use paradice::app::pcm::AudioClient;
+use paradice::app::v4l::CameraClient;
+use paradice::camera_ioctl::VIDIOC_QUERYCAP;
 use paradice::gpu_ioctl::{gem_domain, info, RADEON_INFO};
+use paradice::netmap_ioctl::{NIOCGINFO, NIOCREGIF, NIOCTXSYNC};
 use paradice::prelude::*;
 use paradice_cvd::frontend::DEFAULT_OP_DEADLINE_NS;
+use paradice_drivers::evdev::{InputEvent, EVENT_BYTES};
 use paradice_faults::{FaultKind, FaultPlan, Trigger};
 use paradice_hypervisor::audit::BlockedBy;
 use paradice_hypervisor::hv::HvError;
@@ -320,6 +326,168 @@ fn recovery_works_with_data_isolation_enabled() {
         let fb = drm.gem_create(&mut m, PAGE_SIZE, gem_domain::VRAM).unwrap();
         drm.submit_render(&mut m, 100, fb).unwrap();
         drm.wait_idle(&mut m, fb).unwrap();
+    }
+}
+
+/// Every device kind, on a two-guest machine.
+fn every_device_machine(data_isolation: bool) -> Machine {
+    let mut builder = Machine::builder()
+        .mode(ExecMode::Paradice {
+            transport: TransportMode::Interrupts,
+            data_isolation,
+        })
+        .guests([GuestSpec::linux(), GuestSpec::linux()]);
+    for spec in [
+        DeviceSpec::gpu(),
+        DeviceSpec::intel_gpu(),
+        DeviceSpec::Mouse,
+        DeviceSpec::Keyboard,
+        DeviceSpec::Camera,
+        DeviceSpec::Audio,
+        DeviceSpec::Netmap,
+    ] {
+        builder = builder.device(spec);
+    }
+    builder.build().expect("machine builds")
+}
+
+/// Reads the next input event on `fd` as `(kind, code, value)`; its
+/// timestamp is left out.
+fn next_event(m: &mut Machine, task: TaskId, fd: u64) -> String {
+    let buf = m.alloc_buffer(task, EVENT_BYTES).unwrap();
+    assert_eq!(m.read(task, fd, buf, EVENT_BYTES), Ok(EVENT_BYTES));
+    let mut raw = [0u8; EVENT_BYTES as usize];
+    m.read_mem(task, buf, &mut raw).unwrap();
+    let event = InputEvent::from_bytes(&raw).expect("a well-formed event");
+    format!("{:?} {} {}", event.kind, event.code, event.value)
+}
+
+/// Runs `cmd` on `fd` with a `len`-byte argument buffer; returns the
+/// result and the buffer's bytes after the call.
+fn ioctl_bytes(m: &mut Machine, task: TaskId, fd: u64, cmd: IoctlCmd, len: u64) -> String {
+    let arg = m.alloc_buffer(task, len).unwrap();
+    let result = m.ioctl(task, fd, cmd, arg.raw());
+    let mut out = vec![0u8; len as usize];
+    m.read_mem(task, arg, &mut out).unwrap();
+    format!("{result:?} {out:?}")
+}
+
+/// A fixed script over every device from a new process in guest 0: what
+/// each driver answers, as one line per step. A driver built afresh
+/// answers the same on a rebooted machine as on a new one.
+fn device_script(m: &mut Machine) -> Vec<String> {
+    let task = m.spawn_process(Some(0)).unwrap();
+    let mut lines = Vec::new();
+
+    let drm = DrmClient::open(m, task).unwrap();
+    for request in [info::DEVICE_ID, info::VRAM_SIZE, info::FAMILY] {
+        lines.push(format!("RADEON_INFO {request}: {:?}", drm.info(m, request)));
+    }
+    let bo = drm.gem_create(m, PAGE_SIZE, gem_domain::VRAM).unwrap();
+    lines.push(format!("radeon first GEM handle: {bo}"));
+    let data = m.alloc_buffer(task, 64).unwrap();
+    m.write_mem(task, data, &[0xa5; 64]).unwrap();
+    drm.gem_pwrite(m, bo, 128, data, 64).unwrap();
+    m.write_mem(task, data, &[0; 64]).unwrap();
+    // Data isolation refuses the read-back (EPERM) and leaves the zeros.
+    let pread = drm.gem_pread(m, bo, 120, data, 64);
+    let mut back = [0u8; 64];
+    m.read_mem(task, data, &mut back).unwrap();
+    lines.push(format!("radeon GEM_PREAD: {pread:?} {back:?}"));
+    lines.push(format!("radeon fence: {:?}", drm.submit_render(m, 100, bo)));
+    drm.wait_idle(m, bo).unwrap();
+    m.close(task, drm.fd).unwrap();
+
+    let intel = IntelClient::open(m, task).unwrap();
+    for code in [param::CHIPSET_ID, param::APERTURE_SIZE, param::HAS_EXECBUF2] {
+        lines.push(format!(
+            "i915 GETPARAM {code}: {:?}",
+            intel.getparam(m, code)
+        ));
+    }
+    lines.push(format!(
+        "i915 first GEM handle: {:?}",
+        intel.gem_create(m, PAGE_SIZE)
+    ));
+    m.close(task, intel.fd).unwrap();
+
+    let mouse = m.open(task, "/dev/input/event0").unwrap();
+    m.mouse_move(3, -2);
+    lines.push(format!("mouse: {}", next_event(m, task, mouse)));
+    m.close(task, mouse).unwrap();
+    let keyboard = m.open(task, "/dev/input/event1").unwrap();
+    m.key_press(30);
+    lines.push(format!("keyboard: {}", next_event(m, task, keyboard)));
+    m.close(task, keyboard).unwrap();
+
+    let mut camera = CameraClient::open(m, task).unwrap();
+    let querycap = ioctl_bytes(m, task, camera.fd, VIDIOC_QUERYCAP, 32);
+    lines.push(format!("VIDIOC_QUERYCAP: {querycap}"));
+    lines.push(format!(
+        "camera format: {:?}",
+        camera.set_format(m, 1280, 720)
+    ));
+    m.close(task, camera.fd).unwrap();
+
+    let audio = AudioClient::open(m, task).unwrap();
+    audio.configure(m, 48_000, 2, 16).unwrap();
+    let samples = m.alloc_buffer(task, 4096).unwrap();
+    lines.push(format!(
+        "pcm write: {:?}",
+        m.write(task, audio.fd, samples, 4096)
+    ));
+    m.close(task, audio.fd).unwrap();
+
+    let nic = m.open(task, "/dev/netmap").unwrap();
+    lines.push(format!(
+        "NIOCREGIF: {}",
+        ioctl_bytes(m, task, nic, NIOCREGIF, 16)
+    ));
+    lines.push(format!(
+        "NIOCGINFO: {}",
+        ioctl_bytes(m, task, nic, NIOCGINFO, 8)
+    ));
+    lines.push(format!(
+        "NIOCTXSYNC: {:?}",
+        m.ioctl(task, nic, NIOCTXSYNC, 0)
+    ));
+    m.close(task, nic).unwrap();
+    lines
+}
+
+#[test]
+fn every_device_kind_reboots_as_itself_ten_times_under_two_guests() {
+    for data_isolation in [false, true] {
+        let expected = device_script(&mut every_device_machine(data_isolation));
+        let mut m = every_device_machine(data_isolation);
+        let (t0, t1) = (
+            m.spawn_process(Some(0)).unwrap(),
+            m.spawn_process(Some(1)).unwrap(),
+        );
+        for round in 0..10 {
+            // Different histories: guest 0 renders and keeps its object,
+            // guest 1 holds the two single-open devices.
+            let drm = DrmClient::open(&mut m, t0).unwrap();
+            let fb = drm.gem_create(&mut m, PAGE_SIZE, gem_domain::VRAM).unwrap();
+            drm.submit_render(&mut m, 100, fb).unwrap();
+            drm.wait_idle(&mut m, fb).unwrap();
+            let camera = m.open(t1, "/dev/video0").unwrap();
+            m.open(t1, "/dev/netmap").unwrap();
+
+            m.recover_driver_vm()
+                .unwrap_or_else(|e| panic!("isolation {data_isolation}, reboot {round}: {e}"));
+            assert!(!m.driver_vm_failed());
+            assert_eq!(
+                m.poll(t1, camera),
+                Err(Errno::Ebadf),
+                "handles die with the VM"
+            );
+            assert_eq!(
+                device_script(&mut m),
+                expected,
+                "isolation {data_isolation}, after reboot {round}"
+            );
+        }
     }
 }
 

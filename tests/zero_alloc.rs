@@ -4,7 +4,8 @@
 //! `Channel`, backend, driver, `hc_memops`, grant page — and allocates
 //! nothing: frames are encoded into stack slot-frames, the frontend derives
 //! grants into one reused buffer, and a grant declaration is a recycled
-//! block. So does a 16-KiB `GEM_PWRITE` / `GEM_PREAD`: its JIT program runs
+//! block. So does a netmap `NIOCTXSYNC`, whose device has no analyzer
+//! knowledge: its grants come from the `_IOC` encoding. So does a 16-KiB `GEM_PWRITE` / `GEM_PREAD`: its JIT program runs
 //! on a reused scratch, and the hypervisor copies the payload straight
 //! between the process pages and the BAR through the page plan it keeps.
 //! Under data isolation a `GEM_PWRITE` stages through the driver's kept
@@ -18,9 +19,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use paradice::app::netmap::NetmapClient;
 use paradice::gpu_ioctl::{
     gem_domain, info, RADEON_GEM_CREATE, RADEON_GEM_PREAD, RADEON_GEM_PWRITE, RADEON_INFO,
 };
+use paradice::netmap_ioctl::NIOCTXSYNC;
 use paradice::prelude::*;
 
 /// Forwards to the system allocator, counting the calls that hand out a
@@ -99,19 +102,47 @@ fn gpu_rig(fastpath: bool) -> (Machine, TaskId, u64, Vec<u64>) {
     (m, task, fd, args)
 }
 
+/// A Paradice machine with the netmap NIC open and registered in guest 0:
+/// `(machine, task, fd)`.
+fn netmap_rig() -> (Machine, TaskId, u64) {
+    let mut m = Machine::builder()
+        .mode(ExecMode::Paradice {
+            transport: TransportMode::Interrupts,
+            data_isolation: false,
+        })
+        .guest(GuestSpec::linux())
+        .device(DeviceSpec::Netmap)
+        .build()
+        .expect("machine builds");
+    let task = m.spawn_process(Some(0)).expect("spawn");
+    let nic = NetmapClient::open(&mut m, task).expect("open and register netmap");
+    (m, task, nic.fd)
+}
+
+/// Warms `call` up, then asserts that 10 000 more calls allocate nothing.
+fn assert_steady_state_allocates_nothing(
+    name: &str,
+    mut call: impl FnMut(usize) -> Result<i64, Errno>,
+) {
+    for i in 0..WARM_UP {
+        call(i).unwrap_or_else(|e| panic!("warm-up {name}: {e:?}"));
+    }
+    let (failed, blocks) = blocks_allocated(|| (0..10_000).filter(|&i| call(i).is_err()).count());
+    assert_eq!(failed, 0, "{name}");
+    assert_eq!(
+        blocks, 0,
+        "10 000 blocking {name} allocated {blocks} blocks"
+    );
+}
+
 #[test]
 fn a_blocking_ioctl_allocates_nothing_in_steady_state() {
     let (mut m, task, fd, args) = gpu_rig(false);
-    let mut call = |i: usize| m.ioctl(task, fd, RADEON_INFO, args[i % args.len()]);
-    for i in 0..WARM_UP {
-        call(i).expect("warm-up RADEON_INFO");
-    }
-    let (failed, blocks) = blocks_allocated(|| (0..10_000).filter(|&i| call(i).is_err()).count());
-    assert_eq!(failed, 0);
-    assert_eq!(
-        blocks, 0,
-        "10 000 blocking RADEON_INFO allocated {blocks} blocks"
-    );
+    assert_steady_state_allocates_nothing("RADEON_INFO", |i| {
+        m.ioctl(task, fd, RADEON_INFO, args[i % args.len()])
+    });
+    let (mut m, task, fd) = netmap_rig();
+    assert_steady_state_allocates_nothing("NIOCTXSYNC", |_| m.ioctl(task, fd, NIOCTXSYNC, 0));
 }
 
 /// A fast-path round allocates exactly one block: the results `Vec` that
