@@ -7,9 +7,10 @@
 //! cargo run -p paradice-bench --bin experiments -- --trace trace.jsonl
 //! ```
 //!
-//! Tables print to stdout and land as CSV under `results/`. A full run
-//! also writes their machine-readable twin, `BENCH_experiments.json`
-//! (every emitted table), at the repo root. Host-time measurements live
+//! Tables print to stdout and land as CSV under `results/`, and in their
+//! machine-readable twin, `BENCH_experiments.json` at the repo root: a full
+//! run writes every table there, a partial run replaces the tables it
+//! emitted and keeps the rest. Host-time measurements live
 //! in the stand-alone `benchmark/` package; the proofs report themselves
 //! (`paradice-verify --all --json`). `--trace` records the
 //! reference workload with paradice-trace enabled and dumps the span
@@ -19,7 +20,7 @@
 use std::path::PathBuf;
 
 use paradice_bench::experiments;
-use paradice_bench::report::{render_experiments_json, Table};
+use paradice_bench::report::{render_experiments_json, splice_experiments_json, Table};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -105,12 +106,15 @@ fn main() {
     if want("--fastpath") {
         emit(experiments::fastpath());
     }
-    if run_all {
-        let path = repo_root().join("BENCH_experiments.json");
-        match std::fs::write(&path, render_experiments_json(&emitted)) {
-            Ok(()) => println!("experiment tables written to {}", path.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_experiments.json: {e}"),
-        }
+    let path = repo_root().join("BENCH_experiments.json");
+    let document = if run_all {
+        render_experiments_json(&emitted)
+    } else {
+        splice_experiments_json(&std::fs::read_to_string(&path).unwrap_or_default(), &emitted)
+    };
+    match std::fs::write(&path, document) {
+        Ok(()) => println!("experiment tables written to {}", path.display()),
+        Err(e) => eprintln!("warning: could not write BENCH_experiments.json: {e}"),
     }
     println!("CSV written to {}", results_dir().display());
 }

@@ -167,13 +167,34 @@ impl Table {
 /// per-figure virtual-time numbers, machine-readable, so performance can
 /// be diffed mechanically across revisions.
 pub fn render_experiments_json(tables: &[Table]) -> String {
-    let body: Vec<String> = tables
-        .iter()
-        .map(|t| format!("    {}", t.to_json()))
+    experiments_document(tables.iter().map(Table::to_json).collect())
+}
+
+/// `existing`, a `BENCH_experiments.json` document, with each of `tables`
+/// in place of the table of the same id (appended when it has none): what
+/// a run of some of the experiments writes, so the JSON keeps saying what
+/// the CSVs it rewrote say.
+pub fn splice_experiments_json(existing: &str, tables: &[Table]) -> String {
+    let mut rows: Vec<String> = existing
+        .lines()
+        .filter_map(|line| line.strip_prefix("    "))
+        .filter(|row| row.starts_with("{\"id\":"))
+        .map(|row| row.trim_end_matches(',').to_owned())
         .collect();
+    for table in tables {
+        let id = format!("{{\"id\":\"{}\",", json_escape(&table.id));
+        match rows.iter_mut().find(|row| row.starts_with(&id)) {
+            Some(row) => *row = table.to_json(),
+            None => rows.push(table.to_json()),
+        }
+    }
+    experiments_document(rows)
+}
+
+fn experiments_document(tables: Vec<String>) -> String {
     format!(
-        "{{\n  \"schema\": \"paradice-experiments/v1\",\n  \"tables\": [\n{}\n  ]\n}}\n",
-        body.join(",\n")
+        "{{\n  \"schema\": \"paradice-experiments/v1\",\n  \"tables\": [\n    {}\n  ]\n}}\n",
+        tables.join(",\n    ")
     )
 }
 
@@ -207,6 +228,35 @@ mod tests {
         assert!(json.contains("[null,null]"), "empty/NaN cells become null: {json}");
         let doc = render_experiments_json(&[table]);
         assert!(doc.contains("\"schema\": \"paradice-experiments/v1\""));
+    }
+
+    /// A partial run replaces its own tables and keeps every other one, in
+    /// order; a table the document lacks is appended.
+    #[test]
+    fn a_spliced_table_replaces_its_namesake_only() {
+        let table = |id: &str, value: f64| {
+            let mut table = Table::new(id, "T", &["value"]);
+            table.row(vec![Cell::Num(value, 1)]);
+            table
+        };
+        let full = render_experiments_json(&[table("table1", 1.0), table("table2", 2.0)]);
+        let spliced = splice_experiments_json(&full, &[table("table2", 3.0)]);
+        assert_eq!(
+            spliced,
+            render_experiments_json(&[table("table1", 1.0), table("table2", 3.0)])
+        );
+        assert_eq!(
+            splice_experiments_json(&spliced, &[table("fig2", 4.0)]),
+            render_experiments_json(&[
+                table("table1", 1.0),
+                table("table2", 3.0),
+                table("fig2", 4.0)
+            ])
+        );
+        assert_eq!(
+            splice_experiments_json("", &[table("table2", 2.0)]),
+            render_experiments_json(&[table("table2", 2.0)])
+        );
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! per-guest wait queues (paper §3.2.3, §5.1), and one guest's backlog or
 //! grant churn never contends on another's fast path:
 //!
-//! * **Per-guest queues.** Each guest gets its own request/response
-//!   [`AtomicRing`] pair. A flooding guest fills only its own queue.
+//! * **Per-guest queues.** Each guest gets its own request ring, an
+//!   [`AtomicRing`] page, and its own response ring, a [`FrameRing`] of
+//!   [`RESPONSE_SLOT_BYTES`]-byte slots. A flooding guest fills only its
+//!   own queue.
 //! * **Per-guest wait-queue caps.** Submission past the cap fails with
 //!   [`EngineError::Backpressure`] — the engine-seam spelling of the
 //!   backend's `EDQUOT` (paper §5.1, the per-guest 100-op cap): the
@@ -58,13 +60,13 @@ use std::thread::JoinHandle;
 use paradice_hypervisor::atomic::AtomicBool;
 use paradice_hypervisor::engine::{EngineError, EngineKind, STOP_CHECK, STOP_REQUEST};
 use paradice_hypervisor::{
-    ARingError, AtomicRing, Clock, ClockSource, CostModel, Doorbell, FairSched, IdRing,
-    SchedPolicy, ShardedGrantTable, WireCodec, ARING_CAPACITY, ARING_SLOT_BYTES,
+    ARingError, AtomicRing, Clock, ClockSource, CostModel, Doorbell, FairSched, FrameRing,
+    IdRing, SchedPolicy, ShardedGrantTable, WireCodec, ARING_CAPACITY,
 };
 use paradice_trace::TraceEvent;
 
 use crate::exec::{dispatch, DeviceService};
-use crate::proto::{WireOp, WireRequest};
+use crate::proto::{WireOp, WireRequest, RESPONSE_SLOT_BYTES};
 
 /// Per-guest wait-queue cap on both substrates: the depth of a guest's
 /// request ring.
@@ -142,10 +144,14 @@ fn modeled_service_ns(cost: &CostModel, request: Option<&WireRequest>) -> u64 {
 /// ready rings are 64-byte aligned): the ring arrays, which both sides
 /// read on every op, and each doorbell, which one side writes on every
 /// op, get lines of their own.
+///
+/// A guest's share is 4 800 bytes: a 4 160-byte [`GuestRing`] of requests,
+/// whose frames may fill a page slot, and a 640-byte [`ResponseRing`],
+/// since a response is at most 9 bytes.
 #[repr(C)]
 struct Transport {
     requests: Box<[GuestRing]>,
-    responses: Box<[GuestRing]>,
+    responses: Box<[ResponseRing]>,
     req_ready: IdRing,
     req_bell: Doorbell,
     resp_ready: IdRing,
@@ -153,28 +159,35 @@ struct Transport {
     stop: AtomicBool,
 }
 
-/// One guest's ring in a direction's array, one cache line longer than a
-/// page: at a bare 4-KiB stride every guest's cursors would share the same
-/// cache sets, and a thousand guests' rings would evict one another.
+/// One guest's request ring, one cache line longer than a page: at a bare
+/// 4-KiB stride every guest's cursors would share the same cache sets, and
+/// a thousand guests' rings would evict one another.
 #[repr(C)]
 struct GuestRing {
     ring: AtomicRing,
     _stagger: [u8; 64],
 }
 
+/// One guest's response ring: 16 slots of 32 bytes behind the two cursor
+/// lines, 640 bytes, so consecutive guests' rings start on different cache
+/// sets without a stagger.
+type ResponseRing = FrameRing<RESPONSE_SLOT_BYTES>;
+
+// The per-guest footprint: a page-sized request ring plus its stagger, and
+// a response ring of at most 1 KiB.
+const _: () = assert!(std::mem::size_of::<GuestRing>() == 4096 + 64);
+const _: () = assert!(std::mem::size_of::<ResponseRing>() <= 1024);
+
 impl Transport {
     fn new(guests: usize) -> Transport {
-        let rings = || {
-            (0..guests)
+        Transport {
+            requests: (0..guests)
                 .map(|_| GuestRing {
                     ring: AtomicRing::new(),
                     _stagger: [0; 64],
                 })
-                .collect()
-        };
-        Transport {
-            requests: rings(),
-            responses: rings(),
+                .collect(),
+            responses: (0..guests).map(|_| ResponseRing::new()).collect(),
             // One id per in-flight op at most, and the per-guest cap bounds
             // those: sized from the guest count, the ready rings never fill.
             req_ready: IdRing::with_capacity(guests * MULTI_QUEUE_CAP),
@@ -264,20 +277,16 @@ impl Server {
             if let Some(&next) = stamps.front() {
                 self.sched.enqueue(guest, next);
             }
-            let mut frame = [0u8; ARING_SLOT_BYTES];
+            let mut frame = [0u8; RESPONSE_SLOT_BYTES];
             let len = response
                 .encode_into(&mut frame)
-                .expect("a response fits a slot");
+                .expect("a response fits a response slot");
             // The frontend caps a guest at MULTI_QUEUE_CAP = ARING_CAPACITY
             // ops in flight and counts an op until it takes the response,
             // so this one's response always finds a free slot.
             self.transport.responses[index]
-                .ring
                 .push(&frame[..len])
-                .expect(
-                    "a response ring holds at most MULTI_QUEUE_CAP - 1 other responses, \
-                     and responses are tiny",
-                );
+                .expect("a response ring holds at most MULTI_QUEUE_CAP - 1 other responses");
             publish_ready(&self.transport.resp_ready, guest, &self.transport.resp_bell);
             return true;
         }
@@ -450,7 +459,7 @@ impl MultiEngine for RingEngine {
         }
         while let Some(guest) = self.rotation.pop_front() {
             let state = &mut self.guests[guest as usize];
-            let Some(frame) = transport.responses[guest as usize].ring.try_pop() else {
+            let Some(frame) = transport.responses[guest as usize].try_pop() else {
                 // Announced but not there: drop the claim, as the server
                 // does for requests.
                 state.announced = 0;

@@ -34,6 +34,18 @@ pub const MAX_PATH: usize = ARING_SLOT_BYTES - OPEN_PATH_AT;
 
 const _: () = assert!(OPEN_PATH_AT == 43 && OPEN_PATH_AT + MAX_PATH == ARING_SLOT_BYTES);
 
+/// Bytes of the longest response: a tag and an `i64`
+/// ([`WireResponse::Value`]); an errno or a poll mask is a tag and a `u32`.
+const LONGEST_RESPONSE: usize = 1 + 8;
+
+/// Payload bytes of a response slot on the multi-guest engine's response
+/// rings: the longest response, rounded up so that a slot with its 8 bytes
+/// of sequence and length words is 32 bytes, two per cache line. The
+/// virtual [`Channel`] keeps page-sized slots in both directions.
+pub const RESPONSE_SLOT_BYTES: usize = 24;
+
+const _: () = assert!((LONGEST_RESPONSE + 8).next_power_of_two() == RESPONSE_SLOT_BYTES + 8);
+
 /// A file operation as transmitted frontend → backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireOp {
@@ -1026,6 +1038,25 @@ mod tests {
             WireResponse::Err(Errno::Edquot),
         ] {
             assert_eq!(WireResponse::decode(&resp.encode()).unwrap(), resp);
+        }
+    }
+
+    /// Every response, at its widest, fits a response slot.
+    #[test]
+    fn every_response_fits_a_response_slot() {
+        let errnos: Vec<Errno> = (0..=255).filter_map(Errno::from_code).collect();
+        assert_eq!(errnos.len(), 17, "every errno the wire knows");
+        let all_events = PollEvents::IN | PollEvents::OUT | PollEvents::ERR | PollEvents::HUP;
+        let responses = [i64::MIN, -1, 0, i64::MAX]
+            .map(WireResponse::Value)
+            .into_iter()
+            .chain([all_events, PollEvents::from_bits(u16::MAX)].map(WireResponse::Poll))
+            .chain(errnos.into_iter().map(WireResponse::Err));
+        let mut slot = [0u8; RESPONSE_SLOT_BYTES];
+        for response in responses {
+            let len = response.encode_into(&mut slot).expect("fits a response slot");
+            assert!(len <= LONGEST_RESPONSE, "{response:?} is {len} bytes");
+            assert_eq!(WireResponse::decode(&slot[..len]), Ok(response));
         }
     }
 

@@ -29,8 +29,8 @@
 //! slot sequence is the sole synchronization edge for payload bytes, and a
 //! full ring is seen through it too: a push reads nothing the consumer
 //! writes but the sequence word of the slot it claims. The `tail`/`head`
-//! stores exist only for [`len`](AtomicRing::len) and
-//! [`is_empty`](AtomicRing::is_empty) — the engine's wait predicates and
+//! stores exist only for [`len`](FrameRing::len) and
+//! [`is_empty`](FrameRing::is_empty) — the engine's wait predicates and
 //! the virtual channel's depth check — and are published with `Release`
 //! and read with `Acquire` for a conservative view. `N` divides `2^32`,
 //! so wrapping `u32` arithmetic never aliases two in-flight pushes.
@@ -49,16 +49,20 @@
 //! 240 payload bytes — is laid out `repr(C)` in exactly one 4-KiB page,
 //! mirroring the paper's shared-page channel (§5.1).
 //!
-//! # Two geometries, one kernel
+//! # Frame rings of a chosen slot size, plus the id ring
 //!
 //! The push/pop protocol lives once, in [`Cursors::push`] / [`Cursors::pop`],
-//! generic over the slot type. [`AtomicRing`] is the frame geometry above;
-//! [`IdRing`] is the *ready ring* geometry — one `u32` guest id per slot,
-//! capacity chosen at construction — through which a producer tells its
-//! consumer *which* guest's frame ring just gained a frame (DESIGN.md §15).
-//! Both execute the same declared accesses, so the MO/RC lint and the
-//! `race-ring` proof cover them alike; `race-ready` proves the composition
-//! (frame push → id publish against id consume → frame pop).
+//! generic over the slot type. [`FrameRing`] carries 16 frames of at most
+//! `SLOT_BYTES` bytes each; [`AtomicRing`] is its one-page, 240-byte size
+//! above, and a direction whose frames are known to be short picks a smaller
+//! size (the multi-guest engine's response rings: 32-byte slots, two per
+//! cache line, 640 bytes a ring). [`IdRing`] is the *ready ring* — one `u32`
+//! guest id per slot, capacity chosen at construction — through which a
+//! producer tells its consumer *which* guest's frame ring just gained a
+//! frame (DESIGN.md §15). All execute the same declared accesses, so the
+//! MO/RC lint and the `race-ring` proof cover them alike; `race-ready`
+//! proves the composition (frame push → id publish against id consume →
+//! frame pop).
 
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -204,7 +208,7 @@ pub static ATOMIC_SITES: [&SiteSpec; 6] = [
 pub enum ARingError {
     /// All slots are occupied: the consumer has fallen behind.
     Full,
-    /// The frame exceeds [`ARING_SLOT_BYTES`].
+    /// The frame exceeds the ring's slot size.
     Oversize {
         /// Offending length.
         len: usize,
@@ -224,8 +228,8 @@ impl fmt::Display for ARingError {
 
 impl std::error::Error for ARingError {}
 
-/// A slot of either geometry, as the kernel sees it: the sequence word
-/// the two sides synchronize on.
+/// A slot of any ring, as the kernel sees it: the sequence word the two
+/// sides synchronize on.
 trait SeqSlot {
     fn seq(&self) -> &AtomicU32;
 }
@@ -302,40 +306,46 @@ impl Cursors {
 }
 
 #[repr(C)]
-struct Slot {
+struct Slot<const SLOT_BYTES: usize> {
     /// Free-running push number this slot is ready for (see module docs).
     seq: AtomicU32,
     /// Valid payload bytes, written before `seq` publishes them.
     len: AtomicU32,
-    data: UnsafeCell<[u8; ARING_SLOT_BYTES]>,
+    data: UnsafeCell<[u8; SLOT_BYTES]>,
 }
 
-impl SeqSlot for Slot {
+impl<const SLOT_BYTES: usize> SeqSlot for Slot<SLOT_BYTES> {
     fn seq(&self) -> &AtomicU32 {
         &self.seq
     }
 }
 
-/// One direction of the shared ring page, concurrency-safe.
+/// One direction of a shared ring: [`ARING_CAPACITY`] frames of at most
+/// `SLOT_BYTES` bytes each, concurrency-safe.
 ///
 /// Single-producer single-consumer: exactly one thread may call
-/// [`push`](AtomicRing::push) and exactly one may call
-/// [`try_pop`](AtomicRing::try_pop). The type is `Sync` so both sides can
+/// [`push`](FrameRing::push) and exactly one may call
+/// [`try_pop`](FrameRing::try_pop). The type is `Sync` so both sides can
 /// share it behind an `Arc`; the SPSC discipline is the caller's contract
 /// (the engine owns one thread per side by construction). A
 /// [`Channel`](crate::channel::Channel) owns its rings by value and is both
 /// sides on one thread; only such an owner can reach the `&mut self` fault
 /// hooks.
 #[repr(C)]
-pub struct AtomicRing {
+pub struct FrameRing<const SLOT_BYTES: usize> {
     cursors: Cursors,
-    slots: [Slot; ARING_CAPACITY],
+    slots: [Slot<SLOT_BYTES>; ARING_CAPACITY],
 }
+
+/// The one-page frame ring: each direction of a
+/// [`Channel`](crate::channel::Channel), and a multi-guest engine's request
+/// rings.
+pub type AtomicRing = FrameRing<ARING_SLOT_BYTES>;
 
 // One page, like the virtual channel's shared page (paper §5.1). The
 // instrumented shim types are `repr(transparent)` — this assert is also
 // the proof they add zero bytes to the wire layout.
-const _: () = assert!(std::mem::size_of::<AtomicRing>() <= 4096);
+const _: () = assert!(std::mem::size_of::<AtomicRing>() == 4096);
 const _: () = assert!(ARING_CAPACITY.is_power_of_two());
 const _: () = assert!((u32::MAX as u64 + 1).is_multiple_of(ARING_CAPACITY as u64));
 
@@ -345,31 +355,31 @@ const _: () = assert!((u32::MAX as u64 + 1).is_multiple_of(ARING_CAPACITY as u64
 // to the consumer, and read by the single consumer strictly before the
 // `Release` store that hands it back. No two threads ever access a slot's
 // payload concurrently.
-unsafe impl Sync for AtomicRing {}
-unsafe impl Send for AtomicRing {}
+unsafe impl<const SLOT_BYTES: usize> Sync for FrameRing<SLOT_BYTES> {}
+unsafe impl<const SLOT_BYTES: usize> Send for FrameRing<SLOT_BYTES> {}
 
-impl Default for AtomicRing {
+impl<const SLOT_BYTES: usize> Default for FrameRing<SLOT_BYTES> {
     fn default() -> Self {
-        AtomicRing::new()
+        FrameRing::new()
     }
 }
 
-impl AtomicRing {
+impl<const SLOT_BYTES: usize> FrameRing<SLOT_BYTES> {
     /// An empty ring: slot `i` awaits push number `i`.
     pub fn new() -> Self {
-        AtomicRing {
+        FrameRing {
             cursors: Cursors::new(),
             slots: std::array::from_fn(|i| Slot {
                 seq: AtomicU32::new(i as u32),
                 len: AtomicU32::new(0),
-                data: UnsafeCell::new([0; ARING_SLOT_BYTES]),
+                data: UnsafeCell::new([0; SLOT_BYTES]),
             }),
         }
     }
 
     /// Producer side: publishes one frame.
     pub fn push(&self, frame: &[u8]) -> Result<(), ARingError> {
-        if frame.len() > ARING_SLOT_BYTES {
+        if frame.len() > SLOT_BYTES {
             return Err(ARingError::Oversize { len: frame.len() });
         }
         self.cursors.push(&self.slots, |slot| {
@@ -382,7 +392,7 @@ impl AtomicRing {
         })
     }
 
-    /// [`push`](AtomicRing::push), plus whether the ring looked empty just
+    /// [`push`](FrameRing::push), plus whether the ring looked empty just
     /// before it. Only the benchmark's probes read that view, and
     /// ROADMAP [bench-debt] deletes this wrapper. The view is stale by the
     /// time the frame is published, so a caller that skips
@@ -407,7 +417,7 @@ impl AtomicRing {
             // corrupted producer can store any value. Truncated garbage
             // fails to decode (EINVAL) downstream; an unclamped length
             // would walk off the slot.
-            let len = (slot.len.load(&LEN_READ) as usize).min(ARING_SLOT_BYTES);
+            let len = (slot.len.load(&LEN_READ) as usize).min(SLOT_BYTES);
             // SAFETY: the kernel calls `take` only once seq == head + 1:
             // the slot holds a published frame and the producer will not
             // touch it until we recycle it.
@@ -427,14 +437,14 @@ impl AtomicRing {
     /// new length, clamped to the slot. `false` when nothing is published.
     pub fn rewrite_newest(
         &mut self,
-        rewrite: impl FnOnce(&mut [u8; ARING_SLOT_BYTES], usize) -> usize,
+        rewrite: impl FnOnce(&mut [u8; SLOT_BYTES], usize) -> usize,
     ) -> bool {
         let Some(newest) = self.newest() else {
             return false;
         };
         let slot = &mut self.slots[(newest & MASK) as usize];
-        let len = (*slot.len.get_mut() as usize).min(ARING_SLOT_BYTES);
-        let len = rewrite(slot.data.get_mut(), len).min(ARING_SLOT_BYTES);
+        let len = (*slot.len.get_mut() as usize).min(SLOT_BYTES);
+        let len = rewrite(slot.data.get_mut(), len).min(SLOT_BYTES);
         *slot.len.get_mut() = len as u32;
         true
     }
@@ -468,8 +478,8 @@ impl AtomicRing {
     }
 
     /// Adversarial injection: overwrites the newest published slot's
-    /// length word (e.g. with a value far beyond [`ARING_SLOT_BYTES`]).
-    /// The consumer must clamp — see [`AtomicRing::try_pop`] — so the
+    /// length word (e.g. with a value far beyond the slot size).
+    /// The consumer must clamp — see [`FrameRing::try_pop`] — so the
     /// worst a hostile length can do is truncate the frame into a decode
     /// error. Returns `false` when nothing is published.
     pub fn corrupt_newest_len(&self, len: u32) -> bool {
@@ -492,9 +502,9 @@ impl AtomicRing {
     }
 }
 
-impl fmt::Debug for AtomicRing {
+impl<const SLOT_BYTES: usize> fmt::Debug for FrameRing<SLOT_BYTES> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AtomicRing")
+        f.debug_struct("FrameRing")
             .field("capacity", &ARING_CAPACITY)
             .field("len", &self.len())
             .finish()
@@ -519,7 +529,7 @@ impl SeqSlot for IdSlot {
 /// single-consumer ring of `u32` guest ids, sized at construction.
 ///
 /// A producer that has just pushed a frame into one guest's
-/// [`AtomicRing`] publishes that guest's id here, so the consumer learns
+/// [`FrameRing`] publishes that guest's id here, so the consumer learns
 /// *which* ring to pop instead of scanning all of them. The id slot's
 /// publishing `Release` is program-ordered after the frame's, and the
 /// consumer's `Acquire` on the id slot precedes its frame pop, so a
@@ -796,16 +806,22 @@ mod tests {
         assert!(ring.is_empty());
     }
 
+    /// At the page size and at the multi-guest engine's 24-byte response
+    /// size alike.
     #[test]
     fn a_hostile_length_word_is_clamped_not_overread() {
-        let ring = AtomicRing::new();
-        ring.push(b"short frame").expect("push");
-        assert!(ring.corrupt_newest_len(u32::MAX), "slot is published");
-        // The consumer must clamp to the slot size instead of slicing past
-        // the payload: a truncated-garbage frame, never a panic.
-        let frame = ring.try_pop().expect("still poppable");
-        assert_eq!(frame.len(), ARING_SLOT_BYTES);
-        assert_eq!(&frame[..11], b"short frame");
+        fn clamped<const SLOT_BYTES: usize>() {
+            let ring = FrameRing::<SLOT_BYTES>::new();
+            ring.push(b"short frame").expect("push");
+            assert!(ring.corrupt_newest_len(u32::MAX), "slot is published");
+            // The consumer must clamp to the slot size instead of slicing
+            // past the payload: a truncated-garbage frame, never a panic.
+            let frame = ring.try_pop().expect("still poppable");
+            assert_eq!(frame.len(), SLOT_BYTES);
+            assert_eq!(&frame[..11], b"short frame");
+        }
+        clamped::<ARING_SLOT_BYTES>();
+        clamped::<24>();
     }
 
     #[test]

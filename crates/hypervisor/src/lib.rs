@@ -27,10 +27,10 @@
 //!   with what stopped it.
 //! * [`fairq`] — the fair-share pick rule shared by the CVD backend, both
 //!   multi-guest substrates and the GPU model's engine scheduler.
-//! * [`aring`] — the one ring kernel: the shared page of 16 slots with
-//!   acquire/release slot publication, under the channel and, shared
-//!   between two threads with a park/unpark doorbell, under the wall-clock
-//!   engine.
+//! * [`aring`] — the one ring kernel: 16 slots of a chosen size with
+//!   acquire/release slot publication, a one-page ring under the channel
+//!   and, shared between two threads with a park/unpark doorbell, under
+//!   the wall-clock engine.
 //! * [`shards`] — the one grant store, [`ShardedGrantTable`]: one page
 //!   per guest with atomic slots, owned by the [`Hypervisor`] and by each
 //!   multi-guest engine. A declare publishes one declaration, a revoke
@@ -66,7 +66,9 @@ pub mod vm;
 /// interior mutability with strictly transient borrows.
 pub type SharedHypervisor = std::rc::Rc<std::cell::RefCell<hv::Hypervisor>>;
 
-pub use aring::{ARingError, AtomicRing, Doorbell, IdRing, ARING_CAPACITY, ARING_SLOT_BYTES};
+pub use aring::{
+    ARingError, AtomicRing, Doorbell, FrameRing, IdRing, ARING_CAPACITY, ARING_SLOT_BYTES,
+};
 pub use audit::{AuditEvent, AuditLog, BlockedBy};
 pub use channel::{Channel, ChannelError, ChannelStats, TransportMode, WireCodec};
 pub use clock::{ms, us, Clock, ClockSource, CostModel, SimClock, WallClock};

@@ -527,10 +527,11 @@ fn crosscheck_geometry<R, T: PartialEq + std::fmt::Debug>(
     Ok(ops)
 }
 
-/// The crosscheck over both geometries of the shipped kernel — the
-/// 16 × 240-B frame ring and the id (ready) ring at the model's own
-/// 2-slot capacity — so the interleaving model cannot silently drift
-/// from the code it vouches for.
+/// The crosscheck over both kinds of ring of the shipped kernel — the
+/// 16 × 240-B frame ring (a frame ring of any slot size runs the same
+/// code) and the id (ready) ring at the model's own 2-slot capacity — so
+/// the interleaving model cannot silently drift from the code it vouches
+/// for.
 fn crosscheck_real_ring() -> Result<usize, String> {
     let frames = crosscheck_geometry(
         ARING_CAPACITY,
