@@ -23,7 +23,7 @@ use paradice_devfs::fileops::{FileOps, PollEvents, TaskId};
 use paradice_devfs::ioc::IoctlCmd;
 use paradice_devfs::registry::{DeviceId, FileHandleId, OpenPolicy};
 use paradice_devfs::sysinfo::{known, DeviceClass};
-use paradice_devfs::{Errno, MemOps, OpenFlags};
+use paradice_devfs::{DriverSpan, Errno, MemOps, OpenFlags};
 use paradice_drivers::audio::PcmDriver;
 use paradice_drivers::camera::UvcDriver;
 use paradice_drivers::env::KernelEnv;
@@ -627,29 +627,30 @@ impl MemOps for DirectMemOps {
             .map_err(|_| Errno::Efault)
     }
 
-    /// The kernel and the process share a VM here: the driver side is
-    /// checked against that VM's EPT, as the driver's own write would be.
+    /// The kernel and the process share a VM here, with no protected
+    /// regions: the driver side is checked against that VM's EPT, as the
+    /// driver's own write would be.
     fn copy_from_user_to_phys(
         &mut self,
         src: GuestVirtAddr,
-        dst: GuestPhysAddr,
+        dst: DriverSpan<'_>,
         len: u64,
     ) -> Result<(), Errno> {
         self.hv
             .borrow_mut()
-            .process_copy_driver((self.vm, self.pt_root, src), (self.vm, dst), len, true)
+            .process_copy_driver((self.vm, self.pt_root, src), (self.vm, dst), len, true, None)
             .map_err(|_| Errno::Efault)
     }
 
     fn copy_to_user_from_phys(
         &mut self,
         dst: GuestVirtAddr,
-        src: GuestPhysAddr,
+        src: DriverSpan<'_>,
         len: u64,
     ) -> Result<(), Errno> {
         self.hv
             .borrow_mut()
-            .process_copy_driver((self.vm, self.pt_root, dst), (self.vm, src), len, false)
+            .process_copy_driver((self.vm, self.pt_root, dst), (self.vm, src), len, false, None)
             .map_err(|_| Errno::Efault)
     }
 

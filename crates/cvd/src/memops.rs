@@ -13,7 +13,7 @@
 
 use std::ops::Range;
 
-use paradice_devfs::{Errno, MemOps};
+use paradice_devfs::{DriverSpan, Errno, MemOps};
 use paradice_drivers::env::hv_to_errno;
 use paradice_hypervisor::{GrantRef, MemOp, SharedHypervisor, VmId};
 use paradice_mem::iommu::DomainId;
@@ -196,7 +196,7 @@ impl MemOps for HypercallMemOps<'_> {
     fn copy_from_user_to_phys(
         &mut self,
         src: GuestVirtAddr,
-        dst: GuestPhysAddr,
+        dst: DriverSpan<'_>,
         len: u64,
     ) -> Result<(), Errno> {
         self.issue(Some(MemOp::CopyFromGuestToDriver { src, dst, len }))
@@ -207,7 +207,7 @@ impl MemOps for HypercallMemOps<'_> {
     fn copy_to_user_from_phys(
         &mut self,
         dst: GuestVirtAddr,
-        src: GuestPhysAddr,
+        src: DriverSpan<'_>,
         len: u64,
     ) -> Result<(), Errno> {
         self.issue(Some(MemOp::CopyToGuestFromDriver { dst, src, len }))

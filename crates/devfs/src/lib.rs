@@ -45,6 +45,6 @@ pub use errno::Errno;
 pub use fasync::{FasyncRegistry, Signal, SignalQueue};
 pub use fileops::{FileOps, MmapRange, OpenContext, OpenFlags, PollEvents, TaskId, UserBuffer};
 pub use ioc::{IoctlCmd, IoctlDir};
-pub use memops::MemOps;
+pub use memops::{DriverSpan, MemOps};
 pub use registry::{DevFs, DeviceId, FileHandleId};
 pub use sysinfo::{DeviceClass, PciDeviceInfo};

@@ -18,18 +18,66 @@
 //!   operation is validated against the grants declared by the frontend
 //!   (§4.1) before it executes.
 //!
-//! A bulk transfer between process memory and a contiguous range of the
-//! driver's own memory (a `GEM_PWRITE` into the BAR) crosses in one copy:
+//! A bulk transfer between process memory and the driver's own memory (a
+//! `GEM_PWRITE` into a buffer object) crosses in one copy:
 //! [`MemOps::copy_from_user_to_phys`] and [`MemOps::copy_to_user_from_phys`]
-//! name the driver-physical range instead of a kernel buffer, and the
-//! hypervisor copies between the two with no staging copy in the driver.
+//! name the driver's side as a [`DriverSpan`] instead of a kernel buffer,
+//! and the hypervisor copies between the two with no staging copy in the
+//! driver.
 
 use std::fmt;
 use std::rc::Rc;
 
-use paradice_mem::{Access, GuestPhysAddr, GuestVirtAddr};
+use paradice_mem::addr::page_chunks;
+use paradice_mem::{Access, GuestPhysAddr, GuestVirtAddr, PAGE_SIZE};
 
 use crate::errno::Errno;
+
+/// The driver's side of a two-sided copy, in driver-physical addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DriverSpan<'a> {
+    /// A contiguous range from this address: a VRAM object behind the BAR.
+    Contiguous(GuestPhysAddr),
+    /// A GTT object: its backing pages, from byte `offset` of the first.
+    Pages {
+        /// The object's pages, in order.
+        pages: &'a [GuestPhysAddr],
+        /// Byte offset into the object.
+        offset: u64,
+    },
+}
+
+impl<'a> DriverSpan<'a> {
+    /// The `(driver-physical address, length)` chunks of the span's first
+    /// `len` bytes, each inside one page; `None` if the span ends first:
+    /// past the top of the address space or past its last page.
+    pub fn chunks(self, len: u64) -> Option<impl Iterator<Item = (GuestPhysAddr, u64)> + 'a> {
+        let start = match self {
+            DriverSpan::Contiguous(base) => base.raw(),
+            DriverSpan::Pages { pages, offset } => {
+                let end = offset.checked_add(len)?;
+                (end <= pages.len() as u64 * PAGE_SIZE).then_some(offset)?
+            }
+        };
+        Some(page_chunks(start, len)?.map(move |(at, n)| match self {
+            DriverSpan::Contiguous(_) => (GuestPhysAddr::new(at), n),
+            DriverSpan::Pages { pages, .. } => {
+                (pages[(at / PAGE_SIZE) as usize].add(at % PAGE_SIZE), n)
+            }
+        }))
+    }
+
+    /// The address the span starts from: the range's first byte, or the
+    /// first page of the list (page 0 for an empty one).
+    pub fn base(&self) -> GuestPhysAddr {
+        match *self {
+            DriverSpan::Contiguous(base) => base,
+            DriverSpan::Pages { pages, .. } => {
+                pages.first().copied().unwrap_or(GuestPhysAddr::new(0))
+            }
+        }
+    }
+}
 
 /// Process-memory operations available to a driver while it services a file
 /// operation.
@@ -54,33 +102,39 @@ pub trait MemOps {
     fn copy_to_user(&mut self, dst: GuestVirtAddr, buf: &[u8]) -> Result<(), Errno>;
 
     /// Copies `len` bytes from process memory at `src` straight into the
-    /// driver's own memory at caller-physical `dst` — a `copy_from_user`
-    /// whose destination is a mapped BAR range. The destination is checked
-    /// as the driver's own CPU write would be.
+    /// driver's own memory at `dst` (caller-physical) — a `copy_from_user`
+    /// whose destination is a buffer object. Under Paradice a page of the
+    /// calling guest's protected region is written by the hypervisor, never
+    /// by the driver; any other page is checked as the driver's own CPU
+    /// write would be.
     ///
     /// # Errors
     ///
-    /// As [`MemOps::copy_from_user`], and `EFAULT` if the driver may not
-    /// write `dst`. A refused copy moves no byte.
+    /// As [`MemOps::copy_from_user`], and `EFAULT` (`EINVAL` for another
+    /// guest's region page) if the driver may not write `dst`. A refused
+    /// copy moves no byte.
     fn copy_from_user_to_phys(
         &mut self,
         src: GuestVirtAddr,
-        dst: GuestPhysAddr,
+        dst: DriverSpan<'_>,
         len: u64,
     ) -> Result<(), Errno>;
 
-    /// Copies `len` bytes of the driver's own memory at caller-physical
-    /// `src` straight into process memory at `dst`; issued when called,
-    /// never deferred, since the driver could change `src` afterwards.
+    /// Copies `len` bytes of the driver's own memory at `src` straight into
+    /// process memory at `dst`, `src` checked as
+    /// [`MemOps::copy_from_user_to_phys`] checks its `dst`; issued when
+    /// called, never deferred, since the driver could change `src`
+    /// afterwards.
     ///
     /// # Errors
     ///
-    /// As [`MemOps::copy_to_user`], and `EFAULT` if the driver may not read
-    /// `src`. A refused copy moves no byte.
+    /// As [`MemOps::copy_to_user`], and as
+    /// [`MemOps::copy_from_user_to_phys`] for `src`. A refused copy moves no
+    /// byte.
     fn copy_to_user_from_phys(
         &mut self,
         dst: GuestVirtAddr,
-        src: GuestPhysAddr,
+        src: DriverSpan<'_>,
         len: u64,
     ) -> Result<(), Errno>;
 
@@ -175,8 +229,10 @@ pub trait DriverMemory: fmt::Debug {
 /// plain byte vector starting at virtual address 0, and `insert_pfn` records
 /// the mappings it was asked for. It is also the reference for the
 /// two-sided copies: with [`BufferMemOps::with_driver_memory`], each one
-/// goes through the driver's own memory accesses — the path a driver took
-/// before the hypervisor copied for it; without, it fails with `EFAULT`.
+/// goes through the driver's own memory accesses, one page chunk at a time
+/// — the path a driver took before the hypervisor copied for it, so a
+/// refused chunk leaves the chunks before it moved; without, it fails with
+/// `EFAULT`.
 ///
 /// # Example
 ///
@@ -234,16 +290,24 @@ impl BufferMemOps {
         Ok(start..end)
     }
 
-    /// The process range of a two-sided copy, and the driver memory on its
-    /// other side.
+    /// A two-sided copy of `len` bytes between the process at `addr` and
+    /// the driver's memory at `span`: `chunk` moves each driver page chunk
+    /// and its slice of the process bytes.
     fn two_sided(
-        &self,
+        &mut self,
         addr: GuestVirtAddr,
+        span: DriverSpan<'_>,
         len: u64,
-    ) -> Result<(std::ops::Range<usize>, Rc<dyn DriverMemory>), Errno> {
-        let len = usize::try_from(len).map_err(|_| Errno::Efault)?;
+        mut chunk: impl FnMut(&dyn DriverMemory, GuestPhysAddr, &mut [u8]) -> Result<(), Errno>,
+    ) -> Result<(), Errno> {
         let driver = self.driver.clone().ok_or(Errno::Efault)?;
-        Ok((self.range(addr, len)?, driver))
+        let range = self.range(addr, usize::try_from(len).map_err(|_| Errno::Efault)?)?;
+        let mut at = range.start;
+        for (gpa, n) in span.chunks(len).ok_or(Errno::Efault)? {
+            chunk(driver.as_ref(), gpa, &mut self.bytes[at..at + n as usize])?;
+            at += n as usize;
+        }
+        Ok(())
     }
 }
 
@@ -263,21 +327,19 @@ impl MemOps for BufferMemOps {
     fn copy_from_user_to_phys(
         &mut self,
         src: GuestVirtAddr,
-        dst: GuestPhysAddr,
+        dst: DriverSpan<'_>,
         len: u64,
     ) -> Result<(), Errno> {
-        let (range, driver) = self.two_sided(src, len)?;
-        driver.write(dst, &self.bytes[range])
+        self.two_sided(src, dst, len, |driver, gpa, bytes| driver.write(gpa, bytes))
     }
 
     fn copy_to_user_from_phys(
         &mut self,
         dst: GuestVirtAddr,
-        src: GuestPhysAddr,
+        src: DriverSpan<'_>,
         len: u64,
     ) -> Result<(), Errno> {
-        let (range, driver) = self.two_sided(dst, len)?;
-        driver.read(src, &mut self.bytes[range])
+        self.two_sided(dst, src, len, |driver, gpa, bytes| driver.read(gpa, bytes))
     }
 
     fn insert_pfn(&mut self, va: GuestVirtAddr, pfn: u64, access: Access) -> Result<(), Errno> {
@@ -377,7 +439,7 @@ mod tests {
     fn two_sided_copies_go_through_driver_memory() {
         let driver = Rc::new(FlatDriver(std::cell::RefCell::new(vec![0u8; 8192])));
         let mut mem = BufferMemOps::new(64);
-        let (va, gpa) = (GuestVirtAddr::new(8), GuestPhysAddr::new(100));
+        let (va, gpa) = (GuestVirtAddr::new(8), DriverSpan::Contiguous(GuestPhysAddr::new(100)));
         assert_eq!(mem.copy_from_user_to_phys(va, gpa, 4), Err(Errno::Efault), "no driver memory");
         let mut mem = mem.with_driver_memory(driver.clone());
         mem.copy_to_user(va, b"bulk").unwrap();
@@ -390,11 +452,35 @@ mod tests {
             mem.copy_to_user_from_phys(GuestVirtAddr::new(62), gpa, 4),
             Err(Errno::Efault)
         );
-        let protected = GuestPhysAddr::new(4094);
+        let protected = DriverSpan::Contiguous(GuestPhysAddr::new(4096));
         assert_eq!(mem.copy_to_user_from_phys(va, protected, 4), Err(Errno::Efault));
         assert_eq!(mem.copy_from_user_to_phys(va, protected, 4), Err(Errno::Efault));
         assert_eq!(&mem.bytes()[8..12], b"bulk");
-        assert_eq!(&driver.0.borrow()[4094..4096], &[0, 0]);
+        assert_eq!(&driver.0.borrow()[4096..4100], &[0; 4]);
+        // A page list is walked in its own order, from its offset, and a
+        // span shorter than the copy is refused.
+        let pages = [GuestPhysAddr::new(0), GuestPhysAddr::new(0)];
+        let split = DriverSpan::Pages { pages: &pages, offset: 4094 };
+        mem.copy_from_user_to_phys(va, split, 4).unwrap();
+        assert_eq!(&driver.0.borrow()[4094..4096], b"bu");
+        assert_eq!(&driver.0.borrow()[0..2], b"lk");
+        let short = DriverSpan::Pages { pages: &pages, offset: 2 * 4096 - 2 };
+        assert_eq!(mem.copy_from_user_to_phys(va, short, 4), Err(Errno::Efault));
+    }
+
+    #[test]
+    fn a_span_is_chunked_at_its_pages_and_ends_where_they_end() {
+        let base = GuestPhysAddr::new(0x1ff0);
+        let contiguous: Vec<_> = DriverSpan::Contiguous(base).chunks(0x20).unwrap().collect();
+        assert_eq!(contiguous, [(base, 0x10), (GuestPhysAddr::new(0x2000), 0x10)]);
+        assert!(DriverSpan::Contiguous(GuestPhysAddr::new(u64::MAX - 15)).chunks(17).is_none());
+        let pages = [GuestPhysAddr::new(0x9000), GuestPhysAddr::new(0x3000)];
+        let span = DriverSpan::Pages { pages: &pages, offset: 0xff8 };
+        let chunks: Vec<_> = span.chunks(0x10).unwrap().collect();
+        assert_eq!(chunks, [(GuestPhysAddr::new(0x9ff8), 8), (GuestPhysAddr::new(0x3000), 8)]);
+        assert!(span.chunks(0x1009).is_none(), "one byte past the last page");
+        assert_eq!(span.chunks(0x1008).unwrap().count(), 2);
+        assert_eq!(span.base(), GuestPhysAddr::new(0x9000));
     }
 
     #[test]

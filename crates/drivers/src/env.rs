@@ -111,11 +111,6 @@ impl KernelEnv {
         self.hv.borrow().clock().now_ns()
     }
 
-    /// Advances virtual time (driver-side CPU work).
-    pub fn advance_ns(&self, delta: u64) {
-        self.hv.borrow().clock().advance(delta);
-    }
-
     /// Allocates one kernel page in the driver VM, returning its
     /// driver-physical (guest-physical) address.
     ///
@@ -421,7 +416,7 @@ mod tests {
     fn clock_helpers() {
         let env = setup(false);
         let t0 = env.now_ns();
-        env.advance_ns(500);
+        env.hv().borrow().clock().advance(500);
         assert_eq!(env.now_ns(), t0 + 500);
     }
 }

@@ -383,10 +383,10 @@ mod tests {
         let mut drv = driver();
         let mut mem = BufferMemOps::new(64);
         drv.open(ctx(1, 1)).unwrap();
-        drv.env.advance_ns(1_000);
+        drv.env.hv().borrow().clock().advance(1_000);
         drv.report_event(motion(2));
         assert_eq!(drv.last_report_ns(), Some(1_000));
-        drv.env.advance_ns(39_000);
+        drv.env.hv().borrow().clock().advance(39_000);
         drv.read(ctx(1, 1), &mut mem, UserBuffer::new(GuestVirtAddr::new(0), 16))
             .unwrap();
         assert_eq!(drv.last_read_arrival_ns(), Some(40_000));

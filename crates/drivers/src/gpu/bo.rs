@@ -53,37 +53,6 @@ impl BufferObject {
     }
 }
 
-/// Bytes of staging capacity a driver keeps between transfers: one larger
-/// transfer must not pin its size in the driver for good.
-pub(crate) const STAGING_RETAIN: usize = 1 << 20;
-
-/// The one buffer a GPU driver stages `GEM_PWRITE`/`GEM_PREAD` payloads
-/// through. It keeps its capacity from transfer to transfer, up to
-/// [`STAGING_RETAIN`], and is not zero-filled: a transfer overwrites every
-/// byte it stages — by `copy_from_user` or `kernel_read` — before it reads
-/// any.
-#[derive(Debug, Default)]
-pub(crate) struct Staging(Vec<u8>);
-
-impl Staging {
-    /// Lends the buffer out, at least `len` bytes long, holding whatever an
-    /// earlier transfer left in it.
-    pub(crate) fn lend(&mut self, len: usize) -> Vec<u8> {
-        let mut buf = std::mem::take(&mut self.0);
-        if buf.len() < len {
-            buf.resize(len, 0);
-        }
-        buf
-    }
-
-    /// Takes the buffer back, unless it outgrew [`STAGING_RETAIN`].
-    pub(crate) fn give_back(&mut self, buf: Vec<u8>) {
-        if buf.capacity() <= STAGING_RETAIN {
-            self.0 = buf;
-        }
-    }
-}
-
 /// A first-fit free-list allocator over a VRAM range.
 ///
 /// Under data isolation each guest's region gets its own allocator over its
@@ -195,14 +164,6 @@ impl VramAllocator {
     /// Whether `[offset, offset+len)` lies inside this allocator's range.
     pub fn contains(&self, offset: u64, len: u64) -> bool {
         offset >= self.range_lo && offset.saturating_add(len) <= self.range_hi
-    }
-}
-
-#[cfg(test)]
-impl Staging {
-    /// Bytes kept for the next transfer.
-    pub(crate) fn retained(&self) -> usize {
-        self.0.capacity()
     }
 }
 

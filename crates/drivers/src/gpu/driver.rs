@@ -22,11 +22,11 @@ use std::rc::Rc;
 
 use paradice_devfs::fileops::{FileOps, MmapRange, OpenContext, PollEvents, TaskId};
 use paradice_devfs::ioc::{iow, iowr, IoctlCmd};
-use paradice_devfs::{Errno, MemOps};
+use paradice_devfs::{DriverSpan, Errno, MemOps};
 use paradice_mem::{DmaAddr, GuestPhysAddr, GuestVirtAddr, RegionId, PAGE_SIZE};
 
 use crate::env::KernelEnv;
-use crate::gpu::bo::{BoDomain, BufferObject, Staging, VramAllocator};
+use crate::gpu::bo::{BoDomain, BufferObject, VramAllocator};
 use crate::gpu::isolation::IsolationState;
 use crate::gpu::model::{GpuCommand, RadeonGpu};
 
@@ -145,14 +145,12 @@ pub struct RadeonDriver {
     va_map: BTreeMap<u32, u64>,
     /// VRAM allocator when data isolation is off.
     global_vram: Option<VramAllocator>,
-    /// Data-isolation state (per-region allocators, pools, staging).
+    /// Data-isolation state (per-region allocators and pools).
     isolation: Option<IsolationState>,
     /// GTT pages when data isolation is off.
     global_gtt: Option<crate::env::DmaPool>,
     /// Lazily-populated mappings awaiting faults: `(task, va, len, handle)`.
     lazy_vmas: Vec<(TaskId, GuestVirtAddr, u64, u32)>,
-    /// The buffer `GEM_PWRITE`/`GEM_PREAD` payloads stage through.
-    staging: Staging,
     open_count: u32,
 }
 
@@ -189,7 +187,6 @@ impl RadeonDriver {
             isolation: None,
             global_gtt: None,
             lazy_vmas: Vec::new(),
-            staging: Staging::default(),
             open_count: 0,
         }
     }
@@ -215,7 +212,6 @@ impl RadeonDriver {
             isolation: Some(isolation),
             global_gtt: None,
             lazy_vmas: Vec::new(),
-            staging: Staging::default(),
             open_count: 0,
         }
     }
@@ -414,10 +410,17 @@ impl RadeonDriver {
         Ok(0)
     }
 
-    fn ioctl_pwrite(
+    /// `GEM_PWRITE` (`write`) or `GEM_PREAD`: a nested copy whose payload
+    /// address and length come from the args struct. The payload crosses
+    /// once, straight between the process and the object — a VRAM object's
+    /// range behind the BAR or a GTT object's pages — in every mode; under
+    /// data isolation the hypervisor makes that copy into the caller's own
+    /// region, which the driver never reads (§4.2).
+    fn ioctl_transfer(
         &mut self,
         mem: &mut dyn MemOps,
         arg: u64,
+        write: bool,
     ) -> Result<i64, Errno> {
         let mut args = [0u8; 32];
         mem.copy_from_user(GuestVirtAddr::new(arg), &mut args)?;
@@ -428,93 +431,20 @@ impl RadeonDriver {
         if size > 16 * 1024 * 1024 {
             return Err(Errno::Einval);
         }
-        let bo = self.bo(handle)?.clone();
+        let bo = self.bo(handle)?;
         if offset.checked_add(size).is_none_or(|end| end > bo.size) {
             return Err(Errno::Einval);
         }
-        if let (BoDomain::Vram { offset: vram_off }, None) = (&bo.domain, &self.isolation) {
-            // Nested copy, straight into the BAR: the payload, whose
-            // address and length came from the args struct, crosses once.
-            let bar = self.gpu.bar_base().add(vram_off + offset);
-            mem.copy_from_user_to_phys(GuestVirtAddr::new(data_ptr), bar, size)?;
-            return Ok(0);
-        }
-        let mut staged = self.staging.lend(size as usize);
-        let result = self.pwrite_staged(mem, &bo, offset, data_ptr, &mut staged[..size as usize]);
-        self.staging.give_back(staged);
-        result
-    }
-
-    /// `GEM_PWRITE`'s transfer of `data.len()` bytes into `bo` at `offset`,
-    /// staged through `data`: into GTT pages, whose destination is not one
-    /// contiguous range, and into protected VRAM under isolation.
-    fn pwrite_staged(
-        &mut self,
-        mem: &mut dyn MemOps,
-        bo: &BufferObject,
-        offset: u64,
-        data_ptr: u64,
-        data: &mut [u8],
-    ) -> Result<i64, Errno> {
-        // Nested copy: the payload, whose address and length came from the
-        // args struct.
-        mem.copy_from_user(GuestVirtAddr::new(data_ptr), data)?;
-        match &bo.domain {
-            BoDomain::Gtt { pages } => {
-                // GTT pages may be protected (region pool); the *driver*
-                // writes them only without isolation — with isolation it
-                // stages through the write-only-emulated page and lets the
-                // device move the data (§5.3(iv)).
-                if self.isolation.is_some() {
-                    self.ensure_region_active()?;
-                    let region = self.current_region().ok_or(Errno::Eperm)?;
-                    let isolation = self.isolation.as_mut().expect("checked above");
-                    let mut written = 0usize;
-                    while written < data.len() {
-                        let cursor = offset + written as u64;
-                        let page = pages[(cursor / PAGE_SIZE) as usize];
-                        let page_off = cursor % PAGE_SIZE;
-                        let len =
-                            ((PAGE_SIZE - page_off) as usize).min(data.len() - written);
-                        isolation.stage_to_page(
-                            &self.env,
-                            region,
-                            &mut self.gpu,
-                            page,
-                            page_off,
-                            &data[written..written + len],
-                        )?;
-                        written += len;
-                    }
-                } else {
-                    let mut written = 0usize;
-                    let mut cursor = offset;
-                    while written < data.len() {
-                        let page = pages[(cursor / PAGE_SIZE) as usize];
-                        let page_off = cursor % PAGE_SIZE;
-                        let len = ((PAGE_SIZE - page_off) as usize).min(data.len() - written);
-                        self.env
-                            .kernel_write(page.add(page_off), &data[written..written + len])?;
-                        written += len;
-                        cursor += len as u64;
-                    }
-                }
-            }
+        let span = match &bo.domain {
             BoDomain::Vram { offset: vram_off } => {
-                // The driver VM has no access to protected VRAM: stage
-                // through the region's staging page and let the device copy
-                // (§5.3(iv)).
-                self.ensure_region_active()?;
-                let region = self.current_region().ok_or(Errno::Eperm)?;
-                let isolation = self.isolation.as_mut().ok_or(Errno::Einval)?;
-                isolation.stage_to_vram(
-                    &self.env,
-                    region,
-                    &mut self.gpu,
-                    vram_off + offset,
-                    data,
-                )?;
+                DriverSpan::Contiguous(self.gpu.bar_base().add(vram_off + offset))
             }
+            BoDomain::Gtt { pages } => DriverSpan::Pages { pages, offset },
+        };
+        let data_ptr = GuestVirtAddr::new(data_ptr);
+        match write {
+            true => mem.copy_from_user_to_phys(data_ptr, span, size)?,
+            false => mem.copy_to_user_from_phys(data_ptr, span, size)?,
         }
         Ok(0)
     }
@@ -534,68 +464,6 @@ impl RadeonDriver {
                 .ok_or(Errno::Einval)?
                 .page_number()),
         }
-    }
-
-    fn ioctl_pread(&mut self, mem: &mut dyn MemOps, arg: u64) -> Result<i64, Errno> {
-        let mut args = [0u8; 32];
-        mem.copy_from_user(GuestVirtAddr::new(arg), &mut args)?;
-        let handle = u32::from_le_bytes(args[0..4].try_into().expect("len 4"));
-        let offset = u64::from_le_bytes(args[8..16].try_into().expect("len 8"));
-        let size = u64::from_le_bytes(args[16..24].try_into().expect("len 8"));
-        let data_ptr = u64::from_le_bytes(args[24..32].try_into().expect("len 8"));
-        if size > 16 * 1024 * 1024 {
-            return Err(Errno::Einval);
-        }
-        if self.isolation.is_some() {
-            // Protected buffers are never read by the driver (§4.2: "all the
-            // sensitive data that we determined for the GPU were never read
-            // by the driver"); PREAD is refused under isolation.
-            return Err(Errno::Eperm);
-        }
-        let bo = self.bo(handle)?.clone();
-        if offset.checked_add(size).is_none_or(|end| end > bo.size) {
-            return Err(Errno::Einval);
-        }
-        let pages = match &bo.domain {
-            BoDomain::Vram { offset: vram_off } => {
-                // Nested copy out, straight from the BAR: destination from
-                // the args struct.
-                let bar = self.gpu.bar_base().add(vram_off + offset);
-                mem.copy_to_user_from_phys(GuestVirtAddr::new(data_ptr), bar, size)?;
-                return Ok(0);
-            }
-            BoDomain::Gtt { pages } => pages,
-        };
-        let mut staged = self.staging.lend(size as usize);
-        let result = self.pread_staged(mem, pages, offset, data_ptr, &mut staged[..size as usize]);
-        self.staging.give_back(staged);
-        result
-    }
-
-    /// `GEM_PREAD`'s transfer of `data.len()` bytes out of the GTT object
-    /// backed by `pages` at `offset`, staged through `data`.
-    fn pread_staged(
-        &mut self,
-        mem: &mut dyn MemOps,
-        pages: &[GuestPhysAddr],
-        offset: u64,
-        data_ptr: u64,
-        data: &mut [u8],
-    ) -> Result<i64, Errno> {
-        let mut read = 0usize;
-        let mut cursor = offset;
-        while read < data.len() {
-            let page = pages[(cursor / PAGE_SIZE) as usize];
-            let page_off = cursor % PAGE_SIZE;
-            let len = ((PAGE_SIZE - page_off) as usize).min(data.len() - read);
-            self.env
-                .kernel_read(page.add(page_off), &mut data[read..read + len])?;
-            read += len;
-            cursor += len as u64;
-        }
-        // Nested copy out: destination from the args struct.
-        mem.copy_to_user(GuestVirtAddr::new(data_ptr), data)?;
-        Ok(0)
     }
 }
 
@@ -696,8 +564,8 @@ impl FileOps for RadeonDriver {
                 mem.copy_to_user(arg_ptr, &req)?;
                 Ok(0)
             }
-            RADEON_GEM_PREAD => self.ioctl_pread(mem, arg),
-            RADEON_GEM_PWRITE => self.ioctl_pwrite(mem, arg),
+            RADEON_GEM_PREAD => self.ioctl_transfer(mem, arg, false),
+            RADEON_GEM_PWRITE => self.ioctl_transfer(mem, arg, true),
             RADEON_CS => self.ioctl_cs(ctx, mem, arg),
             RADEON_GEM_WAIT_IDLE => {
                 let mut req = [0u8; 8];
@@ -858,7 +726,6 @@ impl FileOps for RadeonDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::bo::STAGING_RETAIN;
     use paradice_devfs::fileops::{OpenFlags, TaskId};
     use paradice_devfs::memops::BufferMemOps;
     use paradice_devfs::registry::FileHandleId;
@@ -1064,23 +931,25 @@ mod tests {
     fn pwrite_then_pread_roundtrip_native() {
         let mut drv = native_driver();
         let mut mem = BufferMemOps::new(16384).with_driver_memory(drv.env.clone());
-        let bo = gem_create(&mut drv, &mut mem, 1, PAGE_SIZE, gem_domain::VRAM).unwrap();
-        // Data at user 0x2000.
-        mem.copy_to_user(GuestVirtAddr::new(0x2000), b"texels!!").unwrap();
-        let mut args = [0u8; 32];
-        args[0..4].copy_from_slice(&bo.to_le_bytes());
-        args[8..16].copy_from_slice(&0u64.to_le_bytes()); // offset
-        args[16..24].copy_from_slice(&8u64.to_le_bytes()); // size
-        args[24..32].copy_from_slice(&0x2000u64.to_le_bytes());
-        mem.copy_to_user(GuestVirtAddr::new(0x100), &args).unwrap();
-        drv.ioctl(ctx(1), &mut mem, RADEON_GEM_PWRITE, 0x100).unwrap();
-        // Read back to user 0x3000.
-        args[24..32].copy_from_slice(&0x3000u64.to_le_bytes());
-        mem.copy_to_user(GuestVirtAddr::new(0x100), &args).unwrap();
-        drv.ioctl(ctx(1), &mut mem, RADEON_GEM_PREAD, 0x100).unwrap();
-        let mut back = [0u8; 8];
-        mem.copy_from_user(GuestVirtAddr::new(0x3000), &mut back).unwrap();
-        assert_eq!(&back, b"texels!!");
+        for domain in [gem_domain::VRAM, gem_domain::GTT] {
+            let bo = gem_create(&mut drv, &mut mem, 1, 2 * PAGE_SIZE, domain).unwrap();
+            // Data at user 0x2000, written across the object's page edge.
+            mem.copy_to_user(GuestVirtAddr::new(0x2000), b"texels!!").unwrap();
+            let mut args = [0u8; 32];
+            args[0..4].copy_from_slice(&bo.to_le_bytes());
+            args[8..16].copy_from_slice(&(PAGE_SIZE - 3).to_le_bytes()); // offset
+            args[16..24].copy_from_slice(&8u64.to_le_bytes()); // size
+            args[24..32].copy_from_slice(&0x2000u64.to_le_bytes());
+            mem.copy_to_user(GuestVirtAddr::new(0x100), &args).unwrap();
+            drv.ioctl(ctx(1), &mut mem, RADEON_GEM_PWRITE, 0x100).unwrap();
+            // Read back to user 0x3000.
+            args[24..32].copy_from_slice(&0x3000u64.to_le_bytes());
+            mem.copy_to_user(GuestVirtAddr::new(0x100), &args).unwrap();
+            drv.ioctl(ctx(1), &mut mem, RADEON_GEM_PREAD, 0x100).unwrap();
+            let mut back = [0u8; 8];
+            mem.copy_from_user(GuestVirtAddr::new(0x3000), &mut back).unwrap();
+            assert_eq!(&back, b"texels!!", "domain {domain}");
+        }
     }
 
     /// Stages `{bo, offset, size, data_ptr}` at user 0x100 and issues `cmd`.
@@ -1135,23 +1004,6 @@ mod tests {
         );
         transfer(&mut drv, &mut mem, RADEON_GEM_PREAD, small, 4096, 0x8000).unwrap();
         assert!(mem.bytes()[0x8000..0x9000].iter().all(|&b| b == 0x33));
-    }
-
-    #[test]
-    fn a_transfer_above_the_retention_bound_gives_its_buffer_back() {
-        // GTT pages are not one contiguous range: their transfers stage.
-        let over = STAGING_RETAIN as u64 + PAGE_SIZE;
-        let mut drv = native_driver();
-        let mut mem = BufferMemOps::new(0x1000 + over as usize);
-        let bo = gem_create(&mut drv, &mut mem, 1, over, gem_domain::GTT).unwrap();
-        transfer(&mut drv, &mut mem, RADEON_GEM_PWRITE, bo, 16384, 0x1000).unwrap();
-        assert!((16384..=STAGING_RETAIN).contains(&drv.staging.retained()));
-        transfer(&mut drv, &mut mem, RADEON_GEM_PWRITE, bo, over, 0x1000).unwrap();
-        assert_eq!(drv.staging.retained(), 0);
-        transfer(&mut drv, &mut mem, RADEON_GEM_PREAD, bo, over, 0x1000).unwrap();
-        assert_eq!(drv.staging.retained(), 0);
-        transfer(&mut drv, &mut mem, RADEON_GEM_PREAD, bo, 16384, 0x1000).unwrap();
-        assert!((16384..=STAGING_RETAIN).contains(&drv.staging.retained()));
     }
 
     #[test]
@@ -1230,41 +1082,30 @@ mod tests {
     }
 
     #[test]
-    fn isolated_pwrite_stages_through_device_copy() {
+    fn an_isolated_transfer_is_left_to_the_hypervisor() {
+        // Under isolation a transfer names the object's protected pages;
+        // the driver's own CPU may not touch them, so a binding that copies
+        // through the driver's memory accesses is refused either way, moves
+        // nothing and switches no region. Under Paradice the hypervisor
+        // makes the copy (`tests/isolation.rs`).
         let (mut drv, guests, hv) = isolated_driver();
-        let mut mem = BufferMemOps::new(16384);
+        let mut mem = BufferMemOps::new(16384).with_driver_memory(drv.env.clone());
         drv.env.set_current_guest(Some(guests[0]));
-        let bo = gem_create(&mut drv, &mut mem, 1, PAGE_SIZE, gem_domain::VRAM).unwrap();
-        mem.copy_to_user(GuestVirtAddr::new(0x2000), b"isolated").unwrap();
-        let mut args = [0u8; 32];
-        args[0..4].copy_from_slice(&bo.to_le_bytes());
-        args[16..24].copy_from_slice(&8u64.to_le_bytes());
-        args[24..32].copy_from_slice(&0x2000u64.to_le_bytes());
-        mem.copy_to_user(GuestVirtAddr::new(0x100), &args).unwrap();
-        drv.ioctl(ctx(1), &mut mem, RADEON_GEM_PWRITE, 0x100).unwrap();
-        // PREAD is refused under isolation (the driver must never read
-        // protected data, §4.2).
-        assert_eq!(
-            drv.ioctl(ctx(1), &mut mem, RADEON_GEM_PREAD, 0x100),
-            Err(Errno::Eperm)
-        );
-        // Ground truth: the data landed in protected VRAM (device-side
-        // probe), while the driver VM itself cannot read it.
-        let BoDomain::Vram { offset } = drv.bo(bo).unwrap().domain else {
-            panic!("expected VRAM bo");
-        };
-        let gpa = drv.gpu().bar_base().add(offset);
         let driver_vm = drv.env.vm();
-        let mut probe = [0u8; 8];
-        hv.borrow_mut()
-            .gpa_read_privileged(driver_vm, gpa, &mut probe)
-            .unwrap();
-        assert_eq!(&probe, b"isolated");
-        let mut blocked = [0u8; 8];
-        assert!(hv
-            .borrow_mut()
-            .vm_mem_read(driver_vm, gpa, &mut blocked)
-            .is_err());
+        for domain in [gem_domain::VRAM, gem_domain::GTT] {
+            let bo = gem_create(&mut drv, &mut mem, 1, PAGE_SIZE, domain).unwrap();
+            mem.copy_to_user(GuestVirtAddr::new(0x2000), b"isolated").unwrap();
+            for cmd in [RADEON_GEM_PWRITE, RADEON_GEM_PREAD] {
+                let target = if cmd == RADEON_GEM_PWRITE { 0x2000 } else { 0x3000 };
+                assert_eq!(transfer(&mut drv, &mut mem, cmd, bo, 8, target), Err(Errno::Efault));
+            }
+            assert_eq!(&mem.bytes()[0x3000..0x3008], &[0; 8], "domain {domain}");
+            let gpa = GuestPhysAddr::new(drv.bo_pfn(drv.bo(bo).unwrap(), 0).unwrap() * PAGE_SIZE);
+            let mut probe = [0u8; 8];
+            hv.borrow_mut().gpa_read_privileged(driver_vm, gpa, &mut probe).unwrap();
+            assert_eq!(probe, [0; 8], "domain {domain}: nothing landed");
+        }
+        assert_eq!(hv.borrow().active_region(drv.env.domain()), None);
     }
 
     #[test]

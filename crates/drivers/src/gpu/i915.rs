@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use paradice_devfs::fileops::{FileOps, MmapRange, OpenContext, PollEvents, TaskId};
 use paradice_devfs::ioc::{iow, iowr, IoctlCmd};
-use paradice_devfs::{Errno, MemOps};
+use paradice_devfs::{DriverSpan, Errno, MemOps};
 use paradice_mem::{GuestVirtAddr, PAGE_SIZE};
 
 use crate::gpu::bo::VramAllocator;
@@ -212,7 +212,7 @@ impl FileOps for I915Driver {
                 }
                 // Nested copy, straight into the aperture: the payload
                 // address and length come from the just-copied struct.
-                let bar = self.gpu.bar_base().add(bo.offset + offset);
+                let bar = DriverSpan::Contiguous(self.gpu.bar_base().add(bo.offset + offset));
                 mem.copy_from_user_to_phys(GuestVirtAddr::new(data_ptr), bar, size)?;
                 Ok(0)
             }

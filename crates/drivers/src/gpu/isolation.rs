@@ -1,7 +1,8 @@
 //! The Radeon data-isolation patch set (paper §5.3, ~400 LoC in the real
 //! driver).
 //!
-//! Four sets of changes, mirrored here one-for-one:
+//! The paper makes four sets of changes. The first three are mirrored here
+//! one-for-one:
 //!
 //! 1. **Explicit IOMMU management** — "we allocate a pool of pages for each
 //!    memory region and map them in IOMMU in the initialization phase."
@@ -16,24 +17,25 @@
 //!    contains the GPU memory controller registers … If the driver needs to
 //!    read/write to other registers in the same MMIO page, it issues a
 //!    hypercall." ([`IsolationState::setup`] calls `hc_protect_mmio`.)
-//! 4. **Write-only emulation** — x86 has no write-only EPT encoding, so
-//!    driver-writable staging buffers are made read-only to the *device*
-//!    through the IOMMU while the driver VM keeps read/write
-//!    (`hc_emulate_write_only`); uploads then flow driver → staging page →
-//!    device copy engine → protected destination.
+//!
+//! The paper's fourth change, **write-only emulation** (§5.3(iv)), is not
+//! needed here. x86 has no write-only EPT encoding, so the paper left a
+//! staging buffer readable and writable to the driver VM for the driver to
+//! copy uploads into. Here the driver never copies a payload: `GEM_PWRITE`
+//! and `GEM_PREAD` name the buffer object's pages, and the hypervisor
+//! copies between the guest process and those pages itself once it has
+//! checked that they belong to the calling guest's region. So an upload
+//! never rests in memory the driver VM can read, and §4.2's invariant —
+//! the driver VM never reads a protected region — holds for every byte.
 
 use paradice_devfs::Errno;
 use paradice_hypervisor::regions::DevMemRange;
 use paradice_hypervisor::VmId;
-use paradice_mem::{Access, DmaAddr, GuestPhysAddr, RegionId, PAGE_SIZE};
+use paradice_mem::{Access, GuestPhysAddr, RegionId, PAGE_SIZE};
 
 use crate::env::{hv_to_errno, DmaPool, KernelEnv};
 use crate::gpu::bo::VramAllocator;
 use crate::gpu::model::RadeonGpu;
-
-/// Effective copy-engine rate for staged uploads, bytes per nanosecond⁻¹
-/// denominator (8 B/ns ≈ 8 GB/s).
-const COPY_ENGINE_BYTES_PER_NS: u64 = 8;
 
 /// Per-guest isolation resources.
 #[derive(Debug)]
@@ -44,8 +46,6 @@ struct RegionState {
     vram: VramAllocator,
     /// Pre-mapped protected page pool for GTT objects (§5.3(i)).
     gtt: DmaPool,
-    /// Driver-writable, device-readable staging page (§5.3(iv)).
-    staging: GuestPhysAddr,
     /// The per-region GART page reserved in device memory (§5.3(ii)).
     gart_offset: u64,
 }
@@ -59,8 +59,8 @@ pub struct IsolationState {
 impl IsolationState {
     /// Runs the trusted driver-initialization phase: creates one protected
     /// region per guest (VRAM split evenly), builds the per-region GTT
-    /// pools and staging pages, reserves the per-region GART pages, and
-    /// confiscates the MC MMIO page.
+    /// pools, reserves the per-region GART pages, and confiscates the MC
+    /// MMIO page.
     ///
     /// # Errors
     ///
@@ -98,19 +98,6 @@ impl IsolationState {
                 .map_err(|e| hv_to_errno(&e))?;
             // (i) The protected GTT page pool, IOMMU-mapped up front.
             let gtt = DmaPool::new(env, gtt_pool_pages, Access::RW, Some(region))?;
-            // (iv) The staging page: protected, then write-only-emulated so
-            // the driver can fill it and only the device can read it.
-            let staging = env.alloc_kernel_page()?;
-            env.iommu_map(
-                DmaAddr::new(staging.raw()),
-                staging,
-                Access::RW,
-                Some(region),
-            )?;
-            env.hv()
-                .borrow_mut()
-                .hc_emulate_write_only(env.vm(), env.domain(), DmaAddr::new(staging.raw()))
-                .map_err(|e| hv_to_errno(&e))?;
             // (ii) Reserve the per-region GART page in device memory.
             let mut vram = VramAllocator::new(lo, hi);
             let gart_offset = vram.alloc(PAGE_SIZE)?;
@@ -119,7 +106,6 @@ impl IsolationState {
                 guest,
                 vram,
                 gtt,
-                staging,
                 gart_offset,
             });
         }
@@ -189,67 +175,5 @@ impl IsolationState {
     ) -> Result<Vec<GuestPhysAddr>, Errno> {
         let state = self.state_of(region)?;
         (0..n).map(|_| state.gtt.take()).collect()
-    }
-
-    /// Stages `data` through the region's write-only-emulated page and has
-    /// the device's copy engine move it into protected VRAM at
-    /// `vram_offset` (§5.3(iv)). The region must already be active.
-    ///
-    /// # Errors
-    ///
-    /// IOMMU/aperture faults surface as `EIO`.
-    pub fn stage_to_vram(
-        &mut self,
-        env: &KernelEnv,
-        region: RegionId,
-        gpu: &mut RadeonGpu,
-        vram_offset: u64,
-        data: &[u8],
-    ) -> Result<(), Errno> {
-        let staging = self.state_of(region)?.staging;
-        let mut bounce = [0u8; PAGE_SIZE as usize];
-        let mut written = 0usize;
-        while written < data.len() {
-            let chunk = (data.len() - written).min(PAGE_SIZE as usize);
-            // Driver writes the staging page (write-only emulation keeps the
-            // driver's EPT access).
-            env.kernel_write(staging, &data[written..written + chunk])?;
-            // Device copy engine: DMA-read staging (read-only to the
-            // device), write VRAM (aperture-checked).
-            let bounce = &mut bounce[..chunk];
-            env.device_dma_read(DmaAddr::new(staging.raw()), bounce)?;
-            gpu.vram_write(vram_offset + written as u64, bounce)?;
-            env.advance_ns(chunk as u64 / COPY_ENGINE_BYTES_PER_NS);
-            written += chunk;
-        }
-        Ok(())
-    }
-
-    /// Stages `data` into a protected *system-memory* page (GTT object)
-    /// through the staging page and a device copy (§5.3(iv)).
-    ///
-    /// # Errors
-    ///
-    /// IOMMU faults surface as `EIO`; `EINVAL` for out-of-page writes.
-    pub fn stage_to_page(
-        &mut self,
-        env: &KernelEnv,
-        region: RegionId,
-        _gpu: &mut RadeonGpu,
-        dst_page: GuestPhysAddr,
-        page_offset: u64,
-        data: &[u8],
-    ) -> Result<(), Errno> {
-        if page_offset + data.len() as u64 > PAGE_SIZE {
-            return Err(Errno::Einval);
-        }
-        let staging = self.state_of(region)?.staging;
-        env.kernel_write(staging, data)?;
-        let mut bounce = [0u8; PAGE_SIZE as usize];
-        let bounce = &mut bounce[..data.len()];
-        env.device_dma_read(DmaAddr::new(staging.raw()), bounce)?;
-        env.device_dma_write(DmaAddr::new(dst_page.raw() + page_offset), bounce)?;
-        env.advance_ns(data.len() as u64 / COPY_ENGINE_BYTES_PER_NS);
-        Ok(())
     }
 }

@@ -764,7 +764,7 @@ mod sched_tests {
         gpu.env.set_current_guest(Some(VmId(1)));
         let a = gpu.submit(render(10_000_000)).unwrap();
         // Halfway through A's execution…
-        gpu.env.advance_ns(5_000_000);
+        gpu.env.hv().borrow().clock().advance(5_000_000);
         gpu.env.set_current_guest(Some(VmId(2)));
         let b = gpu.submit(render(1_000_000)).unwrap();
         gpu.env.set_current_guest(None);

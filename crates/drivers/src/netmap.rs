@@ -533,7 +533,7 @@ mod tests {
         register(&mut drv, &mut mem);
         drv.enable_rx_generator(64);
         // Let 100 frames' worth of wire time pass.
-        drv.env.advance_ns(100 * wire_ns(64));
+        drv.env.hv().borrow().clock().advance(100 * wire_ns(64));
         let delivered = drv.ioctl(ctx(1), &mut mem, NIOCRXSYNC, 0).unwrap();
         assert_eq!(delivered, 100);
         assert_eq!(drv.rx_packets(), 100);
@@ -551,7 +551,7 @@ mod tests {
         register(&mut drv, &mut mem);
         drv.enable_rx_generator(64);
         // Far more arrivals than ring capacity.
-        drv.env.advance_ns(1_000 * wire_ns(64));
+        drv.env.hv().borrow().clock().advance(1_000 * wire_ns(64));
         let delivered = drv.ioctl(ctx(1), &mut mem, NIOCRXSYNC, 0).unwrap();
         assert_eq!(delivered, i64::from(NUM_SLOTS) - 1);
     }

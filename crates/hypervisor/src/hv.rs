@@ -9,9 +9,9 @@
 //!   point ([`Hypervisor::hc_memops`]) for a slice of [`MemOp`]s: cross-VM
 //!   copies via two-stage software page-table walks — between a guest
 //!   process and a driver buffer, or straight between a guest process and
-//!   the driver VM's own memory (a BAR range) — and `mmap` fix-ups that
-//!   pick an unused guest-physical page, edit the guest's EPT, and fix the
-//!   last level of the guest's page tables;
+//!   the driver VM's own memory (a BAR range or a list of pages) — and
+//!   `mmap` fix-ups that pick an unused guest-physical page, edit the
+//!   guest's EPT, and fix the last level of the guest's page tables;
 //! * **strict runtime checks**: every memory operation requested by the
 //!   (untrusted) driver VM is validated against the target guest's shard of
 //!   the one grant store, [`ShardedGrantTable`] (§4.1) — violations are
@@ -23,6 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use paradice_devfs::DriverSpan;
 use paradice_mem::addr::page_chunks;
 use paradice_mem::ept::EptMapError;
 use paradice_mem::iommu::DomainId;
@@ -284,25 +285,25 @@ pub enum MemOp<'a> {
         va: GuestVirtAddr,
     },
     /// Copy `len` bytes from guest process memory at `src` straight into
-    /// the calling driver VM's memory at driver-physical `dst` (a BAR
-    /// range), with no driver buffer in between. Granted, traced and
-    /// charged as the `CopyFromGuest` of `(src, len)`.
+    /// the calling driver VM's memory at `dst` (a BAR range or a GTT
+    /// object's pages), with no driver buffer in between. Granted, traced
+    /// and charged as the `CopyFromGuest` of `(src, len)`.
     CopyFromGuestToDriver {
         /// Source address in the guest process.
         src: GuestVirtAddr,
         /// Destination in the driver VM's physical address space.
-        dst: GuestPhysAddr,
+        dst: DriverSpan<'a>,
         /// Bytes to copy.
         len: u64,
     },
-    /// Copy `len` bytes of the calling driver VM's memory at
-    /// driver-physical `src` straight into guest process memory at `dst`.
-    /// Granted, traced and charged as the `CopyToGuest` of `(dst, len)`.
+    /// Copy `len` bytes of the calling driver VM's memory at `src` straight
+    /// into guest process memory at `dst`. Granted, traced and charged as
+    /// the `CopyToGuest` of `(dst, len)`.
     CopyToGuestFromDriver {
         /// Destination address in the guest process.
         dst: GuestVirtAddr,
         /// Source in the driver VM's physical address space.
-        src: GuestPhysAddr,
+        src: DriverSpan<'a>,
         /// Bytes to copy.
         len: u64,
     },
@@ -898,7 +899,8 @@ impl Hypervisor {
             Transfer::Write(buf) => (buf.len(), Access::WRITE),
         };
         self.plan.clear();
-        self.plan_range((start, len as u64), need, translate)?;
+        let first = GuestPhysAddr::new(start.into());
+        self.plan_range((first, page_chunks(start, len as u64)), need, translate)?;
         let mut done = 0usize;
         for &(pa, n) in &self.plan {
             let range = done..done + n as usize;
@@ -911,18 +913,18 @@ impl Hypervisor {
         Ok(())
     }
 
-    /// Appends the `(system-physical address, length)` chunks of
-    /// `[start, start + len)` to the plan, each page translated by
-    /// `translate`, and returns the plan's length. A range past the top of
-    /// the address space is refused as an access to an unmapped page.
-    fn plan_range<A: Copy + Into<u64> + From<u64>>(
+    /// Appends the `(system-physical address, length)` of every page
+    /// chunk to the plan, each translated by `translate`, and returns the
+    /// plan's length. No chunks — a range past the top of the address
+    /// space, or past the end of its pages — is refused as an access to
+    /// the unmapped page `start`.
+    fn plan_range<A>(
         &mut self,
-        (start, len): (A, u64),
+        (start, chunks): (GuestPhysAddr, Option<impl Iterator<Item = (A, u64)>>),
         need: Access,
         mut translate: impl FnMut(&mut Self, A, Access) -> Result<PhysAddr, HvError>,
     ) -> Result<usize, HvError> {
-        let wraps = || unmapped(GuestPhysAddr::new(start.into()), need);
-        for (chunk, n) in page_chunks(start, len).ok_or_else(wraps)? {
+        for (chunk, n) in chunks.ok_or_else(|| unmapped(start, need))? {
             let pa = translate(self, chunk, need)?;
             self.plan.push((pa, n));
         }
@@ -932,31 +934,45 @@ impl Hypervisor {
     /// The copy under [`MemOp::CopyFromGuestToDriver`] and
     /// [`MemOp::CopyToGuestFromDriver`], and their trusted native
     /// counterpart: `len` bytes between `vm`'s process at `va` and
-    /// `driver`'s own memory at driver-physical `gpa`, toward the driver
-    /// when `to_driver`. The process side is walked in software; the
-    /// driver side goes through the driver VM's EPT with the access the
-    /// direction needs, a refusal audited as a protected-region access —
-    /// the check `vm_mem_read`/`vm_mem_write` make. Every page of both
-    /// sides is planned before a byte moves, so a fault on either side
-    /// moves nothing; then the bytes go frame to frame with no buffer in
-    /// between.
+    /// `driver`'s own memory at `span`, toward the driver when
+    /// `to_driver`. The process side is walked in software. Under
+    /// `regions` — the grant the copy runs under and the device domain of
+    /// its protected regions — a driver page of `vm`'s own region is
+    /// reached through its frame, never through the driver VM's EPT, and a
+    /// page of another guest's region is refused and audited as an
+    /// `InsertPfn` of it is. Any other driver page goes through the driver
+    /// VM's EPT with the access the direction needs, a refusal audited as a
+    /// protected-region access — the check `vm_mem_read`/`vm_mem_write`
+    /// make. Every page of both sides is planned before a byte moves, so a
+    /// fault on either side moves nothing; then the bytes go frame to frame
+    /// with no buffer in between.
     ///
     /// # Errors
     ///
-    /// Walk, permission and EPT failures (the last audited).
+    /// Walk, permission, EPT and foreign-region failures (the last two
+    /// audited).
     pub fn process_copy_driver(
         &mut self,
         (vm, pt_root, va): (VmId, GuestPhysAddr, GuestVirtAddr),
-        (driver, gpa): (VmId, GuestPhysAddr),
+        (driver, span): (VmId, DriverSpan<'_>),
         len: u64,
         to_driver: bool,
+        regions: Option<(GrantRef, DomainId)>,
     ) -> Result<(), HvError> {
         let walk = |hv: &mut Self, chunk, need| hv.translate_gva(vm, pt_root, chunk, need);
-        let ept = |hv: &mut Self, chunk, need| hv.ept_translate(driver, chunk, need);
+        let driver_page = |hv: &mut Self, gpa, need| match regions {
+            Some((grant, domain))
+                if hv.check_region_owner(driver, vm, grant, Some(domain), gpa)? =>
+            {
+                hv.translate_unchecked(driver, gpa, need)
+            }
+            _ => hv.ept_translate(driver, gpa, need),
+        };
         let need = |source| if source { Access::READ } else { Access::WRITE };
         self.plan.clear();
-        let split = self.plan_range((va, len), need(to_driver), walk)?;
-        self.plan_range((gpa, len), need(!to_driver), ept)?;
+        let process = (GuestPhysAddr::new(va.raw()), page_chunks(va, len));
+        let split = self.plan_range(process, need(to_driver), walk)?;
+        self.plan_range((span.base(), span.chunks(len)), need(!to_driver), driver_page)?;
         let (process, driver) = self.plan.split_at(split);
         let (from, to) = if to_driver { (process, driver) } else { (driver, process) };
         Ok(self.mem.copy(from, to)?)
@@ -1029,11 +1045,12 @@ impl Hypervisor {
     /// and `CopyToGuestFromDriver` copy between the guest range and the
     /// caller's own memory in one copy (see `process_copy_driver`): checked
     /// against the grant as the plain copy of the same guest range, and on
-    /// the driver side against the caller's EPT. `InsertPfn` maps the
-    /// driver frame through a fix-up (see `install_fixup`); with data
-    /// isolation, `domain` confines protected pages to the owning guest's
-    /// region. `ZapPage` destroys only the EPT side: "the hypervisor only
-    /// needs to destroy the mappings in the EPTs" (§5.2).
+    /// the driver side against `domain`'s protected regions and the
+    /// caller's EPT. `InsertPfn` maps the driver frame through a fix-up
+    /// (see `install_fixup`); with data isolation, `domain` confines
+    /// protected pages to the owning guest's region. `ZapPage` destroys
+    /// only the EPT side: "the hypervisor only needs to destroy the
+    /// mappings in the EPTs" (§5.2).
     ///
     /// # Errors
     ///
@@ -1054,6 +1071,7 @@ impl Hypervisor {
         self.trace_mem_op(ops, verdict.as_ref().err().map(|(bad, _)| *bad));
         verdict.map_err(|(_, e)| e)?;
         self.clock.advance(self.cost.hypercall_ns);
+        let regions = domain.map(|domain| (grant, domain));
         for op in ops {
             let (.., work_ns) = shape_and_cost(op.request(), &self.cost);
             self.clock
@@ -1077,10 +1095,12 @@ impl Hypervisor {
                 }
                 MemOp::ZapPage { va } => self.remove_fixup(guest, pt_root, *va)?,
                 MemOp::CopyFromGuestToDriver { src, dst, len } => {
-                    self.process_copy_driver((guest, pt_root, *src), (caller, *dst), *len, true)?;
+                    let process = (guest, pt_root, *src);
+                    self.process_copy_driver(process, (caller, *dst), *len, true, regions)?;
                 }
                 MemOp::CopyToGuestFromDriver { dst, src, len } => {
-                    self.process_copy_driver((guest, pt_root, *dst), (caller, *src), *len, false)?;
+                    let process = (guest, pt_root, *dst);
+                    self.process_copy_driver(process, (caller, *src), *len, false, regions)?;
                 }
             }
         }
@@ -1088,8 +1108,9 @@ impl Hypervisor {
     }
 
     /// Data isolation (§4.2 — "each guest VM has access to its own memory
-    /// region only"): a protected page may be mapped only into the guest
-    /// whose region owns it. A foreign page is refused and audited.
+    /// region only"): a protected page may be mapped into, or copied to or
+    /// from, only the guest whose region owns it. A foreign page is refused
+    /// and audited. Whether `driver_gpa` is a page of `guest`'s own region.
     fn check_region_owner(
         &mut self,
         caller: VmId,
@@ -1097,15 +1118,15 @@ impl Hypervisor {
         grant: GrantRef,
         domain: Option<DomainId>,
         driver_gpa: GuestPhysAddr,
-    ) -> Result<(), HvError> {
+    ) -> Result<bool, HvError> {
         let Some(state) = domain.and_then(|d| self.domains.get(&d.index())) else {
-            return Ok(());
+            return Ok(false);
         };
         let Some(owner) = state.regions.owner_of_page(driver_gpa) else {
-            return Ok(());
+            return Ok(false);
         };
         if state.regions.guest_of(owner)? == guest {
-            return Ok(());
+            return Ok(true);
         }
         self.audit.record(
             self.clock.now_ns(),
@@ -1113,7 +1134,7 @@ impl Hypervisor {
                 caller,
                 target: guest,
                 grant: Some(grant),
-                description: format!("map foreign region page {driver_gpa} into {guest}"),
+                description: format!("foreign region page {driver_gpa} for {guest}"),
             },
         );
         Err(HvError::ForeignRegionPage { owner })
@@ -1382,32 +1403,6 @@ impl Hypervisor {
     /// The region belonging to `guest` on this device, if any.
     pub fn region_of_guest(&self, domain: DomainId, guest: VmId) -> Option<RegionId> {
         self.domain_state(domain).regions.region_of_guest(guest)
-    }
-
-    /// Emulates write-only access for a driver-writable buffer (§5.3(iv)):
-    /// the page stays readable+writable to the driver VM but becomes
-    /// read-only to the *device* through the IOMMU.
-    ///
-    /// # Errors
-    ///
-    /// Role violations or unknown mappings.
-    pub fn hc_emulate_write_only(
-        &mut self,
-        caller: VmId,
-        domain: DomainId,
-        dma: DmaAddr,
-    ) -> Result<(), HvError> {
-        self.require_driver(caller)?;
-        self.clock.advance(self.cost.hypercall_ns);
-        let driver_vm = self.domain_state(domain).driver_vm;
-        if !self.iommu.domain_mut(domain).set_access(dma, Access::READ) {
-            return Err(HvError::NoSuchMapping { dma });
-        }
-        let driver_gpa = GuestPhysAddr::new(dma.raw());
-        self.vm_mut(driver_vm)?
-            .ept_mut()
-            .set_access(driver_gpa, Access::RW)?;
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -2270,41 +2265,6 @@ mod tests {
                 .count_blocked_by(crate::audit::BlockedBy::ProtectedMmio),
             1
         );
-    }
-
-    #[test]
-    fn write_only_emulation() {
-        let mut hv = boot();
-        let guest = hv.create_vm(VmRole::Guest, 8 * PAGE_SIZE).unwrap();
-        let driver = hv.create_vm(VmRole::Driver, 32 * PAGE_SIZE).unwrap();
-        let domain = hv.assign_device(driver, DataIsolation::Enabled).unwrap();
-        let region = hv.hc_create_region(driver, domain, guest, None).unwrap();
-        let page = GuestPhysAddr::new(15 * PAGE_SIZE);
-        hv.hc_iommu_map(
-            driver,
-            domain,
-            DmaAddr::new(page.raw()),
-            page,
-            Access::RW,
-            Some(region),
-        )
-        .unwrap();
-        hv.hc_switch_region(driver, domain, Some(region)).unwrap();
-        // Emulate write-only: device read-only via IOMMU, driver RW via EPT
-        // (§5.3(iv) — e.g. the GPU address-translation buffer).
-        hv.hc_emulate_write_only(driver, domain, DmaAddr::new(page.raw()))
-            .unwrap();
-        // Driver can write the buffer again.
-        hv.vm_mem_write(driver, page, b"gart-entry").unwrap();
-        // Device can read…
-        let mut buf = [0u8; 10];
-        hv.device_dma_read(domain, DmaAddr::new(page.raw()), &mut buf)
-            .unwrap();
-        assert_eq!(&buf, b"gart-entry");
-        // …but not write.
-        assert!(hv
-            .device_dma_write(domain, DmaAddr::new(page.raw()), b"x")
-            .is_err());
     }
 
     #[test]

@@ -64,8 +64,8 @@ pub enum IommuFault {
         /// The currently active region, if any.
         active: Option<RegionId>,
     },
-    /// The mapping lacks the attempted rights (e.g. device write to a
-    /// read-only page used for write-only emulation, paper §5.3(iv)).
+    /// The mapping lacks the attempted rights (e.g. a device write to a
+    /// page mapped read-only).
     InsufficientRights {
         /// The faulting bus address.
         dma: DmaAddr,
@@ -237,20 +237,6 @@ impl IommuDomain {
         Ok(entry.frame.add(dma.page_offset()))
     }
 
-    /// Downgrades the rights of an existing mapping (write-only emulation
-    /// makes a buffer read-only to the device, paper §5.3(iv)).
-    ///
-    /// Returns `false` if the page was not mapped.
-    pub fn set_access(&mut self, dma: DmaAddr, access: Access) -> bool {
-        match self.entries.get_mut(dma.page_number()) {
-            Some(entry) => {
-                entry.access = access;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Iterates over `(dma page base, frame, access, region)`.
     pub fn iter(&self) -> impl Iterator<Item = (DmaAddr, PhysAddr, Access, RegionId)> + '_ {
         self.entries
@@ -399,9 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn rights_are_enforced_for_write_only_emulation() {
-        // Write-only emulation: buffer read-only to the *device*, RW to the
-        // driver VM (paper §5.3(iv)). Device writes must fault.
+    fn a_read_only_mapping_refuses_device_writes() {
         let mut dom = IommuDomain::new();
         dom.map(
             DmaAddr::new(0x3000),
@@ -418,20 +402,6 @@ mod tests {
                 allowed: Access::READ,
             })
         );
-    }
-
-    #[test]
-    fn downgrade_rights_in_place() {
-        let mut dom = IommuDomain::new();
-        dom.map(
-            DmaAddr::new(0x1000),
-            PhysAddr::new(0x2000),
-            Access::RW,
-            RegionId::GLOBAL,
-        );
-        assert!(dom.set_access(DmaAddr::new(0x1000), Access::READ));
-        assert!(dom.translate(DmaAddr::new(0x1000), Access::WRITE).is_err());
-        assert!(!dom.set_access(DmaAddr::new(0x9000), Access::READ));
     }
 
     #[test]

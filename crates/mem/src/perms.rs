@@ -4,9 +4,10 @@
 //! EPT entries, and IOMMU entries. The paper's device-data-isolation design
 //! depends on one x86 quirk that we model faithfully: EPTs *cannot express
 //! write-only mappings* — removing read permission necessarily removes write
-//! permission too, so the driver is left with no access at all and write-only
-//! semantics must be emulated (paper §5.3(iv)). [`Access::is_ept_expressible`]
-//! captures that rule; [`crate::Ept::map`] enforces it.
+//! permission too, so the driver is left with no access at all (paper
+//! §5.3(iv)); the hypervisor, not the driver, writes protected pages.
+//! [`Access::is_ept_expressible`] captures that rule; [`crate::Ept::map`]
+//! enforces it.
 
 use std::fmt;
 use std::ops::{BitAnd, BitOr, BitOrAssign, Sub};
@@ -71,8 +72,8 @@ impl Access {
     ///
     /// x86 EPTs do not support write-only (or write+execute-without-read)
     /// encodings: writable implies readable. Paradice's data-isolation code
-    /// had to strip *both* read and write from protected regions and emulate
-    /// write-only access for the few driver-writable buffers (paper §5.3(iv)).
+    /// had to strip *both* read and write from protected regions (paper
+    /// §5.3(iv)).
     pub const fn is_ept_expressible(self) -> bool {
         !self.writable() || self.readable()
     }

@@ -26,8 +26,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .device(DeviceSpec::Mouse)
         .build()?;
 
-    // Guest 0 puts sensitive data on the GPU (a texture upload through the
-    // staging path — the driver VM never sees the plaintext).
+    // Guest 0 puts sensitive data on the GPU (a texture upload the
+    // hypervisor copies into guest 0's region — the driver VM never sees
+    // the plaintext).
     let task = machine.spawn_process(Some(0))?;
     let drm = DrmClient::open(&mut machine, task)?;
     let fb = drm.gem_create(&mut machine, 4 * PAGE_SIZE, gem_domain::VRAM)?;

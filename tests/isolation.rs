@@ -9,6 +9,7 @@ use paradice::prelude::*;
 use paradice_hypervisor::audit::BlockedBy;
 use paradice_hypervisor::hv::HvError;
 use paradice_hypervisor::{AuditEvent, Hypervisor, MemOp, MemOpGrant, VmId};
+use paradice_devfs::DriverSpan;
 use paradice_mem::pagetable::GuestPageTables;
 use paradice_mem::GuestPhysAddr;
 
@@ -78,8 +79,10 @@ fn the_one_copy_checks_the_driver_side_against_the_driver_vms_ept() {
     let va = GuestVirtAddr::new(0x4000_0000);
     let root = guest_page(&m, guest, va);
     let mut hv = m.hv().borrow_mut();
-    // Page 0 of the BAR lies in guest 0's VRAM slice; a protected pool page
-    // sits at the top of driver RAM. Neither is the driver CPU's to touch.
+    // Page 0 of the BAR lies in guest 0's VRAM slice, and the protected
+    // pool page at the top of driver RAM is guest 0's too. Neither is the
+    // driver CPU's to touch; the hypervisor copies to and from both for
+    // guest 0 itself.
     let (bar, _) = hv.device_bar(domain).expect("bar");
     let ram_pages = hv.vm(driver_vm).unwrap().ram_pages();
     let pool_page = (0..ram_pages)
@@ -100,34 +103,48 @@ fn the_one_copy_checks_the_driver_side_against_the_driver_vms_ept() {
         hv.process_read(guest, root, va, &mut seen).unwrap();
         seen
     };
-    for protected in [bar, pool_page] {
-        hv.gpa_write_privileged(driver_vm, protected, &[0x5e; 64]).unwrap();
-        for op in [
-            MemOp::CopyToGuestFromDriver { dst: va, src: protected, len: 64 },
-            MemOp::CopyFromGuestToDriver { src: va, dst: protected, len: 64 },
-        ] {
-            let audited = hv.audit().len();
-            let result = hv.hc_memops(driver_vm, guest, root, grant, Some(domain), &mut [op]);
-            assert!(matches!(result, Err(HvError::Ept(_))), "{protected}: {result:?}");
-            let records = &hv.audit().records()[audited..];
-            assert_eq!(records.len(), 1, "{protected}: audited once");
-            assert_eq!(
-                records[0].event,
-                AuditEvent::ProtectedRegionAccess { caller: driver_vm, gpa: protected }
-            );
-            assert_eq!(guest_bytes(&mut hv), [0x77; 64], "{protected}: no byte reached the guest");
-            let mut kept = [0u8; 64];
-            hv.gpa_read_privileged(driver_vm, protected, &mut kept).unwrap();
-            assert_eq!(kept, [0x5e; 64], "{protected}: no byte reached the driver page");
-        }
+    for own in [bar, pool_page] {
+        let audited = hv.audit().len();
+        hv.gpa_write_privileged(driver_vm, own, &[0x5e; 64]).unwrap();
+        let op = MemOp::CopyToGuestFromDriver { dst: va, src: DriverSpan::Contiguous(own), len: 64 };
+        hv.hc_memops(driver_vm, guest, root, grant, Some(domain), &mut [op]).unwrap();
+        assert_eq!(guest_bytes(&mut hv), [0x5e; 64], "{own}: read for its own guest");
+        hv.process_write(guest, root, va, &[0x77; 64]).unwrap();
+        let op = MemOp::CopyFromGuestToDriver { src: va, dst: DriverSpan::Contiguous(own), len: 64 };
+        hv.hc_memops(driver_vm, guest, root, grant, Some(domain), &mut [op]).unwrap();
+        let mut landed = [0u8; 64];
+        hv.gpa_read_privileged(driver_vm, own, &mut landed).unwrap();
+        assert_eq!(landed, [0x77; 64], "{own}: written for its own guest");
+        assert_eq!(hv.audit().len(), audited, "{own}: nothing refused");
+        assert!(hv.vm_mem_read(driver_vm, own, &mut landed).is_err(), "{own}: still protected");
+    }
+    // A page outside every region goes through the driver VM's EPT: one
+    // it does not map is refused on either side and audited once.
+    let unmapped = GuestPhysAddr::new(1 << 38);
+    let span = DriverSpan::Contiguous(unmapped);
+    for op in [
+        MemOp::CopyToGuestFromDriver { dst: va, src: span, len: 64 },
+        MemOp::CopyFromGuestToDriver { src: va, dst: span, len: 64 },
+    ] {
+        let audited = hv.audit().len();
+        let result = hv.hc_memops(driver_vm, guest, root, grant, Some(domain), &mut [op]);
+        assert!(matches!(result, Err(HvError::Ept(_))), "{result:?}");
+        let records = &hv.audit().records()[audited..];
+        assert_eq!(records.len(), 1, "audited once");
+        assert_eq!(
+            records[0].event,
+            AuditEvent::ProtectedRegionAccess { caller: driver_vm, gpa: unmapped }
+        );
+        assert_eq!(guest_bytes(&mut hv), [0x77; 64], "no byte reached the guest");
     }
     // A guest range one byte longer than the grant refuses its whole call,
     // the granted write queued in front of it included.
     let scratch = hv.vm_mut(driver_vm).unwrap().alloc_kernel_page().unwrap();
     hv.gpa_write_privileged(driver_vm, scratch, &[0x33; 65]).unwrap();
+    let scratch_span = DriverSpan::Contiguous(scratch);
     for wild in [
-        MemOp::CopyToGuestFromDriver { dst: va, src: scratch, len: 65 },
-        MemOp::CopyFromGuestToDriver { src: va, dst: scratch, len: 65 },
+        MemOp::CopyToGuestFromDriver { dst: va, src: scratch_span, len: 65 },
+        MemOp::CopyFromGuestToDriver { src: va, dst: scratch_span, len: 65 },
     ] {
         let audited = hv.audit().len();
         let mut ops = [MemOp::CopyToGuest { dst: va, data: b"granted" }, wild];
@@ -142,7 +159,7 @@ fn the_one_copy_checks_the_driver_side_against_the_driver_vms_ept() {
         assert_eq!(kept, [0x33; 65]);
     }
     // Within the grant, an unprotected driver page crosses as usual.
-    let op = MemOp::CopyToGuestFromDriver { dst: va, src: scratch, len: 64 };
+    let op = MemOp::CopyToGuestFromDriver { dst: va, src: scratch_span, len: 64 };
     hv.hc_memops(driver_vm, guest, root, grant, Some(domain), &mut [op]).unwrap();
     assert_eq!(guest_bytes(&mut hv), [0x33; 64]);
 }
@@ -257,14 +274,126 @@ fn vram_partitioning_limits_each_guest() {
         .is_ok());
 }
 
+/// A marker no page holds by chance.
+const MARKER: &[u8] = b"region-copy marker 7f3a";
+
+/// The driver-physical pages holding `marker` among those `read` accepts:
+/// every page of the driver VM's RAM and of the GPU's BAR.
+fn pages_holding(
+    m: &Machine,
+    marker: &[u8],
+    read: fn(&mut Hypervisor, VmId, GuestPhysAddr, &mut [u8]) -> Result<(), HvError>,
+) -> Vec<GuestPhysAddr> {
+    let domain = m.device_env("/dev/dri/card0").expect("gpu").domain();
+    let driver_vm = m.driver_vm();
+    let mut hv = m.hv().borrow_mut();
+    let ram_pages = hv.vm(driver_vm).unwrap().ram_pages();
+    let (bar, bar_pages) = hv.device_bar(domain).expect("bar");
+    let ram = (0..ram_pages).map(|page| GuestPhysAddr::new(page * PAGE_SIZE));
+    let bar = (0..bar_pages).map(|page| bar.add(page * PAGE_SIZE));
+    let mut bytes = vec![0u8; PAGE_SIZE as usize];
+    ram.chain(bar)
+        .filter(|&gpa| {
+            read(&mut hv, driver_vm, gpa, &mut bytes).is_ok()
+                && bytes.windows(marker.len()).any(|window| window == marker)
+        })
+        .collect()
+}
+
 #[test]
-fn pread_of_protected_data_is_refused() {
+fn an_isolated_upload_leaves_no_driver_readable_copy() {
+    // §4.2: the driver VM never reads a protected region. An upload into a
+    // VRAM or a GTT object lands in the guest's region and nowhere the
+    // driver VM's CPU can read, in RAM or through the BAR.
     let mut m = isolated_machine();
     let task = m.spawn_process(Some(0)).unwrap();
     let drm = DrmClient::open(&mut m, task).unwrap();
-    let bo = drm.gem_create(&mut m, PAGE_SIZE, gem_domain::VRAM).unwrap();
-    let va = m.alloc_buffer(task, 64).unwrap();
-    assert_eq!(drm.gem_pread(&mut m, bo, 0, va, 16), Err(Errno::Eperm));
+    let va = m.alloc_buffer(task, PAGE_SIZE).unwrap();
+    m.write_mem(task, va, MARKER).unwrap();
+    for domain in [gem_domain::VRAM, gem_domain::GTT] {
+        let bo = drm.gem_create(&mut m, PAGE_SIZE, domain).unwrap();
+        drm.gem_pwrite(&mut m, bo, 0, va, MARKER.len() as u64).unwrap();
+        let readable = pages_holding(&m, MARKER, Hypervisor::vm_mem_read);
+        assert_eq!(readable, [], "domain {domain}: the driver VM reads the upload");
+        let landed = pages_holding(&m, MARKER, Hypervisor::gpa_read_privileged);
+        assert!(!landed.is_empty(), "domain {domain}: the upload landed nowhere");
+    }
+}
+
+#[test]
+fn an_isolated_pread_returns_the_guests_own_bytes() {
+    let mut m = isolated_machine();
+    let task = m.spawn_process(Some(0)).unwrap();
+    let drm = DrmClient::open(&mut m, task).unwrap();
+    let va = m.alloc_buffer(task, 2 * PAGE_SIZE).unwrap();
+    let payload: Vec<u8> = (0..PAGE_SIZE + 100).map(|i| (i * 7 + 3) as u8).collect();
+    for domain in [gem_domain::VRAM, gem_domain::GTT] {
+        let bo = drm.gem_create(&mut m, 2 * PAGE_SIZE, domain).unwrap();
+        m.write_mem(task, va, &payload).unwrap();
+        drm.gem_pwrite(&mut m, bo, 50, va, payload.len() as u64).unwrap();
+        m.write_mem(task, va, &vec![0u8; payload.len()]).unwrap();
+        drm.gem_pread(&mut m, bo, 50, va, payload.len() as u64).unwrap();
+        let mut back = vec![0u8; payload.len()];
+        m.read_mem(task, va, &mut back).unwrap();
+        assert_eq!(back, payload, "domain {domain}");
+    }
+    assert_eq!(m.hv().borrow().audit().len(), 0, "an honest transfer is never refused");
+}
+
+#[test]
+fn a_copy_naming_another_guests_region_page_is_refused() {
+    // Guest 0 uploads into a GTT object; guest 1's grant then names guest
+    // 0's pool page and guest 0's first BAR page as the driver side of a
+    // copy. Each is refused before a byte moves and credited to the grant
+    // check, like an InsertPfn of a foreign region page.
+    let mut m = isolated_machine();
+    let task = m.spawn_process(Some(0)).unwrap();
+    let drm = DrmClient::open(&mut m, task).unwrap();
+    let va0 = m.alloc_buffer(task, PAGE_SIZE).unwrap();
+    m.write_mem(task, va0, MARKER).unwrap();
+    let bo = drm.gem_create(&mut m, PAGE_SIZE, gem_domain::GTT).unwrap();
+    drm.gem_pwrite(&mut m, bo, 0, va0, MARKER.len() as u64).unwrap();
+    let [pool_page] = pages_holding(&m, MARKER, Hypervisor::gpa_read_privileged)[..] else {
+        panic!("the upload lands in one pool page");
+    };
+    let domain = m.device_env("/dev/dri/card0").expect("gpu").domain();
+    let (driver_vm, guest) = (m.driver_vm(), m.guest_vms()[1]);
+    let va = GuestVirtAddr::new(0x4000_0000);
+    let root = guest_page(&m, guest, va);
+    let mut hv = m.hv().borrow_mut();
+    let (bar, _) = hv.device_bar(domain).expect("bar");
+    hv.gpa_write_privileged(driver_vm, bar, MARKER).unwrap();
+    hv.process_write(guest, root, va, &[0x77; 64]).unwrap();
+    let grant = hv
+        .declare_grants(
+            guest,
+            vec![
+                MemOpGrant::CopyToGuest { addr: va, len: 64 },
+                MemOpGrant::CopyFromGuest { addr: va, len: 64 },
+            ],
+        )
+        .unwrap();
+    for foreign in [pool_page, bar] {
+        let span = DriverSpan::Contiguous(foreign);
+        for op in [
+            MemOp::CopyToGuestFromDriver { dst: va, src: span, len: 64 },
+            MemOp::CopyFromGuestToDriver { src: va, dst: span, len: 64 },
+        ] {
+            let audited = hv.audit().len();
+            let result = hv.hc_memops(driver_vm, guest, root, grant, Some(domain), &mut [op]);
+            assert!(matches!(result, Err(HvError::ForeignRegionPage { .. })), "{result:?}");
+            let records = &hv.audit().records()[audited..];
+            assert_eq!(records.len(), 1, "{foreign}: audited once");
+            assert!(matches!(records[0].event, AuditEvent::UngrantedMemOp { .. }));
+            assert_eq!(records[0].event.blocked_by(), BlockedBy::GrantCheck);
+            let mut seen = [0u8; 64];
+            hv.process_read(guest, root, va, &mut seen).unwrap();
+            assert_eq!(seen, [0x77; 64], "{foreign}: no byte reached guest 1");
+            let mut kept = [0u8; MARKER.len()];
+            hv.gpa_read_privileged(driver_vm, foreign, &mut kept).unwrap();
+            assert_eq!(kept, MARKER, "{foreign}: no byte reached guest 0's page");
+        }
+    }
 }
 
 #[test]

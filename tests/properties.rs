@@ -19,7 +19,8 @@
 //! * one deferred batch lent to consecutive bindings behaves as a fresh
 //!   batch per binding;
 //! * a `GEM_PWRITE`/`GEM_PREAD` that the hypervisor copies straight
-//!   between process pages and the BAR leaves the same bytes and errno as
+//!   between process pages and a buffer object — a BAR range or GTT pages,
+//!   with or without data isolation — leaves the same bytes and errno as
 //!   the staged reference, and a fault on either side moves nothing.
 
 use std::cell::RefCell;
@@ -629,11 +630,18 @@ fn xfer_pattern(len: u64, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-/// The transfer through a whole machine in `mode`: the hypervisor copies
-/// straight between the payload's pages and the BAR.
-fn xfer_direct(mode: ExecMode, write: bool, bo_offset: u64, payload_at: u64, size: u64) -> XferOutcome {
+/// The transfer through a whole machine in `mode`, into an object in GEM
+/// `domain`: the hypervisor copies straight between the payload's pages
+/// and the object's.
+fn xfer_direct(
+    mode: ExecMode,
+    domain: u32,
+    write: bool,
+    bo_offset: u64,
+    payload_at: u64,
+    size: u64,
+) -> XferOutcome {
     use paradice::app::drm::DrmClient;
-    use paradice::gpu_ioctl::gem_domain;
 
     let mut builder = Machine::builder().mode(mode).device(DeviceSpec::gpu());
     if matches!(mode, ExecMode::Paradice { .. }) {
@@ -643,7 +651,7 @@ fn xfer_direct(mode: ExecMode, write: bool, bo_offset: u64, payload_at: u64, siz
     let guest = matches!(mode, ExecMode::Paradice { .. }).then_some(0);
     let task = m.spawn_process(guest).unwrap();
     let drm = DrmClient::open(&mut m, task).unwrap();
-    let bo = drm.gem_create(&mut m, XFER_BO_BYTES, gem_domain::VRAM).unwrap();
+    let bo = drm.gem_create(&mut m, XFER_BO_BYTES, domain).unwrap();
     let whole = m.alloc_buffer(task, XFER_BO_BYTES).unwrap();
     m.write_mem(task, whole, &xfer_pattern(XFER_BO_BYTES, 1)).unwrap();
     drm.gem_pwrite(&mut m, bo, 0, whole, XFER_BO_BYTES).unwrap();
@@ -662,19 +670,18 @@ fn xfer_direct(mode: ExecMode, write: bool, bo_offset: u64, payload_at: u64, siz
     (result, bo_bytes, payload_bytes)
 }
 
-/// The same transfer through a bare driver whose process memory is a
-/// [`BufferMemOps`]: `[0, 4 KiB)` args, then a whole-object buffer, then
-/// the payload buffer, which ends the space. Its two-sided copies go
-/// through the driver's own `kernel_read`/`kernel_write`, as the staged
-/// transfers did.
-fn xfer_staged(write: bool, bo_offset: u64, payload_at: u64, size: u64) -> XferOutcome {
+/// The same transfer through a bare driver without data isolation, whose
+/// process memory is a [`BufferMemOps`]: `[0, 4 KiB)` args, then a
+/// whole-object buffer, then the payload buffer, which ends the space. Its
+/// two-sided copies go through the driver's own
+/// `kernel_read`/`kernel_write`, as the staged transfers did.
+fn xfer_staged(gem_domain: u32, write: bool, bo_offset: u64, payload_at: u64, size: u64) -> XferOutcome {
     use paradice_devfs::fileops::{FileOps, OpenContext, OpenFlags, TaskId};
     use paradice_devfs::memops::BufferMemOps;
     use paradice_devfs::registry::FileHandleId;
     use paradice_drivers::env::KernelEnv;
     use paradice_drivers::gpu::driver::{
-        gem_domain, DriverVersion, RadeonDriver, RADEON_GEM_CREATE, RADEON_GEM_PREAD,
-        RADEON_GEM_PWRITE,
+        DriverVersion, RadeonDriver, RADEON_GEM_CREATE, RADEON_GEM_PREAD, RADEON_GEM_PWRITE,
     };
     use paradice_drivers::gpu::model::RadeonGpu;
     use paradice_hypervisor::hv::DataIsolation;
@@ -696,7 +703,7 @@ fn xfer_staged(write: bool, bo_offset: u64, payload_at: u64, size: u64) -> XferO
     };
     let mut create = [0u8; 24];
     create[0..8].copy_from_slice(&XFER_BO_BYTES.to_le_bytes());
-    create[8..12].copy_from_slice(&gem_domain::VRAM.to_le_bytes());
+    create[8..12].copy_from_slice(&gem_domain.to_le_bytes());
     mem.copy_to_user(GuestVirtAddr::new(0), &create).unwrap();
     drv.ioctl(ctx, &mut mem, RADEON_GEM_CREATE, 0).unwrap();
     let bo = mem.read_user_u32(GuestVirtAddr::new(16)).unwrap();
@@ -720,13 +727,15 @@ fn xfer_staged(write: bool, bo_offset: u64, payload_at: u64, size: u64) -> XferO
 }
 
 proptest! {
-    /// The one-copy transfer against the staged reference, on a Native and
-    /// a Paradice machine: any object offset, sizes of zero, under a page
-    /// and across pages, a payload page offset independent of the BAR's,
-    /// either direction. Bytes and errnos agree; a payload running into
-    /// the unmapped page after its buffer moves no byte either way.
+    /// The one-copy transfer against the staged reference, on a Native, a
+    /// Paradice and a data-isolated Paradice machine: a VRAM or a GTT
+    /// object, any object offset, sizes of zero, under a page and across
+    /// pages, a payload page offset independent of the object's, either
+    /// direction. Bytes and errnos agree; a payload running into the
+    /// unmapped page after its buffer moves no byte either way.
     #[test]
     fn a_direct_transfer_matches_the_staged_reference(
+        gtt in any::<bool>(),
         write in any::<bool>(),
         bo_offset in 0u64..5 * PAGE_SIZE,
         payload_at in 0u64..XFER_PAYLOAD_BYTES,
@@ -736,16 +745,23 @@ proptest! {
             _ => n.max(PAGE_SIZE + 1),
         }),
     ) {
-        let reference = xfer_staged(write, bo_offset, payload_at, size);
+        use paradice::gpu_ioctl::gem_domain;
+
+        let domain = if gtt { gem_domain::GTT } else { gem_domain::VRAM };
+        let reference = xfer_staged(domain, write, bo_offset, payload_at, size);
         for mode in [
             ExecMode::Native,
             ExecMode::Paradice {
                 transport: TransportMode::Interrupts,
                 data_isolation: false,
             },
+            ExecMode::Paradice {
+                transport: TransportMode::Interrupts,
+                data_isolation: true,
+            },
         ] {
-            let direct = xfer_direct(mode, write, bo_offset, payload_at, size);
-            prop_assert_eq!(&direct, &reference, "{:?}", mode);
+            let direct = xfer_direct(mode, domain, write, bo_offset, payload_at, size);
+            prop_assert_eq!(&direct, &reference, "{:?} domain {}", mode, domain);
         }
         let in_bounds = bo_offset + size <= XFER_BO_BYTES;
         if in_bounds && payload_at + size > XFER_PAYLOAD_BYTES {

@@ -5,12 +5,13 @@
 //! nothing: frames are encoded into stack slot-frames, the frontend derives
 //! grants into one reused buffer, and a grant declaration is a recycled
 //! block. So does a netmap `NIOCTXSYNC`, whose device has no analyzer
-//! knowledge: its grants come from the `_IOC` encoding. So does a 16-KiB `GEM_PWRITE` / `GEM_PREAD`: its JIT program runs
-//! on a reused scratch, and the hypervisor copies the payload straight
-//! between the process pages and the BAR through the page plan it keeps.
-//! Under data isolation a `GEM_PWRITE` stages through the driver's kept
-//! buffer, and the device copy bounces each page through one stack page:
-//! it allocates nothing either. A pipelined round allocates only the
+//! knowledge: its grants come from the `_IOC` encoding. So does a 16-KiB
+//! `GEM_PWRITE` / `GEM_PREAD` into a VRAM or a GTT object, with or without
+//! data isolation: its JIT program runs on a reused scratch, and the
+//! hypervisor copies the payload straight between the process pages and
+//! the object's BAR range or pages through the page plan it keeps, checking
+//! each driver page's region owner in place. A pipelined round allocates
+//! only the
 //! results `Vec` it returns: the backend lends one deferred batch to every
 //! dispatch. A counting global allocator pins these counts down, so a new
 //! per-op allocation on any path fails here instead of showing up as a
@@ -183,10 +184,10 @@ fn a_pipelined_round_allocates_only_its_results() {
 /// Bytes per bulk transfer, as the benchmark's bulk workload moves them.
 const BULK: u64 = 16 * 1024;
 
-/// A machine in `mode` with the GPU open, a 16-KiB VRAM buffer object and
-/// one staged `{handle, offset, size, data_ptr}` struct per direction:
-/// `(machine, task, fd, pwrite_arg, pread_arg)`.
-fn bulk_rig(mode: ExecMode) -> (Machine, TaskId, u64, u64, u64) {
+/// A machine in `mode` with the GPU open, a 16-KiB buffer object in GEM
+/// `domain` and one staged `{handle, offset, size, data_ptr}` struct per
+/// direction: `(machine, task, fd, pwrite_arg, pread_arg)`.
+fn bulk_rig(mode: ExecMode, domain: u32) -> (Machine, TaskId, u64, u64, u64) {
     let mut builder = Machine::builder().mode(mode).device(DeviceSpec::gpu());
     if matches!(mode, ExecMode::Paradice { .. }) {
         builder = builder.guest(GuestSpec::linux());
@@ -198,7 +199,7 @@ fn bulk_rig(mode: ExecMode) -> (Machine, TaskId, u64, u64, u64) {
     let args = m.alloc_buffer(task, 4096).expect("args");
     let mut create = [0u8; 24];
     create[0..8].copy_from_slice(&BULK.to_le_bytes());
-    create[8..12].copy_from_slice(&gem_domain::VRAM.to_le_bytes());
+    create[8..12].copy_from_slice(&domain.to_le_bytes());
     m.write_mem(task, args, &create).expect("stage GEM_CREATE");
     m.ioctl(task, fd, RADEON_GEM_CREATE, args.raw()).expect("GEM_CREATE");
     m.read_mem(task, args, &mut create).expect("read GEM_CREATE");
@@ -219,6 +220,30 @@ fn bulk_rig(mode: ExecMode) -> (Machine, TaskId, u64, u64, u64) {
     (m, task, fd, pwrite, pread)
 }
 
+/// Asserts that 1 000 16-KiB `GEM_PWRITE` + `GEM_PREAD` pairs into a
+/// `domain` object on a warm machine in `mode` all succeed and allocate
+/// nothing.
+fn assert_bulk_pairs_allocate_nothing(mode: ExecMode, domain: u32) {
+    let (mut m, task, fd, pwrite, pread) = bulk_rig(mode, domain);
+    let mut call = |i: usize| {
+        let (cmd, arg) = if i.is_multiple_of(2) {
+            (RADEON_GEM_PWRITE, pwrite)
+        } else {
+            (RADEON_GEM_PREAD, pread)
+        };
+        m.ioctl(task, fd, cmd, arg)
+    };
+    for i in 0..WARM_UP {
+        call(i).expect("warm-up transfer");
+    }
+    let (failed, blocks) = blocks_allocated(|| (0..2_000).filter(|&i| call(i).is_err()).count());
+    assert_eq!(failed, 0, "{mode:?} domain {domain}");
+    assert_eq!(
+        blocks, 0,
+        "{mode:?} domain {domain}: 1 000 16-KiB GEM_PWRITE + GEM_PREAD pairs allocated {blocks} blocks"
+    );
+}
+
 #[test]
 fn a_bulk_write_and_read_allocate_nothing_in_steady_state() {
     for mode in [
@@ -228,45 +253,22 @@ fn a_bulk_write_and_read_allocate_nothing_in_steady_state() {
             data_isolation: false,
         },
     ] {
-        let (mut m, task, fd, pwrite, pread) = bulk_rig(mode);
-        let mut call = |i: usize| {
-            let (cmd, arg) = if i.is_multiple_of(2) {
-                (RADEON_GEM_PWRITE, pwrite)
-            } else {
-                (RADEON_GEM_PREAD, pread)
-            };
-            m.ioctl(task, fd, cmd, arg)
-        };
-        for i in 0..WARM_UP {
-            call(i).expect("warm-up transfer");
+        for domain in [gem_domain::VRAM, gem_domain::GTT] {
+            assert_bulk_pairs_allocate_nothing(mode, domain);
         }
-        let (failed, blocks) =
-            blocks_allocated(|| (0..2_000).filter(|&i| call(i).is_err()).count());
-        assert_eq!(failed, 0, "{mode:?}");
-        assert_eq!(
-            blocks, 0,
-            "{mode:?}: 1 000 16-KiB GEM_PWRITE + GEM_PREAD pairs allocated {blocks} blocks"
-        );
     }
 }
 
 #[test]
 fn an_isolated_bulk_write_allocates_nothing_in_steady_state() {
-    // Under data isolation the payload stages through the driver's kept
-    // buffer and the region's staging page, and the device's copy engine
-    // bounces each page through one stack page.
-    let (mut m, task, fd, pwrite, _) = bulk_rig(ExecMode::Paradice {
+    // Under data isolation the hypervisor copies between the payload and
+    // the guest's region itself, read and write alike, after checking each
+    // object page's owner in the region bookkeeping.
+    let isolated = ExecMode::Paradice {
         transport: TransportMode::Interrupts,
         data_isolation: true,
-    });
-    let mut call = || m.ioctl(task, fd, RADEON_GEM_PWRITE, pwrite);
-    for _ in 0..WARM_UP {
-        call().expect("warm-up transfer");
+    };
+    for domain in [gem_domain::VRAM, gem_domain::GTT] {
+        assert_bulk_pairs_allocate_nothing(isolated, domain);
     }
-    let (failed, blocks) = blocks_allocated(|| (0..1_000).filter(|_| call().is_err()).count());
-    assert_eq!(failed, 0);
-    assert_eq!(
-        blocks, 0,
-        "1 000 isolated 16-KiB GEM_PWRITEs allocated {blocks} blocks"
-    );
 }
