@@ -14,7 +14,7 @@
 //! wedges the frontend — is a breach even though no memory moved.
 
 use paradice::{DeviceSpec, ExecMode, GuestSpec, Machine};
-use paradice_cvd::multi::MULTI_QUEUE_CAP;
+use paradice_cvd::multi::{MultiEngine, MULTI_QUEUE_CAP};
 use paradice_cvd::proto::{WireOp, WireRequest, WireResponse};
 use paradice_devfs::Errno;
 use paradice_faults::SplitMix64;
@@ -106,48 +106,63 @@ fn burst_step(outcome: &mut FamilyOutcome, rng: &mut SplitMix64, engine: EngineK
 }
 
 /// A malformed-frame flood: every garbage frame must come back `EINVAL`.
+/// A long frame takes several of the guest's request slots, so a volley
+/// can fill the ring below the queue cap: a frame refused with
+/// backpressure is submitted again after one response is taken.
 fn malformed_step(outcome: &mut FamilyOutcome, rng: &mut SplitMix64, engine: EngineKind) {
     let mut exec = attacker_engine(engine, flood_service);
     let volley = 1 + rng.gen_range(MULTI_QUEUE_CAP as u64 - 1) as usize;
+    let mut answered = 0;
     for _ in 0..volley {
         let frame: Vec<u8> = (0..rng.gen_range(ARING_SLOT_BYTES as u64))
             .map(|_| rng.next_u64() as u8)
             .collect();
-        if let Err(e) = exec.submit(ATTACKER, &frame) {
-            outcome.breach(format!(
-                "[{}] garbage under the queue cap was refused at submit: {e}",
-                engine.name(),
-            ));
+        loop {
+            match exec.submit(ATTACKER, &frame) {
+                Ok(()) => break,
+                Err(EngineError::Backpressure) if answered < volley => {
+                    if let Err(breach) = take_einval(exec.as_mut(), engine) {
+                        outcome.breach(breach);
+                        return;
+                    }
+                    answered += 1;
+                }
+                Err(e) => {
+                    outcome.breach(format!(
+                        "[{}] garbage under the queue cap was refused at submit: {e}",
+                        engine.name(),
+                    ));
+                    return;
+                }
+            }
+        }
+    }
+    for _ in answered..volley {
+        if let Err(breach) = take_einval(exec.as_mut(), engine) {
+            outcome.breach(breach);
             return;
         }
     }
-    for _ in 0..volley {
-        match receive(exec.as_mut()).map(|f| WireResponse::decode(&f)) {
-            Ok(Ok(WireResponse::Err(Errno::Einval))) => {}
-            Ok(Ok(other)) => {
-                // A garbage frame decoding into a servable request is
-                // astronomically unlikely under the codec's tag checks;
-                // anything but EINVAL means the decoder guessed.
-                outcome.breach(format!(
-                    "[{}] garbage frame was answered with {other:?}",
-                    engine.name(),
-                ));
-                return;
-            }
-            Ok(Err(e)) => {
-                outcome.breach(format!(
-                    "[{}] response to garbage was itself undecodable: {e:?}",
-                    engine.name(),
-                ));
-                return;
-            }
-            Err(reason) => {
-                outcome.breach(format!("[{}] {reason}", engine.name()));
-                return;
-            }
-        }
-    }
     outcome.detected();
+}
+
+/// Takes one response to a garbage frame, which must be `EINVAL`.
+fn take_einval(exec: &mut dyn MultiEngine, engine: EngineKind) -> Result<(), String> {
+    match receive(exec).map(|f| WireResponse::decode(&f)) {
+        Ok(Ok(WireResponse::Err(Errno::Einval))) => Ok(()),
+        // A garbage frame decoding into a servable request is
+        // astronomically unlikely under the codec's tag checks;
+        // anything but EINVAL means the decoder guessed.
+        Ok(Ok(other)) => Err(format!(
+            "[{}] garbage frame was answered with {other:?}",
+            engine.name(),
+        )),
+        Ok(Err(e)) => Err(format!(
+            "[{}] response to garbage was itself undecodable: {e:?}",
+            engine.name(),
+        )),
+        Err(reason) => Err(format!("[{}] {reason}", engine.name())),
+    }
 }
 
 /// Oversize admission plus a doorbell storm: the fat frame must be

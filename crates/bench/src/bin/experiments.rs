@@ -5,7 +5,10 @@
 //! cargo run -p paradice-bench --bin experiments -- --fig2  # one experiment
 //! cargo run -p paradice-bench --bin experiments -- --fastpath
 //! cargo run -p paradice-bench --bin experiments -- --trace trace.jsonl
+//! cargo run -p paradice-bench --bin experiments -- --help  # the flags
 //! ```
+//!
+//! An unknown argument exits 2 and writes nothing.
 //!
 //! Tables print to stdout and land as CSV under `results/`, and in their
 //! machine-readable twin, `BENCH_experiments.json` at the repo root: a full
@@ -30,8 +33,50 @@ fn results_dir() -> PathBuf {
     repo_root().join("results")
 }
 
+/// An experiment: it runs and returns its table.
+type Experiment = fn() -> Table;
+
+/// Every experiment, in the order a full run emits them, by its flag.
+const EXPERIMENTS: [(&str, Experiment); 16] = [
+    ("--table1", experiments::table1),
+    ("--table2", experiments::table2),
+    ("--table3", experiments::table3),
+    ("--noop", experiments::noop),
+    ("--fig2", experiments::fig2),
+    ("--fig3", experiments::fig3),
+    ("--fig4", experiments::fig4),
+    ("--fig5", experiments::fig5),
+    ("--fig6", experiments::fig6),
+    ("--mouse", experiments::mouse),
+    ("--camera", experiments::camera),
+    ("--audio", experiments::audio),
+    ("--analyzer", experiments::analyzer),
+    ("--isolation", experiments::isolation),
+    ("--ablation", experiments::ablation),
+    ("--fastpath", experiments::fastpath),
+];
+
+fn usage() -> String {
+    let flags: Vec<&str> = EXPERIMENTS.iter().map(|&(flag, _)| flag).collect();
+    format!(
+        "usage: experiments [--all | FLAG...] | --trace FILE | --help\n\
+         \n\
+         With no flag or --all, runs every experiment and rewrites\n\
+         BENCH_experiments.json; with flags, runs those and replaces their\n\
+         tables there. Each table also lands as CSV under results/.\n\
+         \n\
+         FLAG: {}\n\
+         --trace FILE  record the reference workload's span events as JSONL",
+        flags.join(" ")
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", usage());
+        return;
+    }
     if let Some(pos) = args.iter().position(|a| a == "--trace") {
         let Some(path) = args.get(pos + 1) else {
             eprintln!("--trace requires a file path");
@@ -46,65 +91,25 @@ fn main() {
         println!("recorded reference workload trace: {events} events -> {path}");
         return;
     }
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| *a != "--all" && !EXPERIMENTS.iter().any(|(flag, _)| flag == a))
+    {
+        eprintln!("error: unknown argument {unknown:?}\n\n{}", usage());
+        std::process::exit(2);
+    }
     let run_all = args.is_empty() || args.iter().any(|a| a == "--all");
-    let want = |flag: &str| run_all || args.iter().any(|a| a == flag);
     let mut emitted: Vec<Table> = Vec::new();
-    let mut emit = |table: Table| {
-        println!("{}", table.render());
-        if let Err(e) = table.write_csv(&results_dir()) {
-            eprintln!("warning: could not write results/{}.csv: {e}", table.id);
-        }
-        emitted.push(table);
-    };
-
     println!("Paradice evaluation harness — all times are deterministic virtual time\n");
-    if want("--table1") {
-        emit(experiments::table1());
-    }
-    if want("--table2") {
-        emit(experiments::table2());
-    }
-    if want("--table3") {
-        emit(experiments::table3());
-    }
-    if want("--noop") {
-        emit(experiments::noop());
-    }
-    if want("--fig2") {
-        emit(experiments::fig2());
-    }
-    if want("--fig3") {
-        emit(experiments::fig3());
-    }
-    if want("--fig4") {
-        emit(experiments::fig4());
-    }
-    if want("--fig5") {
-        emit(experiments::fig5());
-    }
-    if want("--fig6") {
-        emit(experiments::fig6());
-    }
-    if want("--mouse") {
-        emit(experiments::mouse());
-    }
-    if want("--camera") {
-        emit(experiments::camera());
-    }
-    if want("--audio") {
-        emit(experiments::audio());
-    }
-    if want("--analyzer") {
-        emit(experiments::analyzer());
-    }
-    if want("--isolation") {
-        emit(experiments::isolation());
-    }
-    if want("--ablation") {
-        emit(experiments::ablation());
-    }
-    if want("--fastpath") {
-        emit(experiments::fastpath());
+    for (flag, experiment) in EXPERIMENTS {
+        if run_all || args.iter().any(|a| a == flag) {
+            let table = experiment();
+            println!("{}", table.render());
+            if let Err(e) = table.write_csv(&results_dir()) {
+                eprintln!("warning: could not write results/{}.csv: {e}", table.id);
+            }
+            emitted.push(table);
+        }
     }
     let path = repo_root().join("BENCH_experiments.json");
     let document = if run_all {

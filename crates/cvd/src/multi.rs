@@ -8,10 +8,11 @@
 //! per-guest wait queues (paper §3.2.3, §5.1), and one guest's backlog or
 //! grant churn never contends on another's fast path:
 //!
-//! * **Per-guest queues.** Each guest gets its own request ring, an
-//!   [`AtomicRing`] page, and its own response ring, a [`FrameRing`] of
-//!   [`RESPONSE_SLOT_BYTES`]-byte slots. A flooding guest fills only its
-//!   own queue.
+//! * **Per-guest queues.** Each guest gets its own request ring, a
+//!   [`FrameRing`] of one-cache-line slots that a frame longer than one
+//!   slot crosses as consecutive chunks, and its own response ring, a
+//!   [`FrameRing`] of [`RESPONSE_SLOT_BYTES`]-byte slots. A flooding guest
+//!   fills only its own queue.
 //! * **Per-guest wait-queue caps.** Submission past the cap fails with
 //!   [`EngineError::Backpressure`] — the engine-seam spelling of the
 //!   backend's `EDQUOT` (paper §5.1, the per-guest 100-op cap): the
@@ -60,8 +61,8 @@ use std::thread::JoinHandle;
 use paradice_hypervisor::atomic::AtomicBool;
 use paradice_hypervisor::engine::{EngineError, EngineKind, STOP_CHECK, STOP_REQUEST};
 use paradice_hypervisor::{
-    ARingError, AtomicRing, Clock, ClockSource, CostModel, Doorbell, FairSched, FrameRing,
-    IdRing, SchedPolicy, ShardedGrantTable, WireCodec, ARING_CAPACITY,
+    ARingError, Clock, ClockSource, CostModel, Doorbell, FairSched, FrameRing, IdRing, SchedPolicy,
+    ShardedGrantTable, WireCodec, ARING_CAPACITY, ARING_SLOT_BYTES,
 };
 use paradice_trace::TraceEvent;
 
@@ -96,9 +97,10 @@ pub trait MultiEngine {
     /// # Errors
     ///
     /// [`EngineError::Backpressure`] when the guest's wait queue is at
-    /// its cap (retry after draining completions — nothing was enqueued),
-    /// [`EngineError::Oversize`] for frames over the slot size,
-    /// [`EngineError::Dead`] after shutdown.
+    /// its cap or its request ring lacks a free slot for every chunk of
+    /// the frame (retry after draining completions — nothing was
+    /// enqueued), [`EngineError::Oversize`] for frames over
+    /// [`ARING_SLOT_BYTES`], [`EngineError::Dead`] after shutdown.
     fn submit(&mut self, guest: u32, frame: &[u8]) -> Result<(), EngineError>;
 
     /// Takes one completion if available.
@@ -138,6 +140,40 @@ fn modeled_service_ns(cost: &CostModel, request: Option<&WireRequest>) -> u64 {
         + payload * cost.copy_page_ns / paradice_mem::PAGE_SIZE
 }
 
+/// The longest request frame the engine carries: a slot of the virtual
+/// [`Channel`](paradice_hypervisor::Channel)'s page, which a `MAX_PATH`
+/// `Open` fills.
+const MAX_REQUEST_BYTES: usize = ARING_SLOT_BYTES;
+
+/// Payload bytes of a request slot: with the slot's sequence and length
+/// words, one 64-byte cache line.
+const REQUEST_SLOT_BYTES: usize = 56;
+
+/// Frame bytes per chunk: a request slot less its chunk header.
+const CHUNK_BYTES: usize = REQUEST_SLOT_BYTES - 1;
+
+/// Chunks of the longest frame.
+const MAX_CHUNKS: usize = MAX_REQUEST_BYTES.div_ceil(CHUNK_BYTES);
+
+const _: () = assert!(MAX_CHUNKS == 5 && MAX_CHUNKS <= ARING_CAPACITY);
+
+/// One guest's request ring: 16 slots of one cache line behind the two
+/// cursor lines, 1 152 bytes. Each slot holds one chunk of a frame — a
+/// header byte counting the chunks left, this one included, then up to
+/// [`CHUNK_BYTES`] of the frame. Every request but `Open` and `Mmap` fits
+/// one chunk; those two take 2–5 consecutive slots.
+type RequestRing = FrameRing<REQUEST_SLOT_BYTES>;
+
+/// One guest's response ring: 16 slots of 32 bytes behind the two cursor
+/// lines, 640 bytes.
+type ResponseRing = FrameRing<RESPONSE_SLOT_BYTES>;
+
+// The per-guest footprint: 18 and 10 cache lines. Neither stride is a
+// multiple of a page, so consecutive guests' rings start on different
+// cache sets without a pad.
+const _: () = assert!(std::mem::size_of::<RequestRing>() == 18 * 64);
+const _: () = assert!(std::mem::size_of::<ResponseRing>() == 10 * 64);
+
 /// What the frontend and the server share: per guest a request and a
 /// response ring, per direction a ready ring and a doorbell, and the stop
 /// flag. The field order is the cache-line layout (`repr(C)`, and the
@@ -145,12 +181,11 @@ fn modeled_service_ns(cost: &CostModel, request: Option<&WireRequest>) -> u64 {
 /// read on every op, and each doorbell, which one side writes on every
 /// op, get lines of their own.
 ///
-/// A guest's share is 4 800 bytes: a 4 160-byte [`GuestRing`] of requests,
-/// whose frames may fill a page slot, and a 640-byte [`ResponseRing`],
-/// since a response is at most 9 bytes.
+/// A guest's share is 1 792 bytes: a 1 152-byte [`RequestRing`] and a
+/// 640-byte [`ResponseRing`].
 #[repr(C)]
 struct Transport {
-    requests: Box<[GuestRing]>,
+    requests: Box<[RequestRing]>,
     responses: Box<[ResponseRing]>,
     req_ready: IdRing,
     req_bell: Doorbell,
@@ -159,34 +194,10 @@ struct Transport {
     stop: AtomicBool,
 }
 
-/// One guest's request ring, one cache line longer than a page: at a bare
-/// 4-KiB stride every guest's cursors would share the same cache sets, and
-/// a thousand guests' rings would evict one another.
-#[repr(C)]
-struct GuestRing {
-    ring: AtomicRing,
-    _stagger: [u8; 64],
-}
-
-/// One guest's response ring: 16 slots of 32 bytes behind the two cursor
-/// lines, 640 bytes, so consecutive guests' rings start on different cache
-/// sets without a stagger.
-type ResponseRing = FrameRing<RESPONSE_SLOT_BYTES>;
-
-// The per-guest footprint: a page-sized request ring plus its stagger, and
-// a response ring of at most 1 KiB.
-const _: () = assert!(std::mem::size_of::<GuestRing>() == 4096 + 64);
-const _: () = assert!(std::mem::size_of::<ResponseRing>() <= 1024);
-
 impl Transport {
     fn new(guests: usize) -> Transport {
         Transport {
-            requests: (0..guests)
-                .map(|_| GuestRing {
-                    ring: AtomicRing::new(),
-                    _stagger: [0; 64],
-                })
-                .collect(),
+            requests: (0..guests).map(|_| RequestRing::new()).collect(),
             responses: (0..guests).map(|_| ResponseRing::new()).collect(),
             // One id per in-flight op at most, and the per-guest cap bounds
             // those: sized from the guest count, the ready rings never fill.
@@ -197,6 +208,72 @@ impl Transport {
             stop: AtomicBool::new(false),
         }
     }
+}
+
+/// Producer side: pushes `frame` into a request ring as its chunks, all
+/// or none. A frame of more than one chunk is refused unless the ring has
+/// a free slot for each; only such a frame reads the consumer's cursor.
+fn push_request(ring: &RequestRing, frame: &[u8]) -> Result<(), EngineError> {
+    if frame.len() > MAX_REQUEST_BYTES {
+        return Err(EngineError::Oversize { len: frame.len() });
+    }
+    let chunks = frame.len().div_ceil(CHUNK_BYTES).max(1);
+    if chunks > 1 && ARING_CAPACITY.saturating_sub(ring.len()) < chunks {
+        return Err(EngineError::Backpressure);
+    }
+    let mut slot = [0u8; REQUEST_SLOT_BYTES];
+    let mut rest = frame;
+    for left in (1..=chunks as u8).rev() {
+        let (body, tail) = rest.split_at(rest.len().min(CHUNK_BYTES));
+        rest = tail;
+        slot[0] = left;
+        slot[1..=body.len()].copy_from_slice(body);
+        match ring.push(&slot[..=body.len()]) {
+            Ok(()) => {}
+            // Only a frame's first chunk can find the ring full: room for
+            // the rest was checked above, and the consumer only frees slots.
+            Err(ARingError::Full) => return Err(EngineError::Backpressure),
+            Err(ARingError::Oversize { .. }) => unreachable!("a chunk fits a request slot"),
+        }
+    }
+    Ok(())
+}
+
+/// Consumer side: takes one request frame off a request ring, if one is
+/// there. A one-chunk frame is decoded in its slot; a longer one is joined
+/// in a stack buffer first. Inside: `None` for a frame that does not
+/// decode, or whose chunk headers do not count down from at most
+/// [`MAX_CHUNKS`] to 1 over consecutive slots — the chunks read so far
+/// are consumed, and the caller answers `EINVAL`.
+fn take_request(ring: &RequestRing) -> Option<Option<WireRequest>> {
+    let mut joined = [0u8; MAX_REQUEST_BYTES];
+    let mut len = 0;
+    let (left, whole) = ring.try_pop_with(|chunk| match chunk.split_first() {
+        Some((&1, body)) => (0, WireRequest::decode(body).ok()),
+        Some((&left, body)) if (2..=MAX_CHUNKS as u8).contains(&left) => {
+            joined[..body.len()].copy_from_slice(body);
+            len = body.len();
+            (left - 1, None)
+        }
+        _ => (0, None),
+    })?;
+    if left == 0 {
+        return Some(whole);
+    }
+    for next in (1..=left).rev() {
+        let joins = ring.try_pop_with(|chunk| match chunk.split_first() {
+            Some((&header, body)) if header == next && len + body.len() <= MAX_REQUEST_BYTES => {
+                joined[len..len + body.len()].copy_from_slice(body);
+                len += body.len();
+                true
+            }
+            _ => false,
+        });
+        if joins != Some(true) {
+            return Some(None);
+        }
+    }
+    Some(WireRequest::decode(&joined[..len]).ok())
 }
 
 /// Publishes `guest` into a direction's ready ring, then rings its bell —
@@ -228,8 +305,9 @@ struct Server {
 }
 
 impl Server {
-    /// Serves the policy's next op, if any guest has one: decoded in its
-    /// slot, charged on `clock`, answered on the guest's response ring.
+    /// Serves the policy's next op, if any guest has one: taken off its
+    /// guest's request ring, charged on `clock`, answered on the guest's
+    /// response ring.
     /// Returns whether an op was served.
     fn serve_next<C: Clock>(&mut self, clock: &C) -> bool {
         // Ids are shared-memory words: one outside the population is
@@ -249,28 +327,24 @@ impl Server {
                 return false;
             };
             let index = guest as usize;
-            let served = self.transport.requests[index].ring.try_pop_with(|frame| {
-                let started = clock.now_ns();
-                let request = WireRequest::decode(frame).ok();
-                clock.advance(modeled_service_ns(&self.cost, request.as_ref()));
-                let response = dispatch(
-                    guest,
-                    request.as_ref(),
-                    self.service.as_mut(),
-                    &self.grants,
-                    clock,
-                    &mut self.events,
-                );
-                (started, response)
-            });
-            let stamps = &mut self.arrivals[index];
-            let Some((started, response)) = served else {
+            let started = clock.now_ns();
+            let Some(request) = take_request(&self.transport.requests[index]) else {
                 // An empty ring: every frame announced so far was served,
                 // so what is left are ids only a misbehaving frontend
                 // publishes. Drop them; a real frame brings its own id.
-                stamps.clear();
+                self.arrivals[index].clear();
                 continue;
             };
+            clock.advance(modeled_service_ns(&self.cost, request.as_ref()));
+            let response = dispatch(
+                guest,
+                request.as_ref(),
+                self.service.as_mut(),
+                &self.grants,
+                clock,
+                &mut self.events,
+            );
+            let stamps = &mut self.arrivals[index];
             self.sched
                 .charge(guest, clock.now_ns().saturating_sub(started).max(1));
             stamps.pop_front();
@@ -422,16 +496,11 @@ impl MultiEngine for RingEngine {
         if state.in_flight >= MULTI_QUEUE_CAP {
             return Err(EngineError::Backpressure);
         }
-        match self.transport.requests[guest as usize].ring.push(frame) {
-            Ok(()) => {
-                state.in_flight += 1;
-                self.in_flight += 1;
-                publish_ready(&self.transport.req_ready, guest, &self.transport.req_bell);
-                Ok(())
-            }
-            Err(ARingError::Full) => Err(EngineError::Backpressure),
-            Err(ARingError::Oversize { len }) => Err(EngineError::Oversize { len }),
-        }
+        push_request(&self.transport.requests[guest as usize], frame)?;
+        state.in_flight += 1;
+        self.in_flight += 1;
+        publish_ready(&self.transport.req_ready, guest, &self.transport.req_bell);
+        Ok(())
     }
 
     /// One response per ready guest in rotation: a guest with sixteen
@@ -527,8 +596,11 @@ mod tests {
     use crate::exec::ScriptedService;
     use crate::proto::WireResponse;
     use paradice_devfs::ioc::io;
+    use paradice_devfs::{Errno, OpenFlags};
     use paradice_hypervisor::{GrantRef, MemOpGrant};
-    use paradice_mem::{GuestPhysAddr, GuestVirtAddr};
+    use paradice_mem::{Access, GuestPhysAddr, GuestVirtAddr};
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::Mutex;
 
     fn ioctl_frame(guest: u32, grant: Option<GrantRef>, arg: u64) -> Vec<u8> {
         WireRequest {
@@ -841,6 +913,370 @@ mod tests {
                 8,
                 "{kind}: no id was served as an op"
             );
+            engine.finish();
+        }
+    }
+
+    /// Every request the service was handed, re-encoded, in service order.
+    type Log = Arc<Mutex<Vec<Vec<u8>>>>;
+
+    /// A service that logs each request it serves and answers `Value(0)`.
+    /// Each serve first says so on `entered`, then waits for a permit on
+    /// `permits`, so a test can hold the wall server inside one op.
+    fn gated_recorder() -> (impl DeviceService, Log, Sender<()>, Receiver<()>) {
+        let log = Log::default();
+        let (permit, permits) = channel();
+        let (enter, entered) = channel();
+        let seen = Arc::clone(&log);
+        let service = move |request: &WireRequest| {
+            let _ = enter.send(());
+            permits.recv().expect("the test holds the permit sender");
+            seen.lock().expect("log").push(request.encode());
+            (WireResponse::Value(0), Vec::new())
+        };
+        (service, log, permit, entered)
+    }
+
+    /// [`gated_recorder`] with `permits` permits handed out up front.
+    fn recorder(permits: usize) -> (impl DeviceService, Log) {
+        let (service, log, permit, _) = gated_recorder();
+        for _ in 0..permits {
+            permit.send(()).expect("the service holds the receiver");
+        }
+        (service, log)
+    }
+
+    /// A request from `guest` whose handle tags it, with a grant, so its
+    /// header is at its widest.
+    fn request_frame(guest: u32, tag: u64, op: WireOp) -> Vec<u8> {
+        WireRequest {
+            task: u64::from(guest) + 1,
+            pt_root: GuestPhysAddr::new(0x4000),
+            handle: tag,
+            span: 0,
+            grant: Some(GrantRef(7)),
+            op,
+        }
+        .encode()
+    }
+
+    fn open_op(path_len: usize) -> WireOp {
+        WireOp::Open {
+            path: "p".repeat(path_len),
+            flags: OpenFlags::RDWR,
+        }
+    }
+
+    fn mmap_op() -> WireOp {
+        WireOp::Mmap {
+            va: GuestVirtAddr::new(0x7f00_0000),
+            len: 0x4000,
+            offset: 0x1000,
+            access: Access::RW,
+        }
+    }
+
+    /// A frame of the service's log, split by the guest that sent it.
+    fn logged_by(log: &Log, guest: u32) -> Vec<Vec<u8>> {
+        let log = log.lock().expect("log");
+        log.iter()
+            .filter(|frame| {
+                let task = WireRequest::decode(frame)
+                    .expect("logged frames decode")
+                    .task;
+                task == u64::from(guest) + 1
+            })
+            .cloned()
+            .collect()
+    }
+
+    /// Drains every op in flight; returns each response with its guest.
+    fn drain(engine: &mut dyn MultiEngine, ops: usize) -> Vec<(u32, WireResponse)> {
+        (0..ops)
+            .map(|_| {
+                let (guest, frame) = engine.complete_blocking().expect("complete");
+                (guest, WireResponse::decode(&frame).expect("decodes"))
+            })
+            .collect()
+    }
+
+    /// Pins which requests take more than one request slot: every request
+    /// but `Open` and `Mmap` fits one chunk with every field at its widest,
+    /// grant included, and the longest `Open` fills all `MAX_CHUNKS`.
+    #[test]
+    fn every_request_but_open_and_mmap_fits_one_chunk() {
+        let va = GuestVirtAddr::new(u64::MAX);
+        let ops = [
+            open_op(crate::proto::MAX_PATH),
+            WireOp::Release,
+            WireOp::Read {
+                addr: va,
+                len: u64::MAX,
+            },
+            WireOp::Write {
+                addr: va,
+                len: u64::MAX,
+            },
+            WireOp::Ioctl {
+                cmd: io(b'T', 255),
+                arg: u64::MAX,
+            },
+            WireOp::Mmap {
+                va,
+                len: u64::MAX,
+                offset: u64::MAX,
+                access: Access::RW,
+            },
+            WireOp::Munmap { va, len: u64::MAX },
+            WireOp::Fault { va },
+            WireOp::Poll,
+            WireOp::Fasync { on: true },
+        ];
+        for op in ops {
+            let chunks = match op {
+                WireOp::Open { .. } => MAX_CHUNKS,
+                WireOp::Mmap { .. } => 2,
+                WireOp::Release
+                | WireOp::Read { .. }
+                | WireOp::Write { .. }
+                | WireOp::Ioctl { .. }
+                | WireOp::Munmap { .. }
+                | WireOp::Fault { .. }
+                | WireOp::Poll
+                | WireOp::Fasync { .. } => 1,
+            };
+            let frame = WireRequest {
+                task: u64::MAX,
+                pt_root: GuestPhysAddr::new(u64::MAX),
+                handle: u64::MAX,
+                span: u64::MAX,
+                grant: Some(GrantRef(u32::MAX)),
+                op,
+            }
+            .encode();
+            assert_eq!(frame.len().div_ceil(CHUNK_BYTES), chunks, "{frame:?}");
+        }
+    }
+
+    /// An `Mmap`, a `MAX_PATH` `Open` and a short `Open` cross as chunks
+    /// and reach the service byte for byte as encoded, for two guests with
+    /// different ring histories; one byte past the longest frame is
+    /// `Oversize`, nothing enqueued.
+    #[test]
+    fn long_frames_reach_the_service_as_encoded_on_both_substrates() {
+        for kind in [EngineKind::Virtual, EngineKind::Wall] {
+            let (service, log) = recorder(64);
+            let mut engine = build_multi(kind, service, 2, SchedPolicy::FairShare);
+            let longest = request_frame(1, 2, open_op(crate::proto::MAX_PATH));
+            assert_eq!(longest.len(), MAX_REQUEST_BYTES);
+            let mut oversize = longest.clone();
+            oversize.push(0);
+            assert_eq!(
+                engine.submit(1, &oversize),
+                Err(EngineError::Oversize {
+                    len: MAX_REQUEST_BYTES + 1
+                }),
+                "{kind}"
+            );
+            // Guest 0's ring has wrapped past a short frame's single slot;
+            // guest 1's starts at slot 0.
+            let mut sent: [Vec<Vec<u8>>; 2] = Default::default();
+            for tag in 0..(MULTI_QUEUE_CAP as u64 + 3) {
+                let frame = request_frame(0, tag, WireOp::Poll);
+                engine.submit(0, &frame).expect("submit");
+                sent[0].push(frame);
+                drain(engine.as_mut(), 1);
+            }
+            for guest in [0, 1] {
+                for (tag, op) in [
+                    (100, mmap_op()),
+                    (101, open_op(crate::proto::MAX_PATH)),
+                    (102, open_op(4)),
+                ] {
+                    let frame = request_frame(guest, tag, op);
+                    engine.submit(guest, &frame).expect("room for every chunk");
+                    sent[guest as usize].push(frame);
+                }
+            }
+            assert!(drain(engine.as_mut(), 6)
+                .iter()
+                .all(|(_, response)| *response == WireResponse::Value(0)));
+            assert!(
+                matches!(engine.complete(), Ok(None)),
+                "{kind}: nothing invented"
+            );
+            for guest in [0, 1] {
+                assert_eq!(
+                    logged_by(&log, guest),
+                    sent[guest as usize],
+                    "{kind}: guest {guest}"
+                );
+            }
+            engine.finish();
+        }
+    }
+
+    /// A frame of more chunks than the guest's ring has free slots is
+    /// refused whole as `Backpressure`; the guest's next short frame is
+    /// accepted, and the neighbour's queue is untouched.
+    #[test]
+    fn a_long_frame_into_a_full_ring_backpressures_and_a_short_one_follows() {
+        for kind in [EngineKind::Virtual, EngineKind::Wall] {
+            let (service, log, permit, entered) = gated_recorder();
+            let mut engine = RingEngine::new(kind, service, 2, SchedPolicy::FairShare);
+            let mut sent: [Vec<Vec<u8>>; 2] = Default::default();
+            let mut submit = |engine: &mut RingEngine, guest: u32, frame: Vec<u8>| {
+                engine.submit(guest, &frame).expect("room");
+                sent[guest as usize].push(frame);
+            };
+            submit(&mut engine, 0, request_frame(0, 0, WireOp::Poll));
+            if kind == EngineKind::Wall {
+                // The server now holds guest 0's first op and takes no
+                // more slots off either ring until it gets a permit.
+                entered.recv().expect("served");
+            }
+            submit(
+                &mut engine,
+                1,
+                request_frame(1, 0, open_op(crate::proto::MAX_PATH)),
+            );
+            let mut tag = 1;
+            while engine.transport.requests[0].len() < ARING_CAPACITY - 3 {
+                submit(&mut engine, 0, request_frame(0, tag, WireOp::Poll));
+                tag += 1;
+            }
+            let long = request_frame(0, tag, open_op(crate::proto::MAX_PATH));
+            assert_eq!(
+                engine.submit(0, &long),
+                Err(EngineError::Backpressure),
+                "{kind}"
+            );
+            assert_eq!(
+                engine.transport.requests[0].len(),
+                ARING_CAPACITY - 3,
+                "{kind}"
+            );
+            submit(&mut engine, 0, request_frame(0, tag + 1, WireOp::Poll));
+            submit(&mut engine, 1, request_frame(1, 1, mmap_op()));
+            let ops = sent[0].len() + sent[1].len();
+            for _ in 0..ops {
+                permit.send(()).expect("the service holds the receiver");
+            }
+            assert!(drain(&mut engine, ops)
+                .iter()
+                .all(|(_, response)| *response == WireResponse::Value(0)));
+            assert!(
+                matches!(engine.complete(), Ok(None)),
+                "{kind}: nothing invented"
+            );
+            for guest in [0, 1] {
+                assert_eq!(
+                    logged_by(&log, guest),
+                    sent[guest as usize],
+                    "{kind}: guest {guest}"
+                );
+            }
+            engine.finish();
+        }
+    }
+
+    /// Ten thousand submissions from two guests, short and long frames in
+    /// turn (paths of every length, so 1 to `MAX_CHUNKS` chunks, and
+    /// `Mmap`s), pipelined against the wall server: each is served once,
+    /// in its guest's submission order.
+    #[test]
+    fn ten_thousand_short_and_long_frames_are_served_once_in_fifo_order() {
+        const SUBMISSIONS: u64 = 10_000;
+        let (service, log) = recorder(SUBMISSIONS as usize);
+        let mut engine = build_multi(EngineKind::Wall, service, 2, SchedPolicy::FairShare);
+        let mut sent: [Vec<Vec<u8>>; 2] = Default::default();
+        let mut taken = 0;
+        for tag in 0..SUBMISSIONS {
+            let guest = (tag % 2) as u32;
+            let op = match tag % 4 {
+                0 | 1 => WireOp::Poll,
+                2 => open_op(tag as usize % (crate::proto::MAX_PATH + 1)),
+                _ => mmap_op(),
+            };
+            let frame = request_frame(guest, tag, op);
+            while let Err(error) = engine.submit(guest, &frame) {
+                assert_eq!(error, EngineError::Backpressure);
+                drain(engine.as_mut(), 1);
+                taken += 1;
+            }
+            sent[guest as usize].push(frame);
+        }
+        drain(engine.as_mut(), SUBMISSIONS as usize - taken);
+        assert!(matches!(engine.complete(), Ok(None)), "nothing invented");
+        for guest in [0, 1] {
+            assert_eq!(
+                logged_by(&log, guest),
+                sent[guest as usize],
+                "guest {guest}"
+            );
+        }
+        engine.finish();
+    }
+
+    /// Chunk headers are hostile input, on both substrates: a header of 0,
+    /// one above `MAX_CHUNKS`, and continuations that do not count down
+    /// each get `EINVAL` and never reach the service, while the guest's
+    /// and its neighbour's real ops around them are all served.
+    #[test]
+    fn malformed_chunk_headers_get_einval_and_strand_nothing() {
+        for kind in [EngineKind::Virtual, EngineKind::Wall] {
+            let (service, log) = recorder(64);
+            let mut engine = RingEngine::new(kind, service, 2, SchedPolicy::FairShare);
+            let body = request_frame(0, 9, WireOp::Poll);
+            let body = &body[..CHUNK_BYTES.min(body.len())];
+            let chunk = |header: u8| [&[header][..], body].concat();
+            let raw: [Vec<Vec<u8>>; 4] = [
+                vec![chunk(0)],
+                vec![chunk(MAX_CHUNKS as u8 + 1)],
+                vec![chunk(2), chunk(2)],
+                vec![chunk(3), chunk(1)],
+            ];
+            let mut sent: [Vec<Vec<u8>>; 2] = Default::default();
+            for (tag, chunks) in raw.iter().enumerate() {
+                let tag = tag as u64;
+                // Guest 0 writes its ring by hand, as a hostile frontend
+                // would, and counts the frame in flight.
+                let transport = Arc::clone(&engine.transport);
+                for chunk in chunks {
+                    transport.requests[0].push(chunk).expect("room");
+                }
+                publish_ready(&transport.req_ready, 0, &transport.req_bell);
+                engine.guests[0].in_flight += 1;
+                engine.in_flight += 1;
+                for (guest, op) in [(1, open_op(60 + tag as usize)), (0, mmap_op())] {
+                    let frame = request_frame(guest, tag, op);
+                    engine.submit(guest, &frame).expect("submit");
+                    sent[guest as usize].push(frame);
+                }
+                let mut responses = drain(&mut engine, 3);
+                responses
+                    .sort_by_key(|(guest, response)| (*guest, *response == WireResponse::Value(0)));
+                assert_eq!(
+                    responses,
+                    [
+                        (0, WireResponse::Err(Errno::Einval)),
+                        (0, WireResponse::Value(0)),
+                        (1, WireResponse::Value(0)),
+                    ],
+                    "{kind}: raw frame {tag}"
+                );
+            }
+            assert!(
+                matches!(engine.complete(), Ok(None)),
+                "{kind}: nothing invented"
+            );
+            for guest in [0, 1] {
+                assert_eq!(
+                    logged_by(&log, guest),
+                    sent[guest as usize],
+                    "{kind}: guest {guest}"
+                );
+            }
             engine.finish();
         }
     }

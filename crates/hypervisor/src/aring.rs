@@ -56,7 +56,8 @@
 //! `SLOT_BYTES` bytes each; [`AtomicRing`] is its one-page, 240-byte size
 //! above, and a direction whose frames are known to be short picks a smaller
 //! size (the multi-guest engine's response rings: 32-byte slots, two per
-//! cache line, 640 bytes a ring). [`IdRing`] is the *ready ring* — one `u32`
+//! cache line, 640 bytes a ring; its request rings: one-line slots that a
+//! long frame crosses as chunks, 1 152 bytes a ring). [`IdRing`] is the *ready ring* — one `u32`
 //! guest id per slot, capacity chosen at construction — through which a
 //! producer tells its consumer *which* guest's frame ring just gained a
 //! frame (DESIGN.md §15). All execute the same declared accesses, so the
@@ -338,8 +339,7 @@ pub struct FrameRing<const SLOT_BYTES: usize> {
 }
 
 /// The one-page frame ring: each direction of a
-/// [`Channel`](crate::channel::Channel), and a multi-guest engine's request
-/// rings.
+/// [`Channel`](crate::channel::Channel).
 pub type AtomicRing = FrameRing<ARING_SLOT_BYTES>;
 
 // One page, like the virtual channel's shared page (paper §5.1). The

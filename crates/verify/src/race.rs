@@ -43,13 +43,13 @@
 //! | `race-ring`     | 2-slot ring, 3 pushes racing 3 pops: no torn payload read, FIFO identity, plus a value-level crosscheck of the real [`AtomicRing`] |
 //! | `race-doorbell` | two publications, or a stop request in place of either, racing the backend loop's wait on `!ready.is_empty() \|\| stop`: no terminal state with the consumer asleep, work or stop visible, and no wakeup pending |
 //! | `race-shards`   | writer publishing, unpublishing and retiring two declarations through one page slot racing a reader's enter/load/compare/scan/exit: the reader never dereferences a recycled declaration |
-//! | `race-ready`    | frame push → ready-id publish racing ready-id consume → frame pop, 2 guests, one of them published twice: every consumed id finds its frame, every published id is consumed once, in order |
+//! | `race-ready`    | frame chunk pushes → ready-id publish racing ready-id consume → chunk pops, 2 guests, one of them published twice, one frame in two chunks: every consumed id finds every chunk of its frame, every published id is consumed once, in order |
 //!
 //! Disproofs surface as `VP005` diagnostics and replayable fixtures; the
 //! seeded ordering mutants (`aring-publish-relaxed`,
 //! `aring-consume-no-acquire`, `doorbell-check-before-publish`,
 //! `doorbell-coalesce-on-stale-empty`, `shard-retire-unfenced`,
-//! `ready-publish-before-frame`) are this
+//! `ready-publish-before-frame`, `ready-publish-before-last-chunk`) are this
 //! checker's own regression suite.
 //! Bounds are exhaustive for these instances (every run asserts
 //! `!truncated`); DESIGN.md §14 records the model and its limits.
@@ -1147,12 +1147,13 @@ pub fn check_shards(mutant: Option<Mutant>) -> PropertyReport {
 
 // --- race-ready: frame push → ready-id publish vs id consume → frame pop. ---
 
-/// The guest each ready publication names, in publication order: two
-/// guests, guest 0 published *twice* — the repeated publication a
-/// one-shot model cannot see.
-const READY_SCRIPT: [u32; 3] = [0, 1, 0];
+/// The guest each ready publication names and the chunks its frame takes,
+/// in publication order: two guests, guest 0 published *twice* — the
+/// repeated publication a one-shot model cannot see — and guest 1's frame
+/// in two chunks, both pushed before its one id.
+const READY_SCRIPT: [(u32, u32); 3] = [(0, 1), (1, 2), (0, 1)];
 const READY_GUESTS: usize = 2;
-/// Frames per guest ring in the model (no guest is published more often,
+/// Frame slots per guest ring in the model (no guest's chunks need more,
 /// so slots never wrap — `race-ring` owns the recycle turn).
 const READY_FRAME_SLOTS: usize = 2;
 
@@ -1172,24 +1173,43 @@ fn id_data_loc(j: usize) -> usize {
     id_seq_loc(j) + READY_SCRIPT.len()
 }
 
-/// Which of its guest's frames publication `j` is (0-based).
-fn frame_index(j: usize) -> u32 {
-    READY_SCRIPT[..j].iter().filter(|&&g| g == READY_SCRIPT[j]).count() as u32
+/// The slot of its guest's ring that publication `j`'s first chunk takes.
+fn first_slot(j: usize) -> u32 {
+    let guest = READY_SCRIPT[j].0;
+    READY_SCRIPT[..j]
+        .iter()
+        .filter(|&&(g, _)| g == guest)
+        .map(|&(_, chunks)| chunks)
+        .sum()
+}
+
+/// The payload of publication `j`'s chunk `c`: distinct per chunk, never 0.
+fn chunk_value(j: usize, c: u32) -> u32 {
+    (j as u32 + 1) * 16 + c
+}
+
+/// One store of a publication.
+#[derive(Debug, Clone, Copy)]
+enum ReadyStep {
+    WriteChunk(u32),
+    PublishChunk(u32),
+    WriteId,
+    PublishId,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct RaceReadyState {
     mem: Mem,
-    /// Producer: publication `p_j`, step `p_pc` of its four stores.
+    /// Producer: publication `p_j`, step `p_pc` of its stores.
     p_j: usize,
     p_pc: u8,
-    /// Consumer: consumption `c_j`; 0 = id gate, 1 = id read, 2 = frame
-    /// gate, 3 = frame read.
+    /// Consumer: consumption `c_j`; 0 = id gate, 1 = id read, then per
+    /// chunk `c` 2 + 2c = frame gate, 3 + 2c = frame read.
     c_j: usize,
     c_pc: u8,
-    /// The guest id read at step 1, held for steps 2–3.
+    /// The guest id read at step 1, held for the chunk steps.
     c_guest: u32,
-    /// Frames popped so far per guest.
+    /// Frame slots popped so far per guest.
     heads: [u32; READY_GUESTS],
     /// Each guest's head frame-`SEQ` word as read *before* the id gate
     /// (load-load hoisting, only offered when the gate is weaker than
@@ -1200,62 +1220,87 @@ struct RaceReadyState {
 
 struct RaceReadyModel {
     orders: RingOrders,
-    /// [`Mutant::ReadyPublishBeforeFrame`]: the producer publishes the
-    /// guest's id *ahead of* the frame it announces.
-    id_first: bool,
+    /// Where in a publication the producer pushes the guest's id: after
+    /// its last chunk as shipped, ahead of its first under
+    /// [`Mutant::ReadyPublishBeforeFrame`], right after its first under
+    /// [`Mutant::ReadyPublishBeforeLastChunk`].
+    id_after_chunks: Option<u32>,
 }
 
 impl RaceReadyModel {
     fn new(mutant: Option<Mutant>) -> RaceReadyModel {
         RaceReadyModel {
             orders: RingOrders::shipped(mutant),
-            id_first: mutant == Some(Mutant::ReadyPublishBeforeFrame),
+            id_after_chunks: match mutant {
+                Some(Mutant::ReadyPublishBeforeFrame) => Some(0),
+                Some(Mutant::ReadyPublishBeforeLastChunk) => Some(1),
+                _ => None,
+            },
         }
+    }
+
+    /// Publication `j`'s stores in program order: each chunk's payload
+    /// then its `SEQ` (`FrameRing::push`), and the id's payload then its
+    /// `SEQ` (`IdRing::push`) where the configuration puts it.
+    fn steps(&self, j: usize) -> Vec<ReadyStep> {
+        let chunks = READY_SCRIPT[j].1;
+        let id_at = self.id_after_chunks.map_or(chunks, |at| at.min(chunks));
+        let mut steps = Vec::new();
+        for c in 0..=chunks {
+            if c == id_at {
+                steps.extend([ReadyStep::WriteId, ReadyStep::PublishId]);
+            }
+            if c < chunks {
+                steps.extend([ReadyStep::WriteChunk(c), ReadyStep::PublishChunk(c)]);
+            }
+        }
+        steps
     }
 
     fn program_successors(&self, s: &RaceReadyState) -> Vec<(String, RaceReadyState)> {
         let mut out = Vec::new();
-        // Producer (thread 0): the engine's submit — AtomicRing::push
-        // of the frame (payload, then SEQ), then IdRing::push of the
-        // guest's id (payload, then SEQ). The mutant swaps the two pushes.
+        // Producer (thread 0): the engine's submit — FrameRing::push of
+        // each chunk of the frame (payload, then SEQ), then IdRing::push
+        // of the guest's id (payload, then SEQ). The mutants move the id.
         if s.p_j < READY_SCRIPT.len() {
-            let guest = READY_SCRIPT[s.p_j];
-            let k = frame_index(s.p_j);
-            let step = if self.id_first { (s.p_pc + 2) % 4 } else { s.p_pc };
+            let guest = READY_SCRIPT[s.p_j].0;
+            let first = first_slot(s.p_j);
+            let steps = self.steps(s.p_j);
             let mut n = s.clone();
-            let label = match step {
-                0 => {
-                    let value = s.p_j as u32 + 1;
+            let label = match steps[s.p_pc as usize] {
+                ReadyStep::WriteChunk(c) => {
+                    let at = frame_data_loc(guest, first + c);
                     n.mem
-                        .store(0, frame_data_loc(guest, k), value, self.orders.payload_write);
+                        .store(0, at, chunk_value(s.p_j, c), self.orders.payload_write);
                     "P:write-frame"
                 }
-                1 => {
+                ReadyStep::PublishChunk(c) => {
+                    let k = first + c;
                     n.mem
                         .store(0, frame_seq_loc(guest, k), k + 1, self.orders.publish);
                     "P:publish-frame"
                 }
-                2 => {
+                ReadyStep::WriteId => {
                     n.mem
                         .store(0, id_data_loc(s.p_j), guest + 1, self.orders.payload_write);
                     "P:write-id"
                 }
-                _ => {
+                ReadyStep::PublishId => {
                     n.mem
                         .store(0, id_seq_loc(s.p_j), s.p_j as u32 + 1, self.orders.publish);
                     "P:publish-id"
                 }
             };
             n.p_pc += 1;
-            if n.p_pc == 4 {
+            if usize::from(n.p_pc) == steps.len() {
                 n.p_pc = 0;
                 n.p_j += 1;
             }
             out.push((label.into(), n));
         }
         // Consumer (thread 1): the backend loop — IdRing::try_pop (gate on
-        // SEQ, read the id), then AtomicRing::try_pop on that guest's ring
-        // (gate on SEQ, read the frame).
+        // SEQ, read the id), then one FrameRing::try_pop per chunk on that
+        // guest's ring (gate on SEQ, read the chunk).
         if s.c_j < READY_SCRIPT.len() {
             let mut n = s.clone();
             match s.c_pc {
@@ -1274,51 +1319,66 @@ impl RaceReadyModel {
                 }
                 1 => {
                     let id = s.mem.load(1, id_data_loc(s.c_j));
-                    if id == READY_SCRIPT[s.c_j] + 1 {
+                    if id == READY_SCRIPT[s.c_j].0 + 1 {
                         n.c_guest = id - 1;
                         n.c_pc = 2;
                     } else {
                         n.error = Some(format!(
                             "ready id {} consumed out of order or torn: read {id}, \
                              publication {} named guest {}",
-                            s.c_j, s.c_j, READY_SCRIPT[s.c_j],
+                            s.c_j, s.c_j, READY_SCRIPT[s.c_j].0,
                         ));
                     }
                     out.push(("C:read-id".into(), n));
                 }
-                2 => {
+                pc if pc % 2 == 0 => {
                     let guest = s.c_guest;
                     let head = s.heads[guest as usize];
+                    // Only the first chunk's gate can have been hoisted
+                    // above the id gate.
                     let seq = match n.hoisted.take() {
-                        Some(stale) => stale[guest as usize],
-                        None => s.mem.load(1, frame_seq_loc(guest, head)),
+                        Some(stale) if pc == 2 => stale[guest as usize],
+                        _ => s.mem.load(1, frame_seq_loc(guest, head)),
                     };
                     if seq == head + 1 {
-                        n.c_pc = 3;
-                    } else {
+                        n.c_pc = pc + 1;
+                    } else if pc == 2 {
                         n.error = Some(format!(
                             "pick of an empty ring: ready id {} named guest {guest} but its \
                              frame {head} is not published (the engine drops the claim and \
                              the op is never served)",
                             s.c_j,
                         ));
+                    } else {
+                        n.error = Some(format!(
+                            "missing chunk: ready id {} named guest {guest} but its frame's \
+                             chunk {} (slot {head}) is not published (the engine answers \
+                             EINVAL and the op is never served)",
+                            s.c_j,
+                            (pc - 2) / 2,
+                        ));
                     }
                     out.push(("C:gate-frame".into(), n));
                 }
-                _ => {
+                pc => {
                     let guest = s.c_guest;
                     let head = s.heads[guest as usize];
+                    let c = u32::from(pc - 3) / 2;
                     let value = s.mem.load(1, frame_data_loc(guest, head));
-                    if value == s.c_j as u32 + 1 {
+                    let expected = chunk_value(s.c_j, c);
+                    if value == expected {
                         n.heads[guest as usize] += 1;
-                        n.c_pc = 0;
-                        n.c_j += 1;
+                        if c + 1 == READY_SCRIPT[s.c_j].1 {
+                            n.c_pc = 0;
+                            n.c_j += 1;
+                        } else {
+                            n.c_pc = pc + 1;
+                        }
                     } else {
                         n.error = Some(format!(
                             "torn frame read: consumption {} of guest {guest} observed \
-                             payload {value}, expected {}",
+                             payload {value} in chunk {c}, expected {expected}",
                             s.c_j,
-                            s.c_j + 1,
                         ));
                     }
                     out.push(("C:read-frame".into(), n));
@@ -1387,15 +1447,17 @@ impl TransitionSystem for RaceReadyModel {
 }
 
 /// `race-ready`: the ready-ring composition under every schedule and
-/// drain timing — three publications (guest 0, guest 1, guest 0 again),
-/// each a frame push followed by an id push, racing a consumer that pops
-/// an id and then that guest's frame. Proved iff every consumed id finds
+/// drain timing — three publications (guest 0, guest 1 with a frame of
+/// two chunks, guest 0 again), each its frame's chunk pushes followed by
+/// one id push, racing a consumer that pops an id and then each chunk of
+/// that guest's frame. Proved iff every consumed id finds every chunk of
 /// its frame and every published id is consumed exactly once, in order.
 pub fn check_ready(mutant: Option<Mutant>) -> PropertyReport {
     const DESC: &str = "ready ring under every 2-thread schedule and store-buffer drain timing: \
-         frame push → id publish vs id consume → frame pop, 2 guests, repeated \
-         publication to one — no pick of an empty ring, every published id consumed \
-         once in order (orderings read from the shipped aring site table)";
+         frame chunk pushes → id publish vs id consume → chunk pops, 2 guests, repeated \
+         publication to one, a two-chunk frame — no pick of an empty ring or a missing \
+         chunk, every published id consumed once in order (orderings read from the \
+         shipped aring site table)";
     let model = RaceReadyModel::new(mutant);
     check_system("race-ready", DESC, "hypervisor::aring", &model, mutant)
 }
@@ -1443,13 +1505,14 @@ mod tests {
     #[test]
     fn each_ordering_mutant_is_disproved_with_a_replayable_fixture() {
         type Check = fn(Option<Mutant>) -> PropertyReport;
-        let cases: [(Mutant, Check); 8] = [
+        let cases: [(Mutant, Check); 9] = [
             (Mutant::AringPublishRelaxed, check_ring),
             (Mutant::AringConsumeNoAcquire, check_ring),
             (Mutant::DoorbellCheckBeforePublish, check_doorbell),
             (Mutant::DoorbellCoalesceOnStaleEmpty, check_doorbell),
             (Mutant::ShardRetireUnfenced, check_shards),
             (Mutant::ReadyPublishBeforeFrame, check_ready),
+            (Mutant::ReadyPublishBeforeLastChunk, check_ready),
             // The composition leans on the same two orderings as the ring.
             (Mutant::AringPublishRelaxed, check_ready),
             (Mutant::AringConsumeNoAcquire, check_ready),

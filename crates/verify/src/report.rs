@@ -59,6 +59,11 @@ pub enum Mutant {
     /// frame it announces: a consumer that takes the id finds the guest's
     /// ring empty and drops the claim, and the frame is never served.
     ReadyPublishBeforeFrame,
+    /// The ready-ring producer publishes a guest's id right after the
+    /// first chunk of a frame that takes several request slots, before its
+    /// last: a consumer that takes the id finds a chunk missing, answers
+    /// `EINVAL`, and the frame is never served.
+    ReadyPublishBeforeLastChunk,
     /// Grant-page lookup trusts a reference's home slot without comparing
     /// the reference it holds: once `r` is revoked and `r + CAP` declared
     /// into the same slot, the stale `r` validates against the new
@@ -81,7 +86,7 @@ pub enum Mutant {
 
 impl Mutant {
     /// Every seeded mutant, for `--list` and the check.sh gate.
-    pub const ALL: [Mutant; 18] = [
+    pub const ALL: [Mutant; 19] = [
         Mutant::RingWindowOffByOne,
         Mutant::GrantCoverOffByOne,
         Mutant::CacheEvictInflight,
@@ -100,6 +105,7 @@ impl Mutant {
         Mutant::GrantIssueIntoOccupiedHome,
         Mutant::JitScratchKeepsPins,
         Mutant::DoorbellCoalesceOnStaleEmpty,
+        Mutant::ReadyPublishBeforeLastChunk,
     ];
 
     /// The CLI/fixture name.
@@ -123,6 +129,7 @@ impl Mutant {
             Mutant::GrantIssueIntoOccupiedHome => "grant-issue-into-occupied-home",
             Mutant::JitScratchKeepsPins => "jit-scratch-keeps-pins",
             Mutant::DoorbellCoalesceOnStaleEmpty => "doorbell-coalesce-on-stale-empty",
+            Mutant::ReadyPublishBeforeLastChunk => "ready-publish-before-last-chunk",
         }
     }
 

@@ -321,6 +321,28 @@ for call in 'validate_grant_batch(' 'trace_mem_op('; do
     fi
 done
 
+echo "==> experiments argument gate (--help lists the flags, an unknown flag exits 2, neither writes)"
+# experiments rewrites BENCH_experiments.json and results/ on every run it
+# accepts, so a typo must not pass for a run: --help prints the flag list
+# and exits 0, an unknown flag exits 2, and neither touches an artifact.
+ARTIFACTS_BEFORE="$(cat BENCH_experiments.json results/*.csv | cksum)"
+status=0
+cargo run -q --release -p paradice-bench --bin experiments -- --help >/dev/null || status=$?
+if [ "$status" -ne 0 ]; then
+    echo "ERROR: experiments --help exited $status, expected 0" >&2
+    exit 1
+fi
+status=0
+cargo run -q --release -p paradice-bench --bin experiments -- --bogus >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "ERROR: experiments --bogus exited $status, expected 2" >&2
+    exit 1
+fi
+if [ "$(cat BENCH_experiments.json results/*.csv | cksum)" != "$ARTIFACTS_BEFORE" ]; then
+    echo "ERROR: experiments --help or --bogus rewrote BENCH_experiments.json or results/" >&2
+    exit 1
+fi
+
 echo "==> trusted-path ceiling gate (Table 2's CVD + hypervisor API row may shrink, not grow)"
 # The paper's argument for the device-file boundary is how little code sits
 # on it (Table 2: 5 230 lines of CVD + hypervisor API). Ours is counted by
