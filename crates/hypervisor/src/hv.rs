@@ -535,12 +535,12 @@ impl Hypervisor {
     // VM lifecycle
     // ------------------------------------------------------------------
 
-    /// Creates a VM with `ram_bytes` of identity-mapped RAM, and its shard
-    /// of the grant store.
+    /// Creates a VM with `ram_bytes` of RAM, mapped from guest-physical 0
+    /// as one run of fresh frames, and its shard of the grant store.
     ///
     /// # Errors
     ///
-    /// Fails if physical memory is exhausted.
+    /// Fails, taking no frame, if physical memory cannot hold the RAM.
     ///
     /// # Panics
     ///
@@ -549,14 +549,9 @@ impl Hypervisor {
     pub fn create_vm(&mut self, role: VmRole, ram_bytes: u64) -> Result<VmId, HvError> {
         let id = VmId(self.vms.len() as u32);
         let mut vm = Vm::new(id, role, ram_bytes);
-        for page in 0..vm.ram_pages() {
-            let frame = self.mem.alloc_frame()?;
-            vm.ept_mut().map(
-                GuestPhysAddr::new(page * PAGE_SIZE),
-                frame.base(),
-                Vm::ram_access(),
-            )?;
-        }
+        let frames = self.mem.alloc_frames(vm.ram_pages() as usize)?;
+        vm.ept_mut()
+            .map_run(GuestPhysAddr::new(0), Vm::ram_access(), frames)?;
         self.grants.add_guest();
         self.vms.push(vm);
         Ok(id)
@@ -1233,15 +1228,19 @@ impl Hypervisor {
     }
 
     /// Lets DMA reach all of `driver_vm`'s RAM: the domain's bus addresses
-    /// mirror the VM's guest-physical space.
+    /// mirror the VM's guest-physical space, mapped as one run.
     fn map_identity_dma(&mut self, driver_vm: VmId, domain: DomainId) -> Result<(), HvError> {
-        for page in 0..self.vm(driver_vm)?.ram_pages() {
-            let gpa = GuestPhysAddr::new(page * PAGE_SIZE);
-            let pa = self.frame_of(driver_vm, gpa)?;
-            let dma = DmaAddr::new(gpa.raw());
-            self.iommu.domain_mut(domain).map(dma, pa, Access::RW, RegionId::GLOBAL);
-        }
-        Ok(())
+        let vm = self
+            .vms
+            .get(driver_vm.0 as usize)
+            .ok_or(HvError::UnknownVm { vm: driver_vm })?;
+        // `create_vm` maps all of RAM and nothing unmaps a page of it.
+        let frames = (0..vm.ram_pages() as usize).map(|page| {
+            let gpa = GuestPhysAddr::new(page as u64 * PAGE_SIZE);
+            vm.ept().frame_of(gpa).expect("RAM is mapped")
+        });
+        let dom = self.iommu.domain_mut(domain);
+        Ok(dom.map_run(DmaAddr::new(0), Access::RW, RegionId::GLOBAL, frames)?)
     }
 
     fn domain_state(&self, domain: DomainId) -> &DomainState {
@@ -1266,25 +1265,22 @@ impl Hypervisor {
     ///
     /// # Errors
     ///
-    /// Out of frames.
+    /// Out of frames; nothing is allocated or mapped then.
     pub fn map_device_bar(
         &mut self,
         domain: DomainId,
         pages: u64,
     ) -> Result<GuestPhysAddr, HvError> {
         let driver_vm = self.domain_state(domain).driver_vm;
-        let ram_pages = self.vm(driver_vm)?.ram_pages();
+        let Hypervisor { vms, mem, .. } = self;
+        let vm = vms
+            .get_mut(driver_vm.0 as usize)
+            .ok_or(HvError::UnknownVm { vm: driver_vm })?;
         // Place the BAR well above RAM and the unused-GPA window.
-        let base_page = ram_pages + 2 * (crate::vm::GPA_WINDOW_BYTES / PAGE_SIZE);
+        let base_page = vm.ram_pages() + 2 * (crate::vm::GPA_WINDOW_BYTES / PAGE_SIZE);
         let bar_base = GuestPhysAddr::new(base_page * PAGE_SIZE);
-        for i in 0..pages {
-            let frame = self.mem.alloc_frame()?;
-            self.vm_mut(driver_vm)?.ept_mut().map(
-                bar_base.add(i * PAGE_SIZE),
-                frame.base(),
-                Access::RW,
-            )?;
-        }
+        vm.ept_mut()
+            .map_run(bar_base, Access::RW, mem.alloc_frames(pages as usize)?)?;
         let state = self.domain_state_mut(domain);
         state.bar_base = Some(bar_base);
         state.bar_pages = pages;
@@ -1350,7 +1346,7 @@ impl Hypervisor {
         if !IommuDomain::addressable(dma) {
             return Err(IommuFault::Unmapped { dma }.into());
         }
-        if self.data_isolation(domain) {
+        let region = if self.data_isolation(domain) {
             let region = region.ok_or(HvError::RegionRequired)?;
             self.domain_state_mut(domain)
                 .regions
@@ -1360,13 +1356,12 @@ impl Hypervisor {
             self.vm_mut(driver_vm)?
                 .ept_mut()
                 .set_access(driver_gpa, Access::NONE)?;
-            self.iommu.domain_mut(domain).map(dma, pa, access, region);
+            region
         } else {
-            self.iommu
-                .domain_mut(domain)
-                .map(dma, pa, access, RegionId::GLOBAL);
-        }
-        Ok(())
+            RegionId::GLOBAL
+        };
+        // `pa` came out of an EPT and `dma` is addressable: the entry fits.
+        Ok(self.iommu.domain_mut(domain).map(dma, pa, access, region)?)
     }
 
     /// Hypercall: make the device work with `region`'s data — switch the
@@ -2280,6 +2275,58 @@ mod tests {
         let mut buf = [0u8; 4];
         hv.vm_mem_read(driver, bar, &mut buf).unwrap();
         assert_eq!(&buf, b"vram");
+    }
+
+    #[test]
+    fn a_vm_or_bar_too_big_for_memory_takes_no_frame_and_maps_nothing() {
+        let mut hv = Hypervisor::new(100, SimClock::new(), CostModel::default());
+        assert_eq!(
+            hv.create_vm(VmRole::Guest, 200 * PAGE_SIZE),
+            Err(HvError::Mem(MemError::OutOfFrames))
+        );
+        assert_eq!(hv.mem().free_frames(), 100);
+        assert_eq!(hv.mem().allocated_frames(), 0);
+        assert!(hv.vm(VmId(0)).is_err(), "a refused VM is not created");
+        let driver = hv.create_vm(VmRole::Driver, 60 * PAGE_SIZE).unwrap();
+        let domain = hv.assign_device(driver, DataIsolation::Disabled).unwrap();
+        let mapped = hv.vm(driver).unwrap().ept().len();
+        assert_eq!(
+            hv.map_device_bar(domain, 41),
+            Err(HvError::Mem(MemError::OutOfFrames))
+        );
+        assert_eq!(hv.mem().free_frames(), 40);
+        assert_eq!(hv.vm(driver).unwrap().ept().len(), mapped);
+        assert_eq!(hv.device_bar(domain), None);
+        // The last 40 frames still make a whole BAR, and then a VM of no
+        // RAM is all that fits.
+        let bar = hv.map_device_bar(domain, 40).unwrap();
+        assert_eq!(hv.mem().free_frames(), 0);
+        assert_eq!(hv.vm(driver).unwrap().ept().len(), mapped + 40);
+        hv.vm_mem_write(driver, bar.add(39 * PAGE_SIZE), b"top")
+            .unwrap();
+        assert_eq!(
+            hv.create_vm(VmRole::Guest, PAGE_SIZE),
+            Err(HvError::Mem(MemError::OutOfFrames))
+        );
+        hv.create_vm(VmRole::Guest, 0).unwrap();
+    }
+
+    #[test]
+    fn identity_dma_reaches_every_ram_page_through_its_own_frame() {
+        let mut hv = boot();
+        let guest = hv.create_vm(VmRole::Guest, 3 * PAGE_SIZE).unwrap();
+        let driver = hv.create_vm(VmRole::Driver, 600 * PAGE_SIZE).unwrap();
+        let domain = hv.assign_device(driver, DataIsolation::Disabled).unwrap();
+        let dom = hv.iommu.domain(domain);
+        assert_eq!(dom.mapped_pages(), 600);
+        let ept = hv.vm(driver).unwrap().ept();
+        for (dma, frame, access, region) in dom.iter() {
+            let gpa = GuestPhysAddr::new(dma.raw());
+            assert_eq!(ept.frame_of(gpa), Some(frame), "{dma}");
+            assert_eq!((access, region), (Access::RW, RegionId::GLOBAL));
+        }
+        let guest_frame = hv.vm(guest).unwrap().ept().frame_of(GuestPhysAddr::new(0));
+        assert!(dom.iter().all(|(_, frame, ..)| Some(frame) != guest_frame));
     }
 
     #[test]

@@ -11,16 +11,23 @@
 //!   compromised driver VM touches them anyway.
 //!
 //! The entries live in a `PageMap`, the two-level radix the IOMMU uses
-//! too. Its leaves have a hardware EPT table's 512 entries, and a lookup is
-//! two indexed loads; no guest ever sees the table's structure, so the
-//! hardware's upper levels would only add loads. The x86 restriction that
-//! write-only encodings do not exist is enforced at
-//! [`Ept::map`]/[`Ept::set_access`] (paper §5.3(iv)).
+//! too. Its leaves are a hardware EPT table page: 512 entries of 8 bytes,
+//! each the frame, the rights and a present bit packed into one word. A
+//! lookup is two indexed loads; no guest ever sees the table's structure,
+//! so the hardware's upper levels would only add loads. The x86 restriction
+//! that write-only encodings do not exist is enforced at
+//! [`Ept::map`]/[`Ept::set_access`] (paper §5.3(iv)), and a frame the word
+//! cannot hold (at or above 2^39) is refused at [`Ept::map`].
+//!
+//! [`Ept::map_run`] maps a run of pages to frames fresh from the
+//! allocator a table page at a time: how the hypervisor lays out a VM's RAM
+//! and a device's BAR.
 
 use std::fmt;
+use std::num::NonZeroU64;
 
-use crate::addr::{GuestPhysAddr, PhysAddr, PAGE_SIZE};
-use crate::pagemap::PageMap;
+use crate::addr::{Frame, GuestPhysAddr, PhysAddr, PAGE_SIZE};
+use crate::pagemap::{frame_word, with_access, word_frame, Entry, PageMap};
 use crate::perms::Access;
 
 /// A permission violation or missing-mapping fault during an EPT access.
@@ -65,6 +72,11 @@ pub enum EptMapError {
         /// The guest-physical page in question.
         gpa: GuestPhysAddr,
     },
+    /// The frame lies at or above 2^39, beyond what an entry can name.
+    FrameBeyondWidth {
+        /// The refused frame address.
+        frame: PhysAddr,
+    },
 }
 
 impl fmt::Display for EptMapError {
@@ -77,16 +89,60 @@ impl fmt::Display for EptMapError {
             EptMapError::NotMapped { gpa } => {
                 write!(f, "no EPT entry for guest-physical page {gpa}")
             }
+            EptMapError::FrameBeyondWidth { frame } => {
+                write!(
+                    f,
+                    "frame {frame} lies beyond the EPT's 39-bit address width"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for EptMapError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EptEntry {
-    frame: PhysAddr,
-    access: Access,
+/// One EPT entry, packed: [`frame_word`]'s frame, rights and present bit.
+#[derive(Clone, Copy)]
+struct EptEntry(NonZeroU64);
+
+impl EptEntry {
+    /// The entry mapping to `frame`'s page base with `access`, if `frame`
+    /// lies below 2^39.
+    fn new(frame: PhysAddr, access: Access) -> Option<EptEntry> {
+        frame_word(frame, access).map(EptEntry)
+    }
+
+    fn with_access(self, access: Access) -> EptEntry {
+        EptEntry(with_access(self.0, access))
+    }
+
+    #[inline]
+    fn frame(self) -> PhysAddr {
+        word_frame(self.0).0
+    }
+
+    #[inline]
+    fn access(self) -> Access {
+        word_frame(self.0).1
+    }
+}
+
+impl Entry for EptEntry {
+    #[inline]
+    fn word(self) -> NonZeroU64 {
+        self.0
+    }
+
+    #[inline]
+    fn from_word(word: NonZeroU64) -> Self {
+        EptEntry(word)
+    }
+}
+
+impl fmt::Debug for EptEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}", self.frame(), self.access())
+    }
 }
 
 /// One VM's extended page table.
@@ -122,7 +178,8 @@ impl Ept {
     /// # Errors
     ///
     /// Returns [`EptMapError::WriteOnlyUnsupported`] for permission sets x86
-    /// cannot encode.
+    /// cannot encode and [`EptMapError::FrameBeyondWidth`] for a frame at or
+    /// above 2^39; nothing is mapped then.
     ///
     /// # Panics
     ///
@@ -136,13 +193,43 @@ impl Ept {
         if !access.is_ept_expressible() {
             return Err(EptMapError::WriteOnlyUnsupported { requested: access });
         }
-        self.entries.insert(
-            gpa.page_number(),
-            EptEntry {
-                frame: pa.page_base(),
-                access,
-            },
-        );
+        let entry = EptEntry::new(pa, access).ok_or(EptMapError::FrameBeyondWidth { frame: pa })?;
+        self.entries.insert(gpa.page_number(), entry);
+        Ok(())
+    }
+
+    /// Maps the pages from the one containing `first` onward, one per frame
+    /// of `frames` in order, all with `access`, a table page at a time.
+    /// `frames` is read only after the checks, so a refused run takes no
+    /// frame from a lazy allocator such as [`crate::SystemMemory::alloc_frames`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EptMapError::WriteOnlyUnsupported`] for permission sets x86
+    /// cannot encode; nothing is mapped then.
+    ///
+    /// # Panics
+    ///
+    /// Panics, mapping nothing, if the run does not end at or below 2^39.
+    /// Panics if a frame lies at or above 2^39, which no frame of a
+    /// [`crate::SystemMemory`] does, or if `frames` yields fewer frames
+    /// than its length.
+    pub fn map_run(
+        &mut self,
+        first: GuestPhysAddr,
+        access: Access,
+        frames: impl ExactSizeIterator<Item = Frame>,
+    ) -> Result<(), EptMapError> {
+        if !access.is_ept_expressible() {
+            return Err(EptMapError::WriteOnlyUnsupported { requested: access });
+        }
+        let count = frames.len() as u64;
+        let mut frames = frames.map(|frame| {
+            EptEntry::new(frame.base(), access).expect("a frame of SystemMemory lies below 2^39")
+        });
+        self.entries.insert_run(first.page_number(), count, |_| {
+            frames.next().expect("an exact-size run of frames")
+        });
         Ok(())
     }
 
@@ -153,7 +240,7 @@ impl Ept {
     /// "upon unmapping … the hypervisor only needs to destroy the mappings in
     /// the EPTs").
     pub fn unmap(&mut self, gpa: GuestPhysAddr) -> Option<PhysAddr> {
-        self.entries.remove(gpa.page_number()).map(|e| e.frame)
+        self.entries.remove(gpa.page_number()).map(EptEntry::frame)
     }
 
     /// Changes the permissions of an existing mapping (data isolation's
@@ -170,14 +257,15 @@ impl Ept {
         if !access.is_ept_expressible() {
             return Err(EptMapError::WriteOnlyUnsupported { requested: access });
         }
-        match self.entries.get_mut(gpa.page_number()) {
-            Some(entry) => {
-                entry.access = access;
-                Ok(())
-            }
-            None => Err(EptMapError::NotMapped {
+        if self
+            .entries
+            .update(gpa.page_number(), |e| e.with_access(access))
+        {
+            Ok(())
+        } else {
+            Err(EptMapError::NotMapped {
                 gpa: gpa.page_base(),
-            }),
+            })
         }
     }
 
@@ -194,13 +282,13 @@ impl Ept {
         attempted: Access,
     ) -> Result<PhysAddr, EptViolation> {
         match self.entries.get(gpa.page_number()) {
-            Some(entry) if entry.access.contains(attempted) => {
-                Ok(entry.frame.add(gpa.page_offset()))
+            Some(entry) if entry.access().contains(attempted) => {
+                Ok(entry.frame().add(gpa.page_offset()))
             }
             Some(entry) => Err(EptViolation {
                 gpa,
                 attempted,
-                allowed: entry.access,
+                allowed: entry.access(),
                 mapped: true,
             }),
             None => Err(EptViolation {
@@ -219,13 +307,13 @@ impl Ept {
     pub fn translate_unchecked(&self, gpa: GuestPhysAddr) -> Option<PhysAddr> {
         self.entries
             .get(gpa.page_number())
-            .map(|e| e.frame.add(gpa.page_offset()))
+            .map(|e| e.frame().add(gpa.page_offset()))
     }
 
     /// Returns the frame backing `gpa`'s page without permission checks.
     #[inline]
     pub fn frame_of(&self, gpa: GuestPhysAddr) -> Option<PhysAddr> {
-        self.entries.get(gpa.page_number()).map(|e| e.frame)
+        self.entries.get(gpa.page_number()).map(EptEntry::frame)
     }
 
     /// Iterates over `(guest-physical page base, frame base, access)`.
@@ -233,8 +321,8 @@ impl Ept {
         self.entries.iter().map(|(gpn, entry)| {
             (
                 GuestPhysAddr::new(gpn * PAGE_SIZE),
-                entry.frame,
-                entry.access,
+                entry.frame(),
+                entry.access(),
             )
         })
     }
@@ -257,12 +345,9 @@ impl Ept {
         }
         let first = start.page_number();
         let last = start.add(len.saturating_sub(1)).page_number();
-        let mut changed = 0;
-        for (_, entry) in self.entries.range_mut(first..=last) {
-            entry.access = access;
-            changed += 1;
-        }
-        Ok(changed)
+        Ok(self
+            .entries
+            .update_range(first..=last, |e| e.with_access(access)))
     }
 }
 
@@ -401,6 +486,47 @@ mod tests {
         assert!(ept
             .set_access_range(GuestPhysAddr::new(0), PAGE_SIZE, Access::WRITE)
             .is_err());
+    }
+
+    #[test]
+    fn a_frame_beyond_the_width_is_refused_not_truncated() {
+        let mut ept = Ept::new();
+        let gpa = GuestPhysAddr::new(0x1000);
+        for frame in [PhysAddr::new(1 << 39), PhysAddr::new(u64::MAX)] {
+            assert_eq!(
+                ept.map(gpa, frame, Access::RW),
+                Err(EptMapError::FrameBeyondWidth { frame })
+            );
+        }
+        assert!(ept.is_empty());
+        let top = PhysAddr::new((1 << 39) - PAGE_SIZE);
+        ept.map(gpa, top.add(9), Access::RWX).unwrap();
+        assert_eq!(ept.iter().collect::<Vec<_>>(), [(gpa, top, Access::RWX)]);
+        ept.set_access(gpa, Access::NONE).unwrap();
+        assert_eq!(ept.iter().collect::<Vec<_>>(), [(gpa, top, Access::NONE)]);
+    }
+
+    #[test]
+    fn a_run_maps_the_frames_in_order_and_a_refused_run_takes_none() {
+        let mut mem = crate::SystemMemory::new(1100);
+        let mut ept = Ept::new();
+        let frames = mem.alloc_frames(4).unwrap();
+        assert!(ept
+            .map_run(GuestPhysAddr::new(0), Access::WRITE, frames)
+            .is_err());
+        assert_eq!(mem.allocated_frames(), 0);
+        // From the middle of one table page, over a whole one, into a third.
+        let first = GuestPhysAddr::new(500 * PAGE_SIZE);
+        let frames = mem.alloc_frames(600).unwrap();
+        ept.map_run(first, Access::RW, frames).unwrap();
+        assert_eq!(mem.allocated_frames(), 600);
+        assert_eq!(ept.len(), 600);
+        for (i, (gpa, frame, access)) in ept.iter().enumerate() {
+            let i = i as u64;
+            assert_eq!(gpa, first.add(i * PAGE_SIZE));
+            assert_eq!(frame, PhysAddr::new(i * PAGE_SIZE));
+            assert_eq!(access, Access::RW);
+        }
     }
 
     #[test]

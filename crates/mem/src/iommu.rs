@@ -17,14 +17,19 @@
 //! real switch would touch.
 //!
 //! A domain's mappings live in a `PageMap`, the two-level radix the EPT
-//! uses too: 512-entry leaves, as in a VT-d page table, and a lookup of two
-//! indexed loads. It covers 39-bit bus addresses (three-level VT-d), and
-//! [`IommuDomain::addressable`] says whether a bus address lies inside.
+//! uses too: leaves of 512 8-byte entries, a VT-d page table page, and a
+//! lookup of two indexed loads. An entry packs the frame, the rights and a
+//! present bit as the EPT's do, and the region tag in its high 32 bits, so
+//! every [`RegionId`] fits. It covers 39-bit bus addresses and frames
+//! (three-level VT-d): [`IommuDomain::addressable`] says whether a bus
+//! address lies inside, and [`IommuDomain::map`] refuses a page or a frame
+//! outside.
 
 use std::fmt;
+use std::num::NonZeroU64;
 
 use crate::addr::{DmaAddr, PhysAddr, PAGE_SIZE};
-use crate::pagemap::{PageMap, PAGE_LIMIT};
+use crate::pagemap::{frame_word, word_frame, Entry, PageMap, PAGE_LIMIT};
 use crate::perms::Access;
 
 /// Identifier of a protected memory region (one per guest VM, paper §4.2).
@@ -106,11 +111,52 @@ impl fmt::Display for IommuFault {
 
 impl std::error::Error for IommuFault {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DmaEntry {
-    frame: PhysAddr,
-    access: Access,
-    region: RegionId,
+/// One IOMMU entry, packed: [`frame_word`]'s frame, rights and present bit,
+/// and the region in bits 32–63.
+#[derive(Clone, Copy)]
+struct DmaEntry(NonZeroU64);
+
+impl DmaEntry {
+    /// The entry mapping to `frame`'s page base with `access` in `region`,
+    /// if `frame` lies below 2^39.
+    fn new(frame: PhysAddr, access: Access, region: RegionId) -> Option<DmaEntry> {
+        Some(DmaEntry(
+            frame_word(frame, access)? | u64::from(region.0) << 32,
+        ))
+    }
+
+    #[inline]
+    fn frame(self) -> PhysAddr {
+        word_frame(self.0).0
+    }
+
+    #[inline]
+    fn access(self) -> Access {
+        word_frame(self.0).1
+    }
+
+    #[inline]
+    fn region(self) -> RegionId {
+        RegionId((self.0.get() >> 32) as u32)
+    }
+}
+
+impl Entry for DmaEntry {
+    #[inline]
+    fn word(self) -> NonZeroU64 {
+        self.0
+    }
+
+    #[inline]
+    fn from_word(word: NonZeroU64) -> Self {
+        DmaEntry(word)
+    }
+}
+
+impl fmt::Debug for DmaEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {} {}", self.frame(), self.access(), self.region())
+    }
 }
 
 /// The translation domain of one assigned device.
@@ -135,42 +181,62 @@ impl IommuDomain {
     /// Maps the page containing `dma` to the frame containing `pa`, tagged
     /// with `region`. Pass [`RegionId::GLOBAL`] for always-active mappings.
     ///
+    /// # Errors
+    ///
+    /// Refuses, as [`IommuFault::Unmapped`] at `dma`, a `dma` that is not
+    /// [`IommuDomain::addressable`] or a `pa` at or above 2^39: an entry
+    /// cannot hold either. Nothing is mapped then.
+    pub fn map(
+        &mut self,
+        dma: DmaAddr,
+        pa: PhysAddr,
+        access: Access,
+        region: RegionId,
+    ) -> Result<(), IommuFault> {
+        let entry = DmaEntry::new(pa, access, region)
+            .filter(|_| IommuDomain::addressable(dma))
+            .ok_or(IommuFault::Unmapped { dma })?;
+        self.entries.insert(dma.page_number(), entry);
+        Ok(())
+    }
+
+    /// Maps the pages from the one containing `first` onward, one per frame
+    /// of `frames` in order, all with `access` in `region`, a table page at
+    /// a time: plain device assignment's identity map of the driver VM's
+    /// RAM. `frames` is read only after the run is checked.
+    ///
+    /// # Errors
+    ///
+    /// Refuses, as [`IommuFault::Unmapped`] at `first`, a run that does not
+    /// end inside the 39-bit bus address space; nothing is mapped then.
+    ///
     /// # Panics
     ///
-    /// Panics if `dma` is not [`IommuDomain::addressable`].
-    pub fn map(&mut self, dma: DmaAddr, pa: PhysAddr, access: Access, region: RegionId) {
-        self.entries.insert(
-            dma.page_number(),
-            DmaEntry {
-                frame: pa.page_base(),
-                access,
-                region,
-            },
-        );
+    /// Panics if a frame lies at or above 2^39, which no frame an EPT maps
+    /// does, or if `frames` yields fewer frames than its length.
+    pub fn map_run(
+        &mut self,
+        first: DmaAddr,
+        access: Access,
+        region: RegionId,
+        frames: impl ExactSizeIterator<Item = PhysAddr>,
+    ) -> Result<(), IommuFault> {
+        let count = frames.len() as u64;
+        if first.page_number().saturating_add(count) > PAGE_LIMIT {
+            return Err(IommuFault::Unmapped { dma: first });
+        }
+        let mut frames = frames.map(|frame| {
+            DmaEntry::new(frame, access, region).expect("an EPT's frames lie below 2^39")
+        });
+        self.entries.insert_run(first.page_number(), count, |_| {
+            frames.next().expect("an exact-size run of frames")
+        });
+        Ok(())
     }
 
     /// Removes a mapping, returning the frame it pointed at.
     pub fn unmap(&mut self, dma: DmaAddr) -> Option<PhysAddr> {
-        self.entries.remove(dma.page_number()).map(|e| e.frame)
-    }
-
-    /// Bulk identity-style mapping used for plain device assignment: maps
-    /// `pages` consecutive pages starting at `(dma_base, pa_base)` as global.
-    pub fn map_contiguous(
-        &mut self,
-        dma_base: DmaAddr,
-        pa_base: PhysAddr,
-        pages: u64,
-        access: Access,
-    ) {
-        for i in 0..pages {
-            self.map(
-                dma_base.add(i * PAGE_SIZE),
-                pa_base.add(i * PAGE_SIZE),
-                access,
-                RegionId::GLOBAL,
-            );
-        }
+        self.entries.remove(dma.page_number()).map(DmaEntry::frame)
     }
 
     /// The currently active protected region, if any.
@@ -199,7 +265,7 @@ impl IommuDomain {
     pub fn pages_in_region(&self, region: RegionId) -> usize {
         self.entries
             .iter()
-            .filter(|(_, e)| e.region == region)
+            .filter(|(_, e)| e.region() == region)
             .count()
     }
 
@@ -220,28 +286,34 @@ impl IommuDomain {
             .entries
             .get(dma.page_number())
             .ok_or(IommuFault::Unmapped { dma })?;
-        if entry.region != RegionId::GLOBAL && Some(entry.region) != self.active {
+        let region = entry.region();
+        if region != RegionId::GLOBAL && Some(region) != self.active {
             return Err(IommuFault::RegionInactive {
                 dma,
-                region: entry.region,
+                region,
                 active: self.active,
             });
         }
-        if !entry.access.contains(attempted) {
+        if !entry.access().contains(attempted) {
             return Err(IommuFault::InsufficientRights {
                 dma,
                 attempted,
-                allowed: entry.access,
+                allowed: entry.access(),
             });
         }
-        Ok(entry.frame.add(dma.page_offset()))
+        Ok(entry.frame().add(dma.page_offset()))
     }
 
     /// Iterates over `(dma page base, frame, access, region)`.
     pub fn iter(&self) -> impl Iterator<Item = (DmaAddr, PhysAddr, Access, RegionId)> + '_ {
-        self.entries
-            .iter()
-            .map(|(pn, e)| (DmaAddr::new(pn * PAGE_SIZE), e.frame, e.access, e.region))
+        self.entries.iter().map(|(pn, e)| {
+            (
+                DmaAddr::new(pn * PAGE_SIZE),
+                e.frame(),
+                e.access(),
+                e.region(),
+            )
+        })
     }
 }
 
@@ -316,7 +388,8 @@ mod tests {
             PhysAddr::new(0x8000),
             Access::RW,
             RegionId::GLOBAL,
-        );
+        )
+        .unwrap();
         assert_eq!(
             dom.translate(DmaAddr::new(0x1004), Access::WRITE).unwrap(),
             PhysAddr::new(0x8004)
@@ -339,8 +412,10 @@ mod tests {
         let mut dom = IommuDomain::new();
         let r1 = RegionId(1);
         let r2 = RegionId(2);
-        dom.map(DmaAddr::new(0x1000), PhysAddr::new(0xa000), Access::RW, r1);
-        dom.map(DmaAddr::new(0x2000), PhysAddr::new(0xb000), Access::RW, r2);
+        dom.map(DmaAddr::new(0x1000), PhysAddr::new(0xa000), Access::RW, r1)
+            .unwrap();
+        dom.map(DmaAddr::new(0x2000), PhysAddr::new(0xb000), Access::RW, r2)
+            .unwrap();
 
         dom.switch_region(Some(r1));
         assert!(dom.translate(DmaAddr::new(0x1000), Access::READ).is_ok());
@@ -369,7 +444,8 @@ mod tests {
                 PhysAddr::new(i * PAGE_SIZE),
                 Access::RW,
                 r1,
-            );
+            )
+            .unwrap();
         }
         for i in 3..8 {
             dom.map(
@@ -377,7 +453,8 @@ mod tests {
                 PhysAddr::new(i * PAGE_SIZE),
                 Access::RW,
                 r2,
-            );
+            )
+            .unwrap();
         }
         assert_eq!(dom.switch_region(Some(r1)), 3); // map r1
         assert_eq!(dom.switch_region(Some(r2)), 8); // unmap r1 + map r2
@@ -392,7 +469,8 @@ mod tests {
             PhysAddr::new(0xc000),
             Access::READ,
             RegionId::GLOBAL,
-        );
+        )
+        .unwrap();
         assert!(dom.translate(DmaAddr::new(0x3000), Access::READ).is_ok());
         assert_eq!(
             dom.translate(DmaAddr::new(0x3000), Access::WRITE),
@@ -407,12 +485,55 @@ mod tests {
     #[test]
     fn contiguous_bulk_map() {
         let mut dom = IommuDomain::new();
-        dom.map_contiguous(DmaAddr::new(0), PhysAddr::new(0x10000), 4, Access::RW);
+        let frames = (0..4u32).map(|i| PhysAddr::new(0x10000 + u64::from(i) * PAGE_SIZE));
+        let run = dom.map_run(DmaAddr::new(0), Access::RW, RegionId::GLOBAL, frames);
+        assert_eq!(run, Ok(()));
         assert_eq!(dom.mapped_pages(), 4);
         assert_eq!(
             dom.translate(DmaAddr::new(3 * PAGE_SIZE + 5), Access::READ)
                 .unwrap(),
             PhysAddr::new(0x10000 + 3 * PAGE_SIZE + 5)
+        );
+        // A run that would end past the bus address width maps nothing.
+        let top = DmaAddr::new((PAGE_LIMIT - 1) * PAGE_SIZE);
+        let frames = (0..2u32).map(|i| PhysAddr::new(u64::from(i) * PAGE_SIZE));
+        assert_eq!(
+            dom.map_run(top, Access::RW, RegionId::GLOBAL, frames),
+            Err(IommuFault::Unmapped { dma: top })
+        );
+        assert_eq!(dom.mapped_pages(), 4);
+    }
+
+    #[test]
+    fn an_entry_the_word_cannot_hold_is_refused() {
+        let mut dom = IommuDomain::new();
+        let high = PhysAddr::new(PAGE_LIMIT * PAGE_SIZE);
+        let dma = DmaAddr::new(0x1000);
+        assert_eq!(
+            dom.map(dma, high, Access::RW, RegionId::GLOBAL),
+            Err(IommuFault::Unmapped { dma })
+        );
+        let far = DmaAddr::new(PAGE_LIMIT * PAGE_SIZE);
+        assert_eq!(
+            dom.map(far, PhysAddr::new(0), Access::RW, RegionId::GLOBAL),
+            Err(IommuFault::Unmapped { dma: far })
+        );
+        assert_eq!(dom.mapped_pages(), 0);
+        // The highest frame and both ends of the region field round-trip.
+        let top = PhysAddr::new((PAGE_LIMIT - 1) * PAGE_SIZE);
+        let largest = RegionId(u32::MAX - 1);
+        for (page, region) in [(1, RegionId(0)), (2, largest), (3, RegionId::GLOBAL)] {
+            dom.map(DmaAddr::new(page * PAGE_SIZE), top, Access::RWX, region)
+                .unwrap();
+        }
+        let entries: Vec<_> = dom.iter().collect();
+        assert_eq!(
+            entries,
+            [RegionId(0), largest, RegionId::GLOBAL]
+                .into_iter()
+                .zip(1..)
+                .map(|(region, page)| (DmaAddr::new(page * PAGE_SIZE), top, Access::RWX, region))
+                .collect::<Vec<_>>()
         );
     }
 
@@ -424,7 +545,8 @@ mod tests {
             PhysAddr::new(0x5000),
             Access::RW,
             RegionId(7),
-        );
+        )
+        .unwrap();
         assert_eq!(dom.unmap(DmaAddr::new(0x4000)), Some(PhysAddr::new(0x5000)));
         assert_eq!(dom.unmap(DmaAddr::new(0x4000)), None);
         assert_eq!(dom.pages_in_region(RegionId(7)), 0);
@@ -436,12 +558,15 @@ mod tests {
         let gpu = iommu.create_domain();
         let nic = iommu.create_domain();
         assert_ne!(gpu, nic);
-        iommu.domain_mut(gpu).map(
-            DmaAddr::new(0),
-            PhysAddr::new(0x1000),
-            Access::RW,
-            RegionId::GLOBAL,
-        );
+        iommu
+            .domain_mut(gpu)
+            .map(
+                DmaAddr::new(0),
+                PhysAddr::new(0x1000),
+                Access::RW,
+                RegionId::GLOBAL,
+            )
+            .unwrap();
         assert_eq!(iommu.domain(gpu).mapped_pages(), 1);
         assert_eq!(iommu.domain(nic).mapped_pages(), 0);
         assert_eq!(iommu.domain_count(), 2);

@@ -20,8 +20,9 @@
 //!   freeing drops its bytes.
 //! * [`pagetable`] — PAE-style 3-level guest page tables stored *inside*
 //!   guest physical memory, with a software walker.
-//! * `pagemap` — `PageMap`, the two-level radix with 512-entry leaves that
-//!   stores both second-stage translations below.
+//! * `pagemap` — `PageMap`, the two-level radix whose leaves are table pages
+//!   of 512 packed 8-byte entries; it stores both second-stage translations
+//!   below.
 //! * [`ept`] — per-VM extended page tables with permission enforcement and
 //!   violation reporting.
 //! * [`iommu`] — region-tagged DMA translation with a single active region,

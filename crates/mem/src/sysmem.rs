@@ -10,6 +10,7 @@
 use std::fmt;
 
 use crate::addr::{page_chunks, Frame, PageChunks, PhysAddr, PAGE_SIZE};
+use crate::pagemap::PAGE_LIMIT;
 
 /// Errors reported by [`SystemMemory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,7 +51,10 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
-/// State of one physical frame.
+/// The bytes of one frame.
+type Page = [u8; PAGE_SIZE as usize];
+
+/// State of one physical frame: 16 bytes, a tag and a thin pointer.
 #[derive(Debug)]
 enum FrameSlot {
     Free,
@@ -58,18 +62,20 @@ enum FrameSlot {
     /// no bytes of its own.
     Zero,
     /// Allocated and written.
-    Backed(Box<[u8]>),
+    Backed(Box<Page>),
 }
 
+const _: () = assert!(std::mem::size_of::<FrameSlot>() <= 16);
+
 /// What every allocated, never-written frame reads as.
-static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+static ZERO_PAGE: Page = [0; PAGE_SIZE as usize];
 
 impl FrameSlot {
     /// The bytes of an allocated frame; `None` when it is free.
     #[inline]
     fn bytes(&self) -> Option<&[u8]> {
         match self {
-            FrameSlot::Backed(bytes) => Some(bytes),
+            FrameSlot::Backed(bytes) => Some(&bytes[..]),
             FrameSlot::Zero => Some(&ZERO_PAGE),
             FrameSlot::Free => None,
         }
@@ -81,7 +87,7 @@ impl FrameSlot {
     #[inline]
     fn bytes_mut(&mut self, backed: &mut usize) -> Option<&mut [u8]> {
         match self {
-            FrameSlot::Backed(bytes) => Some(bytes),
+            FrameSlot::Backed(bytes) => Some(&mut bytes[..]),
             FrameSlot::Zero => Some(self.back(backed)),
             FrameSlot::Free => None,
         }
@@ -91,9 +97,13 @@ impl FrameSlot {
     #[cold]
     fn back(&mut self, backed: &mut usize) -> &mut [u8] {
         *backed += 1;
-        *self = FrameSlot::Backed(vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+        // `vec!` of zeros asks the allocator for zeroed memory.
+        let Ok(page) = vec![0u8; PAGE_SIZE as usize].into_boxed_slice().try_into() else {
+            unreachable!("a vector of PAGE_SIZE bytes is a page")
+        };
+        *self = FrameSlot::Backed(page);
         match self {
-            FrameSlot::Backed(bytes) => bytes,
+            FrameSlot::Backed(bytes) => &mut bytes[..],
             _ => unreachable!("just backed"),
         }
     }
@@ -147,7 +157,17 @@ impl fmt::Debug for SystemMemory {
 
 impl SystemMemory {
     /// Creates a machine memory of `total_frames` 4-KiB frames.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frames would reach 2^39 bytes: every frame lies inside
+    /// the 39-bit address width of the EPT's and the IOMMU's entries, so
+    /// either can map any frame.
     pub fn new(total_frames: usize) -> Self {
+        assert!(
+            total_frames as u64 <= PAGE_LIMIT,
+            "{total_frames} frames reach past the 39-bit physical address width"
+        );
         SystemMemory {
             frames: Vec::with_capacity(total_frames),
             total: total_frames,
@@ -195,17 +215,24 @@ impl SystemMemory {
         Ok(Frame::from_base(PhysAddr::new(number * PAGE_SIZE)))
     }
 
-    /// Allocates `n` frames, each reading as zeros.
+    /// Allocates a run of `n` frames, each reading as zeros, or none: the
+    /// count is checked now, and each frame is allocated, in
+    /// [`SystemMemory::alloc_frame`]'s order, as the run is read. A frame
+    /// the run never yields stays free. Callers map the run into a page
+    /// map without collecting it first.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::OutOfFrames`] if fewer than `n` frames remain; in
     /// that case no frames are allocated.
-    pub fn alloc_frames(&mut self, n: usize) -> Result<Vec<Frame>, MemError> {
+    pub fn alloc_frames(
+        &mut self,
+        n: usize,
+    ) -> Result<impl ExactSizeIterator<Item = Frame> + '_, MemError> {
         if self.free_frames() < n {
             return Err(MemError::OutOfFrames);
         }
-        (0..n).map(|_| self.alloc_frame()).collect()
+        Ok((0..n).map(|_| self.alloc_frame().expect("free frames counted up front")))
     }
 
     /// Frees a frame, dropping its bytes.
@@ -588,10 +615,22 @@ mod tests {
     #[test]
     fn bulk_alloc_is_all_or_nothing() {
         let mut mem = SystemMemory::new(3);
-        assert_eq!(mem.alloc_frames(4), Err(MemError::OutOfFrames));
+        assert!(matches!(mem.alloc_frames(4), Err(MemError::OutOfFrames)));
         assert_eq!(mem.allocated_frames(), 0);
         let frames = mem.alloc_frames(3).unwrap();
         assert_eq!(frames.len(), 3);
+        let numbers: Vec<u64> = frames.map(|frame| frame.number()).collect();
+        assert_eq!(numbers, [0, 1, 2]);
+        assert_eq!(mem.free_frames(), 0);
+        // Freed frames come back first, the most recent on top; a run read
+        // only in part allocates only what it yielded.
+        mem.free_frame(Frame::from_base(PhysAddr::new(PAGE_SIZE)))
+            .unwrap();
+        mem.free_frame(Frame::from_base(PhysAddr::new(0))).unwrap();
+        let first = mem.alloc_frames(2).unwrap().next().unwrap();
+        assert_eq!(first.number(), 0);
+        assert_eq!(mem.allocated_frames(), 2);
+        assert_eq!(mem.free_frames(), 1);
     }
 
     #[test]

@@ -33,7 +33,27 @@ fn page_of(pick: u64) -> u64 {
     }
 }
 
-const REGIONS: [RegionId; 3] = [RegionId::GLOBAL, RegionId(1), RegionId(2)];
+/// Region tags, the two ends of an entry's region field among them.
+const REGIONS: [RegionId; 4] = [
+    RegionId::GLOBAL,
+    RegionId(0),
+    RegionId(2),
+    RegionId(u32::MAX - 1),
+];
+
+/// Frames an entry can name: system-physical addresses below 2^39.
+const FRAME_LIMIT: u64 = 1 << (39 - 12);
+
+/// A frame number from one of three pools: anywhere below 2^20, the
+/// highest frames an entry can hold, and the first ones it cannot.
+fn frame_of(pick: u64) -> u64 {
+    let n = pick / 3;
+    match pick % 3 {
+        0 => n % (1 << 20),
+        1 => FRAME_LIMIT - 1 - n % 4,
+        _ => FRAME_LIMIT + n % 4,
+    }
+}
 
 /// What the EPT must answer for `gpa`, read off the model.
 fn ept_expect(
@@ -295,7 +315,7 @@ proptest! {
                 PhysAddr::new(pfn * PAGE_SIZE),
                 Access::RW,
                 r[region_pick as usize],
-            );
+            ).unwrap();
             last.insert(dma_pn, region_pick);
         }
         let mut active: Option<RegionId> = None;
@@ -316,11 +336,15 @@ proptest! {
     /// history, answer exactly what a sorted map of their entries says:
     /// every translation and its error, every edit's result, the sizes,
     /// the per-region counts, the region-switch work and the iteration
-    /// order. Pages straddle leaf edges, sit at the BAR and reach 2^20.
+    /// order. Pages straddle leaf edges, sit at the BAR and reach 2^20;
+    /// runs of up to 1 100 pages cross whole leaves. Every entry packs into
+    /// one word, so every access set, both ends of the region field and
+    /// the highest frame come back unchanged, and a frame past 2^39 is
+    /// refused with nothing mapped.
     #[test]
     fn ept_and_iommu_agree_with_a_sorted_map(
         ops in proptest::collection::vec(
-            (0u8..6, any::<u64>(), 0u64..1 << 20, 0u8..8, any::<u64>()),
+            (0u8..7, any::<u64>(), any::<u64>(), 0u8..8, any::<u64>()),
             1..160,
         ),
     ) {
@@ -329,25 +353,35 @@ proptest! {
         let mut ept_model: BTreeMap<u64, (u64, Access)> = BTreeMap::new();
         let mut dom_model: BTreeMap<u64, (u64, Access, RegionId)> = BTreeMap::new();
         let mut active: Option<RegionId> = None;
-        for &(kind, pick, frame, bits, aux) in &ops {
+        for &(kind, pick, frame_pick, bits, aux) in &ops {
             let page = page_of(pick);
+            let frame = frame_of(frame_pick);
             let access = Access::from_bits(bits);
-            let region = REGIONS[(aux % 3) as usize];
+            let region = REGIONS[(aux % 4) as usize];
             let (gpa, dma) = (GuestPhysAddr::new(page * PAGE_SIZE), DmaAddr::new(page * PAGE_SIZE));
+            let pa = PhysAddr::new(frame * PAGE_SIZE);
+            let mut end = page + 1;
             match kind {
                 0 => {
-                    let ept_result = ept.map(gpa, PhysAddr::new(frame * PAGE_SIZE + 7), access);
-                    if access.is_ept_expressible() {
-                        prop_assert_eq!(ept_result, Ok(()));
-                        ept_model.insert(page, (frame, access));
-                    } else {
+                    let ept_result = ept.map(gpa, pa.add(7), access);
+                    if !access.is_ept_expressible() {
                         prop_assert_eq!(
                             ept_result,
                             Err(EptMapError::WriteOnlyUnsupported { requested: access })
                         );
+                    } else if frame >= FRAME_LIMIT {
+                        prop_assert_eq!(ept_result, Err(EptMapError::FrameBeyondWidth { frame: pa.add(7) }));
+                    } else {
+                        prop_assert_eq!(ept_result, Ok(()));
+                        ept_model.insert(page, (frame, access));
                     }
-                    dom.map(dma.add(9), PhysAddr::new(frame * PAGE_SIZE), access, region);
-                    dom_model.insert(page, (frame, access, region));
+                    let dom_result = dom.map(dma.add(9), pa, access, region);
+                    if frame >= FRAME_LIMIT {
+                        prop_assert_eq!(dom_result, Err(IommuFault::Unmapped { dma: dma.add(9) }));
+                    } else {
+                        prop_assert_eq!(dom_result, Ok(()));
+                        dom_model.insert(page, (frame, access, region));
+                    }
                 }
                 1 => {
                     let ept_frame = ept_model.remove(&page).map(|(f, _)| PhysAddr::new(f * PAGE_SIZE));
@@ -371,7 +405,7 @@ proptest! {
                 3 => {
                     // Up to ~27 pages from an unaligned start, so a range
                     // crosses a leaf edge whenever it starts near one.
-                    let start = gpa.add(frame % PAGE_SIZE);
+                    let start = gpa.add(frame_pick % PAGE_SIZE);
                     let len = aux % (27 * PAGE_SIZE);
                     let (first, last) = (start.page_number(), start.add(len.saturating_sub(1)).page_number());
                     let expected = if access.is_ept_expressible() {
@@ -387,7 +421,7 @@ proptest! {
                     prop_assert_eq!(ept.set_access_range(start, len, access), expected);
                 }
                 4 => {
-                    let next = [None, Some(RegionId::GLOBAL), Some(RegionId(1)), Some(RegionId(2))]
+                    let next = [None, Some(RegionId::GLOBAL), Some(RegionId(0)), Some(RegionId(u32::MAX - 1))]
                         [(aux % 4) as usize];
                     let work_of = |r: Option<RegionId>| match r {
                         Some(r) if r != RegionId::GLOBAL => region_pages(&dom_model, r),
@@ -398,10 +432,35 @@ proptest! {
                     active = next;
                     prop_assert_eq!(dom.active_region(), active);
                 }
+                5 => {
+                    // A run of consecutive frames, the highest ones among
+                    // them, from anywhere in a leaf: short ones often, up
+                    // to two whole leaves and a part one time in eight.
+                    let longest = if (aux >> 40) % 8 == 0 { 1100 } else { 40 };
+                    let count = (aux >> 3) % longest;
+                    let first_frame = frame.min(FRAME_LIMIT - count);
+                    end = page + count;
+                    let frames: Vec<u64> = (first_frame..first_frame + count).collect();
+                    let run = frames.iter().map(|&f| Frame::from_base(PhysAddr::new(f * PAGE_SIZE)));
+                    let ept_result = ept.map_run(gpa.add(aux % PAGE_SIZE), access, run);
+                    if access.is_ept_expressible() {
+                        prop_assert_eq!(ept_result, Ok(()));
+                        ept_model.extend((page..end).zip(&frames).map(|(p, &f)| (p, (f, access))));
+                    } else {
+                        prop_assert_eq!(
+                            ept_result,
+                            Err(EptMapError::WriteOnlyUnsupported { requested: access })
+                        );
+                    }
+                    let run = frames.iter().map(|&f| PhysAddr::new(f * PAGE_SIZE));
+                    prop_assert_eq!(dom.map_run(dma, access, region, run), Ok(()));
+                    dom_model.extend((page..end).zip(&frames).map(|(p, &f)| (p, (f, access, region))));
+                }
                 _ => {}
             }
-            // Probe the operation's page and its two neighbours.
-            for probe in [page.saturating_sub(1), page, page + 1] {
+            // Probe the operation's first and last pages and their
+            // neighbours.
+            for probe in [page.saturating_sub(1), page, page + 1, end.saturating_sub(1), end] {
                 let offset = (aux >> 8) % PAGE_SIZE;
                 let attempted = Access::from_bits((aux >> 20) as u8);
                 let gpa = GuestPhysAddr::new(probe * PAGE_SIZE + offset);
@@ -447,7 +506,7 @@ proptest! {
         writes in proptest::collection::vec((0u64..31 * 4096, proptest::collection::vec(any::<u8>(), 1..64)), 1..16),
     ) {
         let mut mem = SystemMemory::new(32);
-        let frames = mem.alloc_frames(32).unwrap();
+        let frames: Vec<Frame> = mem.alloc_frames(32).unwrap().collect();
         let base = frames[0].base();
         // Model: a shadow buffer.
         let mut shadow = vec![0u8; 32 * 4096];

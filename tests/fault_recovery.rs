@@ -389,7 +389,9 @@ fn device_script(m: &mut Machine) -> Vec<String> {
     m.write_mem(task, data, &[0xa5; 64]).unwrap();
     drm.gem_pwrite(m, bo, 128, data, 64).unwrap();
     m.write_mem(task, data, &[0; 64]).unwrap();
-    // Data isolation refuses the read-back (EPERM) and leaves the zeros.
+    // The read-back starts eight bytes before the upload. With or without
+    // data isolation it returns eight zeros and then the guest's own
+    // bytes: the hypervisor copies out of the guest's own VRAM either way.
     let pread = drm.gem_pread(m, bo, 120, data, 64);
     let mut back = [0u8; 64];
     m.read_mem(task, data, &mut back).unwrap();
