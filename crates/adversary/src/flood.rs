@@ -221,7 +221,9 @@ fn hypercall_step(outcome: &mut FamilyOutcome, rng: &mut SplitMix64, machine: &M
     }
 }
 
-/// Runs the flood campaign on one substrate.
+/// Runs the flood campaign on one substrate. The engine steps run on
+/// `engine`; the hypercall storm hits a `Machine`, which runs on the
+/// virtual clock in either cell.
 pub fn run(engine: EngineKind, seed: u64, steps: u32) -> FamilyOutcome {
     let mut outcome = FamilyOutcome::new(AttackFamily::Flood, engine);
     let mut rng = SplitMix64::new(seed);
@@ -230,7 +232,6 @@ pub fn run(engine: EngineKind, seed: u64, steps: u32) -> FamilyOutcome {
             transport: TransportMode::polling_default(),
             data_isolation: false,
         })
-        .engine(engine)
         .device(DeviceSpec::Mouse)
         .guests([GuestSpec::linux()])
         .build()

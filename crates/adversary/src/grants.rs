@@ -229,7 +229,9 @@ fn grant_check_count(machine: &Machine) -> u64 {
         .count_blocked_by(BlockedBy::GrantCheck) as u64
 }
 
-/// Runs the grant-replay campaign on one substrate. `bypass` disables
+/// Runs the grant-replay campaign on one substrate: the cross-guest-shard
+/// steps on an `engine` multi-guest engine, the hypervisor steps on a
+/// `Machine`, which runs on the virtual clock in either cell. `bypass` disables
 /// grant validation (the devirtualization ablation) — every hypervisor
 /// attack must then surface as a breach, because nothing audits or
 /// refuses it. The cross-guest-shard steps attack the sharded engine
@@ -245,7 +247,6 @@ pub fn run(engine: EngineKind, seed: u64, steps: u32, bypass: bool) -> FamilyOut
             transport: TransportMode::polling_default(),
             data_isolation: false,
         })
-        .engine(engine)
         .device(DeviceSpec::Mouse)
         .guests([GuestSpec::linux(), GuestSpec::linux()])
         .build()

@@ -10,7 +10,7 @@
 //! the executing protocol the way a hand-maintained mirror could.
 //!
 //! The vocabulary follows the publication-protocol argument of
-//! DESIGN.md §12/§14: every cross-thread *data handoff* is a `Release`
+//! DESIGN.md §14/§15.7: every cross-thread *data handoff* is a `Release`
 //! store ([`Edge::Publish`]) observed by an `Acquire` load
 //! ([`Edge::Consume`]); plain data riding under that handoff is
 //! [`Edge::Payload`]; Dekker-style flag pairs whose correctness needs a

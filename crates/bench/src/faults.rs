@@ -20,7 +20,6 @@ use std::rc::Rc;
 
 use paradice::prelude::*;
 use paradice_faults::{FaultKind, FaultPlan, SplitMix64, Trigger};
-use paradice_hypervisor::EngineKind;
 
 use crate::report::{Cell, Table};
 
@@ -70,9 +69,8 @@ pub struct CampaignReport {
     pub outcomes: Vec<CampaignOutcome>,
 }
 
-fn build_machine(engine: EngineKind, data_isolation: bool) -> Machine {
+fn build_machine(data_isolation: bool) -> Machine {
     let mut builder = Machine::builder()
-        .engine(engine)
         .mode(ExecMode::Paradice {
             transport: TransportMode::Interrupts,
             data_isolation,
@@ -156,14 +154,14 @@ fn service_ok(m: &mut Machine, guest: usize, path: &str) -> Result<(), Errno> {
     m.close(task, fd)
 }
 
-fn run_one(engine: EngineKind, seed: u64, index: u32) -> CampaignOutcome {
+fn run_one(seed: u64, index: u32) -> CampaignOutcome {
     let mut rng = SplitMix64::new(seed ^ (u64::from(index)).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let kind = FaultKind::ALL[rng.gen_range(FaultKind::ALL.len() as u64) as usize];
     let (class, path, phases) = CLASSES[rng.gen_range(CLASSES.len() as u64) as usize];
     let phase = phases[rng.gen_range(phases.len() as u64) as usize];
     let data_isolation = rng.gen_range(2) == 1;
 
-    let mut m = build_machine(engine, data_isolation);
+    let mut m = build_machine(data_isolation);
     let mut plan = FaultPlan::new();
     plan.arm(kind, Trigger::OnOp { op: phase.to_owned(), nth: 0 });
     let plan = Rc::new(RefCell::new(plan));
@@ -234,19 +232,11 @@ fn run_one(engine: EngineKind, seed: u64, index: u32) -> CampaignOutcome {
     }
 }
 
-/// Runs `campaigns` seeded campaigns on the virtual substrate (the
+/// Runs `campaigns` seeded campaigns on the virtual clock (the
 /// deterministic oracle). Same `seed` and `campaigns` → identical
 /// outcomes and identical rendered report.
 pub fn run_campaigns(seed: u64, campaigns: u32) -> CampaignReport {
-    run_campaigns_on(EngineKind::Virtual, seed, campaigns)
-}
-
-/// Runs the same seeded sweep on an explicit substrate. Fault selection
-/// derives only from the seed, so the survival matrix (which carries no
-/// timestamps) must come out identical on [`EngineKind::Virtual`] and
-/// [`EngineKind::Wall`] — the wall-clock differential test pins that.
-pub fn run_campaigns_on(engine: EngineKind, seed: u64, campaigns: u32) -> CampaignReport {
-    let outcomes = (0..campaigns).map(|i| run_one(engine, seed, i)).collect();
+    let outcomes = (0..campaigns).map(|i| run_one(seed, i)).collect();
     CampaignReport { seed, outcomes }
 }
 
@@ -377,6 +367,16 @@ mod tests {
         assert!(a.pass(), "{}", a.render());
         // The sweep must actually exercise the failure model.
         assert!(a.outcomes.iter().any(|o| o.driver_vm_died));
+    }
+
+    #[test]
+    fn the_seed_42_sweep_recovers_every_driver_vm_death() {
+        // The reference sweep (seed 42, 50 campaigns): 35 driver-VM
+        // deaths, all 35 recovered, no guest failure.
+        let report = run_campaigns(42, 50);
+        assert_eq!(report.recovery_counts(), (35, 35));
+        assert!(report.pass(), "{}", report.render());
+        assert_eq!(report.guest_failures(), 0);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use paradice_faults::FaultPlan;
 use paradice_hypervisor::hv::{DataIsolation, HvError, Hypervisor};
 use paradice_hypervisor::vm::VmRole;
 use paradice_hypervisor::{
-    ChannelStats, ClockSource, CostModel, EngineKind, SharedHypervisor, TransportMode, VmId,
+    ChannelStats, CostModel, SharedHypervisor, SimClock, TransportMode, VmId,
 };
 use paradice_mem::pagetable::GuestPageTables;
 use paradice_mem::{Access, GuestPhysAddr, GuestVirtAddr, PAGE_SIZE};
@@ -388,14 +388,13 @@ struct Process {
     pending_events: Vec<u64>, // fds with pending notifications (host path)
 }
 
-/// Builds a [`Machine`]: virtualization mode, execution substrate,
-/// devices, guests and cost model. The cross-cutting switches are
+/// Builds a [`Machine`]: virtualization mode, devices, guests and cost
+/// model. A machine runs on the virtual clock. The cross-cutting switches are
 /// [`Machine::enable_fastpath`], [`Machine::enable_tracing`] and
 /// [`Machine::arm_faults`] on the built machine.
 #[derive(Debug)]
 pub struct MachineBuilder {
     mode: ExecMode,
-    engine: EngineKind,
     devices: Vec<DeviceSpec>,
     guests: Vec<GuestSpec>,
     driver_ram_pages: u64,
@@ -406,7 +405,6 @@ impl Default for MachineBuilder {
     fn default() -> Self {
         MachineBuilder {
             mode: ExecMode::Native,
-            engine: EngineKind::Virtual,
             devices: Vec::new(),
             guests: Vec::new(),
             driver_ram_pages: 8192, // 32 MiB of simulated driver-VM RAM
@@ -419,15 +417,6 @@ impl MachineBuilder {
     /// Selects the execution mode.
     pub fn mode(mut self, mode: ExecMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Selects the execution substrate: [`EngineKind::Virtual`] (the
-    /// default — deterministic virtual time, the correctness oracle) or
-    /// [`EngineKind::Wall`] (real time: the machine's clock reads the
-    /// hardware, costs charged by the model are ignored).
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -486,7 +475,7 @@ impl MachineBuilder {
         let total_frames =
             (self.driver_ram_pages + guest_pages + vram_pages + 4096) as usize;
 
-        let clock = self.engine.clock();
+        let clock = SimClock::new();
         let mut hv = Hypervisor::new(total_frames, clock.clone(), self.cost.clone());
 
         // Guest VMs first (Paradice), then the driver VM / host.
@@ -557,7 +546,7 @@ impl MachineBuilder {
 /// The assembled machine.
 pub struct Machine {
     hv: SharedHypervisor,
-    clock: ClockSource,
+    clock: SimClock,
     mode: ExecMode,
     driver_vm: VmId,
     guest_vms: Vec<VmId>,
@@ -752,9 +741,9 @@ impl Machine {
         self.clock.now_ns()
     }
 
-    /// The machine's time source: virtual under [`EngineKind::Virtual`]
-    /// (deterministic, cost-charged), real under [`EngineKind::Wall`].
-    pub fn clock(&self) -> &ClockSource {
+    /// The machine's deterministic virtual clock, which every modelled
+    /// cost is charged to.
+    pub fn clock(&self) -> &SimClock {
         &self.clock
     }
 

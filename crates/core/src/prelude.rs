@@ -10,11 +10,10 @@
 //! `MemOps` binding and the thread mark (the calling guest under Paradice,
 //! none on the host).
 //!
-//! Likewise the unified execution story: one [`MultiEngine`] seam over
-//! the deterministic virtual substrate ([`SimClock`], the correctness
-//! oracle) and the wall-clock substrate ([`WallClock`], real threads on
-//! the atomic ring). Pick one with [`MachineBuilder::engine`] or drive an
-//! engine directly via [`build_multi`].
+//! Likewise the execution story: a [`Machine`] runs on the deterministic
+//! virtual clock ([`SimClock`], the correctness oracle); [`build_multi`]
+//! builds a [`MultiEngine`] on either that clock or the wall clock
+//! ([`WallClock`], real threads on the atomic ring).
 
 pub use crate::machine::{
     DeviceSpec, DirectMemOps, ExecMode, GuestSpec, Machine, MachineBuilder, MachineError,

@@ -9,7 +9,7 @@
 //! same code is correct concurrently, and on real threads the doorbell is
 //! a park/unpark handoff instead of a virtual-time spin budget.
 //!
-//! # Memory-ordering argument (DESIGN.md §12/§14 carry the prose version)
+//! # Memory-ordering argument (DESIGN.md §14/§15.7 carry the prose version)
 //!
 //! The ring is single-producer single-consumer. Each slot carries a
 //! free-running sequence number in the style of Vyukov's bounded queue:

@@ -52,7 +52,7 @@ use std::fmt;
 use std::marker::PhantomData;
 
 use crate::aring::{AtomicRing, ARING_CAPACITY, ARING_SLOT_BYTES};
-use crate::clock::{ClockSource, CostModel};
+use crate::clock::{CostModel, SimClock};
 
 /// A message type with a defined shared-page wire format.
 ///
@@ -206,7 +206,7 @@ impl ChannelStats {
 /// `Channel` behaves exactly like the historical untyped byte channel.
 pub struct Channel<Req = Vec<u8>, Resp = Vec<u8>, Sig = Vec<u8>> {
     mode: TransportMode,
-    clock: ClockSource,
+    clock: SimClock,
     cost: CostModel,
     /// Entries per direction; 1 is the paper's bounded-slot discipline.
     ring_depth: usize,
@@ -234,15 +234,12 @@ impl<Req, Resp, Sig> fmt::Debug for Channel<Req, Resp, Sig> {
 }
 
 impl<Req: WireCodec, Resp: WireCodec, Sig: WireCodec> Channel<Req, Resp, Sig> {
-    /// Creates a channel in the given transport mode. The clock decides
-    /// the substrate: a [`SimClock`] charges the cost model on virtual
-    /// time, a [`crate::clock::WallClock`] makes every charge a no-op and
-    /// reports real elapsed time (the spin-budget comparison then runs on
-    /// real nanoseconds).
-    pub fn new(mode: TransportMode, clock: impl Into<ClockSource>, cost: CostModel) -> Self {
+    /// Creates a channel in the given transport mode, charging the cost
+    /// model on the virtual `clock`.
+    pub fn new(mode: TransportMode, clock: SimClock, cost: CostModel) -> Self {
         Channel {
             mode,
-            clock: clock.into(),
+            clock,
             cost,
             ring_depth: 1,
             requests: AtomicRing::new(),

@@ -34,8 +34,8 @@ pub const fn ms(x: u64) -> u64 {
 /// clock — every cost-model charge *steers* it, making whole runs
 /// bit-reproducible) and [`WallClock`] (real time over
 /// [`std::time::Instant`] — charges are no-ops and `now_ns` reports what
-/// the hardware actually took). [`ClockSource`] is the concrete handle
-/// components store so the choice is made once, at machine construction.
+/// the hardware actually took). The single-threaded stack runs only on
+/// a [`SimClock`]; the multi-guest engine stores a [`ClockSource`].
 pub trait Clock {
     /// Current time in nanoseconds (virtual or wall, by implementation).
     fn now_ns(&self) -> u64;
@@ -169,12 +169,14 @@ impl Clock for WallClock {
     }
 }
 
-/// The concrete time source a component stores.
+/// The multi-guest engine's time source: which clock a
+/// `cvd::multi` engine was built on, chosen by
+/// [`EngineKind::clock`](crate::EngineKind::clock). The single-threaded
+/// stack (`Channel`, `Hypervisor`, `Machine`) stores a [`SimClock`].
 ///
 /// An enum rather than a `Box<dyn Clock>` so the hot `now_ns`/`advance`
 /// calls stay monomorphic (one branch, no vtable) and the handle stays
-/// `Clone` without allocation. Constructors take `impl Into<ClockSource>`,
-/// so existing call sites that pass a bare [`SimClock`] keep compiling.
+/// `Clone` without allocation.
 #[derive(Clone, Debug)]
 pub enum ClockSource {
     /// The deterministic virtual clock — the correctness oracle.
@@ -206,45 +208,6 @@ impl ClockSource {
             ClockSource::Virtual(c) => c.advance_to(target_ns),
             ClockSource::Wall(c) => c.advance_to(target_ns),
         }
-    }
-
-    /// Runs `f` and returns its result together with the time it consumed
-    /// on this source.
-    pub fn timed<T>(&self, f: impl FnOnce() -> T) -> (T, u64) {
-        let start = self.now_ns();
-        let result = f();
-        (result, self.now_ns().saturating_sub(start))
-    }
-
-    /// `true` when this source reports real time.
-    pub fn is_wall(&self) -> bool {
-        matches!(self, ClockSource::Wall(_))
-    }
-
-    /// The underlying virtual clock, when this source is virtual.
-    pub fn as_sim(&self) -> Option<&SimClock> {
-        match self {
-            ClockSource::Virtual(c) => Some(c),
-            ClockSource::Wall(_) => None,
-        }
-    }
-}
-
-impl Default for ClockSource {
-    fn default() -> Self {
-        ClockSource::Virtual(SimClock::new())
-    }
-}
-
-impl From<SimClock> for ClockSource {
-    fn from(clock: SimClock) -> Self {
-        ClockSource::Virtual(clock)
-    }
-}
-
-impl From<WallClock> for ClockSource {
-    fn from(clock: WallClock) -> Self {
-        ClockSource::Wall(clock)
     }
 }
 
@@ -446,21 +409,13 @@ mod tests {
 
     #[test]
     fn clock_source_dispatches_to_both_implementations() {
-        let sim: ClockSource = SimClock::new().into();
-        assert!(!sim.is_wall());
-        assert!(sim.as_sim().is_some());
+        let sim = ClockSource::Virtual(SimClock::new());
         sim.advance(us(5));
         assert_eq!(sim.now_ns(), 5_000);
         assert!(sim.advance_to(us(9)));
-        let (value, elapsed) = sim.timed(|| {
-            sim.advance(us(1));
-            7
-        });
-        assert_eq!((value, elapsed), (7, 1_000));
+        assert_eq!(sim.now_ns(), 9_000);
 
-        let wall: ClockSource = WallClock::new().into();
-        assert!(wall.is_wall());
-        assert!(wall.as_sim().is_none());
+        let wall = ClockSource::Wall(WallClock::new());
         wall.advance(ms(1_000));
         assert!(!wall.advance_to(u64::MAX - 1));
         assert!(wall.now_ns() < ms(1_000), "charge leaked into wall time");

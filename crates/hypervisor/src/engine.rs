@@ -1,11 +1,12 @@
 //! The execution-substrate vocabulary.
 //!
-//! A Paradice machine can execute in two substrates:
+//! The multi-guest engine can execute in two substrates:
 //!
 //! * **Virtual** — the deterministic step function: one thread, the
 //!   [`SimClock`](crate::clock::SimClock), every action charged against
 //!   the cost model. This is the correctness oracle: runs are
 //!   bit-reproducible, so every proof, lint, and figure is anchored here.
+//!   A whole `Machine` runs only here.
 //! * **Wall** — real OS threads for frontend and backend, the shared ring
 //!   page driven with atomics ([`AtomicRing`](crate::aring::AtomicRing)),
 //!   grants validated through the lock-free-read
@@ -53,7 +54,8 @@ static STOP_SITE: SiteSpec = SiteSpec {
 /// [`crate::atomic::all_sites`].
 pub static ATOMIC_SITES: [&SiteSpec; 1] = [&STOP_SITE];
 
-/// Which execution substrate an engine (or a whole machine) runs on.
+/// Which execution substrate a multi-guest engine runs on. A `Machine`
+/// always runs on the virtual clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// Deterministic virtual time; the correctness oracle.
@@ -72,7 +74,7 @@ impl EngineKind {
         }
     }
 
-    /// The clock source a machine of this kind should be built with.
+    /// The clock source a multi-guest engine of this kind runs on.
     pub fn clock(self) -> ClockSource {
         match self {
             EngineKind::Virtual => ClockSource::Virtual(crate::clock::SimClock::new()),
@@ -124,8 +126,8 @@ mod tests {
         assert_eq!(EngineKind::Virtual.name(), "virtual");
         assert_eq!(EngineKind::Wall.name(), "wall");
         assert_eq!(EngineKind::default(), EngineKind::Virtual);
-        assert!(!EngineKind::Virtual.clock().is_wall());
-        assert!(EngineKind::Wall.clock().is_wall());
+        assert!(matches!(EngineKind::Virtual.clock(), ClockSource::Virtual(_)));
+        assert!(matches!(EngineKind::Wall.clock(), ClockSource::Wall(_)));
         assert_eq!(format!("{}", EngineKind::Wall), "wall");
     }
 

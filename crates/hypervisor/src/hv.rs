@@ -36,7 +36,7 @@ use paradice_mem::{
 use paradice_trace::{SpanId, TraceEvent, TraceMemOpKind, Tracer};
 
 use crate::audit::{AuditEvent, AuditLog};
-use crate::clock::{ClockSource, CostModel};
+use crate::clock::{CostModel, SimClock};
 use crate::grants::{GrantError, GrantRef, MemOpGrant, MemOpRequest};
 use crate::regions::{DevMemRange, RegionError, RegionManager};
 use crate::shards::ShardedGrantTable;
@@ -378,7 +378,7 @@ fn unmapped(gpa: GuestPhysAddr, attempted: Access) -> HvError {
 
 /// The simulated hypervisor.
 pub struct Hypervisor {
-    clock: ClockSource,
+    clock: SimClock,
     cost: CostModel,
     mem: SystemMemory,
     vms: Vec<Vm>,
@@ -451,13 +451,11 @@ impl GpaSpace for VmGpaSpace<'_> {
 }
 
 impl Hypervisor {
-    /// Boots a hypervisor managing `total_frames` frames of physical memory.
-    /// The clock decides the execution substrate: a [`crate::SimClock`]
-    /// charges the cost model on deterministic virtual time, a
-    /// [`crate::WallClock`] makes charges no-ops and reports real time.
-    pub fn new(total_frames: usize, clock: impl Into<ClockSource>, cost: CostModel) -> Self {
+    /// Boots a hypervisor managing `total_frames` frames of physical memory,
+    /// charging the cost model on the deterministic virtual `clock`.
+    pub fn new(total_frames: usize, clock: SimClock, cost: CostModel) -> Self {
         Hypervisor {
-            clock: clock.into(),
+            clock,
             cost,
             mem: SystemMemory::new(total_frames),
             vms: Vec::new(),
@@ -505,8 +503,8 @@ impl Hypervisor {
         }
     }
 
-    /// The shared clock (virtual or wall, fixed at construction).
-    pub fn clock(&self) -> &ClockSource {
+    /// The shared virtual clock.
+    pub fn clock(&self) -> &SimClock {
         &self.clock
     }
 

@@ -59,6 +59,23 @@ if ! printf '%s\n' "$MULTI" | grep -qF '.name("cvd-mx-backend".into())'; then
     exit 1
 fi
 
+echo "==> one-oracle gate (a Machine runs only on the virtual clock; ClockSource is the multi-guest engine's)"
+# Machine, Hypervisor and Channel store a SimClock: MachineBuilder has no
+# engine option, and outside tests ClockSource is named only where the
+# multi-guest engine picks its substrate (and where it is re-exported).
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/machine.rs | grep -n 'fn engine\b'; then
+    echo "ERROR: crates/core/src/machine.rs defines fn engine; a Machine runs only on the virtual clock" >&2
+    exit 1
+fi
+CLOCK_SOURCE_FILES="$(find crates -path '*/tests' -prune -o -name '*.rs' -print | sort | while read -r f; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -qw ClockSource; then echo "$f"; fi
+done | grep -vxE 'crates/hypervisor/src/(clock|engine|lib)\.rs|crates/cvd/src/multi\.rs|crates/core/src/prelude\.rs' || true)"
+if [ -n "$CLOCK_SOURCE_FILES" ]; then
+    echo "ERROR: ClockSource named outside the multi-guest engine's substrate choice:" >&2
+    echo "$CLOCK_SOURCE_FILES" >&2
+    exit 1
+fi
+
 echo "==> one-device-file-step gate (every mode reaches the drivers through DeviceTable::serve)"
 # Native, device-assignment and forwarded calls run a driver's file
 # operations in cvd::devices' one serve step, which differs per mode only in
@@ -368,6 +385,28 @@ if [ "$(cat BENCH_experiments.json results/*.csv | cksum)" != "$ARTIFACTS_BEFORE
     echo "ERROR: experiments --help or --bogus rewrote BENCH_experiments.json or results/" >&2
     exit 1
 fi
+
+echo "==> fault-campaign argument gate (--help lists the flags; an unknown flag or a count past u32 exits 2 and runs nothing)"
+# A typo or an out-of-range count must not pass for the default sweep:
+# --help prints the flags and exits 0; --bogus and a campaign count above
+# u32::MAX print usage to stderr, exit 2 and print no report.
+HELP="$(cargo run -q --release -p paradice-bench --bin fault-campaign -- --help)" || {
+    echo "ERROR: fault-campaign --help exited nonzero, expected 0" >&2
+    exit 1
+}
+case "$HELP" in
+    *--seed*--campaigns*) ;;
+    *) echo "ERROR: fault-campaign --help does not list --seed and --campaigns" >&2; exit 1 ;;
+esac
+for bad in "--bogus" "--campaigns 4294967297"; do
+    status=0
+    # shellcheck disable=SC2086 # $bad is a flag list, split on purpose
+    REPORT="$(cargo run -q --release -p paradice-bench --bin fault-campaign -- $bad 2>/dev/null)" || status=$?
+    if [ "$status" -ne 2 ] || [ -n "$REPORT" ]; then
+        echo "ERROR: fault-campaign $bad exited $status and printed ${#REPORT} bytes, expected 2 and nothing" >&2
+        exit 1
+    fi
+done
 
 echo "==> trusted-path ceiling gate (Table 2's CVD + hypervisor API row may shrink, not grow)"
 # The paper's argument for the device-file boundary is how little code sits

@@ -305,26 +305,6 @@ fn saturating_producer_never_loses_or_reorders_frames() {
     engine.finish();
 }
 
-#[test]
-fn survival_matrix_is_identical_on_the_wall_substrate() {
-    // The PR-3 fault campaign (seed 42, 50 campaigns) on the wall clock:
-    // fault selection derives only from the seed and the matrix carries
-    // no timestamps, so the real-time substrate must reproduce the
-    // virtual oracle's survival matrix exactly — including all 35 of 35
-    // driver-VM deaths recovering.
-    let virt = paradice_bench::faults::run_campaigns_on(EngineKind::Virtual, 42, 50);
-    let wall = paradice_bench::faults::run_campaigns_on(EngineKind::Wall, 42, 50);
-    assert_eq!(
-        virt.matrix().render(),
-        wall.matrix().render(),
-        "wall substrate must reproduce the virtual survival matrix"
-    );
-    assert_eq!(virt.recovery_counts(), (35, 35));
-    assert_eq!(wall.recovery_counts(), (35, 35));
-    assert!(wall.pass(), "{}", wall.render());
-    assert_eq!(wall.guest_failures(), 0);
-}
-
 /// One three-guest engine of `kind` serving a held backlog under `policy`:
 /// guest C's op is in service when A1, A2 and B1 arrive. Returns the tasks
 /// in the order the service saw them. On the wall substrate the service
